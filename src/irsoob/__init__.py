@@ -8,12 +8,16 @@ closed-form rate/outage/distribution expressions, and figure-style experiment
 presets with a small CLI (`irsoob`).
 
 Subpackage map:
-    kernels      array-response and special-function primitives
+    kernels      dB conversion, steering vectors, angle grid, Gaussian tail
     channels     geometry, path loss, Rayleigh and sparse channel samplers
-    irs          reflector phase-configuration rules and response probes
-    analytics    closed-form SE, outage, and distribution expressions
-    engine       Monte Carlo trials, schedulers, empirical distributions
-    experiments  presets, CSV emission, run manifests
+    irs          unit phase, scalar phase-configuration rules and effective
+                 channels (the references the engine is tested against),
+                 response probes
+    analytics    closed-form SE, outage, and distribution expressions, and
+                 the one guarded quadrature
+    engine       vectorized Monte Carlo trials, the OOB scheduler,
+                 empirical distributions
+    experiments  presets, runners, CSV emission, run manifests, pooled samples
     cli          argparse entry point
 """
 

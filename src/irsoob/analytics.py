@@ -125,57 +125,6 @@ def ccdf_offset_sub6(z, p: AnalyticParams, ue: int = 0):
     return float(out[0]) if scalar else out
 
 
-@dataclass(frozen=True)
-class OffsetDistributionParams:
-    """Moment and shape parameters of the OOB gain-offset law (difference of correlated exponentials)."""
-
-    mu1: float
-    mu2: float
-    sigma1: float
-    sigma2: float
-    rho12: float
-    gamma_s: float
-    alpha_plus: float
-    alpha_minus: float
-
-    @classmethod
-    def from_params(cls, p: AnalyticParams, ue: int = 0) -> "OffsetDistributionParams":
-        mu1 = _mu1(p, ue)
-        mu2 = float(p.beta_d[ue])
-        rho12 = 1.0 / (1.0 + p.n_elements * float(p.beta_tilde[ue]))
-        # rho12 is the power correlation; the MGF of the gain difference has
-        # poles at the roots of mu1*mu2*(1-rho12)s^2 - (mu2-mu1)s - 1
-        denom = mu1 * mu2 * (1.0 - rho12)
-        if denom <= 0:
-            raise ValueError("degenerate offset distribution: requires N >= 1 so rho12 < 1")
-        gamma_s = 2.0 * math.sqrt((mu2 - mu1) ** 2 + 4.0 * mu1 * mu2 * (1.0 - rho12)) / denom
-        shift = 2.0 * (mu2 - mu1) / denom
-        return cls(mu1=mu1, mu2=mu2, sigma1=mu1, sigma2=mu2, rho12=rho12,
-                   gamma_s=gamma_s, alpha_plus=gamma_s + shift, alpha_minus=gamma_s - shift)
-
-
-def ccdf_offset_sub6_exact(z, p: AnalyticParams, ue: int = 0):
-    """Tail of the gain offset given the reflected power, N*beta_r on average.
-
-    Exact for a fixed-variance Gaussian pair: the direct path h_d ~
-    CN(0, beta_d) and a reflected sum r ~ CN(0, N*beta_r), independent, whose
-    gains |h_d + r|^2 and |h_d|^2 form a difference of correlated
-    exponentials. The simulated reflected sum sum_n theta_n f_n g_n is only
-    conditionally Gaussian: its variance beta_g*||f||^2 spreads with ||f||^2,
-    which this form fixes at its mean. The law the engine samples at finite N
-    is ccdf_offset_sub6_finite_n, which averages this one over that spread.
-    """
-    d = OffsetDistributionParams.from_params(p, ue)
-    scalar = np.ndim(z) == 0
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    denom = d.mu1 * d.mu2 * (1.0 - d.rho12) * d.gamma_s
-    neg = z < 0
-    out = np.empty_like(z)
-    out[neg] = 1.0 - (8.0 / (denom * d.alpha_minus)) * np.exp(d.alpha_minus * z[neg] / 4.0)
-    out[~neg] = (8.0 / (denom * d.alpha_plus)) * np.exp(-d.alpha_plus * z[~neg] / 4.0)
-    return float(out[0]) if scalar else out
-
-
 _GAMMA_NODES = 60
 
 
@@ -207,6 +156,25 @@ def _offset_ccdf_given_power(u, t):
     pos = lam_plus / root * np.exp(-np.maximum(u, 0.0) / lam_plus)
     neg = 1.0 - lam_minus / root * np.exp(np.minimum(u, 0.0) / lam_minus)
     return np.where(u >= 0.0, pos, neg)
+
+
+def ccdf_offset_sub6_exact(z, p: AnalyticParams, ue: int = 0):
+    """Tail of the gain offset given the reflected power, N*beta_r on average.
+
+    Exact for a fixed-variance Gaussian pair: the direct path h_d ~
+    CN(0, beta_d) and a reflected sum r ~ CN(0, N*beta_r), independent, whose
+    gains |h_d + r|^2 and |h_d|^2 form a difference of correlated
+    exponentials. The simulated reflected sum sum_n theta_n f_n g_n is only
+    conditionally Gaussian: its variance beta_g*||f||^2 spreads with ||f||^2,
+    which this form fixes at its mean. The law the engine samples at finite N
+    is ccdf_offset_sub6_finite_n, which averages this one over that spread.
+    """
+    if p.n_elements < 1:
+        raise ValueError("degenerate offset distribution: requires N >= 1")
+    scalar = np.ndim(z) == 0
+    u = np.atleast_1d(np.asarray(z, dtype=float)) / float(p.beta_d[ue])
+    out = _offset_ccdf_given_power(u, p.n_elements * float(p.beta_tilde[ue]))
+    return float(out[0]) if scalar else out
 
 
 def ccdf_offset_sub6_finite_n(z, p: AnalyticParams, ue: int = 0):
@@ -258,17 +226,31 @@ def sumse_oob_mmwave_los(p: AnalyticParams) -> float:
     return float(np.mean((lb / n) * hit + (1.0 - lb / n) * miss))
 
 
+# Adaptive quadrature is considered converged when the reported absolute error
+# is below this fraction of the result.
+_QUAD_REL_TOL = 1e-8
+
+
 def _exp_scaled_gamma1(a: float, b: float) -> float:
     """exp(a) * int_a^inf exp(-t - b/t) dt, computed without forming exp(a).
 
     Substituting t = a + s gives int_0^inf exp(-s - b/(a+s)) ds, stable for
-    any a >= 0.
+    any a >= 0. This is the tail integral I0 of the mmWave outage forms:
+    int_c1^inf exp(-t/c2 - x/t) dt = c2 * exp(-c1/c2) * _exp_scaled_gamma1(c1/c2, x/c2).
+    Raises ArithmeticError, naming (a, b), if the adaptive quadrature cannot
+    certify 1e-8 relative accuracy.
     """
     out = integrate.quad(lambda s: np.exp(-s - b / (a + s)), 0.0, np.inf,
                          epsabs=0.0, epsrel=1e-10, limit=200, full_output=1)
     if len(out) > 3:
-        raise ArithmeticError(f"quadrature did not converge: {out[3]}")
-    return out[0]
+        # quad appends an explanation string when it could not converge
+        raise ArithmeticError(f"quadrature did not converge at a={a!r}, b={b!r}: {out[3]}")
+    value, abserr = out[0], out[1]
+    if value != 0.0 and abserr > _QUAD_REL_TOL * abs(value):
+        raise ArithmeticError(
+            f"quadrature error {abserr:.3e} exceeds {_QUAD_REL_TOL:.0e} relative tolerance "
+            f"at a={a!r}, b={b!r}")
+    return value
 
 
 _CDF_CLAMP_TOL = 1e-9

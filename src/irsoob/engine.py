@@ -23,7 +23,8 @@ import numpy as np
 from .channels import (LinkBudget, complex_normal, draw_ue_positions, link_budget,
                        sample_mmwave, sample_sub6)
 from .config import ExperimentSpec
-from .kernels import db_to_linear, grid_index
+from .irs import unit_phase
+from .kernels import grid_index
 
 # slot-chunk sizing so scratch arrays stay around tens of MB
 _CHUNK_ELEMS = 1 << 21
@@ -41,13 +42,6 @@ def _chunk_slices(slots: int, width: int):
     width = max(64, width)
     for start in range(0, slots, width):
         yield slice(start, min(start + width, slots))
-
-
-def _unit_phase(values: np.ndarray) -> np.ndarray:
-    """values/|values| with the zero-magnitude tie resolved to 1."""
-    mag = np.abs(values)
-    safe = np.where(mag > 0, mag, 1.0)
-    return np.where(mag > 0, values / safe, 1.0)
 
 
 @dataclass
@@ -125,7 +119,7 @@ def mmwave_los_trial(rng: np.random.Generator, n_elements: int, budget_x: LinkBu
     amp_x = np.abs(h_dx) + n_elements * np.abs(g_x)
     inband_gain = amp_x ** 2
     se_inband = np.log2(1.0 + inband_gain * tx_snr)
-    u = _unit_phase(h_dx * np.conj(g_x))
+    u = unit_phase(h_dx * np.conj(g_x))
 
     idx_x = grid_index(x.cascade_angles[:, 0], n_elements)  # (K,)
     idx_y = grid_index(y.cascade_angles, n_elements)        # (Q, L)
@@ -180,7 +174,7 @@ def mmwave_nlos_trial(rng: np.random.Generator, n_elements: int, budget_x: LinkB
         s = np.zeros((span, n_elements), dtype=complex)
         np.add.at(s, (sub[:, None], idx_x[sl]), np.conj(g_x[sl]))
         v = sgn * np.fft.fft(s, axis=1)
-        theta = np.exp(1j * np.angle(h_dx[sl]))[:, None] * _unit_phase(v)
+        theta = np.exp(1j * np.angle(h_dx[sl]))[:, None] * unit_phase(v)
         if keep_theta:
             theta_all[sl] = theta
         resp = np.fft.ifft(sgn * theta, axis=1)   # adot(grid angle m)^H theta, all m at once
@@ -226,35 +220,14 @@ def inband_gain_samples_sub6(rng: np.random.Generator, n_elements: int, beta_r: 
 # ---------------------------------------------------------------------------
 # scheduling
 
-@dataclass
-class SchedulerState:
-    """Running state of an OOB scheduler; `averages` is the PF throughput EMA."""
-
-    kind: str
-    tau: float = 1000.0
-    averages: np.ndarray | None = None
-    pointer: int = 0
-
-
-def pf_update(state: SchedulerState, q_star: int, rates: np.ndarray) -> SchedulerState:
-    """Exponential moving-average update: only the served UE banks its rate."""
-    averages = state.averages * (1.0 - 1.0 / state.tau)
-    averages[q_star] += rates[q_star] / state.tau
-    return SchedulerState(kind=state.kind, tau=state.tau, averages=averages,
-                          pointer=state.pointer + 1)
-
-
-def mr_select(gains: np.ndarray, tx_snr: float) -> int:
-    """Index of the UE with the highest instantaneous SE; ties go to the lowest index."""
-    return int(np.argmax(np.log2(1.0 + np.asarray(gains) * tx_snr)))
-
-
 def schedule_rates(rates: np.ndarray, scheduler: str, tau: float = 1000.0) -> np.ndarray:
     """Served-UE index per slot for a (slots, Q) rate matrix.
 
     PF warm-starts its averages from the first slot's rates (any positive
     start works; this one makes slot 0 a fair tie) and uses the standard
-    R_q/T_q metric.
+    R_q/T_q metric. After each slot every average decays by 1 - 1/tau and
+    only the served UE banks rate/tau. MR serves the highest rate; ties go
+    to the lowest index, in MR and PF alike.
     """
     slots, q_ues = rates.shape
     if scheduler == "rr":
@@ -263,12 +236,14 @@ def schedule_rates(rates: np.ndarray, scheduler: str, tau: float = 1000.0) -> np
         return np.argmax(rates, axis=1)
     if scheduler != "pf":
         raise ValueError(f"unknown scheduler {scheduler!r}")
-    state = SchedulerState(kind="pf", tau=tau, averages=np.maximum(rates[0].copy(), 1e-300))
+    decay = 1.0 - 1.0 / tau
+    averages = np.maximum(rates[0], 1e-300)
     served = np.empty(slots, dtype=int)
     for t in range(slots):
-        q_star = int(np.argmax(rates[t] / state.averages))
+        q_star = int(np.argmax(rates[t] / averages))
         served[t] = q_star
-        state = pf_update(state, q_star, rates[t])
+        averages *= decay
+        averages[q_star] += rates[t, q_star] / tau
     return served
 
 
@@ -320,21 +295,7 @@ def dominance_test(samples_with, samples_without, grid) -> DominanceReport:
 
 
 # ---------------------------------------------------------------------------
-# full protocol
-
-@dataclass
-class SlotOutcome:
-    """Everything recorded about one time slot of a full two-operator run."""
-
-    slot: int
-    inband_ue: int
-    oob_ue: int
-    theta: np.ndarray | None
-    inband_se: float
-    oob_se: float
-    oob_gain_irs: float
-    oob_gain_noirs: float
-
+# one protocol trial
 
 def budgets_for(spec: ExperimentSpec, rng: np.random.Generator,
                  ue_positions: tuple[np.ndarray, np.ndarray] | None):
@@ -354,71 +315,21 @@ def budgets_for(spec: ExperimentSpec, rng: np.random.Generator,
 def run_trial(spec: ExperimentSpec, rng: np.random.Generator, n_elements: int,
               tx_snr: float, budget_x: LinkBudget, budget_y: LinkBudget,
               want_bf: bool = False, keep_theta: bool = False) -> TrialData:
-    """Dispatch one trial in the spec's regime at explicit sweep coordinates."""
-    if spec.regime == "sub6":
-        return sub6_trial(rng, n_elements, budget_x, budget_y, tx_snr, spec.slots,
-                          want_bf=want_bf, keep_theta=keep_theta)
-    if spec.regime == "mmwave_los":
-        return mmwave_los_trial(rng, n_elements, budget_x, budget_y, tx_snr, spec.slots,
-                                l_oob=spec.l1 * spec.l2, keep_theta=keep_theta)
-    if spec.regime == "mmwave_nlos":
-        return mmwave_nlos_trial(rng, n_elements, budget_x, budget_y, tx_snr, spec.slots,
-                                 spec.l1, spec.l2, keep_theta=keep_theta)
-    raise ValueError(f"unknown regime {spec.regime!r}")
+    """One trial in the spec's regime at explicit sweep coordinates.
 
-
-def run_simulation(spec: ExperimentSpec, rng: np.random.Generator,
-                   ue_positions: tuple[np.ndarray, np.ndarray] | None = None,
-                   keep_theta: bool = True) -> list[SlotOutcome]:
-    """One trial of the full protocol, returned as a per-slot trace.
-
-    Uses the first entry of each sweep. Positions are drawn from rng unless
-    provided. Aborts on any non-finite gain.
+    Aborts on any non-finite gain, so no run can write inf or NaN cells.
     """
-    n_elements = spec.n_sweep[0]
-    tx_snr = float(db_to_linear(spec.gamma_db_sweep[0]))
-    _, budget_x, budget_y = budgets_for(spec, rng, ue_positions)
-    data = run_trial(spec, rng, n_elements, tx_snr, budget_x, budget_y,
-                     keep_theta=keep_theta)
+    if spec.regime == "sub6":
+        data = sub6_trial(rng, n_elements, budget_x, budget_y, tx_snr, spec.slots,
+                          want_bf=want_bf, keep_theta=keep_theta)
+    elif spec.regime == "mmwave_los":
+        data = mmwave_los_trial(rng, n_elements, budget_x, budget_y, tx_snr, spec.slots,
+                                l_oob=spec.l1 * spec.l2, keep_theta=keep_theta)
+    elif spec.regime == "mmwave_nlos":
+        data = mmwave_nlos_trial(rng, n_elements, budget_x, budget_y, tx_snr, spec.slots,
+                                 spec.l1, spec.l2, keep_theta=keep_theta)
+    else:
+        raise ValueError(f"unknown regime {spec.regime!r}")
     if not (np.all(np.isfinite(data.inband_gain)) and np.all(np.isfinite(data.gain_irs))):
         raise ArithmeticError("non-finite channel gain in simulation")
-    served = schedule_rates(data.rates_oob, spec.scheduler, spec.pf_tau)
-    rows = np.arange(spec.slots)
-    outcomes = []
-    for t in rows:
-        q = served[t]
-        outcomes.append(SlotOutcome(
-            slot=int(t), inband_ue=int(t % spec.k_ues), oob_ue=int(q),
-            theta=None if data.theta is None else data.theta[t],
-            inband_se=float(data.se_inband[t]), oob_se=float(data.rates_oob[t, q]),
-            oob_gain_irs=float(data.gain_irs[t, q]),
-            oob_gain_noirs=float(data.gain_noirs[t, q])))
-    return outcomes
-
-
-def pf_convergence_probe(seed: int, q_list, n_elements: int, tau: float, slots: int,
-                         tx_snr: float, spec: ExperimentSpec | None = None,
-                         trials: int = 1) -> list[float]:
-    """Gap between the per-UE matched-reflector SE ceiling and the PF-scheduled OOB SE, per Q.
-
-    The ceiling is the Rayleigh coherent-alignment SE evaluated on the OOB
-    channels themselves; with many UEs to pick from, PF approaches it from
-    below, so the gap should shrink as Q grows.
-    """
-    base = spec if spec is not None else ExperimentSpec()
-    gaps = []
-    for q_ues in q_list:
-        rngs = spawn_rngs(seed + 7919 * q_ues, trials + 1)
-        pos = draw_ue_positions(rngs[0], base.geometry, q_ues, base.path_loss.d0)
-        pos_x = draw_ue_positions(rngs[0], base.geometry, base.k_ues, base.path_loss.d0)
-        budget_x = link_budget(base.geometry, base.path_loss, base.geometry.bs_inband, pos_x)
-        budget_y = link_budget(base.geometry, base.path_loss, base.geometry.bs_oob, pos)
-        gap_trials = []
-        for rng in rngs[1:]:
-            data = sub6_trial(rng, n_elements, budget_x, budget_y, tx_snr, slots, want_bf=True)
-            served = schedule_rates(data.rates_oob, "pf", tau=tau)
-            pf_rate = float(np.mean(data.rates_oob[np.arange(slots), served]))
-            ceiling = float(np.mean(np.log2(1.0 + data.bf_gain * tx_snr)))
-            gap_trials.append(ceiling - pf_rate)
-        gaps.append(float(np.mean(gap_trials)))
-    return gaps
+    return data

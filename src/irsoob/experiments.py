@@ -30,8 +30,7 @@ from . import analytics
 from .analytics import AnalyticParams
 from .config import ExperimentSpec, spec_hash, spec_to_dict
 from .engine import (budgets_for, dominance_test, empirical_ccdf, empirical_outage,
-                     inband_gain_samples_sub6, run_trial, schedule_rates, spawn_rngs,
-                     sub6_trial)
+                     inband_gain_samples_sub6, run_trial, schedule_rates, spawn_rngs)
 from .irs import correlation_response
 from .kernels import db_to_linear
 
@@ -101,7 +100,7 @@ def write_manifest(path, figure: str, spec: ExperimentSpec, positions) -> None:
             "python": platform.python_version(),
             "numpy": np.__version__,
             "scipy": scipy.__version__,
-            "artifact": __version__,
+            "irsoob": __version__,
         },
     }
     target = Path(path)
@@ -180,19 +179,25 @@ def _binom_err(p_hat: float, count: int) -> float:
     return math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / count)
 
 
-def _mu1(params: AnalyticParams, ue: int = 0) -> float:
-    # mean OOB gain with the reflector pointed elsewhere
-    return float(params.beta_d[ue] * (1.0 + params.n_elements * params.beta_tilde[ue]))
-
-
 def _invert_offset_ccdf(p_target: float, params: AnalyticParams, ue: int = 0) -> float:
-    """Gain offset z at which the wideband-limit CCDF equals p_target."""
+    """Gain offset z at which the large-N limit CCDF (ccdf_offset_sub6) equals p_target."""
     beta_d = float(params.beta_d[ue])
     nbt = params.n_elements * float(params.beta_tilde[ue])
     knee = (nbt + 1.0) / (nbt + 2.0)   # CCDF value at z = 0
     if p_target <= knee:
         return -beta_d * (1.0 + nbt) * math.log(p_target / knee)
     return beta_d * math.log((1.0 - p_target) * (nbt + 2.0))
+
+
+def _served_se(rates: np.ndarray, scheduler: str, tau: float) -> np.ndarray:
+    """Per-trial mean SE of the UEs a scheduler serves, from (trials, slots, Q) rates."""
+    slot_idx = np.arange(rates.shape[1])
+    return np.array([r[slot_idx, schedule_rates(r, scheduler, tau)].mean() for r in rates])
+
+
+def _pf_gap(bf_gain: np.ndarray, snr: float, pf_se: np.ndarray) -> np.ndarray:
+    """Per-trial gap between the per-UE matched-reflector SE ceiling and the PF-served SE."""
+    return np.log2(1.0 + bf_gain * snr).mean(axis=(1, 2)) - pf_se
 
 
 def _ccdf_grid_mmwave(params: AnalyticParams, ue: int, points: int) -> np.ndarray:
@@ -256,7 +261,6 @@ def run_spec(spec: ExperimentSpec, figure: str = "run", analytic_only: bool = Fa
 
 def _sumse_rows(spec, figure, n, l_tag, data, budget_x, budget_y):
     rows = []
-    slot_idx = np.arange(spec.slots)
     for gamma in spec.gamma_db_sweep:
         snr = float(db_to_linear(gamma))
         for side, budget in (("inband", budget_x), ("oob", budget_y)):
@@ -274,11 +278,8 @@ def _sumse_rows(spec, figure, n, l_tag, data, budget_x, budget_y):
                 if side == "inband":
                     per_trial = np.log2(1.0 + data.inband_gain * snr).mean(axis=1)
                 else:
-                    rates = np.log2(1.0 + data.gain_irs * snr)
-                    per_trial = []
-                    for t in range(rates.shape[0]):
-                        served = schedule_rates(rates[t], spec.scheduler, spec.pf_tau)
-                        per_trial.append(rates[t][slot_idx, served].mean())
+                    per_trial = _served_se(np.log2(1.0 + data.gain_irs * snr),
+                                           spec.scheduler, spec.pf_tau)
                 emp, err = _mean_and_stderr(per_trial)
             rows.append(ResultRow(figure, f"sumse_{side}",
                                   scheduler=spec.scheduler if side == "oob" else "",
@@ -292,7 +293,7 @@ def _outage_rows(spec, figure, n, l_tag, data, params_x, params_y,
     rows = []
     ref_n = 64 if 64 in spec.n_sweep else spec.n_sweep[-1]
     ref = dataclasses.replace(params_y, n_elements=max(ref_n, 1))
-    rho = rho_oob if rho_oob is not None else 0.1 * _mu1(ref)
+    rho = rho_oob if rho_oob is not None else 0.1 * analytics._mu1(ref, 0)
     if spec.regime == "sub6":
         analytic = float(analytics.outage_oob_sub6(rho, params_y)) if n > 0 else \
             float(1.0 - math.exp(-rho / params_y.beta_d[0]))
@@ -345,7 +346,7 @@ def _ccdf_rows(spec, figure, n, l_tag, data, params_y, grid_points):
     if spec.regime == "sub6":
         p_grid = np.linspace(0.995, 0.005, grid_points)
         grid = np.array([_invert_offset_ccdf(p, params_y) for p in p_grid])
-        analytic = analytics.ccdf_offset_sub6(grid, params_y)
+        analytic = analytics.ccdf_offset_sub6_finite_n(grid, params_y)
         samples = None
         if data is not None:
             samples = (data.gain_irs[:, :, 0] - data.gain_noirs[:, :, 0]).ravel()
@@ -370,7 +371,7 @@ def _ccdf_rows(spec, figure, n, l_tag, data, params_y, grid_points):
 
 def _dominance_row(spec, figure, n, l_tag, data, params_y, grid_points):
     beta_d0 = float(params_y.beta_d[0])
-    grid = np.geomspace(1e-2 * beta_d0, 10.0 * _mu1(params_y), grid_points)
+    grid = np.geomspace(1e-2 * beta_d0, 10.0 * analytics._mu1(params_y, 0), grid_points)
     report = dominance_test(data.gain_irs[:, :, 0], data.gain_noirs[:, :, 0], grid)
     return ResultRow(figure, "dominance_min_diff", n_elements=n, l_paths=l_tag,
                      empirical=report.min_diff, analytic=None, stderr=report.eps_stat)
@@ -380,16 +381,10 @@ def _pf_gap_rows(spec, figure, n, l_tag, data):
     if spec.regime != "sub6" or data.bf_gain is None:
         return []
     rows = []
-    slot_idx = np.arange(spec.slots)
     for gamma in spec.gamma_db_sweep:
         snr = float(db_to_linear(gamma))
-        rates = np.log2(1.0 + data.gain_irs * snr)
-        ceilings = np.log2(1.0 + data.bf_gain * snr).mean(axis=(1, 2))
-        gaps = []
-        for t in range(rates.shape[0]):
-            served = schedule_rates(rates[t], "pf", tau=spec.pf_tau)
-            gaps.append(float(ceilings[t]) - float(rates[t][slot_idx, served].mean()))
-        emp, err = _mean_and_stderr(gaps)
+        pf_se = _served_se(np.log2(1.0 + data.gain_irs * snr), "pf", spec.pf_tau)
+        emp, err = _mean_and_stderr(_pf_gap(data.bf_gain, snr, pf_se))
         rows.append(ResultRow(figure, "pf_gap", scheduler="pf", n_elements=n,
                               gamma_db=gamma, l_paths=l_tag, q_ues=spec.q_ues,
                               empirical=emp, analytic=None, stderr=err))
@@ -423,13 +418,16 @@ def run_scheduler_grid(spec: ExperimentSpec, q_list, figure: str,
 
     For each (Q, N) cell, one set of trials is scheduled three ways, so
     scheduler differences are not masked by sampling noise. Also reports the
-    gap between the per-UE aligned-reflector ceiling and the PF rate.
+    gap between the per-UE aligned-reflector ceiling and the PF rate. The
+    ceiling and the closed forms are the Rayleigh ones, so only the sub6
+    regime is accepted.
     """
+    if spec.regime != "sub6":
+        raise ValueError(f"the scheduler comparison needs regime 'sub6', got {spec.regime!r}")
     rows: list[ResultRow] = []
     positions = None
     gamma = spec.gamma_db_sweep[0]
     snr = float(db_to_linear(gamma))
-    slot_idx = np.arange(spec.slots)
     for q_ues in q_list:
         spec_q = dataclasses.replace(spec, q_ues=int(q_ues))
         rngs = spawn_rngs(spec.seed + 7919 * int(q_ues),
@@ -451,24 +449,17 @@ def run_scheduler_grid(spec: ExperimentSpec, q_list, figure: str,
                                           analytic=analytic[sched], stderr=None))
                 continue
             trial_rngs = rngs[1 + i * spec.trials: 1 + (i + 1) * spec.trials]
-            per_sched = {"rr": [], "pf": [], "mr": []}
-            gap_trials = []
-            for rng in trial_rngs:
-                data = sub6_trial(rng, n, budget_x, budget_y, snr, spec.slots,
-                                  want_bf=True)
-                for sched in per_sched:
-                    served = schedule_rates(data.rates_oob, sched, tau=spec.pf_tau)
-                    per_sched[sched].append(
-                        float(data.rates_oob[slot_idx, served].mean()))
-                ceiling = float(np.mean(np.log2(1.0 + data.bf_gain * snr)))
-                gap_trials.append(ceiling - per_sched["pf"][-1])
+            data = collect_gains(spec_q, n, trial_rngs, budget_x, budget_y, want_bf=True)
+            rates = np.log2(1.0 + data.gain_irs * snr)
+            per_sched = {sched: _served_se(rates, sched, spec.pf_tau)
+                         for sched in ("rr", "pf", "mr")}
             for sched, vals in per_sched.items():
                 emp, err = _mean_and_stderr(vals)
                 rows.append(ResultRow(figure, "sumse_oob", scheduler=sched,
                                       n_elements=n, gamma_db=gamma, q_ues=int(q_ues),
                                       empirical=emp, analytic=analytic[sched],
                                       stderr=err))
-            emp, err = _mean_and_stderr(gap_trials)
+            emp, err = _mean_and_stderr(_pf_gap(data.bf_gain, snr, per_sched["pf"]))
             rows.append(ResultRow(figure, "pf_gap", scheduler="pf", n_elements=n,
                                   gamma_db=gamma, q_ues=int(q_ues),
                                   empirical=emp, analytic=None, stderr=err))
@@ -511,32 +502,15 @@ def run_inband_offset(spec: ExperimentSpec, figure: str, analytic_only: bool = F
 
 
 # ---------------------------------------------------------------------------
-# helpers used by validation as well as presets
-
-def offset_samples_sub6(seed: int, n_elements: int, count: int,
-                        gamma_db: float = 130.0, spec: ExperimentSpec | None = None):
-    """Pooled OOB gain offsets for the first OOB UE, plus that UE's parameters.
-
-    Draws whole trials of the two-operator protocol until `count` offset
-    samples exist; used for distribution-level validation at sample sizes the
-    figure presets do not need.
-    """
-    base = spec if spec is not None else ExperimentSpec()
-    trials = math.ceil(count / base.slots)
-    rngs = spawn_rngs(seed, 1 + trials)
-    _, budget_x, budget_y = budgets_for(base, rngs[0], None)
-    snr = float(db_to_linear(gamma_db))
-    chunks = []
-    for rng in rngs[1:]:
-        data = sub6_trial(rng, n_elements, budget_x, budget_y, snr, base.slots)
-        chunks.append(data.gain_irs[:, 0] - data.gain_noirs[:, 0])
-    params = AnalyticParams(n_elements=max(n_elements, 1), tx_snr=snr,
-                            beta_r=budget_y.beta_r, beta_d=budget_y.beta_d)
-    return np.concatenate(chunks)[:count], params
-
+# pooled samples for distribution-level validation
 
 def oob_gain_samples(seed: int, spec: ExperimentSpec, n_elements: int, count: int):
-    """Pooled OOB gains (with and without reflector) for the first OOB UE."""
+    """Pooled OOB gains (with and without reflector) for the first OOB UE.
+
+    Draws whole trials of the two-operator protocol until `count` samples
+    exist, at sample sizes the figure presets do not need. Returns
+    (with, without, params); with - without is the UE's gain offset.
+    """
     trials = math.ceil(count / spec.slots)
     rngs = spawn_rngs(seed, 1 + trials)
     _, budget_x, budget_y = budgets_for(spec, rngs[0], None)

@@ -7,15 +7,14 @@ complex vectors with unit-modulus entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .channels import MmwaveChannels, Sub6Channels
 
-# anything below this magnitude is treated as a zero channel coefficient when
-# picking a phase reference
-_ZERO_TOL = 0.0
+def unit_phase(values):
+    """values/|values| elementwise, with the zero-magnitude tie resolved to 1."""
+    mag = np.abs(values)
+    safe = np.where(mag > 0, mag, 1.0)
+    return np.where(mag > 0, values / safe, 1.0)
 
 
 def _phase_ref(h_d: complex) -> float:
@@ -45,10 +44,8 @@ def optimize_mmwave_los(h_d: complex, gamma: complex, omega1: float,
     reflected path adds coherently with the direct one; the effective channel
     magnitude becomes |h_d| + N|gamma|.
     """
-    prod = h_d * np.conj(gamma)
-    u = prod / abs(prod) if prod != 0 else 1.0
     n = np.arange(n_elements)
-    return u * np.exp(-1j * np.pi * n * omega1)
+    return unit_phase(h_d * np.conj(gamma)) * np.exp(-1j * np.pi * n * omega1)
 
 
 def optimize_mmwave_nlos(h_d: complex, cascade_angles: np.ndarray, cascade_gains: np.ndarray,
@@ -67,20 +64,7 @@ def optimize_mmwave_nlos(h_d: complex, cascade_angles: np.ndarray, cascade_gains
         raise ValueError("cascade_angles and cascade_gains must be equal-length 1-D arrays")
     n = np.arange(n_elements)
     v = np.exp(-1j * np.pi * np.outer(n, angles)) @ np.conj(gains)
-    mag = np.abs(v)
-    unit = np.where(mag > _ZERO_TOL, v / np.where(mag > _ZERO_TOL, mag, 1.0), 1.0)
-    return np.exp(1j * _phase_ref(h_d)) * unit
-
-
-@dataclass(frozen=True)
-class EffectiveChannel:
-    """Scalar end-to-end channel and its power gain."""
-
-    value: complex
-
-    @property
-    def gain(self) -> float:
-        return float(abs(self.value) ** 2)
+    return np.exp(1j * _phase_ref(h_d)) * unit_phase(v)
 
 
 def effective_channel_sub6(h_d: complex, f: np.ndarray, g: np.ndarray,
@@ -104,18 +88,6 @@ def effective_channel_mmwave(h_d: complex, cascade_angles: np.ndarray,
     n = np.arange(n_elements)
     resp = np.exp(1j * np.pi * np.outer(angles, n)) @ theta / n_elements
     return complex(h_d + n_elements / np.sqrt(l_paths) * np.sum(gains * resp))
-
-
-def effective_channel(h_d: complex, channels, theta: np.ndarray, ue: int = 0) -> EffectiveChannel:
-    """Compose the end-to-end scalar channel for one UE of a sampled realization."""
-    if isinstance(channels, Sub6Channels):
-        value = effective_channel_sub6(h_d, channels.f, channels.g[ue], theta)
-    elif isinstance(channels, MmwaveChannels):
-        value = effective_channel_mmwave(h_d, channels.cascade_angles[ue],
-                                         channels.cascade_gains[ue], theta)
-    else:
-        raise TypeError(f"unsupported channel realization type {type(channels).__name__}")
-    return EffectiveChannel(value=value)
 
 
 def correlation_response(rng: np.random.Generator, n_elements: int, source_angles,
@@ -142,9 +114,7 @@ def correlation_response(rng: np.random.Generator, n_elements: int, source_angle
     gains = (rng.standard_normal((trials, l_paths))
              + 1j * rng.standard_normal((trials, l_paths))) / np.sqrt(2.0)
     basis = np.exp(-1j * np.pi * np.outer(angles, n))  # (L, N)
-    v = np.conj(gains) @ basis
-    mag = np.abs(v)
-    theta = np.where(mag > 0, v / np.where(mag > 0, mag, 1.0), 1.0)
+    theta = unit_phase(np.conj(gains) @ basis)
     resp = np.abs(theta @ probe)
     if statistic == "power":
         return float(np.mean(resp ** 2))

@@ -8,17 +8,12 @@ or radians happens once, at the geometry layer, never here.
 from __future__ import annotations
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 
 def db_to_linear(x_db):
     """dB -> linear power ratio. The single conversion point for the package."""
     return 10.0 ** (np.asarray(x_db, dtype=float) / 10.0)
-
-
-def linear_to_db(x):
-    """Linear power ratio -> dB."""
-    return 10.0 * np.log10(np.asarray(x, dtype=float))
 
 
 def steering_vector(n_elements: int, angle: float) -> np.ndarray:
@@ -72,80 +67,6 @@ def principal_sine_wrap(x):
     return out
 
 
-# Below this threshold on |sin(0.5*pi*x)| the ratio form is numerically unusable
-# and the kernel is evaluated by its limit value instead.
-_FEJER_SINGULAR_TOL = 1e-12
-
-
-def fejer_kernel(n_elements: int, x):
-    """Directional kernel sin(0.5*N*pi*x) / sin(0.5*pi*x).
-
-    At x = 0 (mod 2) the ratio is singular and the kernel takes the value N by
-    convention (the limit from x -> 0; the same value is used at every
-    singular point). Even in x, bounded by N in magnitude. Vectorized.
-    """
-    if n_elements < 1:
-        raise ValueError(f"n_elements must be >= 1, got {n_elements}")
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("fejer_kernel requires finite input")
-    denom = np.sin(0.5 * np.pi * arr)
-    singular = np.abs(denom) < _FEJER_SINGULAR_TOL
-    safe = np.where(singular, 1.0, denom)
-    out = np.where(singular, float(n_elements), np.sin(0.5 * n_elements * np.pi * arr) / safe)
-    if np.isscalar(x) or arr.ndim == 0:
-        return float(out)
-    return out
-
-
 def gauss_q(x):
     """Gaussian tail probability Q(x) = P(N(0,1) > x)."""
     return 0.5 * special.erfc(np.asarray(x, dtype=float) / np.sqrt(2.0))
-
-
-# Adaptive quadrature is considered converged when the reported absolute error
-# is below this fraction of the result.
-_QUAD_REL_TOL = 1e-8
-
-
-def _quad_to_inf(integrand, lower: float) -> float:
-    """Adaptive quadrature on [lower, inf) that raises instead of silently degrading."""
-    out = integrate.quad(integrand, lower, np.inf, epsabs=0.0, epsrel=1e-10,
-                         limit=200, full_output=1)
-    if len(out) > 3:
-        # quad appends an explanation string when it could not converge
-        raise ArithmeticError(f"quadrature did not converge: {out[3]}")
-    value, abserr = out[0], out[1]
-    if value != 0.0 and abserr > _QUAD_REL_TOL * abs(value):
-        raise ArithmeticError(
-            f"quadrature error {abserr:.3e} exceeds {_QUAD_REL_TOL:.0e} relative tolerance")
-    return value
-
-
-def i0_integral(x: float, c1: float, c2: float) -> float:
-    """The tail integral I0(x; c1, c2) = int_{c1}^inf exp(-t/c2 - x/t) dt.
-
-    Appears in the mmWave outage expressions. At x = 0 it reduces to
-    c2*exp(-c1/c2). Decreasing in x. Raises ArithmeticError if the adaptive
-    quadrature cannot certify 1e-8 relative accuracy.
-    """
-    if c1 < 0 or c2 <= 0 or x < 0:
-        raise ValueError(f"require x >= 0, c1 >= 0, c2 > 0; got x={x}, c1={c1}, c2={c2}")
-    if x == 0.0:
-        return c2 * np.exp(-c1 / c2)
-    return _quad_to_inf(lambda t: np.exp(-t / c2 - x / t), c1)
-
-
-def generalized_upper_incomplete_gamma(alpha: float, x: float, b: float) -> float:
-    """Generalized upper incomplete gamma Gamma(alpha, x; b) = int_x^inf t^(alpha-1) e^(-t - b/t) dt.
-
-    b = 0 recovers the ordinary upper incomplete gamma function, e.g.
-    Gamma(1, x; 0) = exp(-x). The partial derivative in b is
-    -Gamma(alpha - 1, x; b), which the analytics layer uses for monotonicity
-    arguments.
-    """
-    if x < 0 or b < 0:
-        raise ValueError(f"require x >= 0 and b >= 0, got x={x}, b={b}")
-    if b == 0.0 and alpha == 1.0:
-        return float(np.exp(-x))
-    return _quad_to_inf(lambda t: t ** (alpha - 1.0) * np.exp(-t - b / t), x)

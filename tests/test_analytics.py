@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from irsoob import analytics as an
-from irsoob.analytics import AnalyticParams, DecayBoundParams, OffsetDistributionParams
+from irsoob.analytics import AnalyticParams, DecayBoundParams
 
 # Reference-UE losses from the default geometry (see test_channels.py for the
 # arithmetic): sub-6 carrier and the sparse-carrier variant at 75 m.
@@ -188,10 +188,8 @@ def test_offset_exact_fields_and_knee():
     # mu1 = 5, mu2 = 1, rho = 1/5 has roots (sqrt2 -+ 1)/2, and the
     # positive-side mass is 1/(4 - 2 sqrt2).
     p = AnalyticParams(n_elements=4, tx_snr=1.0, beta_r=1.0, beta_d=1.0)
-    d = OffsetDistributionParams.from_params(p)
-    assert d.mu1 == pytest.approx(5.0) and d.mu2 == pytest.approx(1.0)
-    assert d.rho12 == pytest.approx(0.2)
-    assert d.sigma1 == d.mu1 and d.sigma2 == d.mu2
+    assert an._mu1(p, 0) == pytest.approx(5.0)
+    assert an.offset_correlation(p) == pytest.approx(0.2)
     np.testing.assert_allclose(an.ccdf_offset_sub6_exact(0.0, p), (2 + math.sqrt(2)) / 4, rtol=1e-12)
     # continuity at the knee and the far tails
     assert abs(an.ccdf_offset_sub6_exact(-1e-9, p) - an.ccdf_offset_sub6_exact(0.0, p)) < 1e-8

@@ -3,8 +3,9 @@
 The heavier checks pin the engine against oracles that do not reuse its code
 path: a quadrature integral for the no-reflector mean SE, the closed-form
 sum-SE evaluated on the same link budgets, and an inline redraw of the
-channel law for the distributional checks. Scheduler updates are checked
-against hand-computed values.
+channel law for the distributional checks. Scheduler decisions are checked
+against hand-computed values, and each vectorized trial is replayed draw for
+draw through the scalar reflector rules in irs.py.
 """
 
 import math
@@ -14,14 +15,15 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
-from irsoob.channels import complex_normal
+from irsoob.channels import complex_normal, sample_mmwave, sample_sub6
 from irsoob.config import ExperimentSpec
-from irsoob.engine import (DominanceReport, SchedulerState, TrialData, budgets_for,
-                           dominance_test, empirical_ccdf, empirical_outage,
-                           inband_gain_samples_sub6, mr_select, pf_convergence_probe,
-                           pf_update, run_simulation, schedule_rates, spawn_rngs,
-                           sub6_trial)
+from irsoob.engine import (DominanceReport, TrialData, budgets_for, dominance_test,
+                           empirical_ccdf, empirical_outage, inband_gain_samples_sub6,
+                           mmwave_los_trial, mmwave_nlos_trial, run_trial, schedule_rates,
+                           spawn_rngs, sub6_trial)
 from irsoob.experiments import operator_params
+from irsoob.irs import (effective_channel_mmwave, effective_channel_sub6, optimize_mmwave_los,
+                        optimize_mmwave_nlos, optimize_sub6)
 from irsoob.kernels import db_to_linear
 
 GAMMA_130 = float(db_to_linear(130.0))
@@ -37,15 +39,28 @@ def _single_ue_spec(**kwargs):
     return ExperimentSpec(**base)
 
 
+def _scheduled_trial(spec, rng, ue_positions=None, keep_theta=False):
+    """One protocol trial at the spec's first sweep point, with its OOB schedule."""
+    snr = float(db_to_linear(spec.gamma_db_sweep[0]))
+    _, bx, by = budgets_for(spec, rng, ue_positions)
+    data = run_trial(spec, rng, spec.n_sweep[0], snr, bx, by, keep_theta=keep_theta)
+    served = schedule_rates(data.rates_oob, spec.scheduler, spec.pf_tau)
+    return data, served
+
+
+def _served(values, served):
+    return values[np.arange(len(served)), served]
+
+
 # ---------------------------------------------------------------------------
-# full traces against independent oracles
+# full trials against independent oracles
 
 def test_no_reflector_mean_se_matches_quadrature():
     """With zero elements the SE is log2(1+beta*gamma*X), X ~ Exp(1); compare
     the simulated mean on both operator sides with the integral."""
     spec = _single_ue_spec(seed=20)
-    trace = run_simulation(spec, np.random.default_rng(20), ue_positions=(POINT, POINT))
-    assert len(trace) == spec.slots
+    data, served = _scheduled_trial(spec, np.random.default_rng(20), (POINT, POINT))
+    assert len(served) == spec.slots
 
     _, bx, by = budgets_for(spec, np.random.default_rng(0), (POINT, POINT))
     assert bx.beta_d[0] == pytest.approx(by.beta_d[0], rel=1e-12)
@@ -54,8 +69,8 @@ def test_no_reflector_mean_se_matches_quadrature():
         val, _ = quad(lambda x: np.log2(1.0 + beta * GAMMA_130 * x) * np.exp(-x), 0.0, 60.0)
         return val
 
-    inband = np.array([o.inband_se for o in trace])
-    oob = np.array([o.oob_se for o in trace])
+    inband = data.se_inband
+    oob = _served(data.rates_oob, served)
     for samples, beta in ((inband, bx.beta_d[0]), (oob, by.beta_d[0])):
         se_hat = samples.std(ddof=1) / math.sqrt(samples.size)
         assert abs(samples.mean() - mean_se(beta)) < 3.0 * se_hat
@@ -65,8 +80,8 @@ def test_rr_oob_mean_se_tracks_closed_form():
     # round-robin at N=64: the Jensen-style closed form should sit slightly
     # above the per-slot average, well inside a 0.3 bit gap
     spec = ExperimentSpec(scheduler="rr", n_sweep=(64,), gamma_db_sweep=(130.0,), seed=21)
-    trace = run_simulation(spec, np.random.default_rng(21))
-    mc = float(np.mean([o.oob_se for o in trace]))
+    data, served = _scheduled_trial(spec, np.random.default_rng(21))
+    mc = float(np.mean(_served(data.rates_oob, served)))
 
     _, _, by = budgets_for(spec, np.random.default_rng(21), None)  # same position draw
     from irsoob.analytics import sumse_oob_sub6
@@ -76,16 +91,14 @@ def test_rr_oob_mean_se_tracks_closed_form():
 
 def test_trace_se_is_exact_function_of_recorded_gain():
     spec = ExperimentSpec(n_sweep=(16,), gamma_db_sweep=(130.0,), slots=500, seed=24)
-    trace = run_simulation(spec, np.random.default_rng(24))
+    data, served = _scheduled_trial(spec, np.random.default_rng(24), keep_theta=True)
     snr = float(db_to_linear(130.0))
-    for o in trace:
-        assert o.oob_se == float(np.log2(1.0 + o.oob_gain_irs * snr))
-        assert o.inband_ue == o.slot % spec.k_ues
-        assert 0 <= o.oob_ue < spec.q_ues
+    np.testing.assert_array_equal(data.rates_oob, np.log2(1.0 + data.gain_irs * snr))
+    np.testing.assert_array_equal(data.se_inband, np.log2(1.0 + data.inband_gain * snr))
+    assert np.all((served >= 0) & (served < spec.q_ues))
     # with keep_theta on, each slot records a unit-modulus configuration
-    thetas = np.array([o.theta for o in trace])
-    assert thetas.shape == (500, 16)
-    np.testing.assert_allclose(np.abs(thetas), 1.0, rtol=1e-12)
+    assert data.theta.shape == (500, 16)
+    np.testing.assert_allclose(np.abs(data.theta), 1.0, rtol=1e-12)
 
 
 def test_inband_gain_is_coherent_amplitude_sum():
@@ -148,33 +161,141 @@ def test_oob_gain_invariant_to_global_phase_rotation():
 def test_nonfinite_gain_aborts_run(monkeypatch):
     spec = ExperimentSpec(n_sweep=(4,), slots=8, k_ues=2, q_ues=2, seed=0)
 
-    def broken(spec, rng, n, snr, bx, by, **kwargs):
-        shape = (spec.slots, spec.q_ues)
+    def broken(rng, n, bx, by, snr, slots, **kwargs):
+        shape = (slots, by.n_ues)
         bad = np.full(shape, np.inf)
-        return TrialData(se_inband=np.zeros(spec.slots), inband_gain=np.zeros(spec.slots),
+        return TrialData(se_inband=np.zeros(slots), inband_gain=np.zeros(slots),
                          rates_oob=np.zeros(shape), gain_irs=bad, gain_noirs=np.zeros(shape))
 
     import irsoob.engine as engine
-    monkeypatch.setattr(engine, "run_trial", broken)
+    _, bx, by = budgets_for(spec, np.random.default_rng(1), None)
+    monkeypatch.setattr(engine, "sub6_trial", broken)
     with pytest.raises(ArithmeticError):
-        run_simulation(spec, np.random.default_rng(1))
+        run_trial(spec, np.random.default_rng(1), 4, GAMMA_130, bx, by)
+
+
+# ---------------------------------------------------------------------------
+# vectorized trials against the scalar reflector rules in irs.py
+#
+# Each test replays the trial's draws from the same seed, rebuilds every
+# slot's configuration with the scalar optimizer and every OOB gain with the
+# scalar effective channel, and compares. Served in-band UE k = slot mod K.
+
+def _diff_setup(regime, n, slots=40, **extra):
+    spec = ExperimentSpec(regime=regime, n_sweep=(n,), k_ues=3, q_ues=4, slots=slots,
+                          seed=n, **extra)
+    rngs = spawn_rngs(70 + n, 2)
+    _, bx, by = budgets_for(spec, rngs[0], None)
+    return spec, bx, by, rngs[1], spawn_rngs(70 + n, 2)[1]
+
+
+def _assert_gains(got, want):
+    # the scalar sums keep rounding-level responses (~1e-16 N) of grid angles
+    # orthogonal to the beam, which the engine drops exactly; a UE left with
+    # its direct path alone therefore carries an absolute error set by the
+    # reflected scale, hence the atol relative to the row's largest gain
+    want = np.asarray(want)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(want))
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_sub6_trial_matches_scalar_reference(n):
+    spec, bx, by, rng, replay = _diff_setup("sub6", n)
+    data = sub6_trial(rng, n, bx, by, GAMMA_130, spec.slots, keep_theta=True)
+
+    k = np.arange(spec.slots) % bx.n_ues
+    h_dx = complex_normal(replay, bx.beta_d[k], (spec.slots,))
+    f_x = complex_normal(replay, bx.beta_f, (spec.slots, n))
+    g_x = complex_normal(replay, bx.beta_g[k][:, None], (spec.slots, n))
+    y = sample_sub6(replay, n, by, slots=spec.slots)
+    for s in range(spec.slots):
+        theta = optimize_sub6(h_dx[s], f_x[s], g_x[s])
+        np.testing.assert_allclose(data.theta[s], theta, rtol=0.0, atol=1e-13)
+        want = [abs(effective_channel_sub6(y.h_d[s, q], y.f[s], y.g[s, q], theta)) ** 2
+                for q in range(by.n_ues)]
+        _assert_gains(data.gain_irs[s], want)
+        _assert_gains(data.inband_gain[s],
+                      abs(effective_channel_sub6(h_dx[s], f_x[s], g_x[s], theta)) ** 2)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_mmwave_los_trial_matches_scalar_reference(n):
+    spec, bx, by, rng, replay = _diff_setup("mmwave_los", n, l1=1, l2=3)
+    l_oob = spec.l1 * spec.l2
+    data = mmwave_los_trial(rng, n, bx, by, GAMMA_130, spec.slots, l_oob, keep_theta=True)
+
+    x = sample_mmwave(replay, n, 1, 1, bx, slots=spec.slots)
+    y = sample_mmwave(replay, n, 1, l_oob, by, slots=spec.slots)
+    for s in range(spec.slots):
+        k = s % bx.n_ues
+        theta = optimize_mmwave_los(x.h_d[s, k], x.cascade_gains[s, k, 0],
+                                    x.cascade_angles[k, 0], n)
+        np.testing.assert_allclose(data.theta[s], theta, rtol=0.0, atol=1e-13)
+        want = [abs(effective_channel_mmwave(y.h_d[s, q], y.cascade_angles[q],
+                                             y.cascade_gains[s, q], theta)) ** 2
+                for q in range(by.n_ues)]
+        _assert_gains(data.gain_irs[s], want)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_mmwave_nlos_trial_matches_scalar_reference(n):
+    spec, bx, by, rng, replay = _diff_setup("mmwave_nlos", n, l1=2, l2=2)
+    data = mmwave_nlos_trial(rng, n, bx, by, GAMMA_130, spec.slots, spec.l1, spec.l2,
+                             keep_theta=True)
+
+    x = sample_mmwave(replay, n, spec.l1, spec.l2, bx, slots=spec.slots)
+    y = sample_mmwave(replay, n, spec.l1, spec.l2, by, slots=spec.slots)
+    for s in range(spec.slots):
+        k = s % bx.n_ues
+        theta = optimize_mmwave_nlos(x.h_d[s, k], x.cascade_angles[k],
+                                     x.cascade_gains[s, k], n)
+        np.testing.assert_allclose(data.theta[s], theta, rtol=0.0, atol=1e-13)
+        want = [abs(effective_channel_mmwave(y.h_d[s, q], y.cascade_angles[q],
+                                             y.cascade_gains[s, q], theta)) ** 2
+                for q in range(by.n_ues)]
+        _assert_gains(data.gain_irs[s], want)
+        _assert_gains(data.inband_gain[s],
+                      abs(effective_channel_mmwave(x.h_d[s, k], x.cascade_angles[k],
+                                                   x.cascade_gains[s, k], theta)) ** 2)
 
 
 # ---------------------------------------------------------------------------
 # schedulers
 
 def test_pf_update_hand_case():
-    state = SchedulerState(kind="pf", tau=4.0, averages=np.array([1.0, 2.0, 3.0]))
-    new = pf_update(state, 1, np.array([4.0, 5.0, 6.0]))
-    np.testing.assert_allclose(new.averages, [0.75, 2.75, 2.25], rtol=1e-15)
-    assert new.pointer == state.pointer + 1
-    assert new.kind == "pf" and new.tau == 4.0
+    """tau = 4. Slot 0 warm-starts the averages at [1, 2, 3], every ratio is 1
+    and the tie goes to UE 0, which banks 1/4: the averages become
+    [0.75 + 0.25, 1.5, 2.25] = [1, 1.5, 2.25]. Slot 1 offers twice those
+    averages, so every ratio is exactly 2 (UE 0 wins the tie), unless one UE
+    is nudged up by 2^-40, which then wins alone."""
+    first = np.array([1.0, 2.0, 3.0])
+    second = 2.0 * np.array([1.0, 1.5, 2.25])
+    rates = np.stack([first, second])
+    np.testing.assert_array_equal(schedule_rates(rates, "pf", tau=4.0), [0, 0])
+    np.testing.assert_array_equal(rates[0], first)   # the averages are not a view of it
+    for q in range(3):
+        nudged = second.copy()
+        nudged[q] *= 1.0 + 2.0 ** -40
+        served = schedule_rates(np.stack([first, nudged]), "pf", tau=4.0)
+        np.testing.assert_array_equal(served, [0, q])
+    # after slot 1 the averages are [1, 1.5, 2.25] * 3/4 with UE 0 banking 2/4:
+    # [1.25, 1.125, 1.6875]; offering exactly those ties again
+    third = np.array([1.25, 1.125, 1.6875])
+    served = schedule_rates(np.stack([first, second, third]), "pf", tau=4.0)
+    np.testing.assert_array_equal(served, [0, 0, 0])
+    third[2] *= 1.0 + 2.0 ** -40
+    served = schedule_rates(np.stack([first, second, third]), "pf", tau=4.0)
+    np.testing.assert_array_equal(served, [0, 0, 2])
 
 
 def test_pf_update_tau_one_is_memoryless():
-    state = SchedulerState(kind="pf", tau=1.0, averages=np.array([7.0, 8.0, 9.0]))
-    new = pf_update(state, 2, np.array([4.0, 5.0, 6.0]))
-    np.testing.assert_allclose(new.averages, [0.0, 0.0, 6.0], atol=0.0)
+    """tau = 1 keeps only the served UE's last rate: every other average is 0,
+    so the lowest-index UE not just served has an infinite ratio and wins,
+    whatever the rates."""
+    rates = np.array([[1.0, 1.0, 1.0], [5.0, 1.0, 1.0], [1.0, 2.0, 9.0], [1.0, 1.0, 9.0]])
+    with np.errstate(divide="ignore"):
+        served = schedule_rates(rates, "pf", tau=1.0)
+    np.testing.assert_array_equal(served, [0, 1, 0, 1])
 
 
 def test_pf_equal_rates_share_slots_exactly():
@@ -195,12 +316,16 @@ def test_round_robin_serves_each_ue_equally():
 
 
 def test_mr_select_examples():
-    assert mr_select(np.array([0.3]), GAMMA_130) == 0
-    assert mr_select(np.array([1.0, 5.0, 3.0]), GAMMA_130) == 1
-    assert mr_select(np.array([2.0, 2.0]), GAMMA_130) == 0  # tie -> lowest index
+    def mr(gains):
+        rates = np.log2(1.0 + np.atleast_2d(gains) * GAMMA_130)
+        return int(schedule_rates(rates, "mr")[0])
+
+    assert mr(np.array([0.3])) == 0
+    assert mr(np.array([1.0, 5.0, 3.0])) == 1
+    assert mr(np.array([2.0, 2.0])) == 0  # tie -> lowest index
     rng = np.random.default_rng(3)
     gains = rng.exponential(1.0, 10)
-    assert gains[mr_select(gains, GAMMA_130)] == gains.max()
+    assert gains[mr(gains)] == gains.max()
 
 
 def test_mr_never_below_rr_on_shared_realizations():
@@ -215,18 +340,6 @@ def test_mr_never_below_rr_on_shared_realizations():
 def test_unknown_scheduler_rejected():
     with pytest.raises(ValueError, match="unknown scheduler"):
         schedule_rates(np.ones((4, 2)), "wfq")
-
-
-def test_pf_gap_shrinks_with_ue_count():
-    """Selection diversity: the gap to the matched-reflector ceiling shrinks
-    in Q (and may go below zero once scheduling gain beats the per-UE mean),
-    and a larger reflector leaves a larger gap to close."""
-    gaps = pf_convergence_probe(90, (1, 10, 100), 4, 1000.0, 3000, GAMMA_130)
-    assert gaps[0] > gaps[1] > gaps[2]
-    assert gaps[0] > 0.0
-    assert abs(gaps[1]) < 0.01
-    gap_16 = pf_convergence_probe(90, (100,), 16, 1000.0, 3000, GAMMA_130)[0]
-    assert gap_16 > 0.1 and gap_16 > gaps[2]
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +415,9 @@ def test_spawn_rngs_reproducible_and_distinct():
 def test_mmwave_traces_are_finite_and_consistent(regime, extra):
     spec = ExperimentSpec(regime=regime, n_sweep=(16,), gamma_db_sweep=(150.0,),
                           slots=64, seed=27, **extra)
-    trace = run_simulation(spec, np.random.default_rng(27))
+    data, served = _scheduled_trial(spec, np.random.default_rng(27))
     snr = float(db_to_linear(150.0))
-    assert len(trace) == 64
-    for o in trace:
-        assert math.isfinite(o.oob_gain_irs) and o.oob_gain_irs >= 0.0
-        assert o.oob_se == float(np.log2(1.0 + o.oob_gain_irs * snr))
+    assert len(served) == 64
+    gain = _served(data.gain_irs, served)
+    assert np.all(np.isfinite(gain)) and np.all(gain >= 0.0)
+    np.testing.assert_array_equal(_served(data.rates_oob, served), np.log2(1.0 + gain * snr))

@@ -6,11 +6,10 @@ import json
 import numpy as np
 import pytest
 
-from irsoob.config import spec_hash
+from irsoob.config import ExperimentSpec, spec_hash
 from irsoob.engine import budgets_for
 from irsoob.experiments import (CSV_COLUMNS, PRESETS, ResultRow, emit_csv, list_presets,
-                                offset_samples_sub6, oob_gain_samples, operator_params,
-                                run_preset, _spec)
+                                oob_gain_samples, operator_params, run_preset, _spec)
 
 # enough slots for a smoke run, small enough to keep the suite fast
 FAST = {"slots": 200, "trials": 2}
@@ -62,6 +61,8 @@ def test_unknown_preset_and_bad_override():
         run_preset("fig99")
     with pytest.raises(ValueError, match="valid fields"):
         run_preset("fig3", overrides={"bogus": 1})
+    with pytest.raises(ValueError, match="needs regime 'sub6'"):
+        run_preset("fig11", overrides={"regime": "mmwave_los"})
 
 
 def test_list_presets_covers_all_figures():
@@ -87,7 +88,7 @@ def test_manifest_records_provenance(tmp_path):
     assert entry["spec_sha256"] == spec_hash(expected)
     assert entry["seed"] == 17
     assert entry["spec"]["slots"] == 200
-    assert set(entry["versions"]) == {"python", "numpy", "scipy", "artifact"}
+    assert set(entry["versions"]) == {"python", "numpy", "scipy", "irsoob"}
     assert np.asarray(entry["ue_positions_inband"]).shape == (expected.k_ues, 2)
     assert np.asarray(entry["ue_positions_oob"]).shape == (expected.q_ues, 2)
 
@@ -137,10 +138,11 @@ def test_operator_params_path_counts_per_regime():
 
 
 def test_sample_helpers_are_seed_deterministic():
-    a, params_a = offset_samples_sub6(41, 8, 500)
-    b, params_b = offset_samples_sub6(41, 8, 500)
-    assert np.array_equal(a, b)
-    assert a.shape == (500,)
+    sub6 = ExperimentSpec()
+    with_a, without_a, params_a = oob_gain_samples(41, sub6, 8, 500)
+    with_b, without_b, params_b = oob_gain_samples(41, sub6, 8, 500)
+    assert np.array_equal(with_a - without_a, with_b - without_b)
+    assert with_a.shape == without_a.shape == (500,)
     assert params_a.n_elements == params_b.n_elements == 8
     assert np.array_equal(params_a.beta_r, params_b.beta_r)
 

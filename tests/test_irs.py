@@ -5,14 +5,13 @@ import pytest
 
 from irsoob.channels import LinkBudget, sample_mmwave, sample_sub6
 from irsoob.irs import (
-    EffectiveChannel,
     correlation_response,
-    effective_channel,
     effective_channel_mmwave,
     effective_channel_sub6,
     optimize_mmwave_los,
     optimize_mmwave_nlos,
     optimize_sub6,
+    unit_phase,
 )
 from irsoob.kernels import resolvable_angles
 
@@ -161,10 +160,9 @@ def test_effective_gain_matches_coherent_square():
     budget = LinkBudget(beta_f=1.0, beta_g=np.array([1.0]), beta_d=np.array([1.0]))
     ch = sample_sub6(rng, 12, budget)
     theta = optimize_sub6(ch.h_d[0], ch.f, ch.g[0])
-    eff = effective_channel(ch.h_d[0], ch, theta, ue=0)
+    eff = effective_channel_sub6(ch.h_d[0], ch.f, ch.g[0], theta)
     want = (abs(ch.h_d[0]) + np.sum(np.abs(ch.f * ch.g[0]))) ** 2
-    assert eff.gain == pytest.approx(want, rel=1e-12)
-    assert eff.gain == pytest.approx(abs(eff.value) ** 2, rel=1e-15)
+    assert abs(eff) ** 2 == pytest.approx(want, rel=1e-12)
 
 
 def test_effective_no_reflector_gain():
@@ -186,15 +184,14 @@ def test_effective_orthogonal_paths_drop_out():
     assert got == pytest.approx(only_first, rel=1e-10)
 
 
-def test_effective_dispatcher_types():
-    rng = np.random.default_rng(28)
-    budget = LinkBudget(beta_f=1.0, beta_g=np.array([1.0]), beta_d=np.array([1.0]))
-    mm = sample_mmwave(rng, 8, 1, 2, budget)
-    theta = optimize_mmwave_nlos(mm.h_d[0], mm.cascade_angles[0], mm.cascade_gains[0], 8)
-    eff = effective_channel(mm.h_d[0], mm, theta)
-    assert isinstance(eff, EffectiveChannel)
-    with pytest.raises(TypeError):
-        effective_channel(1.0, object(), theta)
+def test_unit_phase_resolves_zero_to_one():
+    v = np.array([3.0 - 4.0j, 0.0, -2.0, 1e-300j])
+    np.testing.assert_allclose(unit_phase(v), [0.6 - 0.8j, 1.0, -1.0, 1j], rtol=0, atol=1e-15)
+    assert unit_phase(v)[1] == 1.0
+    assert unit_phase(0j) == 1.0
+    # a zero matched sum falls back to the direct path's phase
+    theta = optimize_mmwave_los(1j, 0.0, 0.5, 4)
+    np.testing.assert_allclose(theta, np.exp(-1j * np.pi * np.arange(4) * 0.5), atol=1e-15)
 
 
 def test_response_rejects_bad_args():

@@ -1,22 +1,22 @@
 """Math-kernel tests: array responses, angle wrapping, tail integrals.
 
-Expected values for the integral kernels were frozen from independent
-brute-force trapezoid quadrature (recipes inline below), not from the
-implementation under test.
+The tail integrals are the mmWave outage forms' I0 and its generalized upper
+incomplete gamma at alpha = 1, both computed by analytics._exp_scaled_gamma1,
+the package's one guarded quadrature. Their expected values were frozen from
+independent brute-force trapezoid quadrature (recipes inline below), not from
+the implementation under test.
 """
 
 import numpy as np
 import pytest
-from scipy import special
+from scipy import integrate
 
+from irsoob import analytics
+from irsoob.analytics import AnalyticParams, _exp_scaled_gamma1, cdf_oob_mmwave_los
 from irsoob.kernels import (
     db_to_linear,
-    fejer_kernel,
     gauss_q,
-    generalized_upper_incomplete_gamma,
     grid_index,
-    i0_integral,
-    linear_to_db,
     principal_sine_wrap,
     resolvable_angles,
     steering_vector,
@@ -29,9 +29,19 @@ I0_ORACLE_111 = 0.2075335234348288
 GAMMA_ORACLE_1_05_02 = 0.5065426399037094
 
 
+def i0_integral(x, c1, c2):
+    """I0(x; c1, c2) = int_{c1}^inf exp(-t/c2 - x/t) dt, through its exp-scaled form."""
+    return c2 * np.exp(-c1 / c2) * _exp_scaled_gamma1(c1 / c2, x / c2)
+
+
+def gamma1(x, b):
+    """Gamma(1, x; b) = int_x^inf exp(-t - b/t) dt."""
+    return np.exp(-x) * _exp_scaled_gamma1(x, b)
+
+
 def test_db_round_trip():
     assert db_to_linear(130.0) == pytest.approx(1e13)
-    assert linear_to_db(db_to_linear(-27.3)) == pytest.approx(-27.3)
+    assert 10.0 * np.log10(db_to_linear(-27.3)) == pytest.approx(-27.3)
 
 
 def test_steering_zero_angle():
@@ -103,22 +113,6 @@ def test_wrap_rejects_nonfinite():
         principal_sine_wrap(np.inf)
 
 
-def test_fejer_values():
-    assert fejer_kernel(7, 0.0) == 7.0
-    assert fejer_kernel(4, 0.5) == pytest.approx(0.0, abs=1e-12)
-    # singular points x = 0 mod 2 all take the value N by convention
-    assert fejer_kernel(8, 2.0) == 8.0
-
-
-def test_fejer_even_and_bounded():
-    rng = np.random.default_rng(2)
-    x = rng.uniform(-2.0, 2.0, 500)
-    for n in (1, 4, 9, 32):
-        fx = fejer_kernel(n, x)
-        np.testing.assert_allclose(fejer_kernel(n, -x), fx, atol=1e-12)
-        assert np.all(np.abs(fx) <= n + 1e-9)
-
-
 def test_gauss_q_values():
     assert gauss_q(0.0) == 0.5
     assert gauss_q(np.inf) == 0.0
@@ -134,6 +128,7 @@ def test_i0_zero_offset_closed_form():
 
 def test_i0_against_trapezoid_oracle():
     assert i0_integral(1.0, 1.0, 1.0) == pytest.approx(I0_ORACLE_111, rel=1e-7)
+    assert _exp_scaled_gamma1(1.0, 1.0) == pytest.approx(np.e * I0_ORACLE_111, rel=1e-7)
 
 
 def test_i0_decreasing_in_x():
@@ -141,42 +136,50 @@ def test_i0_decreasing_in_x():
 
 
 def test_i0_rejects_bad_domain():
+    # the integral's one caller guards its domain: rho >= 0 and N >= 1
+    p = AnalyticParams(n_elements=8, tx_snr=1.0, beta_r=1.0, beta_d=1.0, l1=1, l2=2)
     with pytest.raises(ValueError):
-        i0_integral(-1.0, 1.0, 1.0)
+        cdf_oob_mmwave_los(-1.0, p)
     with pytest.raises(ValueError):
-        i0_integral(1.0, 1.0, 0.0)
+        cdf_oob_mmwave_los(1.0, AnalyticParams(n_elements=0, tx_snr=1.0, beta_r=1.0,
+                                               beta_d=1.0))
+
+
+def test_quadrature_failure_names_its_arguments(monkeypatch):
+    class Loose:
+        @staticmethod
+        def quad(*args, **kwargs):
+            return 1.0, 1e-6, {}   # converged, but only to 1e-6 relative
+
+    monkeypatch.setattr(analytics, "integrate", Loose)
+    with pytest.raises(ArithmeticError, match=r"a=0\.5, b=0\.25"):
+        _exp_scaled_gamma1(0.5, 0.25)
 
 
 def test_gamma_exponential_case():
     for x in (0.1, 0.5, 2.0, 7.0):
-        assert generalized_upper_incomplete_gamma(1.0, x, 0.0) == pytest.approx(np.exp(-x), rel=1e-12)
+        assert gamma1(x, 0.0) == pytest.approx(np.exp(-x), rel=1e-12)
 
 
 def test_gamma_against_trapezoid_oracle():
-    got = generalized_upper_incomplete_gamma(1.0, 0.5, 0.2)
+    got = gamma1(0.5, 0.2)
     assert got == pytest.approx(GAMMA_ORACLE_1_05_02, rel=1e-8)
-
-
-def test_gamma_b_zero_matches_scipy():
-    # independent route: ordinary upper incomplete gamma via scipy.special
-    for alpha, x in ((0.5, 0.3), (2.0, 1.0), (3.5, 4.0)):
-        want = special.gammaincc(alpha, x) * special.gamma(alpha)
-        got = generalized_upper_incomplete_gamma(alpha, x, 0.0)
-        assert got == pytest.approx(want, rel=1e-8)
+    assert _exp_scaled_gamma1(0.5, 0.2) == pytest.approx(
+        np.exp(0.5) * GAMMA_ORACLE_1_05_02, rel=1e-8)
 
 
 def test_i0_gamma_change_of_variables():
-    # I0(x; c1, c2) = c2 * Gamma(1, c1/c2; x/c2) after substituting u = t/c2
-    for x, c1, c2 in ((0.7, 2.0, 3.0), (1e-3, 0.5, 10.0), (4.0, 1.0, 0.5)):
-        lhs = i0_integral(x, c1, c2)
-        rhs = c2 * generalized_upper_incomplete_gamma(1.0, c1 / c2, x / c2)
-        assert lhs == pytest.approx(rhs, rel=1e-6)
+    # the exp-scaled form substitutes t = a + s; undo it against a direct
+    # quadrature of the unscaled integrand on [a, inf)
+    for a, b in ((2.0 / 3.0, 0.7 / 3.0), (0.05, 1e-4), (2.0, 8.0)):
+        direct, _ = integrate.quad(lambda t: np.exp(-t - b / t), a, np.inf, epsabs=0.0,
+                                   epsrel=1e-12, limit=200)
+        assert np.exp(-a) * _exp_scaled_gamma1(a, b) == pytest.approx(direct, rel=1e-8)
 
 
 def test_gamma_derivative_in_b():
-    # d/db Gamma(alpha, x; b) = -Gamma(alpha - 1, x; b)
-    alpha, x, b, h = 2.0, 0.8, 0.4, 1e-5
-    hi = generalized_upper_incomplete_gamma(alpha, x, b + h)
-    lo = generalized_upper_incomplete_gamma(alpha, x, b - h)
-    want = -generalized_upper_incomplete_gamma(alpha - 1.0, x, b)
-    assert (hi - lo) / (2 * h) == pytest.approx(want, rel=1e-5)
+    # d/db Gamma(1, x; b) = -Gamma(0, x; b) = -int_x^inf exp(-t - b/t) / t dt
+    x, b, h = 0.8, 0.4, 1e-5
+    want, _ = integrate.quad(lambda t: -np.exp(-t - b / t) / t, x, np.inf, epsabs=0.0,
+                             epsrel=1e-12, limit=200)
+    assert (gamma1(x, b + h) - gamma1(x, b - h)) / (2 * h) == pytest.approx(want, rel=1e-5)

@@ -11,6 +11,15 @@ are materialized (the in-band side draws just the served UE's fading each
 slot, which is distribution-identical to drawing everyone's). Independent
 trials take independent generators from spawn_rngs, so results do not depend
 on execution order.
+
+The sub6 OOB gains are drawn from their exact reduced law. The reflector's
+phases are set by the in-band channels alone, so theta_n f_n has the law of
+f_n, and given G = ||f||^2 / beta_f ~ Gamma(N, 1) each UE's reflected sum is
+CN(0, beta_r,q G), independently across UEs. One Gamma draw per slot (shared
+by every UE, which is what correlates them) and two complex normals per UE
+replace the N per-element channels of each UE. Only a caller that asks for
+the matched-reflector ceiling (`want_bf`) gets the dense per-element path,
+because that ceiling needs every |f_n||g_qn|.
 """
 
 from __future__ import annotations
@@ -63,8 +72,15 @@ def sub6_trial(rng: np.random.Generator, n_elements: int, budget_x: LinkBudget,
     """One Rayleigh-fading trial.
 
     The in-band gain uses the coherent identity (|h_d| + sum_n |f_n g_n|)^2,
-    which is exactly what the phase-aligned reflector achieves; the same
-    per-slot phases are applied to the OOB channels.
+    which is exactly what the phase-aligned reflector achieves.
+
+    The OOB side draws, per slot, G ~ Gamma(N, 1) and then, per UE,
+    h_d ~ CN(0, beta_d) and the reflected sum ~ CN(0, beta_r G): the exact
+    law of h_d + sum_n theta_n f_n g_qn, because theta depends on the
+    in-band channels only. With want_bf the per-element OOB channels are
+    drawn instead and the in-band phases applied to them, since the matched
+    ceiling (|h_d| + sum_n |f_n||g_qn|)^2 needs each element. theta is only
+    built when want_bf or keep_theta asks for it.
     """
     k_ues = budget_x.n_ues
     k_served = np.arange(slots) % k_ues
@@ -76,24 +92,33 @@ def sub6_trial(rng: np.random.Generator, n_elements: int, budget_x: LinkBudget,
     amp_x = np.abs(h_dx) + np.abs(f_x * g_x).sum(axis=1)
     inband_gain = amp_x ** 2
     se_inband = np.log2(1.0 + inband_gain * tx_snr)
-    theta = np.exp(1j * (np.angle(h_dx)[:, None] - np.angle(f_x) - np.angle(g_x)))
+    theta = None
+    if want_bf or keep_theta:
+        theta = np.exp(1j * (np.angle(h_dx)[:, None] - np.angle(f_x) - np.angle(g_x)))
 
     q_ues = budget_y.n_ues
-    gain_irs = np.empty((slots, q_ues))
-    gain_noirs = np.empty((slots, q_ues))
-    bf_amp = np.empty((slots, q_ues)) if want_bf else None
-    width = _CHUNK_ELEMS // max(1, q_ues * max(n_elements, 1))
-    for sl in _chunk_slices(slots, width):
-        y = sample_sub6(rng, n_elements, budget_y, slots=sl.stop - sl.start)
-        eff = y.h_d + np.einsum("sn,sqn->sq", theta[sl] * y.f, y.g)
-        gain_irs[sl] = np.abs(eff) ** 2
-        gain_noirs[sl] = np.abs(y.h_d) ** 2
-        if want_bf:
+    if want_bf:
+        gain_irs = np.empty((slots, q_ues))
+        gain_noirs = np.empty((slots, q_ues))
+        bf_amp = np.empty((slots, q_ues))
+        width = _CHUNK_ELEMS // max(1, q_ues * max(n_elements, 1))
+        for sl in _chunk_slices(slots, width):
+            y = sample_sub6(rng, n_elements, budget_y, slots=sl.stop - sl.start)
+            eff = y.h_d + np.einsum("sn,sqn->sq", theta[sl] * y.f, y.g)
+            gain_irs[sl] = np.abs(eff) ** 2
+            gain_noirs[sl] = np.abs(y.h_d) ** 2
             bf_amp[sl] = np.abs(y.h_d) + np.einsum("sn,sqn->sq", np.abs(y.f), np.abs(y.g))
+        bf_gain = bf_amp ** 2
+    else:
+        power = rng.standard_gamma(n_elements, size=slots)   # ||f||^2 / beta_f
+        h_d = complex_normal(rng, budget_y.beta_d, (slots, q_ues))
+        reflected = complex_normal(rng, budget_y.beta_r * power[:, None], (slots, q_ues))
+        gain_irs = np.abs(h_d + reflected) ** 2
+        gain_noirs = np.abs(h_d) ** 2
+        bf_gain = None
     rates_oob = np.log2(1.0 + gain_irs * tx_snr)
     return TrialData(se_inband=se_inband, inband_gain=inband_gain, rates_oob=rates_oob,
-                     gain_irs=gain_irs, gain_noirs=gain_noirs,
-                     bf_gain=bf_amp ** 2 if want_bf else None,
+                     gain_irs=gain_irs, gain_noirs=gain_noirs, bf_gain=bf_gain,
                      theta=theta if keep_theta else None)
 
 

@@ -5,7 +5,9 @@ path: a quadrature integral for the no-reflector mean SE, the closed-form
 sum-SE evaluated on the same link budgets, and an inline redraw of the
 channel law for the distributional checks. Scheduler decisions are checked
 against hand-computed values, and each vectorized trial is replayed draw for
-draw through the scalar reflector rules in irs.py.
+draw through the scalar reflector rules in irs.py. The sub6 reduced OOB law
+is replayed bit for bit and compared in distribution with the dense
+per-element path it replaces.
 """
 
 import math
@@ -134,6 +136,9 @@ def test_oob_gain_law_matches_direct_channel_without_reflector():
 
     redraw = np.abs(complex_normal(np.random.default_rng(122), by.beta_d[0], (10000,))) ** 2
     assert ks_2samp(data.gain_irs[:, 0], redraw).pvalue > 0.01
+    # the reduced law's Gamma(0, 1) power is exactly 0, so the reflected sum
+    # adds nothing, not even rounding
+    np.testing.assert_array_equal(data.gain_irs, data.gain_noirs)
 
 
 def test_oob_gain_invariant_to_global_phase_rotation():
@@ -198,15 +203,21 @@ def _assert_gains(got, want):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(want))
 
 
+def _replay_inband_sub6(replay, bx, n, slots):
+    k = np.arange(slots) % bx.n_ues
+    h_dx = complex_normal(replay, bx.beta_d[k], (slots,))
+    f_x = complex_normal(replay, bx.beta_f, (slots, n))
+    g_x = complex_normal(replay, bx.beta_g[k][:, None], (slots, n))
+    return h_dx, f_x, g_x
+
+
 @pytest.mark.parametrize("n", [8, 16])
 def test_sub6_trial_matches_scalar_reference(n):
+    """The dense per-element OOB path, which want_bf selects."""
     spec, bx, by, rng, replay = _diff_setup("sub6", n)
-    data = sub6_trial(rng, n, bx, by, GAMMA_130, spec.slots, keep_theta=True)
+    data = sub6_trial(rng, n, bx, by, GAMMA_130, spec.slots, want_bf=True, keep_theta=True)
 
-    k = np.arange(spec.slots) % bx.n_ues
-    h_dx = complex_normal(replay, bx.beta_d[k], (spec.slots,))
-    f_x = complex_normal(replay, bx.beta_f, (spec.slots, n))
-    g_x = complex_normal(replay, bx.beta_g[k][:, None], (spec.slots, n))
+    h_dx, f_x, g_x = _replay_inband_sub6(replay, bx, n, spec.slots)
     y = sample_sub6(replay, n, by, slots=spec.slots)
     for s in range(spec.slots):
         theta = optimize_sub6(h_dx[s], f_x[s], g_x[s])
@@ -216,6 +227,62 @@ def test_sub6_trial_matches_scalar_reference(n):
         _assert_gains(data.gain_irs[s], want)
         _assert_gains(data.inband_gain[s],
                       abs(effective_channel_sub6(h_dx[s], f_x[s], g_x[s], theta)) ** 2)
+        ceiling = [(abs(y.h_d[s, q]) + np.sum(np.abs(y.f[s]) * np.abs(y.g[s, q]))) ** 2
+                   for q in range(by.n_ues)]
+        _assert_gains(data.bf_gain[s], ceiling)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_sub6_trial_reduced_law_replays_bit_for_bit(n):
+    """Without want_bf the OOB side draws one Gamma(N, 1) power per slot and
+    two complex normals per UE, after the unchanged in-band draws."""
+    spec, bx, by, rng, replay = _diff_setup("sub6", n)
+    data = sub6_trial(rng, n, bx, by, GAMMA_130, spec.slots)
+    assert data.theta is None and data.bf_gain is None
+
+    h_dx, f_x, g_x = _replay_inband_sub6(replay, bx, n, spec.slots)
+    power = replay.standard_gamma(n, size=spec.slots)
+    h_d = complex_normal(replay, by.beta_d, (spec.slots, by.n_ues))
+    reflected = complex_normal(replay, by.beta_r * power[:, None], (spec.slots, by.n_ues))
+    np.testing.assert_array_equal(data.inband_gain,
+                                  (np.abs(h_dx) + np.abs(f_x * g_x).sum(axis=1)) ** 2)
+    np.testing.assert_array_equal(data.gain_irs, np.abs(h_d + reflected) ** 2)
+    np.testing.assert_array_equal(data.gain_noirs, np.abs(h_d) ** 2)
+
+
+@pytest.mark.parametrize("n", [1, 4, 64])
+def test_sub6_reduced_law_matches_dense_path(n):
+    """Distributional equivalence of the reduced OOB sampler and the dense
+    per-element path on one budget (4 UEs): two-sample KS per UE on the gain
+    and the gain offset, the mean gain beta_d + N beta_r, and the cross-UE
+    correlation that the shared power G induces. Given G both UEs' gains are
+    (beta_d + beta_r G) Exp(1), independently, so
+    corr = N beta_r beta_r' / sqrt(V V'), V = (beta_d + N beta_r)^2 + 2 N beta_r^2,
+    which tends to 1/(N+2) once N beta_r dominates beta_d. A sampler that
+    drew one G per UE would give 0."""
+    slots = 40_000 if n < 64 else 20_000
+    spec = ExperimentSpec(k_ues=3, q_ues=4)
+    _, bx, by = budgets_for(spec, np.random.default_rng(60), None)
+    rngs = spawn_rngs(600 + n, 2)
+    reduced = sub6_trial(rngs[0], n, bx, by, GAMMA_130, slots)
+    dense = sub6_trial(rngs[1], n, bx, by, GAMMA_130, slots, want_bf=True)
+
+    for a, b in ((reduced.gain_irs, dense.gain_irs),
+                 (reduced.gain_irs - reduced.gain_noirs, dense.gain_irs - dense.gain_noirs)):
+        for q in range(by.n_ues):
+            assert ks_2samp(a[:, q], b[:, q]).pvalue > 1e-4
+
+    mean = by.beta_d + n * by.beta_r
+    var = (by.beta_d + n * by.beta_r) ** 2 + 2 * n * by.beta_r ** 2
+    corr = n * np.outer(by.beta_r, by.beta_r) / np.sqrt(np.outer(var, var))
+    pairs = np.triu_indices(by.n_ues, 1)
+    if n <= 4:
+        np.testing.assert_allclose(corr[pairs], 1.0 / (n + 2), rtol=0.1)
+    for data in (reduced, dense):
+        stderr = data.gain_irs.std(axis=0, ddof=1) / math.sqrt(slots)
+        assert np.all(np.abs(data.gain_irs.mean(axis=0) - mean) < 4.0 * stderr)
+        np.testing.assert_allclose(np.corrcoef(data.gain_irs.T)[pairs], corr[pairs],
+                                   atol=0.05)
 
 
 @pytest.mark.parametrize("n", [8, 16])

@@ -15,9 +15,9 @@ Subpackage map:
                  response probes
     analytics    closed-form SE, outage, and distribution expressions, and
                  the one guarded quadrature
-    engine       vectorized Monte Carlo trials (sub6 OOB gains from their
-                 exact reduced law), the OOB scheduler, empirical
-                 distributions
+    engine       vectorized Monte Carlo trials (sub6 and mmWave LOS OOB
+                 gains from their exact reduced laws), the OOB scheduler,
+                 empirical distributions
     experiments  presets, runners, CSV emission, run manifests, pooled samples
     cli          argparse entry point
 """

@@ -123,9 +123,19 @@ def link_budget(geometry: NodeGeometry, params: PathLossParams, bs: tuple[float,
 
 
 def complex_normal(rng: np.random.Generator, variance, size) -> np.ndarray:
-    """Zero-mean circularly-symmetric complex Gaussian draws with the given variance."""
+    """Zero-mean circularly-symmetric complex Gaussian draws with the given variance.
+
+    Equal bit for bit to sqrt(variance/2) * (z1 + 1j*z2), where z1 and then z2
+    are rng.standard_normal(size): each part is one real product, written in
+    place, so no complex temporaries are built.
+    """
     scale = np.sqrt(np.asarray(variance, dtype=float) / 2.0)
-    return scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+    buf = rng.standard_normal(size)
+    out = np.empty(np.broadcast_shapes(scale.shape, buf.shape), dtype=complex)
+    np.multiply(scale, buf, out=out.real)
+    rng.standard_normal(out=buf)
+    np.multiply(scale, buf, out=out.imag)
+    return out
 
 
 @dataclass
@@ -195,30 +205,40 @@ def _draw_grid_angles(rng: np.random.Generator, n_elements: int, count: int) -> 
     return grid[rng.choice(n_elements, size=count, replace=replace)]
 
 
-def sample_mmwave(rng: np.random.Generator, n_elements: int, l1: int, l2: int,
-                  budget: LinkBudget, slots: int | None = None) -> MmwaveChannels:
-    """Sparse-multipath draw with on-grid angles fixed per UE and per-slot gains.
+def mmwave_angles(rng: np.random.Generator, n_elements: int, l1: int, l2: int,
+                  n_ues: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """On-grid path angles of one operator: (feeder (l1,), per-UE (n_ues, l2), cascade (n_ues, L)).
 
-    Requires even n_elements: sums of two grid angles wrap back onto the grid
-    only when N is even, and the cascade representation relies on that closure.
+    Draws the feeder angles, then each UE's angles in turn. The cascade angle
+    of (feeder path i, UE path j) is wrap(phi_i + psi_j), L = l1 * l2 entries
+    ordered with j fastest. Requires even n_elements: sums of two grid angles
+    wrap back onto the grid only when N is even, and the cascade
+    representation relies on that closure.
     """
     if n_elements < 2 or n_elements % 2:
         raise ValueError(f"n_elements must be even and >= 2, got {n_elements}")
     if l1 < 1 or l2 < 1:
         raise ValueError(f"path counts must be >= 1, got l1={l1}, l2={l2}")
+    bs_angles = _draw_grid_angles(rng, n_elements, l1)
+    ue_angles = np.stack([_draw_grid_angles(rng, n_elements, l2) for _ in range(n_ues)])
+    cascade_angles = principal_sine_wrap(
+        bs_angles[:, None] + ue_angles[:, None, :]).reshape(n_ues, l1 * l2)
+    return bs_angles, ue_angles, cascade_angles
+
+
+def sample_mmwave(rng: np.random.Generator, n_elements: int, l1: int, l2: int,
+                  budget: LinkBudget, slots: int | None = None) -> MmwaveChannels:
+    """Sparse-multipath draw: the angles of `mmwave_angles`, fixed across slots, then
+    the per-slot path gains (feeder, UE side, direct link, in that order)."""
     q = budget.n_ues
     lead = () if slots is None else (slots,)
-
-    bs_angles = _draw_grid_angles(rng, n_elements, l1)
-    ue_angles = np.stack([_draw_grid_angles(rng, n_elements, l2) for _ in range(q)])
+    bs_angles, ue_angles, cascade_angles = mmwave_angles(rng, n_elements, l1, l2, q)
 
     # per-path variances: feeder paths carry beta_f, UE-side paths beta_g
     bs_gains = complex_normal(rng, budget.beta_f, lead + (l1,))
     ue_gains = complex_normal(rng, budget.beta_g[:, None], lead + (q, l2))
     h_d = complex_normal(rng, budget.beta_d, lead + (q,))
 
-    cascade_angles = principal_sine_wrap(
-        bs_angles[:, None] + ue_angles[:, None, :]).reshape(q, l1 * l2)
     if slots is None:
         cascade_gains = (bs_gains[:, None] * ue_gains[:, None, :]).reshape(q, l1 * l2)
     else:

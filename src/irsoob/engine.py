@@ -6,11 +6,13 @@ UE it is serving, and the out-of-band (OOB) base station schedules its own
 UEs over the effective channels that result. The OOB side never influences
 the reflector.
 
-Trials are vectorized over slots. Only channels that can influence an output
-are materialized (the in-band side draws just the served UE's fading each
-slot, which is distribution-identical to drawing everyone's). Independent
-trials take independent generators from spawn_rngs, so results do not depend
-on execution order.
+Trials are vectorized over slots. Independent trials take independent
+generators from spawn_rngs, so results do not depend on execution order. The
+sub6 in-band side draws just the served UE's fading each slot, which is
+distribution-identical to drawing everyone's. The mmWave trials draw every
+in-band UE's path gains each slot through sample_mmwave: the out-of-band
+angles are drawn after them, so dropping the unserved UEs' gains would move
+those angles.
 
 The sub6 OOB gains are drawn from their exact reduced law. The reflector's
 phases are set by the in-band channels alone, so theta_n f_n has the law of
@@ -20,6 +22,14 @@ by every UE, which is what correlates them) and two complex normals per UE
 replace the N per-element channels of each UE. Only a caller that asks for
 the matched-reflector ceiling (`want_bf`) gets the dense per-element path,
 because that ceiling needs every |f_n||g_qn|.
+
+The mmWave LOS OOB gains are drawn from their matched-path law. The reflector
+responds only on the steered grid angle, so of UE q's L cascaded paths just
+the m[k, q] that share in-band UE k's angle reach an output, and their sum
+gamma_1 * sum_j gamma_2,j is gamma_1 times a CN(0, m beta_g,q) draw. One
+shared feeder gain per slot and two complex normals per UE replace the L
+path gains of each UE. The nlos trial keeps every path: a phase-matched
+configuration responds on every grid angle.
 """
 
 from __future__ import annotations
@@ -30,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (LinkBudget, complex_normal, draw_ue_positions, link_budget,
-                       sample_mmwave, sample_sub6)
+                       mmwave_angles, sample_mmwave, sample_sub6)
 from .config import ExperimentSpec
 from .irs import unit_phase
 from .kernels import grid_index
@@ -130,10 +140,16 @@ def mmwave_los_trial(rng: np.random.Generator, n_elements: int, budget_x: LinkBu
     The reflector steers its whole aperture at the served UE's cascaded
     angle. On the resolvable grid, an OOB path contributes only when it sits
     exactly on the steered angle, so the OOB sum collapses to the matched
-    paths.
+    paths. The OOB gains are drawn from that law: after the OOB angles, per
+    slot one feeder gain gamma_1 ~ CN(0, beta_f) shared by the UEs, then per
+    UE the matched sum S ~ CN(0, m[k, q] beta_g,q) and h_d ~ CN(0, beta_d),
+    where m[k, q] counts UE q's paths on in-band UE k's angle (each copy of
+    a duplicated path counts). Then eff = h_d + (N / sqrt(L)) u gamma_1 S, the exact law of
+    the per-path sum because the UE-side path gains are i.i.d.; a UE with no
+    matched path keeps its direct gain exactly.
     """
     x = sample_mmwave(rng, n_elements, 1, 1, budget_x, slots=slots)
-    y = sample_mmwave(rng, n_elements, 1, l_oob, budget_y, slots=slots)
+    _, _, angles_y = mmwave_angles(rng, n_elements, 1, l_oob, budget_y.n_ues)
 
     k_ues = budget_x.n_ues
     rows = np.arange(slots)
@@ -147,13 +163,15 @@ def mmwave_los_trial(rng: np.random.Generator, n_elements: int, budget_x: LinkBu
     u = unit_phase(h_dx * np.conj(g_x))
 
     idx_x = grid_index(x.cascade_angles[:, 0], n_elements)  # (K,)
-    idx_y = grid_index(y.cascade_angles, n_elements)        # (Q, L)
-    match = idx_y[None, :, :] == idx_x[k_served][:, None, None]
-    l_paths = y.l_paths
-    eff = y.h_d + (n_elements / math.sqrt(l_paths)) * u[:, None] \
-        * np.where(match, y.cascade_gains, 0.0).sum(axis=2)
+    idx_y = grid_index(angles_y, n_elements)                # (Q, L)
+    matches = (idx_y[None, :, :] == idx_x[:, None, None]).sum(axis=2)  # (K, Q)
+    q_ues = budget_y.n_ues
+    gamma_1 = complex_normal(rng, budget_y.beta_f, (slots,))
+    matched = complex_normal(rng, matches[k_served] * budget_y.beta_g, (slots, q_ues))
+    h_d = complex_normal(rng, budget_y.beta_d, (slots, q_ues))
+    eff = h_d + (n_elements / math.sqrt(l_oob)) * (u * gamma_1)[:, None] * matched
     gain_irs = np.abs(eff) ** 2
-    gain_noirs = np.abs(y.h_d) ** 2
+    gain_noirs = np.abs(h_d) ** 2
     theta = None
     if keep_theta:
         steer = np.exp(-1j * np.pi * np.outer(x.cascade_angles[:, 0][k_served], np.arange(n_elements)))

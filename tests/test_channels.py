@@ -225,3 +225,21 @@ def test_complex_normal_variance_vectorized():
     var = np.mean(np.abs(draws) ** 2, axis=0)
     assert var[0] == pytest.approx(1.0, abs=0.03)
     assert var[1] == pytest.approx(4.0, abs=0.12)
+
+
+@pytest.mark.parametrize("variance", [
+    2.5,                                   # scalar
+    np.array([1.0, 4.0, 0.25]),            # one per UE, shape (Q,)
+    np.arange(1.0, 41.0)[:, None],         # one per slot, shape (slots, 1)
+], ids=["scalar", "per_ue", "per_slot"])
+def test_complex_normal_pins_the_two_real_blocks_bit_for_bit(variance):
+    size = (40, 3)
+    rng = np.random.default_rng(21)
+    got = complex_normal(rng, variance, size)
+    replay = np.random.default_rng(21)
+    z1 = replay.standard_normal(size)
+    z2 = replay.standard_normal(size)
+    want = np.sqrt(np.asarray(variance) / 2.0) * (z1 + 1j * z2)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert rng.standard_normal() == replay.standard_normal()   # same stream position

@@ -5,9 +5,10 @@ path: a quadrature integral for the no-reflector mean SE, the closed-form
 sum-SE evaluated on the same link budgets, and an inline redraw of the
 channel law for the distributional checks. Scheduler decisions are checked
 against hand-computed values, and each vectorized trial is replayed draw for
-draw through the scalar reflector rules in irs.py. The sub6 reduced OOB law
-is replayed bit for bit and compared in distribution with the dense
-per-element path it replaces.
+draw through the scalar reflector rules in irs.py. The reduced OOB laws
+(sub6, and the matched-path law of the mmWave LOS trial) are replayed bit for
+bit and compared in distribution with the dense per-element or per-path
+construction each replaces.
 """
 
 import math
@@ -17,7 +18,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
-from irsoob.channels import complex_normal, sample_mmwave, sample_sub6
+from irsoob.channels import complex_normal, mmwave_angles, sample_mmwave, sample_sub6
 from irsoob.config import ExperimentSpec
 from irsoob.engine import (DominanceReport, TrialData, budgets_for, dominance_test,
                            empirical_ccdf, empirical_outage, inband_gain_samples_sub6,
@@ -25,8 +26,8 @@ from irsoob.engine import (DominanceReport, TrialData, budgets_for, dominance_te
                            spawn_rngs, sub6_trial)
 from irsoob.experiments import operator_params
 from irsoob.irs import (effective_channel_mmwave, effective_channel_sub6, optimize_mmwave_los,
-                        optimize_mmwave_nlos, optimize_sub6)
-from irsoob.kernels import db_to_linear
+                        optimize_mmwave_nlos, optimize_sub6, unit_phase)
+from irsoob.kernels import db_to_linear, grid_index
 
 GAMMA_130 = float(db_to_linear(130.0))
 
@@ -285,23 +286,111 @@ def test_sub6_reduced_law_matches_dense_path(n):
                                    atol=0.05)
 
 
+def _replay_los(replay, n, bx, by, slots, l_oob):
+    """Operator X and the OOB angles in trial order, the served UE per slot,
+    its aligning phase u, and on_beam[k, q, j]: UE q's path j sits on in-band
+    UE k's cascaded angle."""
+    x = sample_mmwave(replay, n, 1, 1, bx, slots=slots)
+    _, _, angles_y = mmwave_angles(replay, n, 1, l_oob, by.n_ues)
+    rows = np.arange(slots)
+    k = rows % bx.n_ues
+    u = unit_phase(x.h_d[rows, k] * np.conj(x.cascade_gains[rows, k, 0]))
+    on_beam = (grid_index(angles_y, n)[None, :, :]
+               == grid_index(x.cascade_angles[:, 0], n)[:, None, None])
+    return x, angles_y, k, u, on_beam
+
+
 @pytest.mark.parametrize("n", [8, 16])
 def test_mmwave_los_trial_matches_scalar_reference(n):
+    """The OOB gains are the reduced law replayed bit for bit: one shared
+    feeder gain gamma_1, the matched sum S ~ CN(0, m beta_g) and h_d per UE.
+    The scalar rules then see per-path gains with gamma_1 S on each UE's first
+    matched path, 0 on its other matched paths and fresh draws on the
+    unmatched ones, which the steered beam must not pick up."""
     spec, bx, by, rng, replay = _diff_setup("mmwave_los", n, l1=1, l2=3)
     l_oob = spec.l1 * spec.l2
     data = mmwave_los_trial(rng, n, bx, by, GAMMA_130, spec.slots, l_oob, keep_theta=True)
 
-    x = sample_mmwave(replay, n, 1, 1, bx, slots=spec.slots)
-    y = sample_mmwave(replay, n, 1, l_oob, by, slots=spec.slots)
+    x, angles_y, k_served, u, on_beam = _replay_los(replay, n, bx, by, spec.slots, l_oob)
+    m = on_beam.sum(axis=2)
+    assert np.any(m > 0), "no matched (k, q) pair: nothing reflected to check"
+    gamma_1 = complex_normal(replay, by.beta_f, (spec.slots,))
+    s_sum = complex_normal(replay, m[k_served] * by.beta_g, (spec.slots, by.n_ues))
+    h_d = complex_normal(replay, by.beta_d, (spec.slots, by.n_ues))
+    eff = h_d + (n / math.sqrt(l_oob)) * (u * gamma_1)[:, None] * s_sum
+    np.testing.assert_array_equal(data.gain_irs, np.abs(eff) ** 2)
+    np.testing.assert_array_equal(data.gain_noirs, np.abs(h_d) ** 2)
+    unmatched = m[k_served] == 0
+    assert unmatched.any()
+    np.testing.assert_array_equal(data.gain_irs[unmatched], data.gain_noirs[unmatched])
+
+    fresh = np.random.default_rng(n)
     for s in range(spec.slots):
-        k = s % bx.n_ues
+        k = k_served[s]
         theta = optimize_mmwave_los(x.h_d[s, k], x.cascade_gains[s, k, 0],
                                     x.cascade_angles[k, 0], n)
         np.testing.assert_allclose(data.theta[s], theta, rtol=0.0, atol=1e-13)
-        want = [abs(effective_channel_mmwave(y.h_d[s, q], y.cascade_angles[q],
-                                             y.cascade_gains[s, q], theta)) ** 2
-                for q in range(by.n_ues)]
+        want = []
+        for q in range(by.n_ues):
+            gains = complex_normal(fresh, by.beta_r[q], (l_oob,))
+            hits = np.flatnonzero(on_beam[k, q])
+            gains[hits] = 0.0
+            if hits.size:
+                gains[hits[0]] = gamma_1[s] * s_sum[s, q]
+            want.append(abs(effective_channel_mmwave(h_d[s, q], angles_y[q], gains, theta)) ** 2)
         _assert_gains(data.gain_irs[s], want)
+
+
+@pytest.mark.parametrize("n,l_oob", [(8, 5), (8, 50), (64, 5), (64, 50)])
+def test_mmwave_los_reduced_law_matches_per_path_sum(n, l_oob):
+    """Distributional equivalence of the reduced OOB sampler and the per-path
+    sum it replaces, both on the trial's own angles and in-band draws: KS per
+    UE on the gain, the mean gain beta_d + (N^2/L) beta_f beta_g mean(m), and,
+    per served in-band UE k, the correlation of two matched UEs' gains. Given
+    X = |gamma_1|^2 / beta_f ~ Exp(1) the gains are independent exponentials
+    with means beta_d + r X, r = (N^2/L) beta_f beta_g m, so
+    corr = r r' / sqrt(V V'), V = (beta_d + r)^2 + 2 r^2; a sampler that drew
+    one feeder gain per UE would give 0. Two UEs on one beam are rare at
+    N = 64, L = 5, so there only KS and the mean are sure to be checked."""
+    slots = 10_000
+    spec = ExperimentSpec(regime="mmwave_los", k_ues=2, q_ues=4)
+    _, bx, by = budgets_for(spec, np.random.default_rng(61), None)
+    seed = 610 + n + l_oob
+    data = mmwave_los_trial(np.random.default_rng(seed), n, bx, by, GAMMA_130, slots, l_oob)
+    _, _, k_served, u, on_beam = _replay_los(np.random.default_rng(seed), n, bx, by,
+                                             slots, l_oob)
+    per_path = np.random.default_rng(seed + 1)
+    bs_gains = complex_normal(per_path, by.beta_f, (slots, 1))
+    ue_gains = complex_normal(per_path, by.beta_g[:, None], (slots, by.n_ues, l_oob))
+    h_d = complex_normal(per_path, by.beta_d, (slots, by.n_ues))
+    cascade = bs_gains[:, :, None] * ue_gains
+    eff = h_d + (n / math.sqrt(l_oob)) * u[:, None] \
+        * np.where(on_beam[k_served], cascade, 0.0).sum(axis=2)
+    dense_gain = np.abs(eff) ** 2
+    del ue_gains, cascade
+
+    for q in range(by.n_ues):
+        assert ks_2samp(data.gain_irs[:, q], dense_gain[:, q]).pvalue > 1e-4
+
+    m = on_beam.sum(axis=2)
+    r = (n ** 2 / l_oob) * by.beta_f * by.beta_g * m          # (K, Q)
+    mean = by.beta_d + r[k_served].mean(axis=0)
+    var = (by.beta_d + r) ** 2 + 2 * r ** 2
+    checked = 0
+    for gain in (data.gain_irs, dense_gain):
+        stderr = gain.std(axis=0, ddof=1) / math.sqrt(slots)
+        assert np.all(np.abs(gain.mean(axis=0) - mean) < 4.0 * stderr)
+        for k in range(bx.n_ues):
+            lit = np.flatnonzero(m[k] > 0)
+            if len(lit) < 2:
+                continue
+            pairs = np.triu_indices(len(lit), 1)
+            corr = np.outer(r[k, lit], r[k, lit]) / np.sqrt(np.outer(var[k, lit], var[k, lit]))
+            sample = np.corrcoef(gain[k_served == k][:, lit].T)
+            np.testing.assert_allclose(sample[pairs], corr[pairs], atol=0.12)
+            checked += len(pairs[0])
+    if (n, l_oob) != (64, 5):
+        assert checked > 0
 
 
 @pytest.mark.parametrize("n", [8, 16])

@@ -8,16 +8,16 @@ closed-form rate/outage/distribution expressions, and figure-style experiment
 presets with a small CLI (`irsoob`).
 
 Subpackage map:
-    kernels      dB conversion, steering vectors, angle grid, Gaussian tail
+    kernels      dB conversion, angle grid and sine wrap, Gaussian tail
     channels     geometry, path loss, Rayleigh and sparse channel samplers
     irs          unit phase, scalar phase-configuration rules and effective
                  channels (the references the engine is tested against),
                  response probes
     analytics    closed-form SE, outage, and distribution expressions, and
                  the one guarded quadrature
-    engine       vectorized Monte Carlo trials (sub6 and mmWave LOS OOB
-                 gains from their exact reduced laws), the OOB scheduler,
-                 empirical distributions
+    engine       vectorized Monte Carlo trials that return channel gains
+                 only (sub6 and mmWave LOS OOB gains from their exact
+                 reduced laws), the OOB scheduler, empirical distributions
     experiments  presets, runners, CSV emission, run manifests, pooled samples
     cli          argparse entry point
 """

@@ -197,11 +197,6 @@ def ccdf_offset_sub6_finite_n(z, p: AnalyticParams, ue: int = 0):
     return float(out[0]) if scalar else out
 
 
-def offset_correlation(p: AnalyticParams, ue: int = 0) -> float:
-    """Correlation between the with- and without-reflector gains at one UE: 1/(1 + N*beta_r/beta_d)."""
-    return 1.0 / (1.0 + p.n_elements * float(p.beta_tilde[ue]))
-
-
 def sumse_inband_mmwave_los(p: AnalyticParams) -> float:
     """In-band ergodic sum-SE with the aperture steered at a single cascaded path: N^2 scaling."""
     n, g = p.n_elements, p.tx_snr

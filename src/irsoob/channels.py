@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import db_to_linear, principal_sine_wrap, resolvable_angles, steering_vector
+from .kernels import db_to_linear, principal_sine_wrap, resolvable_angles
 
 LINK_CLASSES = ("bs_irs", "irs_ue", "direct")
 
@@ -140,10 +140,9 @@ def complex_normal(rng: np.random.Generator, variance, size) -> np.ndarray:
 
 @dataclass
 class Sub6Channels:
-    """One Rayleigh-fading realization for one operator and its UEs.
+    """Rayleigh-fading realizations for one operator and its UEs, one per slot.
 
-    Shapes without a slot axis: h_d (n_ues,), f (n,), g (n_ues, n). With
-    slots=S, a leading S axis is prepended to every array.
+    Shapes: h_d (slots, n_ues), f (slots, n), g (slots, n_ues, n).
     """
 
     h_d: np.ndarray
@@ -152,7 +151,7 @@ class Sub6Channels:
 
 
 def sample_sub6(rng: np.random.Generator, n_elements: int, budget: LinkBudget,
-                slots: int | None = None) -> Sub6Channels:
+                slots: int) -> Sub6Channels:
     """I.i.d. Rayleigh draws: each entry CN(0, beta) with beta from the link budget.
 
     E|f_n|^2 = beta_f and E|f_n| = sqrt(pi*beta_f/4), the moments the sum-SE
@@ -161,10 +160,9 @@ def sample_sub6(rng: np.random.Generator, n_elements: int, budget: LinkBudget,
     if n_elements < 0:
         raise ValueError(f"n_elements must be >= 0, got {n_elements}")
     q = budget.n_ues
-    lead = () if slots is None else (slots,)
-    h_d = complex_normal(rng, budget.beta_d, lead + (q,))
-    f = complex_normal(rng, budget.beta_f, lead + (n_elements,))
-    g = complex_normal(rng, budget.beta_g[:, None], lead + (q, n_elements))
+    h_d = complex_normal(rng, budget.beta_d, (slots, q))
+    f = complex_normal(rng, budget.beta_f, (slots, n_elements))
+    g = complex_normal(rng, budget.beta_g[:, None], (slots, q, n_elements))
     return Sub6Channels(h_d=h_d, f=f, g=g)
 
 
@@ -177,9 +175,9 @@ class MmwaveChannels:
     UE path j) pair: angle wrap(phi_i + psi_j), gain gamma1_i * gamma2_j,
     giving L = l1 * l2 entries ordered with j fastest.
 
-    Gain shapes without a slot axis: bs_gains (l1,), ue_gains (n_ues, l2),
-    cascade_gains (n_ues, L), h_d (n_ues,). With slots=S a leading S axis is
-    prepended to the gain arrays; the angle arrays never carry a slot axis.
+    Gain shapes: bs_gains (slots, l1), ue_gains (slots, n_ues, l2),
+    cascade_gains (slots, n_ues, L), h_d (slots, n_ues). The angle arrays
+    carry no slot axis.
     """
 
     l1: int
@@ -227,37 +225,19 @@ def mmwave_angles(rng: np.random.Generator, n_elements: int, l1: int, l2: int,
 
 
 def sample_mmwave(rng: np.random.Generator, n_elements: int, l1: int, l2: int,
-                  budget: LinkBudget, slots: int | None = None) -> MmwaveChannels:
+                  budget: LinkBudget, slots: int) -> MmwaveChannels:
     """Sparse-multipath draw: the angles of `mmwave_angles`, fixed across slots, then
     the per-slot path gains (feeder, UE side, direct link, in that order)."""
     q = budget.n_ues
-    lead = () if slots is None else (slots,)
     bs_angles, ue_angles, cascade_angles = mmwave_angles(rng, n_elements, l1, l2, q)
 
     # per-path variances: feeder paths carry beta_f, UE-side paths beta_g
-    bs_gains = complex_normal(rng, budget.beta_f, lead + (l1,))
-    ue_gains = complex_normal(rng, budget.beta_g[:, None], lead + (q, l2))
-    h_d = complex_normal(rng, budget.beta_d, lead + (q,))
-
-    if slots is None:
-        cascade_gains = (bs_gains[:, None] * ue_gains[:, None, :]).reshape(q, l1 * l2)
-    else:
-        cascade_gains = (bs_gains[:, None, :, None]
-                         * ue_gains[:, :, None, :]).reshape(slots, q, l1 * l2)
+    bs_gains = complex_normal(rng, budget.beta_f, (slots, l1))
+    ue_gains = complex_normal(rng, budget.beta_g[:, None], (slots, q, l2))
+    h_d = complex_normal(rng, budget.beta_d, (slots, q))
+    cascade_gains = (bs_gains[:, None, :, None]
+                     * ue_gains[:, :, None, :]).reshape(slots, q, l1 * l2)
     return MmwaveChannels(l1=l1, l2=l2, bs_angles=bs_angles, ue_angles=ue_angles,
                           bs_gains=bs_gains, ue_gains=ue_gains,
                           cascade_angles=cascade_angles, cascade_gains=cascade_gains,
                           h_d=h_d)
-
-
-def mmwave_vector(n_elements: int, angles: np.ndarray, gains: np.ndarray) -> np.ndarray:
-    """Reassemble the length-N channel vector sqrt(N/L) * sum_i gains_i * conj(steering(angles_i)).
-
-    Used to check the sparse representation against its dense form; the
-    simulation itself works in the sparse (angle, gain) domain.
-    """
-    l_paths = len(angles)
-    vec = np.zeros(n_elements, dtype=complex)
-    for ang, gain in zip(angles, gains):
-        vec += gain * np.conj(steering_vector(n_elements, ang))
-    return np.sqrt(n_elements / l_paths) * vec

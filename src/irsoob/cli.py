@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 from .config import load_spec
-from .experiments import (PRESETS, emit_csv, list_presets, run_preset, run_spec,
-                          write_manifest)
+from .experiments import PRESETS, list_presets, preset_spec, run_spec, save_run
 
 
 def _parse_override(text: str) -> tuple[str, object]:
@@ -64,34 +64,24 @@ def main(argv=None) -> int:
             print(f"{name:8s} {note}")
         return 0
 
-    out = Path(args.out)
-    if args.command == "preset":
-        if args.name not in PRESETS:
-            print(f"unknown preset {args.name!r}; available: "
-                  f"{', '.join(sorted(PRESETS))}", file=sys.stderr)
-            return 2
-        rows = run_preset(args.name, overrides=dict(args.override) or None,
-                          seed=args.seed, out_dir=out,
-                          analytic_only=args.analytic_only)
-        print(f"{args.name}: {len(rows)} rows -> {out / (args.name + '.csv')}")
-        return 0
-
-    # run <spec-file>
+    # a spec that cannot be resolved is a usage error; failures past that point propagate
     try:
-        spec = load_spec(args.spec_file)
+        if args.command == "preset":
+            figure = args.name
+            spec = preset_spec(figure, dict(args.override), args.seed)
+            runner = PRESETS[figure].runner
+        else:
+            figure = Path(args.spec_file).stem or "run"
+            spec = load_spec(args.spec_file)
+            runner = run_spec
+            if args.seed is not None:
+                spec = dataclasses.replace(spec, seed=args.seed)
     except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        import dataclasses
-        spec = dataclasses.replace(spec, seed=args.seed)
-    figure = Path(args.spec_file).stem or "run"
-    rows, positions = run_spec(spec, figure=figure,
-                               analytic_only=args.analytic_only)
-    out.mkdir(parents=True, exist_ok=True)
-    emit_csv(rows, out / f"{figure}.csv")
-    write_manifest(out / "manifest.json", figure, spec, positions)
-    print(f"{figure}: {len(rows)} rows -> {out / (figure + '.csv')}")
+    rows, positions = runner(spec, figure, args.analytic_only)
+    save_run(args.out, figure, spec, rows, positions)
+    print(f"{figure}: {len(rows)} rows -> {Path(args.out) / (figure + '.csv')}")
     return 0
 
 

@@ -61,6 +61,10 @@ class ExperimentSpec:
             raise ValueError("n_sweep and gamma_db_sweep must be non-empty")
         if any(n < 0 for n in self.n_sweep):
             raise ValueError(f"n_sweep: element counts must be >= 0, got {self.n_sweep}")
+        # sums of two grid angles wrap back onto the grid only for even N
+        if self.regime != "sub6" and any(n < 2 or n % 2 for n in self.n_sweep):
+            raise ValueError(f"n_sweep: the mmWave regimes need even element counts >= 2, "
+                             f"got {self.n_sweep}")
         if self.max_elements < 1:
             raise ValueError(f"max_elements must be >= 1, got {self.max_elements}")
         if any(n > self.max_elements for n in self.n_sweep):

@@ -6,6 +6,11 @@ UE it is serving, and the out-of-band (OOB) base station schedules its own
 UEs over the effective channels that result. The OOB side never influences
 the reflector.
 
+A trial returns channel gains only. Every statistic downstream (sum-SE,
+outage, gain CCDFs, dominance) depends on the SNR only through
+log2(1 + snr * gain), so the experiment layer applies each SNR of a sweep to
+one set of gains.
+
 Trials are vectorized over slots. Independent trials take independent
 generators from spawn_rngs, so results do not depend on execution order. The
 sub6 in-band side draws just the served UE's fading each slot, which is
@@ -65,20 +70,28 @@ def _chunk_slices(slots: int, width: int):
 
 @dataclass
 class TrialData:
-    """Per-slot records from one trial, before any scheduling decision on the OOB side."""
+    """Per-slot channel gains from one trial, before any scheduling decision on the OOB side.
 
-    se_inband: np.ndarray           # (slots,) SE of the round-robin-served in-band UE
-    inband_gain: np.ndarray         # (slots,) channel gain behind se_inband
-    rates_oob: np.ndarray           # (slots, Q) per-UE OOB SE
+    Every rate, outage and distribution statistic is a function of these
+    gains, so the trials take no SNR.
+    """
+
+    inband_gain: np.ndarray         # (slots,) gain of the round-robin-served in-band UE
     gain_irs: np.ndarray            # (slots, Q) OOB channel gain, reflector present
     gain_noirs: np.ndarray          # (slots, Q) OOB channel gain, direct path only
     bf_gain: np.ndarray | None = None   # (slots, Q) OOB gain if the reflector were matched per UE
-    theta: np.ndarray | None = None     # (slots, N) reflector configs, kept on request
+
+
+def _aligned_gain(h_d: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """(|h_d| + sum_n |f_n g_n|)^2 over the last axis: the gain of a phase-aligned reflector.
+
+    The channels may be complex or already their magnitudes.
+    """
+    return (np.abs(h_d) + np.abs(f * g).sum(axis=-1)) ** 2
 
 
 def sub6_trial(rng: np.random.Generator, n_elements: int, budget_x: LinkBudget,
-               budget_y: LinkBudget, tx_snr: float, slots: int,
-               want_bf: bool = False, keep_theta: bool = False) -> TrialData:
+               budget_y: LinkBudget, slots: int, want_bf: bool = False) -> TrialData:
     """One Rayleigh-fading trial.
 
     The in-band gain uses the coherent identity (|h_d| + sum_n |f_n g_n|)^2,
@@ -89,8 +102,7 @@ def sub6_trial(rng: np.random.Generator, n_elements: int, budget_x: LinkBudget,
     law of h_d + sum_n theta_n f_n g_qn, because theta depends on the
     in-band channels only. With want_bf the per-element OOB channels are
     drawn instead and the in-band phases applied to them, since the matched
-    ceiling (|h_d| + sum_n |f_n||g_qn|)^2 needs each element. theta is only
-    built when want_bf or keep_theta asks for it.
+    ceiling (|h_d| + sum_n |f_n||g_qn|)^2 needs each element.
     """
     k_ues = budget_x.n_ues
     k_served = np.arange(slots) % k_ues
@@ -98,16 +110,11 @@ def sub6_trial(rng: np.random.Generator, n_elements: int, budget_x: LinkBudget,
     h_dx = complex_normal(rng, budget_x.beta_d[k_served], (slots,))
     f_x = complex_normal(rng, budget_x.beta_f, (slots, n_elements))
     g_x = complex_normal(rng, budget_x.beta_g[k_served][:, None], (slots, n_elements))
-
-    amp_x = np.abs(h_dx) + np.abs(f_x * g_x).sum(axis=1)
-    inband_gain = amp_x ** 2
-    se_inband = np.log2(1.0 + inband_gain * tx_snr)
-    theta = None
-    if want_bf or keep_theta:
-        theta = np.exp(1j * (np.angle(h_dx)[:, None] - np.angle(f_x) - np.angle(g_x)))
+    inband_gain = _aligned_gain(h_dx, f_x, g_x)
 
     q_ues = budget_y.n_ues
     if want_bf:
+        theta = np.exp(1j * (np.angle(h_dx)[:, None] - np.angle(f_x) - np.angle(g_x)))
         gain_irs = np.empty((slots, q_ues))
         gain_noirs = np.empty((slots, q_ues))
         bf_amp = np.empty((slots, q_ues))
@@ -126,15 +133,12 @@ def sub6_trial(rng: np.random.Generator, n_elements: int, budget_x: LinkBudget,
         gain_irs = np.abs(h_d + reflected) ** 2
         gain_noirs = np.abs(h_d) ** 2
         bf_gain = None
-    rates_oob = np.log2(1.0 + gain_irs * tx_snr)
-    return TrialData(se_inband=se_inband, inband_gain=inband_gain, rates_oob=rates_oob,
-                     gain_irs=gain_irs, gain_noirs=gain_noirs, bf_gain=bf_gain,
-                     theta=theta if keep_theta else None)
+    return TrialData(inband_gain=inband_gain, gain_irs=gain_irs, gain_noirs=gain_noirs,
+                     bf_gain=bf_gain)
 
 
 def mmwave_los_trial(rng: np.random.Generator, n_elements: int, budget_x: LinkBudget,
-                     budget_y: LinkBudget, tx_snr: float, slots: int, l_oob: int,
-                     keep_theta: bool = False) -> TrialData:
+                     budget_y: LinkBudget, slots: int, l_oob: int) -> TrialData:
     """One sparse-channel trial with single-path in-band UEs.
 
     The reflector steers its whole aperture at the served UE's cascaded
@@ -157,9 +161,7 @@ def mmwave_los_trial(rng: np.random.Generator, n_elements: int, budget_x: LinkBu
     g_x = x.cascade_gains[rows, k_served, 0]
     h_dx = x.h_d[rows, k_served]
 
-    amp_x = np.abs(h_dx) + n_elements * np.abs(g_x)
-    inband_gain = amp_x ** 2
-    se_inband = np.log2(1.0 + inband_gain * tx_snr)
+    inband_gain = (np.abs(h_dx) + n_elements * np.abs(g_x)) ** 2
     u = unit_phase(h_dx * np.conj(g_x))
 
     idx_x = grid_index(x.cascade_angles[:, 0], n_elements)  # (K,)
@@ -170,20 +172,12 @@ def mmwave_los_trial(rng: np.random.Generator, n_elements: int, budget_x: LinkBu
     matched = complex_normal(rng, matches[k_served] * budget_y.beta_g, (slots, q_ues))
     h_d = complex_normal(rng, budget_y.beta_d, (slots, q_ues))
     eff = h_d + (n_elements / math.sqrt(l_oob)) * (u * gamma_1)[:, None] * matched
-    gain_irs = np.abs(eff) ** 2
-    gain_noirs = np.abs(h_d) ** 2
-    theta = None
-    if keep_theta:
-        steer = np.exp(-1j * np.pi * np.outer(x.cascade_angles[:, 0][k_served], np.arange(n_elements)))
-        theta = u[:, None] * steer
-    return TrialData(se_inband=se_inband, inband_gain=inband_gain,
-                     rates_oob=np.log2(1.0 + gain_irs * tx_snr),
-                     gain_irs=gain_irs, gain_noirs=gain_noirs, theta=theta)
+    return TrialData(inband_gain=inband_gain, gain_irs=np.abs(eff) ** 2,
+                     gain_noirs=np.abs(h_d) ** 2)
 
 
 def mmwave_nlos_trial(rng: np.random.Generator, n_elements: int, budget_x: LinkBudget,
-                      budget_y: LinkBudget, tx_snr: float, slots: int, l1: int, l2: int,
-                      keep_theta: bool = False) -> TrialData:
+                      budget_y: LinkBudget, slots: int, l1: int, l2: int) -> TrialData:
     """One sparse-channel trial with the reflector phase-matched to all of the served UE's paths.
 
     The per-element matched sum v and the responses at every grid angle are
@@ -207,7 +201,6 @@ def mmwave_nlos_trial(rng: np.random.Generator, n_elements: int, budget_x: LinkB
     inband_gain = np.empty(slots)
     gain_irs = np.empty((slots, q_ues))
     gain_noirs = np.empty((slots, q_ues))
-    theta_all = np.empty((slots, n_elements), dtype=complex) if keep_theta else None
 
     width = _CHUNK_ELEMS // max(1, n_elements)
     for sl in _chunk_slices(slots, width):
@@ -218,8 +211,6 @@ def mmwave_nlos_trial(rng: np.random.Generator, n_elements: int, budget_x: LinkB
         np.add.at(s, (sub[:, None], idx_x[sl]), np.conj(g_x[sl]))
         v = sgn * np.fft.fft(s, axis=1)
         theta = np.exp(1j * np.angle(h_dx[sl]))[:, None] * unit_phase(v)
-        if keep_theta:
-            theta_all[sl] = theta
         resp = np.fft.ifft(sgn * theta, axis=1)   # adot(grid angle m)^H theta, all m at once
 
         eff_x = h_dx[sl] + (n_elements / math.sqrt(l_x)) \
@@ -231,10 +222,7 @@ def mmwave_nlos_trial(rng: np.random.Generator, n_elements: int, budget_x: LinkB
             * (y.cascade_gains[sl] * pick).sum(axis=2)
         gain_irs[sl] = np.abs(eff_y) ** 2
         gain_noirs[sl] = np.abs(y.h_d[sl]) ** 2
-    se_inband = np.log2(1.0 + inband_gain * tx_snr)
-    return TrialData(se_inband=se_inband, inband_gain=inband_gain,
-                     rates_oob=np.log2(1.0 + gain_irs * tx_snr),
-                     gain_irs=gain_irs, gain_noirs=gain_noirs, theta=theta_all)
+    return TrialData(inband_gain=inband_gain, gain_irs=gain_irs, gain_noirs=gain_noirs)
 
 
 def inband_gain_samples_sub6(rng: np.random.Generator, n_elements: int, beta_r: float,
@@ -251,11 +239,11 @@ def inband_gain_samples_sub6(rng: np.random.Generator, n_elements: int, beta_r: 
     width = _CHUNK_ELEMS // max(1, n_elements)
     for sl in _chunk_slices(count, width):
         m = sl.stop - sl.start
+        # magnitudes at once: only they matter, and they halve the chunk's memory
         h_d = np.abs(complex_normal(rng, beta_d, (m,)))
         f = np.abs(complex_normal(rng, beta_r, (m, n_elements)))
         g = np.abs(complex_normal(rng, 1.0, (m, n_elements)))
-        amp = h_d + (f * g).sum(axis=1)
-        gain[sl] = amp ** 2
+        gain[sl] = _aligned_gain(h_d, f, g)
         gain_direct[sl] = h_d ** 2
     return gain, gain_direct
 
@@ -356,21 +344,19 @@ def budgets_for(spec: ExperimentSpec, rng: np.random.Generator,
 
 
 def run_trial(spec: ExperimentSpec, rng: np.random.Generator, n_elements: int,
-              tx_snr: float, budget_x: LinkBudget, budget_y: LinkBudget,
-              want_bf: bool = False, keep_theta: bool = False) -> TrialData:
+              budget_x: LinkBudget, budget_y: LinkBudget, want_bf: bool = False) -> TrialData:
     """One trial in the spec's regime at explicit sweep coordinates.
 
     Aborts on any non-finite gain, so no run can write inf or NaN cells.
     """
     if spec.regime == "sub6":
-        data = sub6_trial(rng, n_elements, budget_x, budget_y, tx_snr, spec.slots,
-                          want_bf=want_bf, keep_theta=keep_theta)
+        data = sub6_trial(rng, n_elements, budget_x, budget_y, spec.slots, want_bf=want_bf)
     elif spec.regime == "mmwave_los":
-        data = mmwave_los_trial(rng, n_elements, budget_x, budget_y, tx_snr, spec.slots,
-                                l_oob=spec.l1 * spec.l2, keep_theta=keep_theta)
+        data = mmwave_los_trial(rng, n_elements, budget_x, budget_y, spec.slots,
+                                l_oob=spec.l1 * spec.l2)
     elif spec.regime == "mmwave_nlos":
-        data = mmwave_nlos_trial(rng, n_elements, budget_x, budget_y, tx_snr, spec.slots,
-                                 spec.l1, spec.l2, keep_theta=keep_theta)
+        data = mmwave_nlos_trial(rng, n_elements, budget_x, budget_y, spec.slots,
+                                 spec.l1, spec.l2)
     else:
         raise ValueError(f"unknown regime {spec.regime!r}")
     if not (np.all(np.isfinite(data.inband_gain)) and np.all(np.isfinite(data.gain_irs))):

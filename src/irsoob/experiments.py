@@ -32,7 +32,7 @@ from .config import ExperimentSpec, spec_hash, spec_to_dict
 from .engine import (budgets_for, dominance_test, empirical_ccdf, empirical_outage,
                      inband_gain_samples_sub6, run_trial, schedule_rates, spawn_rngs)
 from .irs import correlation_response
-from .kernels import db_to_linear
+from .kernels import db_to_linear, resolvable_angles
 
 CSV_COLUMNS = ("figure", "statistic", "scheduler", "n_elements", "gamma_db",
                "l_paths", "q_ues", "x", "empirical", "analytic", "stderr")
@@ -157,8 +157,7 @@ class SweepPointData:
 
 def collect_gains(spec: ExperimentSpec, n_elements: int, trial_rngs,
                   budget_x, budget_y, want_bf: bool = False) -> SweepPointData:
-    datas = [run_trial(spec, rng, n_elements, 1.0, budget_x, budget_y,
-                       want_bf=want_bf)
+    datas = [run_trial(spec, rng, n_elements, budget_x, budget_y, want_bf=want_bf)
              for rng in trial_rngs]
     return SweepPointData(
         inband_gain=np.stack([d.inband_gain for d in datas]),
@@ -254,7 +253,7 @@ def run_spec(spec: ExperimentSpec, figure: str = "run", analytic_only: bool = Fa
                                        grid_points))
         if "pf_gap" in spec.outputs and not analytic_only:
             rows += _pf_gap_rows(spec, figure, n, l_tag, data)
-        if "correlation_response" in spec.outputs and not analytic_only and mm and n > 1:
+        if "correlation_response" in spec.outputs and not analytic_only and mm:
             rows += _response_rows(spec, figure, n, l_tag, aux_rng)
     return rows, positions
 
@@ -298,7 +297,7 @@ def _outage_rows(spec, figure, n, l_tag, data, params_x, params_y,
         analytic = float(analytics.outage_oob_sub6(rho, params_y)) if n > 0 else \
             float(1.0 - math.exp(-rho / params_y.beta_d[0]))
     elif spec.regime == "mmwave_los":
-        analytic = float(analytics.cdf_oob_mmwave_los(rho, params_y)) if n > 0 else None
+        analytic = float(analytics.cdf_oob_mmwave_los(rho, params_y))
     else:
         analytic = None
     emp = err = None
@@ -393,7 +392,7 @@ def _pf_gap_rows(spec, figure, n, l_tag, data):
 
 def _response_rows(spec, figure, n, l_tag, aux_rng):
     l_total = spec.l1 * spec.l2
-    grid = -1.0 + 2.0 * np.arange(n) / n
+    grid = resolvable_angles(n)
     source = np.sort(aux_rng.choice(grid, size=min(l_total, n), replace=False))
     rows = []
     for nu in source:
@@ -514,12 +513,12 @@ def oob_gain_samples(seed: int, spec: ExperimentSpec, n_elements: int, count: in
     trials = math.ceil(count / spec.slots)
     rngs = spawn_rngs(seed, 1 + trials)
     _, budget_x, budget_y = budgets_for(spec, rngs[0], None)
-    snr = float(db_to_linear(spec.gamma_db_sweep[0]))
     with_r, without_r = [], []
     for rng in rngs[1:]:
-        data = run_trial(spec, rng, n_elements, snr, budget_x, budget_y)
+        data = run_trial(spec, rng, n_elements, budget_x, budget_y)
         with_r.append(data.gain_irs[:, 0])
         without_r.append(data.gain_noirs[:, 0])
+    snr = float(db_to_linear(spec.gamma_db_sweep[0]))
     params = operator_params(spec, budget_y, n_elements, snr, "oob")
     return (np.concatenate(with_r)[:count], np.concatenate(without_r)[:count], params)
 
@@ -633,13 +632,16 @@ def list_presets() -> list[tuple[str, str]]:
     return [(name, preset.note) for name, preset in PRESETS.items()]
 
 
-def run_preset(name: str, overrides: dict | None = None, seed: int | None = None,
-               out_dir=None, analytic_only: bool = False) -> list[ResultRow]:
-    """Run one figure preset, optionally writing its CSV and manifest entry."""
+def preset_spec(name: str, overrides: dict | None = None,
+                seed: int | None = None) -> ExperimentSpec:
+    """A preset's spec with the overrides and seed applied.
+
+    Raises ValueError for an unknown preset, an unknown field or a value the
+    spec rejects.
+    """
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    preset = PRESETS[name]
-    spec = preset.spec
+    spec = PRESETS[name].spec
     if overrides:
         try:
             spec = dataclasses.replace(spec, **overrides)
@@ -649,10 +651,22 @@ def run_preset(name: str, overrides: dict | None = None, seed: int | None = None
                              f"valid fields: {valid}") from err
     if seed is not None:
         spec = dataclasses.replace(spec, seed=int(seed))
-    rows, positions = preset.runner(spec, name, analytic_only)
+    return spec
+
+
+def save_run(out_dir, figure: str, spec: ExperimentSpec, rows, positions) -> None:
+    """Write a figure's CSV and its manifest entry into out_dir."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    emit_csv(rows, out / f"{figure}.csv")
+    write_manifest(out / "manifest.json", figure, spec, positions)
+
+
+def run_preset(name: str, overrides: dict | None = None, seed: int | None = None,
+               out_dir=None, analytic_only: bool = False) -> list[ResultRow]:
+    """Run one figure preset, optionally writing its CSV and manifest entry."""
+    spec = preset_spec(name, overrides, seed)
+    rows, positions = PRESETS[name].runner(spec, name, analytic_only)
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        emit_csv(rows, out / f"{name}.csv")
-        write_manifest(out / "manifest.json", name, spec, positions)
+        save_run(out_dir, name, spec, rows, positions)
     return rows

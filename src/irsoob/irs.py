@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .channels import complex_normal
+
 
 def unit_phase(values):
     """values/|values| elementwise, with the zero-magnitude tie resolved to 1."""
@@ -91,31 +93,23 @@ def effective_channel_mmwave(h_d: complex, cascade_angles: np.ndarray,
 
 
 def correlation_response(rng: np.random.Generator, n_elements: int, source_angles,
-                         nu: float, trials: int, statistic: str = "amplitude") -> float:
-    """Monte Carlo directional response of the optimized reflector at probe angle nu.
+                         nu: float, trials: int) -> float:
+    """Monte Carlo RMS directional response of the optimized reflector at probe angle nu.
 
     The ensemble draws unit-variance complex Gaussian gains on the given
     source angles (the angles the optimizer matches), builds the phase-only
-    configuration, and averages |adot(nu)^H theta| over trials. Returns the
-    normalized response in [0, 1]: about 1/sqrt(L) when nu is one of the L
-    source angles and near 0 elsewhere for large N. statistic="power" returns
-    the mean of the squared response instead.
+    configuration, and returns sqrt(mean |adot(nu)^H theta|^2) over trials.
+    The normalized response lies in [0, 1]: about 1/sqrt(L) when nu is one
+    of the L source angles and near 0 elsewhere for large N.
     """
     if trials < 100:
         raise ValueError(f"trials must be >= 100 for a usable estimate, got {trials}")
-    if statistic not in ("amplitude", "power"):
-        raise ValueError(f"statistic must be 'amplitude' or 'power', got {statistic!r}")
     angles = np.atleast_1d(np.asarray(source_angles, dtype=float))
-    l_paths = len(angles)
     n = np.arange(n_elements)
     probe = np.exp(1j * np.pi * n * float(nu)) / n_elements  # adot(nu)^H, entrywise
 
     # gains (trials, L) -> v (trials, N) -> unit-modulus configs
-    gains = (rng.standard_normal((trials, l_paths))
-             + 1j * rng.standard_normal((trials, l_paths))) / np.sqrt(2.0)
+    gains = complex_normal(rng, 1.0, (trials, len(angles)))
     basis = np.exp(-1j * np.pi * np.outer(angles, n))  # (L, N)
     theta = unit_phase(np.conj(gains) @ basis)
-    resp = np.abs(theta @ probe)
-    if statistic == "power":
-        return float(np.mean(resp ** 2))
-    return float(np.mean(resp))
+    return float(np.sqrt(np.mean(np.abs(theta @ probe) ** 2)))

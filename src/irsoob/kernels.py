@@ -16,25 +16,12 @@ def db_to_linear(x_db):
     return 10.0 ** (np.asarray(x_db, dtype=float) / 10.0)
 
 
-def steering_vector(n_elements: int, angle: float) -> np.ndarray:
-    """Unit-norm array response of an N-element ULA at sine-domain angle.
-
-    Entry n (n = 0..N-1) is exp(-1j*pi*n*angle)/sqrt(N), so the vector always
-    has 2-norm 1 regardless of the angle.
-    """
-    if n_elements < 1:
-        raise ValueError(f"n_elements must be >= 1, got {n_elements}")
-    if not np.isfinite(angle) or not (-1.0 <= angle < 1.0):
-        raise ValueError(f"angle must lie in [-1, 1), got {angle}")
-    n = np.arange(n_elements)
-    return np.exp(-1j * np.pi * n * angle) / np.sqrt(n_elements)
-
-
 def resolvable_angles(n_elements: int) -> np.ndarray:
     """The N sine-domain angles {-1 + 2i/N : i = 0..N-1} resolvable by an N-element ULA.
 
-    Steering vectors at two distinct grid angles are exactly orthogonal, which
-    the reflector-control layer relies on. Returned in increasing order.
+    Array responses exp(-1j*pi*n*angle), n = 0..N-1, at two distinct grid
+    angles are exactly orthogonal, which the reflector-control layer relies
+    on. Returned in increasing order.
     """
     if n_elements < 1:
         raise ValueError(f"n_elements must be >= 1, got {n_elements}")

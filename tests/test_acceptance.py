@@ -20,6 +20,7 @@ from irsoob.experiments import (oob_gain_samples, operator_params, run_preset,
                                 run_scheduler_grid, _spec)
 from irsoob.irs import correlation_response
 from irsoob.kernels import db_to_linear
+from oracles import spectral_efficiency
 
 G130 = float(db_to_linear(130.0))
 G150 = float(db_to_linear(150.0))
@@ -37,9 +38,10 @@ def report(num: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num:02d}: {detail}"
 
 
-def _rr_mean(rates: np.ndarray) -> float:
-    slots, q = rates.shape
-    return float(rates[np.arange(slots), np.arange(slots) % q].mean())
+def _rr_mean(gains: np.ndarray, snr: float) -> float:
+    """Mean round-robin OOB SE of a (slots, Q) gain record."""
+    slots, q = gains.shape
+    return float(spectral_efficiency(gains[np.arange(slots), np.arange(slots) % q], snr).mean())
 
 
 def test_c01_closed_form_bounds_simulated_sumse():
@@ -53,8 +55,9 @@ def test_c01_closed_form_bounds_simulated_sumse():
         emp = np.zeros(2)
         for rng in spawn_rngs(1001 + n, 20):
             _, bx, by = budgets_for(spec, rng, None)
-            data = sub6_trial(rng, n, bx, by, G130, 5000)
-            emp += [data.se_inband.mean() / 20, _rr_mean(data.rates_oob) / 20]
+            data = sub6_trial(rng, n, bx, by, 5000)
+            emp += [spectral_efficiency(data.inband_gain, G130).mean() / 20,
+                    _rr_mean(data.gain_irs, G130) / 20]
             ana += [an.sumse_inband_sub6(operator_params(spec, bx, n, G130, "inband")) / 20,
                     an.sumse_oob_sub6(operator_params(spec, by, n, G130, "oob")) / 20]
         gaps = ana - emp
@@ -75,9 +78,9 @@ def test_c02_sumse_slopes_vs_element_count():
         vi, vo = [], []
         for rng in spawn_rngs(2000 + n, 6):
             _, bx, by = budgets_for(ExperimentSpec(), rng, None)
-            data = sub6_trial(rng, int(n), bx, by, G150, 4000)
-            vi.append(data.se_inband.mean())
-            vo.append(_rr_mean(data.rates_oob))
+            data = sub6_trial(rng, int(n), bx, by, 4000)
+            vi.append(spectral_efficiency(data.inband_gain, G150).mean())
+            vo.append(_rr_mean(data.gain_irs, G150))
         emp_in.append(np.mean(vi))
         emp_oob.append(np.mean(vo))
     s_in = float(np.polyfit(np.log2(ns), emp_in, 1)[0])
@@ -222,8 +225,7 @@ def test_c08_directional_response_at_optimized_angles():
     trials: 1 at the single LoS angle, 1/sqrt(L) +/- 0.05 at each of the L
     matched angles for L in {2, 3}, and <= 0.05 off-peak."""
     def resp(seed, angles, nu):
-        return math.sqrt(correlation_response(np.random.default_rng(seed), 500,
-                                              angles, nu, 1000, statistic="power"))
+        return correlation_response(np.random.default_rng(seed), 500, angles, nu, 1000)
 
     details, ok = [], True
     los = resp(1, (0.54,), 0.54)
@@ -270,7 +272,7 @@ def test_c09_multipath_sumse_peaks_near_l_squared():
         _, bx, by = budgets_for(spec, spawn_rngs(909 + l, 1)[0], None)
         emp = []
         for n in ns:
-            vals = [_rr_mean(mmwave_nlos_trial(rng, n, bx, by, snr, 1000, 1, l).rates_oob)
+            vals = [_rr_mean(mmwave_nlos_trial(rng, n, bx, by, 1000, 1, l).gain_irs, snr)
                     for rng in spawn_rngs(909 + 31 * l + n, 2)]
             emp.append(float(np.mean(vals)))
         peak = ns[int(np.argmax(emp))]
@@ -294,7 +296,7 @@ def test_c10_max_rate_asymptote_and_slope():
         vals = []
         for rng in spawn_rngs(1010 + n, 2):
             _, bx, by = budgets_for(spec, rng, None)
-            rates = sub6_trial(rng, n, bx, by, G150, 2000).rates_oob
+            rates = spectral_efficiency(sub6_trial(rng, n, bx, by, 2000).gain_irs, G150)
             vals.append(rates.max(axis=1).mean())
         emp[n] = float(np.mean(vals))
     _, _, by = budgets_for(spec, np.random.default_rng(0), None)

@@ -14,6 +14,7 @@ import pytest
 
 from irsoob import analytics as an
 from irsoob.analytics import AnalyticParams, DecayBoundParams
+from oracles import spectral_efficiency
 
 # Reference-UE losses from the default geometry (see test_channels.py for the
 # arithmetic): sub-6 carrier and the sparse-carrier variant at 75 m.
@@ -46,6 +47,11 @@ def rayleigh_offset_samples(rng, n, count, beta_r=BETA_R_SUB6, beta_d=BETA_D_SUB
         g = np.sqrt(beta_r / 2) * (rng.standard_normal(count) + 1j * rng.standard_normal(count))
         r += f * g * np.exp(2j * np.pi * rng.random(count))
     return np.abs(h_d + r) ** 2, np.abs(h_d) ** 2
+
+
+def offset_correlation(p):
+    """Correlation of the with- and without-reflector gains at UE 0: 1/(1 + N beta_r/beta_d)."""
+    return 1.0 / (1.0 + p.n_elements * float(p.beta_tilde[0]))
 
 
 def ks_distance(sorted_samples, ccdf_values):
@@ -189,7 +195,7 @@ def test_offset_exact_fields_and_knee():
     # positive-side mass is 1/(4 - 2 sqrt2).
     p = AnalyticParams(n_elements=4, tx_snr=1.0, beta_r=1.0, beta_d=1.0)
     assert an._mu1(p, 0) == pytest.approx(5.0)
-    assert an.offset_correlation(p) == pytest.approx(0.2)
+    assert offset_correlation(p) == pytest.approx(0.2)
     np.testing.assert_allclose(an.ccdf_offset_sub6_exact(0.0, p), (2 + math.sqrt(2)) / 4, rtol=1e-12)
     # continuity at the knee and the far tails
     assert abs(an.ccdf_offset_sub6_exact(-1e-9, p) - an.ccdf_offset_sub6_exact(0.0, p)) < 1e-8
@@ -269,8 +275,8 @@ def test_offset_finite_n_edges():
 
 
 def test_offset_correlation_reductions():
-    assert an.offset_correlation(params_sub6(0)) == 1.0
-    ratio = an.offset_correlation(params_sub6(128)) / an.offset_correlation(params_sub6(64))
+    assert offset_correlation(params_sub6(0)) == 1.0
+    ratio = offset_correlation(params_sub6(128)) / offset_correlation(params_sub6(64))
     assert abs(ratio - 0.5) < 0.05
 
 
@@ -278,7 +284,7 @@ def test_offset_correlation_matches_sample():
     rng = np.random.default_rng(62)
     with_r, without_r = rayleigh_offset_samples(rng, 16, 1_000_000)
     sample = float(np.corrcoef(with_r, without_r)[0, 1])
-    assert abs(sample - an.offset_correlation(params_sub6(16))) < 0.01
+    assert abs(sample - offset_correlation(params_sub6(16))) < 0.01
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +332,8 @@ def test_sparse_oob_mixture_bounds_trial_mean():
     rngs = spawn_rngs(77, 2)
     _, budget_x, budget_y = budgets_for(spec, rngs[0], None)
     snr = float(db_to_linear(170.0))
-    data = run_trial(spec, rngs[1], 64, snr, budget_x, budget_y)
-    mc = float(np.mean(data.rates_oob))
+    data = run_trial(spec, rngs[1], 64, budget_x, budget_y)
+    mc = float(np.mean(spectral_efficiency(data.gain_irs, snr)))
     ana = an.sumse_oob_mmwave_los(operator_params(spec, budget_y, 64, snr, "oob"))
     assert abs(ana - mc) < 0.3   # measured gap 1.4e-4
 

@@ -15,12 +15,12 @@ from irsoob.channels import (
     complex_normal,
     draw_ue_positions,
     link_budget,
-    mmwave_vector,
     path_loss,
     sample_mmwave,
     sample_sub6,
 )
 from irsoob.kernels import grid_index, resolvable_angles
+from oracles import mmwave_vector
 
 # reference UE at (1000, 1000), in-band BS at (0, 50), reflector at (1025, 1025)
 BETA_F_REF = 4.996876951905058e-10   # 1e-3 / hypot(1025, 975)^2
@@ -136,20 +136,20 @@ def test_sub6_replay_and_shapes():
 
 
 def test_sub6_no_reflector_edge():
-    ch = sample_sub6(np.random.default_rng(12), 0, unit_budget(2))
-    assert ch.f.shape == (0,) and ch.g.shape == (2, 0)
+    ch = sample_sub6(np.random.default_rng(12), 0, unit_budget(2), slots=1)
+    assert ch.f[0].shape == (0,) and ch.g[0].shape == (2, 0)
     with pytest.raises(ValueError):
-        sample_sub6(np.random.default_rng(0), -1, unit_budget())
+        sample_sub6(np.random.default_rng(0), -1, unit_budget(), slots=1)
 
 
 def test_mmwave_single_path_cascade():
     rng = np.random.default_rng(13)
-    ch = sample_mmwave(rng, 8, 1, 1, unit_budget())
+    ch = sample_mmwave(rng, 8, 1, 1, unit_budget(), slots=1)
     assert ch.cascade_angles.shape == (1, 1)
     raw = ch.bs_angles[0] + ch.ue_angles[0, 0]
     want = raw - 2.0 if raw >= 1.0 else raw + 2.0 if raw < -1.0 else raw
     assert ch.cascade_angles[0, 0] == pytest.approx(want)
-    assert ch.cascade_gains[0, 0] == ch.bs_gains[0] * ch.ue_gains[0, 0]
+    assert ch.cascade_gains[0, 0, 0] == ch.bs_gains[0, 0] * ch.ue_gains[0, 0, 0]
 
 
 def test_mmwave_feeder_norm_monte_carlo():
@@ -158,8 +158,8 @@ def test_mmwave_feeder_norm_monte_carlo():
     budget = unit_budget()
     total = 0.0
     for _ in range(3000):
-        ch = sample_mmwave(rng, 16, 2, 1, budget)
-        f = mmwave_vector(16, ch.bs_angles, ch.bs_gains)
+        ch = sample_mmwave(rng, 16, 2, 1, budget, slots=1)
+        f = mmwave_vector(16, ch.bs_angles, ch.bs_gains[0])
         total += np.sum(np.abs(f) ** 2)
     assert total / 3000 == pytest.approx(16.0, abs=0.5)
 
@@ -168,7 +168,7 @@ def test_mmwave_angles_on_grid():
     rng = np.random.default_rng(15)
     n = 32
     grid = resolvable_angles(n)
-    ch = sample_mmwave(rng, n, 3, 4, unit_budget(5))
+    ch = sample_mmwave(rng, n, 3, 4, unit_budget(5), slots=1)
     for ang in np.concatenate([ch.bs_angles, ch.ue_angles.ravel(), ch.cascade_angles.ravel()]):
         assert np.min(np.abs(grid - ang)) < 1e-12
     assert np.all(ch.cascade_angles >= -1.0) and np.all(ch.cascade_angles < 1.0)
@@ -180,7 +180,7 @@ def test_mmwave_angles_on_grid():
 def test_mmwave_distinct_angles_when_grid_allows():
     rng = np.random.default_rng(16)
     for _ in range(20):
-        ch = sample_mmwave(rng, 8, 5, 8, unit_budget(2))
+        ch = sample_mmwave(rng, 8, 5, 8, unit_budget(2), slots=1)
         assert len(np.unique(ch.bs_angles)) == 5
         for q in range(2):
             assert len(np.unique(ch.ue_angles[q])) == 8
@@ -188,11 +188,11 @@ def test_mmwave_distinct_angles_when_grid_allows():
 
 def test_mmwave_cascade_count_and_order():
     rng = np.random.default_rng(17)
-    ch = sample_mmwave(rng, 16, 2, 3, unit_budget())
+    ch = sample_mmwave(rng, 16, 2, 3, unit_budget(), slots=1)
     assert ch.cascade_angles.shape == (1, 6)
     # UE-side path index runs fastest
-    gains = (ch.bs_gains[:, None] * ch.ue_gains[0, None, :]).ravel()
-    np.testing.assert_array_equal(ch.cascade_gains[0], gains)
+    gains = (ch.bs_gains[0, :, None] * ch.ue_gains[0, 0, None, :]).ravel()
+    np.testing.assert_array_equal(ch.cascade_gains[0, 0], gains)
 
 
 def test_mmwave_cascade_second_moment():
@@ -206,9 +206,9 @@ def test_mmwave_cascade_second_moment():
 
 def test_mmwave_rejects_bad_shape():
     with pytest.raises(ValueError):
-        sample_mmwave(np.random.default_rng(0), 15, 1, 1, unit_budget())
+        sample_mmwave(np.random.default_rng(0), 15, 1, 1, unit_budget(), slots=1)
     with pytest.raises(ValueError):
-        sample_mmwave(np.random.default_rng(0), 16, 0, 1, unit_budget())
+        sample_mmwave(np.random.default_rng(0), 16, 0, 1, unit_budget(), slots=1)
 
 
 def test_mmwave_replay():

@@ -65,6 +65,22 @@ def test_preset_unknown_name_exits_two(capsys):
     assert "unknown preset" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("preset,override", [("fig3", "bogus=1"), ("fig8", "n_sweep=[4,7]")])
+def test_preset_reports_bad_override(tmp_path, capsys, preset, override):
+    # an unknown field, or a value the spec rejects (odd N in a mmWave preset)
+    out = tmp_path / "bad"
+    assert main(["preset", preset, "--override", override, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_preset_errors_past_spec_resolution_propagate(tmp_path):
+    # the spec is valid; the scheduler comparison runner then refuses its regime
+    with pytest.raises(ValueError, match="needs regime 'sub6'"):
+        main(["preset", "fig11", "--override", "regime=mmwave_los", "--analytic-only",
+              "--out", str(tmp_path)])
+
+
 def test_override_requires_key_value_shape():
     with pytest.raises(SystemExit):
         main(["preset", "fig3", "--override", "slots"])

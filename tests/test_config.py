@@ -5,6 +5,7 @@ import json
 import pytest
 
 from irsoob.config import ExperimentSpec, load_spec, spec_hash, spec_to_dict
+from irsoob.experiments import run_preset
 
 
 def write(tmp_path, text):
@@ -80,6 +81,21 @@ def test_element_count_guardrails():
         ExperimentSpec(n_sweep=(2048,))
     # raising the cap is the documented way to run large sweeps deliberately
     assert ExperimentSpec(n_sweep=(2048,), max_elements=4096).n_sweep == (2048,)
+
+
+def test_mmwave_element_counts_must_be_even_and_at_least_two():
+    # the sparse channel model needs even N >= 2, so the spec refuses the rest
+    # before the closed forms or the simulator see it
+    for regime in ("mmwave_los", "mmwave_nlos"):
+        with pytest.raises(ValueError, match="n_sweep: .*even"):
+            ExperimentSpec(regime=regime, n_sweep=(4, 7))
+        with pytest.raises(ValueError, match="n_sweep: .*even"):
+            ExperimentSpec(regime=regime, n_sweep=(0,))
+        assert ExperimentSpec(regime=regime, n_sweep=(2, 4)).n_sweep == (2, 4)
+    assert ExperimentSpec(regime="sub6", n_sweep=(0, 7)).n_sweep == (0, 7)
+    for analytic_only in (False, True):
+        with pytest.raises(ValueError, match="n_sweep"):
+            run_preset("fig8", overrides={"n_sweep": [4, 7]}, analytic_only=analytic_only)
 
 
 def test_slot_budget_guardrail():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ import pytest
 from irsoob.config import ExperimentSpec, spec_hash
 from irsoob.engine import budgets_for
 from irsoob.experiments import (CSV_COLUMNS, PRESETS, ResultRow, emit_csv, list_presets,
-                                oob_gain_samples, operator_params, run_preset, _spec)
+                                oob_gain_samples, operator_params, run_preset, run_spec,
+                                _spec)
+from irsoob.kernels import resolvable_angles
 
 # enough slots for a smoke run, small enough to keep the suite fast
 FAST = {"slots": 200, "trials": 2}
@@ -115,6 +118,31 @@ def test_analytic_only_blanks_empirical_columns():
     assert set(bare_vals) == set(full_vals)
     for key, val in bare_vals.items():
         assert val == full_vals[key]
+
+
+def test_response_rows_carry_the_rms_response():
+    """Per N: the L source angles, where the analytic 1/sqrt(L) sits and the
+    RMS response lies within criterion 8's 0.05 of it, then two off-grid
+    probes with no analytic value. An analytic-only run writes none."""
+    l_paths = 3
+    spec = _spec(regime="mmwave_los", l1=1, l2=l_paths, n_sweep=(16, 64), slots=50,
+                 trials=1, seed=3, outputs=("correlation_response",))
+    rows, _ = run_spec(spec, "resp")
+    for n in spec.n_sweep:
+        at_n = [r for r in rows if r.n_elements == n]
+        assert len(at_n) == l_paths + 2
+        assert all(r.statistic == "response" and r.l_paths == l_paths for r in at_n)
+        grid = resolvable_angles(n)
+        for r in at_n:
+            on_grid = np.min(np.abs(grid - r.x)) < 1e-12
+            if r.analytic is None:
+                assert not on_grid
+                continue
+            assert on_grid
+            assert r.analytic == pytest.approx(1.0 / math.sqrt(l_paths))
+            assert abs(r.empirical - r.analytic) <= 0.05
+        assert sum(r.analytic is not None for r in at_n) == l_paths
+    assert run_spec(spec, "resp", analytic_only=True)[0] == []
 
 
 # ---------------------------------------------------------------------------

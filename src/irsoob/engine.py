@@ -14,10 +14,11 @@ one set of gains.
 Trials are vectorized over slots. Independent trials take independent
 generators from spawn_rngs, so results do not depend on execution order. The
 sub6 in-band side draws just the served UE's fading each slot, which is
-distribution-identical to drawing everyone's. The mmWave trials draw every
-in-band UE's path gains each slot through sample_mmwave: the out-of-band
-angles are drawn after them, so dropping the unserved UEs' gains would move
-those angles.
+distribution-identical to drawing everyone's, and only as exponential
+magnitudes, since its aligned gain discards every phase. The mmWave trials
+draw every in-band UE's path gains each slot through sample_mmwave: the
+out-of-band angles are drawn after them, so dropping the unserved UEs' gains
+would move those angles.
 
 The sub6 OOB gains are drawn from their exact reduced law. The reflector's
 phases are set by the in-band channels alone, so theta_n f_n has the law of
@@ -26,7 +27,8 @@ CN(0, beta_r,q G), independently across UEs. One Gamma draw per slot (shared
 by every UE, which is what correlates them) and two complex normals per UE
 replace the N per-element channels of each UE. Only a caller that asks for
 the matched-reflector ceiling (`want_bf`) gets the dense per-element path,
-because that ceiling needs every |f_n||g_qn|.
+because that ceiling needs every |f_n||g_qn|; it uses f for theta f, which
+has the same joint law, so no path needs the in-band phases.
 
 The mmWave LOS OOB gains are drawn from their matched-path law. The reflector
 responds only on the steered grid angle, so of UE q's L cascaded paths just
@@ -82,47 +84,47 @@ class TrialData:
     bf_gain: np.ndarray | None = None   # (slots, Q) OOB gain if the reflector were matched per UE
 
 
-def _aligned_gain(h_d: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """(|h_d| + sum_n |f_n g_n|)^2 over the last axis: the gain of a phase-aligned reflector.
+def _aligned_gain(rng: np.random.Generator, beta_d, beta_r, rows: int,
+                  n_elements: int) -> tuple[np.ndarray, np.ndarray]:
+    """Draw (|h_d| + sum_n |f_n g_n|)^2, the gain of a phase-aligned reflector, and |h_d|^2.
 
-    The channels may be complex or already their magnitudes.
+    From magnitudes alone, |h_d|^2 = beta_d E and |f_n g_n|^2 = beta_r E_1 E_2
+    with E ~ Exp(1), drawn in that order; beta_d, beta_r are scalars or per row.
     """
-    return (np.abs(h_d) + np.abs(f * g).sum(axis=-1)) ** 2
+    direct = beta_d * rng.standard_exponential(rows)
+    prod = rng.standard_exponential((rows, n_elements))
+    np.multiply(prod, rng.standard_exponential((rows, n_elements)), out=prod)
+    amplitude = np.sqrt(direct) + np.sqrt(beta_r) * np.sqrt(prod, out=prod).sum(axis=-1)
+    return amplitude ** 2, direct
 
 
 def sub6_trial(rng: np.random.Generator, n_elements: int, budget_x: LinkBudget,
                budget_y: LinkBudget, slots: int, want_bf: bool = False) -> TrialData:
     """One Rayleigh-fading trial.
 
-    The in-band gain uses the coherent identity (|h_d| + sum_n |f_n g_n|)^2,
-    which is exactly what the phase-aligned reflector achieves.
+    The in-band gain is (|h_d| + sum_n |f_n g_n|)^2, what the phase-aligned
+    reflector achieves; it needs only magnitudes, drawn as exponentials.
 
     The OOB side draws, per slot, G ~ Gamma(N, 1) and then, per UE,
     h_d ~ CN(0, beta_d) and the reflected sum ~ CN(0, beta_r G): the exact
     law of h_d + sum_n theta_n f_n g_qn, because theta depends on the
     in-band channels only. With want_bf the per-element OOB channels are
-    drawn instead and the in-band phases applied to them, since the matched
-    ceiling (|h_d| + sum_n |f_n||g_qn|)^2 needs each element.
+    drawn instead, with f standing in for theta f (same joint law), since
+    the matched ceiling (|h_d| + sum_n |f_n||g_qn|)^2 needs each element.
     """
-    k_ues = budget_x.n_ues
-    k_served = np.arange(slots) % k_ues
-
-    h_dx = complex_normal(rng, budget_x.beta_d[k_served], (slots,))
-    f_x = complex_normal(rng, budget_x.beta_f, (slots, n_elements))
-    g_x = complex_normal(rng, budget_x.beta_g[k_served][:, None], (slots, n_elements))
-    inband_gain = _aligned_gain(h_dx, f_x, g_x)
+    k_served = np.arange(slots) % budget_x.n_ues
+    inband_gain, _ = _aligned_gain(rng, budget_x.beta_d[k_served], budget_x.beta_r[k_served],
+                                   slots, n_elements)
 
     q_ues = budget_y.n_ues
     if want_bf:
-        theta = np.exp(1j * (np.angle(h_dx)[:, None] - np.angle(f_x) - np.angle(g_x)))
         gain_irs = np.empty((slots, q_ues))
         gain_noirs = np.empty((slots, q_ues))
         bf_amp = np.empty((slots, q_ues))
         width = _CHUNK_ELEMS // max(1, q_ues * max(n_elements, 1))
         for sl in _chunk_slices(slots, width):
             y = sample_sub6(rng, n_elements, budget_y, slots=sl.stop - sl.start)
-            eff = y.h_d + np.einsum("sn,sqn->sq", theta[sl] * y.f, y.g)
-            gain_irs[sl] = np.abs(eff) ** 2
+            gain_irs[sl] = np.abs(y.h_d + np.einsum("sn,sqn->sq", y.f, y.g)) ** 2
             gain_noirs[sl] = np.abs(y.h_d) ** 2
             bf_amp[sl] = np.abs(y.h_d) + np.einsum("sn,sqn->sq", np.abs(y.f), np.abs(y.g))
         bf_gain = bf_amp ** 2
@@ -230,21 +232,16 @@ def inband_gain_samples_sub6(rng: np.random.Generator, n_elements: int, beta_r: 
     """Channel gains a phase-aligned reflector gives one Rayleigh UE.
 
     Returns (gain, gain_direct): the aligned gain (|h_d| + sum_n |f_n g_n|)^2
-    and the reflector-free gain |h_d|^2 from the same draws. Only the product
-    of the two per-hop variances matters for |f_n g_n|, so a single beta_r
-    parametrizes the cascaded hop.
+    and the reflector-free gain |h_d|^2 from the same magnitude draws. Only
+    the product of the two per-hop variances matters for |f_n g_n|, so a
+    single beta_r parametrizes the cascaded hop.
     """
     gain = np.empty(count)
     gain_direct = np.empty(count)
     width = _CHUNK_ELEMS // max(1, n_elements)
     for sl in _chunk_slices(count, width):
-        m = sl.stop - sl.start
-        # magnitudes at once: only they matter, and they halve the chunk's memory
-        h_d = np.abs(complex_normal(rng, beta_d, (m,)))
-        f = np.abs(complex_normal(rng, beta_r, (m, n_elements)))
-        g = np.abs(complex_normal(rng, 1.0, (m, n_elements)))
-        gain[sl] = _aligned_gain(h_d, f, g)
-        gain_direct[sl] = h_d ** 2
+        gain[sl], gain_direct[sl] = _aligned_gain(rng, beta_d, beta_r, sl.stop - sl.start,
+                                                  n_elements)
     return gain, gain_direct
 
 

@@ -32,7 +32,7 @@ from .config import ExperimentSpec, spec_hash, spec_to_dict
 from .engine import (budgets_for, dominance_test, empirical_ccdf, empirical_outage,
                      inband_gain_samples_sub6, run_trial, schedule_rates, spawn_rngs)
 from .irs import correlation_response
-from .kernels import db_to_linear, resolvable_angles
+from .kernels import db_to_linear, principal_sine_wrap, resolvable_angles
 
 CSV_COLUMNS = ("figure", "statistic", "scheduler", "n_elements", "gamma_db",
                "l_paths", "q_ues", "x", "empirical", "analytic", "stderr")
@@ -211,6 +211,10 @@ def _ccdf_grid_mmwave(params: AnalyticParams, ue: int, points: int) -> np.ndarra
 # ---------------------------------------------------------------------------
 # the generic sweep runner
 
+# the outputs computed from the trials' gains; correlation_response draws its own
+_GAIN_OUTPUTS = frozenset({"sumse", "outage", "ccdf", "dominance", "pf_gap"})
+
+
 def run_spec(spec: ExperimentSpec, figure: str = "run", analytic_only: bool = False,
              rho_oob: float | None = None, rho_inband: float | None = None,
              grid_points: int = 21):
@@ -222,19 +226,20 @@ def run_spec(spec: ExperimentSpec, figure: str = "run", analytic_only: bool = Fa
 
     Returns (rows, ue_positions). With analytic_only, simulation is skipped
     and the empirical/stderr columns stay blank; grids and placements are
-    identical to a full run.
+    identical to a full run. Trials run only when an output reads their gains.
     """
     rngs = spawn_rngs(spec.seed, 1 + len(spec.n_sweep) * (spec.trials + 1))
     positions, budget_x, budget_y = budgets_for(spec, rngs[0], None)
     mm = spec.regime != "sub6"
     l_tag = spec.l1 * spec.l2 if mm else None
+    simulate = not analytic_only and not _GAIN_OUTPUTS.isdisjoint(spec.outputs)
     rows: list[ResultRow] = []
 
     for i, n in enumerate(spec.n_sweep):
         block = rngs[1 + i * (spec.trials + 1): 1 + (i + 1) * (spec.trials + 1)]
         trial_rngs, aux_rng = block[:-1], block[-1]
         data = None
-        if not analytic_only:
+        if simulate:
             want_bf = "pf_gap" in spec.outputs and spec.regime == "sub6"
             data = collect_gains(spec, n, trial_rngs, budget_x, budget_y,
                                  want_bf=want_bf)
@@ -400,7 +405,11 @@ def _response_rows(spec, figure, n, l_tag, aux_rng):
         rows.append(ResultRow(figure, "response", n_elements=n, l_paths=l_tag,
                               x=float(nu), empirical=float(emp),
                               analytic=1.0 / math.sqrt(len(source)), stderr=None))
-    for nu in (grid[0] + 1.0 / n, grid[n // 2] + 1.0 / n):
+    # off-peak probes: half a bin either side of the grid point farthest, in
+    # circular distance, from every source angle
+    gap = np.abs(grid[:, None] - source[None, :])
+    far = grid[np.argmax(np.minimum(gap, 2.0 - gap).min(axis=1))]
+    for nu in principal_sine_wrap(far + np.array([-1.0, 1.0]) / n):
         emp = correlation_response(aux_rng, n, source, float(nu), trials=400)
         rows.append(ResultRow(figure, "response", n_elements=n, l_paths=l_tag,
                               x=float(nu), empirical=float(emp), analytic=None,

@@ -11,7 +11,10 @@ checked against the scalar effective channels there. The trials return gains
 only; rates are the test-side log2(1 + snr g) of oracles.py. The reduced OOB
 laws (sub6, and the matched-path law of the mmWave LOS trial) are replayed
 bit for bit and compared in distribution with the dense per-element or
-per-path construction each replaces.
+per-path construction each replaces. The sub6 in-band side draws only
+exponential magnitudes: its replay gives the rebuilt complex channels
+those magnitudes and phases from a separate generator, and its sampler is
+compared in distribution with the complex-normal construction.
 """
 
 import dataclasses
@@ -25,15 +28,15 @@ from scipy.stats import ks_2samp
 
 from irsoob.channels import complex_normal, mmwave_angles, sample_mmwave, sample_sub6
 from irsoob.config import ExperimentSpec
-from irsoob.engine import (DominanceReport, TrialData, budgets_for, dominance_test,
-                           empirical_ccdf, empirical_outage, inband_gain_samples_sub6,
-                           mmwave_los_trial, mmwave_nlos_trial, run_trial, schedule_rates,
-                           spawn_rngs, sub6_trial)
+from irsoob.engine import (DominanceReport, TrialData, _aligned_gain, budgets_for,
+                           dominance_test, empirical_ccdf, empirical_outage,
+                           inband_gain_samples_sub6, mmwave_los_trial, mmwave_nlos_trial,
+                           run_trial, schedule_rates, spawn_rngs, sub6_trial)
 from irsoob.experiments import operator_params
 from irsoob.irs import (effective_channel_mmwave, effective_channel_sub6, optimize_mmwave_los,
                         optimize_mmwave_nlos, optimize_sub6, unit_phase)
 from irsoob.kernels import db_to_linear, grid_index
-from oracles import spectral_efficiency
+from oracles import aligned_gain_complex, spectral_efficiency
 
 GAMMA_130 = float(db_to_linear(130.0))
 
@@ -120,19 +123,40 @@ def test_trial_signatures_keep_the_traced_parameters(trial):
 
 
 def test_inband_gain_is_coherent_amplitude_sum():
-    """Replaying the trial's draws must reproduce (|h_d| + sum |f g|)^2 bit for bit."""
+    """Replaying the trial's exponential draws must reproduce its in-band gain
+    bit for bit, and that gain is (|h_d| + sum |f g|)^2 of complex channels
+    carrying the replayed magnitudes."""
     spec = ExperimentSpec(n_sweep=(8,), gamma_db_sweep=(130.0,), slots=300, seed=25)
     rngs = spawn_rngs(25, 2)
     _, bx, by = budgets_for(spec, rngs[0], None)
     data = sub6_trial(rngs[1], 8, bx, by, 300)
 
-    replay = spawn_rngs(25, 2)[1]
-    k = np.arange(300) % bx.n_ues
-    h_d = complex_normal(replay, bx.beta_d[k], (300,))
-    f = complex_normal(replay, bx.beta_f, (300, 8))
-    g = complex_normal(replay, bx.beta_g[k][:, None], (300, 8))
-    expected = (np.abs(h_d) + np.abs(f * g).sum(axis=1)) ** 2
-    assert np.max(np.abs(data.inband_gain - expected)) == 0.0
+    gain, h_d, f, g = _replay_inband_sub6(spawn_rngs(25, 2)[1], bx, 8, 300)
+    np.testing.assert_array_equal(data.inband_gain, gain)
+    _assert_gains(data.inband_gain, (np.abs(h_d) + np.abs(f * g).sum(axis=1)) ** 2)
+
+
+@pytest.mark.parametrize("n", [1, 4, 64])
+def test_aligned_gain_matches_complex_normal_construction(n):
+    """Distributional equivalence of the exponential-magnitude sampler and the
+    complex-normal construction it replaced, on one in-band UE's budget:
+    two-sample KS on the aligned gain and on |h_d|^2, and both means against
+    E(|h_d| + sum |f_n g_n|)^2. With E|h_d| = sqrt(pi beta_d)/2 and
+    E|f_n g_n| = (pi/4) sqrt(beta_r) that is
+    beta_d + N beta_r + N (pi^(3/2)/4) sqrt(beta_d beta_r) + N(N-1)(pi^2/16) beta_r."""
+    rows = 20_000
+    _, bx, _ = budgets_for(ExperimentSpec(), np.random.default_rng(62), None)
+    beta_d, beta_r = float(bx.beta_d[0]), float(bx.beta_r[0])
+    rngs = spawn_rngs(620 + n, 2)
+    drawn = _aligned_gain(rngs[0], beta_d, beta_r, rows, n)
+    oracle = aligned_gain_complex(rngs[1], beta_d, beta_r, rows, n)
+
+    for a, b in zip(drawn, oracle):
+        assert ks_2samp(a, b).pvalue > 1e-4
+    mean = (beta_d + n * beta_r + n * (math.pi ** 1.5 / 4) * math.sqrt(beta_d * beta_r)
+            + n * (n - 1) * (math.pi ** 2 / 16) * beta_r)
+    for gain, _ in (drawn, oracle):
+        assert abs(gain.mean() - mean) < 4.0 * gain.std(ddof=1) / math.sqrt(rows)
 
 
 def test_matched_gain_upper_bounds_any_configuration():
@@ -219,24 +243,36 @@ def _assert_gains(got, want):
 
 
 def _replay_inband_sub6(replay, bx, n, slots):
+    """A sub6 trial's in-band draws replayed bit for bit: the served UE's
+    direct power beta_d E, then the element exponentials E_f and E_g. Returns
+    the aligned gain they give and complex channels h_d, f, g with those
+    magnitudes, whose phases come from a separate generator."""
     k = np.arange(slots) % bx.n_ues
-    h_dx = complex_normal(replay, bx.beta_d[k], (slots,))
-    f_x = complex_normal(replay, bx.beta_f, (slots, n))
-    g_x = complex_normal(replay, bx.beta_g[k][:, None], (slots, n))
-    return h_dx, f_x, g_x
+    direct = bx.beta_d[k] * replay.standard_exponential(slots)
+    e_f = replay.standard_exponential((slots, n))
+    e_g = replay.standard_exponential((slots, n))
+    gain = (np.sqrt(direct) + np.sqrt(bx.beta_r[k]) * np.sqrt(e_f * e_g).sum(axis=1)) ** 2
+    phases = np.random.default_rng(1000 + n)
+    h_dx, f_x, g_x = (np.sqrt(power) * np.exp(2j * np.pi * phases.random(power.shape))
+                      for power in (direct, bx.beta_f * e_f, bx.beta_g[k][:, None] * e_g))
+    return gain, h_dx, f_x, g_x
 
 
 @pytest.mark.parametrize("n", [8, 16])
 def test_sub6_trial_matches_scalar_reference(n):
-    """The dense per-element OOB path, which want_bf selects."""
+    """The dense per-element OOB path, which want_bf selects. The in-band gain
+    is the aligned one of the replayed channels' optimized configuration. The
+    OOB gains see theta = 1: theta depends on the in-band channels alone, so
+    theta f has f's joint law and the trial draws f in its place."""
     spec, bx, by, rng, replay = _diff_setup("sub6", n)
     data = sub6_trial(rng, n, bx, by, spec.slots, want_bf=True)
 
-    h_dx, f_x, g_x = _replay_inband_sub6(replay, bx, n, spec.slots)
+    gain, h_dx, f_x, g_x = _replay_inband_sub6(replay, bx, n, spec.slots)
+    np.testing.assert_array_equal(data.inband_gain, gain)
     y = sample_sub6(replay, n, by, slots=spec.slots)
     for s in range(spec.slots):
         theta = optimize_sub6(h_dx[s], f_x[s], g_x[s])
-        want = [abs(effective_channel_sub6(y.h_d[s, q], y.f[s], y.g[s, q], theta)) ** 2
+        want = [abs(effective_channel_sub6(y.h_d[s, q], y.f[s], y.g[s, q], np.ones(n))) ** 2
                 for q in range(by.n_ues)]
         _assert_gains(data.gain_irs[s], want)
         _assert_gains(data.inband_gain[s],
@@ -249,17 +285,16 @@ def test_sub6_trial_matches_scalar_reference(n):
 @pytest.mark.parametrize("n", [8, 16])
 def test_sub6_trial_reduced_law_replays_bit_for_bit(n):
     """Without want_bf the OOB side draws one Gamma(N, 1) power per slot and
-    two complex normals per UE, after the unchanged in-band draws."""
+    two complex normals per UE, after the in-band exponentials."""
     spec, bx, by, rng, replay = _diff_setup("sub6", n)
     data = sub6_trial(rng, n, bx, by, spec.slots)
     assert data.bf_gain is None
 
-    h_dx, f_x, g_x = _replay_inband_sub6(replay, bx, n, spec.slots)
+    gain, _, _, _ = _replay_inband_sub6(replay, bx, n, spec.slots)
     power = replay.standard_gamma(n, size=spec.slots)
     h_d = complex_normal(replay, by.beta_d, (spec.slots, by.n_ues))
     reflected = complex_normal(replay, by.beta_r * power[:, None], (spec.slots, by.n_ues))
-    np.testing.assert_array_equal(data.inband_gain,
-                                  (np.abs(h_dx) + np.abs(f_x * g_x).sum(axis=1)) ** 2)
+    np.testing.assert_array_equal(data.inband_gain, gain)
     np.testing.assert_array_equal(data.gain_irs, np.abs(h_d + reflected) ** 2)
     np.testing.assert_array_equal(data.gain_noirs, np.abs(h_d) ** 2)
 

@@ -145,6 +145,38 @@ def test_response_rows_carry_the_rms_response():
     assert run_spec(spec, "resp", analytic_only=True)[0] == []
 
 
+def test_response_probes_sit_off_every_source_lobe():
+    """The off-peak probes sit half a bin from the grid point farthest from
+    every source angle, so neither lands on a source's main lobe: each reads
+    below half the on-peak 1/sqrt(L). At this setting a source sits on
+    grid[0], which a probe half a bin above grid[0] would hit."""
+    l_paths = 2
+    spec = _spec(regime="mmwave_los", l1=1, l2=l_paths, n_sweep=(16,), trials=1, seed=3,
+                 outputs=("correlation_response",))
+    rows, _ = run_spec(spec, "resp")
+    off_peak = [r for r in rows if r.analytic is None]
+    assert len(off_peak) == 2
+    for r in off_peak:
+        assert r.empirical < 1.0 / (2.0 * math.sqrt(l_paths))
+
+
+def test_response_only_spec_runs_no_trials(monkeypatch):
+    """correlation_response reads no trial gains, so a spec asking only for it
+    never simulates a trial."""
+    import irsoob.experiments as experiments
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_trial called for an output that reads no gains")
+
+    monkeypatch.setattr(experiments, "run_trial", refuse)
+    spec = _spec(regime="mmwave_los", l1=1, l2=3, n_sweep=(16,), trials=1, seed=3,
+                 outputs=("correlation_response",))
+    rows, _ = run_spec(spec, "resp")
+    assert len(rows) == 3 + 2
+    with pytest.raises(AssertionError, match="run_trial called"):
+        run_spec(dataclasses.replace(spec, outputs=("sumse",), slots=8), "resp")
+
+
 # ---------------------------------------------------------------------------
 # parameter mapping and sample helpers
 

@@ -12,7 +12,10 @@ log2(1 + snr * gain), so the experiment layer applies each SNR of a sweep to
 one set of gains.
 
 Trials are vectorized over slots. Independent trials take independent
-generators from spawn_rngs, so results do not depend on execution order. The
+generators from spawn_rngs, so results do not depend on execution order, and
+the experiment layer runs a sweep point's trials concurrently on a thread
+pool. Slot loops run in chunks whose width depends on (Q, N) only, never on
+the worker count, so every output is the same for any number of workers. The
 sub6 in-band side draws just the served UE's fading each slot, which is
 distribution-identical to drawing everyone's, and only as exponential
 magnitudes, since its aligned gain discards every phase. The mmWave trials
@@ -52,8 +55,10 @@ from .config import ExperimentSpec
 from .irs import unit_phase
 from .kernels import grid_index
 
-# slot-chunk sizing so scratch arrays stay around tens of MB
-_CHUNK_ELEMS = 1 << 21
+# slot-chunk sizing: a chunk holds about this many per-element entries, so a
+# trial's scratch stays at a few MB and concurrent trials (one per worker)
+# add little to the peak
+_CHUNK_ELEMS = 1 << 17
 
 # UE location used when a spec asks for statistically identical UEs
 IID_UE_POINT = (1000.0, 1000.0)
@@ -65,7 +70,7 @@ def spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
 
 
 def _chunk_slices(slots: int, width: int):
-    width = max(64, width)
+    width = max(1, width)
     for start in range(0, slots, width):
         yield slice(start, min(start + width, slots))
 

@@ -1,6 +1,10 @@
 """CLI surface: argument parsing, exit codes, and files written."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -93,3 +97,13 @@ def test_bare_string_override_needs_no_quoting(tmp_path):
                  "--analytic-only"]) == 0
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["fig3"]["spec"]["scheduler"] == "mr"
+
+
+def test_module_entry_point_runs(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "irsoob", "list-presets"], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "fig12" in done.stdout

@@ -282,6 +282,51 @@ def test_sub6_trial_matches_scalar_reference(n):
         _assert_gains(data.bf_gain[s], ceiling)
 
 
+def test_sub6_dense_path_replays_chunk_by_chunk():
+    """The dense OOB path draws each slot chunk through sample_sub6 in turn;
+    here Q N spans three chunks of the engine's own width, the last one
+    short. Replaying chunk by chunk gives every gain and ceiling through the
+    scalar effective channel."""
+    import irsoob.engine as engine
+
+    n = 64
+    width = engine._CHUNK_ELEMS // (4 * n)
+    spec, bx, by, rng, replay = _diff_setup("sub6", n, slots=2 * width + 76)
+    assert by.n_ues == 4
+    data = sub6_trial(rng, n, bx, by, spec.slots, want_bf=True)
+
+    gain, _, _, _ = _replay_inband_sub6(replay, bx, n, spec.slots)
+    np.testing.assert_array_equal(data.inband_gain, gain)
+    starts = range(0, spec.slots, width)
+    assert len(starts) == 3
+    for start in starts:
+        y = sample_sub6(replay, n, by, slots=min(width, spec.slots - start))
+        for s in range(y.h_d.shape[0]):
+            want = [abs(effective_channel_sub6(y.h_d[s, q], y.f[s], y.g[s, q],
+                                               np.ones(n))) ** 2 for q in range(by.n_ues)]
+            _assert_gains(data.gain_irs[start + s], want)
+            _assert_gains(data.gain_noirs[start + s], np.abs(y.h_d[s]) ** 2)
+            ceiling = (np.abs(y.h_d[s]) + (np.abs(y.f[s]) * np.abs(y.g[s])).sum(axis=1)) ** 2
+            _assert_gains(data.bf_gain[start + s], ceiling)
+
+
+def test_nlos_trial_is_independent_of_the_chunk_width(monkeypatch):
+    """The nlos chunk loop only computes; every draw precedes it, so the chunk
+    width moves no gain bit. One chunk against chunks of 7 slots, the last
+    one short."""
+    import irsoob.engine as engine
+
+    n = 16
+    spec, bx, by, _, _ = _diff_setup("mmwave_nlos", n, l1=2, l2=2)
+    runs = []
+    for chunk_elems in (1 << 20, 7 * n):
+        monkeypatch.setattr(engine, "_CHUNK_ELEMS", chunk_elems)
+        rng = spawn_rngs(80, 1)[0]
+        runs.append(mmwave_nlos_trial(rng, n, bx, by, spec.slots, spec.l1, spec.l2))
+    for field in ("inband_gain", "gain_irs", "gain_noirs"):
+        np.testing.assert_array_equal(getattr(runs[0], field), getattr(runs[1], field))
+
+
 @pytest.mark.parametrize("n", [8, 16])
 def test_sub6_trial_reduced_law_replays_bit_for_bit(n):
     """Without want_bf the OOB side draws one Gamma(N, 1) power per slot and

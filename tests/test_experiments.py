@@ -7,8 +7,9 @@ import math
 import numpy as np
 import pytest
 
+import irsoob.experiments as experiments
 from irsoob.config import ExperimentSpec, spec_hash
-from irsoob.engine import budgets_for
+from irsoob.engine import _CHUNK_ELEMS, budgets_for, spawn_rngs
 from irsoob.experiments import (CSV_COLUMNS, PRESETS, ResultRow, emit_csv, list_presets,
                                 oob_gain_samples, operator_params, run_preset, run_spec,
                                 _spec)
@@ -163,8 +164,6 @@ def test_response_probes_sit_off_every_source_lobe():
 def test_response_only_spec_runs_no_trials(monkeypatch):
     """correlation_response reads no trial gains, so a spec asking only for it
     never simulates a trial."""
-    import irsoob.experiments as experiments
-
     def refuse(*args, **kwargs):
         raise AssertionError("run_trial called for an output that reads no gains")
 
@@ -212,3 +211,56 @@ def test_sample_helpers_are_seed_deterministic():
     assert np.array_equal(with_a, with_b) and np.array_equal(without_a, without_b)
     assert with_a.shape == (400,) and np.all(with_a >= 0.0)
     assert np.all(without_a >= 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the trial pool
+
+def _sweep_point(spec, seed):
+    rngs = spawn_rngs(seed, 1 + spec.trials)
+    _, bx, by = budgets_for(spec, rngs[0], None)
+    return rngs[1:], bx, by
+
+
+@pytest.mark.parametrize("regime,extra", [("sub6", {}), ("mmwave_los", {"l2": 5}),
+                                          ("mmwave_nlos", {"l1": 2, "l2": 2})])
+def test_collect_gains_is_independent_of_the_worker_count(monkeypatch, regime, extra):
+    """Each trial reads only its own generator and the pool returns trials in
+    generator order, so one worker, the default and one worker per trial
+    stack the same bits. The sub6 point asks for the matched ceiling, whose
+    dense path here spans three chunks per trial."""
+    n = 64
+    spec = _spec(regime=regime, n_sweep=(n,), k_ues=3, q_ues=4, slots=1100, trials=3,
+                 seed=5, **extra)
+    want_bf = regime == "sub6"
+    if want_bf:
+        assert spec.slots > 2 * (_CHUNK_ELEMS // (spec.q_ues * n))
+
+    def gains():
+        return experiments.collect_gains(spec, n, *_sweep_point(spec, 31), want_bf=want_bf)
+
+    runs = [gains()]
+    for workers in (1, spec.trials):
+        monkeypatch.setattr(experiments, "_worker_count", lambda trials, w=workers: w)
+        runs.append(gains())
+    fields = ["inband_gain", "gain_irs", "gain_noirs"] + (["bf_gain"] if want_bf else [])
+    for run in runs[1:]:
+        assert run.gain_irs.shape == (spec.trials, spec.slots, spec.q_ues)
+        for field in fields:
+            np.testing.assert_array_equal(getattr(run, field), getattr(runs[0], field))
+
+
+def test_collect_gains_propagates_a_trial_error(monkeypatch):
+    spec = _spec(n_sweep=(4,), k_ues=2, q_ues=2, slots=50, trials=3, seed=5)
+    trial_rngs, bx, by = _sweep_point(spec, 32)
+    real = experiments.run_trial
+
+    def run_trial(spec, rng, *args, **kwargs):
+        if rng is trial_rngs[1]:
+            raise ArithmeticError("second trial failed")
+        return real(spec, rng, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_trial", run_trial)
+    monkeypatch.setattr(experiments, "_worker_count", lambda trials: trials)
+    with pytest.raises(ArithmeticError, match="second trial failed"):
+        experiments.collect_gains(spec, 4, trial_rngs, bx, by)

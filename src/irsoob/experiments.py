@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import analytics
 from .analytics import AnalyticParams
@@ -101,7 +100,6 @@ def write_manifest(path, figure: str, spec: ExperimentSpec, positions) -> None:
         "versions": {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "irsoob": __version__,
         },
     }

@@ -7,8 +7,11 @@ or radians happens once, at the geometry layer, never here.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy import special
+
+_erfc = np.vectorize(math.erfc, otypes=[float])
 
 
 def db_to_linear(x_db):
@@ -56,4 +59,4 @@ def principal_sine_wrap(x):
 
 def gauss_q(x):
     """Gaussian tail probability Q(x) = P(N(0,1) > x)."""
-    return 0.5 * special.erfc(np.asarray(x, dtype=float) / np.sqrt(2.0))
+    return 0.5 * _erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))

@@ -274,6 +274,19 @@ def test_offset_finite_n_edges():
         an.ccdf_offset_sub6_exact(0.0, params_sub6(0))
 
 
+@pytest.mark.parametrize("shape", [1, 4, 64, 1024])
+def test_gamma_quadrature_matches_tridiagonal_solver(shape):
+    # the dense Jacobi matrix gives the Golub-Welsch pairs of scipy's
+    # tridiagonal eigensolver
+    from scipy.linalg import eigh_tridiagonal
+    k = np.arange(an._GAMMA_NODES, dtype=float)
+    want_x, want_v = eigh_tridiagonal(2.0 * k + shape, np.sqrt(k[1:] * (k[1:] + shape - 1.0)))
+    x, w = an._gamma_quadrature(shape)
+    np.testing.assert_allclose(x, want_x, rtol=1e-12)
+    np.testing.assert_allclose(w, want_v[0] ** 2, rtol=0.0, atol=1e-14)
+    assert math.fsum(w) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_offset_correlation_reductions():
     assert offset_correlation(params_sub6(0)) == 1.0
     ratio = offset_correlation(params_sub6(128)) / offset_correlation(params_sub6(64))
@@ -417,6 +430,14 @@ def test_matching_pmf_normalization_and_sparse_limit():
         np.testing.assert_allclose(s, 1.0, rtol=1e-9)
     # one matched path dominates when L << N and its odds are ~L^2/N
     assert abs(an.matching_paths_pmf(2, 1000, 1) - 4 / 1000) < 1e-4
+
+
+def test_matching_pmf_matches_scipy_hypergeometric():
+    from scipy.stats import hypergeom
+    for l, n in ((1, 2), (2, 4), (3, 5), (5, 12), (8, 64), (64, 4096), (300, 512)):
+        i = np.arange(0, l + 1)
+        got = np.array([an.matching_paths_pmf(l, n, int(ii)) for ii in i])
+        np.testing.assert_allclose(got, hypergeom.pmf(i, n, l, l), rtol=1e-10, atol=1e-300)
 
 
 # ---------------------------------------------------------------------------

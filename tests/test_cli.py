@@ -99,11 +99,29 @@ def test_bare_string_override_needs_no_quoting(tmp_path):
     assert manifest["fig3"]["spec"]["scheduler"] == "mr"
 
 
-def test_module_entry_point_runs(tmp_path):
+def _run_python(args, cwd):
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-m", "irsoob", "list-presets"], cwd=tmp_path,
+    return subprocess.run([sys.executable, *args], cwd=cwd,
                           env=dict(os.environ, PYTHONPATH=path), capture_output=True,
                           text=True, timeout=60)
+
+
+def test_module_entry_point_runs(tmp_path):
+    done = _run_python(["-m", "irsoob", "list-presets"], tmp_path)
     assert done.returncode == 0, done.stderr
     assert "fig12" in done.stdout
+
+
+def test_a_run_loads_no_scipy(tmp_path):
+    # scipy's import alone costs more than most preset runs; the package
+    # needs numpy only, and a lazy import on the run path would bring it back
+    argv = ["preset", "fig10", "--analytic-only", "--out", str(tmp_path)]
+    script = ("import sys\n"
+              "from irsoob import cli\n"
+              f"assert cli.main({argv!r}) == 0\n"
+              "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n")
+    done = _run_python(["-c", script], tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == "[]"
+    assert (tmp_path / "fig10.csv").exists()

@@ -92,7 +92,7 @@ def test_manifest_records_provenance(tmp_path):
     assert entry["spec_sha256"] == spec_hash(expected)
     assert entry["seed"] == 17
     assert entry["spec"]["slots"] == 200
-    assert set(entry["versions"]) == {"python", "numpy", "scipy", "irsoob"}
+    assert set(entry["versions"]) == {"python", "numpy", "irsoob"}
     assert np.asarray(entry["ue_positions_inband"]).shape == (expected.k_ues, 2)
     assert np.asarray(entry["ue_positions_oob"]).shape == (expected.q_ues, 2)
 

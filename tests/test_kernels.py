@@ -7,12 +7,13 @@ The tail integrals are the mmWave outage forms' I0 and its generalized upper
 incomplete gamma at alpha = 1, both computed by analytics._exp_scaled_gamma1,
 the package's one guarded quadrature. Their expected values were frozen from
 independent brute-force trapezoid quadrature (recipes inline below), not from
-the implementation under test.
+the implementation under test; the exp-sinh rule is also held to the Bessel
+closed form at a = 0 and to scipy's adaptive quadrature.
 """
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from irsoob import analytics
 from irsoob.analytics import AnalyticParams, _exp_scaled_gamma1, cdf_oob_mmwave_los
@@ -116,6 +117,11 @@ def test_gauss_q_values():
     assert np.all(np.diff(gauss_q(x)) < 0)
 
 
+def test_gauss_q_matches_scipy_erfc():
+    x = np.linspace(-8.0, 8.0, 1600).reshape(40, 40)
+    np.testing.assert_allclose(gauss_q(x), 0.5 * special.erfc(x / np.sqrt(2.0)), rtol=1e-14)
+
+
 def test_i0_zero_offset_closed_form():
     assert i0_integral(0.0, 2.0, 3.0) == pytest.approx(3.0 * np.exp(-2.0 / 3.0), rel=1e-12)
 
@@ -140,14 +146,13 @@ def test_i0_rejects_bad_domain():
 
 
 def test_quadrature_failure_names_its_arguments(monkeypatch):
-    class Loose:
-        @staticmethod
-        def quad(*args, **kwargs):
-            return 1.0, 1e-6, {}   # converged, but only to 1e-6 relative
-
-    monkeypatch.setattr(analytics, "integrate", Loose)
+    # two levels (steps 1/2 and 1/4) cannot certify 1e-8 relative accuracy
+    monkeypatch.setattr(analytics, "_DE_LEVELS", 2)
     with pytest.raises(ArithmeticError, match=r"a=0\.5, b=0\.25"):
         _exp_scaled_gamma1(0.5, 0.25)
+    # a vector call names its first failing pair
+    with pytest.raises(ArithmeticError, match=r"a=0\.5, b=0\.25"):
+        _exp_scaled_gamma1(0.5, np.array([0.25, 1.0, 4.0]))
 
 
 def test_gamma_exponential_case():
@@ -177,3 +182,42 @@ def test_gamma_derivative_in_b():
     want, _ = integrate.quad(lambda t: -np.exp(-t - b / t) / t, x, np.inf, epsabs=0.0,
                              epsrel=1e-12, limit=200)
     assert (gamma1(x, b + h) - gamma1(x, b - h)) / (2 * h) == pytest.approx(want, rel=1e-5)
+
+
+def test_exp_sinh_rule_against_bessel_closed_form():
+    # int_0^inf exp(-s - b/s) ds = 2 sqrt(b) K1(2 sqrt(b)); k1e(z) = K1(z) e^z
+    b = np.logspace(-14, 4, 73)
+    z = 2.0 * np.sqrt(b)
+    exact = z * special.k1e(z) * np.exp(-z)
+    np.testing.assert_allclose(_exp_scaled_gamma1(0.0, b), exact, rtol=1e-12)
+    assert _exp_scaled_gamma1(0.0, 0.0) == pytest.approx(1.0, rel=1e-14)
+
+
+def test_exp_sinh_rule_against_adaptive_quadrature():
+    for a in np.logspace(-8, 8, 9):
+        for b in np.logspace(-8, 4, 7):
+            want, _ = integrate.quad(lambda s: np.exp(-s - b / (a + s)), 0.0, np.inf,
+                                     epsabs=0.0, epsrel=1e-12, limit=200)
+            assert _exp_scaled_gamma1(a, b) == pytest.approx(want, rel=1e-10), (a, b)
+
+
+def test_exp_sinh_vector_call_equals_scalar_calls():
+    a = np.array([0.0, 1e-6, 0.3, 2.0, 1e5])[:, None]
+    b = np.concatenate([[0.0], np.logspace(-9, 6, 16)])[None, :]
+    vector = _exp_scaled_gamma1(a, b)
+    assert vector.shape == (5, 17)
+    scalar = np.array([[_exp_scaled_gamma1(float(x), float(y)) for y in b[0]] for x in a[:, 0]])
+    np.testing.assert_array_equal(vector, scalar)
+    assert isinstance(_exp_scaled_gamma1(0.3, 2.0), float)
+
+
+def test_exp_sinh_rule_certifies_the_whole_domain():
+    a = np.concatenate([[0.0], np.logspace(-300, 300, 61)])[:, None]
+    b = np.concatenate([[0.0], np.logspace(-300, 8, 45)])[None, :]
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        values = _exp_scaled_gamma1(a, b)
+    assert np.all(np.isfinite(values)) and np.all(values >= 0.0)
+    assert np.all(values <= 1.0 + 1e-14)
+    # b -> 0 or a -> inf leaves the exponential integral, which is 1
+    np.testing.assert_allclose(values[:, 1], 1.0, rtol=1e-14)
+    np.testing.assert_allclose(values[-1], 1.0, rtol=1e-14)

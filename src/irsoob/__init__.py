@@ -9,7 +9,7 @@ presets with a small CLI (`irsoob`).
 
 Subpackage map:
     kernels      dB conversion, angle grid and sine wrap, Gaussian tail
-    channels     geometry, path loss, Rayleigh and sparse channel samplers
+    channels     geometry, path loss, complex normals, sparse channel samplers
     irs          unit phase, scalar phase-configuration rules and effective
                  channels (the references the engine is tested against),
                  response probes
@@ -18,7 +18,7 @@ Subpackage map:
     engine       vectorized Monte Carlo trials that return channel gains
                  only (sub6 and mmWave LOS OOB gains from their exact
                  reduced laws), the OOB scheduler, empirical distributions
-    experiments  presets, runners, CSV emission, run manifests, pooled samples
+    experiments  presets, runners, CSV emission, run manifests
     cli          argparse entry point
 """
 

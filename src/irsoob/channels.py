@@ -9,7 +9,7 @@ path losses) stay fixed for a trial batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -136,34 +136,6 @@ def complex_normal(rng: np.random.Generator, variance, size) -> np.ndarray:
     rng.standard_normal(out=buf)
     np.multiply(scale, buf, out=out.imag)
     return out
-
-
-@dataclass
-class Sub6Channels:
-    """Rayleigh-fading realizations for one operator and its UEs, one per slot.
-
-    Shapes: h_d (slots, n_ues), f (slots, n), g (slots, n_ues, n).
-    """
-
-    h_d: np.ndarray
-    f: np.ndarray
-    g: np.ndarray
-
-
-def sample_sub6(rng: np.random.Generator, n_elements: int, budget: LinkBudget,
-                slots: int) -> Sub6Channels:
-    """I.i.d. Rayleigh draws: each entry CN(0, beta) with beta from the link budget.
-
-    E|f_n|^2 = beta_f and E|f_n| = sqrt(pi*beta_f/4), the moments the sum-SE
-    formulas are built on.
-    """
-    if n_elements < 0:
-        raise ValueError(f"n_elements must be >= 0, got {n_elements}")
-    q = budget.n_ues
-    h_d = complex_normal(rng, budget.beta_d, (slots, q))
-    f = complex_normal(rng, budget.beta_f, (slots, n_elements))
-    g = complex_normal(rng, budget.beta_g[:, None], (slots, q, n_elements))
-    return Sub6Channels(h_d=h_d, f=f, g=g)
 
 
 @dataclass

@@ -14,24 +14,24 @@ one set of gains.
 Trials are vectorized over slots. Independent trials take independent
 generators from spawn_rngs, so results do not depend on execution order, and
 the experiment layer runs a sweep point's trials concurrently on a thread
-pool. Slot loops run in chunks whose width depends on (Q, N) only, never on
-the worker count, so every output is the same for any number of workers. The
-sub6 in-band side draws just the served UE's fading each slot, which is
-distribution-identical to drawing everyone's, and only as exponential
-magnitudes, since its aligned gain discards every phase. The mmWave trials
-draw every in-band UE's path gains each slot through sample_mmwave: the
-out-of-band angles are drawn after them, so dropping the unserved UEs' gains
-would move those angles.
+pool. The nlos trial and the in-band sample helper run their slot loops in
+chunks whose width depends on (Q, N) only, never on the worker count, so
+every output is the same for any number of workers. The sub6 in-band side
+draws just the served UE's fading each slot, which is distribution-identical
+to drawing everyone's, and only as exponential magnitudes, since its aligned
+gain discards every phase. The mmWave trials draw every in-band UE's path
+gains each slot through sample_mmwave: the out-of-band angles are drawn
+after them, so dropping the unserved UEs' gains would move those angles.
 
 The sub6 OOB gains are drawn from their exact reduced law. The reflector's
 phases are set by the in-band channels alone, so theta_n f_n has the law of
 f_n, and given G = ||f||^2 / beta_f ~ Gamma(N, 1) each UE's reflected sum is
 CN(0, beta_r,q G), independently across UEs. One Gamma draw per slot (shared
 by every UE, which is what correlates them) and two complex normals per UE
-replace the N per-element channels of each UE. Only a caller that asks for
-the matched-reflector ceiling (`want_bf`) gets the dense per-element path,
-because that ceiling needs every |f_n||g_qn|; it uses f for theta f, which
-has the same joint law, so no path needs the in-band phases.
+replace the N per-element channels of each UE. It is the only sub6 OOB
+sampler: the matched-reflector ceiling (`want_bf`) reaches an output only
+through per-trial means, so it needs just each UE's marginal law, the aligned
+gain's with that UE's betas, and is drawn last by the in-band gain's sampler.
 
 The mmWave LOS OOB gains are drawn from their matched-path law. The reflector
 responds only on the steered grid angle, so of UE q's L cascaded paths just
@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (LinkBudget, complex_normal, draw_ue_positions, link_budget,
-                       mmwave_angles, sample_mmwave, sample_sub6)
+                       mmwave_angles, sample_mmwave)
 from .config import ExperimentSpec
 from .irs import unit_phase
 from .kernels import grid_index
@@ -80,13 +80,15 @@ class TrialData:
     """Per-slot channel gains from one trial, before any scheduling decision on the OOB side.
 
     Every rate, outage and distribution statistic is a function of these
-    gains, so the trials take no SNR.
+    gains, so the trials take no SNR. The experiment layer stacks a sweep
+    point's trials into one TrialData whose arrays carry a leading trials
+    axis: (trials, slots) and (trials, slots, Q).
     """
 
     inband_gain: np.ndarray         # (slots,) gain of the round-robin-served in-band UE
     gain_irs: np.ndarray            # (slots, Q) OOB channel gain, reflector present
     gain_noirs: np.ndarray          # (slots, Q) OOB channel gain, direct path only
-    bf_gain: np.ndarray | None = None   # (slots, Q) OOB gain if the reflector were matched per UE
+    bf_gain: np.ndarray | None = None   # (slots, Q) per-UE matched-reflector ceiling, own draws
 
 
 def _aligned_gain(rng: np.random.Generator, beta_d, beta_r, rows: int,
@@ -94,12 +96,18 @@ def _aligned_gain(rng: np.random.Generator, beta_d, beta_r, rows: int,
     """Draw (|h_d| + sum_n |f_n g_n|)^2, the gain of a phase-aligned reflector, and |h_d|^2.
 
     From magnitudes alone, |h_d|^2 = beta_d E and |f_n g_n|^2 = beta_r E_1 E_2
-    with E ~ Exp(1), drawn in that order; beta_d, beta_r are scalars or per row.
+    with E ~ Exp(1), drawn in that order. beta_d and beta_r share a shape:
+    scalars or per row (rows,) give one gain per row; per UE (1, Q) gives
+    (rows, Q) gains, the UEs of a row sharing its E and its shape
+    S = sum_n sqrt(E_1 E_2), so each gain is (sqrt(beta_d,q E) + sqrt(beta_r,q) S)^2,
+    exactly that UE's law.
     """
-    direct = beta_d * rng.standard_exponential(rows)
+    lead = (rows,) + (1,) * (np.ndim(beta_d) - 1)
+    direct = beta_d * rng.standard_exponential(rows).reshape(lead)
     prod = rng.standard_exponential((rows, n_elements))
     np.multiply(prod, rng.standard_exponential((rows, n_elements)), out=prod)
-    amplitude = np.sqrt(direct) + np.sqrt(beta_r) * np.sqrt(prod, out=prod).sum(axis=-1)
+    shape = np.sqrt(prod, out=prod).sum(axis=-1).reshape(lead)
+    amplitude = np.sqrt(direct) + np.sqrt(beta_r) * shape
     return amplitude ** 2, direct
 
 
@@ -113,35 +121,24 @@ def sub6_trial(rng: np.random.Generator, n_elements: int, budget_x: LinkBudget,
     The OOB side draws, per slot, G ~ Gamma(N, 1) and then, per UE,
     h_d ~ CN(0, beta_d) and the reflected sum ~ CN(0, beta_r G): the exact
     law of h_d + sum_n theta_n f_n g_qn, because theta depends on the
-    in-band channels only. With want_bf the per-element OOB channels are
-    drawn instead, with f standing in for theta f (same joint law), since
-    the matched ceiling (|h_d| + sum_n |f_n||g_qn|)^2 needs each element.
+    in-band channels only. With want_bf the matched ceiling
+    (|h_d| + sum_n |f_n||g_qn|)^2 is drawn last, per UE from the aligned-gain
+    law with the OOB betas, so it moves no other gain's bits.
     """
     k_served = np.arange(slots) % budget_x.n_ues
     inband_gain, _ = _aligned_gain(rng, budget_x.beta_d[k_served], budget_x.beta_r[k_served],
                                    slots, n_elements)
 
     q_ues = budget_y.n_ues
+    power = rng.standard_gamma(n_elements, size=slots)   # ||f||^2 / beta_f
+    h_d = complex_normal(rng, budget_y.beta_d, (slots, q_ues))
+    reflected = complex_normal(rng, budget_y.beta_r * power[:, None], (slots, q_ues))
+    bf_gain = None
     if want_bf:
-        gain_irs = np.empty((slots, q_ues))
-        gain_noirs = np.empty((slots, q_ues))
-        bf_amp = np.empty((slots, q_ues))
-        width = _CHUNK_ELEMS // max(1, q_ues * max(n_elements, 1))
-        for sl in _chunk_slices(slots, width):
-            y = sample_sub6(rng, n_elements, budget_y, slots=sl.stop - sl.start)
-            gain_irs[sl] = np.abs(y.h_d + np.einsum("sn,sqn->sq", y.f, y.g)) ** 2
-            gain_noirs[sl] = np.abs(y.h_d) ** 2
-            bf_amp[sl] = np.abs(y.h_d) + np.einsum("sn,sqn->sq", np.abs(y.f), np.abs(y.g))
-        bf_gain = bf_amp ** 2
-    else:
-        power = rng.standard_gamma(n_elements, size=slots)   # ||f||^2 / beta_f
-        h_d = complex_normal(rng, budget_y.beta_d, (slots, q_ues))
-        reflected = complex_normal(rng, budget_y.beta_r * power[:, None], (slots, q_ues))
-        gain_irs = np.abs(h_d + reflected) ** 2
-        gain_noirs = np.abs(h_d) ** 2
-        bf_gain = None
-    return TrialData(inband_gain=inband_gain, gain_irs=gain_irs, gain_noirs=gain_noirs,
-                     bf_gain=bf_gain)
+        bf_gain, _ = _aligned_gain(rng, budget_y.beta_d[None, :], budget_y.beta_r[None, :],
+                                   slots, n_elements)
+    return TrialData(inband_gain=inband_gain, gain_irs=np.abs(h_d + reflected) ** 2,
+                     gain_noirs=np.abs(h_d) ** 2, bf_gain=bf_gain)
 
 
 def mmwave_los_trial(rng: np.random.Generator, n_elements: int, budget_x: LinkBudget,

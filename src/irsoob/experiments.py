@@ -30,8 +30,9 @@ import numpy as np
 from . import analytics
 from .analytics import AnalyticParams
 from .config import ExperimentSpec, spec_hash, spec_to_dict
-from .engine import (budgets_for, dominance_test, empirical_ccdf, empirical_outage,
-                     inband_gain_samples_sub6, run_trial, schedule_rates, spawn_rngs)
+from .engine import (TrialData, budgets_for, dominance_test, empirical_ccdf,
+                     empirical_outage, inband_gain_samples_sub6, run_trial, schedule_rates,
+                     spawn_rngs)
 from .irs import correlation_response
 from .kernels import db_to_linear, principal_sine_wrap, resolvable_angles
 
@@ -142,21 +143,8 @@ def operator_params(spec: ExperimentSpec, budget, n_elements: int,
                           beta_r=budget.beta_r, beta_d=budget.beta_d, l1=l1, l2=l2)
 
 
-@dataclass
-class SweepPointData:
-    """Gain records pooled over trials at one element-count sweep point.
-
-    Gains are SNR-free, so one collection serves every gamma in the sweep.
-    """
-
-    inband_gain: np.ndarray   # (trials, slots)
-    gain_irs: np.ndarray      # (trials, slots, Q)
-    gain_noirs: np.ndarray    # (trials, slots, Q)
-    bf_gain: np.ndarray | None = None
-
-
 def _worker_count(trials: int) -> int:
-    """Threads for one sweep point's trials: one per usable CPU, at most one per trial."""
+    """Threads of a runner's trial pool: one per usable CPU, at most one per trial."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
@@ -164,21 +152,23 @@ def _worker_count(trials: int) -> int:
     return min(cpus, trials)
 
 
-def collect_gains(spec: ExperimentSpec, n_elements: int, trial_rngs,
-                  budget_x, budget_y, want_bf: bool = False) -> SweepPointData:
+def collect_gains(pool: ThreadPoolExecutor, spec: ExperimentSpec, n_elements: int,
+                  trial_rngs, budget_x, budget_y, want_bf: bool = False) -> TrialData:
     """Run one trial per generator and stack their gains in generator order.
 
-    The trials run on a thread pool (numpy's draws, ufuncs and FFTs release
-    the GIL). Each trial reads only its own generator and the engine's chunk
-    widths depend on (Q, N) alone, so the gains do not depend on the worker
-    count.
+    The result's arrays carry a leading trials axis. Gains are SNR-free, so
+    one collection serves every gamma in the sweep.
+
+    The trials run on `pool` (numpy's draws, ufuncs and FFTs release the
+    GIL). A runner passes one pool to all of its sweep points, so its threads
+    start once per run, not once per point. Each trial reads only its own
+    generator and the engine's chunk widths depend on (Q, N) alone, so the
+    gains do not depend on the worker count.
     """
-    with ThreadPoolExecutor(max_workers=_worker_count(len(trial_rngs))) as pool:
-        datas = list(pool.map(
-            lambda rng: run_trial(spec, rng, n_elements, budget_x, budget_y,
-                                  want_bf=want_bf),
-            trial_rngs))
-    return SweepPointData(
+    datas = list(pool.map(
+        lambda rng: run_trial(spec, rng, n_elements, budget_x, budget_y, want_bf=want_bf),
+        trial_rngs))
+    return TrialData(
         inband_gain=np.stack([d.inband_gain for d in datas]),
         gain_irs=np.stack([d.gain_irs for d in datas]),
         gain_noirs=np.stack([d.gain_noirs for d in datas]),
@@ -254,31 +244,32 @@ def run_spec(spec: ExperimentSpec, figure: str = "run", analytic_only: bool = Fa
     simulate = not analytic_only and not _GAIN_OUTPUTS.isdisjoint(spec.outputs)
     rows: list[ResultRow] = []
 
-    for i, n in enumerate(spec.n_sweep):
-        block = rngs[1 + i * (spec.trials + 1): 1 + (i + 1) * (spec.trials + 1)]
-        trial_rngs, aux_rng = block[:-1], block[-1]
-        data = None
-        if simulate:
-            want_bf = "pf_gap" in spec.outputs and spec.regime == "sub6"
-            data = collect_gains(spec, n, trial_rngs, budget_x, budget_y,
-                                 want_bf=want_bf)
-        params_x = operator_params(spec, budget_x, n, 1.0, "inband")
-        params_y = operator_params(spec, budget_y, n, 1.0, "oob")
+    with ThreadPoolExecutor(max_workers=_worker_count(spec.trials)) as pool:
+        for i, n in enumerate(spec.n_sweep):
+            block = rngs[1 + i * (spec.trials + 1): 1 + (i + 1) * (spec.trials + 1)]
+            trial_rngs, aux_rng = block[:-1], block[-1]
+            data = None
+            if simulate:
+                want_bf = "pf_gap" in spec.outputs and spec.regime == "sub6"
+                data = collect_gains(pool, spec, n, trial_rngs, budget_x, budget_y,
+                                     want_bf=want_bf)
+            params_x = operator_params(spec, budget_x, n, 1.0, "inband")
+            params_y = operator_params(spec, budget_y, n, 1.0, "oob")
 
-        if "sumse" in spec.outputs:
-            rows += _sumse_rows(spec, figure, n, l_tag, data, budget_x, budget_y)
-        if "outage" in spec.outputs:
-            rows += _outage_rows(spec, figure, n, l_tag, data, params_x, params_y,
-                                 aux_rng, rho_oob, rho_inband)
-        if "ccdf" in spec.outputs:
-            rows += _ccdf_rows(spec, figure, n, l_tag, data, params_y, grid_points)
-        if "dominance" in spec.outputs and data is not None and n > 0:
-            rows.append(_dominance_row(spec, figure, n, l_tag, data, params_y,
-                                       grid_points))
-        if "pf_gap" in spec.outputs and not analytic_only:
-            rows += _pf_gap_rows(spec, figure, n, l_tag, data)
-        if "correlation_response" in spec.outputs and not analytic_only and mm:
-            rows += _response_rows(spec, figure, n, l_tag, aux_rng)
+            if "sumse" in spec.outputs:
+                rows += _sumse_rows(spec, figure, n, l_tag, data, budget_x, budget_y)
+            if "outage" in spec.outputs:
+                rows += _outage_rows(spec, figure, n, l_tag, data, params_x, params_y,
+                                     aux_rng, rho_oob, rho_inband)
+            if "ccdf" in spec.outputs:
+                rows += _ccdf_rows(spec, figure, n, l_tag, data, params_y, grid_points)
+            if "dominance" in spec.outputs and data is not None and n > 0:
+                rows.append(_dominance_row(spec, figure, n, l_tag, data, params_y,
+                                           grid_points))
+            if "pf_gap" in spec.outputs and not analytic_only:
+                rows += _pf_gap_rows(spec, figure, n, l_tag, data)
+            if "correlation_response" in spec.outputs and not analytic_only and mm:
+                rows += _response_rows(spec, figure, n, l_tag, aux_rng)
     return rows, positions
 
 
@@ -455,41 +446,43 @@ def run_scheduler_grid(spec: ExperimentSpec, q_list, figure: str,
     positions = None
     gamma = spec.gamma_db_sweep[0]
     snr = float(db_to_linear(gamma))
-    for q_ues in q_list:
-        spec_q = dataclasses.replace(spec, q_ues=int(q_ues))
-        rngs = spawn_rngs(spec.seed + 7919 * int(q_ues),
-                          1 + len(spec.n_sweep) * spec.trials)
-        positions, budget_x, budget_y = budgets_for(spec_q, rngs[0], None)
-        for i, n in enumerate(spec.n_sweep):
-            params_y = operator_params(spec_q, budget_y, n, snr, "oob")
-            analytic = {
-                "rr": float(analytics.sumse_oob_sub6(params_y)),
-                "mr": float(analytics.mr_asymptotic_se(int(q_ues), params_y))
-                      if q_ues > 1 else float(analytics.sumse_oob_sub6(params_y)),
-                "pf": None,
-            }
-            if analytic_only:
-                for sched in ("rr", "mr"):
+    with ThreadPoolExecutor(max_workers=_worker_count(spec.trials)) as pool:
+        for q_ues in q_list:
+            spec_q = dataclasses.replace(spec, q_ues=int(q_ues))
+            rngs = spawn_rngs(spec.seed + 7919 * int(q_ues),
+                              1 + len(spec.n_sweep) * spec.trials)
+            positions, budget_x, budget_y = budgets_for(spec_q, rngs[0], None)
+            for i, n in enumerate(spec.n_sweep):
+                params_y = operator_params(spec_q, budget_y, n, snr, "oob")
+                analytic = {
+                    "rr": float(analytics.sumse_oob_sub6(params_y)),
+                    "mr": float(analytics.mr_asymptotic_se(int(q_ues), params_y))
+                          if q_ues > 1 else float(analytics.sumse_oob_sub6(params_y)),
+                    "pf": None,
+                }
+                if analytic_only:
+                    for sched in ("rr", "mr"):
+                        rows.append(ResultRow(figure, "sumse_oob", scheduler=sched,
+                                              n_elements=n, gamma_db=gamma,
+                                              q_ues=int(q_ues), empirical=None,
+                                              analytic=analytic[sched], stderr=None))
+                    continue
+                trial_rngs = rngs[1 + i * spec.trials: 1 + (i + 1) * spec.trials]
+                data = collect_gains(pool, spec_q, n, trial_rngs, budget_x, budget_y,
+                                     want_bf=True)
+                rates = np.log2(1.0 + data.gain_irs * snr)
+                per_sched = {sched: _served_se(rates, sched, spec.pf_tau)
+                             for sched in ("rr", "pf", "mr")}
+                for sched, vals in per_sched.items():
+                    emp, err = _mean_and_stderr(vals)
                     rows.append(ResultRow(figure, "sumse_oob", scheduler=sched,
-                                          n_elements=n, gamma_db=gamma,
-                                          q_ues=int(q_ues), empirical=None,
-                                          analytic=analytic[sched], stderr=None))
-                continue
-            trial_rngs = rngs[1 + i * spec.trials: 1 + (i + 1) * spec.trials]
-            data = collect_gains(spec_q, n, trial_rngs, budget_x, budget_y, want_bf=True)
-            rates = np.log2(1.0 + data.gain_irs * snr)
-            per_sched = {sched: _served_se(rates, sched, spec.pf_tau)
-                         for sched in ("rr", "pf", "mr")}
-            for sched, vals in per_sched.items():
-                emp, err = _mean_and_stderr(vals)
-                rows.append(ResultRow(figure, "sumse_oob", scheduler=sched,
-                                      n_elements=n, gamma_db=gamma, q_ues=int(q_ues),
-                                      empirical=emp, analytic=analytic[sched],
-                                      stderr=err))
-            emp, err = _mean_and_stderr(_pf_gap(data.bf_gain, snr, per_sched["pf"]))
-            rows.append(ResultRow(figure, "pf_gap", scheduler="pf", n_elements=n,
-                                  gamma_db=gamma, q_ues=int(q_ues),
-                                  empirical=emp, analytic=None, stderr=err))
+                                          n_elements=n, gamma_db=gamma, q_ues=int(q_ues),
+                                          empirical=emp, analytic=analytic[sched],
+                                          stderr=err))
+                emp, err = _mean_and_stderr(_pf_gap(data.bf_gain, snr, per_sched["pf"]))
+                rows.append(ResultRow(figure, "pf_gap", scheduler="pf", n_elements=n,
+                                      gamma_db=gamma, q_ues=int(q_ues),
+                                      empirical=emp, analytic=None, stderr=err))
     return rows, positions
 
 
@@ -526,26 +519,6 @@ def run_inband_offset(spec: ExperimentSpec, figure: str, analytic_only: bool = F
                                   analytic=float(bound[j]),
                                   stderr=None if e is None else _binom_err(e, count)))
     return rows, positions
-
-
-# ---------------------------------------------------------------------------
-# pooled samples for distribution-level validation
-
-def oob_gain_samples(seed: int, spec: ExperimentSpec, n_elements: int, count: int):
-    """Pooled OOB gains (with and without reflector) for the first OOB UE.
-
-    Draws whole trials of the two-operator protocol until `count` samples
-    exist, at sample sizes the figure presets do not need. Returns
-    (with, without, params); with - without is the UE's gain offset.
-    """
-    trials = math.ceil(count / spec.slots)
-    rngs = spawn_rngs(seed, 1 + trials)
-    _, budget_x, budget_y = budgets_for(spec, rngs[0], None)
-    data = collect_gains(spec, n_elements, rngs[1:], budget_x, budget_y)
-    snr = float(db_to_linear(spec.gamma_db_sweep[0]))
-    params = operator_params(spec, budget_y, n_elements, snr, "oob")
-    return (data.gain_irs[:, :, 0].ravel()[:count], data.gain_noirs[:, :, 0].ravel()[:count],
-            params)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,24 @@
-"""Reference forms the test modules share.
+"""Reference forms and sample pools the test modules share.
 
 The package never calls these. They are the independent forms the tests hold
 the package to: the spectral efficiency of a channel gain, the aligned
-reflector gain built from complex Rayleigh channels, and the dense
-array-response form of the sparse channel model.
+reflector gain built from complex Rayleigh channels, the dense per-element
+Rayleigh channels of the sub6 model, and the dense array-response form of
+the sparse channel model. `oob_gain_samples` pools the package's own OOB
+gains at the sample sizes the distribution-level checks need.
 """
 
+import math
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+
 import numpy as np
+
+from irsoob.channels import LinkBudget, complex_normal
+from irsoob.config import ExperimentSpec
+from irsoob.engine import budgets_for, spawn_rngs
+from irsoob.experiments import _worker_count, collect_gains, operator_params
+from irsoob.kernels import db_to_linear
 
 
 def spectral_efficiency(gain, snr):
@@ -29,6 +41,34 @@ def aligned_gain_complex(rng, beta_d, beta_r, rows, n_elements):
     return (np.abs(h_d) + np.abs(f * g).sum(axis=-1)) ** 2, np.abs(h_d) ** 2
 
 
+@dataclass
+class Sub6Channels:
+    """Rayleigh-fading realizations for one operator and its UEs, one per slot.
+
+    Shapes: h_d (slots, n_ues), f (slots, n), g (slots, n_ues, n).
+    """
+
+    h_d: np.ndarray
+    f: np.ndarray
+    g: np.ndarray
+
+
+def sample_sub6(rng: np.random.Generator, n_elements: int, budget: LinkBudget,
+                slots: int) -> Sub6Channels:
+    """I.i.d. Rayleigh draws: each entry CN(0, beta) with beta from the link budget.
+
+    E|f_n|^2 = beta_f and E|f_n| = sqrt(pi*beta_f/4), the moments the sum-SE
+    formulas are built on.
+    """
+    if n_elements < 0:
+        raise ValueError(f"n_elements must be >= 0, got {n_elements}")
+    q = budget.n_ues
+    h_d = complex_normal(rng, budget.beta_d, (slots, q))
+    f = complex_normal(rng, budget.beta_f, (slots, n_elements))
+    g = complex_normal(rng, budget.beta_g[:, None], (slots, q, n_elements))
+    return Sub6Channels(h_d=h_d, f=f, g=g)
+
+
 def steering_vector(n_elements, angle):
     """Unit-norm N-element ULA response at a sine-domain angle: entry n is exp(-1j*pi*n*angle)/sqrt(N)."""
     return np.exp(-1j * np.pi * np.arange(n_elements) * angle) / np.sqrt(n_elements)
@@ -39,3 +79,21 @@ def mmwave_vector(n_elements, angles, gains):
     vec = sum(gain * np.conj(steering_vector(n_elements, ang))
               for ang, gain in zip(angles, gains))
     return np.sqrt(n_elements / len(angles)) * vec
+
+
+def oob_gain_samples(seed: int, spec: ExperimentSpec, n_elements: int, count: int):
+    """Pooled OOB gains (with and without reflector) for the first OOB UE.
+
+    Draws whole trials of the two-operator protocol until `count` samples
+    exist, at sample sizes the figure presets do not need. Returns
+    (with, without, params); with - without is the UE's gain offset.
+    """
+    trials = math.ceil(count / spec.slots)
+    rngs = spawn_rngs(seed, 1 + trials)
+    _, budget_x, budget_y = budgets_for(spec, rngs[0], None)
+    with ThreadPoolExecutor(max_workers=_worker_count(trials)) as pool:
+        data = collect_gains(pool, spec, n_elements, rngs[1:], budget_x, budget_y)
+    snr = float(db_to_linear(spec.gamma_db_sweep[0]))
+    params = operator_params(spec, budget_y, n_elements, snr, "oob")
+    return (data.gain_irs[:, :, 0].ravel()[:count], data.gain_noirs[:, :, 0].ravel()[:count],
+            params)

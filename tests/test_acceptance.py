@@ -16,11 +16,10 @@ from irsoob.analytics import AnalyticParams
 from irsoob.config import ExperimentSpec
 from irsoob.engine import (budgets_for, dominance_test, inband_gain_samples_sub6,
                            mmwave_nlos_trial, spawn_rngs, sub6_trial)
-from irsoob.experiments import (oob_gain_samples, operator_params, run_preset,
-                                run_scheduler_grid, _spec)
+from irsoob.experiments import operator_params, run_preset, run_scheduler_grid, _spec
 from irsoob.irs import correlation_response
 from irsoob.kernels import db_to_linear
-from oracles import spectral_efficiency
+from oracles import oob_gain_samples, spectral_efficiency
 
 G130 = float(db_to_linear(130.0))
 G150 = float(db_to_linear(150.0))

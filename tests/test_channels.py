@@ -17,10 +17,9 @@ from irsoob.channels import (
     link_budget,
     path_loss,
     sample_mmwave,
-    sample_sub6,
 )
 from irsoob.kernels import grid_index, resolvable_angles
-from oracles import mmwave_vector
+from oracles import mmwave_vector, sample_sub6
 
 # reference UE at (1000, 1000), in-band BS at (0, 50), reflector at (1025, 1025)
 BETA_F_REF = 4.996876951905058e-10   # 1e-3 / hypot(1025, 975)^2
@@ -89,6 +88,10 @@ def test_ue_drop_replay():
     b = draw_ue_positions(np.random.default_rng(9), geo, 10)
     np.testing.assert_array_equal(a, b)
 
+
+# The dense per-element Rayleigh draws are a test oracle (oracles.sample_sub6):
+# the engine samples the reduced laws, and the engine tests hold those laws
+# to this construction. These pin the oracle's own channel law.
 
 def test_sub6_second_moment():
     rng = np.random.default_rng(4)

@@ -11,10 +11,11 @@ checked against the scalar effective channels there. The trials return gains
 only; rates are the test-side log2(1 + snr g) of oracles.py. The reduced OOB
 laws (sub6, and the matched-path law of the mmWave LOS trial) are replayed
 bit for bit and compared in distribution with the dense per-element or
-per-path construction each replaces. The sub6 in-band side draws only
-exponential magnitudes: its replay gives the rebuilt complex channels
-those magnitudes and phases from a separate generator, and its sampler is
-compared in distribution with the complex-normal construction.
+per-path construction each replaces (for sub6, the oracle's sample_sub6).
+The sub6 in-band gain and the matched-reflector ceiling share one sampler of
+exponential magnitudes: its replay gives the rebuilt complex channels those
+magnitudes and phases from a separate generator, and the sampler is compared
+in distribution with the complex-normal construction, per row and per UE.
 """
 
 import dataclasses
@@ -26,7 +27,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
-from irsoob.channels import complex_normal, mmwave_angles, sample_mmwave, sample_sub6
+from irsoob.channels import complex_normal, mmwave_angles, sample_mmwave
 from irsoob.config import ExperimentSpec
 from irsoob.engine import (DominanceReport, TrialData, _aligned_gain, budgets_for,
                            dominance_test, empirical_ccdf, empirical_outage,
@@ -36,7 +37,7 @@ from irsoob.experiments import operator_params
 from irsoob.irs import (effective_channel_mmwave, effective_channel_sub6, optimize_mmwave_los,
                         optimize_mmwave_nlos, optimize_sub6, unit_phase)
 from irsoob.kernels import db_to_linear, grid_index
-from oracles import aligned_gain_complex, spectral_efficiency
+from oracles import aligned_gain_complex, sample_sub6, spectral_efficiency
 
 GAMMA_130 = float(db_to_linear(130.0))
 
@@ -136,36 +137,47 @@ def test_inband_gain_is_coherent_amplitude_sum():
     _assert_gains(data.inband_gain, (np.abs(h_d) + np.abs(f * g).sum(axis=1)) ** 2)
 
 
+def _aligned_mean(beta_d, beta_r, n):
+    """E(|h_d| + sum_n |f_n g_n|)^2 for h_d ~ CN(0, beta_d), |f_n g_n|^2 ~ beta_r E_1 E_2."""
+    return (beta_d + n * beta_r + n * (math.pi ** 1.5 / 4) * np.sqrt(beta_d * beta_r)
+            + n * (n - 1) * (math.pi ** 2 / 16) * beta_r)
+
+
 @pytest.mark.parametrize("n", [1, 4, 64])
 def test_aligned_gain_matches_complex_normal_construction(n):
     """Distributional equivalence of the exponential-magnitude sampler and the
-    complex-normal construction it replaced, on one in-band UE's budget:
-    two-sample KS on the aligned gain and on |h_d|^2, and both means against
-    E(|h_d| + sum |f_n g_n|)^2. With E|h_d| = sqrt(pi beta_d)/2 and
-    E|f_n g_n| = (pi/4) sqrt(beta_r) that is
-    beta_d + N beta_r + N (pi^(3/2)/4) sqrt(beta_d beta_r) + N(N-1)(pi^2/16) beta_r."""
+    complex-normal construction it replaced.
+
+    Per row, on one in-band UE's budget: two-sample KS on the aligned gain and
+    on |h_d|^2, and both means against E(|h_d| + sum |f_n g_n|)^2. With
+    E|h_d| = sqrt(pi beta_d)/2 and E|f_n g_n| = (pi/4) sqrt(beta_r) that is
+    beta_d + N beta_r + N (pi^(3/2)/4) sqrt(beta_d beta_r) + N(N-1)(pi^2/16) beta_r.
+
+    Per UE, the matched-reflector ceiling on a 4-UE OOB budget (betas (1, Q)):
+    KS per UE against (|h_d| + sum_n |f_n||g_qn|)^2 of the dense Rayleigh
+    channels, and each UE's mean against the same closed form."""
     rows = 20_000
-    _, bx, _ = budgets_for(ExperimentSpec(), np.random.default_rng(62), None)
+    _, bx, by = budgets_for(ExperimentSpec(q_ues=4), np.random.default_rng(62), None)
     beta_d, beta_r = float(bx.beta_d[0]), float(bx.beta_r[0])
-    rngs = spawn_rngs(620 + n, 2)
+    rngs = spawn_rngs(620 + n, 4)
     drawn = _aligned_gain(rngs[0], beta_d, beta_r, rows, n)
     oracle = aligned_gain_complex(rngs[1], beta_d, beta_r, rows, n)
 
     for a, b in zip(drawn, oracle):
         assert ks_2samp(a, b).pvalue > 1e-4
-    mean = (beta_d + n * beta_r + n * (math.pi ** 1.5 / 4) * math.sqrt(beta_d * beta_r)
-            + n * (n - 1) * (math.pi ** 2 / 16) * beta_r)
+    mean = _aligned_mean(beta_d, beta_r, n)
     for gain, _ in (drawn, oracle):
         assert abs(gain.mean() - mean) < 4.0 * gain.std(ddof=1) / math.sqrt(rows)
 
-
-def test_matched_gain_upper_bounds_any_configuration():
-    # triangle inequality: the matched amplitude dominates every unit-modulus config
-    spec = ExperimentSpec(n_sweep=(8,), gamma_db_sweep=(130.0,), slots=500, seed=26)
-    rngs = spawn_rngs(26, 2)
-    _, bx, by = budgets_for(spec, rngs[0], None)
-    data = sub6_trial(rngs[1], 8, bx, by, 500, want_bf=True)
-    assert np.all(data.bf_gain >= data.gain_irs * (1.0 - 1e-12))
+    ceiling, _ = _aligned_gain(rngs[2], by.beta_d[None, :], by.beta_r[None, :], rows, n)
+    assert ceiling.shape == (rows, by.n_ues)
+    _, _, dense = _dense_oob_gains(rngs[3], n, by, rows)
+    for q in range(by.n_ues):
+        assert ks_2samp(ceiling[:, q], dense[:, q]).pvalue > 1e-4
+    mean = _aligned_mean(by.beta_d, by.beta_r, n)
+    for gain in (ceiling, dense):
+        stderr = gain.std(axis=0, ddof=1) / math.sqrt(rows)
+        assert np.all(np.abs(gain.mean(axis=0) - mean) < 4.0 * stderr)
 
 
 def test_oob_gain_law_matches_direct_channel_without_reflector():
@@ -242,72 +254,97 @@ def _assert_gains(got, want):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(want))
 
 
-def _replay_inband_sub6(replay, bx, n, slots):
-    """A sub6 trial's in-band draws replayed bit for bit: the served UE's
-    direct power beta_d E, then the element exponentials E_f and E_g. Returns
-    the aligned gain they give and complex channels h_d, f, g with those
-    magnitudes, whose phases come from a separate generator."""
-    k = np.arange(slots) % bx.n_ues
-    direct = bx.beta_d[k] * replay.standard_exponential(slots)
+def _replay_aligned(replay, beta_d, beta_f, beta_g, n, slots):
+    """One engine._aligned_gain call replayed bit for bit: the direct power
+    beta_d E, then the element exponentials E_f and E_g. beta_d and beta_g are
+    per slot (slots,), or per UE (1, Q), the UEs then sharing the slot's
+    exponentials. Returns the aligned gain they give and complex channels
+    h_d, f, g with those magnitudes, whose phases come from a separate
+    generator; per UE, h_d is (slots, Q) and g is (slots, Q, N)."""
+    lead = (slots,) + (1,) * (np.ndim(beta_d) - 1)
+    direct = beta_d * replay.standard_exponential(slots).reshape(lead)
     e_f = replay.standard_exponential((slots, n))
     e_g = replay.standard_exponential((slots, n))
-    gain = (np.sqrt(direct) + np.sqrt(bx.beta_r[k]) * np.sqrt(e_f * e_g).sum(axis=1)) ** 2
+    shape = np.sqrt(e_f * e_g).sum(axis=1).reshape(lead)
+    gain = (np.sqrt(direct) + np.sqrt(beta_f * beta_g) * shape) ** 2
     phases = np.random.default_rng(1000 + n)
-    h_dx, f_x, g_x = (np.sqrt(power) * np.exp(2j * np.pi * phases.random(power.shape))
-                      for power in (direct, bx.beta_f * e_f, bx.beta_g[k][:, None] * e_g))
-    return gain, h_dx, f_x, g_x
+    h_d, f, g = (np.sqrt(power) * np.exp(2j * np.pi * phases.random(power.shape))
+                 for power in (direct, beta_f * e_f,
+                               np.expand_dims(beta_g, -1) * e_g.reshape(lead + (n,))))
+    return gain, h_d, f, g
+
+
+def _replay_inband_sub6(replay, bx, n, slots):
+    """A sub6 trial's in-band draws: the served UE's aligned gain, k = slot mod K."""
+    k = np.arange(slots) % bx.n_ues
+    return _replay_aligned(replay, bx.beta_d[k], bx.beta_f, bx.beta_g[k], n, slots)
+
+
+def _dense_oob_gains(rng, n, budget, slots):
+    """OOB gains from dense per-element Rayleigh channels (oracles.sample_sub6):
+    |h_d + sum_n f_n g_qn|^2 with theta = 1 (theta depends on the in-band
+    channels alone, so theta f has f's law), |h_d|^2, and the matched ceiling
+    (|h_d| + sum_n |f_n||g_qn|)^2. Drawn in chunks of slots to bound memory."""
+    gains = np.empty((3, slots, budget.n_ues))
+    for start in range(0, slots, 2048):
+        y = sample_sub6(rng, n, budget, slots=min(2048, slots - start))
+        sl = slice(start, start + y.h_d.shape[0])
+        gains[0, sl] = np.abs(y.h_d + (y.f[:, None, :] * y.g).sum(axis=2)) ** 2
+        gains[1, sl] = np.abs(y.h_d) ** 2
+        gains[2, sl] = (np.abs(y.h_d) + (np.abs(y.f)[:, None, :] * np.abs(y.g)).sum(axis=2)) ** 2
+    return gains
+
+
+def _replay_sub6_oob(replay, by, n, slots):
+    """The reduced OOB draws that follow the in-band ones: one Gamma(N, 1)
+    power per slot, then h_d and the reflected sum per UE. Returns the gains
+    with and without the reflector."""
+    power = replay.standard_gamma(n, size=slots)
+    h_d = complex_normal(replay, by.beta_d, (slots, by.n_ues))
+    reflected = complex_normal(replay, by.beta_r * power[:, None], (slots, by.n_ues))
+    return np.abs(h_d + reflected) ** 2, np.abs(h_d) ** 2
 
 
 @pytest.mark.parametrize("n", [8, 16])
 def test_sub6_trial_matches_scalar_reference(n):
-    """The dense per-element OOB path, which want_bf selects. The in-band gain
-    is the aligned one of the replayed channels' optimized configuration. The
-    OOB gains see theta = 1: theta depends on the in-band channels alone, so
-    theta f has f's joint law and the trial draws f in its place."""
+    """Every gain of a want_bf trial, replayed in draw order. The in-band gain
+    is the aligned one of the replayed channels' optimized configuration,
+    slot by slot. The OOB gains are the reduced law, and the ceiling is the
+    aligned-gain law with each UE's OOB betas, drawn last; both are replayed
+    bit for bit, and each slot's ceiling is the scalar matched effective
+    channel of complex channels carrying the replayed magnitudes."""
     spec, bx, by, rng, replay = _diff_setup("sub6", n)
     data = sub6_trial(rng, n, bx, by, spec.slots, want_bf=True)
 
     gain, h_dx, f_x, g_x = _replay_inband_sub6(replay, bx, n, spec.slots)
     np.testing.assert_array_equal(data.inband_gain, gain)
-    y = sample_sub6(replay, n, by, slots=spec.slots)
+    gain_irs, gain_noirs = _replay_sub6_oob(replay, by, n, spec.slots)
+    np.testing.assert_array_equal(data.gain_irs, gain_irs)
+    np.testing.assert_array_equal(data.gain_noirs, gain_noirs)
+    ceiling, h_dy, f_y, g_y = _replay_aligned(replay, by.beta_d[None, :], by.beta_f,
+                                              by.beta_g[None, :], n, spec.slots)
+    np.testing.assert_array_equal(data.bf_gain, ceiling)
     for s in range(spec.slots):
         theta = optimize_sub6(h_dx[s], f_x[s], g_x[s])
-        want = [abs(effective_channel_sub6(y.h_d[s, q], y.f[s], y.g[s, q], np.ones(n))) ** 2
-                for q in range(by.n_ues)]
-        _assert_gains(data.gain_irs[s], want)
         _assert_gains(data.inband_gain[s],
                       abs(effective_channel_sub6(h_dx[s], f_x[s], g_x[s], theta)) ** 2)
-        ceiling = [(abs(y.h_d[s, q]) + np.sum(np.abs(y.f[s]) * np.abs(y.g[s, q]))) ** 2
+        matched = [abs(effective_channel_sub6(h_dy[s, q], f_y[s], g_y[s, q],
+                                              optimize_sub6(h_dy[s, q], f_y[s], g_y[s, q]))) ** 2
                    for q in range(by.n_ues)]
-        _assert_gains(data.bf_gain[s], ceiling)
+        _assert_gains(data.bf_gain[s], matched)
 
 
-def test_sub6_dense_path_replays_chunk_by_chunk():
-    """The dense OOB path draws each slot chunk through sample_sub6 in turn;
-    here Q N spans three chunks of the engine's own width, the last one
-    short. Replaying chunk by chunk gives every gain and ceiling through the
-    scalar effective channel."""
-    import irsoob.engine as engine
-
-    n = 64
-    width = engine._CHUNK_ELEMS // (4 * n)
-    spec, bx, by, rng, replay = _diff_setup("sub6", n, slots=2 * width + 76)
-    assert by.n_ues == 4
-    data = sub6_trial(rng, n, bx, by, spec.slots, want_bf=True)
-
-    gain, _, _, _ = _replay_inband_sub6(replay, bx, n, spec.slots)
-    np.testing.assert_array_equal(data.inband_gain, gain)
-    starts = range(0, spec.slots, width)
-    assert len(starts) == 3
-    for start in starts:
-        y = sample_sub6(replay, n, by, slots=min(width, spec.slots - start))
-        for s in range(y.h_d.shape[0]):
-            want = [abs(effective_channel_sub6(y.h_d[s, q], y.f[s], y.g[s, q],
-                                               np.ones(n))) ** 2 for q in range(by.n_ues)]
-            _assert_gains(data.gain_irs[start + s], want)
-            _assert_gains(data.gain_noirs[start + s], np.abs(y.h_d[s]) ** 2)
-            ceiling = (np.abs(y.h_d[s]) + (np.abs(y.f[s]) * np.abs(y.g[s])).sum(axis=1)) ** 2
-            _assert_gains(data.bf_gain[start + s], ceiling)
+@pytest.mark.parametrize("n", [0, 16])
+def test_want_bf_moves_no_other_gain(n):
+    """The ceiling is drawn after every other draw of the trial, so asking for
+    it leaves every in-band and OOB gain bit as it was."""
+    spec, bx, by, _, _ = _diff_setup("sub6", n)
+    plain, with_bf = (sub6_trial(spawn_rngs(90 + n, 1)[0], n, bx, by, spec.slots,
+                                 want_bf=want_bf) for want_bf in (False, True))
+    assert plain.bf_gain is None
+    assert with_bf.bf_gain.shape == (spec.slots, by.n_ues)
+    for field in ("inband_gain", "gain_irs", "gain_noirs"):
+        np.testing.assert_array_equal(getattr(with_bf, field), getattr(plain, field))
 
 
 def test_nlos_trial_is_independent_of_the_chunk_width(monkeypatch):
@@ -336,18 +373,17 @@ def test_sub6_trial_reduced_law_replays_bit_for_bit(n):
     assert data.bf_gain is None
 
     gain, _, _, _ = _replay_inband_sub6(replay, bx, n, spec.slots)
-    power = replay.standard_gamma(n, size=spec.slots)
-    h_d = complex_normal(replay, by.beta_d, (spec.slots, by.n_ues))
-    reflected = complex_normal(replay, by.beta_r * power[:, None], (spec.slots, by.n_ues))
+    gain_irs, gain_noirs = _replay_sub6_oob(replay, by, n, spec.slots)
     np.testing.assert_array_equal(data.inband_gain, gain)
-    np.testing.assert_array_equal(data.gain_irs, np.abs(h_d + reflected) ** 2)
-    np.testing.assert_array_equal(data.gain_noirs, np.abs(h_d) ** 2)
+    np.testing.assert_array_equal(data.gain_irs, gain_irs)
+    np.testing.assert_array_equal(data.gain_noirs, gain_noirs)
 
 
 @pytest.mark.parametrize("n", [1, 4, 64])
 def test_sub6_reduced_law_matches_dense_path(n):
     """Distributional equivalence of the reduced OOB sampler and the dense
-    per-element path on one budget (4 UEs): two-sample KS per UE on the gain
+    per-element channels of oracles.sample_sub6 on one budget (4 UEs):
+    two-sample KS per UE on the gain
     and the gain offset, the mean gain beta_d + N beta_r, and the cross-UE
     correlation that the shared power G induces. Given G both UEs' gains are
     (beta_d + beta_r G) Exp(1), independently, so
@@ -359,10 +395,10 @@ def test_sub6_reduced_law_matches_dense_path(n):
     _, bx, by = budgets_for(spec, np.random.default_rng(60), None)
     rngs = spawn_rngs(600 + n, 2)
     reduced = sub6_trial(rngs[0], n, bx, by, slots)
-    dense = sub6_trial(rngs[1], n, bx, by, slots, want_bf=True)
+    dense_irs, dense_noirs, _ = _dense_oob_gains(rngs[1], n, by, slots)
 
-    for a, b in ((reduced.gain_irs, dense.gain_irs),
-                 (reduced.gain_irs - reduced.gain_noirs, dense.gain_irs - dense.gain_noirs)):
+    for a, b in ((reduced.gain_irs, dense_irs),
+                 (reduced.gain_irs - reduced.gain_noirs, dense_irs - dense_noirs)):
         for q in range(by.n_ues):
             assert ks_2samp(a[:, q], b[:, q]).pvalue > 1e-4
 
@@ -372,11 +408,10 @@ def test_sub6_reduced_law_matches_dense_path(n):
     pairs = np.triu_indices(by.n_ues, 1)
     if n <= 4:
         np.testing.assert_allclose(corr[pairs], 1.0 / (n + 2), rtol=0.1)
-    for data in (reduced, dense):
-        stderr = data.gain_irs.std(axis=0, ddof=1) / math.sqrt(slots)
-        assert np.all(np.abs(data.gain_irs.mean(axis=0) - mean) < 4.0 * stderr)
-        np.testing.assert_allclose(np.corrcoef(data.gain_irs.T)[pairs], corr[pairs],
-                                   atol=0.05)
+    for gain in (reduced.gain_irs, dense_irs):
+        stderr = gain.std(axis=0, ddof=1) / math.sqrt(slots)
+        assert np.all(np.abs(gain.mean(axis=0) - mean) < 4.0 * stderr)
+        np.testing.assert_allclose(np.corrcoef(gain.T)[pairs], corr[pairs], atol=0.05)
 
 
 def _replay_los(replay, n, bx, by, slots, l_oob):

@@ -3,17 +3,18 @@
 import dataclasses
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import irsoob.experiments as experiments
 from irsoob.config import ExperimentSpec, spec_hash
-from irsoob.engine import _CHUNK_ELEMS, budgets_for, spawn_rngs
+from irsoob.engine import budgets_for, spawn_rngs
 from irsoob.experiments import (CSV_COLUMNS, PRESETS, ResultRow, emit_csv, list_presets,
-                                oob_gain_samples, operator_params, run_preset, run_spec,
-                                _spec)
+                                operator_params, run_preset, run_spec, _spec)
 from irsoob.kernels import resolvable_angles
+from oracles import oob_gain_samples
 
 # enough slots for a smoke run, small enough to keep the suite fast
 FAST = {"slots": 200, "trials": 2}
@@ -224,30 +225,47 @@ def _sweep_point(spec, seed):
 
 @pytest.mark.parametrize("regime,extra", [("sub6", {}), ("mmwave_los", {"l2": 5}),
                                           ("mmwave_nlos", {"l1": 2, "l2": 2})])
-def test_collect_gains_is_independent_of_the_worker_count(monkeypatch, regime, extra):
+def test_collect_gains_is_independent_of_the_worker_count(regime, extra):
     """Each trial reads only its own generator and the pool returns trials in
     generator order, so one worker, the default and one worker per trial
-    stack the same bits. The sub6 point asks for the matched ceiling, whose
-    dense path here spans three chunks per trial."""
+    stack the same bits. The sub6 point also asks for the matched ceiling."""
     n = 64
     spec = _spec(regime=regime, n_sweep=(n,), k_ues=3, q_ues=4, slots=1100, trials=3,
                  seed=5, **extra)
     want_bf = regime == "sub6"
-    if want_bf:
-        assert spec.slots > 2 * (_CHUNK_ELEMS // (spec.q_ues * n))
 
-    def gains():
-        return experiments.collect_gains(spec, n, *_sweep_point(spec, 31), want_bf=want_bf)
+    def gains(workers):
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return experiments.collect_gains(pool, spec, n, *_sweep_point(spec, 31),
+                                             want_bf=want_bf)
 
-    runs = [gains()]
-    for workers in (1, spec.trials):
-        monkeypatch.setattr(experiments, "_worker_count", lambda trials, w=workers: w)
-        runs.append(gains())
+    runs = [gains(workers) for workers in (experiments._worker_count(spec.trials), 1,
+                                           spec.trials)]
     fields = ["inband_gain", "gain_irs", "gain_noirs"] + (["bf_gain"] if want_bf else [])
     for run in runs[1:]:
         assert run.gain_irs.shape == (spec.trials, spec.slots, spec.q_ues)
         for field in fields:
             np.testing.assert_array_equal(getattr(run, field), getattr(runs[0], field))
+
+
+def test_a_runner_starts_one_trial_pool_for_all_its_sweep_points(monkeypatch):
+    """Thread start-up is paid once per run: three sweep points, and two Q
+    values of the scheduler grid, share one pool each."""
+    pools = []
+
+    class Pool(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", Pool)
+    spec = _spec(n_sweep=(4, 8, 16), k_ues=2, q_ues=2, slots=40, trials=2, seed=5,
+                 outputs=("sumse",))
+    run_spec(spec, "pool")
+    assert len(pools) == 1
+    experiments.run_scheduler_grid(dataclasses.replace(spec, outputs=("sumse", "pf_gap")),
+                                   (2, 3), "pool")
+    assert len(pools) == 2
 
 
 def test_collect_gains_propagates_a_trial_error(monkeypatch):
@@ -261,6 +279,6 @@ def test_collect_gains_propagates_a_trial_error(monkeypatch):
         return real(spec, rng, *args, **kwargs)
 
     monkeypatch.setattr(experiments, "run_trial", run_trial)
-    monkeypatch.setattr(experiments, "_worker_count", lambda trials: trials)
-    with pytest.raises(ArithmeticError, match="second trial failed"):
-        experiments.collect_gains(spec, 4, trial_rngs, bx, by)
+    with ThreadPoolExecutor(max_workers=spec.trials) as pool, \
+            pytest.raises(ArithmeticError, match="second trial failed"):
+        experiments.collect_gains(pool, spec, 4, trial_rngs, bx, by)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from irsoob.channels import LinkBudget, sample_sub6
+from irsoob.channels import LinkBudget
 from irsoob.irs import (
     correlation_response,
     effective_channel_mmwave,
@@ -14,6 +14,7 @@ from irsoob.irs import (
     unit_phase,
 )
 from irsoob.kernels import resolvable_angles
+from oracles import sample_sub6
 
 
 def test_sub6_aligned_case():
@@ -54,6 +55,22 @@ def test_sub6_beats_random_search():
     rand_theta = np.exp(1j * rng.uniform(0, 2 * np.pi, (10_000, n)))
     rand = np.abs(h_d + rand_theta @ (f * g))
     assert best >= rand.max()
+
+
+def test_matched_gain_upper_bounds_any_configuration():
+    """Triangle inequality: on the same channels, the matched amplitude
+    |h_d| + sum |f_n||g_qn| (the ceiling the engine reports as bf_gain) is at
+    least the effective channel of any unit-modulus configuration."""
+    rng = np.random.default_rng(26)
+    budget = LinkBudget(beta_f=0.7, beta_g=np.array([2.0, 0.3, 1.0]),
+                        beta_d=np.array([1.1, 0.05, 3.0]))
+    ch = sample_sub6(rng, 8, budget, slots=200)
+    thetas = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (200, 8)))
+    for s in range(200):
+        for q in range(budget.n_ues):
+            h_d, f, g = ch.h_d[s, q], ch.f[s], ch.g[s, q]
+            matched = abs(h_d) + np.sum(np.abs(f) * np.abs(g))
+            assert matched >= abs(effective_channel_sub6(h_d, f, g, thetas[s])) * (1.0 - 1e-12)
 
 
 def test_sub6_zero_direct_convention():

@@ -162,10 +162,6 @@ class MmwaveChannels:
     cascade_gains: np.ndarray
     h_d: np.ndarray
 
-    @property
-    def l_paths(self) -> int:
-        return self.l1 * self.l2
-
 
 def _draw_grid_angles(rng: np.random.Generator, n_elements: int, count: int) -> np.ndarray:
     # Distinct directions whenever the grid is large enough; otherwise collisions

@@ -16,12 +16,13 @@ generators from spawn_rngs, so results do not depend on execution order, and
 the experiment layer runs a sweep point's trials concurrently on a thread
 pool. The nlos trial and the in-band sample helper run their slot loops in
 chunks whose width depends on (Q, N) only, never on the worker count, so
-every output is the same for any number of workers. The sub6 in-band side
-draws just the served UE's fading each slot, which is distribution-identical
-to drawing everyone's, and only as exponential magnitudes, since its aligned
-gain discards every phase. The mmWave trials draw every in-band UE's path
-gains each slot through sample_mmwave: the out-of-band angles are drawn
-after them, so dropping the unserved UEs' gains would move those angles.
+every output is the same for any number of workers. The sub6 and nlos
+in-band sides draw just the served UE's fading each slot, which is
+distribution-identical to drawing everyone's; sub6 draws it only as
+exponential magnitudes, since its aligned gain discards every phase. The LOS
+trial still draws every in-band UE's path gains each slot through
+sample_mmwave: its out-of-band angles are drawn after them, so dropping the
+unserved UEs' gains would move those angles.
 
 The sub6 OOB gains are drawn from their exact reduced law. The reflector's
 phases are set by the in-band channels alone, so theta_n f_n has the law of
@@ -38,8 +39,15 @@ responds only on the steered grid angle, so of UE q's L cascaded paths just
 the m[k, q] that share in-band UE k's angle reach an output, and their sum
 gamma_1 * sum_j gamma_2,j is gamma_1 times a CN(0, m beta_g,q) draw. One
 shared feeder gain per slot and two complex normals per UE replace the L
-path gains of each UE. The nlos trial keeps every path: a phase-matched
-configuration responds on every grid angle.
+path gains of each UE.
+
+The nlos OOB gains are drawn from their reduced law too. A phase-matched
+configuration responds on every grid angle, so every path reaches the sum,
+but the UE-side path gains are i.i.d.: given the feeder gains gamma_1 and
+the responses, UE q's per-path sum is CN(0, beta_g,q P_q), where P_q sums
+over the UE's paths j the power |sum_i gamma_1,i r_ij|^2 that reaches it.
+One shared gamma_1 per slot and two complex normals per UE replace the
+Q * l2 UE-side path gains.
 """
 
 from __future__ import annotations
@@ -184,27 +192,34 @@ def mmwave_nlos_trial(rng: np.random.Generator, n_elements: int, budget_x: LinkB
                       budget_y: LinkBudget, slots: int, l1: int, l2: int) -> TrialData:
     """One sparse-channel trial with the reflector phase-matched to all of the served UE's paths.
 
-    The per-element matched sum v and the responses at every grid angle are
-    FFT pairs, so each slot costs O(N log N) regardless of path count.
+    The per-element matched sum v and the responses r at every grid angle are
+    FFT pairs, so each slot costs O(N log N) regardless of path count. All
+    draws precede the chunk loop: both operators' angles; per slot the served
+    in-band UE's feeder (l1,) and UE-side (l2,) gains and direct link; the OOB
+    feeder gains gamma_1 (l1,), shared by the UEs; per UE a unit complex
+    normal z and h_d. Then eff = h_d + (N / sqrt(L)) sqrt(beta_g,q P_q) z with
+    P_q = sum_j |sum_i gamma_1,i r[m_qij]|^2, the exact law of the per-path
+    sum (module docstring); a duplicated grid angle counts once per copy.
     """
-    x = sample_mmwave(rng, n_elements, l1, l2, budget_x, slots=slots)
-    y = sample_mmwave(rng, n_elements, l1, l2, budget_y, slots=slots)
-    l_x = x.l_paths
-    l_y = y.l_paths
-
-    k_ues = budget_x.n_ues
-    rows = np.arange(slots)
-    k_served = rows % k_ues
-    g_x = x.cascade_gains[rows, k_served]    # (slots, L_X)
-    h_dx = x.h_d[rows, k_served]
-    idx_x = grid_index(x.cascade_angles, n_elements)[k_served]  # (slots, L_X)
-    idx_y = grid_index(y.cascade_angles, n_elements)            # (Q, L_Y)
-
-    sgn = 1.0 - 2.0 * (np.arange(n_elements) % 2)
+    _, _, angles_x = mmwave_angles(rng, n_elements, l1, l2, budget_x.n_ues)
+    _, _, angles_y = mmwave_angles(rng, n_elements, l1, l2, budget_y.n_ues)
+    l_paths = l1 * l2
+    k_served = np.arange(slots) % budget_x.n_ues
+    bs_x = complex_normal(rng, budget_x.beta_f, (slots, l1))
+    ue_x = complex_normal(rng, budget_x.beta_g[k_served, None], (slots, l2))
+    h_dx = complex_normal(rng, budget_x.beta_d[k_served], (slots,))
+    g_x = (bs_x[:, :, None] * ue_x[:, None, :]).reshape(slots, l_paths)
     q_ues = budget_y.n_ues
+    gamma_1 = complex_normal(rng, budget_y.beta_f, (slots, l1))
+    z = complex_normal(rng, 1.0, (slots, q_ues))
+    h_d = complex_normal(rng, budget_y.beta_d, (slots, q_ues))
+
+    idx_x = grid_index(angles_x, n_elements)[k_served]                    # (slots, L)
+    idx_y = grid_index(angles_y, n_elements).reshape(q_ues, l1, l2)
+    phase = np.exp(1j * np.angle(h_dx))
+    scale = n_elements / math.sqrt(l_paths)
     inband_gain = np.empty(slots)
-    gain_irs = np.empty((slots, q_ues))
-    gain_noirs = np.empty((slots, q_ues))
+    power = np.empty((slots, q_ues))    # P_q
 
     width = _CHUNK_ELEMS // max(1, n_elements)
     for sl in _chunk_slices(slots, width):
@@ -213,20 +228,20 @@ def mmwave_nlos_trial(rng: np.random.Generator, n_elements: int, budget_x: LinkB
         # scatter conj gains onto the angle grid; on-grid angles make this exact
         s = np.zeros((span, n_elements), dtype=complex)
         np.add.at(s, (sub[:, None], idx_x[sl]), np.conj(g_x[sl]))
-        v = sgn * np.fft.fft(s, axis=1)
-        theta = np.exp(1j * np.angle(h_dx[sl]))[:, None] * unit_phase(v)
-        resp = np.fft.ifft(sgn * theta, axis=1)   # adot(grid angle m)^H theta, all m at once
+        # v and the responses both carry the grid offset's sign (-1)^n; sign
+        # flips are exact, so the two cancel and theta (-1)^n = phase u
+        u = unit_phase(np.fft.fft(s, axis=1))
+        np.multiply(phase[sl, None], u, out=u)
+        resp = np.fft.ifft(u, axis=1)   # adot(grid angle m)^H theta, all m at once
 
-        eff_x = h_dx[sl] + (n_elements / math.sqrt(l_x)) \
-            * (g_x[sl] * resp[sub[:, None], idx_x[sl]]).sum(axis=1)
+        eff_x = h_dx[sl] + scale * (g_x[sl] * resp[sub[:, None], idx_x[sl]]).sum(axis=1)
         inband_gain[sl] = np.abs(eff_x) ** 2
-        # OOB responses: gather each UE path's grid response
-        pick = resp[sub[:, None, None], idx_y[None, :, :]]
-        eff_y = y.h_d[sl] + (n_elements / math.sqrt(l_y)) \
-            * (y.cascade_gains[sl] * pick).sum(axis=2)
-        gain_irs[sl] = np.abs(eff_y) ** 2
-        gain_noirs[sl] = np.abs(y.h_d[sl]) ** 2
-    return TrialData(inband_gain=inband_gain, gain_irs=gain_irs, gain_noirs=gain_noirs)
+        pick = resp[sub[:, None, None, None], idx_y[None]]       # (span, Q, l1, l2)
+        a = (gamma_1[sl, None, :, None] * pick).sum(axis=2)       # (span, Q, l2)
+        power[sl] = (np.abs(a) ** 2).sum(axis=2)
+    eff = h_d + scale * np.sqrt(budget_y.beta_g * power) * z
+    return TrialData(inband_gain=inband_gain, gain_irs=np.abs(eff) ** 2,
+                     gain_noirs=np.abs(h_d) ** 2)
 
 
 def inband_gain_samples_sub6(rng: np.random.Generator, n_elements: int, beta_r: float,

@@ -13,10 +13,14 @@ from .channels import complex_normal
 
 
 def unit_phase(values):
-    """values/|values| elementwise, with the zero-magnitude tie resolved to 1."""
+    """values/|values| elementwise, with the zero-magnitude tie resolved to 1.
+
+    One division pass into a buffer of ones, skipping the zero entries.
+    """
+    values = np.asarray(values)
     mag = np.abs(values)
-    safe = np.where(mag > 0, mag, 1.0)
-    return np.where(mag > 0, values / safe, 1.0)
+    out = np.ones(values.shape, dtype=np.result_type(values, 1.0))
+    return np.divide(values, mag, out=out, where=mag > 0)
 
 
 def _phase_ref(h_d: complex) -> float:

@@ -1,10 +1,10 @@
 """Reference forms and sample pools the test modules share.
 
 The package never calls these. They are the independent forms the tests hold
-the package to: the spectral efficiency of a channel gain, the aligned
-reflector gain built from complex Rayleigh channels, the dense per-element
-Rayleigh channels of the sub6 model, and the dense array-response form of
-the sparse channel model. `oob_gain_samples` pools the package's own OOB
+the package to: the spectral efficiency of a channel gain, the two-pass
+unit phasor, the aligned reflector gain built from complex Rayleigh
+channels, the dense per-element Rayleigh channels of the sub6 model, and the
+dense array-response form of the sparse channel model. `oob_gain_samples` pools the package's own OOB
 gains at the sample sizes the distribution-level checks need.
 """
 
@@ -24,6 +24,13 @@ from irsoob.kernels import db_to_linear
 def spectral_efficiency(gain, snr):
     """log2(1 + snr * gain): the rate, in bits/s/Hz, a channel gain supports at a linear SNR."""
     return np.log2(1.0 + gain * snr)
+
+
+def unit_phase_where(values):
+    """values/|values| elementwise, zero magnitudes resolved to 1, in two np.where passes."""
+    mag = np.abs(values)
+    safe = np.where(mag > 0, mag, 1.0)
+    return np.where(mag > 0, values / safe, 1.0)
 
 
 def aligned_gain_complex(rng, beta_d, beta_r, rows, n_elements):

@@ -9,9 +9,10 @@ draw: the reflector configuration of every slot is rebuilt from the replayed
 channels with the scalar optimizers in irs.py, and the trial's gains are
 checked against the scalar effective channels there. The trials return gains
 only; rates are the test-side log2(1 + snr g) of oracles.py. The reduced OOB
-laws (sub6, and the matched-path law of the mmWave LOS trial) are replayed
-bit for bit and compared in distribution with the dense per-element or
-per-path construction each replaces (for sub6, the oracle's sample_sub6).
+laws (sub6, the matched-path law of the mmWave LOS trial, and the nlos
+trial's one draw per UE) are replayed bit for bit and compared in
+distribution with the dense per-element or per-path construction each
+replaces (for sub6, the oracle's sample_sub6).
 The sub6 in-band gain and the matched-reflector ceiling share one sampler of
 exponential magnitudes: its replay gives the rebuilt complex channels those
 magnitudes and phases from a separate generator, and the sampler is compared
@@ -523,24 +524,129 @@ def test_mmwave_los_reduced_law_matches_per_path_sum(n, l_oob):
         assert checked > 0
 
 
+def _replay_nlos(replay, n, bx, by, slots, l1, l2):
+    """The nlos trial's draws in trial order. Returns the in-band side
+    (cascade angles (K, L), served UE k = slot mod K, its direct link and
+    cascade gains gamma_1,i gamma_2,j per slot) and the OOB side (cascade
+    angles (Q, L), the shared feeder gains gamma_1 (slots, l1), and per UE the
+    unit normal z and h_d)."""
+    _, _, angles_x = mmwave_angles(replay, n, l1, l2, bx.n_ues)
+    _, _, angles_y = mmwave_angles(replay, n, l1, l2, by.n_ues)
+    k = np.arange(slots) % bx.n_ues
+    bs_x = complex_normal(replay, bx.beta_f, (slots, l1))
+    ue_x = complex_normal(replay, bx.beta_g[k, None], (slots, l2))
+    h_dx = complex_normal(replay, bx.beta_d[k], (slots,))
+    g_x = (bs_x[:, :, None] * ue_x[:, None, :]).reshape(slots, l1 * l2)
+    gamma_1 = complex_normal(replay, by.beta_f, (slots, l1))
+    z = complex_normal(replay, 1.0, (slots, by.n_ues))
+    h_d = complex_normal(replay, by.beta_d, (slots, by.n_ues))
+    return (angles_x, k, h_dx, g_x), (angles_y, gamma_1, z, h_d)
+
+
 @pytest.mark.parametrize("n", [8, 16])
 def test_mmwave_nlos_trial_matches_scalar_reference(n):
+    """Every slot of a replayed trial against the scalar rules: the
+    configuration is optimize_mmwave_nlos of the served UE's paths, and each
+    gain is effective_channel_mmwave of that configuration. The OOB UE q sees
+    per-path gains gamma_1,i gamma_2,j with
+    gamma_2,j = z sqrt(beta_g,q) conj(a_j) / ||a||, a_j = sum_i gamma_1,i r_ij
+    and r_ij the scalar response at its cascade angle (i, j): their per-path
+    sum is z sqrt(beta_g,q) ||a||, the reflected term the trial drew."""
     spec, bx, by, rng, replay = _diff_setup("mmwave_nlos", n, l1=2, l2=2)
-    data = mmwave_nlos_trial(rng, n, bx, by, spec.slots, spec.l1, spec.l2)
+    l1, l2 = spec.l1, spec.l2
+    data = mmwave_nlos_trial(rng, n, bx, by, spec.slots, l1, l2)
 
-    x = sample_mmwave(replay, n, spec.l1, spec.l2, bx, slots=spec.slots)
-    y = sample_mmwave(replay, n, spec.l1, spec.l2, by, slots=spec.slots)
+    (angles_x, k_served, h_dx, g_x), (angles_y, gamma_1, z, h_d) = \
+        _replay_nlos(replay, n, bx, by, spec.slots, l1, l2)
+    np.testing.assert_array_equal(data.gain_noirs, np.abs(h_d) ** 2)
     for s in range(spec.slots):
-        k = s % bx.n_ues
-        theta = optimize_mmwave_nlos(x.h_d[s, k], x.cascade_angles[k],
-                                     x.cascade_gains[s, k], n)
-        want = [abs(effective_channel_mmwave(y.h_d[s, q], y.cascade_angles[q],
-                                             y.cascade_gains[s, q], theta)) ** 2
-                for q in range(by.n_ues)]
-        _assert_gains(data.gain_irs[s], want)
+        k = k_served[s]
+        theta = optimize_mmwave_nlos(h_dx[s], angles_x[k], g_x[s], n)
         _assert_gains(data.inband_gain[s],
-                      abs(effective_channel_mmwave(x.h_d[s, k], x.cascade_angles[k],
-                                                   x.cascade_gains[s, k], theta)) ** 2)
+                      abs(effective_channel_mmwave(h_dx[s], angles_x[k], g_x[s], theta)) ** 2)
+        want = []
+        for q in range(by.n_ues):
+            resp = np.array([effective_channel_mmwave(0.0, [angle], [1.0], theta)
+                             for angle in angles_y[q]]).reshape(l1, l2) / n
+            a = gamma_1[s] @ resp
+            norm = np.linalg.norm(a)
+            assert norm > 0
+            gamma_2 = z[s, q] * math.sqrt(by.beta_g[q]) * np.conj(a) / norm
+            gains = np.outer(gamma_1[s], gamma_2).ravel()
+            want.append(abs(effective_channel_mmwave(h_d[s, q], angles_y[q], gains, theta)) ** 2)
+        _assert_gains(data.gain_irs[s], want)
+
+
+def _nlos_gain_moments(resp, by, n):
+    """Mean gain and gain correlation across UEs, given each slot's responses
+    r (slots, Q, l1, l2) at the OOB cascade angles. With
+    A_q = sum_j r_q.j r_q.j^H (l1 x l1), the reflected power P_q is a Hermitian
+    form in gamma_1 ~ CN(0, beta_f I): E P_q = beta_f tr A_q and
+    E P_q P_p = beta_f^2 (tr A_q tr A_p + tr A_q A_p). Given P each gain is
+    (beta_d + c P) Exp(1), c = (N^2/L) beta_g, independently across UEs.
+    The off-diagonal tr A_q A_p is what the shared gamma_1 adds; the third
+    return is the correlation without it, that of one gamma_1 per UE."""
+    _, q_ues, l1, l2 = resp.shape
+    a = np.einsum("sqij,sqkj->sqik", resp, np.conj(resp))
+    power = by.beta_f * np.einsum("sqii->sq", a).real
+    shared = by.beta_f ** 2 * np.einsum("sqik,spki->sqp", a, a).real
+    c = (n ** 2 / (l1 * l2)) * by.beta_g
+    mean_cond = by.beta_d + c * power                                # (slots, Q)
+    mean = mean_cond.mean(axis=0)
+    corrs = []
+    for cross in (shared, shared * np.eye(q_ues)):
+        second = (mean_cond[:, :, None] * mean_cond[:, None, :]
+                  + np.outer(c, c) * cross).mean(axis=0)
+        second[np.diag_indices(q_ues)] *= 2.0      # E[Exp(1)^2] = 2; 1 across UEs
+        cov = second - np.outer(mean, mean)
+        corrs.append(cov / np.sqrt(np.outer(np.diag(cov), np.diag(cov))))
+    return mean, corrs[0], corrs[1]
+
+
+@pytest.mark.parametrize("n,l1,l2", [(16, 1, 4), (16, 2, 4), (4, 1, 8), (4, 2, 4)])
+def test_mmwave_nlos_reduced_law_matches_per_path_sum(n, l1, l2):
+    """Distributional equivalence of the reduced OOB sampler and the per-path
+    sum it replaces, both on the trial's own angles and in-band draws, the
+    configurations rebuilt by optimize_mmwave_nlos: KS per UE on the gain,
+    the mean gain from the slots' responses, and the correlation between UEs
+    that the shared gamma_1 creates (averaged over the UE pairs, whose single
+    estimates are noisy with these heavy tails). The gap to the correlation of
+    one gamma_1 per UE is asserted too, so the check has teeth. At N = 4 the
+    grid holds fewer angles than the L = 8 cascade paths, so angles repeat."""
+    slots = 10_000
+    l_paths = l1 * l2
+    spec = ExperimentSpec(regime="mmwave_nlos", k_ues=2, q_ues=4, l1=l1, l2=l2)
+    _, bx, by = budgets_for(spec, np.random.default_rng(62), None)
+    seed = 620 + n + l1
+    data = mmwave_nlos_trial(np.random.default_rng(seed), n, bx, by, slots, l1, l2)
+    (angles_x, k_served, h_dx, g_x), (angles_y, _, _, _) = \
+        _replay_nlos(np.random.default_rng(seed), n, bx, by, slots, l1, l2)
+    if n < l_paths:
+        assert len(np.unique(grid_index(angles_y, n))) < angles_y.size
+    theta = np.stack([optimize_mmwave_nlos(h_dx[s], angles_x[k_served[s]], g_x[s], n)
+                      for s in range(slots)])
+    basis = np.exp(1j * np.pi * np.outer(np.arange(n), angles_y.ravel())) / n
+    resp = (theta @ basis).reshape(slots, by.n_ues, l_paths)   # adot(angle)^H theta
+
+    per_path = np.random.default_rng(seed + 1)
+    gamma_1 = complex_normal(per_path, by.beta_f, (slots, l1))
+    gamma_2 = complex_normal(per_path, by.beta_g[:, None], (slots, by.n_ues, l2))
+    h_d = complex_normal(per_path, by.beta_d, (slots, by.n_ues))
+    cascade = (gamma_1[:, None, :, None] * gamma_2[:, :, None, :]).reshape(resp.shape)
+    eff = h_d + (n / math.sqrt(l_paths)) * (cascade * resp).sum(axis=2)
+    dense_gain = np.abs(eff) ** 2
+
+    for q in range(by.n_ues):
+        assert ks_2samp(data.gain_irs[:, q], dense_gain[:, q]).pvalue > 1e-4
+
+    mean, corr, corr_indep = _nlos_gain_moments(resp.reshape(slots, by.n_ues, l1, l2), by, n)
+    pairs = np.triu_indices(by.n_ues, 1)
+    assert corr[pairs].mean() - corr_indep[pairs].mean() > 0.08
+    for gain in (data.gain_irs, dense_gain):
+        stderr = gain.std(axis=0, ddof=1) / math.sqrt(slots)
+        assert np.all(np.abs(gain.mean(axis=0) - mean) < 4.0 * stderr)
+        sample = np.corrcoef(gain.T)[pairs]
+        assert abs(sample.mean() - corr[pairs].mean()) < 0.04
 
 
 # ---------------------------------------------------------------------------

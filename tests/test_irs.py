@@ -14,7 +14,7 @@ from irsoob.irs import (
     unit_phase,
 )
 from irsoob.kernels import resolvable_angles
-from oracles import sample_sub6
+from oracles import sample_sub6, unit_phase_where
 
 
 def test_sub6_aligned_case():
@@ -210,6 +210,24 @@ def test_unit_phase_resolves_zero_to_one():
     # a zero matched sum falls back to the direct path's phase
     theta = optimize_mmwave_los(1j, 0.0, 0.5, 4)
     np.testing.assert_allclose(theta, np.exp(-1j * np.pi * np.arange(4) * 0.5), atol=1e-15)
+
+
+def test_unit_phase_equals_the_two_pass_form_bit_for_bit():
+    """The one-division form gives the same bits as the np.where form of
+    oracles.py, planted exact zeros (of either sign) included."""
+    rng = np.random.default_rng(41)
+    for shape in [(128, 1024), (7,), (3, 5, 9)]:
+        v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        v.flat[::5] = 0.0
+        v.flat[2::11] = complex(-0.0, -0.0)
+        v.real.flat[1::7] = -0.0
+        for values in (v, v.real):
+            got, want = unit_phase(values), unit_phase_where(values)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+    got, want = unit_phase(0j), unit_phase_where(0j)
+    assert got.shape == want.shape == ()
+    assert got.tobytes() == want.tobytes()
 
 
 def test_response_rejects_bad_args():

@@ -16,7 +16,9 @@ generators from spawn_rngs, so results do not depend on execution order, and
 the experiment layer runs a sweep point's trials concurrently on a thread
 pool. The nlos trial and the in-band sample helper run their slot loops in
 chunks whose width depends on (Q, N) only, never on the worker count, so
-every output is the same for any number of workers. The sub6 and nlos
+every output is the same for any number of workers. The nlos trial
+allocates its chunk scratch once and every chunk writes into it, the FFTs
+included; the chunk width moves no bit of any output. The sub6 and nlos
 in-band sides draw just the served UE's fading each slot, which is
 distribution-identical to drawing everyone's; sub6 draws it only as
 exponential magnitudes, since its aligned gain discards every phase. The LOS
@@ -221,18 +223,26 @@ def mmwave_nlos_trial(rng: np.random.Generator, n_elements: int, budget_x: LinkB
     inband_gain = np.empty(slots)
     power = np.empty((slots, q_ues))    # P_q
 
-    width = _CHUNK_ELEMS // max(1, n_elements)
+    width = max(1, _CHUNK_ELEMS // max(1, n_elements))
+    # per-trial scratch, reused by every chunk: grid holds the scatter, then
+    # theta; spectrum holds the FFT, then the responses. One block, not two
+    # arrays: once a block this size has been freed, glibc serves the next
+    # trial's from pages its heap kept, while two half-size arrays would go
+    # back to the OS after every trial and fault in again
+    grid, spectrum = np.empty((2, min(width, slots), n_elements), dtype=complex)
     for sl in _chunk_slices(slots, width):
         span = sl.stop - sl.start
         sub = np.arange(span)
         # scatter conj gains onto the angle grid; on-grid angles make this exact
-        s = np.zeros((span, n_elements), dtype=complex)
+        s = grid[:span]
+        s.fill(0)
         np.add.at(s, (sub[:, None], idx_x[sl]), np.conj(g_x[sl]))
         # v and the responses both carry the grid offset's sign (-1)^n; sign
         # flips are exact, so the two cancel and theta (-1)^n = phase u
-        u = unit_phase(np.fft.fft(s, axis=1))
+        u = unit_phase(np.fft.fft(s, axis=1, out=spectrum[:span]), out=s)
         np.multiply(phase[sl, None], u, out=u)
-        resp = np.fft.ifft(u, axis=1)   # adot(grid angle m)^H theta, all m at once
+        # adot(grid angle m)^H theta, all m at once
+        resp = np.fft.ifft(u, axis=1, out=spectrum[:span])
 
         eff_x = h_dx[sl] + scale * (g_x[sl] * resp[sub[:, None], idx_x[sl]]).sum(axis=1)
         inband_gain[sl] = np.abs(eff_x) ** 2

@@ -17,6 +17,7 @@ first OOB UE; sum-SE statistics average over all of them.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -152,27 +153,47 @@ def _worker_count(trials: int) -> int:
     return min(cpus, trials)
 
 
-def collect_gains(pool: ThreadPoolExecutor, spec: ExperimentSpec, n_elements: int,
-                  trial_rngs, budget_x, budget_y, want_bf: bool = False) -> TrialData:
-    """Run one trial per generator and stack their gains in generator order.
-
-    The result's arrays carry a leading trials axis. Gains are SNR-free, so
-    one collection serves every gamma in the sweep.
-
-    The trials run on `pool` (numpy's draws, ufuncs and FFTs release the
-    GIL). A runner passes one pool to all of its sweep points, so its threads
-    start once per run, not once per point. Each trial reads only its own
-    generator and the engine's chunk widths depend on (Q, N) alone, so the
-    gains do not depend on the worker count.
-    """
-    datas = list(pool.map(
-        lambda rng: run_trial(spec, rng, n_elements, budget_x, budget_y, want_bf=want_bf),
-        trial_rngs))
+def _stack(futures) -> TrialData:
+    """One sweep point's trial results stacked, in submission order, on a leading trials axis."""
+    datas = [f.result() for f in futures]
     return TrialData(
         inband_gain=np.stack([d.inband_gain for d in datas]),
         gain_irs=np.stack([d.gain_irs for d in datas]),
         gain_noirs=np.stack([d.gain_noirs for d in datas]),
-        bf_gain=np.stack([d.bf_gain for d in datas]) if want_bf else None)
+        bf_gain=None if datas[0].bf_gain is None else np.stack([d.bf_gain for d in datas]))
+
+
+def sweep_gains(pool: ThreadPoolExecutor, points):
+    """Yield each sweep point's gains, one TrialData per point, in sweep order.
+
+    A point is (spec, n_elements, trial_rngs, budget_x, budget_y, want_bf):
+    one trial per generator, stacked in generator order on a leading trials
+    axis. Gains are SNR-free, so one point's gains serve every gamma.
+
+    The trials run on `pool` (numpy's draws, ufuncs and FFTs release the
+    GIL). Before point i's gains are yielded, point i+1's trials are
+    submitted, so the workers run them while the caller builds point i's
+    rows; no point runs further ahead than that. A runner hands one pool to
+    all of its points, so its threads start once per run. Each trial reads
+    only its own generator and the engine's chunk widths depend on (Q, N)
+    alone, so the gains do not depend on the worker count. A trial's error
+    is raised when its point is reached, and the trials that have not
+    started yet are cancelled.
+    """
+    pending = []    # each submitted point's futures, oldest first
+    try:
+        for spec, n_elements, trial_rngs, budget_x, budget_y, want_bf in points:
+            pending.append([pool.submit(run_trial, spec, rng, n_elements, budget_x, budget_y,
+                                        want_bf=want_bf) for rng in trial_rngs])
+            if len(pending) == 2:
+                yield _stack(pending[0])
+                del pending[0]
+        if pending:
+            yield _stack(pending[0])
+    finally:
+        for futures in pending:
+            for future in futures:
+                future.cancel()
 
 
 def _mean_and_stderr(per_trial) -> tuple[float, float | None]:
@@ -244,15 +265,17 @@ def run_spec(spec: ExperimentSpec, figure: str = "run", analytic_only: bool = Fa
     simulate = not analytic_only and not _GAIN_OUTPUTS.isdisjoint(spec.outputs)
     rows: list[ResultRow] = []
 
+    blocks = [rngs[1 + i * (spec.trials + 1): 1 + (i + 1) * (spec.trials + 1)]
+              for i in range(len(spec.n_sweep))]
+    want_bf = "pf_gap" in spec.outputs and spec.regime == "sub6"
+
     with ThreadPoolExecutor(max_workers=_worker_count(spec.trials)) as pool:
-        for i, n in enumerate(spec.n_sweep):
-            block = rngs[1 + i * (spec.trials + 1): 1 + (i + 1) * (spec.trials + 1)]
-            trial_rngs, aux_rng = block[:-1], block[-1]
-            data = None
-            if simulate:
-                want_bf = "pf_gap" in spec.outputs and spec.regime == "sub6"
-                data = collect_gains(pool, spec, n, trial_rngs, budget_x, budget_y,
-                                     want_bf=want_bf)
+        gains = itertools.repeat(None)
+        if simulate:
+            gains = sweep_gains(pool, [(spec, n, block[:-1], budget_x, budget_y, want_bf)
+                                       for n, block in zip(spec.n_sweep, blocks)])
+        for n, block, data in zip(spec.n_sweep, blocks, gains):
+            aux_rng = block[-1]
             params_x = operator_params(spec, budget_x, n, 1.0, "inband")
             params_y = operator_params(spec, budget_y, n, 1.0, "oob")
 
@@ -442,47 +465,48 @@ def run_scheduler_grid(spec: ExperimentSpec, q_list, figure: str,
     """
     if spec.regime != "sub6":
         raise ValueError(f"the scheduler comparison needs regime 'sub6', got {spec.regime!r}")
-    rows: list[ResultRow] = []
-    positions = None
     gamma = spec.gamma_db_sweep[0]
     snr = float(db_to_linear(gamma))
+    cells = []     # sweep points, Q-major
+    positions = None
+    for q_ues in q_list:
+        spec_q = dataclasses.replace(spec, q_ues=int(q_ues))
+        rngs = spawn_rngs(spec.seed + 7919 * int(q_ues), 1 + len(spec.n_sweep) * spec.trials)
+        positions, budget_x, budget_y = budgets_for(spec_q, rngs[0], None)
+        cells += [(spec_q, n, rngs[1 + i * spec.trials: 1 + (i + 1) * spec.trials],
+                   budget_x, budget_y, True) for i, n in enumerate(spec.n_sweep)]
+
+    rows: list[ResultRow] = []
     with ThreadPoolExecutor(max_workers=_worker_count(spec.trials)) as pool:
-        for q_ues in q_list:
-            spec_q = dataclasses.replace(spec, q_ues=int(q_ues))
-            rngs = spawn_rngs(spec.seed + 7919 * int(q_ues),
-                              1 + len(spec.n_sweep) * spec.trials)
-            positions, budget_x, budget_y = budgets_for(spec_q, rngs[0], None)
-            for i, n in enumerate(spec.n_sweep):
-                params_y = operator_params(spec_q, budget_y, n, snr, "oob")
-                analytic = {
-                    "rr": float(analytics.sumse_oob_sub6(params_y)),
-                    "mr": float(analytics.mr_asymptotic_se(int(q_ues), params_y))
-                          if q_ues > 1 else float(analytics.sumse_oob_sub6(params_y)),
-                    "pf": None,
-                }
-                if analytic_only:
-                    for sched in ("rr", "mr"):
-                        rows.append(ResultRow(figure, "sumse_oob", scheduler=sched,
-                                              n_elements=n, gamma_db=gamma,
-                                              q_ues=int(q_ues), empirical=None,
-                                              analytic=analytic[sched], stderr=None))
-                    continue
-                trial_rngs = rngs[1 + i * spec.trials: 1 + (i + 1) * spec.trials]
-                data = collect_gains(pool, spec_q, n, trial_rngs, budget_x, budget_y,
-                                     want_bf=True)
-                rates = np.log2(1.0 + data.gain_irs * snr)
-                per_sched = {sched: _served_se(rates, sched, spec.pf_tau)
-                             for sched in ("rr", "pf", "mr")}
-                for sched, vals in per_sched.items():
-                    emp, err = _mean_and_stderr(vals)
+        gains = itertools.repeat(None) if analytic_only else sweep_gains(pool, cells)
+        for (spec_q, n, _, _, budget_y, _), data in zip(cells, gains):
+            q_ues = spec_q.q_ues
+            params_y = operator_params(spec_q, budget_y, n, snr, "oob")
+            analytic = {
+                "rr": float(analytics.sumse_oob_sub6(params_y)),
+                "mr": float(analytics.mr_asymptotic_se(q_ues, params_y))
+                      if q_ues > 1 else float(analytics.sumse_oob_sub6(params_y)),
+                "pf": None,
+            }
+            if data is None:
+                for sched in ("rr", "mr"):
                     rows.append(ResultRow(figure, "sumse_oob", scheduler=sched,
-                                          n_elements=n, gamma_db=gamma, q_ues=int(q_ues),
-                                          empirical=emp, analytic=analytic[sched],
-                                          stderr=err))
-                emp, err = _mean_and_stderr(_pf_gap(data.bf_gain, snr, per_sched["pf"]))
-                rows.append(ResultRow(figure, "pf_gap", scheduler="pf", n_elements=n,
-                                      gamma_db=gamma, q_ues=int(q_ues),
-                                      empirical=emp, analytic=None, stderr=err))
+                                          n_elements=n, gamma_db=gamma, q_ues=q_ues,
+                                          empirical=None, analytic=analytic[sched],
+                                          stderr=None))
+                continue
+            rates = np.log2(1.0 + data.gain_irs * snr)
+            per_sched = {sched: _served_se(rates, sched, spec.pf_tau)
+                         for sched in ("rr", "pf", "mr")}
+            for sched, vals in per_sched.items():
+                emp, err = _mean_and_stderr(vals)
+                rows.append(ResultRow(figure, "sumse_oob", scheduler=sched,
+                                      n_elements=n, gamma_db=gamma, q_ues=q_ues,
+                                      empirical=emp, analytic=analytic[sched], stderr=err))
+            emp, err = _mean_and_stderr(_pf_gap(data.bf_gain, snr, per_sched["pf"]))
+            rows.append(ResultRow(figure, "pf_gap", scheduler="pf", n_elements=n,
+                                  gamma_db=gamma, q_ues=q_ues,
+                                  empirical=emp, analytic=None, stderr=err))
     return rows, positions
 
 

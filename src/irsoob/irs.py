@@ -12,15 +12,20 @@ import numpy as np
 from .channels import complex_normal
 
 
-def unit_phase(values):
+def unit_phase(values, out=None):
     """values/|values| elementwise, with the zero-magnitude tie resolved to 1.
 
-    One division pass into a buffer of ones, skipping the zero entries.
+    One division pass that skips the zero entries, then the ties set to 1.
+    The result goes into `out` when given, which may be `values` itself.
     """
     values = np.asarray(values)
     mag = np.abs(values)
-    out = np.ones(values.shape, dtype=np.result_type(values, 1.0))
-    return np.divide(values, mag, out=out, where=mag > 0)
+    nonzero = mag > 0
+    if out is None:
+        out = np.empty(values.shape, dtype=np.result_type(values, 1.0))
+    np.divide(values, mag, out=out, where=nonzero)
+    np.copyto(out, 1.0, where=~nonzero)
+    return out
 
 
 def _phase_ref(h_d: complex) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 from irsoob.channels import LinkBudget, complex_normal
 from irsoob.config import ExperimentSpec
 from irsoob.engine import budgets_for, spawn_rngs
-from irsoob.experiments import _worker_count, collect_gains, operator_params
+from irsoob.experiments import _worker_count, operator_params, sweep_gains
 from irsoob.kernels import db_to_linear
 
 
@@ -99,7 +99,7 @@ def oob_gain_samples(seed: int, spec: ExperimentSpec, n_elements: int, count: in
     rngs = spawn_rngs(seed, 1 + trials)
     _, budget_x, budget_y = budgets_for(spec, rngs[0], None)
     with ThreadPoolExecutor(max_workers=_worker_count(trials)) as pool:
-        data = collect_gains(pool, spec, n_elements, rngs[1:], budget_x, budget_y)
+        (data,) = sweep_gains(pool, [(spec, n_elements, rngs[1:], budget_x, budget_y, False)])
     snr = float(db_to_linear(spec.gamma_db_sweep[0]))
     params = operator_params(spec, budget_y, n_elements, snr, "oob")
     return (data.gain_irs[:, :, 0].ravel()[:count], data.gain_noirs[:, :, 0].ravel()[:count],

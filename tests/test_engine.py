@@ -351,18 +351,23 @@ def test_want_bf_moves_no_other_gain(n):
 def test_nlos_trial_is_independent_of_the_chunk_width(monkeypatch):
     """The nlos chunk loop only computes; every draw precedes it, so the chunk
     width moves no gain bit. One chunk against chunks of 7 slots, the last
-    one short."""
+    one short. The chunks share one scratch, so this also shows that no chunk
+    reads what an earlier one left there: at N = 4 < L = 8 repeated grid
+    angles accumulate through np.add.at, and the short last chunk reuses the
+    leading rows of a full one."""
     import irsoob.engine as engine
 
-    n = 16
-    spec, bx, by, _, _ = _diff_setup("mmwave_nlos", n, l1=2, l2=2)
-    runs = []
-    for chunk_elems in (1 << 20, 7 * n):
-        monkeypatch.setattr(engine, "_CHUNK_ELEMS", chunk_elems)
-        rng = spawn_rngs(80, 1)[0]
-        runs.append(mmwave_nlos_trial(rng, n, bx, by, spec.slots, spec.l1, spec.l2))
-    for field in ("inband_gain", "gain_irs", "gain_noirs"):
-        np.testing.assert_array_equal(getattr(runs[0], field), getattr(runs[1], field))
+    slots, width = 40, 7
+    assert slots // width >= 3 and 0 < slots % width < width
+    for n, l1, l2 in [(16, 2, 2), (4, 2, 4)]:
+        spec, bx, by, _, _ = _diff_setup("mmwave_nlos", n, slots=slots, l1=l1, l2=l2)
+        runs = []
+        for chunk_elems in (1 << 20, width * n):
+            monkeypatch.setattr(engine, "_CHUNK_ELEMS", chunk_elems)
+            rng = spawn_rngs(80, 1)[0]
+            runs.append(mmwave_nlos_trial(rng, n, bx, by, spec.slots, spec.l1, spec.l2))
+        for field in ("inband_gain", "gain_irs", "gain_noirs"):
+            np.testing.assert_array_equal(getattr(runs[0], field), getattr(runs[1], field))
 
 
 @pytest.mark.parametrize("n", [8, 16])

@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -225,27 +227,117 @@ def _sweep_point(spec, seed):
 
 @pytest.mark.parametrize("regime,extra", [("sub6", {}), ("mmwave_los", {"l2": 5}),
                                           ("mmwave_nlos", {"l1": 2, "l2": 2})])
-def test_collect_gains_is_independent_of_the_worker_count(regime, extra):
-    """Each trial reads only its own generator and the pool returns trials in
-    generator order, so one worker, the default and one worker per trial
-    stack the same bits. The sub6 point also asks for the matched ceiling."""
-    n = 64
-    spec = _spec(regime=regime, n_sweep=(n,), k_ues=3, q_ues=4, slots=1100, trials=3,
+def test_sweep_gains_is_independent_of_the_worker_count(regime, extra):
+    """Each trial reads only its own generator and every point's trials are
+    stacked in generator order, so one worker, the default and one worker per
+    trial stack the same bits, with the second point's trials running while
+    the first point is read. The sub6 points also ask for the matched
+    ceiling."""
+    spec = _spec(regime=regime, n_sweep=(64, 32), k_ues=3, q_ues=4, slots=1100, trials=3,
                  seed=5, **extra)
     want_bf = regime == "sub6"
 
     def gains(workers):
+        points = [(spec, n, *_sweep_point(spec, 31 + i), want_bf)
+                  for i, n in enumerate(spec.n_sweep)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return experiments.collect_gains(pool, spec, n, *_sweep_point(spec, 31),
-                                             want_bf=want_bf)
+            return list(experiments.sweep_gains(pool, points))
 
     runs = [gains(workers) for workers in (experiments._worker_count(spec.trials), 1,
                                            spec.trials)]
     fields = ["inband_gain", "gain_irs", "gain_noirs"] + (["bf_gain"] if want_bf else [])
     for run in runs[1:]:
-        assert run.gain_irs.shape == (spec.trials, spec.slots, spec.q_ues)
-        for field in fields:
-            np.testing.assert_array_equal(getattr(run, field), getattr(runs[0], field))
+        assert len(run) == len(spec.n_sweep)
+        for got, want in zip(run, runs[0]):
+            assert got.gain_irs.shape == (spec.trials, spec.slots, spec.q_ues)
+            for field in fields:
+                np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+    assert all(data.bf_gain is None for data in runs[0]) != want_bf
+
+
+def _grid(spec):
+    return experiments.run_scheduler_grid(spec, (2, 3), "grid")
+
+
+@pytest.mark.parametrize("spec,run", [
+    (_spec(regime="mmwave_nlos", l1=1, l2=4, n_sweep=(4, 8, 16), k_ues=3, q_ues=4,
+           slots=60, trials=3, seed=5, outputs=("sumse", "outage", "ccdf", "dominance")),
+     run_spec),
+    (_spec(regime="sub6", n_sweep=(8, 16, 32), k_ues=3, q_ues=4, slots=60, trials=3,
+           seed=5, outputs=("sumse", "pf_gap")), run_spec),
+    (_spec(regime="sub6", n_sweep=(8, 16), k_ues=3, slots=60, trials=3, seed=5,
+           iid_ues=True), _grid),
+], ids=["nlos", "sub6_pf_gap", "scheduler_grid"])
+def test_runner_rows_are_independent_of_the_worker_count(monkeypatch, spec, run):
+    """With the next point's trials running while a point's rows are built,
+    one worker, the default and one worker per trial still give equal rows."""
+    default = experiments._worker_count
+    results = []
+    for workers in (1, None, spec.trials):
+        monkeypatch.setattr(experiments, "_worker_count",
+                            default if workers is None else lambda trials, w=workers: w)
+        results.append(run(spec))
+    rows, positions = results[0]
+    assert rows
+    for other_rows, other_positions in results[1:]:
+        assert other_rows == rows
+        for got, want in zip(other_positions, positions):
+            np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("runner", ["run_spec", "run_scheduler_grid"])
+def test_runners_submit_one_point_ahead(monkeypatch, runner):
+    """Trials see at most two sweep points submitted but not yet read by the
+    runner, and each point's rows are built while the next point's trials
+    are already submitted."""
+    submitted = []          # sweep points in order of their first trial's submission
+    consumed = []           # submitted points, counted when the runner reads each
+    seen = []               # points in flight, as seen by each submission and each trial
+    lock = threading.Lock()
+
+    def in_flight():
+        return len(submitted) - len(consumed)
+
+    class Pool(ThreadPoolExecutor):
+        def submit(self, fn, spec, rng, n, *args, **kwargs):
+            with lock:
+                if (spec.q_ues, n) not in submitted:
+                    submitted.append((spec.q_ues, n))
+                seen.append(in_flight())
+            return super().submit(fn, spec, rng, n, *args, **kwargs)
+
+    real = experiments.run_trial
+
+    def run_trial(*args, **kwargs):
+        with lock:
+            seen.append(in_flight())
+        return real(*args, **kwargs)
+
+    hook = "_sumse_rows" if runner == "run_spec" else "_pf_gap"
+    real_hook = getattr(experiments, hook)
+    ahead_at_read = []
+
+    def read(*args, **kwargs):
+        with lock:
+            consumed.append(len(consumed))
+            ahead_at_read.append(in_flight())
+        return real_hook(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(experiments, "run_trial", run_trial)
+    monkeypatch.setattr(experiments, hook, read)
+    spec = _spec(n_sweep=(4, 8, 16, 32), k_ues=2, q_ues=2, slots=40, trials=3, seed=5,
+                 outputs=("sumse",))
+    if runner == "run_spec":
+        run_spec(spec, "ahead")
+    else:
+        experiments.run_scheduler_grid(spec, (2, 3), "ahead")
+    points = len(submitted)
+    assert points == len(consumed) == len(spec.n_sweep) * (1 if runner == "run_spec" else 2)
+    assert len(seen) == 2 * points * spec.trials
+    assert max(seen) == 2
+    # every point but the last is read with the next one's trials submitted
+    assert ahead_at_read == [1] * (points - 1) + [0]
 
 
 def test_a_runner_starts_one_trial_pool_for_all_its_sweep_points(monkeypatch):
@@ -268,7 +360,7 @@ def test_a_runner_starts_one_trial_pool_for_all_its_sweep_points(monkeypatch):
     assert len(pools) == 2
 
 
-def test_collect_gains_propagates_a_trial_error(monkeypatch):
+def test_sweep_gains_propagates_a_trial_error(monkeypatch):
     spec = _spec(n_sweep=(4,), k_ues=2, q_ues=2, slots=50, trials=3, seed=5)
     trial_rngs, bx, by = _sweep_point(spec, 32)
     real = experiments.run_trial
@@ -281,4 +373,39 @@ def test_collect_gains_propagates_a_trial_error(monkeypatch):
     monkeypatch.setattr(experiments, "run_trial", run_trial)
     with ThreadPoolExecutor(max_workers=spec.trials) as pool, \
             pytest.raises(ArithmeticError, match="second trial failed"):
-        experiments.collect_gains(pool, spec, 4, trial_rngs, bx, by)
+        list(experiments.sweep_gains(pool, [(spec, 4, trial_rngs, bx, by, False)]))
+
+
+def test_a_failed_point_cancels_the_next_points_unstarted_trials(monkeypatch):
+    """Point 0's trials fail while point 1's are queued behind them on one
+    worker. The error reaches the caller, and of point 1's trials at most the
+    one the worker had already picked up runs; the rest are cancelled."""
+    spec = _spec(n_sweep=(4, 8), k_ues=2, q_ues=2, slots=50, trials=3, seed=5)
+    futures = {4: [], 8: []}
+    started = []
+
+    class Pool(ThreadPoolExecutor):
+        def submit(self, fn, spec, rng, n, *args, **kwargs):
+            future = super().submit(fn, spec, rng, n, *args, **kwargs)
+            futures[n].append(future)
+            return future
+
+    def run_trial(spec, rng, n, *args, **kwargs):
+        if n == 4:
+            raise ArithmeticError("point 0 failed")
+        started.append(n)
+        # hold the worker until the caller has cancelled every queued trial
+        deadline = time.monotonic() + 10.0
+        while (time.monotonic() < deadline
+               and not all(f.running() or f.cancelled() for f in futures[8])):
+            time.sleep(0.001)
+        return None
+
+    monkeypatch.setattr(experiments, "run_trial", run_trial)
+    points = [(spec, n, *_sweep_point(spec, 40 + n), False) for n in spec.n_sweep]
+    with Pool(max_workers=1) as pool:
+        with pytest.raises(ArithmeticError, match="point 0 failed"):
+            list(experiments.sweep_gains(pool, points))
+    assert len(futures[8]) == spec.trials
+    assert len(started) <= 1
+    assert sum(f.cancelled() for f in futures[8]) == spec.trials - len(started)

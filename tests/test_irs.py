@@ -1,5 +1,7 @@
 """Reflector-control tests: optimal phases, effective channels, directional response."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -214,20 +216,30 @@ def test_unit_phase_resolves_zero_to_one():
 
 def test_unit_phase_equals_the_two_pass_form_bit_for_bit():
     """The one-division form gives the same bits as the np.where form of
-    oracles.py, planted exact zeros (of either sign) included."""
+    oracles.py, planted exact zeros (of either sign) included: into a fresh
+    array, into a caller's buffer and in place over its input, and with no
+    warning from the zero entries."""
     rng = np.random.default_rng(41)
-    for shape in [(128, 1024), (7,), (3, 5, 9)]:
-        v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        v.flat[::5] = 0.0
-        v.flat[2::11] = complex(-0.0, -0.0)
-        v.real.flat[1::7] = -0.0
-        for values in (v, v.real):
-            got, want = unit_phase(values), unit_phase_where(values)
-            assert got.dtype == want.dtype
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for shape in [(128, 1024), (7,), (3, 5, 9)]:
+            v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            v.flat[::5] = 0.0
+            v.flat[2::11] = complex(-0.0, -0.0)
+            v.real.flat[1::7] = -0.0
+            for values in (v, v.real):
+                want = unit_phase_where(values)
+                buffer = np.full_like(want, np.nan)
+                aliased = values.copy()
+                for got in (unit_phase(values), unit_phase(values, out=buffer),
+                            unit_phase(aliased, out=aliased)):
+                    assert got.dtype == want.dtype
+                    assert got.tobytes() == want.tobytes()
+                assert unit_phase(values, out=buffer) is buffer
+        for out in (None, np.full((), np.nan, dtype=complex)):
+            got, want = unit_phase(0j, out=out), unit_phase_where(0j)
+            assert got.shape == want.shape == ()
             assert got.tobytes() == want.tobytes()
-    got, want = unit_phase(0j), unit_phase_where(0j)
-    assert got.shape == want.shape == ()
-    assert got.tobytes() == want.tobytes()
 
 
 def test_response_rejects_bad_args():

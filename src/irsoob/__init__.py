@@ -18,7 +18,8 @@ Subpackage map:
     engine       vectorized Monte Carlo trials that return channel gains
                  only (sub6 and mmWave LOS OOB gains from their exact
                  reduced laws), the OOB scheduler, empirical distributions
-    experiments  presets, runners, CSV emission, run manifests
+    experiments  presets as data (spec, note, swept variants), the one sweep
+                 runner `run_spec`, CSV emission, run manifests
     cli          argparse entry point
 """
 

@@ -69,17 +69,17 @@ def main(argv=None) -> int:
         if args.command == "preset":
             figure = args.name
             spec = preset_spec(figure, dict(args.override), args.seed)
-            runner = PRESETS[figure].runner
+            variants = PRESETS[figure].variants
         else:
             figure = Path(args.spec_file).stem or "run"
             spec = load_spec(args.spec_file)
-            runner = run_spec
+            variants = ({},)
             if args.seed is not None:
                 spec = dataclasses.replace(spec, seed=args.seed)
     except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    rows, positions = runner(spec, figure, args.analytic_only)
+    rows, positions = run_spec(spec, figure, args.analytic_only, variants)
     save_run(args.out, figure, spec, rows, positions)
     print(f"{figure}: {len(rows)} rows -> {Path(args.out) / (figure + '.csv')}")
     return 0

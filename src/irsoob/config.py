@@ -18,7 +18,10 @@ from .channels import NodeGeometry, PathLossParams
 
 REGIMES = ("sub6", "mmwave_los", "mmwave_nlos")
 SCHEDULERS = ("rr", "pf", "mr")
-OUTPUT_KINDS = ("sumse", "outage", "ccdf", "dominance", "correlation_response", "pf_gap")
+OUTPUT_KINDS = ("sumse", "outage", "ccdf", "dominance", "correlation_response", "pf_gap",
+                "inband_offset")
+# outputs whose ceiling, scheduler forms or offset law are the Rayleigh ones
+SUB6_OUTPUTS = ("pf_gap", "inband_offset")
 
 GAMMA_DB_RANGE = (0.0, 200.0)  # sanity bound on transmit SNR in dB
 
@@ -57,6 +60,8 @@ class ExperimentSpec:
         for out in self.outputs:
             if out not in OUTPUT_KINDS:
                 raise ValueError(f"outputs: unknown output kind {out!r}")
+            if out in SUB6_OUTPUTS and self.regime != "sub6":
+                raise ValueError(f"outputs: {out!r} needs regime 'sub6', got {self.regime!r}")
         if not self.n_sweep or not self.gamma_db_sweep:
             raise ValueError("n_sweep and gamma_db_sweep must be non-empty")
         if any(n < 0 for n in self.n_sweep):

@@ -1,10 +1,11 @@
 """Preset experiments and their CSV / manifest outputs.
 
-Each preset pairs a default ExperimentSpec with a runner that produces
-ResultRow records: a statistic name, its sweep coordinates, and empirical /
-analytic / stderr values. Rows are written as one CSV per figure plus a
-manifest recording the spec hash, seed, package versions, and the UE
-placement, so a run can be reproduced or compared byte for byte.
+Each preset is data: a default ExperimentSpec, a note, and the spec variants
+it sweeps. One runner, `run_spec`, turns any of them into ResultRow records:
+a statistic name, its sweep coordinates, and empirical / analytic / stderr
+values. Rows are written as one CSV per figure plus a manifest recording the
+spec hash, seed, package versions, and the UE placement, so a run can be
+reproduced or compared byte for byte.
 
 Preset defaults are sized for a laptop (a few thousand slots, a handful of
 trials). Scaling up is a matter of overriding `slots` and `trials`; the model
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import analytics
 from .analytics import AnalyticParams
-from .config import ExperimentSpec, spec_hash, spec_to_dict
+from .config import SCHEDULERS, ExperimentSpec, spec_hash, spec_to_dict
 from .engine import (TrialData, budgets_for, dominance_test, empirical_ccdf,
                      empirical_outage, inband_gain_samples_sub6, run_trial, schedule_rates,
                      spawn_rngs)
@@ -117,6 +118,8 @@ def write_manifest(path, figure: str, spec: ExperimentSpec, positions) -> None:
 # ---------------------------------------------------------------------------
 # shared machinery
 
+_GRID_POINTS = 21       # x points of the gain CCDF and dominance grids
+
 _SUMSE_FORMS = {
     ("sub6", "inband"): analytics.sumse_inband_sub6,
     ("sub6", "oob"): analytics.sumse_oob_sub6,
@@ -145,7 +148,7 @@ def operator_params(spec: ExperimentSpec, budget, n_elements: int,
 
 
 def _worker_count(trials: int) -> int:
-    """Threads of a runner's trial pool: one per usable CPU, at most one per trial."""
+    """Threads of a run's trial pool: one per usable CPU, at most one per trial."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
@@ -173,12 +176,12 @@ def sweep_gains(pool: ThreadPoolExecutor, points):
     The trials run on `pool` (numpy's draws, ufuncs and FFTs release the
     GIL). Before point i's gains are yielded, point i+1's trials are
     submitted, so the workers run them while the caller builds point i's
-    rows; no point runs further ahead than that. A runner hands one pool to
-    all of its points, so its threads start once per run. Each trial reads
-    only its own generator and the engine's chunk widths depend on (Q, N)
-    alone, so the gains do not depend on the worker count. A trial's error
-    is raised when its point is reached, and the trials that have not
-    started yet are cancelled.
+    rows; no point runs further ahead than that. `run_spec` hands one pool
+    to all of its points, variants included, so its threads start once per
+    run. Each trial reads only its own generator and the engine's chunk
+    widths depend on (Q, N) alone, so the gains do not depend on the worker
+    count. A trial's error is raised when its point is reached, and the
+    trials that have not started yet are cancelled.
     """
     pending = []    # each submitted point's futures, oldest first
     try:
@@ -229,71 +232,108 @@ def _pf_gap(bf_gain: np.ndarray, snr: float, pf_se: np.ndarray) -> np.ndarray:
     return np.log2(1.0 + bf_gain * snr).mean(axis=(1, 2)) - pf_se
 
 
-def _ccdf_grid_mmwave(params: AnalyticParams, ue: int, points: int) -> np.ndarray:
+def _ccdf_grid_mmwave(params: AnalyticParams) -> np.ndarray:
     # spans the direct-path floor up to a few times the fully aligned gain
-    beta_d = float(params.beta_d[ue])
+    beta_d = float(params.beta_d[0])
     n = params.n_elements
     l_bar = max(params.l_bar, 1)
-    hi = 3.0 * (n * n / l_bar * float(params.beta_r[ue]) + beta_d)
-    return np.geomspace(1e-2 * beta_d, hi, points)
+    hi = 3.0 * (n * n / l_bar * float(params.beta_r[0]) + beta_d)
+    return np.geomspace(1e-2 * beta_d, hi, _GRID_POINTS)
 
 
 # ---------------------------------------------------------------------------
-# the generic sweep runner
+# the sweep runner
 
-# the outputs computed from the trials' gains; correlation_response draws its own
+# the outputs computed from the trials' gains; correlation_response and
+# inband_offset draw from each point's auxiliary generator instead
 _GAIN_OUTPUTS = frozenset({"sumse", "outage", "ccdf", "dominance", "pf_gap"})
+_Q_SEED_STRIDE = 7919   # a variant that sets q_ues draws from seed + 7919·Q
 
 
 def run_spec(spec: ExperimentSpec, figure: str = "run", analytic_only: bool = False,
-             rho_oob: float | None = None, rho_inband: float | None = None,
-             grid_points: int = 21):
-    """Run one spec over its sweeps and produce rows for each requested output.
+             variants=({},)):
+    """Run one spec over its variants and sweeps and produce rows for each requested output.
 
-    Scheduling here is round-robin (the scheduler comparisons have their own
-    runner). Each element-count sweep point gets its own generator children,
-    so results at one point do not depend on which others were run.
+    `variants` holds spec field overrides, one dict per sub-run; the presets
+    sweep l2 and q_ues this way. A variant that sets q_ues draws from
+    seed + 7919·Q, so each OOB population keeps its own stream; the others
+    draw from the spec's seed. Each (variant, element count) sweep point gets
+    its own trials + 1 generator children, the last of them auxiliary, so
+    results at one point do not depend on which others were run. Every
+    point goes to one `sweep_gains` call on one pool, so the trials run one
+    point ahead across variant boundaries too.
 
-    Returns (rows, ue_positions). With analytic_only, simulation is skipped
-    and the empirical/stderr columns stay blank; grids and placements are
-    identical to a full run. Trials run only when an output reads their gains.
+    Returns (rows, ue_positions of the last variant). With analytic_only,
+    simulation is skipped and the empirical/stderr columns stay blank; grids
+    and placements are identical to a full run. Trials run only when an
+    output reads their gains.
     """
-    rngs = spawn_rngs(spec.seed, 1 + len(spec.n_sweep) * (spec.trials + 1))
-    positions, budget_x, budget_y = budgets_for(spec, rngs[0], None)
-    mm = spec.regime != "sub6"
-    l_tag = spec.l1 * spec.l2 if mm else None
+    points = []     # (spec, N, trial generators, auxiliary generator, budget_x, budget_y)
+    for variant in variants:
+        sub = dataclasses.replace(spec, **variant)
+        if "q_ues" in variant:
+            sub = dataclasses.replace(sub, seed=spec.seed + _Q_SEED_STRIDE * sub.q_ues)
+        per_point = sub.trials + 1
+        rngs = spawn_rngs(sub.seed, 1 + len(sub.n_sweep) * per_point)
+        positions, budget_x, budget_y = budgets_for(sub, rngs[0], None)
+        for i, n in enumerate(sub.n_sweep):
+            block = rngs[1 + i * per_point: 1 + (i + 1) * per_point]
+            points.append((sub, n, block[:-1], block[-1], budget_x, budget_y))
     simulate = not analytic_only and not _GAIN_OUTPUTS.isdisjoint(spec.outputs)
+    want_bf = "pf_gap" in spec.outputs
     rows: list[ResultRow] = []
-
-    blocks = [rngs[1 + i * (spec.trials + 1): 1 + (i + 1) * (spec.trials + 1)]
-              for i in range(len(spec.n_sweep))]
-    want_bf = "pf_gap" in spec.outputs and spec.regime == "sub6"
 
     with ThreadPoolExecutor(max_workers=_worker_count(spec.trials)) as pool:
         gains = itertools.repeat(None)
         if simulate:
-            gains = sweep_gains(pool, [(spec, n, block[:-1], budget_x, budget_y, want_bf)
-                                       for n, block in zip(spec.n_sweep, blocks)])
-        for n, block, data in zip(spec.n_sweep, blocks, gains):
-            aux_rng = block[-1]
-            params_x = operator_params(spec, budget_x, n, 1.0, "inband")
-            params_y = operator_params(spec, budget_y, n, 1.0, "oob")
-
-            if "sumse" in spec.outputs:
-                rows += _sumse_rows(spec, figure, n, l_tag, data, budget_x, budget_y)
-            if "outage" in spec.outputs:
-                rows += _outage_rows(spec, figure, n, l_tag, data, params_x, params_y,
-                                     aux_rng, rho_oob, rho_inband)
-            if "ccdf" in spec.outputs:
-                rows += _ccdf_rows(spec, figure, n, l_tag, data, params_y, grid_points)
-            if "dominance" in spec.outputs and data is not None and n > 0:
-                rows.append(_dominance_row(spec, figure, n, l_tag, data, params_y,
-                                           grid_points))
-            if "pf_gap" in spec.outputs and not analytic_only:
-                rows += _pf_gap_rows(spec, figure, n, l_tag, data)
-            if "correlation_response" in spec.outputs and not analytic_only and mm:
-                rows += _response_rows(spec, figure, n, l_tag, aux_rng)
+            gains = sweep_gains(pool, [(sub, n, trial_rngs, budget_x, budget_y, want_bf)
+                                       for sub, n, trial_rngs, _, budget_x, budget_y in points])
+        for (sub, n, _, aux_rng, budget_x, budget_y), data in zip(points, gains):
+            rows += _point_rows(sub, figure, n, data, aux_rng, budget_x, budget_y,
+                                analytic_only)
     return rows, positions
+
+
+def _point_rows(spec, figure, n, data, aux_rng, budget_x, budget_y, analytic_only):
+    """Every requested output's rows at one sweep point."""
+    l_tag = spec.l1 * spec.l2 if spec.regime != "sub6" else None
+    params_x = operator_params(spec, budget_x, n, 1.0, "inband")
+    params_y = operator_params(spec, budget_y, n, 1.0, "oob")
+    # the served in-band UE's (gain, direct gain), one draw for both outputs that read it
+    inband = None
+    if not analytic_only and ("inband_offset" in spec.outputs or (
+            "outage" in spec.outputs and spec.regime == "sub6" and n > 0)):
+        inband = inband_gain_samples_sub6(aux_rng, n, float(params_x.beta_r[0]),
+                                          float(params_x.beta_d[0]),
+                                          spec.slots * spec.trials)
+    rows = []
+    if "sumse" in spec.outputs:
+        rows += _sumse_rows(spec, figure, n, l_tag, data, budget_x, budget_y)
+    if "outage" in spec.outputs:
+        rows += _outage_rows(spec, figure, n, l_tag, data, params_x, params_y, inband)
+    if "ccdf" in spec.outputs:
+        rows += _ccdf_rows(spec, figure, n, l_tag, data, params_y)
+    if "dominance" in spec.outputs and data is not None and n > 0:
+        rows.append(_dominance_row(figure, n, l_tag, data, params_y))
+    if "pf_gap" in spec.outputs:
+        rows += _pf_gap_rows(spec, figure, n, data, budget_y)
+    if "inband_offset" in spec.outputs:
+        rows += _inband_offset_rows(spec, figure, n, params_x, inband)
+    if "correlation_response" in spec.outputs and not analytic_only and l_tag is not None:
+        rows += _response_rows(spec, figure, n, l_tag, aux_rng)
+    return rows
+
+
+def _oob_form(spec, scheduler, params):
+    """The OOB sum-SE closed form under one scheduler, or None where there is none.
+
+    Max-rate over a single UE is round-robin, so it takes the rr form.
+    """
+    if scheduler == "rr" or (scheduler == "mr" and spec.q_ues == 1):
+        return float(_SUMSE_FORMS[(spec.regime, "oob")](params))
+    if scheduler == "mr" and spec.regime == "sub6":
+        return float(analytics.mr_asymptotic_se(spec.q_ues, params))
+    return None
 
 
 def _sumse_rows(spec, figure, n, l_tag, data, budget_x, budget_y):
@@ -302,14 +342,11 @@ def _sumse_rows(spec, figure, n, l_tag, data, budget_x, budget_y):
         snr = float(db_to_linear(gamma))
         for side, budget in (("inband", budget_x), ("oob", budget_y)):
             params = operator_params(spec, budget, n, snr, side)
-            # in-band scheduling is always round-robin; the OOB closed form
-            # depends on which scheduler the spec asked for
-            if side == "inband" or spec.scheduler == "rr":
+            # in-band scheduling is always round-robin; the OOB side uses the spec's scheduler
+            if side == "inband":
                 analytic = float(_SUMSE_FORMS[(spec.regime, side)](params))
-            elif spec.scheduler == "mr" and spec.regime == "sub6" and spec.q_ues > 1:
-                analytic = float(analytics.mr_asymptotic_se(spec.q_ues, params))
             else:
-                analytic = None
+                analytic = _oob_form(spec, spec.scheduler, params)
             emp = err = None
             if data is not None:
                 if side == "inband":
@@ -325,12 +362,11 @@ def _sumse_rows(spec, figure, n, l_tag, data, budget_x, budget_y):
     return rows
 
 
-def _outage_rows(spec, figure, n, l_tag, data, params_x, params_y,
-                 aux_rng, rho_oob, rho_inband):
+def _outage_rows(spec, figure, n, l_tag, data, params_x, params_y, inband):
     rows = []
     ref_n = 64 if 64 in spec.n_sweep else spec.n_sweep[-1]
     ref = dataclasses.replace(params_y, n_elements=max(ref_n, 1))
-    rho = rho_oob if rho_oob is not None else 0.1 * analytics._mu1(ref, 0)
+    rho = 0.1 * analytics._mu1(ref, 0)
     if spec.regime == "sub6":
         analytic = float(analytics.outage_oob_sub6(rho, params_y)) if n > 0 else \
             float(1.0 - math.exp(-rho / params_y.beta_d[0]))
@@ -347,15 +383,11 @@ def _outage_rows(spec, figure, n, l_tag, data, params_x, params_y,
                           empirical=emp, analytic=analytic, stderr=err))
 
     if spec.regime == "sub6" and n > 0:
-        beta_r0 = float(params_x.beta_r[0])
-        rho_ib = rho_inband if rho_inband is not None else (math.pi ** 2 / 16.0) * beta_r0
+        rho_ib = (math.pi ** 2 / 16.0) * float(params_x.beta_r[0])
         emp = err = None
-        if data is not None:
-            count = spec.slots * spec.trials
-            gain, _ = inband_gain_samples_sub6(aux_rng, n, beta_r0,
-                                               float(params_x.beta_d[0]), count)
-            emp = float(empirical_outage(gain, rho_ib))
-            err = _binom_err(emp, count)
+        if inband is not None:
+            emp = float(empirical_outage(inband[0], rho_ib))
+            err = _binom_err(emp, inband[0].size)
         rows.append(ResultRow(figure, "outage_inband", n_elements=n, x=rho_ib,
                               empirical=emp, analytic=None, stderr=err))
         bound = float(analytics.inband_outage_bound(rho_ib, params_x))
@@ -364,13 +396,13 @@ def _outage_rows(spec, figure, n, l_tag, data, params_x, params_y,
     return rows
 
 
-def _ccdf_rows(spec, figure, n, l_tag, data, params_y, grid_points):
+def _ccdf_rows(spec, figure, n, l_tag, data, params_y):
     rows = []
     beta_d0 = float(params_y.beta_d[0])
     count = spec.slots * spec.trials
     if n == 0:
         # no reflector: the plain direct-path gain distribution
-        p_grid = np.linspace(0.995, 0.005, grid_points)
+        p_grid = np.linspace(0.995, 0.005, _GRID_POINTS)
         grid = -beta_d0 * np.log(p_grid)
         emp = empirical_ccdf(data.gain_noirs[:, :, 0], grid) if data is not None else None
         for j, x in enumerate(grid):
@@ -381,7 +413,7 @@ def _ccdf_rows(spec, figure, n, l_tag, data, params_y, grid_points):
         return rows
 
     if spec.regime == "sub6":
-        p_grid = np.linspace(0.995, 0.005, grid_points)
+        p_grid = np.linspace(0.995, 0.005, _GRID_POINTS)
         grid = np.array([_invert_offset_ccdf(p, params_y) for p in p_grid])
         analytic = analytics.ccdf_offset_sub6_finite_n(grid, params_y)
         samples = None
@@ -389,7 +421,7 @@ def _ccdf_rows(spec, figure, n, l_tag, data, params_y, grid_points):
             samples = (data.gain_irs[:, :, 0] - data.gain_noirs[:, :, 0]).ravel()
         stat = "offset_ccdf"
     else:
-        grid = _ccdf_grid_mmwave(params_y, 0, grid_points)
+        grid = _ccdf_grid_mmwave(params_y)
         if spec.regime == "mmwave_los":
             analytic = 1.0 - analytics.cdf_oob_mmwave_los(grid, params_y)
         else:
@@ -406,25 +438,65 @@ def _ccdf_rows(spec, figure, n, l_tag, data, params_y, grid_points):
     return rows
 
 
-def _dominance_row(spec, figure, n, l_tag, data, params_y, grid_points):
+def _dominance_row(figure, n, l_tag, data, params_y):
     beta_d0 = float(params_y.beta_d[0])
-    grid = np.geomspace(1e-2 * beta_d0, 10.0 * analytics._mu1(params_y, 0), grid_points)
+    grid = np.geomspace(1e-2 * beta_d0, 10.0 * analytics._mu1(params_y, 0), _GRID_POINTS)
     report = dominance_test(data.gain_irs[:, :, 0], data.gain_noirs[:, :, 0], grid)
     return ResultRow(figure, "dominance_min_diff", n_elements=n, l_paths=l_tag,
                      empirical=report.min_diff, analytic=None, stderr=report.eps_stat)
 
 
-def _pf_gap_rows(spec, figure, n, l_tag, data):
-    if spec.regime != "sub6" or data.bf_gain is None:
-        return []
+def _pf_gap_rows(spec, figure, n, data, budget_y):
+    """OOB SE under rr, pf and mr on the point's one set of gains, and PF's gap to the ceiling.
+
+    All three schedulers serve the same gains, so their differences are not
+    masked by sampling noise. The gap is the per-UE matched-reflector SE
+    ceiling minus the PF-served SE. Without gains (analytic only) only the
+    rows that have a closed form are written.
+    """
     rows = []
     for gamma in spec.gamma_db_sweep:
         snr = float(db_to_linear(gamma))
-        pf_se = _served_se(np.log2(1.0 + data.gain_irs * snr), "pf", spec.pf_tau)
-        emp, err = _mean_and_stderr(_pf_gap(data.bf_gain, snr, pf_se))
-        rows.append(ResultRow(figure, "pf_gap", scheduler="pf", n_elements=n,
-                              gamma_db=gamma, l_paths=l_tag, q_ues=spec.q_ues,
-                              empirical=emp, analytic=None, stderr=err))
+        params = operator_params(spec, budget_y, n, snr, "oob")
+        rates = None if data is None else np.log2(1.0 + data.gain_irs * snr)
+        for sched in SCHEDULERS:
+            analytic = _oob_form(spec, sched, params)
+            if rates is None:
+                if analytic is not None:
+                    rows.append(ResultRow(figure, "sumse_oob", scheduler=sched, n_elements=n,
+                                          gamma_db=gamma, q_ues=spec.q_ues, analytic=analytic))
+                continue
+            served = _served_se(rates, sched, spec.pf_tau)
+            emp, err = _mean_and_stderr(served)
+            rows.append(ResultRow(figure, "sumse_oob", scheduler=sched, n_elements=n,
+                                  gamma_db=gamma, q_ues=spec.q_ues,
+                                  empirical=emp, analytic=analytic, stderr=err))
+            if sched == "pf":
+                emp, err = _mean_and_stderr(_pf_gap(data.bf_gain, snr, served))
+                rows.append(ResultRow(figure, "pf_gap", scheduler="pf", n_elements=n,
+                                      gamma_db=gamma, q_ues=spec.q_ues,
+                                      empirical=emp, analytic=None, stderr=err))
+    return rows
+
+
+def _inband_offset_rows(spec, figure, n, params_x, inband):
+    """The served in-band UE's gain offset CCDF against its closed-form lower bound."""
+    beta_d0 = float(params_x.beta_d[0])
+    bp = analytics.DecayBoundParams.from_params(params_x)
+    # invert the bound so the grid tracks its transition region
+    base = (0.5 * math.log((beta_d0 + bp.alpha) / beta_d0)
+            + bp.eta ** 2 / (beta_d0 + bp.alpha))
+    grid = np.array([beta_d0 * (math.log(1.0 - p) + base)
+                     for p in np.linspace(0.95, 0.05, 10)])
+    bound = analytics.inband_offset_ccdf_bound(grid, params_x)
+    emp = None if inband is None else empirical_ccdf(inband[0] - inband[1], grid)
+    count = spec.slots * spec.trials
+    rows = []
+    for j, rho in enumerate(grid):
+        e = None if emp is None else float(emp[j])
+        rows.append(ResultRow(figure, "offset_ccdf_inband", n_elements=n, x=float(rho),
+                              empirical=e, analytic=float(bound[j]),
+                              stderr=None if e is None else _binom_err(e, count)))
     return rows
 
 
@@ -451,101 +523,6 @@ def _response_rows(spec, figure, n, l_tag, aux_rng):
 
 
 # ---------------------------------------------------------------------------
-# scheduler comparison runner (OOB SE and PF gap vs Q and N)
-
-def run_scheduler_grid(spec: ExperimentSpec, q_list, figure: str,
-                       analytic_only: bool = False):
-    """OOB spectral efficiency under rr/pf/mr on shared channel realizations.
-
-    For each (Q, N) cell, one set of trials is scheduled three ways, so
-    scheduler differences are not masked by sampling noise. Also reports the
-    gap between the per-UE aligned-reflector ceiling and the PF rate. The
-    ceiling and the closed forms are the Rayleigh ones, so only the sub6
-    regime is accepted.
-    """
-    if spec.regime != "sub6":
-        raise ValueError(f"the scheduler comparison needs regime 'sub6', got {spec.regime!r}")
-    gamma = spec.gamma_db_sweep[0]
-    snr = float(db_to_linear(gamma))
-    cells = []     # sweep points, Q-major
-    positions = None
-    for q_ues in q_list:
-        spec_q = dataclasses.replace(spec, q_ues=int(q_ues))
-        rngs = spawn_rngs(spec.seed + 7919 * int(q_ues), 1 + len(spec.n_sweep) * spec.trials)
-        positions, budget_x, budget_y = budgets_for(spec_q, rngs[0], None)
-        cells += [(spec_q, n, rngs[1 + i * spec.trials: 1 + (i + 1) * spec.trials],
-                   budget_x, budget_y, True) for i, n in enumerate(spec.n_sweep)]
-
-    rows: list[ResultRow] = []
-    with ThreadPoolExecutor(max_workers=_worker_count(spec.trials)) as pool:
-        gains = itertools.repeat(None) if analytic_only else sweep_gains(pool, cells)
-        for (spec_q, n, _, _, budget_y, _), data in zip(cells, gains):
-            q_ues = spec_q.q_ues
-            params_y = operator_params(spec_q, budget_y, n, snr, "oob")
-            analytic = {
-                "rr": float(analytics.sumse_oob_sub6(params_y)),
-                "mr": float(analytics.mr_asymptotic_se(q_ues, params_y))
-                      if q_ues > 1 else float(analytics.sumse_oob_sub6(params_y)),
-                "pf": None,
-            }
-            if data is None:
-                for sched in ("rr", "mr"):
-                    rows.append(ResultRow(figure, "sumse_oob", scheduler=sched,
-                                          n_elements=n, gamma_db=gamma, q_ues=q_ues,
-                                          empirical=None, analytic=analytic[sched],
-                                          stderr=None))
-                continue
-            rates = np.log2(1.0 + data.gain_irs * snr)
-            per_sched = {sched: _served_se(rates, sched, spec.pf_tau)
-                         for sched in ("rr", "pf", "mr")}
-            for sched, vals in per_sched.items():
-                emp, err = _mean_and_stderr(vals)
-                rows.append(ResultRow(figure, "sumse_oob", scheduler=sched,
-                                      n_elements=n, gamma_db=gamma, q_ues=q_ues,
-                                      empirical=emp, analytic=analytic[sched], stderr=err))
-            emp, err = _mean_and_stderr(_pf_gap(data.bf_gain, snr, per_sched["pf"]))
-            rows.append(ResultRow(figure, "pf_gap", scheduler="pf", n_elements=n,
-                                  gamma_db=gamma, q_ues=q_ues,
-                                  empirical=emp, analytic=None, stderr=err))
-    return rows, positions
-
-
-# ---------------------------------------------------------------------------
-# in-band offset tail bound (its own runner: needs the split gain samples)
-
-def run_inband_offset(spec: ExperimentSpec, figure: str, analytic_only: bool = False):
-    """Empirical in-band offset CCDF against its closed-form lower bound."""
-    rngs = spawn_rngs(spec.seed, 1 + len(spec.n_sweep))
-    positions, budget_x, _ = budgets_for(spec, rngs[0], None)
-    beta_r0 = float(budget_x.beta_r[0])
-    beta_d0 = float(budget_x.beta_d[0])
-    rows: list[ResultRow] = []
-    count = spec.slots * spec.trials
-    for i, n in enumerate(spec.n_sweep):
-        params = AnalyticParams(n_elements=n, tx_snr=1.0, beta_r=beta_r0,
-                                beta_d=beta_d0)
-        bp = analytics.DecayBoundParams.from_params(params)
-        # invert the bound so the grid tracks its transition region
-        base = (0.5 * math.log((beta_d0 + bp.alpha) / beta_d0)
-                + bp.eta ** 2 / (beta_d0 + bp.alpha))
-        grid = np.array([beta_d0 * (math.log(1.0 - p) + base)
-                         for p in np.linspace(0.95, 0.05, 10)])
-        bound = analytics.inband_offset_ccdf_bound(grid, params)
-        emp = None
-        if not analytic_only:
-            gain, gain_direct = inband_gain_samples_sub6(rngs[1 + i], n, beta_r0,
-                                                         beta_d0, count)
-            emp = empirical_ccdf(gain - gain_direct, grid)
-        for j, rho in enumerate(grid):
-            e = None if emp is None else float(emp[j])
-            rows.append(ResultRow(figure, "offset_ccdf_inband", n_elements=n,
-                                  x=float(rho), empirical=e,
-                                  analytic=float(bound[j]),
-                                  stderr=None if e is None else _binom_err(e, count)))
-    return rows, positions
-
-
-# ---------------------------------------------------------------------------
 # presets
 
 _MMWAVE_LOSS = {"c0_db": -60.0}
@@ -560,32 +537,11 @@ def _spec(**kwargs) -> ExperimentSpec:
 
 @dataclass(frozen=True)
 class Preset:
+    """A figure: its default spec, a one-line note, and the spec variants it sweeps."""
+
     spec: ExperimentSpec
-    runner: object
     note: str
-
-
-def _runner_spec(**extra):
-    def run(spec, figure, analytic_only):
-        return run_spec(spec, figure, analytic_only, **extra)
-    return run
-
-
-def _runner_multi_l(l2_list):
-    def run(spec, figure, analytic_only):
-        rows, positions = [], None
-        for l2 in l2_list:
-            sub = dataclasses.replace(spec, l2=int(l2))
-            r, positions = run_spec(sub, figure, analytic_only)
-            rows += r
-        return rows, positions
-    return run
-
-
-def _runner_sched(q_list):
-    def run(spec, figure, analytic_only):
-        return run_scheduler_grid(spec, q_list, figure, analytic_only)
-    return run
+    variants: tuple[dict, ...] = ({},)
 
 
 PRESETS: dict[str, Preset] = {
@@ -593,60 +549,54 @@ PRESETS: dict[str, Preset] = {
         _spec(regime="sub6", n_sweep=(64,),
               gamma_db_sweep=(110.0, 120.0, 130.0, 140.0, 150.0, 160.0),
               slots=2000, trials=3, seed=3, outputs=("sumse",)),
-        _runner_spec(),
         "sum-SE of both operators vs transmit SNR, Rayleigh fading"),
     "fig4": Preset(
         _spec(regime="sub6", n_sweep=(64, 128, 256, 512), gamma_db_sweep=(150.0,),
               slots=2000, trials=3, seed=4, outputs=("sumse",)),
-        _runner_spec(),
         "sum-SE vs element count at high SNR; slopes 2 (in-band) and 1 (OOB)"),
     "fig5": Preset(
         _spec(regime="sub6", n_sweep=(0, 4, 16, 64), gamma_db_sweep=(130.0,),
               slots=5000, trials=4, seed=5, outputs=("ccdf", "dominance")),
-        _runner_spec(),
         "CCDF of the OOB gain offset; reflector-free gain as reference"),
     "fig6": Preset(
         _spec(regime="sub6", n_sweep=(2, 4, 6, 8, 16, 32, 64, 128),
               gamma_db_sweep=(130.0,), slots=5000, trials=4, seed=6,
               outputs=("outage",)),
-        _runner_spec(),
         "outage of both operators vs element count"),
     "fig7": Preset(
         _spec(regime="sub6", n_sweep=(8, 16, 32), gamma_db_sweep=(130.0,),
-              slots=5000, trials=4, seed=7, outputs=("ccdf",)),
-        run_inband_offset,
+              slots=5000, trials=4, seed=7, outputs=("inband_offset",)),
         "in-band offset CCDF against its closed-form lower bound"),
     "fig8": Preset(
         _spec(regime="mmwave_los", path_loss=dict(_MMWAVE_LOSS),
               n_sweep=(4, 8, 16, 32, 64, 128, 256),
               gamma_db_sweep=(150.0, 200.0),
               l1=1, l2=8, slots=2000, trials=3, seed=8, outputs=("sumse",)),
-        _runner_spec(),
         "sparse single-path regime: sum-SE of both operators vs element count"),
     "fig9": Preset(
         _spec(regime="mmwave_nlos", path_loss=dict(_MMWAVE_LOSS),
               n_sweep=(4, 8, 16, 32, 64, 128, 256, 512, 1024),
               gamma_db_sweep=(200.0,), l1=1, l2=4, slots=1000, trials=2, seed=9,
               outputs=("sumse",)),
-        _runner_multi_l((4, 8)),
-        "sparse multipath regime: sum-SE vs element count for two path counts"),
+        "sparse multipath regime: sum-SE vs element count for two path counts",
+        ({"l2": 4}, {"l2": 8})),
     "fig10": Preset(
         _spec(regime="mmwave_los", path_loss=dict(_MMWAVE_LOSS),
               n_sweep=(64,), gamma_db_sweep=(200.0,),
               l1=1, l2=5, slots=5000, trials=4, seed=10,
               outputs=("ccdf", "dominance")),
-        _runner_multi_l((5, 20, 50)),
-        "sparse regime gain CCDFs for several OOB path counts"),
+        "sparse regime gain CCDFs for several OOB path counts",
+        ({"l2": 5}, {"l2": 20}, {"l2": 50})),
     "fig11": Preset(
         _spec(regime="sub6", n_sweep=(4, 16), gamma_db_sweep=(130.0,),
-              slots=5000, trials=4, seed=11, iid_ues=True, outputs=("sumse",)),
-        _runner_sched((1, 10, 100)),
-        "OOB SE under rr/pf/mr vs OOB population size"),
+              slots=5000, trials=4, seed=11, iid_ues=True, outputs=("pf_gap",)),
+        "OOB SE under rr/pf/mr vs OOB population size",
+        ({"q_ues": 1}, {"q_ues": 10}, {"q_ues": 100})),
     "fig12": Preset(
         _spec(regime="sub6", n_sweep=(64, 128, 256, 512), gamma_db_sweep=(150.0,),
-              slots=2000, trials=4, seed=12, iid_ues=True, outputs=("sumse",)),
-        _runner_sched((10, 100)),
-        "OOB SE under rr/pf/mr vs element count"),
+              slots=2000, trials=4, seed=12, iid_ues=True, outputs=("pf_gap",)),
+        "OOB SE under rr/pf/mr vs element count",
+        ({"q_ues": 10}, {"q_ues": 100})),
 }
 
 
@@ -688,7 +638,7 @@ def run_preset(name: str, overrides: dict | None = None, seed: int | None = None
                out_dir=None, analytic_only: bool = False) -> list[ResultRow]:
     """Run one figure preset, optionally writing its CSV and manifest entry."""
     spec = preset_spec(name, overrides, seed)
-    rows, positions = PRESETS[name].runner(spec, name, analytic_only)
+    rows, positions = run_spec(spec, name, analytic_only, PRESETS[name].variants)
     if out_dir is not None:
         save_run(out_dir, name, spec, rows, positions)
     return rows

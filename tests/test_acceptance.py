@@ -16,7 +16,7 @@ from irsoob.analytics import AnalyticParams
 from irsoob.config import ExperimentSpec
 from irsoob.engine import (budgets_for, dominance_test, inband_gain_samples_sub6,
                            mmwave_nlos_trial, spawn_rngs, sub6_trial)
-from irsoob.experiments import operator_params, run_preset, run_scheduler_grid, _spec
+from irsoob.experiments import operator_params, run_preset, run_spec, _spec
 from irsoob.irs import correlation_response
 from irsoob.kernels import db_to_linear
 from oracles import oob_gain_samples, spectral_efficiency
@@ -308,15 +308,15 @@ def test_c10_max_rate_asymptote_and_slope():
 
 
 def test_c11_pf_gap_shrinks_with_population():
-    """PF gap to the matched-reflector ceiling, from fig11's runner at 130 dB
+    """PF gap to the matched-reflector ceiling, from fig11's Q sweep at 130 dB
     (one trial of 3000 slots, tau=1e3): monotone non-increasing over Q in
     {1, 10, 100} at N=4, positive at Q=1 and within 0.01 of zero at Q=10
     (selection diversity closes it; at Q=100 it may go below zero once the
     scheduling gain beats the per-UE mean). N=16 leaves a gap above 0.1 at
     Q=100, larger than N=4's."""
     spec = ExperimentSpec(n_sweep=(4, 16), gamma_db_sweep=(130.0,), slots=3000, trials=1,
-                          seed=90, pf_tau=1000.0)
-    rows, _ = run_scheduler_grid(spec, (1, 10, 100), "c11")
+                          seed=90, pf_tau=1000.0, outputs=("pf_gap",))
+    rows, _ = run_spec(spec, "c11", variants=({"q_ues": 1}, {"q_ues": 10}, {"q_ues": 100}))
     gap = {(r.q_ues, r.n_elements): r.empirical for r in rows if r.statistic == "pf_gap"}
     gaps = [gap[(q, 4)] for q in (1, 10, 100)]
     gap16 = gap[(100, 16)]

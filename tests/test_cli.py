@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import irsoob.experiments as experiments
 from irsoob.cli import main
 
 
@@ -78,11 +79,27 @@ def test_preset_reports_bad_override(tmp_path, capsys, preset, override):
     assert not out.exists()
 
 
-def test_preset_errors_past_spec_resolution_propagate(tmp_path):
-    # the spec is valid; the scheduler comparison runner then refuses its regime
-    with pytest.raises(ValueError, match="needs regime 'sub6'"):
-        main(["preset", "fig11", "--override", "regime=mmwave_los", "--analytic-only",
+def test_preset_errors_past_spec_resolution_propagate(tmp_path, monkeypatch):
+    # the spec is valid; a trial then fails, and that is no usage error
+    def fail(*args, **kwargs):
+        raise ArithmeticError("trial failed")
+
+    monkeypatch.setattr(experiments, "run_trial", fail)
+    with pytest.raises(ArithmeticError, match="trial failed"):
+        main(["preset", "fig3", "--override", "slots=50", "--override", "trials=2",
               "--out", str(tmp_path)])
+
+
+def test_run_rejects_pf_gap_outside_sub6(tmp_path, capsys):
+    # the PF ceiling and the scheduler forms are Rayleigh ones; the spec refuses
+    # the output before any trial runs
+    spec = tmp_path / "mm.json"
+    spec.write_text(json.dumps({"regime": "mmwave_los", "l2": 4, "outputs": ["pf_gap"]}),
+                    encoding="utf-8")
+    out = tmp_path / "r"
+    assert main(["run", str(spec), "--out", str(out)]) == 2
+    assert "needs regime 'sub6'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_override_requires_key_value_shape():

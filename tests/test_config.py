@@ -119,6 +119,14 @@ def test_assorted_field_validation():
         ExperimentSpec(pf_tau=0.5)
 
 
+@pytest.mark.parametrize("output", ["pf_gap", "inband_offset"])
+def test_rayleigh_only_outputs_need_sub6(output):
+    for regime in ("mmwave_los", "mmwave_nlos"):
+        with pytest.raises(ValueError, match=f"'{output}' needs regime 'sub6'"):
+            ExperimentSpec(regime=regime, n_sweep=(16,), outputs=("sumse", output))
+    assert ExperimentSpec(outputs=(output,)).outputs == (output,)
+
+
 def test_spec_hash_stable_and_sensitive(tmp_path):
     a = ExperimentSpec()
     b = load_spec(write(tmp_path, "{}"))

@@ -14,12 +14,14 @@ import irsoob.experiments as experiments
 from irsoob.config import ExperimentSpec, spec_hash
 from irsoob.engine import budgets_for, spawn_rngs
 from irsoob.experiments import (CSV_COLUMNS, PRESETS, ResultRow, emit_csv, list_presets,
-                                operator_params, run_preset, run_spec, _spec)
+                                operator_params, preset_spec, run_preset, run_spec, _spec)
 from irsoob.kernels import resolvable_angles
 from oracles import oob_gain_samples
 
 # enough slots for a smoke run, small enough to keep the suite fast
 FAST = {"slots": 200, "trials": 2}
+# two OOB populations, swept the way fig11 and fig12 sweep theirs
+Q_SWEEP = ({"q_ues": 2}, {"q_ues": 3})
 
 
 def read_lines(path):
@@ -68,8 +70,9 @@ def test_unknown_preset_and_bad_override():
         run_preset("fig99")
     with pytest.raises(ValueError, match="valid fields"):
         run_preset("fig3", overrides={"bogus": 1})
+    # the scheduler comparison is sub6-only, which the spec itself enforces
     with pytest.raises(ValueError, match="needs regime 'sub6'"):
-        run_preset("fig11", overrides={"regime": "mmwave_los"})
+        preset_spec("fig11", overrides={"regime": "mmwave_los"})
 
 
 def test_list_presets_covers_all_figures():
@@ -180,6 +183,99 @@ def test_response_only_spec_runs_no_trials(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the scheduler comparison, Q variants and the in-band offset rows
+
+def test_pf_gap_rr_row_is_the_sumse_outputs_value():
+    """The comparison schedules the point's one set of gains three ways, so
+    its rr row carries the sumse output's OOB value bit for bit."""
+    spec = _spec(n_sweep=(4, 16), k_ues=2, q_ues=3, slots=80, trials=3, seed=5,
+                 outputs=("sumse", "pf_gap"))
+    rows, _ = run_spec(spec, "shared")
+    for n in spec.n_sweep:
+        oob = [r for r in rows if r.statistic == "sumse_oob" and r.n_elements == n]
+        (plain,) = [r for r in oob if r.q_ues is None]
+        (tagged,) = [r for r in oob if r.q_ues == spec.q_ues and r.scheduler == "rr"]
+        assert plain.empirical is not None
+        assert (tagged.empirical, tagged.stderr, tagged.analytic) == \
+            (plain.empirical, plain.stderr, plain.analytic)
+        assert {r.scheduler for r in oob if r.q_ues == spec.q_ues} == {"rr", "pf", "mr"}
+    assert sum(r.statistic == "pf_gap" for r in rows) == len(spec.n_sweep)
+
+
+def test_a_q_variant_draws_from_seed_plus_7919_q():
+    """Each Q of a sweep draws from seed + 7919·Q with trials + 1 generators
+    per point, so its rows are those of a single-Q run at that seed."""
+    spec = _spec(n_sweep=(4, 8), k_ues=2, slots=60, trials=2, seed=5, outputs=("pf_gap",))
+    rows, positions = run_spec(spec, "q", variants=Q_SWEEP)
+    for q in (2, 3):
+        single, single_positions = run_spec(
+            dataclasses.replace(spec, q_ues=q, seed=spec.seed + 7919 * q), "q")
+        assert single and [r for r in rows if r.q_ues == q] == single
+    for got, want in zip(positions, single_positions):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_mr_over_one_ue_takes_the_rr_form():
+    """Max-rate over a single UE is round-robin, so mr at Q = 1 gets the rr
+    closed form in the sumse and the comparison rows alike; pf stays blank."""
+    spec = _spec(n_sweep=(16,), q_ues=1, outputs=("sumse", "pf_gap"))
+
+    def oob_forms(**fields):
+        rows, _ = run_spec(dataclasses.replace(spec, **fields), "forms", analytic_only=True)
+        return {(r.scheduler, r.q_ues): r.analytic for r in rows if r.statistic == "sumse_oob"}
+
+    rr = oob_forms(outputs=("sumse",))[("rr", None)]
+    assert rr is not None
+    mr = oob_forms(scheduler="mr")
+    assert mr == {("mr", None): rr, ("rr", 1): rr, ("mr", 1): rr}
+    assert oob_forms(scheduler="pf", outputs=("sumse",)) == {("pf", None): None}
+
+
+def test_inband_offset_rows_read_the_points_auxiliary_draw(monkeypatch):
+    """The in-band offset rows come from one draw on each point's last
+    generator child, the draw that outage_inband reads too, so asking for
+    both draws once per point and changes neither. No trial runs for the
+    offset rows, and an analytic-only run keeps their bound."""
+    spec = _spec(n_sweep=(8, 16), k_ues=2, q_ues=2, slots=300, trials=2, seed=7,
+                 outputs=("inband_offset",))
+    per_point = spec.trials + 1
+    rngs = spawn_rngs(spec.seed, 1 + len(spec.n_sweep) * per_point)
+    aux_states = [rngs[(i + 1) * per_point].bit_generator.state
+                  for i in range(len(spec.n_sweep))]
+    draws = []
+    real = experiments.inband_gain_samples_sub6
+    real_trial = experiments.run_trial
+
+    def record(rng, *args):
+        draws.append(rng.bit_generator.state)
+        return real(rng, *args)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_trial called for the in-band offset rows")
+
+    monkeypatch.setattr(experiments, "inband_gain_samples_sub6", record)
+    monkeypatch.setattr(experiments, "run_trial", refuse)
+    rows, _ = run_spec(spec, "offset")
+    assert draws == aux_states
+    assert len(rows) == 10 * len(spec.n_sweep)
+    assert all(r.statistic == "offset_ccdf_inband" and r.empirical is not None
+               and r.analytic is not None for r in rows)
+
+    bare, _ = run_spec(spec, "offset", analytic_only=True)
+    assert len(draws) == len(spec.n_sweep)
+    assert [(r.x, r.analytic) for r in bare] == [(r.x, r.analytic) for r in rows]
+    assert all(r.empirical is None and r.stderr is None for r in bare)
+
+    monkeypatch.setattr(experiments, "run_trial", real_trial)
+    draws.clear()
+    both, _ = run_spec(dataclasses.replace(spec, outputs=("outage", "inband_offset")), "offset")
+    assert draws == aux_states
+    outage, _ = run_spec(dataclasses.replace(spec, outputs=("outage",)), "offset")
+    by_coords = experiments._sort_key
+    assert sorted(both, key=by_coords) == sorted(rows + outage, key=by_coords)
+
+
+# ---------------------------------------------------------------------------
 # parameter mapping and sample helpers
 
 def test_operator_params_path_counts_per_regime():
@@ -255,20 +351,16 @@ def test_sweep_gains_is_independent_of_the_worker_count(regime, extra):
     assert all(data.bf_gain is None for data in runs[0]) != want_bf
 
 
-def _grid(spec):
-    return experiments.run_scheduler_grid(spec, (2, 3), "grid")
-
-
-@pytest.mark.parametrize("spec,run", [
+@pytest.mark.parametrize("spec,variants", [
     (_spec(regime="mmwave_nlos", l1=1, l2=4, n_sweep=(4, 8, 16), k_ues=3, q_ues=4,
            slots=60, trials=3, seed=5, outputs=("sumse", "outage", "ccdf", "dominance")),
-     run_spec),
+     ({},)),
     (_spec(regime="sub6", n_sweep=(8, 16, 32), k_ues=3, q_ues=4, slots=60, trials=3,
-           seed=5, outputs=("sumse", "pf_gap")), run_spec),
+           seed=5, outputs=("sumse", "pf_gap")), ({},)),
     (_spec(regime="sub6", n_sweep=(8, 16), k_ues=3, slots=60, trials=3, seed=5,
-           iid_ues=True), _grid),
+           iid_ues=True, outputs=("pf_gap",)), Q_SWEEP),
 ], ids=["nlos", "sub6_pf_gap", "scheduler_grid"])
-def test_runner_rows_are_independent_of_the_worker_count(monkeypatch, spec, run):
+def test_runner_rows_are_independent_of_the_worker_count(monkeypatch, spec, variants):
     """With the next point's trials running while a point's rows are built,
     one worker, the default and one worker per trial still give equal rows."""
     default = experiments._worker_count
@@ -276,7 +368,7 @@ def test_runner_rows_are_independent_of_the_worker_count(monkeypatch, spec, run)
     for workers in (1, None, spec.trials):
         monkeypatch.setattr(experiments, "_worker_count",
                             default if workers is None else lambda trials, w=workers: w)
-        results.append(run(spec))
+        results.append(run_spec(spec, "workers", variants=variants))
     rows, positions = results[0]
     assert rows
     for other_rows, other_positions in results[1:]:
@@ -285,11 +377,15 @@ def test_runner_rows_are_independent_of_the_worker_count(monkeypatch, spec, run)
             np.testing.assert_array_equal(got, want)
 
 
-@pytest.mark.parametrize("runner", ["run_spec", "run_scheduler_grid"])
-def test_runners_submit_one_point_ahead(monkeypatch, runner):
+@pytest.mark.parametrize("regime,variants", [
+    ("sub6", ({},)),
+    ("mmwave_los", ({"l2": 2}, {"l2": 3})),
+    ("sub6", Q_SWEEP),
+], ids=["run_spec", "l2_sweep", "q_sweep"])
+def test_runners_submit_one_point_ahead(monkeypatch, regime, variants):
     """Trials see at most two sweep points submitted but not yet read by the
     runner, and each point's rows are built while the next point's trials
-    are already submitted."""
+    are already submitted, across a variant boundary too."""
     submitted = []          # sweep points in order of their first trial's submission
     consumed = []           # submitted points, counted when the runner reads each
     seen = []               # points in flight, as seen by each submission and each trial
@@ -301,8 +397,8 @@ def test_runners_submit_one_point_ahead(monkeypatch, runner):
     class Pool(ThreadPoolExecutor):
         def submit(self, fn, spec, rng, n, *args, **kwargs):
             with lock:
-                if (spec.q_ues, n) not in submitted:
-                    submitted.append((spec.q_ues, n))
+                if (spec.q_ues, spec.l2, n) not in submitted:
+                    submitted.append((spec.q_ues, spec.l2, n))
                 seen.append(in_flight())
             return super().submit(fn, spec, rng, n, *args, **kwargs)
 
@@ -313,27 +409,23 @@ def test_runners_submit_one_point_ahead(monkeypatch, runner):
             seen.append(in_flight())
         return real(*args, **kwargs)
 
-    hook = "_sumse_rows" if runner == "run_spec" else "_pf_gap"
-    real_hook = getattr(experiments, hook)
+    real_rows = experiments._sumse_rows
     ahead_at_read = []
 
     def read(*args, **kwargs):
         with lock:
             consumed.append(len(consumed))
             ahead_at_read.append(in_flight())
-        return real_hook(*args, **kwargs)
+        return real_rows(*args, **kwargs)
 
     monkeypatch.setattr(experiments, "ThreadPoolExecutor", Pool)
     monkeypatch.setattr(experiments, "run_trial", run_trial)
-    monkeypatch.setattr(experiments, hook, read)
-    spec = _spec(n_sweep=(4, 8, 16, 32), k_ues=2, q_ues=2, slots=40, trials=3, seed=5,
-                 outputs=("sumse",))
-    if runner == "run_spec":
-        run_spec(spec, "ahead")
-    else:
-        experiments.run_scheduler_grid(spec, (2, 3), "ahead")
+    monkeypatch.setattr(experiments, "_sumse_rows", read)
+    spec = _spec(regime=regime, n_sweep=(4, 8, 16, 32), k_ues=2, q_ues=2, slots=40, trials=3,
+                 seed=5, outputs=("sumse",))
+    run_spec(spec, "ahead", variants=variants)
     points = len(submitted)
-    assert points == len(consumed) == len(spec.n_sweep) * (1 if runner == "run_spec" else 2)
+    assert points == len(consumed) == len(spec.n_sweep) * len(variants)
     assert len(seen) == 2 * points * spec.trials
     assert max(seen) == 2
     # every point but the last is read with the next one's trials submitted
@@ -341,8 +433,8 @@ def test_runners_submit_one_point_ahead(monkeypatch, runner):
 
 
 def test_a_runner_starts_one_trial_pool_for_all_its_sweep_points(monkeypatch):
-    """Thread start-up is paid once per run: three sweep points, and two Q
-    values of the scheduler grid, share one pool each."""
+    """Thread start-up is paid once per run: three sweep points, and the
+    points of two l2 variants or of two Q variants, share one pool each."""
     pools = []
 
     class Pool(ThreadPoolExecutor):
@@ -355,9 +447,11 @@ def test_a_runner_starts_one_trial_pool_for_all_its_sweep_points(monkeypatch):
                  outputs=("sumse",))
     run_spec(spec, "pool")
     assert len(pools) == 1
-    experiments.run_scheduler_grid(dataclasses.replace(spec, outputs=("sumse", "pf_gap")),
-                                   (2, 3), "pool")
+    run_spec(dataclasses.replace(spec, regime="mmwave_los"), "pool",
+             variants=({"l2": 2}, {"l2": 3}))
     assert len(pools) == 2
+    run_spec(dataclasses.replace(spec, outputs=("pf_gap",)), "pool", variants=Q_SWEEP)
+    assert len(pools) == 3
 
 
 def test_sweep_gains_propagates_a_trial_error(monkeypatch):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import db_to_linear, principal_sine_wrap, resolvable_angles
+from .kernels import cascade_bin, db_to_linear
 
 LINK_CLASSES = ("bs_irs", "irs_ue", "direct")
 
@@ -138,74 +138,29 @@ def complex_normal(rng: np.random.Generator, variance, size) -> np.ndarray:
     return out
 
 
-@dataclass
-class MmwaveChannels:
-    """Sparse multipath realization for one operator and its UEs.
-
-    Angles sit on the resolvable grid and stay fixed across slots; complex
-    gains are redrawn per slot. The cascade combines every (feeder path i,
-    UE path j) pair: angle wrap(phi_i + psi_j), gain gamma1_i * gamma2_j,
-    giving L = l1 * l2 entries ordered with j fastest.
-
-    Gain shapes: bs_gains (slots, l1), ue_gains (slots, n_ues, l2),
-    cascade_gains (slots, n_ues, L), h_d (slots, n_ues). The angle arrays
-    carry no slot axis.
-    """
-
-    l1: int
-    l2: int
-    bs_angles: np.ndarray
-    ue_angles: np.ndarray
-    bs_gains: np.ndarray
-    ue_gains: np.ndarray
-    cascade_angles: np.ndarray
-    cascade_gains: np.ndarray
-    h_d: np.ndarray
-
-
-def _draw_grid_angles(rng: np.random.Generator, n_elements: int, count: int) -> np.ndarray:
+def _draw_grid_bins(rng: np.random.Generator, n_elements: int, count: int) -> np.ndarray:
     # Distinct directions whenever the grid is large enough; otherwise collisions
     # are unavoidable and duplicate paths are merged downstream.
-    grid = resolvable_angles(n_elements)
-    replace = count > n_elements
-    return grid[rng.choice(n_elements, size=count, replace=replace)]
+    return rng.choice(n_elements, size=count, replace=count > n_elements)
 
 
-def mmwave_angles(rng: np.random.Generator, n_elements: int, l1: int, l2: int,
-                  n_ues: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """On-grid path angles of one operator: (feeder (l1,), per-UE (n_ues, l2), cascade (n_ues, L)).
+def mmwave_angle_bins(rng: np.random.Generator, n_elements: int, l1: int, l2: int,
+                      n_ues: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """On-grid path angles of one operator as indices into resolvable_angles(n_elements):
+    (feeder (l1,), per-UE (n_ues, l2), cascade (n_ues, L)).
 
-    Draws the feeder angles, then each UE's angles in turn. The cascade angle
-    of (feeder path i, UE path j) is wrap(phi_i + psi_j), L = l1 * l2 entries
-    ordered with j fastest. Requires even n_elements: sums of two grid angles
-    wrap back onto the grid only when N is even, and the cascade
-    representation relies on that closure.
+    Draws the feeder bins, then each UE's bins in turn. The cascade bin of
+    (feeder path i, UE path j) is that of wrap(phi_i + psi_j), cascade_bin of
+    the two, L = l1 * l2 entries ordered with j fastest. Requires even
+    n_elements: sums of two grid angles wrap back onto the grid only when N is
+    even, and the cascade representation relies on that closure.
     """
     if n_elements < 2 or n_elements % 2:
         raise ValueError(f"n_elements must be even and >= 2, got {n_elements}")
     if l1 < 1 or l2 < 1:
         raise ValueError(f"path counts must be >= 1, got l1={l1}, l2={l2}")
-    bs_angles = _draw_grid_angles(rng, n_elements, l1)
-    ue_angles = np.stack([_draw_grid_angles(rng, n_elements, l2) for _ in range(n_ues)])
-    cascade_angles = principal_sine_wrap(
-        bs_angles[:, None] + ue_angles[:, None, :]).reshape(n_ues, l1 * l2)
-    return bs_angles, ue_angles, cascade_angles
-
-
-def sample_mmwave(rng: np.random.Generator, n_elements: int, l1: int, l2: int,
-                  budget: LinkBudget, slots: int) -> MmwaveChannels:
-    """Sparse-multipath draw: the angles of `mmwave_angles`, fixed across slots, then
-    the per-slot path gains (feeder, UE side, direct link, in that order)."""
-    q = budget.n_ues
-    bs_angles, ue_angles, cascade_angles = mmwave_angles(rng, n_elements, l1, l2, q)
-
-    # per-path variances: feeder paths carry beta_f, UE-side paths beta_g
-    bs_gains = complex_normal(rng, budget.beta_f, (slots, l1))
-    ue_gains = complex_normal(rng, budget.beta_g[:, None], (slots, q, l2))
-    h_d = complex_normal(rng, budget.beta_d, (slots, q))
-    cascade_gains = (bs_gains[:, None, :, None]
-                     * ue_gains[:, :, None, :]).reshape(slots, q, l1 * l2)
-    return MmwaveChannels(l1=l1, l2=l2, bs_angles=bs_angles, ue_angles=ue_angles,
-                          bs_gains=bs_gains, ue_gains=ue_gains,
-                          cascade_angles=cascade_angles, cascade_gains=cascade_gains,
-                          h_d=h_d)
+    bs_bins = _draw_grid_bins(rng, n_elements, l1)
+    ue_bins = np.stack([_draw_grid_bins(rng, n_elements, l2) for _ in range(n_ues)])
+    cascade_bins = cascade_bin(bs_bins[:, None], ue_bins[:, None, :],
+                               n_elements).reshape(n_ues, l1 * l2)
+    return bs_bins, ue_bins, cascade_bins

@@ -22,9 +22,9 @@ included; the chunk width moves no bit of any output. The sub6 and nlos
 in-band sides draw just the served UE's fading each slot, which is
 distribution-identical to drawing everyone's; sub6 draws it only as
 exponential magnitudes, since its aligned gain discards every phase. The LOS
-trial still draws every in-band UE's path gains each slot through
-sample_mmwave: its out-of-band angles are drawn after them, so dropping the
-unserved UEs' gains would move those angles.
+trial still draws every in-band UE's standard normals each slot, though it
+scales only the served UE's: its out-of-band angles are drawn after them, so
+dropping the unserved UEs' draws would move those angles.
 
 The sub6 OOB gains are drawn from their exact reduced law. The reflector's
 phases are set by the in-band channels alone, so theta_n f_n has the law of
@@ -60,10 +60,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (LinkBudget, complex_normal, draw_ue_positions, link_budget,
-                       mmwave_angles, sample_mmwave)
+                       mmwave_angle_bins)
 from .config import ExperimentSpec
 from .irs import unit_phase
-from .kernels import grid_index
 
 # slot-chunk sizing: a chunk holds about this many per-element entries, so a
 # trial's scratch stays at a few MB and concurrent trials (one per worker)
@@ -121,6 +120,22 @@ def _aligned_gain(rng: np.random.Generator, beta_d, beta_r, rows: int,
     return amplitude ** 2, direct
 
 
+def _served_normal(rng: np.random.Generator, variance: np.ndarray,
+                   k_served: np.ndarray) -> np.ndarray:
+    """The served UE's entry of complex_normal(rng, variance, (slots, K)), per slot.
+
+    Draws the same standard normals, all K per slot, so the stream moves as
+    far as the full draw, but scales only the served entry.
+    """
+    rows = np.arange(len(k_served))
+    parts = rng.standard_normal((2, len(k_served), len(variance)))[:, rows, k_served]
+    scale = np.sqrt(variance[k_served] / 2.0)
+    out = np.empty(len(k_served), dtype=complex)
+    np.multiply(scale, parts[0], out=out.real)
+    np.multiply(scale, parts[1], out=out.imag)
+    return out
+
+
 def sub6_trial(rng: np.random.Generator, n_elements: int, budget_x: LinkBudget,
                budget_y: LinkBudget, slots: int, want_bf: bool = False) -> TrialData:
     """One Rayleigh-fading trial.
@@ -166,21 +181,18 @@ def mmwave_los_trial(rng: np.random.Generator, n_elements: int, budget_x: LinkBu
     the per-path sum because the UE-side path gains are i.i.d.; a UE with no
     matched path keeps its direct gain exactly.
     """
-    x = sample_mmwave(rng, n_elements, 1, 1, budget_x, slots=slots)
-    _, _, angles_y = mmwave_angles(rng, n_elements, 1, l_oob, budget_y.n_ues)
-
     k_ues = budget_x.n_ues
     rows = np.arange(slots)
     k_served = rows % k_ues
-    g_x = x.cascade_gains[rows, k_served, 0]
-    h_dx = x.h_d[rows, k_served]
+    bins_x = mmwave_angle_bins(rng, n_elements, 1, 1, k_ues)[2][:, 0]     # (K,)
+    feeder_x = complex_normal(rng, budget_x.beta_f, slots)
+    g_x = feeder_x * _served_normal(rng, budget_x.beta_g, k_served)
+    h_dx = _served_normal(rng, budget_x.beta_d, k_served)
+    bins_y = mmwave_angle_bins(rng, n_elements, 1, l_oob, budget_y.n_ues)[2]   # (Q, L)
 
     inband_gain = (np.abs(h_dx) + n_elements * np.abs(g_x)) ** 2
     u = unit_phase(h_dx * np.conj(g_x))
-
-    idx_x = grid_index(x.cascade_angles[:, 0], n_elements)  # (K,)
-    idx_y = grid_index(angles_y, n_elements)                # (Q, L)
-    matches = (idx_y[None, :, :] == idx_x[:, None, None]).sum(axis=2)  # (K, Q)
+    matches = (bins_y[None, :, :] == bins_x[:, None, None]).sum(axis=2)  # (K, Q)
     q_ues = budget_y.n_ues
     gamma_1 = complex_normal(rng, budget_y.beta_f, (slots,))
     matched = complex_normal(rng, matches[k_served] * budget_y.beta_g, (slots, q_ues))
@@ -203,8 +215,8 @@ def mmwave_nlos_trial(rng: np.random.Generator, n_elements: int, budget_x: LinkB
     P_q = sum_j |sum_i gamma_1,i r[m_qij]|^2, the exact law of the per-path
     sum (module docstring); a duplicated grid angle counts once per copy.
     """
-    _, _, angles_x = mmwave_angles(rng, n_elements, l1, l2, budget_x.n_ues)
-    _, _, angles_y = mmwave_angles(rng, n_elements, l1, l2, budget_y.n_ues)
+    bins_x = mmwave_angle_bins(rng, n_elements, l1, l2, budget_x.n_ues)[2]
+    bins_y = mmwave_angle_bins(rng, n_elements, l1, l2, budget_y.n_ues)[2]
     l_paths = l1 * l2
     k_served = np.arange(slots) % budget_x.n_ues
     bs_x = complex_normal(rng, budget_x.beta_f, (slots, l1))
@@ -216,8 +228,8 @@ def mmwave_nlos_trial(rng: np.random.Generator, n_elements: int, budget_x: LinkB
     z = complex_normal(rng, 1.0, (slots, q_ues))
     h_d = complex_normal(rng, budget_y.beta_d, (slots, q_ues))
 
-    idx_x = grid_index(angles_x, n_elements)[k_served]                    # (slots, L)
-    idx_y = grid_index(angles_y, n_elements).reshape(q_ues, l1, l2)
+    idx_x = bins_x[k_served]                    # (slots, L)
+    idx_y = bins_y.reshape(q_ues, l1, l2)
     phase = np.exp(1j * np.angle(h_dx))
     scale = n_elements / math.sqrt(l_paths)
     inband_gain = np.empty(slots)

@@ -31,14 +31,15 @@ def resolvable_angles(n_elements: int) -> np.ndarray:
     return -1.0 + 2.0 * np.arange(n_elements) / n_elements
 
 
-def grid_index(angle, n_elements: int):
-    """Index i of a grid angle within resolvable_angles(n_elements).
+def cascade_bin(a, b, n_elements: int):
+    """Grid index of wrap(angle_a + angle_b) for grid indices a and b, even n_elements.
 
-    Inverse of resolvable_angles; inputs must already sit on the grid (within
-    float rounding). Vectorized over `angle`.
+    With angle_i = -1 + 2i/N the sum is -2 + 2(a + b)/N, which the wrap moves
+    by a multiple of 2, that is, by a multiple of N bins: index
+    (a + b - N/2) mod N. Exact in integers, so no angle is built or rounded.
+    Vectorized over a and b.
     """
-    idx = np.rint((np.asarray(angle) + 1.0) * n_elements / 2.0).astype(np.int64)
-    return idx % n_elements
+    return (np.asarray(a) + b - n_elements // 2) % n_elements
 
 
 def principal_sine_wrap(x):

@@ -3,9 +3,11 @@
 The package never calls these. They are the independent forms the tests hold
 the package to: the spectral efficiency of a channel gain, the two-pass
 unit phasor, the aligned reflector gain built from complex Rayleigh
-channels, the dense per-element Rayleigh channels of the sub6 model, and the
-dense array-response form of the sparse channel model. `oob_gain_samples` pools the package's own OOB
-gains at the sample sizes the distribution-level checks need.
+channels, the dense per-element Rayleigh channels of the sub6 model, the
+float grid index of an on-grid angle, the sparse path angles as floats and
+every UE's per-path gains (`sample_mmwave`), and the dense array-response
+form of the sparse channel model. `oob_gain_samples` pools the package's own
+OOB gains at the sample sizes the distribution-level checks need.
 """
 
 import math
@@ -14,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from irsoob.channels import LinkBudget, complex_normal
+from irsoob.channels import LinkBudget, complex_normal, mmwave_angle_bins
 from irsoob.config import ExperimentSpec
 from irsoob.engine import budgets_for, spawn_rngs
 from irsoob.experiments import _worker_count, operator_params, sweep_gains
-from irsoob.kernels import db_to_linear
+from irsoob.kernels import db_to_linear, principal_sine_wrap, resolvable_angles
 
 
 def spectral_efficiency(gain, snr):
@@ -74,6 +76,74 @@ def sample_sub6(rng: np.random.Generator, n_elements: int, budget: LinkBudget,
     f = complex_normal(rng, budget.beta_f, (slots, n_elements))
     g = complex_normal(rng, budget.beta_g[:, None], (slots, q, n_elements))
     return Sub6Channels(h_d=h_d, f=f, g=g)
+
+
+def grid_index(angle, n_elements: int):
+    """Index i of a grid angle within resolvable_angles(n_elements).
+
+    Inverse of resolvable_angles; inputs must already sit on the grid (within
+    float rounding). Vectorized over `angle`.
+    """
+    idx = np.rint((np.asarray(angle) + 1.0) * n_elements / 2.0).astype(np.int64)
+    return idx % n_elements
+
+
+@dataclass
+class MmwaveChannels:
+    """Sparse multipath realization for one operator and its UEs.
+
+    Angles sit on the resolvable grid and stay fixed across slots; complex
+    gains are redrawn per slot. The cascade combines every (feeder path i,
+    UE path j) pair: angle wrap(phi_i + psi_j), gain gamma1_i * gamma2_j,
+    giving L = l1 * l2 entries ordered with j fastest.
+
+    Gain shapes: bs_gains (slots, l1), ue_gains (slots, n_ues, l2),
+    cascade_gains (slots, n_ues, L), h_d (slots, n_ues). The angle arrays
+    carry no slot axis.
+    """
+
+    l1: int
+    l2: int
+    bs_angles: np.ndarray
+    ue_angles: np.ndarray
+    bs_gains: np.ndarray
+    ue_gains: np.ndarray
+    cascade_angles: np.ndarray
+    cascade_gains: np.ndarray
+    h_d: np.ndarray
+
+
+def mmwave_angles(rng: np.random.Generator, n_elements: int, l1: int, l2: int, n_ues: int):
+    """The draws of `mmwave_angle_bins` as sine-domain angles: (feeder (l1,),
+    per-UE (n_ues, l2), cascade (n_ues, L)), the cascade angle
+    wrap(phi_i + psi_j) built in floats, apart from the package's integer
+    cascade bins."""
+    bs_bins, ue_bins, _ = mmwave_angle_bins(rng, n_elements, l1, l2, n_ues)
+    grid = resolvable_angles(n_elements)
+    bs_angles, ue_angles = grid[bs_bins], grid[ue_bins]
+    cascade_angles = principal_sine_wrap(
+        bs_angles[:, None] + ue_angles[:, None, :]).reshape(n_ues, l1 * l2)
+    return bs_angles, ue_angles, cascade_angles
+
+
+def sample_mmwave(rng: np.random.Generator, n_elements: int, l1: int, l2: int,
+                  budget: LinkBudget, slots: int) -> MmwaveChannels:
+    """Dense sparse-multipath draw: the angles of `mmwave_angles`, fixed across
+    slots, then the per-slot path gains of every UE (feeder, UE side, direct
+    link, in that order)."""
+    q = budget.n_ues
+    bs_angles, ue_angles, cascade_angles = mmwave_angles(rng, n_elements, l1, l2, q)
+
+    # per-path variances: feeder paths carry beta_f, UE-side paths beta_g
+    bs_gains = complex_normal(rng, budget.beta_f, (slots, l1))
+    ue_gains = complex_normal(rng, budget.beta_g[:, None], (slots, q, l2))
+    h_d = complex_normal(rng, budget.beta_d, (slots, q))
+    cascade_gains = (bs_gains[:, None, :, None]
+                     * ue_gains[:, :, None, :]).reshape(slots, q, l1 * l2)
+    return MmwaveChannels(l1=l1, l2=l2, bs_angles=bs_angles, ue_angles=ue_angles,
+                          bs_gains=bs_gains, ue_gains=ue_gains,
+                          cascade_angles=cascade_angles, cascade_gains=cascade_gains,
+                          h_d=h_d)
 
 
 def steering_vector(n_elements, angle):

@@ -9,17 +9,16 @@ import pytest
 
 from irsoob.channels import (
     LinkBudget,
-    MmwaveChannels,
     NodeGeometry,
     PathLossParams,
     complex_normal,
     draw_ue_positions,
     link_budget,
+    mmwave_angle_bins,
     path_loss,
-    sample_mmwave,
 )
-from irsoob.kernels import grid_index, resolvable_angles
-from oracles import mmwave_vector, sample_sub6
+from irsoob.kernels import resolvable_angles
+from oracles import grid_index, mmwave_vector, sample_mmwave, sample_sub6
 
 # reference UE at (1000, 1000), in-band BS at (0, 50), reflector at (1025, 1025)
 BETA_F_REF = 4.996876951905058e-10   # 1e-3 / hypot(1025, 975)^2
@@ -178,6 +177,13 @@ def test_mmwave_angles_on_grid():
     # grid_index round-trips the wrapped cascade
     idx = grid_index(ch.cascade_angles, n)
     np.testing.assert_allclose(grid[idx], ch.cascade_angles, atol=1e-12)
+    # the package's integer bins are the same draws: the float angles sit on
+    # them, and the cascade bins are the wrapped sums' grid indices
+    bs, ue, cascade = mmwave_angle_bins(np.random.default_rng(15), n, 3, 4, 5)
+    np.testing.assert_array_equal(grid[bs], ch.bs_angles)
+    np.testing.assert_array_equal(grid[ue], ch.ue_angles)
+    np.testing.assert_array_equal(cascade, idx)
+    assert cascade.dtype.kind == "i"
 
 
 def test_mmwave_distinct_angles_when_grid_allows():
@@ -209,9 +215,9 @@ def test_mmwave_cascade_second_moment():
 
 def test_mmwave_rejects_bad_shape():
     with pytest.raises(ValueError):
-        sample_mmwave(np.random.default_rng(0), 15, 1, 1, unit_budget(), slots=1)
+        mmwave_angle_bins(np.random.default_rng(0), 15, 1, 1, 1)
     with pytest.raises(ValueError):
-        sample_mmwave(np.random.default_rng(0), 16, 0, 1, unit_budget(), slots=1)
+        mmwave_angle_bins(np.random.default_rng(0), 16, 0, 1, 1)
 
 
 def test_mmwave_replay():

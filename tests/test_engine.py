@@ -28,7 +28,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
-from irsoob.channels import complex_normal, mmwave_angles, sample_mmwave
+from irsoob.channels import complex_normal
 from irsoob.config import ExperimentSpec
 from irsoob.engine import (DominanceReport, TrialData, _aligned_gain, budgets_for,
                            dominance_test, empirical_ccdf, empirical_outage,
@@ -37,8 +37,9 @@ from irsoob.engine import (DominanceReport, TrialData, _aligned_gain, budgets_fo
 from irsoob.experiments import operator_params
 from irsoob.irs import (effective_channel_mmwave, effective_channel_sub6, optimize_mmwave_los,
                         optimize_mmwave_nlos, optimize_sub6, unit_phase)
-from irsoob.kernels import db_to_linear, grid_index
-from oracles import aligned_gain_complex, sample_sub6, spectral_efficiency
+from irsoob.kernels import db_to_linear
+from oracles import (aligned_gain_complex, grid_index, mmwave_angles, sample_mmwave, sample_sub6,
+                     spectral_efficiency)
 
 GAMMA_130 = float(db_to_linear(130.0))
 

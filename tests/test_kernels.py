@@ -18,13 +18,13 @@ from scipy import integrate, special
 from irsoob import analytics
 from irsoob.analytics import AnalyticParams, _exp_scaled_gamma1, cdf_oob_mmwave_los
 from irsoob.kernels import (
+    cascade_bin,
     db_to_linear,
     gauss_q,
-    grid_index,
     principal_sine_wrap,
     resolvable_angles,
 )
-from oracles import steering_vector
+from oracles import grid_index, steering_vector
 
 # frozen oracle: np.trapezoid(exp(-(1/t + t)), t=arange(1, 60+1e-4, 1e-4));
 # truncation tail below exp(-60)
@@ -85,6 +85,16 @@ def test_grid_index_inverts_grid():
     for n in (2, 5, 16, 501):
         angles = resolvable_angles(n)
         np.testing.assert_array_equal(grid_index(angles, n), np.arange(n))
+
+
+@pytest.mark.parametrize("n", [2, 4, 64, 1024])
+def test_cascade_bin_is_the_wrapped_sum_of_two_grid_angles(n):
+    """For every pair of grid bins (a, b), the integer bin (a + b - N/2) mod N
+    is the grid index of wrap(angle_a + angle_b), built in floats."""
+    grid = resolvable_angles(n)
+    a, b = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    want = grid_index(principal_sine_wrap(grid[a] + grid[b]), n)
+    np.testing.assert_array_equal(cascade_bin(a, b, n), want)
 
 
 def test_wrap_branches():

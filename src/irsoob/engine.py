@@ -24,7 +24,10 @@ distribution-identical to drawing everyone's; sub6 draws it only as
 exponential magnitudes, since its aligned gain discards every phase. The LOS
 trial still draws every in-band UE's standard normals each slot, though it
 scales only the served UE's: its out-of-band angles are drawn after them, so
-dropping the unserved UEs' draws would move those angles.
+dropping the unserved UEs' draws would move those angles. The sparse path
+angles are drawn as integer bins of the resolvable grid, so matching a path
+to the steered beam, or gathering its response, is an integer compare or
+index.
 
 The sub6 OOB gains are drawn from their exact reduced law. The reflector's
 phases are set by the in-band channels alone, so theta_n f_n has the law of
@@ -39,17 +42,21 @@ gain's with that UE's betas, and is drawn last by the in-band gain's sampler.
 The mmWave LOS OOB gains are drawn from their matched-path law. The reflector
 responds only on the steered grid angle, so of UE q's L cascaded paths just
 the m[k, q] that share in-band UE k's angle reach an output, and their sum
-gamma_1 * sum_j gamma_2,j is gamma_1 times a CN(0, m beta_g,q) draw. One
-shared feeder gain per slot and two complex normals per UE replace the L
-path gains of each UE.
+gamma_1 * sum_j gamma_2,j is gamma_1 times a CN(0, m beta_g,q) draw. No
+output reads a phase, so the trial draws magnitudes: one feeder power
+|gamma_1|^2 / beta_f ~ Exp(1) per slot, shared by the UEs, one direct power
+per UE, and a complex reflected sum only where m[k, q] > 0; an unmatched
+UE's gain with the reflector is its direct gain.
 
 The nlos OOB gains are drawn from their reduced law too. A phase-matched
 configuration responds on every grid angle, so every path reaches the sum,
 but the UE-side path gains are i.i.d.: given the feeder gains gamma_1 and
 the responses, UE q's per-path sum is CN(0, beta_g,q P_q), where P_q sums
 over the UE's paths j the power |sum_i gamma_1,i r_ij|^2 that reaches it.
-One shared gamma_1 per slot and two complex normals per UE replace the
-Q * l2 UE-side path gains.
+One shared gamma_1 per slot, one unit complex normal and one direct power
+per UE replace the Q * l2 UE-side path gains. Both direct links are drawn as
+magnitudes: the served UE's direct phase only turns theta by a global
+phase, which no gain and no P_q sees.
 """
 
 from __future__ import annotations
@@ -171,35 +178,43 @@ def mmwave_los_trial(rng: np.random.Generator, n_elements: int, budget_x: LinkBu
     """One sparse-channel trial with single-path in-band UEs.
 
     The reflector steers its whole aperture at the served UE's cascaded
-    angle. On the resolvable grid, an OOB path contributes only when it sits
-    exactly on the steered angle, so the OOB sum collapses to the matched
-    paths. The OOB gains are drawn from that law: after the OOB angles, per
-    slot one feeder gain gamma_1 ~ CN(0, beta_f) shared by the UEs, then per
-    UE the matched sum S ~ CN(0, m[k, q] beta_g,q) and h_d ~ CN(0, beta_d),
-    where m[k, q] counts UE q's paths on in-band UE k's angle (each copy of
-    a duplicated path counts). Then eff = h_d + (N / sqrt(L)) u gamma_1 S, the exact law of
-    the per-path sum because the UE-side path gains are i.i.d.; a UE with no
-    matched path keeps its direct gain exactly.
+    angle, so the in-band gain is (|h_d| + N |gamma_1 gamma_2|)^2. Draws, in
+    order: the in-band angle bins; per slot the feeder gain and every in-band
+    UE's UE-side gain and direct link, of which only the served UE's are
+    scaled; the OOB angle bins.
+
+    On the resolvable grid an OOB path contributes only when it sits exactly
+    on the steered angle, so UE q's sum collapses to its m[k, q] paths on
+    in-band UE k's angle (each copy of a duplicated path counts), and its
+    gains are drawn from their magnitude law: per slot X = |gamma_1|^2 / beta_f
+    ~ Exp(1), shared by the UEs; per UE |h_d|^2 = beta_d Exp(1), the gain
+    without the reflector; and, only where m[k, q] > 0, a reflected sum
+    R ~ CN(0, (N^2 / L) beta_f X m beta_g,q), so gain_irs = |sqrt(gain_noirs) + R|^2.
+    That is the exact law of the per-path sum h_d + (N / sqrt(L)) u gamma_1 S:
+    the UE-side path gains are i.i.d., and the phases of h_d and of the
+    aligning phasor u rotate out of R's circular law. A UE with no matched
+    path keeps its direct gain bit for bit.
     """
     k_ues = budget_x.n_ues
-    rows = np.arange(slots)
-    k_served = rows % k_ues
+    k_served = np.arange(slots) % k_ues
     bins_x = mmwave_angle_bins(rng, n_elements, 1, 1, k_ues)[2][:, 0]     # (K,)
     feeder_x = complex_normal(rng, budget_x.beta_f, slots)
     g_x = feeder_x * _served_normal(rng, budget_x.beta_g, k_served)
     h_dx = _served_normal(rng, budget_x.beta_d, k_served)
     bins_y = mmwave_angle_bins(rng, n_elements, 1, l_oob, budget_y.n_ues)[2]   # (Q, L)
-
     inband_gain = (np.abs(h_dx) + n_elements * np.abs(g_x)) ** 2
-    u = unit_phase(h_dx * np.conj(g_x))
+
     matches = (bins_y[None, :, :] == bins_x[:, None, None]).sum(axis=2)  # (K, Q)
-    q_ues = budget_y.n_ues
-    gamma_1 = complex_normal(rng, budget_y.beta_f, (slots,))
-    matched = complex_normal(rng, matches[k_served] * budget_y.beta_g, (slots, q_ues))
-    h_d = complex_normal(rng, budget_y.beta_d, (slots, q_ues))
-    eff = h_d + (n_elements / math.sqrt(l_oob)) * (u * gamma_1)[:, None] * matched
-    return TrialData(inband_gain=inband_gain, gain_irs=np.abs(eff) ** 2,
-                     gain_noirs=np.abs(h_d) ** 2)
+    feeder_power = rng.standard_exponential(slots)                       # X
+    gain_noirs = budget_y.beta_d * rng.standard_exponential((slots, budget_y.n_ues))
+    gain_irs = gain_noirs.copy()
+    served_matches = matches[k_served]                                   # (slots, Q)
+    slot, ue = np.nonzero(served_matches)
+    variance = ((n_elements ** 2 / l_oob) * budget_y.beta_f * feeder_power[slot]
+                * served_matches[slot, ue] * budget_y.beta_g[ue])
+    reflected = complex_normal(rng, variance, slot.size)
+    gain_irs[slot, ue] = np.abs(np.sqrt(gain_noirs[slot, ue]) + reflected) ** 2
+    return TrialData(inband_gain=inband_gain, gain_irs=gain_irs, gain_noirs=gain_noirs)
 
 
 def mmwave_nlos_trial(rng: np.random.Generator, n_elements: int, budget_x: LinkBudget,
@@ -208,29 +223,35 @@ def mmwave_nlos_trial(rng: np.random.Generator, n_elements: int, budget_x: LinkB
 
     The per-element matched sum v and the responses r at every grid angle are
     FFT pairs, so each slot costs O(N log N) regardless of path count. All
-    draws precede the chunk loop: both operators' angles; per slot the served
-    in-band UE's feeder (l1,) and UE-side (l2,) gains and direct link; the OOB
-    feeder gains gamma_1 (l1,), shared by the UEs; per UE a unit complex
-    normal z and h_d. Then eff = h_d + (N / sqrt(L)) sqrt(beta_g,q P_q) z with
-    P_q = sum_j |sum_i gamma_1,i r[m_qij]|^2, the exact law of the per-path
-    sum (module docstring); a duplicated grid angle counts once per copy.
+    draws precede the chunk loop: both operators' angle bins; per slot the
+    served in-band UE's feeder (l1,) and UE-side (l2,) gains and its direct
+    power |h_d|^2 = beta_d Exp(1); the OOB feeder gains gamma_1 (l1,), shared
+    by the UEs; per UE a unit complex normal z, then |h_d|^2 = beta_d Exp(1),
+    the gain without the reflector.
+
+    Direct links are drawn as magnitudes: the served UE's e^{i ang(h_d)} is a
+    global phase of theta, which cancels out of |eff| and of every P_q, so
+    theta = v / |v|. Then gain_irs = |sqrt(gain_noirs) + (N / sqrt(L)) sqrt(beta_g,q P_q) z|^2
+    with P_q = sum_j |sum_i gamma_1,i r[m_qij]|^2, the exact law of the
+    per-path sum (module docstring); a duplicated grid angle counts once per
+    copy.
     """
-    bins_x = mmwave_angle_bins(rng, n_elements, l1, l2, budget_x.n_ues)[2]
-    bins_y = mmwave_angle_bins(rng, n_elements, l1, l2, budget_y.n_ues)[2]
+    bins_x = mmwave_angle_bins(rng, n_elements, l1, l2, budget_x.n_ues)[2]   # (K, L)
+    bins_y = mmwave_angle_bins(rng, n_elements, l1, l2, budget_y.n_ues)[2]   # (Q, L)
     l_paths = l1 * l2
     k_served = np.arange(slots) % budget_x.n_ues
     bs_x = complex_normal(rng, budget_x.beta_f, (slots, l1))
     ue_x = complex_normal(rng, budget_x.beta_g[k_served, None], (slots, l2))
-    h_dx = complex_normal(rng, budget_x.beta_d[k_served], (slots,))
+    direct_x = budget_x.beta_d[k_served] * rng.standard_exponential(slots)
     g_x = (bs_x[:, :, None] * ue_x[:, None, :]).reshape(slots, l_paths)
     q_ues = budget_y.n_ues
     gamma_1 = complex_normal(rng, budget_y.beta_f, (slots, l1))
     z = complex_normal(rng, 1.0, (slots, q_ues))
-    h_d = complex_normal(rng, budget_y.beta_d, (slots, q_ues))
+    gain_noirs = budget_y.beta_d * rng.standard_exponential((slots, q_ues))
 
-    idx_x = bins_x[k_served]                    # (slots, L)
-    idx_y = bins_y.reshape(q_ues, l1, l2)
-    phase = np.exp(1j * np.angle(h_dx))
+    idx_x = bins_x[k_served]                                    # (slots, L)
+    # UE q's path (i, j) sits in column q * l2 + j of feeder path i's block
+    cols_y = bins_y.reshape(q_ues, l1, l2).transpose(1, 0, 2).reshape(l1, q_ues * l2)
     scale = n_elements / math.sqrt(l_paths)
     inband_gain = np.empty(slots)
     power = np.empty((slots, q_ues))    # P_q
@@ -244,26 +265,27 @@ def mmwave_nlos_trial(rng: np.random.Generator, n_elements: int, budget_x: LinkB
     grid, spectrum = np.empty((2, min(width, slots), n_elements), dtype=complex)
     for sl in _chunk_slices(slots, width):
         span = sl.stop - sl.start
-        sub = np.arange(span)
         # scatter conj gains onto the angle grid; on-grid angles make this exact
         s = grid[:span]
         s.fill(0)
-        np.add.at(s, (sub[:, None], idx_x[sl]), np.conj(g_x[sl]))
+        np.add.at(s, (np.arange(span)[:, None], idx_x[sl]), np.conj(g_x[sl]))
         # v and the responses both carry the grid offset's sign (-1)^n; sign
-        # flips are exact, so the two cancel and theta (-1)^n = phase u
-        u = unit_phase(np.fft.fft(s, axis=1, out=spectrum[:span]), out=s)
-        np.multiply(phase[sl, None], u, out=u)
+        # flips are exact, so the two cancel and theta (-1)^n = v / |v|
+        theta = unit_phase(np.fft.fft(s, axis=1, out=spectrum[:span]), out=s)
         # adot(grid angle m)^H theta, all m at once
-        resp = np.fft.ifft(u, axis=1, out=spectrum[:span])
+        resp = np.fft.ifft(theta, axis=1, out=spectrum[:span])
 
-        eff_x = h_dx[sl] + scale * (g_x[sl] * resp[sub[:, None], idx_x[sl]]).sum(axis=1)
+        picked = np.take_along_axis(resp, idx_x[sl], axis=1)
+        eff_x = np.sqrt(direct_x[sl]) + scale * (g_x[sl] * picked).sum(axis=1)
         inband_gain[sl] = np.abs(eff_x) ** 2
-        pick = resp[sub[:, None, None, None], idx_y[None]]       # (span, Q, l1, l2)
-        a = (gamma_1[sl, None, :, None] * pick).sum(axis=2)       # (span, Q, l2)
-        power[sl] = (np.abs(a) ** 2).sum(axis=2)
-    eff = h_d + scale * np.sqrt(budget_y.beta_g * power) * z
-    return TrialData(inband_gain=inband_gain, gain_irs=np.abs(eff) ** 2,
-                     gain_noirs=np.abs(h_d) ** 2)
+        a = gamma_1[sl, 0, None] * resp[:, cols_y[0]]          # (span, Q * l2)
+        for i in range(1, l1):
+            a += gamma_1[sl, i, None] * resp[:, cols_y[i]]
+        power[sl] = (np.abs(a) ** 2).reshape(span, q_ues, l2).sum(axis=2)
+    reflected = scale * np.sqrt(budget_y.beta_g * power) * z
+    return TrialData(inband_gain=inband_gain,
+                     gain_irs=np.abs(np.sqrt(gain_noirs) + reflected) ** 2,
+                     gain_noirs=gain_noirs)
 
 
 def inband_gain_samples_sub6(rng: np.random.Generator, n_elements: int, beta_r: float,

@@ -26,7 +26,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.stats import ks_2samp
+from scipy.stats import ks_2samp, kstest
 
 from irsoob.channels import complex_normal
 from irsoob.config import ExperimentSpec
@@ -435,30 +435,47 @@ def _replay_los(replay, n, bx, by, slots, l_oob):
     return x, angles_y, k, u, on_beam
 
 
+def _replay_los_oob(replay, by, slots, m_served, n, l_oob):
+    """The LOS trial's OOB draws after the angles, replayed: the feeder power
+    X (slots,), the direct power |h_d|^2 (slots, Q) and the reflected sum R at
+    the matched (slot, UE) entries, in row-major order."""
+    power = replay.standard_exponential(slots)
+    direct = by.beta_d * replay.standard_exponential((slots, by.n_ues))
+    slot, ue = np.nonzero(m_served)
+    variance = (n ** 2 / l_oob) * by.beta_f * power[slot] * m_served[slot, ue] * by.beta_g[ue]
+    return power, direct, (slot, ue), complex_normal(replay, variance, slot.size)
+
+
 @pytest.mark.parametrize("n", [8, 16])
 def test_mmwave_los_trial_matches_scalar_reference(n):
-    """The OOB gains are the reduced law replayed bit for bit: one shared
-    feeder gain gamma_1, the matched sum S ~ CN(0, m beta_g) and h_d per UE.
-    The scalar rules then see per-path gains with gamma_1 S on each UE's first
-    matched path, 0 on its other matched paths and fresh draws on the
-    unmatched ones, which the steered beam must not pick up."""
+    """The gains are the trial's draws replayed bit for bit: the in-band
+    angles and every in-band UE's path gains, the OOB angles, then the feeder
+    power X and the direct power per UE, and a reflected sum R only at the
+    matched (slot, UE) entries, so gain_irs = |sqrt(gain_noirs) + R|^2 there and
+    gain_noirs elsewhere. The scalar rules then see the direct link
+    sqrt(gain_noirs), a real phase of h_d, and per-path gains with
+    sqrt(L) R / (N u) on each matched UE's first matched path, 0 on its other
+    matched paths and fresh draws on the unmatched ones, which the steered
+    beam must not pick up."""
     spec, bx, by, rng, replay = _diff_setup("mmwave_los", n, l1=1, l2=3)
     l_oob = spec.l1 * spec.l2
+    scale = n / math.sqrt(l_oob)
     data = mmwave_los_trial(rng, n, bx, by, spec.slots, l_oob)
 
     x, angles_y, k_served, u, on_beam = _replay_los(replay, n, bx, by, spec.slots, l_oob)
     m = on_beam.sum(axis=2)
     assert np.any(m > 0), "no matched (k, q) pair: nothing reflected to check"
-    gamma_1 = complex_normal(replay, by.beta_f, (spec.slots,))
-    s_sum = complex_normal(replay, m[k_served] * by.beta_g, (spec.slots, by.n_ues))
-    h_d = complex_normal(replay, by.beta_d, (spec.slots, by.n_ues))
-    eff = h_d + (n / math.sqrt(l_oob)) * (u * gamma_1)[:, None] * s_sum
-    np.testing.assert_array_equal(data.gain_irs, np.abs(eff) ** 2)
-    np.testing.assert_array_equal(data.gain_noirs, np.abs(h_d) ** 2)
+    _, direct, lit, reflected = _replay_los_oob(replay, by, spec.slots, m[k_served], n, l_oob)
+    want_irs = direct.copy()
+    want_irs[lit] = np.abs(np.sqrt(direct[lit]) + reflected) ** 2
+    np.testing.assert_array_equal(data.gain_noirs, direct)
+    np.testing.assert_array_equal(data.gain_irs, want_irs)
     unmatched = m[k_served] == 0
     assert unmatched.any()
     np.testing.assert_array_equal(data.gain_irs[unmatched], data.gain_noirs[unmatched])
 
+    r_full = np.zeros(direct.shape, dtype=complex)
+    r_full[lit] = reflected
     fresh = np.random.default_rng(n)
     for s in range(spec.slots):
         k = k_served[s]
@@ -473,16 +490,30 @@ def test_mmwave_los_trial_matches_scalar_reference(n):
             hits = np.flatnonzero(on_beam[k, q])
             gains[hits] = 0.0
             if hits.size:
-                gains[hits[0]] = gamma_1[s] * s_sum[s, q]
-            want.append(abs(effective_channel_mmwave(h_d[s, q], angles_y[q], gains, theta)) ** 2)
+                gains[hits[0]] = r_full[s, q] / (scale * u[s])
+            want.append(abs(effective_channel_mmwave(math.sqrt(direct[s, q]), angles_y[q],
+                                                     gains, theta)) ** 2)
         _assert_gains(data.gain_irs[s], want)
+
+
+def _assert_gain_laws(data, dense_gain, dense_direct, by):
+    """Per UE, two-sample KS of a trial's gains against the per-path sum on
+    the gain and on the offset gain_irs - gain_noirs, and one-sample KS of
+    gain_noirs / beta_d against Exp(1), the direct gain the trial draws as a
+    magnitude."""
+    for q in range(by.n_ues):
+        assert ks_2samp(data.gain_irs[:, q], dense_gain[:, q]).pvalue > 1e-4
+        assert ks_2samp(data.gain_irs[:, q] - data.gain_noirs[:, q],
+                        dense_gain[:, q] - dense_direct[:, q]).pvalue > 1e-4
+        assert kstest(data.gain_noirs[:, q] / by.beta_d[q], "expon").pvalue > 1e-4
 
 
 @pytest.mark.parametrize("n,l_oob", [(8, 5), (8, 50), (64, 5), (64, 50)])
 def test_mmwave_los_reduced_law_matches_per_path_sum(n, l_oob):
     """Distributional equivalence of the reduced OOB sampler and the per-path
     sum it replaces, both on the trial's own angles and in-band draws: KS per
-    UE on the gain, the mean gain beta_d + (N^2/L) beta_f beta_g mean(m), and,
+    UE on the gain, the gain offset and the direct gain (_assert_gain_laws),
+    the mean gain beta_d + (N^2/L) beta_f beta_g mean(m), and,
     per served in-band UE k, the correlation of two matched UEs' gains. Given
     X = |gamma_1|^2 / beta_f ~ Exp(1) the gains are independent exponentials
     with means beta_d + r X, r = (N^2/L) beta_f beta_g m, so
@@ -506,8 +537,7 @@ def test_mmwave_los_reduced_law_matches_per_path_sum(n, l_oob):
     dense_gain = np.abs(eff) ** 2
     del ue_gains, cascade
 
-    for q in range(by.n_ues):
-        assert ks_2samp(data.gain_irs[:, q], dense_gain[:, q]).pvalue > 1e-4
+    _assert_gain_laws(data, dense_gain, np.abs(h_d) ** 2, by)
 
     m = on_beam.sum(axis=2)
     r = (n ** 2 / l_oob) * by.beta_f * by.beta_g * m          # (K, Q)
@@ -532,28 +562,32 @@ def test_mmwave_los_reduced_law_matches_per_path_sum(n, l_oob):
 
 def _replay_nlos(replay, n, bx, by, slots, l1, l2):
     """The nlos trial's draws in trial order. Returns the in-band side
-    (cascade angles (K, L), served UE k = slot mod K, its direct link and
-    cascade gains gamma_1,i gamma_2,j per slot) and the OOB side (cascade
-    angles (Q, L), the shared feeder gains gamma_1 (slots, l1), and per UE the
-    unit normal z and h_d)."""
+    (cascade angles (K, L), served UE k = slot mod K, its direct link
+    |h_d| = sqrt(beta_d Exp(1)), real, and cascade gains gamma_1,i gamma_2,j per
+    slot) and the OOB side (cascade angles (Q, L), the shared feeder gains
+    gamma_1 (slots, l1), and per UE the unit normal z and the direct power
+    |h_d|^2)."""
     _, _, angles_x = mmwave_angles(replay, n, l1, l2, bx.n_ues)
     _, _, angles_y = mmwave_angles(replay, n, l1, l2, by.n_ues)
     k = np.arange(slots) % bx.n_ues
     bs_x = complex_normal(replay, bx.beta_f, (slots, l1))
     ue_x = complex_normal(replay, bx.beta_g[k, None], (slots, l2))
-    h_dx = complex_normal(replay, bx.beta_d[k], (slots,))
+    h_dx = np.sqrt(bx.beta_d[k] * replay.standard_exponential(slots))
     g_x = (bs_x[:, :, None] * ue_x[:, None, :]).reshape(slots, l1 * l2)
     gamma_1 = complex_normal(replay, by.beta_f, (slots, l1))
     z = complex_normal(replay, 1.0, (slots, by.n_ues))
-    h_d = complex_normal(replay, by.beta_d, (slots, by.n_ues))
-    return (angles_x, k, h_dx, g_x), (angles_y, gamma_1, z, h_d)
+    direct = by.beta_d * replay.standard_exponential((slots, by.n_ues))
+    return (angles_x, k, h_dx, g_x), (angles_y, gamma_1, z, direct)
 
 
 @pytest.mark.parametrize("n", [8, 16])
 def test_mmwave_nlos_trial_matches_scalar_reference(n):
-    """Every slot of a replayed trial against the scalar rules: the
-    configuration is optimize_mmwave_nlos of the served UE's paths, and each
-    gain is effective_channel_mmwave of that configuration. The OOB UE q sees
+    """Every slot of a replayed trial against the scalar rules. Both direct
+    links are drawn as magnitudes, so the scalar rules see real, positive
+    h_d (any phase gives the same gains; see
+    test_nlos_scalar_gains_ignore_the_direct_phase). The configuration is
+    optimize_mmwave_nlos of the served UE's paths, and each gain is
+    effective_channel_mmwave of that configuration. The OOB UE q sees
     per-path gains gamma_1,i gamma_2,j with
     gamma_2,j = z sqrt(beta_g,q) conj(a_j) / ||a||, a_j = sum_i gamma_1,i r_ij
     and r_ij the scalar response at its cascade angle (i, j): their per-path
@@ -562,9 +596,9 @@ def test_mmwave_nlos_trial_matches_scalar_reference(n):
     l1, l2 = spec.l1, spec.l2
     data = mmwave_nlos_trial(rng, n, bx, by, spec.slots, l1, l2)
 
-    (angles_x, k_served, h_dx, g_x), (angles_y, gamma_1, z, h_d) = \
+    (angles_x, k_served, h_dx, g_x), (angles_y, gamma_1, z, direct) = \
         _replay_nlos(replay, n, bx, by, spec.slots, l1, l2)
-    np.testing.assert_array_equal(data.gain_noirs, np.abs(h_d) ** 2)
+    np.testing.assert_array_equal(data.gain_noirs, direct)
     for s in range(spec.slots):
         k = k_served[s]
         theta = optimize_mmwave_nlos(h_dx[s], angles_x[k], g_x[s], n)
@@ -579,8 +613,36 @@ def test_mmwave_nlos_trial_matches_scalar_reference(n):
             assert norm > 0
             gamma_2 = z[s, q] * math.sqrt(by.beta_g[q]) * np.conj(a) / norm
             gains = np.outer(gamma_1[s], gamma_2).ravel()
-            want.append(abs(effective_channel_mmwave(h_d[s, q], angles_y[q], gains, theta)) ** 2)
+            want.append(abs(effective_channel_mmwave(math.sqrt(direct[s, q]), angles_y[q],
+                                                     gains, theta)) ** 2)
         _assert_gains(data.gain_irs[s], want)
+
+
+def test_nlos_scalar_gains_ignore_the_direct_phase():
+    """Rotating the served UE's h_d by any phase rotates theta by the same
+    global phase: the scalar in-band gain keeps its value, and so does every
+    OOB power |sum_i gamma_1,i r_ij|^2, since each response r_ij = adot^H theta
+    turns by that phase too. This is why the trial draws |h_d| alone."""
+    rng = np.random.default_rng(71)
+    n, l1, l2 = 16, 2, 3
+    _, _, angles = mmwave_angles(rng, n, l1, l2, 2)
+    gains = complex_normal(rng, 1.0, (l1 * l2,))
+    gamma_1 = complex_normal(rng, 1.0, (l1,))
+    h_d = 0.7 * complex_normal(rng, 1.0, ())
+    gain, power = [], []
+    for phase in (0.0, 1.1, -2.9, math.pi):
+        rotated = h_d * np.exp(1j * phase)
+        theta = optimize_mmwave_nlos(rotated, angles[0], gains, n)
+        gain.append(abs(effective_channel_mmwave(rotated, angles[0], gains, theta)) ** 2)
+        resp = np.array([effective_channel_mmwave(0.0, [angle], [1.0], theta)
+                         for angle in angles[1]]).reshape(l1, l2)
+        power.append(np.abs(gamma_1 @ resp) ** 2)
+    np.testing.assert_allclose(gain, gain[0], rtol=1e-12)
+    np.testing.assert_allclose(power, np.broadcast_to(power[0], (4, l2)), rtol=1e-10)
+    # the magnitude alone gives the same gain
+    theta = optimize_mmwave_nlos(abs(h_d), angles[0], gains, n)
+    assert abs(effective_channel_mmwave(abs(h_d), angles[0], gains, theta)) ** 2 \
+        == pytest.approx(gain[0], rel=1e-12)
 
 
 def _nlos_gain_moments(resp, by, n):
@@ -614,7 +676,8 @@ def test_mmwave_nlos_reduced_law_matches_per_path_sum(n, l1, l2):
     """Distributional equivalence of the reduced OOB sampler and the per-path
     sum it replaces, both on the trial's own angles and in-band draws, the
     configurations rebuilt by optimize_mmwave_nlos: KS per UE on the gain,
-    the mean gain from the slots' responses, and the correlation between UEs
+    the gain offset and the direct gain (_assert_gain_laws), the mean gain
+    from the slots' responses, and the correlation between UEs
     that the shared gamma_1 creates (averaged over the UE pairs, whose single
     estimates are noisy with these heavy tails). The gap to the correlation of
     one gamma_1 per UE is asserted too, so the check has teeth. At N = 4 the
@@ -642,8 +705,7 @@ def test_mmwave_nlos_reduced_law_matches_per_path_sum(n, l1, l2):
     eff = h_d + (n / math.sqrt(l_paths)) * (cascade * resp).sum(axis=2)
     dense_gain = np.abs(eff) ** 2
 
-    for q in range(by.n_ues):
-        assert ks_2samp(data.gain_irs[:, q], dense_gain[:, q]).pvalue > 1e-4
+    _assert_gain_laws(data, dense_gain, np.abs(h_d) ** 2, by)
 
     mean, corr, corr_indep = _nlos_gain_moments(resp.reshape(slots, by.n_ues, l1, l2), by, n)
     pairs = np.triu_indices(by.n_ues, 1)

@@ -310,30 +310,35 @@ def inband_gain_samples_sub6(rng: np.random.Generator, n_elements: int, beta_r: 
 # scheduling
 
 def schedule_rates(rates: np.ndarray, scheduler: str, tau: float = 1000.0) -> np.ndarray:
-    """Served-UE index per slot for a (slots, Q) rate matrix.
+    """Served-UE index per slot for a (..., slots, Q) rate array, one schedule per leading index.
 
     PF warm-starts its averages from the first slot's rates (any positive
     start works; this one makes slot 0 a fair tie) and uses the standard
     R_q/T_q metric. After each slot every average decays by 1 - 1/tau and
     only the served UE banks rate/tau. MR serves the highest rate; ties go
-    to the lowest index, in MR and PF alike.
+    to the lowest index, in MR and PF alike. PF runs one loop over slots for
+    every schedule at once, each with its own averages, so a schedule is the
+    same bits whatever else is batched with it.
     """
-    slots, q_ues = rates.shape
+    *lead, slots, q_ues = rates.shape
     if scheduler == "rr":
-        return np.arange(slots) % q_ues
+        return np.broadcast_to(np.arange(slots) % q_ues, (*lead, slots))
     if scheduler == "mr":
-        return np.argmax(rates, axis=1)
+        return np.argmax(rates, axis=-1)
     if scheduler != "pf":
         raise ValueError(f"unknown scheduler {scheduler!r}")
+    flat = rates.reshape(-1, slots, q_ues)
+    batch = np.arange(len(flat))
     decay = 1.0 - 1.0 / tau
-    averages = np.maximum(rates[0], 1e-300)
-    served = np.empty(slots, dtype=int)
+    averages = np.maximum(flat[:, 0], 1e-300)
+    served = np.empty((len(flat), slots), dtype=int)
     for t in range(slots):
-        q_star = int(np.argmax(rates[t] / averages))
-        served[t] = q_star
+        offered = flat[:, t]
+        q_star = np.argmax(offered / averages, axis=1)
+        served[:, t] = q_star
         averages *= decay
-        averages[q_star] += rates[t, q_star] / tau
-    return served
+        averages[batch, q_star] += offered[batch, q_star] / tau
+    return served.reshape(*lead, slots)
 
 
 # ---------------------------------------------------------------------------

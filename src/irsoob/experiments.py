@@ -223,8 +223,8 @@ def _invert_offset_ccdf(p_target: float, params: AnalyticParams, ue: int = 0) ->
 
 def _served_se(rates: np.ndarray, scheduler: str, tau: float) -> np.ndarray:
     """Per-trial mean SE of the UEs a scheduler serves, from (trials, slots, Q) rates."""
-    slot_idx = np.arange(rates.shape[1])
-    return np.array([r[slot_idx, schedule_rates(r, scheduler, tau)].mean() for r in rates])
+    served = schedule_rates(rates, scheduler, tau)
+    return np.take_along_axis(rates, served[..., None], axis=-1)[..., 0].mean(axis=1)
 
 
 def _pf_gap(bf_gain: np.ndarray, snr: float, pf_se: np.ndarray) -> np.ndarray:

@@ -768,6 +768,45 @@ def test_pf_symmetric_rates_share_slots_roughly():
     assert np.max(np.abs(counts - 1000)) < 150
 
 
+def _pf_one_row(rates, tau):
+    """PF over one (slots, Q) rate matrix, slot by slot with scalar argmax:
+    the per-row reference the batched scheduler is held to."""
+    decay = 1.0 - 1.0 / tau
+    averages = np.maximum(rates[0], 1e-300)
+    served = []
+    for t in range(len(rates)):
+        q_star = int(np.argmax(rates[t] / averages))
+        served.append(q_star)
+        averages *= decay
+        averages[q_star] += rates[t, q_star] / tau
+    return np.array(served)
+
+
+@pytest.mark.parametrize("lead,q_ues", [((6,), 5), ((2, 3), 4), ((4,), 1), ((), 3)],
+                         ids=["trials", "two_axes", "one_ue", "unbatched"])
+def test_batched_schedules_equal_the_per_row_loop(lead, q_ues):
+    """Every schedule of a batch is the per-row PF loop's bit for bit, and rr
+    and mr broadcast over the leading axes. Half the rows are drawn from
+    {1, 2, 4}, so exact ties in the PF metric are frequent and must go to
+    the lowest index as in the loop; Q = 1 serves UE 0 throughout."""
+    rng = np.random.default_rng(72)
+    slots = 300
+    rates = rng.exponential(1.0, (*lead, slots, q_ues))
+    flat = rates.reshape(-1, slots, q_ues)
+    flat[::2] = rng.choice([1.0, 2.0, 4.0], size=flat[::2].shape)
+    for tau in (1.0, 4.0, 50.0):
+        with np.errstate(divide="ignore"):
+            served = schedule_rates(rates, "pf", tau=tau)
+            want = np.stack([_pf_one_row(r, tau) for r in flat]).reshape(*lead, slots)
+        assert served.shape == (*lead, slots)
+        np.testing.assert_array_equal(served, want)
+    if q_ues == 1:
+        assert not served.any()
+    rr = schedule_rates(rates, "rr")
+    np.testing.assert_array_equal(rr, np.broadcast_to(np.arange(slots) % q_ues, (*lead, slots)))
+    np.testing.assert_array_equal(schedule_rates(rates, "mr"), np.argmax(rates, axis=-1))
+
+
 def test_round_robin_serves_each_ue_equally():
     served = schedule_rates(np.ones((45, 9)), "rr")
     np.testing.assert_array_equal(np.bincount(served, minlength=9), [5] * 9)

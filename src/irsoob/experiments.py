@@ -4,8 +4,8 @@ Each preset is data: a default ExperimentSpec, a note, and the spec variants
 it sweeps. One runner, `run_spec`, turns any of them into ResultRow records:
 a statistic name, its sweep coordinates, and empirical / analytic / stderr
 values. Rows are written as one CSV per figure plus a manifest recording the
-spec hash, seed, package versions, and the UE placement, so a run can be
-reproduced or compared byte for byte.
+spec hash, seed, package versions, and each variant's overrides, seed and UE
+placement, so a run can be reproduced or compared byte for byte.
 
 Preset defaults are sized for a laptop (a few thousand slots, a handful of
 trials). Scaling up is a matter of overriding `slots` and `trials`; the model
@@ -90,16 +90,32 @@ def emit_csv(rows, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def write_manifest(path, figure: str, spec: ExperimentSpec, positions) -> None:
-    """Record what produced a figure's CSV; merges into an existing manifest."""
+@dataclass(frozen=True)
+class VariantRun:
+    """One variant of a run: its spec overrides, the seed it drew from and its UE positions."""
+
+    overrides: dict
+    seed: int
+    positions: tuple[np.ndarray, np.ndarray]
+
+
+def write_manifest(path, figure: str, spec: ExperimentSpec, runs) -> None:
+    """Record what produced a figure's CSV; merges into an existing manifest.
+
+    `runs` holds one VariantRun per variant, in run order; each keeps its
+    overrides, seed and UE positions, so a swept run can be rebuilt from its
+    entry alone.
+    """
     from . import __version__
 
     entry = {
         "spec_sha256": spec_hash(spec),
         "seed": spec.seed,
         "spec": spec_to_dict(spec),
-        "ue_positions_inband": np.asarray(positions[0]).tolist(),
-        "ue_positions_oob": np.asarray(positions[1]).tolist(),
+        "variants": [{"overrides": dict(run.overrides), "seed": run.seed,
+                      "ue_positions_inband": np.asarray(run.positions[0]).tolist(),
+                      "ue_positions_oob": np.asarray(run.positions[1]).tolist()}
+                     for run in runs],
         "versions": {
             "python": platform.python_version(),
             "numpy": np.__version__,
@@ -263,12 +279,13 @@ def run_spec(spec: ExperimentSpec, figure: str = "run", analytic_only: bool = Fa
     point goes to one `sweep_gains` call on one pool, so the trials run one
     point ahead across variant boundaries too.
 
-    Returns (rows, ue_positions of the last variant). With analytic_only,
+    Returns (rows, one VariantRun per variant). With analytic_only,
     simulation is skipped and the empirical/stderr columns stay blank; grids
     and placements are identical to a full run. Trials run only when an
     output reads their gains.
     """
     points = []     # (spec, N, trial generators, auxiliary generator, budget_x, budget_y)
+    runs = []
     for variant in variants:
         sub = dataclasses.replace(spec, **variant)
         if "q_ues" in variant:
@@ -276,6 +293,7 @@ def run_spec(spec: ExperimentSpec, figure: str = "run", analytic_only: bool = Fa
         per_point = sub.trials + 1
         rngs = spawn_rngs(sub.seed, 1 + len(sub.n_sweep) * per_point)
         positions, budget_x, budget_y = budgets_for(sub, rngs[0], None)
+        runs.append(VariantRun(variant, sub.seed, positions))
         for i, n in enumerate(sub.n_sweep):
             block = rngs[1 + i * per_point: 1 + (i + 1) * per_point]
             points.append((sub, n, block[:-1], block[-1], budget_x, budget_y))
@@ -291,7 +309,7 @@ def run_spec(spec: ExperimentSpec, figure: str = "run", analytic_only: bool = Fa
         for (sub, n, _, aux_rng, budget_x, budget_y), data in zip(points, gains):
             rows += _point_rows(sub, figure, n, data, aux_rng, budget_x, budget_y,
                                 analytic_only)
-    return rows, positions
+    return rows, runs
 
 
 def _point_rows(spec, figure, n, data, aux_rng, budget_x, budget_y, analytic_only):
@@ -626,19 +644,19 @@ def preset_spec(name: str, overrides: dict | None = None,
     return spec
 
 
-def save_run(out_dir, figure: str, spec: ExperimentSpec, rows, positions) -> None:
+def save_run(out_dir, figure: str, spec: ExperimentSpec, rows, runs) -> None:
     """Write a figure's CSV and its manifest entry into out_dir."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     emit_csv(rows, out / f"{figure}.csv")
-    write_manifest(out / "manifest.json", figure, spec, positions)
+    write_manifest(out / "manifest.json", figure, spec, runs)
 
 
 def run_preset(name: str, overrides: dict | None = None, seed: int | None = None,
                out_dir=None, analytic_only: bool = False) -> list[ResultRow]:
     """Run one figure preset, optionally writing its CSV and manifest entry."""
     spec = preset_spec(name, overrides, seed)
-    rows, positions = run_spec(spec, name, analytic_only, PRESETS[name].variants)
+    rows, runs = run_spec(spec, name, analytic_only, PRESETS[name].variants)
     if out_dir is not None:
-        save_run(out_dir, name, spec, rows, positions)
+        save_run(out_dir, name, spec, rows, runs)
     return rows

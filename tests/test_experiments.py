@@ -99,8 +99,32 @@ def test_manifest_records_provenance(tmp_path):
     assert entry["seed"] == 17
     assert entry["spec"]["slots"] == 200
     assert set(entry["versions"]) == {"python", "numpy", "irsoob"}
-    assert np.asarray(entry["ue_positions_inband"]).shape == (expected.k_ues, 2)
-    assert np.asarray(entry["ue_positions_oob"]).shape == (expected.q_ues, 2)
+    (run,) = entry["variants"]
+    assert run["overrides"] == {} and run["seed"] == 17
+    assert np.asarray(run["ue_positions_inband"]).shape == (expected.k_ues, 2)
+    assert np.asarray(run["ue_positions_oob"]).shape == (expected.q_ues, 2)
+
+
+def test_manifest_records_each_variant(tmp_path):
+    """A swept preset's entry names every variant in run order, the seed it
+    drew from (seed + 7919·Q for a Q variant, the spec's seed otherwise) and
+    the positions it drew, which are those of a single run at that seed."""
+    small = dict(n_sweep=(4,), slots=40, trials=2)
+    run_preset("fig11", overrides=small, seed=3, out_dir=tmp_path, analytic_only=True)
+    run_preset("fig9", overrides=dict(small, n_sweep=(4, 8)), seed=3, out_dir=tmp_path,
+               analytic_only=True)
+    manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+    fig11 = manifest["fig11"]["variants"]
+    assert [v["overrides"] for v in fig11] == [{"q_ues": q} for q in (1, 10, 100)]
+    assert [v["seed"] for v in fig11] == [3 + 7919 * q for q in (1, 10, 100)]
+    for v in fig11:
+        q = v["overrides"]["q_ues"]
+        spec = dataclasses.replace(PRESETS["fig11"].spec, **small, q_ues=q, seed=v["seed"])
+        _, (run,) = run_spec(spec, "single", analytic_only=True)
+        np.testing.assert_array_equal(v["ue_positions_oob"], run.positions[1])
+        assert np.asarray(v["ue_positions_oob"]).shape == (q, 2)
+    fig9 = manifest["fig9"]["variants"]
+    assert [(v["overrides"], v["seed"]) for v in fig9] == [({"l2": 4}, 3), ({"l2": 8}, 3)]
 
 
 def test_manifest_merges_multiple_figures(tmp_path):
@@ -206,13 +230,14 @@ def test_a_q_variant_draws_from_seed_plus_7919_q():
     """Each Q of a sweep draws from seed + 7919·Q with trials + 1 generators
     per point, so its rows are those of a single-Q run at that seed."""
     spec = _spec(n_sweep=(4, 8), k_ues=2, slots=60, trials=2, seed=5, outputs=("pf_gap",))
-    rows, positions = run_spec(spec, "q", variants=Q_SWEEP)
-    for q in (2, 3):
-        single, single_positions = run_spec(
+    rows, runs = run_spec(spec, "q", variants=Q_SWEEP)
+    for q, run in zip((2, 3), runs):
+        single, (single_run,) = run_spec(
             dataclasses.replace(spec, q_ues=q, seed=spec.seed + 7919 * q), "q")
         assert single and [r for r in rows if r.q_ues == q] == single
-    for got, want in zip(positions, single_positions):
-        np.testing.assert_array_equal(got, want)
+        assert (run.overrides, run.seed) == ({"q_ues": q}, single_run.seed)
+        for got, want in zip(run.positions, single_run.positions):
+            np.testing.assert_array_equal(got, want)
 
 
 def test_mr_over_one_ue_takes_the_rr_form():
@@ -369,12 +394,13 @@ def test_runner_rows_are_independent_of_the_worker_count(monkeypatch, spec, vari
         monkeypatch.setattr(experiments, "_worker_count",
                             default if workers is None else lambda trials, w=workers: w)
         results.append(run_spec(spec, "workers", variants=variants))
-    rows, positions = results[0]
+    rows, runs = results[0]
     assert rows
-    for other_rows, other_positions in results[1:]:
+    for other_rows, other_runs in results[1:]:
         assert other_rows == rows
-        for got, want in zip(other_positions, positions):
-            np.testing.assert_array_equal(got, want)
+        for other, run in zip(other_runs, runs):
+            for got, want in zip(other.positions, run.positions):
+                np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("regime,variants", [

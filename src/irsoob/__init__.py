@@ -8,16 +8,18 @@ closed-form rate/outage/distribution expressions, and figure-style experiment
 presets with a small CLI (`irsoob`).
 
 Subpackage map:
-    kernels      dB conversion, angle grid and sine wrap, Gaussian tail
-    channels     geometry, path loss, complex normals, sparse channel samplers
+    kernels      dB conversion, angle grid, sine wrap and cascade bins,
+                 Gaussian tail
+    channels     geometry, path loss, complex normals, sparse path angles as
+                 grid bins
     irs          unit phase, scalar phase-configuration rules and effective
                  channels (the references the engine is tested against),
                  response probes
     analytics    closed-form SE, outage, and distribution expressions, and
                  the one guarded quadrature
     engine       vectorized Monte Carlo trials that return channel gains
-                 only (sub6 and mmWave LOS OOB gains from their exact
-                 reduced laws), the OOB scheduler, empirical distributions
+                 only (every regime's OOB gains from their exact reduced
+                 laws), the OOB scheduler, empirical distributions
     experiments  presets as data (spec, note, swept variants), the one sweep
                  runner `run_spec`, CSV emission, run manifests
     cli          argparse entry point

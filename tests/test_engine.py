@@ -12,7 +12,10 @@ only; rates are the test-side log2(1 + snr g) of oracles.py. The reduced OOB
 laws (sub6, the matched-path law of the mmWave LOS trial, and the nlos
 trial's one draw per UE) are replayed bit for bit and compared in
 distribution with the dense per-element or per-path construction each
-replaces (for sub6, the oracle's sample_sub6).
+replaces (for sub6, the oracle's sample_sub6). The mmWave trials draw
+their direct links as magnitudes, so their replays hand the scalar rules a
+real h_d; a separate check shows that the direct phase moves no scalar gain.
+The batched PF scheduler is held to a per-row loop, bit for bit.
 The sub6 in-band gain and the matched-reflector ceiling share one sampler of
 exponential magnitudes: its replay gives the rebuilt complex channels those
 magnitudes and phases from a separate generator, and the sampler is compared
@@ -38,8 +41,8 @@ from irsoob.experiments import operator_params
 from irsoob.irs import (effective_channel_mmwave, effective_channel_sub6, optimize_mmwave_los,
                         optimize_mmwave_nlos, optimize_sub6, unit_phase)
 from irsoob.kernels import db_to_linear
-from oracles import (aligned_gain_complex, grid_index, mmwave_angles, sample_mmwave, sample_sub6,
-                     spectral_efficiency)
+from oracles import (aligned_gain_complex, grid_index, mmwave_angles, sample_mmwave,
+                     sample_sub6, spectral_efficiency)
 
 GAMMA_130 = float(db_to_linear(130.0))
 

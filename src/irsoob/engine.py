@@ -205,15 +205,16 @@ def mmwave_los_trial(rng: np.random.Generator, n_elements: int, budget_x: LinkBu
     inband_gain = (np.abs(h_dx) + n_elements * np.abs(g_x)) ** 2
 
     matches = (bins_y[None, :, :] == bins_x[:, None, None]).sum(axis=2)  # (K, Q)
+    # R's variance per unit feeder power, for each (served UE k, OOB UE q)
+    weight = (n_elements ** 2 / l_oob) * budget_y.beta_f * matches * budget_y.beta_g
     feeder_power = rng.standard_exponential(slots)                       # X
     gain_noirs = budget_y.beta_d * rng.standard_exponential((slots, budget_y.n_ues))
     gain_irs = gain_noirs.copy()
-    served_matches = matches[k_served]                                   # (slots, Q)
-    slot, ue = np.nonzero(served_matches)
-    variance = ((n_elements ** 2 / l_oob) * budget_y.beta_f * feeder_power[slot]
-                * served_matches[slot, ue] * budget_y.beta_g[ue])
-    reflected = complex_normal(rng, variance, slot.size)
-    gain_irs[slot, ue] = np.abs(np.sqrt(gain_noirs[slot, ue]) + reflected) ** 2
+    served_weight = weight[k_served]                                     # (slots, Q)
+    lit = np.flatnonzero(served_weight)        # the matched (slot, UE) entries, row-major
+    variance = (feeder_power[:, None] * served_weight).take(lit)
+    reflected = complex_normal(rng, variance, lit.size)
+    gain_irs.put(lit, np.abs(np.sqrt(gain_noirs.take(lit)) + reflected) ** 2)
     return TrialData(inband_gain=inband_gain, gain_irs=gain_irs, gain_noirs=gain_noirs)
 
 

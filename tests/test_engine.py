@@ -441,12 +441,13 @@ def _replay_los(replay, n, bx, by, slots, l_oob):
 def _replay_los_oob(replay, by, slots, m_served, n, l_oob):
     """The LOS trial's OOB draws after the angles, replayed: the feeder power
     X (slots,), the direct power |h_d|^2 (slots, Q) and the reflected sum R at
-    the matched (slot, UE) entries, in row-major order."""
+    the matched (slot, UE) entries (returned as index arrays), in row-major
+    order."""
     power = replay.standard_exponential(slots)
     direct = by.beta_d * replay.standard_exponential((slots, by.n_ues))
     slot, ue = np.nonzero(m_served)
-    variance = (n ** 2 / l_oob) * by.beta_f * power[slot] * m_served[slot, ue] * by.beta_g[ue]
-    return power, direct, (slot, ue), complex_normal(replay, variance, slot.size)
+    weight = (n ** 2 / l_oob) * by.beta_f * m_served[slot, ue] * by.beta_g[ue]
+    return power, direct, (slot, ue), complex_normal(replay, power[slot] * weight, slot.size)
 
 
 @pytest.mark.parametrize("n", [8, 16])

@@ -167,35 +167,17 @@ def _offset_ccdf_given_power(u, t):
     return np.where(u >= 0.0, pos, neg)
 
 
-def ccdf_offset_sub6_exact(z, p: AnalyticParams, ue: int = 0):
-    """Tail of the gain offset given the reflected power, N*beta_r on average.
-
-    Exact for a fixed-variance Gaussian pair: the direct path h_d ~
-    CN(0, beta_d) and a reflected sum r ~ CN(0, N*beta_r), independent, whose
-    gains |h_d + r|^2 and |h_d|^2 form a difference of correlated
-    exponentials. The simulated reflected sum sum_n theta_n f_n g_n is only
-    conditionally Gaussian: its variance beta_g*||f||^2 spreads with ||f||^2,
-    which this form fixes at its mean. The law the engine samples at finite N
-    is ccdf_offset_sub6_finite_n, which averages this one over that spread.
-    """
-    if p.n_elements < 1:
-        raise ValueError("degenerate offset distribution: requires N >= 1")
-    scalar = np.ndim(z) == 0
-    u = np.atleast_1d(np.asarray(z, dtype=float)) / float(p.beta_d[ue])
-    out = _offset_ccdf_given_power(u, p.n_elements * float(p.beta_tilde[ue]))
-    return float(out[0]) if scalar else out
-
-
 def ccdf_offset_sub6_finite_n(z, p: AnalyticParams, ue: int = 0):
     """Exact finite-N tail P(gain offset > z) for an OOB UE under Rayleigh fading.
 
     Given the feeder channel f, the reflected sum sum_n theta_n f_n g_n is
     CN(0, beta_g*||f||^2) whatever the (independent) phases theta, and
     ||f||^2/beta_f = G ~ Gamma(N, 1). So the offset law is the given-power law
-    of ccdf_offset_sub6_exact with N*beta_tilde replaced by G*beta_tilde,
-    averaged over G by 60-node generalized Gauss-Laguerre quadrature. It
-    tends to ccdf_offset_sub6_exact as N grows (G/N -> 1) and to
-    ccdf_offset_sub6 in the large-N limit.
+    (_offset_ccdf_given_power) at reflected-to-direct power ratio
+    G*beta_tilde, averaged over G by 60-node generalized Gauss-Laguerre
+    quadrature. As N grows G/N -> 1, so it closes on the given-power law at
+    the mean ratio N*beta_tilde, and it tends to ccdf_offset_sub6 in the
+    large-N limit.
     """
     if p.n_elements < 1:
         raise ValueError("degenerate offset distribution: requires N >= 1")

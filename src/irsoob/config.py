@@ -143,6 +143,11 @@ def load_spec(path: str) -> ExperimentSpec:
             raise ValueError(f"{path}: not valid JSON ({err})") from err
     if not isinstance(data, dict):
         raise ValueError(f"{path}: top level must be a JSON object")
+    return spec_from_dict(data)
+
+
+def spec_from_dict(data: dict) -> ExperimentSpec:
+    """Build and validate a spec from a config-shaped dict, naming unknown keys by dotted path."""
     return _build(ExperimentSpec, data, "")
 
 

@@ -31,7 +31,8 @@ import numpy as np
 
 from . import analytics
 from .analytics import AnalyticParams
-from .config import SCHEDULERS, ExperimentSpec, spec_hash, spec_to_dict
+from .channels import PathLossParams
+from .config import SCHEDULERS, ExperimentSpec, spec_from_dict, spec_hash, spec_to_dict
 from .engine import (TrialData, budgets_for, dominance_test, empirical_ccdf,
                      empirical_outage, inband_gain_samples_sub6, run_trial, schedule_rates,
                      spawn_rngs)
@@ -215,16 +216,49 @@ def sweep_gains(pool: ThreadPoolExecutor, points):
                 future.cancel()
 
 
-def _mean_and_stderr(per_trial) -> tuple[float, float | None]:
-    per_trial = np.asarray(per_trial, dtype=float)
-    mean = float(per_trial.mean())
-    if per_trial.size < 2:
-        return mean, None
-    return mean, float(per_trial.std(ddof=1) / math.sqrt(per_trial.size))
+def _per_trial_row(figure, statistic, per_trial, form, **coords) -> ResultRow:
+    """A per-trial statistic's mean, with its stderr over trials, beside a form that may be blank.
+
+    Without per-trial values (analytic only) the empirical and stderr cells
+    stay blank; with one trial the stderr does.
+    """
+    emp = err = None
+    if per_trial is not None:
+        emp = float(per_trial.mean())
+        if per_trial.size >= 2:
+            err = float(per_trial.std(ddof=1) / math.sqrt(per_trial.size))
+    return ResultRow(figure, statistic, empirical=emp, analytic=form, stderr=err, **coords)
 
 
 def _binom_err(p_hat: float, count: int) -> float:
     return math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / count)
+
+
+def _pooled_outage_row(figure, statistic, rho, samples, form, **coords) -> ResultRow:
+    """P(gain < rho) over samples pooled across slots and trials, with its binomial stderr."""
+    emp = err = None
+    if samples is not None:
+        emp = float(empirical_outage(samples, rho))
+        err = _binom_err(emp, samples.size)
+    return ResultRow(figure, statistic, x=rho, empirical=emp, analytic=form, stderr=err,
+                     **coords)
+
+
+def _pooled_ccdf_rows(figure, statistic, grid, samples, forms, **coords) -> list[ResultRow]:
+    """One row per grid point: the pooled samples' CCDF with its binomial stderr.
+
+    `forms` holds the closed form at each grid point, or is None where the
+    statistic has none; `samples` is None when nothing was simulated.
+    """
+    emp = None if samples is None else empirical_ccdf(samples, grid)
+    rows = []
+    for j, x in enumerate(grid):
+        e = None if emp is None else float(emp[j])
+        rows.append(ResultRow(figure, statistic, x=float(x), empirical=e,
+                              analytic=None if forms is None else float(forms[j]),
+                              stderr=None if e is None else _binom_err(e, samples.size),
+                              **coords))
+    return rows
 
 
 def _invert_offset_ccdf(p_target: float, params: AnalyticParams, ue: int = 0) -> float:
@@ -241,11 +275,6 @@ def _served_se(rates: np.ndarray, scheduler: str, tau: float) -> np.ndarray:
     """Per-trial mean SE of the UEs a scheduler serves, from (trials, slots, Q) rates."""
     served = schedule_rates(rates, scheduler, tau)
     return np.take_along_axis(rates, served[..., None], axis=-1)[..., 0].mean(axis=1)
-
-
-def _pf_gap(bf_gain: np.ndarray, snr: float, pf_se: np.ndarray) -> np.ndarray:
-    """Per-trial gap between the per-UE matched-reflector SE ceiling and the PF-served SE."""
-    return np.log2(1.0 + bf_gain * snr).mean(axis=(1, 2)) - pf_se
 
 
 def _ccdf_grid_mmwave(params: AnalyticParams) -> np.ndarray:
@@ -334,9 +363,19 @@ def _point_rows(spec, figure, n, data, aux_rng, budget_x, budget_y, analytic_onl
     if "dominance" in spec.outputs and data is not None and n > 0:
         rows.append(_dominance_row(figure, n, l_tag, data, params_y))
     if "pf_gap" in spec.outputs:
-        rows += _pf_gap_rows(spec, figure, n, data, budget_y)
+        for gamma in spec.gamma_db_sweep:
+            gamma_rows, served = _scheduler_rows(spec, figure, n, gamma, data, budget_y,
+                                                 SCHEDULERS, q_ues=spec.q_ues)
+            gap = None   # PF's per-trial gap to the per-UE matched-reflector SE ceiling
+            if data is not None:
+                ceiling = np.log2(1.0 + data.bf_gain * float(db_to_linear(gamma)))
+                gap = ceiling.mean(axis=(1, 2)) - served["pf"]
+            gamma_rows.append(_per_trial_row(figure, "pf_gap", gap, None, scheduler="pf",
+                                             n_elements=n, gamma_db=gamma, q_ues=spec.q_ues))
+            # without gains (analytic only) only the rows that have a closed form are written
+            rows += [row for row in gamma_rows if data is not None or row.analytic is not None]
     if "inband_offset" in spec.outputs:
-        rows += _inband_offset_rows(spec, figure, n, params_x, inband)
+        rows += _inband_offset_rows(figure, n, params_x, inband)
     if "correlation_response" in spec.outputs and not analytic_only and l_tag is not None:
         rows += _response_rows(spec, figure, n, l_tag, aux_rng)
     return rows
@@ -354,106 +393,88 @@ def _oob_form(spec, scheduler, params):
     return None
 
 
+def _scheduler_rows(spec, figure, n, gamma, data, budget_y, schedulers, **coords):
+    """The OOB sum-SE at one SNR under each scheduler, all on the point's one set of gains.
+
+    Sharing the gains keeps the schedulers' differences clear of sampling
+    noise. Returns the rows and each scheduler's per-trial served SE (None
+    without gains).
+    """
+    snr = float(db_to_linear(gamma))
+    params = operator_params(spec, budget_y, n, snr, "oob")
+    rates = None if data is None else np.log2(1.0 + data.gain_irs * snr)
+    rows, served = [], {}
+    for sched in schedulers:
+        served[sched] = None if rates is None else _served_se(rates, sched, spec.pf_tau)
+        rows.append(_per_trial_row(figure, "sumse_oob", served[sched],
+                                   _oob_form(spec, sched, params), scheduler=sched,
+                                   n_elements=n, gamma_db=gamma, **coords))
+    return rows, served
+
+
 def _sumse_rows(spec, figure, n, l_tag, data, budget_x, budget_y):
+    """Per SNR, the in-band sum-SE and the OOB one under the spec's scheduler."""
     rows = []
     for gamma in spec.gamma_db_sweep:
         snr = float(db_to_linear(gamma))
-        for side, budget in (("inband", budget_x), ("oob", budget_y)):
-            params = operator_params(spec, budget, n, snr, side)
-            # in-band scheduling is always round-robin; the OOB side uses the spec's scheduler
-            if side == "inband":
-                analytic = float(_SUMSE_FORMS[(spec.regime, side)](params))
-            else:
-                analytic = _oob_form(spec, spec.scheduler, params)
-            emp = err = None
-            if data is not None:
-                if side == "inband":
-                    per_trial = np.log2(1.0 + data.inband_gain * snr).mean(axis=1)
-                else:
-                    per_trial = _served_se(np.log2(1.0 + data.gain_irs * snr),
-                                           spec.scheduler, spec.pf_tau)
-                emp, err = _mean_and_stderr(per_trial)
-            rows.append(ResultRow(figure, f"sumse_{side}",
-                                  scheduler=spec.scheduler if side == "oob" else "",
-                                  n_elements=n, gamma_db=gamma, l_paths=l_tag,
-                                  empirical=emp, analytic=analytic, stderr=err))
+        # in-band scheduling is always round-robin
+        params = operator_params(spec, budget_x, n, snr, "inband")
+        per_trial = None if data is None else np.log2(1.0 + data.inband_gain * snr).mean(axis=1)
+        rows.append(_per_trial_row(figure, "sumse_inband", per_trial,
+                                   float(_SUMSE_FORMS[(spec.regime, "inband")](params)),
+                                   n_elements=n, gamma_db=gamma, l_paths=l_tag))
+        rows += _scheduler_rows(spec, figure, n, gamma, data, budget_y, (spec.scheduler,),
+                                l_paths=l_tag)[0]
     return rows
 
 
 def _outage_rows(spec, figure, n, l_tag, data, params_x, params_y, inband):
-    rows = []
     ref_n = 64 if 64 in spec.n_sweep else spec.n_sweep[-1]
     ref = dataclasses.replace(params_y, n_elements=max(ref_n, 1))
     rho = 0.1 * analytics._mu1(ref, 0)
+    analytic = None
     if spec.regime == "sub6":
-        analytic = float(analytics.outage_oob_sub6(rho, params_y)) if n > 0 else \
-            float(1.0 - math.exp(-rho / params_y.beta_d[0]))
+        analytic = float(analytics.outage_oob_sub6(rho, params_y))
     elif spec.regime == "mmwave_los":
         analytic = float(analytics.cdf_oob_mmwave_los(rho, params_y))
-    else:
-        analytic = None
-    emp = err = None
-    if data is not None:
-        samples = data.gain_irs[:, :, 0]
-        emp = float(empirical_outage(samples, rho))
-        err = _binom_err(emp, samples.size)
-    rows.append(ResultRow(figure, "outage_oob", n_elements=n, l_paths=l_tag, x=rho,
-                          empirical=emp, analytic=analytic, stderr=err))
-
+    samples = None if data is None else data.gain_irs[:, :, 0]
+    rows = [_pooled_outage_row(figure, "outage_oob", rho, samples, analytic,
+                               n_elements=n, l_paths=l_tag)]
     if spec.regime == "sub6" and n > 0:
         rho_ib = (math.pi ** 2 / 16.0) * float(params_x.beta_r[0])
-        emp = err = None
-        if inband is not None:
-            emp = float(empirical_outage(inband[0], rho_ib))
-            err = _binom_err(emp, inband[0].size)
-        rows.append(ResultRow(figure, "outage_inband", n_elements=n, x=rho_ib,
-                              empirical=emp, analytic=None, stderr=err))
+        rows.append(_pooled_outage_row(figure, "outage_inband", rho_ib,
+                                       None if inband is None else inband[0], None,
+                                       n_elements=n))
         bound = float(analytics.inband_outage_bound(rho_ib, params_x))
         rows.append(ResultRow(figure, "outage_inband_bound", n_elements=n, x=rho_ib,
-                              empirical=None, analytic=bound, stderr=None))
+                              analytic=bound))
     return rows
 
 
 def _ccdf_rows(spec, figure, n, l_tag, data, params_y):
-    rows = []
     beta_d0 = float(params_y.beta_d[0])
-    count = spec.slots * spec.trials
+    p_grid = np.linspace(0.995, 0.005, _GRID_POINTS)
     if n == 0:
         # no reflector: the plain direct-path gain distribution
-        p_grid = np.linspace(0.995, 0.005, _GRID_POINTS)
         grid = -beta_d0 * np.log(p_grid)
-        emp = empirical_ccdf(data.gain_noirs[:, :, 0], grid) if data is not None else None
-        for j, x in enumerate(grid):
-            e = None if emp is None else float(emp[j])
-            rows.append(ResultRow(figure, "gain_ccdf_noirs", x=float(x),
-                                  empirical=e, analytic=math.exp(-x / beta_d0),
-                                  stderr=None if e is None else _binom_err(e, count)))
-        return rows
-
+        return _pooled_ccdf_rows(figure, "gain_ccdf_noirs", grid,
+                                 None if data is None else data.gain_noirs[:, :, 0],
+                                 [math.exp(-x / beta_d0) for x in grid])
     if spec.regime == "sub6":
-        p_grid = np.linspace(0.995, 0.005, _GRID_POINTS)
         grid = np.array([_invert_offset_ccdf(p, params_y) for p in p_grid])
-        analytic = analytics.ccdf_offset_sub6_finite_n(grid, params_y)
         samples = None
         if data is not None:
             samples = (data.gain_irs[:, :, 0] - data.gain_noirs[:, :, 0]).ravel()
-        stat = "offset_ccdf"
-    else:
-        grid = _ccdf_grid_mmwave(params_y)
-        if spec.regime == "mmwave_los":
-            analytic = 1.0 - analytics.cdf_oob_mmwave_los(grid, params_y)
-        else:
-            analytic = np.full(grid.shape, np.nan)
-        samples = data.gain_irs[:, :, 0].ravel() if data is not None else None
-        stat = "gain_ccdf"
-    emp = empirical_ccdf(samples, grid) if samples is not None else None
-    for j, x in enumerate(grid):
-        e = None if emp is None else float(emp[j])
-        a = float(analytic[j]) if np.isfinite(analytic[j]) else None
-        rows.append(ResultRow(figure, stat, n_elements=n, l_paths=l_tag, x=float(x),
-                              empirical=e, analytic=a,
-                              stderr=None if e is None else _binom_err(e, count)))
-    return rows
+        return _pooled_ccdf_rows(figure, "offset_ccdf", grid, samples,
+                                 analytics.ccdf_offset_sub6_finite_n(grid, params_y),
+                                 n_elements=n, l_paths=l_tag)
+    grid = _ccdf_grid_mmwave(params_y)
+    forms = None
+    if spec.regime == "mmwave_los":
+        forms = 1.0 - analytics.cdf_oob_mmwave_los(grid, params_y)
+    return _pooled_ccdf_rows(figure, "gain_ccdf", grid,
+                             None if data is None else data.gain_irs[:, :, 0].ravel(), forms,
+                             n_elements=n, l_paths=l_tag)
 
 
 def _dominance_row(figure, n, l_tag, data, params_y):
@@ -464,40 +485,7 @@ def _dominance_row(figure, n, l_tag, data, params_y):
                      empirical=report.min_diff, analytic=None, stderr=report.eps_stat)
 
 
-def _pf_gap_rows(spec, figure, n, data, budget_y):
-    """OOB SE under rr, pf and mr on the point's one set of gains, and PF's gap to the ceiling.
-
-    All three schedulers serve the same gains, so their differences are not
-    masked by sampling noise. The gap is the per-UE matched-reflector SE
-    ceiling minus the PF-served SE. Without gains (analytic only) only the
-    rows that have a closed form are written.
-    """
-    rows = []
-    for gamma in spec.gamma_db_sweep:
-        snr = float(db_to_linear(gamma))
-        params = operator_params(spec, budget_y, n, snr, "oob")
-        rates = None if data is None else np.log2(1.0 + data.gain_irs * snr)
-        for sched in SCHEDULERS:
-            analytic = _oob_form(spec, sched, params)
-            if rates is None:
-                if analytic is not None:
-                    rows.append(ResultRow(figure, "sumse_oob", scheduler=sched, n_elements=n,
-                                          gamma_db=gamma, q_ues=spec.q_ues, analytic=analytic))
-                continue
-            served = _served_se(rates, sched, spec.pf_tau)
-            emp, err = _mean_and_stderr(served)
-            rows.append(ResultRow(figure, "sumse_oob", scheduler=sched, n_elements=n,
-                                  gamma_db=gamma, q_ues=spec.q_ues,
-                                  empirical=emp, analytic=analytic, stderr=err))
-            if sched == "pf":
-                emp, err = _mean_and_stderr(_pf_gap(data.bf_gain, snr, served))
-                rows.append(ResultRow(figure, "pf_gap", scheduler="pf", n_elements=n,
-                                      gamma_db=gamma, q_ues=spec.q_ues,
-                                      empirical=emp, analytic=None, stderr=err))
-    return rows
-
-
-def _inband_offset_rows(spec, figure, n, params_x, inband):
+def _inband_offset_rows(figure, n, params_x, inband):
     """The served in-band UE's gain offset CCDF against its closed-form lower bound."""
     beta_d0 = float(params_x.beta_d[0])
     bp = analytics.DecayBoundParams.from_params(params_x)
@@ -506,51 +494,32 @@ def _inband_offset_rows(spec, figure, n, params_x, inband):
             + bp.eta ** 2 / (beta_d0 + bp.alpha))
     grid = np.array([beta_d0 * (math.log(1.0 - p) + base)
                      for p in np.linspace(0.95, 0.05, 10)])
-    bound = analytics.inband_offset_ccdf_bound(grid, params_x)
-    emp = None if inband is None else empirical_ccdf(inband[0] - inband[1], grid)
-    count = spec.slots * spec.trials
-    rows = []
-    for j, rho in enumerate(grid):
-        e = None if emp is None else float(emp[j])
-        rows.append(ResultRow(figure, "offset_ccdf_inband", n_elements=n, x=float(rho),
-                              empirical=e, analytic=float(bound[j]),
-                              stderr=None if e is None else _binom_err(e, count)))
-    return rows
+    return _pooled_ccdf_rows(figure, "offset_ccdf_inband", grid,
+                             None if inband is None else inband[0] - inband[1],
+                             analytics.inband_offset_ccdf_bound(grid, params_x), n_elements=n)
 
 
 def _response_rows(spec, figure, n, l_tag, aux_rng):
-    l_total = spec.l1 * spec.l2
+    """The RMS response at each source angle, with form 1/sqrt(L), then at two off-peak probes."""
     grid = resolvable_angles(n)
-    source = np.sort(aux_rng.choice(grid, size=min(l_total, n), replace=False))
-    rows = []
-    for nu in source:
-        emp = correlation_response(aux_rng, n, source, float(nu), trials=400)
-        rows.append(ResultRow(figure, "response", n_elements=n, l_paths=l_tag,
-                              x=float(nu), empirical=float(emp),
-                              analytic=1.0 / math.sqrt(len(source)), stderr=None))
+    source = np.sort(aux_rng.choice(grid, size=min(spec.l1 * spec.l2, n), replace=False))
     # off-peak probes: half a bin either side of the grid point farthest, in
     # circular distance, from every source angle
     gap = np.abs(grid[:, None] - source[None, :])
     far = grid[np.argmax(np.minimum(gap, 2.0 - gap).min(axis=1))]
-    for nu in principal_sine_wrap(far + np.array([-1.0, 1.0]) / n):
-        emp = correlation_response(aux_rng, n, source, float(nu), trials=400)
-        rows.append(ResultRow(figure, "response", n_elements=n, l_paths=l_tag,
-                              x=float(nu), empirical=float(emp), analytic=None,
-                              stderr=None))
-    return rows
+    probes = [(nu, 1.0 / math.sqrt(len(source))) for nu in source]
+    probes += [(nu, None) for nu in principal_sine_wrap(far + np.array([-1.0, 1.0]) / n)]
+    return [ResultRow(figure, "response", n_elements=n, l_paths=l_tag, x=float(nu),
+                      empirical=float(correlation_response(aux_rng, n, source, float(nu),
+                                                           trials=400)),
+                      analytic=form)
+            for nu, form in probes]
 
 
 # ---------------------------------------------------------------------------
 # presets
 
-_MMWAVE_LOSS = {"c0_db": -60.0}
-
-
-def _spec(**kwargs) -> ExperimentSpec:
-    if "path_loss" in kwargs and isinstance(kwargs["path_loss"], dict):
-        from .channels import PathLossParams
-        kwargs["path_loss"] = PathLossParams(**kwargs["path_loss"])
-    return ExperimentSpec(**kwargs)
+_MMWAVE_LOSS = PathLossParams(c0_db=-60.0)
 
 
 @dataclass(frozen=True)
@@ -564,55 +533,55 @@ class Preset:
 
 PRESETS: dict[str, Preset] = {
     "fig3": Preset(
-        _spec(regime="sub6", n_sweep=(64,),
-              gamma_db_sweep=(110.0, 120.0, 130.0, 140.0, 150.0, 160.0),
-              slots=2000, trials=3, seed=3, outputs=("sumse",)),
+        ExperimentSpec(regime="sub6", n_sweep=(64,),
+                       gamma_db_sweep=(110.0, 120.0, 130.0, 140.0, 150.0, 160.0),
+                       slots=2000, trials=3, seed=3, outputs=("sumse",)),
         "sum-SE of both operators vs transmit SNR, Rayleigh fading"),
     "fig4": Preset(
-        _spec(regime="sub6", n_sweep=(64, 128, 256, 512), gamma_db_sweep=(150.0,),
-              slots=2000, trials=3, seed=4, outputs=("sumse",)),
+        ExperimentSpec(regime="sub6", n_sweep=(64, 128, 256, 512), gamma_db_sweep=(150.0,),
+                       slots=2000, trials=3, seed=4, outputs=("sumse",)),
         "sum-SE vs element count at high SNR; slopes 2 (in-band) and 1 (OOB)"),
     "fig5": Preset(
-        _spec(regime="sub6", n_sweep=(0, 4, 16, 64), gamma_db_sweep=(130.0,),
-              slots=5000, trials=4, seed=5, outputs=("ccdf", "dominance")),
+        ExperimentSpec(regime="sub6", n_sweep=(0, 4, 16, 64), gamma_db_sweep=(130.0,),
+                       slots=5000, trials=4, seed=5, outputs=("ccdf", "dominance")),
         "CCDF of the OOB gain offset; reflector-free gain as reference"),
     "fig6": Preset(
-        _spec(regime="sub6", n_sweep=(2, 4, 6, 8, 16, 32, 64, 128),
-              gamma_db_sweep=(130.0,), slots=5000, trials=4, seed=6,
-              outputs=("outage",)),
+        ExperimentSpec(regime="sub6", n_sweep=(2, 4, 6, 8, 16, 32, 64, 128),
+                       gamma_db_sweep=(130.0,), slots=5000, trials=4, seed=6,
+                       outputs=("outage",)),
         "outage of both operators vs element count"),
     "fig7": Preset(
-        _spec(regime="sub6", n_sweep=(8, 16, 32), gamma_db_sweep=(130.0,),
-              slots=5000, trials=4, seed=7, outputs=("inband_offset",)),
+        ExperimentSpec(regime="sub6", n_sweep=(8, 16, 32), gamma_db_sweep=(130.0,),
+                       slots=5000, trials=4, seed=7, outputs=("inband_offset",)),
         "in-band offset CCDF against its closed-form lower bound"),
     "fig8": Preset(
-        _spec(regime="mmwave_los", path_loss=dict(_MMWAVE_LOSS),
-              n_sweep=(4, 8, 16, 32, 64, 128, 256),
-              gamma_db_sweep=(150.0, 200.0),
-              l1=1, l2=8, slots=2000, trials=3, seed=8, outputs=("sumse",)),
+        ExperimentSpec(regime="mmwave_los", path_loss=_MMWAVE_LOSS,
+                       n_sweep=(4, 8, 16, 32, 64, 128, 256),
+                       gamma_db_sweep=(150.0, 200.0),
+                       l1=1, l2=8, slots=2000, trials=3, seed=8, outputs=("sumse",)),
         "sparse single-path regime: sum-SE of both operators vs element count"),
     "fig9": Preset(
-        _spec(regime="mmwave_nlos", path_loss=dict(_MMWAVE_LOSS),
-              n_sweep=(4, 8, 16, 32, 64, 128, 256, 512, 1024),
-              gamma_db_sweep=(200.0,), l1=1, l2=4, slots=1000, trials=2, seed=9,
-              outputs=("sumse",)),
+        ExperimentSpec(regime="mmwave_nlos", path_loss=_MMWAVE_LOSS,
+                       n_sweep=(4, 8, 16, 32, 64, 128, 256, 512, 1024),
+                       gamma_db_sweep=(200.0,), l1=1, l2=4, slots=1000, trials=2, seed=9,
+                       outputs=("sumse",)),
         "sparse multipath regime: sum-SE vs element count for two path counts",
         ({"l2": 4}, {"l2": 8})),
     "fig10": Preset(
-        _spec(regime="mmwave_los", path_loss=dict(_MMWAVE_LOSS),
-              n_sweep=(64,), gamma_db_sweep=(200.0,),
-              l1=1, l2=5, slots=5000, trials=4, seed=10,
-              outputs=("ccdf", "dominance")),
+        ExperimentSpec(regime="mmwave_los", path_loss=_MMWAVE_LOSS,
+                       n_sweep=(64,), gamma_db_sweep=(200.0,),
+                       l1=1, l2=5, slots=5000, trials=4, seed=10,
+                       outputs=("ccdf", "dominance")),
         "sparse regime gain CCDFs for several OOB path counts",
         ({"l2": 5}, {"l2": 20}, {"l2": 50})),
     "fig11": Preset(
-        _spec(regime="sub6", n_sweep=(4, 16), gamma_db_sweep=(130.0,),
-              slots=5000, trials=4, seed=11, iid_ues=True, outputs=("pf_gap",)),
+        ExperimentSpec(regime="sub6", n_sweep=(4, 16), gamma_db_sweep=(130.0,),
+                       slots=5000, trials=4, seed=11, iid_ues=True, outputs=("pf_gap",)),
         "OOB SE under rr/pf/mr vs OOB population size",
         ({"q_ues": 1}, {"q_ues": 10}, {"q_ues": 100})),
     "fig12": Preset(
-        _spec(regime="sub6", n_sweep=(64, 128, 256, 512), gamma_db_sweep=(150.0,),
-              slots=2000, trials=4, seed=12, iid_ues=True, outputs=("pf_gap",)),
+        ExperimentSpec(regime="sub6", n_sweep=(64, 128, 256, 512), gamma_db_sweep=(150.0,),
+                       slots=2000, trials=4, seed=12, iid_ues=True, outputs=("pf_gap",)),
         "OOB SE under rr/pf/mr vs element count",
         ({"q_ues": 10}, {"q_ues": 100})),
 }
@@ -633,12 +602,11 @@ def preset_spec(name: str, overrides: dict | None = None,
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
     spec = PRESETS[name].spec
     if overrides:
+        # an override replaces the whole field, as a config file's field would
         try:
-            spec = dataclasses.replace(spec, **overrides)
-        except TypeError as err:
-            valid = [f.name for f in dataclasses.fields(ExperimentSpec)]
-            raise ValueError(f"bad override for {name}: {err}; "
-                             f"valid fields: {valid}") from err
+            spec = spec_from_dict({**spec_to_dict(spec), **overrides})
+        except ValueError as err:
+            raise ValueError(f"bad override for {name}: {err}") from err
     if seed is not None:
         spec = dataclasses.replace(spec, seed=int(seed))
     return spec

@@ -13,10 +13,11 @@ import numpy as np
 
 from irsoob import analytics as an
 from irsoob.analytics import AnalyticParams
+from irsoob.channels import PathLossParams
 from irsoob.config import ExperimentSpec
 from irsoob.engine import (budgets_for, dominance_test, inband_gain_samples_sub6,
                            mmwave_nlos_trial, spawn_rngs, sub6_trial)
-from irsoob.experiments import operator_params, run_preset, run_spec, _spec
+from irsoob.experiments import operator_params, run_preset, run_spec
 from irsoob.irs import correlation_response
 from irsoob.kernels import db_to_linear
 from oracles import oob_gain_samples, spectral_efficiency
@@ -26,6 +27,7 @@ G150 = float(db_to_linear(150.0))
 
 # mmWave reference losses: feeder BS-reflector at 1414.655 m, reflector-UE at
 # 75 m, direct at 1414.655 m with the steeper exponent (c0 = -60 dB, d0 = 1 m)
+MMWAVE_LOSS = PathLossParams(c0_db=-60.0)
 BETA_F_MM = 1e-6 / 1414.6554350795109 ** 2
 BETA_G_MM = 1e-6 / 75.0 ** 2
 BETA_R_MM = BETA_F_MM * BETA_G_MM
@@ -130,8 +132,8 @@ def test_c04_gain_with_reflector_dominates_without():
         ok &= rep.passed
         details.append(f"N={n} min_diff {rep.min_diff:.4f}")
     for l2 in (5, 20, 50):
-        spec = _spec(regime="mmwave_los", path_loss={"c0_db": -60.0}, l1=1, l2=l2,
-                     gamma_db_sweep=(150.0,))
+        spec = ExperimentSpec(regime="mmwave_los", path_loss=MMWAVE_LOSS, l1=1, l2=l2,
+                              gamma_db_sweep=(150.0,))
         w, wo, _ = oob_gain_samples(454 + l2, spec, 64, 20_000)
         grid = np.quantile(np.concatenate([w, wo]), np.linspace(0.01, 0.99, 81))
         rep = dominance_test(w, wo, grid)
@@ -260,14 +262,14 @@ def test_c09_multipath_sumse_peaks_near_l_squared():
        of ~0.2 bits per point, more than the 0.15-bit rise from N = 64 to
        N = 1024 at L = 4.
     Which configuration the multipath closed forms should describe is open
-    (ROADMAP open item 4); until a closed form of the unit-modulus model
+    (ROADMAP open item 5); until a closed form of the unit-modulus model
     exists, the assertion, seeds and sizes stay as written."""
     snr = float(db_to_linear(210.0))
     ns = [4, 8, 16, 32, 64, 128, 256, 512, 1024]
     details, ok = [], True
     for l in (4, 8):
-        spec = _spec(regime="mmwave_nlos", path_loss={"c0_db": -60.0}, l1=1, l2=l,
-                     gamma_db_sweep=(200.0,))
+        spec = ExperimentSpec(regime="mmwave_nlos", path_loss=MMWAVE_LOSS, l1=1, l2=l,
+                              gamma_db_sweep=(200.0,))
         _, bx, by = budgets_for(spec, spawn_rngs(909 + l, 1)[0], None)
         emp = []
         for n in ns:
@@ -289,7 +291,7 @@ def test_c10_max_rate_asymptote_and_slope():
     """Max-rate scheduling with 100 identical OOB UEs: empirical sum-SE at
     N=64 within 0.3 bits of the log(Q) asymptote; slope vs log2 N is
     1.0 +/- 0.15 over {64..512}."""
-    spec = _spec(iid_ues=True, q_ues=100, gamma_db_sweep=(150.0,), scheduler="mr")
+    spec = ExperimentSpec(iid_ues=True, q_ues=100, gamma_db_sweep=(150.0,), scheduler="mr")
     emp = {}
     for n in (64, 128, 256, 512):
         vals = []

@@ -186,23 +186,32 @@ def test_offset_ccdf_dominance_in_elements():
 
 
 # ---------------------------------------------------------------------------
-# small-N offset law (secondary evaluator)
+# small-N offset law at a fixed reflected power (secondary evaluator): the
+# exact law of a fixed-variance Gaussian pair, which the engine does not sample
+
+given_power = an._offset_ccdf_given_power
+
+
+def given_power_sub6(z, n):
+    """The sub6 reference UE's offset CCDF with the reflected power fixed at its mean N*beta_r."""
+    return given_power(np.asarray(z) / BETA_D_SUB6, n * BETA_R_SUB6 / BETA_D_SUB6)
+
 
 def test_offset_exact_fields_and_knee():
-    # with beta_r = beta_d and N = 4 the knee works out to (2 + sqrt 2)/4:
-    # the MGF pole quadratic mu1 mu2 (1-rho) s^2 - (mu2-mu1) s - 1 with
-    # mu1 = 5, mu2 = 1, rho = 1/5 has roots (sqrt2 -+ 1)/2, and the
-    # positive-side mass is 1/(4 - 2 sqrt2).
+    # with beta_r = beta_d and N = 4 (power ratio t = 4) the knee works out
+    # to (2 + sqrt 2)/4: the MGF pole quadratic
+    # mu1 mu2 (1-rho) s^2 - (mu2-mu1) s - 1 with mu1 = 5, mu2 = 1, rho = 1/5
+    # has roots (sqrt2 -+ 1)/2, and the positive-side mass is 1/(4 - 2 sqrt2).
     p = AnalyticParams(n_elements=4, tx_snr=1.0, beta_r=1.0, beta_d=1.0)
     assert an._mu1(p, 0) == pytest.approx(5.0)
     assert offset_correlation(p) == pytest.approx(0.2)
-    np.testing.assert_allclose(an.ccdf_offset_sub6_exact(0.0, p), (2 + math.sqrt(2)) / 4, rtol=1e-12)
+    np.testing.assert_allclose(given_power(0.0, 4.0), (2 + math.sqrt(2)) / 4, rtol=1e-12)
     # continuity at the knee and the far tails
-    assert abs(an.ccdf_offset_sub6_exact(-1e-9, p) - an.ccdf_offset_sub6_exact(0.0, p)) < 1e-8
-    assert an.ccdf_offset_sub6_exact(-40.0, p) > 1.0 - 1e-9
-    assert an.ccdf_offset_sub6_exact(200.0, p) < 1e-6
+    assert abs(given_power(-1e-9, 4.0) - given_power(0.0, 4.0)) < 1e-8
+    assert given_power(-40.0, 4.0) > 1.0 - 1e-9
+    assert given_power(200.0, 4.0) < 1e-6
     grid = np.linspace(-30.0, 80.0, 1000)
-    vals = an.ccdf_offset_sub6_exact(grid, p)
+    vals = given_power(grid, 4.0)
     assert np.all(vals >= 0.0) and np.all(vals <= 1.0) and np.all(np.diff(vals) <= 1e-15)
 
 
@@ -220,20 +229,20 @@ def test_offset_exact_is_the_correlated_pair_law():
     r = np.sqrt(n * beta / 2) * (rng.standard_normal(count) + 1j * rng.standard_normal(count))
     zs = np.sort(np.abs(h_d + r) ** 2 - np.abs(h_d) ** 2)
     p = AnalyticParams(n_elements=n, tx_snr=1.0, beta_r=beta, beta_d=beta)
-    assert ks_distance(zs, an.ccdf_offset_sub6_exact(zs, p)) < 0.0015   # measured 0.00051
-    assert ks_distance(zs, an.ccdf_offset_sub6(zs, p)) > 0.015          # measured 0.021
+    assert ks_distance(zs, given_power(zs, n * 1.0)) < 0.0015   # measured 0.00051
+    assert ks_distance(zs, an.ccdf_offset_sub6(zs, p)) > 0.015  # measured 0.021
 
 
 def test_offset_exact_approaches_limit_form():
     p = params_sub6(16)
     nbt = 16 * float(p.beta_tilde[0])
     z = np.linspace(-8 * BETA_D_SUB6, 40 * BETA_D_SUB6 * (1 + nbt), 2001)
-    gap = np.max(np.abs(an.ccdf_offset_sub6_exact(z, p) - an.ccdf_offset_sub6(z, p)))
+    gap = np.max(np.abs(given_power_sub6(z, 16) - an.ccdf_offset_sub6(z, p)))
     assert gap < 1e-5   # correlation ~1e-3 here; measured 1.3e-6
     # at order-one correlation the two genuinely differ
     p_small = AnalyticParams(n_elements=4, tx_snr=1.0, beta_r=1.0, beta_d=1.0)
     z = np.linspace(-8.0, 60.0, 2001)
-    gap = np.max(np.abs(an.ccdf_offset_sub6_exact(z, p_small) - an.ccdf_offset_sub6(z, p_small)))
+    gap = np.max(np.abs(given_power(z, 4.0) - an.ccdf_offset_sub6(z, p_small)))
     assert gap > 0.01   # measured 0.0215
 
 
@@ -247,7 +256,7 @@ def test_offset_finite_n_matches_reflected_cascade(n):
                                                 beta_r=1.0, beta_d=1.0)
     zs = np.sort(with_r - without_r)
     assert ks_distance(zs, an.ccdf_offset_sub6_finite_n(zs, p)) < 0.003   # 0.0018/0.0016/0.0012
-    assert ks_distance(zs, an.ccdf_offset_sub6_exact(zs, p)) > 0.03       # 0.090/0.058/0.038
+    assert ks_distance(zs, given_power(zs, n * 1.0)) > 0.03              # 0.090/0.058/0.038
 
 
 def test_offset_finite_n_edges():
@@ -266,12 +275,10 @@ def test_offset_finite_n_edges():
         nbt = n * float(p.beta_tilde[0])
         z = np.linspace(-8 * BETA_D_SUB6, 40 * BETA_D_SUB6 * (1 + nbt), 2001)
         gaps.append(np.max(np.abs(an.ccdf_offset_sub6_finite_n(z, p)
-                                  - an.ccdf_offset_sub6_exact(z, p))))
+                                  - given_power_sub6(z, n))))
     assert all(a > b for a, b in zip(gaps, gaps[1:])) and gaps[-1] < 1e-3   # 1.4e-2 ... 2.3e-4
     with pytest.raises(ValueError):
         an.ccdf_offset_sub6_finite_n(0.0, params_sub6(0))
-    with pytest.raises(ValueError):
-        an.ccdf_offset_sub6_exact(0.0, params_sub6(0))
 
 
 @pytest.mark.parametrize("shape", [1, 4, 64, 1024])
@@ -337,11 +344,14 @@ def test_sparse_oob_mixture_single_term_when_paths_cover_grid():
 def test_sparse_oob_mixture_bounds_trial_mean():
     """One round-robin engine trial lands just under the two-term mixture."""
     from irsoob.engine import budgets_for, run_trial, spawn_rngs
-    from irsoob.experiments import _spec, operator_params
+    from irsoob.channels import PathLossParams
+    from irsoob.config import ExperimentSpec
+    from irsoob.experiments import operator_params
     from irsoob.kernels import db_to_linear
 
-    spec = _spec(regime="mmwave_los", path_loss={"c0_db": -60.0}, n_sweep=(64,),
-                 gamma_db_sweep=(170.0,), l1=1, l2=8, slots=5000, seed=77)
+    spec = ExperimentSpec(regime="mmwave_los", path_loss=PathLossParams(c0_db=-60.0),
+                          n_sweep=(64,), gamma_db_sweep=(170.0,), l1=1, l2=8, slots=5000,
+                          seed=77)
     rngs = spawn_rngs(77, 2)
     _, budget_x, budget_y = budgets_for(spec, rngs[0], None)
     snr = float(db_to_linear(170.0))

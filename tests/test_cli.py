@@ -79,6 +79,25 @@ def test_preset_reports_bad_override(tmp_path, capsys, preset, override):
     assert not out.exists()
 
 
+def test_preset_nested_override_replaces_the_field(tmp_path):
+    out = tmp_path / "nested"
+    assert main(["preset", "fig8", "--out", str(out), "--analytic-only",
+                 "--override", 'path_loss={"c0_db": -50}',
+                 "--override", 'geometry={"irs": [1000, 1000]}']) == 0
+    spec = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["fig8"]["spec"]
+    assert spec["path_loss"]["c0_db"] == -50 and spec["path_loss"]["alpha_direct"] == 4.5
+    assert spec["geometry"]["irs"] == [1000, 1000]
+    assert spec["geometry"]["bs_inband"] == [0.0, 50.0]
+
+
+def test_preset_nested_override_names_an_unknown_field(tmp_path, capsys):
+    out = tmp_path / "bad"
+    assert main(["preset", "fig8", "--override", 'path_loss={"alpha": 3}',
+                 "--out", str(out)]) == 2
+    assert "path_loss.alpha" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_preset_errors_past_spec_resolution_propagate(tmp_path, monkeypatch):
     # the spec is valid; a trial then fails, and that is no usage error
     def fail(*args, **kwargs):

@@ -14,7 +14,7 @@ import irsoob.experiments as experiments
 from irsoob.config import ExperimentSpec, spec_hash
 from irsoob.engine import budgets_for, spawn_rngs
 from irsoob.experiments import (CSV_COLUMNS, PRESETS, ResultRow, emit_csv, list_presets,
-                                operator_params, preset_spec, run_preset, run_spec, _spec)
+                                operator_params, preset_spec, run_preset, run_spec)
 from irsoob.kernels import resolvable_angles
 from oracles import oob_gain_samples
 
@@ -68,7 +68,7 @@ def test_csv_rows_come_out_sorted(tmp_path):
 def test_unknown_preset_and_bad_override():
     with pytest.raises(ValueError, match="unknown preset"):
         run_preset("fig99")
-    with pytest.raises(ValueError, match="valid fields"):
+    with pytest.raises(ValueError, match="bad override for fig3: unknown field 'bogus'"):
         run_preset("fig3", overrides={"bogus": 1})
     # the scheduler comparison is sub6-only, which the spec itself enforces
     with pytest.raises(ValueError, match="needs regime 'sub6'"):
@@ -134,15 +134,17 @@ def test_manifest_merges_multiple_figures(tmp_path):
     assert set(manifest) == {"fig3", "fig4"}
 
 
-def test_analytic_only_blanks_empirical_columns():
-    full = run_preset("fig3", overrides=FAST, seed=17)
-    bare = run_preset("fig3", overrides=FAST, seed=17, analytic_only=True)
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_analytic_only_blanks_empirical_columns(name):
+    tiny = {"slots": 40, "trials": 2}
+    full = run_preset(name, overrides=tiny, seed=17)
+    bare = run_preset(name, overrides=tiny, seed=17, analytic_only=True)
     assert all(r.empirical is None and r.stderr is None for r in bare)
     assert any(r.analytic is not None for r in bare)
 
     # the analytic column must not depend on whether the simulation ran
     def keyed(rows):
-        return {(r.statistic, r.n_elements, r.gamma_db, r.x): r.analytic
+        return {tuple(getattr(r, col) for col in CSV_COLUMNS[1:8]): r.analytic
                 for r in rows if r.analytic is not None}
 
     full_vals, bare_vals = keyed(full), keyed(bare)
@@ -151,13 +153,25 @@ def test_analytic_only_blanks_empirical_columns():
         assert val == full_vals[key]
 
 
+def test_outage_without_a_reflector_is_the_direct_path_law():
+    """At N = 0 the sub6 OOB gain is the direct path's Exp(beta_d), so the
+    outage row's closed form reads 1 - exp(-rho/beta_d)."""
+    spec = ExperimentSpec(n_sweep=(0,), slots=50, trials=2, seed=5, outputs=("outage",))
+    (row,) = run_spec(spec, "outage0")[0]
+    _, _, budget_y = budgets_for(spec, spawn_rngs(spec.seed, 1)[0], None)
+    assert (row.statistic, row.n_elements) == ("outage_oob", 0)
+    assert row.analytic == pytest.approx(1.0 - math.exp(-row.x / budget_y.beta_d[0]),
+                                         rel=1e-12)
+    assert 0.0 < row.empirical < 1.0
+
+
 def test_response_rows_carry_the_rms_response():
     """Per N: the L source angles, where the analytic 1/sqrt(L) sits and the
     RMS response lies within criterion 8's 0.05 of it, then two off-grid
     probes with no analytic value. An analytic-only run writes none."""
     l_paths = 3
-    spec = _spec(regime="mmwave_los", l1=1, l2=l_paths, n_sweep=(16, 64), slots=50,
-                 trials=1, seed=3, outputs=("correlation_response",))
+    spec = ExperimentSpec(regime="mmwave_los", l1=1, l2=l_paths, n_sweep=(16, 64), slots=50,
+                          trials=1, seed=3, outputs=("correlation_response",))
     rows, _ = run_spec(spec, "resp")
     for n in spec.n_sweep:
         at_n = [r for r in rows if r.n_elements == n]
@@ -182,8 +196,8 @@ def test_response_probes_sit_off_every_source_lobe():
     below half the on-peak 1/sqrt(L). At this setting a source sits on
     grid[0], which a probe half a bin above grid[0] would hit."""
     l_paths = 2
-    spec = _spec(regime="mmwave_los", l1=1, l2=l_paths, n_sweep=(16,), trials=1, seed=3,
-                 outputs=("correlation_response",))
+    spec = ExperimentSpec(regime="mmwave_los", l1=1, l2=l_paths, n_sweep=(16,), trials=1, seed=3,
+                          outputs=("correlation_response",))
     rows, _ = run_spec(spec, "resp")
     off_peak = [r for r in rows if r.analytic is None]
     assert len(off_peak) == 2
@@ -198,8 +212,8 @@ def test_response_only_spec_runs_no_trials(monkeypatch):
         raise AssertionError("run_trial called for an output that reads no gains")
 
     monkeypatch.setattr(experiments, "run_trial", refuse)
-    spec = _spec(regime="mmwave_los", l1=1, l2=3, n_sweep=(16,), trials=1, seed=3,
-                 outputs=("correlation_response",))
+    spec = ExperimentSpec(regime="mmwave_los", l1=1, l2=3, n_sweep=(16,), trials=1, seed=3,
+                          outputs=("correlation_response",))
     rows, _ = run_spec(spec, "resp")
     assert len(rows) == 3 + 2
     with pytest.raises(AssertionError, match="run_trial called"):
@@ -212,8 +226,8 @@ def test_response_only_spec_runs_no_trials(monkeypatch):
 def test_pf_gap_rr_row_is_the_sumse_outputs_value():
     """The comparison schedules the point's one set of gains three ways, so
     its rr row carries the sumse output's OOB value bit for bit."""
-    spec = _spec(n_sweep=(4, 16), k_ues=2, q_ues=3, slots=80, trials=3, seed=5,
-                 outputs=("sumse", "pf_gap"))
+    spec = ExperimentSpec(n_sweep=(4, 16), k_ues=2, q_ues=3, slots=80, trials=3, seed=5,
+                          outputs=("sumse", "pf_gap"))
     rows, _ = run_spec(spec, "shared")
     for n in spec.n_sweep:
         oob = [r for r in rows if r.statistic == "sumse_oob" and r.n_elements == n]
@@ -229,7 +243,7 @@ def test_pf_gap_rr_row_is_the_sumse_outputs_value():
 def test_a_q_variant_draws_from_seed_plus_7919_q():
     """Each Q of a sweep draws from seed + 7919·Q with trials + 1 generators
     per point, so its rows are those of a single-Q run at that seed."""
-    spec = _spec(n_sweep=(4, 8), k_ues=2, slots=60, trials=2, seed=5, outputs=("pf_gap",))
+    spec = ExperimentSpec(n_sweep=(4, 8), k_ues=2, slots=60, trials=2, seed=5, outputs=("pf_gap",))
     rows, runs = run_spec(spec, "q", variants=Q_SWEEP)
     for q, run in zip((2, 3), runs):
         single, (single_run,) = run_spec(
@@ -243,7 +257,7 @@ def test_a_q_variant_draws_from_seed_plus_7919_q():
 def test_mr_over_one_ue_takes_the_rr_form():
     """Max-rate over a single UE is round-robin, so mr at Q = 1 gets the rr
     closed form in the sumse and the comparison rows alike; pf stays blank."""
-    spec = _spec(n_sweep=(16,), q_ues=1, outputs=("sumse", "pf_gap"))
+    spec = ExperimentSpec(n_sweep=(16,), q_ues=1, outputs=("sumse", "pf_gap"))
 
     def oob_forms(**fields):
         rows, _ = run_spec(dataclasses.replace(spec, **fields), "forms", analytic_only=True)
@@ -261,8 +275,8 @@ def test_inband_offset_rows_read_the_points_auxiliary_draw(monkeypatch):
     generator child, the draw that outage_inband reads too, so asking for
     both draws once per point and changes neither. No trial runs for the
     offset rows, and an analytic-only run keeps their bound."""
-    spec = _spec(n_sweep=(8, 16), k_ues=2, q_ues=2, slots=300, trials=2, seed=7,
-                 outputs=("inband_offset",))
+    spec = ExperimentSpec(n_sweep=(8, 16), k_ues=2, q_ues=2, slots=300, trials=2, seed=7,
+                          outputs=("inband_offset",))
     per_point = spec.trials + 1
     rngs = spawn_rngs(spec.seed, 1 + len(spec.n_sweep) * per_point)
     aux_states = [rngs[(i + 1) * per_point].bit_generator.state
@@ -305,15 +319,15 @@ def test_inband_offset_rows_read_the_points_auxiliary_draw(monkeypatch):
 
 def test_operator_params_path_counts_per_regime():
     rng = np.random.default_rng(0)
-    sub6 = _spec(regime="sub6", l1=1, l2=1)
+    sub6 = ExperimentSpec(regime="sub6", l1=1, l2=1)
     _, bx, by = budgets_for(sub6, rng, None)
     assert operator_params(sub6, by, 16, 1.0, "oob").l_paths == 1
 
-    los = _spec(regime="mmwave_los", l1=1, l2=6)
+    los = ExperimentSpec(regime="mmwave_los", l1=1, l2=6)
     assert operator_params(los, by, 16, 1.0, "inband").l_paths == 1
     assert operator_params(los, by, 16, 1.0, "oob").l_paths == 6
 
-    nlos = _spec(regime="mmwave_nlos", l1=2, l2=3)
+    nlos = ExperimentSpec(regime="mmwave_nlos", l1=2, l2=3)
     params = operator_params(nlos, by, 16, 1.0, "oob")
     assert params.l_paths == 6
     np.testing.assert_allclose(params.beta_r, by.beta_f * by.beta_g, rtol=1e-15)
@@ -329,7 +343,7 @@ def test_sample_helpers_are_seed_deterministic():
     assert params_a.n_elements == params_b.n_elements == 8
     assert np.array_equal(params_a.beta_r, params_b.beta_r)
 
-    spec = _spec(regime="mmwave_los", l1=1, l2=5)
+    spec = ExperimentSpec(regime="mmwave_los", l1=1, l2=5)
     with_a, without_a, _ = oob_gain_samples(42, spec, 16, 400)
     with_b, without_b, _ = oob_gain_samples(42, spec, 16, 400)
     assert np.array_equal(with_a, with_b) and np.array_equal(without_a, without_b)
@@ -354,8 +368,8 @@ def test_sweep_gains_is_independent_of_the_worker_count(regime, extra):
     trial stack the same bits, with the second point's trials running while
     the first point is read. The sub6 points also ask for the matched
     ceiling."""
-    spec = _spec(regime=regime, n_sweep=(64, 32), k_ues=3, q_ues=4, slots=1100, trials=3,
-                 seed=5, **extra)
+    spec = ExperimentSpec(regime=regime, n_sweep=(64, 32), k_ues=3, q_ues=4, slots=1100, trials=3,
+                          seed=5, **extra)
     want_bf = regime == "sub6"
 
     def gains(workers):
@@ -377,13 +391,13 @@ def test_sweep_gains_is_independent_of_the_worker_count(regime, extra):
 
 
 @pytest.mark.parametrize("spec,variants", [
-    (_spec(regime="mmwave_nlos", l1=1, l2=4, n_sweep=(4, 8, 16), k_ues=3, q_ues=4,
-           slots=60, trials=3, seed=5, outputs=("sumse", "outage", "ccdf", "dominance")),
+    (ExperimentSpec(regime="mmwave_nlos", l1=1, l2=4, n_sweep=(4, 8, 16), k_ues=3, q_ues=4,
+                    slots=60, trials=3, seed=5, outputs=("sumse", "outage", "ccdf", "dominance")),
      ({},)),
-    (_spec(regime="sub6", n_sweep=(8, 16, 32), k_ues=3, q_ues=4, slots=60, trials=3,
-           seed=5, outputs=("sumse", "pf_gap")), ({},)),
-    (_spec(regime="sub6", n_sweep=(8, 16), k_ues=3, slots=60, trials=3, seed=5,
-           iid_ues=True, outputs=("pf_gap",)), Q_SWEEP),
+    (ExperimentSpec(regime="sub6", n_sweep=(8, 16, 32), k_ues=3, q_ues=4, slots=60, trials=3,
+                    seed=5, outputs=("sumse", "pf_gap")), ({},)),
+    (ExperimentSpec(regime="sub6", n_sweep=(8, 16), k_ues=3, slots=60, trials=3, seed=5,
+                    iid_ues=True, outputs=("pf_gap",)), Q_SWEEP),
 ], ids=["nlos", "sub6_pf_gap", "scheduler_grid"])
 def test_runner_rows_are_independent_of_the_worker_count(monkeypatch, spec, variants):
     """With the next point's trials running while a point's rows are built,
@@ -447,8 +461,8 @@ def test_runners_submit_one_point_ahead(monkeypatch, regime, variants):
     monkeypatch.setattr(experiments, "ThreadPoolExecutor", Pool)
     monkeypatch.setattr(experiments, "run_trial", run_trial)
     monkeypatch.setattr(experiments, "_sumse_rows", read)
-    spec = _spec(regime=regime, n_sweep=(4, 8, 16, 32), k_ues=2, q_ues=2, slots=40, trials=3,
-                 seed=5, outputs=("sumse",))
+    spec = ExperimentSpec(regime=regime, n_sweep=(4, 8, 16, 32), k_ues=2, q_ues=2, slots=40,
+                          trials=3, seed=5, outputs=("sumse",))
     run_spec(spec, "ahead", variants=variants)
     points = len(submitted)
     assert points == len(consumed) == len(spec.n_sweep) * len(variants)
@@ -469,8 +483,8 @@ def test_a_runner_starts_one_trial_pool_for_all_its_sweep_points(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(experiments, "ThreadPoolExecutor", Pool)
-    spec = _spec(n_sweep=(4, 8, 16), k_ues=2, q_ues=2, slots=40, trials=2, seed=5,
-                 outputs=("sumse",))
+    spec = ExperimentSpec(n_sweep=(4, 8, 16), k_ues=2, q_ues=2, slots=40, trials=2, seed=5,
+                          outputs=("sumse",))
     run_spec(spec, "pool")
     assert len(pools) == 1
     run_spec(dataclasses.replace(spec, regime="mmwave_los"), "pool",
@@ -481,7 +495,7 @@ def test_a_runner_starts_one_trial_pool_for_all_its_sweep_points(monkeypatch):
 
 
 def test_sweep_gains_propagates_a_trial_error(monkeypatch):
-    spec = _spec(n_sweep=(4,), k_ues=2, q_ues=2, slots=50, trials=3, seed=5)
+    spec = ExperimentSpec(n_sweep=(4,), k_ues=2, q_ues=2, slots=50, trials=3, seed=5)
     trial_rngs, bx, by = _sweep_point(spec, 32)
     real = experiments.run_trial
 
@@ -500,7 +514,7 @@ def test_a_failed_point_cancels_the_next_points_unstarted_trials(monkeypatch):
     """Point 0's trials fail while point 1's are queued behind them on one
     worker. The error reaches the caller, and of point 1's trials at most the
     one the worker had already picked up runs; the rest are cancelled."""
-    spec = _spec(n_sweep=(4, 8), k_ues=2, q_ues=2, slots=50, trials=3, seed=5)
+    spec = ExperimentSpec(n_sweep=(4, 8), k_ues=2, q_ues=2, slots=50, trials=3, seed=5)
     futures = {4: [], 8: []}
     started = []
 

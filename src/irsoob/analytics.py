@@ -353,7 +353,6 @@ def mr_asymptotic_se(q_ues: int, p: AnalyticParams, ue: int = 0) -> float:
 class DecayBoundParams:
     """Constants of the Gaussian surrogate for the in-band coherent gain sum."""
 
-    c1: float
     c2: float
     alpha: float
     eta: float
@@ -362,8 +361,7 @@ class DecayBoundParams:
     def from_params(cls, p: AnalyticParams, ue: int = 0) -> "DecayBoundParams":
         br = float(p.beta_r[ue])
         n = p.n_elements
-        return cls(c1=math.sqrt((1.0 - _PI ** 2 / 16.0) * br),
-                   c2=_PI / math.sqrt(16.0 - _PI ** 2),
+        return cls(c2=_PI / math.sqrt(16.0 - _PI ** 2),
                    alpha=2.0 * n * (1.0 - _PI ** 2 / 16.0) * br,
                    eta=n * _PI * math.sqrt(br) / 4.0)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import operator
 from dataclasses import dataclass, field, fields
 
 from .channels import NodeGeometry, PathLossParams
@@ -24,6 +25,20 @@ OUTPUT_KINDS = ("sumse", "outage", "ccdf", "dominance", "correlation_response", 
 SUB6_OUTPUTS = ("pf_gap", "inband_offset")
 
 GAMMA_DB_RANGE = (0.0, 200.0)  # sanity bound on transmit SNR in dB
+
+# fields that count something (each n_sweep entry too): integers, never bools
+COUNT_FIELDS = ("l1", "l2", "k_ues", "q_ues", "slots", "trials", "seed", "slot_budget",
+                "max_elements")
+
+
+def _count(name: str, value) -> int:
+    """value as an int if operator.index takes it and it is no bool: 2.5, 100.0, true fail."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValueError(f"{name}: expected an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -50,7 +65,9 @@ class ExperimentSpec:
     max_elements: int = 1024
 
     def __post_init__(self):
-        object.__setattr__(self, "n_sweep", tuple(int(n) for n in self.n_sweep))
+        for name in COUNT_FIELDS:
+            object.__setattr__(self, name, _count(name, getattr(self, name)))
+        object.__setattr__(self, "n_sweep", tuple(_count("n_sweep", n) for n in self.n_sweep))
         object.__setattr__(self, "gamma_db_sweep", tuple(float(g) for g in self.gamma_db_sweep))
         object.__setattr__(self, "outputs", tuple(self.outputs))
         if self.regime not in REGIMES:
@@ -89,6 +106,10 @@ class ExperimentSpec:
         if self.slots * self.trials > self.slot_budget:
             raise ValueError(
                 f"slots*trials = {self.slots * self.trials} exceeds slot_budget {self.slot_budget}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not isinstance(self.iid_ues, bool):
+            raise ValueError(f"iid_ues: expected true or false, got {self.iid_ues!r}")
         if self.pf_tau < 1.0:
             raise ValueError(f"pf_tau must be >= 1, got {self.pf_tau}")
 

@@ -14,20 +14,21 @@ one set of gains.
 Trials are vectorized over slots. Independent trials take independent
 generators from spawn_rngs, so results do not depend on execution order, and
 the experiment layer runs a sweep point's trials concurrently on a thread
-pool. The nlos trial and the in-band sample helper run their slot loops in
-chunks whose width depends on (Q, N) only, never on the worker count, so
-every output is the same for any number of workers. The nlos trial
-allocates its chunk scratch once and every chunk writes into it, the FFTs
-included; the chunk width moves no bit of any output. The sub6 and nlos
-in-band sides draw just the served UE's fading each slot, which is
-distribution-identical to drawing everyone's; sub6 draws it only as
-exponential magnitudes, since its aligned gain discards every phase. The LOS
-trial still draws every in-band UE's standard normals each slot, though it
-scales only the served UE's: its out-of-band angles are drawn after them, so
-dropping the unserved UEs' draws would move those angles. The sparse path
-angles are drawn as integer bins of the resolvable grid, so matching a path
-to the steered beam, or gathering its response, is an integer compare or
-index.
+pool. The nlos trial and the aligned-gain sampler run their slot loops in
+the chunks of one rule, whose width depends on N only, never on the worker
+count, so every output is the same for any number of workers; each reuses
+one chunk scratch. The nlos trial draws before its loop, so its chunk width
+moves no bit of any output. The aligned-gain sampler draws chunk by chunk,
+so the width decides which row an exponential lands in, but not how many are
+drawn: no later draw moves. The sub6 and nlos in-band sides draw just the
+served UE's fading each slot, which is distribution-identical to drawing
+everyone's; sub6 draws it only as exponential magnitudes, since its aligned
+gain discards every phase. The LOS trial still draws every in-band UE's
+complex normals each slot and keeps the served UE's: its out-of-band angles
+are drawn after them, so dropping the unserved UEs' draws would move those
+angles. The sparse path angles are drawn as integer bins of the resolvable
+grid, so matching a path to the steered beam, or gathering its response, is
+an integer compare or index.
 
 The sub6 OOB gains are drawn from their exact reduced law. The reflector's
 phases are set by the in-band channels alone, so theta_n f_n has the law of
@@ -85,10 +86,11 @@ def spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(count)]
 
 
-def _chunk_slices(slots: int, width: int):
-    width = max(1, width)
-    for start in range(0, slots, width):
-        yield slice(start, min(start + width, slots))
+def _chunk_slices(rows: int, n_elements: int) -> list[slice]:
+    """Row chunks of a (rows, N) draw or loop, the last one maybe short: each
+    holds about _CHUNK_ELEMS entries, a width set by N alone."""
+    width = max(1, _CHUNK_ELEMS // max(1, n_elements))
+    return [slice(start, min(start + width, rows)) for start in range(0, rows, width)]
 
 
 @dataclass
@@ -112,35 +114,27 @@ def _aligned_gain(rng: np.random.Generator, beta_d, beta_r, rows: int,
     """Draw (|h_d| + sum_n |f_n g_n|)^2, the gain of a phase-aligned reflector, and |h_d|^2.
 
     From magnitudes alone, |h_d|^2 = beta_d E and |f_n g_n|^2 = beta_r E_1 E_2
-    with E ~ Exp(1), drawn in that order. beta_d and beta_r share a shape:
-    scalars or per row (rows,) give one gain per row; per UE (1, Q) gives
-    (rows, Q) gains, the UEs of a row sharing its E and its shape
+    with E ~ Exp(1), drawn per chunk of _chunk_slices: E, then the (span, N)
+    E_1 and E_2 into one scratch block that every chunk reuses. beta_d and beta_r
+    share a shape: scalars or per row (rows,) give one gain per row; per UE
+    (1, Q) gives (rows, Q) gains, the UEs of a row sharing its E and its shape
     S = sum_n sqrt(E_1 E_2), so each gain is (sqrt(beta_d,q E) + sqrt(beta_r,q) S)^2,
-    exactly that UE's law.
+    exactly that UE's law. Only the product of the two per-hop variances
+    reaches |f_n g_n|, so one beta_r parametrizes the cascaded hop.
     """
+    chunks = _chunk_slices(rows, n_elements)
+    exp_direct, shape = np.empty((2, rows))
+    scratch = np.empty((2, chunks[0].stop, n_elements))
+    for sl in chunks:
+        e_1, e_2 = scratch[:, :sl.stop - sl.start]
+        rng.standard_exponential(out=exp_direct[sl])
+        rng.standard_exponential(out=e_1)
+        rng.standard_exponential(out=e_2)
+        shape[sl] = np.sqrt(np.multiply(e_1, e_2, out=e_1), out=e_1).sum(axis=-1)
     lead = (rows,) + (1,) * (np.ndim(beta_d) - 1)
-    direct = beta_d * rng.standard_exponential(rows).reshape(lead)
-    prod = rng.standard_exponential((rows, n_elements))
-    np.multiply(prod, rng.standard_exponential((rows, n_elements)), out=prod)
-    shape = np.sqrt(prod, out=prod).sum(axis=-1).reshape(lead)
-    amplitude = np.sqrt(direct) + np.sqrt(beta_r) * shape
+    direct = beta_d * exp_direct.reshape(lead)
+    amplitude = np.sqrt(direct) + np.sqrt(beta_r) * shape.reshape(lead)
     return amplitude ** 2, direct
-
-
-def _served_normal(rng: np.random.Generator, variance: np.ndarray,
-                   k_served: np.ndarray) -> np.ndarray:
-    """The served UE's entry of complex_normal(rng, variance, (slots, K)), per slot.
-
-    Draws the same standard normals, all K per slot, so the stream moves as
-    far as the full draw, but scales only the served entry.
-    """
-    rows = np.arange(len(k_served))
-    parts = rng.standard_normal((2, len(k_served), len(variance)))[:, rows, k_served]
-    scale = np.sqrt(variance[k_served] / 2.0)
-    out = np.empty(len(k_served), dtype=complex)
-    np.multiply(scale, parts[0], out=out.real)
-    np.multiply(scale, parts[1], out=out.imag)
-    return out
 
 
 def sub6_trial(rng: np.random.Generator, n_elements: int, budget_x: LinkBudget,
@@ -181,7 +175,7 @@ def mmwave_los_trial(rng: np.random.Generator, n_elements: int, budget_x: LinkBu
     angle, so the in-band gain is (|h_d| + N |gamma_1 gamma_2|)^2. Draws, in
     order: the in-band angle bins; per slot the feeder gain and every in-band
     UE's UE-side gain and direct link, of which only the served UE's are
-    scaled; the OOB angle bins.
+    kept; the OOB angle bins.
 
     On the resolvable grid an OOB path contributes only when it sits exactly
     on the steered angle, so UE q's sum collapses to its m[k, q] paths on
@@ -198,9 +192,10 @@ def mmwave_los_trial(rng: np.random.Generator, n_elements: int, budget_x: LinkBu
     k_ues = budget_x.n_ues
     k_served = np.arange(slots) % k_ues
     bins_x = mmwave_angle_bins(rng, n_elements, 1, 1, k_ues)[2][:, 0]     # (K,)
+    served = (np.arange(slots), k_served)
     feeder_x = complex_normal(rng, budget_x.beta_f, slots)
-    g_x = feeder_x * _served_normal(rng, budget_x.beta_g, k_served)
-    h_dx = _served_normal(rng, budget_x.beta_d, k_served)
+    g_x = feeder_x * complex_normal(rng, budget_x.beta_g, (slots, k_ues))[served]
+    h_dx = complex_normal(rng, budget_x.beta_d, (slots, k_ues))[served]
     bins_y = mmwave_angle_bins(rng, n_elements, 1, l_oob, budget_y.n_ues)[2]   # (Q, L)
     inband_gain = (np.abs(h_dx) + n_elements * np.abs(g_x)) ** 2
 
@@ -257,14 +252,14 @@ def mmwave_nlos_trial(rng: np.random.Generator, n_elements: int, budget_x: LinkB
     inband_gain = np.empty(slots)
     power = np.empty((slots, q_ues))    # P_q
 
-    width = max(1, _CHUNK_ELEMS // max(1, n_elements))
+    chunks = _chunk_slices(slots, n_elements)
     # per-trial scratch, reused by every chunk: grid holds the scatter, then
     # theta; spectrum holds the FFT, then the responses. One block, not two
     # arrays: once a block this size has been freed, glibc serves the next
     # trial's from pages its heap kept, while two half-size arrays would go
     # back to the OS after every trial and fault in again
-    grid, spectrum = np.empty((2, min(width, slots), n_elements), dtype=complex)
-    for sl in _chunk_slices(slots, width):
+    grid, spectrum = np.empty((2, chunks[0].stop, n_elements), dtype=complex)
+    for sl in chunks:
         span = sl.stop - sl.start
         # scatter conj gains onto the angle grid; on-grid angles make this exact
         s = grid[:span]
@@ -287,24 +282,6 @@ def mmwave_nlos_trial(rng: np.random.Generator, n_elements: int, budget_x: LinkB
     return TrialData(inband_gain=inband_gain,
                      gain_irs=np.abs(np.sqrt(gain_noirs) + reflected) ** 2,
                      gain_noirs=gain_noirs)
-
-
-def inband_gain_samples_sub6(rng: np.random.Generator, n_elements: int, beta_r: float,
-                             beta_d: float, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Channel gains a phase-aligned reflector gives one Rayleigh UE.
-
-    Returns (gain, gain_direct): the aligned gain (|h_d| + sum_n |f_n g_n|)^2
-    and the reflector-free gain |h_d|^2 from the same magnitude draws. Only
-    the product of the two per-hop variances matters for |f_n g_n|, so a
-    single beta_r parametrizes the cascaded hop.
-    """
-    gain = np.empty(count)
-    gain_direct = np.empty(count)
-    width = _CHUNK_ELEMS // max(1, n_elements)
-    for sl in _chunk_slices(count, width):
-        gain[sl], gain_direct[sl] = _aligned_gain(rng, beta_d, beta_r, sl.stop - sl.start,
-                                                  n_elements)
-    return gain, gain_direct
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +341,6 @@ class DominanceReport:
     """Grid comparison of two empirical tails: does `with` dominate `without`?"""
 
     min_diff: float
-    ks_one_sided: float
     eps_stat: float
     passed: bool
 
@@ -384,9 +360,7 @@ def dominance_test(samples_with, samples_without, grid) -> DominanceReport:
     eps = (math.sqrt(math.log(2.0 / delta) / (2 * len(np.ravel(samples_with))))
            + math.sqrt(math.log(2.0 / delta) / (2 * len(np.ravel(samples_without)))))
     min_diff = float(diff.min())
-    return DominanceReport(min_diff=min_diff,
-                           ks_one_sided=float(max(0.0, -min_diff)),
-                           eps_stat=eps, passed=min_diff >= -eps)
+    return DominanceReport(min_diff=min_diff, eps_stat=eps, passed=min_diff >= -eps)
 
 
 # ---------------------------------------------------------------------------
@@ -408,13 +382,15 @@ def budgets_for(spec: ExperimentSpec, rng: np.random.Generator,
 
 
 def run_trial(spec: ExperimentSpec, rng: np.random.Generator, n_elements: int,
-              budget_x: LinkBudget, budget_y: LinkBudget, want_bf: bool = False) -> TrialData:
+              budget_x: LinkBudget, budget_y: LinkBudget) -> TrialData:
     """One trial in the spec's regime at explicit sweep coordinates.
 
+    Sub6 draws the matched-reflector ceiling only for pf_gap, its one reader.
     Aborts on any non-finite gain, so no run can write inf or NaN cells.
     """
     if spec.regime == "sub6":
-        data = sub6_trial(rng, n_elements, budget_x, budget_y, spec.slots, want_bf=want_bf)
+        data = sub6_trial(rng, n_elements, budget_x, budget_y, spec.slots,
+                          want_bf="pf_gap" in spec.outputs)
     elif spec.regime == "mmwave_los":
         data = mmwave_los_trial(rng, n_elements, budget_x, budget_y, spec.slots,
                                 l_oob=spec.l1 * spec.l2)

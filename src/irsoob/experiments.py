@@ -33,9 +33,8 @@ from . import analytics
 from .analytics import AnalyticParams
 from .channels import PathLossParams
 from .config import SCHEDULERS, ExperimentSpec, spec_from_dict, spec_hash, spec_to_dict
-from .engine import (TrialData, budgets_for, dominance_test, empirical_ccdf,
-                     empirical_outage, inband_gain_samples_sub6, run_trial, schedule_rates,
-                     spawn_rngs)
+from .engine import (TrialData, _aligned_gain, budgets_for, dominance_test, empirical_ccdf,
+                     empirical_outage, run_trial, schedule_rates, spawn_rngs)
 from .irs import correlation_response
 from .kernels import db_to_linear, principal_sine_wrap, resolvable_angles
 
@@ -186,7 +185,7 @@ def _stack(futures) -> TrialData:
 def sweep_gains(pool: ThreadPoolExecutor, points):
     """Yield each sweep point's gains, one TrialData per point, in sweep order.
 
-    A point is (spec, n_elements, trial_rngs, budget_x, budget_y, want_bf):
+    A point is (spec, n_elements, trial_rngs, budget_x, budget_y):
     one trial per generator, stacked in generator order on a leading trials
     axis. Gains are SNR-free, so one point's gains serve every gamma.
 
@@ -196,15 +195,15 @@ def sweep_gains(pool: ThreadPoolExecutor, points):
     rows; no point runs further ahead than that. `run_spec` hands one pool
     to all of its points, variants included, so its threads start once per
     run. Each trial reads only its own generator and the engine's chunk
-    widths depend on (Q, N) alone, so the gains do not depend on the worker
+    widths depend on N alone, so the gains do not depend on the worker
     count. A trial's error is raised when its point is reached, and the
     trials that have not started yet are cancelled.
     """
     pending = []    # each submitted point's futures, oldest first
     try:
-        for spec, n_elements, trial_rngs, budget_x, budget_y, want_bf in points:
-            pending.append([pool.submit(run_trial, spec, rng, n_elements, budget_x, budget_y,
-                                        want_bf=want_bf) for rng in trial_rngs])
+        for spec, n_elements, trial_rngs, budget_x, budget_y in points:
+            pending.append([pool.submit(run_trial, spec, rng, n_elements, budget_x, budget_y)
+                            for rng in trial_rngs])
             if len(pending) == 2:
                 yield _stack(pending[0])
                 del pending[0]
@@ -327,13 +326,12 @@ def run_spec(spec: ExperimentSpec, figure: str = "run", analytic_only: bool = Fa
             block = rngs[1 + i * per_point: 1 + (i + 1) * per_point]
             points.append((sub, n, block[:-1], block[-1], budget_x, budget_y))
     simulate = not analytic_only and not _GAIN_OUTPUTS.isdisjoint(spec.outputs)
-    want_bf = "pf_gap" in spec.outputs
     rows: list[ResultRow] = []
 
     with ThreadPoolExecutor(max_workers=_worker_count(spec.trials)) as pool:
         gains = itertools.repeat(None)
         if simulate:
-            gains = sweep_gains(pool, [(sub, n, trial_rngs, budget_x, budget_y, want_bf)
+            gains = sweep_gains(pool, [(sub, n, trial_rngs, budget_x, budget_y)
                                        for sub, n, trial_rngs, _, budget_x, budget_y in points])
         for (sub, n, _, aux_rng, budget_x, budget_y), data in zip(points, gains):
             rows += _point_rows(sub, figure, n, data, aux_rng, budget_x, budget_y,
@@ -350,9 +348,8 @@ def _point_rows(spec, figure, n, data, aux_rng, budget_x, budget_y, analytic_onl
     inband = None
     if not analytic_only and ("inband_offset" in spec.outputs or (
             "outage" in spec.outputs and spec.regime == "sub6" and n > 0)):
-        inband = inband_gain_samples_sub6(aux_rng, n, float(params_x.beta_r[0]),
-                                          float(params_x.beta_d[0]),
-                                          spec.slots * spec.trials)
+        inband = _aligned_gain(aux_rng, float(params_x.beta_d[0]), float(params_x.beta_r[0]),
+                               spec.slots * spec.trials, n)
     rows = []
     if "sumse" in spec.outputs:
         rows += _sumse_rows(spec, figure, n, l_tag, data, budget_x, budget_y)

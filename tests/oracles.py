@@ -169,7 +169,7 @@ def oob_gain_samples(seed: int, spec: ExperimentSpec, n_elements: int, count: in
     rngs = spawn_rngs(seed, 1 + trials)
     _, budget_x, budget_y = budgets_for(spec, rngs[0], None)
     with ThreadPoolExecutor(max_workers=_worker_count(trials)) as pool:
-        (data,) = sweep_gains(pool, [(spec, n_elements, rngs[1:], budget_x, budget_y, False)])
+        (data,) = sweep_gains(pool, [(spec, n_elements, rngs[1:], budget_x, budget_y)])
     snr = float(db_to_linear(spec.gamma_db_sweep[0]))
     params = operator_params(spec, budget_y, n_elements, snr, "oob")
     return (data.gain_irs[:, :, 0].ravel()[:count], data.gain_noirs[:, :, 0].ravel()[:count],

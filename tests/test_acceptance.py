@@ -15,8 +15,8 @@ from irsoob import analytics as an
 from irsoob.analytics import AnalyticParams
 from irsoob.channels import PathLossParams
 from irsoob.config import ExperimentSpec
-from irsoob.engine import (budgets_for, dominance_test, inband_gain_samples_sub6,
-                           mmwave_nlos_trial, spawn_rngs, sub6_trial)
+from irsoob.engine import (_aligned_gain, budgets_for, dominance_test, mmwave_nlos_trial,
+                           spawn_rngs, sub6_trial)
 from irsoob.experiments import operator_params, run_preset, run_spec
 from irsoob.irs import correlation_response
 from irsoob.kernels import db_to_linear
@@ -158,8 +158,7 @@ def test_c05_outage_decay_laws():
     ns = np.array([1, 2, 3, 4])
     outs = []
     for n in ns:
-        g, _ = inband_gain_samples_sub6(np.random.default_rng(500 + n), int(n), br, bd,
-                                        2_000_000)
+        g, _ = _aligned_gain(np.random.default_rng(500 + n), bd, br, 2_000_000, int(n))
         outs.append(float(np.mean(g < rho_in)))
     ln = np.log(outs)
     slope, icpt = np.polyfit(ns, ln, 1)

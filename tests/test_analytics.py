@@ -539,7 +539,6 @@ def test_max_rate_slope_and_monte_carlo():
 def test_decay_bound_constants():
     p = AnalyticParams(n_elements=32, tx_snr=1.0, beta_r=1.0, beta_d=0.5)
     d = DecayBoundParams.from_params(p)
-    np.testing.assert_allclose(d.c1, math.sqrt(1.0 - math.pi ** 2 / 16.0), rtol=1e-12)
     np.testing.assert_allclose(d.c2, math.pi / math.sqrt(16.0 - math.pi ** 2), rtol=1e-12)
     np.testing.assert_allclose(d.alpha, 2 * 32 * (1.0 - math.pi ** 2 / 16.0), rtol=1e-12)
     np.testing.assert_allclose(d.eta, 32 * math.pi / 4.0, rtol=1e-12)

@@ -109,6 +109,33 @@ def test_preset_errors_past_spec_resolution_propagate(tmp_path, monkeypatch):
               "--out", str(tmp_path)])
 
 
+@pytest.mark.parametrize("flags,field", [
+    (["--seed", "-1"], "seed"),
+    (["--override", "slots=100.0"], "slots"),
+    (["--override", "trials=2.5"], "trials"),
+    (["--override", "k_ues=true"], "k_ues"),
+    (["--override", 'iid_ues="no"'], "iid_ues"),
+    (["--override", "n_sweep=[64.7]"], "n_sweep"),
+])
+def test_preset_names_the_field_of_a_bad_count_or_flag(tmp_path, capsys, flags, field):
+    # a fractional, boolean or negative value is a usage error, not a
+    # traceback, a truncation or a truthy string
+    out = tmp_path / "bad"
+    assert main(["preset", "fig3", "--analytic-only", "--out", str(out)] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+    assert not out.exists()
+
+
+def test_run_rejects_a_negative_seed(tmp_path, capsys):
+    spec = tmp_path / "s.json"
+    spec.write_text("{}", encoding="utf-8")
+    out = tmp_path / "r"
+    assert main(["run", str(spec), "--out", str(out), "--seed", "-1", "--analytic-only"]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_rejects_pf_gap_outside_sub6(tmp_path, capsys):
     # the PF ceiling and the scheduler forms are Rayleigh ones; the spec refuses
     # the output before any trial runs

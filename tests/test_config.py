@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from irsoob.config import ExperimentSpec, load_spec, spec_hash, spec_to_dict
@@ -117,6 +118,32 @@ def test_assorted_field_validation():
         ExperimentSpec(q_ues=0)
     with pytest.raises(ValueError, match="pf_tau"):
         ExperimentSpec(pf_tau=0.5)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("slots", 100.0), ("trials", 2.5), ("k_ues", True), ("q_ues", "3"), ("l1", 1.0),
+    ("l2", False), ("slot_budget", 5e7), ("max_elements", 1024.0), ("seed", 1.5),
+    ("n_sweep", (64.7,)), ("n_sweep", (64, True)),
+])
+def test_count_fields_must_be_integers(field, value):
+    with pytest.raises(ValueError, match=f"{field}: expected an integer"):
+        ExperimentSpec(**{field: value})
+
+
+def test_seed_and_iid_flag_validation():
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        ExperimentSpec(seed=-1)
+    for value in ("no", 1, None):
+        with pytest.raises(ValueError, match="iid_ues: expected true or false"):
+            ExperimentSpec(iid_ues=value)
+    assert ExperimentSpec(iid_ues=True).iid_ues is True
+
+
+def test_numpy_integer_counts_become_ints_and_keep_the_hash():
+    spec = ExperimentSpec(slots=np.int64(5000), seed=np.uint32(0), n_sweep=np.array([64]))
+    assert type(spec.slots) is int and type(spec.seed) is int
+    assert spec == ExperimentSpec()
+    assert spec_hash(spec) == spec_hash(ExperimentSpec())
 
 
 @pytest.mark.parametrize("output", ["pf_gap", "inband_offset"])

@@ -282,7 +282,7 @@ def test_inband_offset_rows_read_the_points_auxiliary_draw(monkeypatch):
     aux_states = [rngs[(i + 1) * per_point].bit_generator.state
                   for i in range(len(spec.n_sweep))]
     draws = []
-    real = experiments.inband_gain_samples_sub6
+    real = experiments._aligned_gain
     real_trial = experiments.run_trial
 
     def record(rng, *args):
@@ -292,7 +292,7 @@ def test_inband_offset_rows_read_the_points_auxiliary_draw(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("run_trial called for the in-band offset rows")
 
-    monkeypatch.setattr(experiments, "inband_gain_samples_sub6", record)
+    monkeypatch.setattr(experiments, "_aligned_gain", record)
     monkeypatch.setattr(experiments, "run_trial", refuse)
     rows, _ = run_spec(spec, "offset")
     assert draws == aux_states
@@ -366,15 +366,15 @@ def test_sweep_gains_is_independent_of_the_worker_count(regime, extra):
     """Each trial reads only its own generator and every point's trials are
     stacked in generator order, so one worker, the default and one worker per
     trial stack the same bits, with the second point's trials running while
-    the first point is read. The sub6 points also ask for the matched
-    ceiling."""
-    spec = ExperimentSpec(regime=regime, n_sweep=(64, 32), k_ues=3, q_ues=4, slots=1100, trials=3,
-                          seed=5, **extra)
+    the first point is read. The sub6 spec also asks for pf_gap, so its
+    trials draw the matched ceiling."""
     want_bf = regime == "sub6"
+    spec = ExperimentSpec(regime=regime, n_sweep=(64, 32), k_ues=3, q_ues=4, slots=1100, trials=3,
+                          seed=5, outputs=("sumse", "pf_gap") if want_bf else ("sumse",),
+                          **extra)
 
     def gains(workers):
-        points = [(spec, n, *_sweep_point(spec, 31 + i), want_bf)
-                  for i, n in enumerate(spec.n_sweep)]
+        points = [(spec, n, *_sweep_point(spec, 31 + i)) for i, n in enumerate(spec.n_sweep)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(experiments.sweep_gains(pool, points))
 
@@ -507,7 +507,7 @@ def test_sweep_gains_propagates_a_trial_error(monkeypatch):
     monkeypatch.setattr(experiments, "run_trial", run_trial)
     with ThreadPoolExecutor(max_workers=spec.trials) as pool, \
             pytest.raises(ArithmeticError, match="second trial failed"):
-        list(experiments.sweep_gains(pool, [(spec, 4, trial_rngs, bx, by, False)]))
+        list(experiments.sweep_gains(pool, [(spec, 4, trial_rngs, bx, by)]))
 
 
 def test_a_failed_point_cancels_the_next_points_unstarted_trials(monkeypatch):
@@ -536,7 +536,7 @@ def test_a_failed_point_cancels_the_next_points_unstarted_trials(monkeypatch):
         return None
 
     monkeypatch.setattr(experiments, "run_trial", run_trial)
-    points = [(spec, n, *_sweep_point(spec, 40 + n), False) for n in spec.n_sweep]
+    points = [(spec, n, *_sweep_point(spec, 40 + n)) for n in spec.n_sweep]
     with Pool(max_workers=1) as pool:
         with pytest.raises(ArithmeticError, match="point 0 failed"):
             list(experiments.sweep_gains(pool, points))

@@ -9,13 +9,21 @@ path losses) stay fixed for a trial batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .kernels import cascade_bin, db_to_linear
 
 LINK_CLASSES = ("bs_irs", "irs_ue", "direct")
+
+
+def finite(name: str, value):
+    """value itself when a finite real number (no bool), else a ValueError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not np.isfinite(value):
+        raise ValueError(f"{name}: expected a finite number, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -28,6 +36,9 @@ class NodeGeometry:
     ue_region: tuple[tuple[float, float], tuple[float, float]] = ((950.0, 950.0), (1100.0, 1100.0))
 
     def __post_init__(self):
+        for name in ("bs_inband", "bs_oob", "irs", "ue_region"):
+            for value in np.ravel(np.asarray(getattr(self, name), dtype=object)):
+                finite(name, value)
         (x0, y0), (x1, y1) = self.ue_region
         if not (x1 > x0 and y1 > y0):
             raise ValueError(f"ue_region corners must be ordered, got {self.ue_region}")
@@ -44,6 +55,8 @@ class PathLossParams:
     alpha_direct: float = 4.5
 
     def __post_init__(self):
+        for field in fields(self):
+            finite(field.name, getattr(self, field.name))
         if self.c0_db >= 0:
             raise ValueError(f"c0_db must be negative, got {self.c0_db}")
         if self.d0 <= 0:
@@ -55,9 +68,7 @@ class PathLossParams:
     def exponent(self, link_class: str) -> float:
         if link_class not in LINK_CLASSES:
             raise ValueError(f"unknown link class {link_class!r}, expected one of {LINK_CLASSES}")
-        return {"bs_irs": self.alpha_bs_irs,
-                "irs_ue": self.alpha_irs_ue,
-                "direct": self.alpha_direct}[link_class]
+        return getattr(self, f"alpha_{link_class}")
 
 
 def path_loss(params: PathLossParams, distance: float, link_class: str) -> float:
@@ -78,12 +89,12 @@ def draw_ue_positions(rng: np.random.Generator, geometry: NodeGeometry, count: i
 
     The reflector sits inside the drop region, so a UE can in principle land
     closer than the path-loss reference distance; those draws are rejected to
-    keep every link distance valid.
+    keep every link distance valid; 10,000 rounds in a row that keep none raise.
     """
     (x0, y0), (x1, y1) = geometry.ue_region
     nodes = np.array([geometry.bs_inband, geometry.bs_oob, geometry.irs])
     pos = np.empty((count, 2))
-    filled = 0
+    filled = idle = 0
     while filled < count:
         cand = rng.uniform([x0, y0], [x1, y1], size=(count - filled, 2))
         ok = np.all(np.hypot(cand[:, None, 0] - nodes[None, :, 0],
@@ -91,6 +102,9 @@ def draw_ue_positions(rng: np.random.Generator, geometry: NodeGeometry, count: i
         kept = cand[ok]
         pos[filled:filled + len(kept)] = kept
         filled += len(kept)
+        idle = 0 if len(kept) else idle + 1
+        if idle == 10_000:
+            raise ValueError(f"ue_region: 10000 rounds kept no UE beyond d0 = {d0} of every node")
     return pos
 
 

@@ -8,7 +8,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import load_spec
+from .config import load_spec, read_json_object
 from .experiments import PRESETS, list_presets, preset_spec, run_spec, save_run
 
 
@@ -76,6 +76,8 @@ def main(argv=None) -> int:
             variants = ({},)
             if args.seed is not None:
                 spec = dataclasses.replace(spec, seed=args.seed)
+        if (Path(args.out) / "manifest.json").exists():   # the run merges into it: check it first
+            read_json_object(Path(args.out) / "manifest.json")
     except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

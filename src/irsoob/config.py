@@ -15,7 +15,7 @@ import json
 import operator
 from dataclasses import dataclass, field, fields
 
-from .channels import NodeGeometry, PathLossParams
+from .channels import NodeGeometry, PathLossParams, finite
 
 REGIMES = ("sub6", "mmwave_los", "mmwave_nlos")
 SCHEDULERS = ("rr", "pf", "mr")
@@ -110,7 +110,7 @@ class ExperimentSpec:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not isinstance(self.iid_ues, bool):
             raise ValueError(f"iid_ues: expected true or false, got {self.iid_ues!r}")
-        if self.pf_tau < 1.0:
+        if finite("pf_tau", self.pf_tau) < 1.0:
             raise ValueError(f"pf_tau must be >= 1, got {self.pf_tau}")
 
 
@@ -151,8 +151,8 @@ def _listify(geo: dict) -> dict:
     return out
 
 
-def load_spec(path: str) -> ExperimentSpec:
-    """Read and validate a JSON config file; empty files yield the default spec."""
+def read_json_object(path) -> dict:
+    """The JSON object in a file, {} if it is empty; a ValueError naming the file otherwise."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read().strip()
     if not text:
@@ -164,7 +164,12 @@ def load_spec(path: str) -> ExperimentSpec:
             raise ValueError(f"{path}: not valid JSON ({err})") from err
     if not isinstance(data, dict):
         raise ValueError(f"{path}: top level must be a JSON object")
-    return spec_from_dict(data)
+    return data
+
+
+def load_spec(path: str) -> ExperimentSpec:
+    """Read and validate a JSON config file; empty files yield the default spec."""
+    return spec_from_dict(read_json_object(path))
 
 
 def spec_from_dict(data: dict) -> ExperimentSpec:

@@ -14,12 +14,12 @@ one set of gains.
 Trials are vectorized over slots. Independent trials take independent
 generators from spawn_rngs, so results do not depend on execution order, and
 the experiment layer runs a sweep point's trials concurrently on a thread
-pool. The nlos trial and the aligned-gain sampler run their slot loops in
-the chunks of one rule, whose width depends on N only, never on the worker
-count, so every output is the same for any number of workers; each reuses
-one chunk scratch. The nlos trial draws before its loop, so its chunk width
-moves no bit of any output. The aligned-gain sampler draws chunk by chunk,
-so the width decides which row an exponential lands in, but not how many are
+pool. The nlos trial and the aligned-gain sampler run their slot loops in the
+chunks of one rule, whose width depends on N only, never on the worker count,
+so every output is the same for any number of workers; each reuses one chunk
+scratch. The nlos trial draws nothing inside its loop, so its chunk width
+moves no bit of any output. The aligned-gain sampler draws chunk by chunk, so
+the width decides which row an exponential lands in, but not how many are
 drawn: no later draw moves. The sub6 and nlos in-band sides draw just the
 served UE's fading each slot, which is distribution-identical to drawing
 everyone's; sub6 draws it only as exponential magnitudes, since its aligned
@@ -30,34 +30,30 @@ angles. The sparse path angles are drawn as integer bins of the resolvable
 grid, so matching a path to the steered beam, or gathering its response, is
 an integer compare or index.
 
-The sub6 OOB gains are drawn from their exact reduced law. The reflector's
-phases are set by the in-band channels alone, so theta_n f_n has the law of
-f_n, and given G = ||f||^2 / beta_f ~ Gamma(N, 1) each UE's reflected sum is
-CN(0, beta_r,q G), independently across UEs. One Gamma draw per slot (shared
-by every UE, which is what correlates them) and two complex normals per UE
-replace the N per-element channels of each UE. It is the only sub6 OOB
-sampler: the matched-reflector ceiling (`want_bf`) reaches an output only
-through per-trial means, so it needs just each UE's marginal law, the aligned
-gain's with that UE's betas, and is drawn last by the in-band gain's sampler.
-
-The mmWave LOS OOB gains are drawn from their matched-path law. The reflector
-responds only on the steered grid angle, so of UE q's L cascaded paths just
-the m[k, q] that share in-band UE k's angle reach an output, and their sum
-gamma_1 * sum_j gamma_2,j is gamma_1 times a CN(0, m beta_g,q) draw. No
-output reads a phase, so the trial draws magnitudes: one feeder power
-|gamma_1|^2 / beta_f ~ Exp(1) per slot, shared by the UEs, one direct power
-per UE, and a complex reflected sum only where m[k, q] > 0; an unmatched
-UE's gain with the reflector is its direct gain.
-
-The nlos OOB gains are drawn from their reduced law too. A phase-matched
-configuration responds on every grid angle, so every path reaches the sum,
-but the UE-side path gains are i.i.d.: given the feeder gains gamma_1 and
-the responses, UE q's per-path sum is CN(0, beta_g,q P_q), where P_q sums
-over the UE's paths j the power |sum_i gamma_1,i r_ij|^2 that reaches it.
-One shared gamma_1 per slot, one unit complex normal and one direct power
-per UE replace the Q * l2 UE-side path gains. Both direct links are drawn as
-magnitudes: the served UE's direct phase only turns theta by a global
-phase, which no gain and no P_q sees.
+Every regime's OOB gains follow one rule. The reflector's phases are set by
+the in-band side alone, so given them the reflected sum R that reaches OOB UE
+q is CN(0, v_q), independent across slots and of the direct link h_d, and
+circular: dropping h_d's phase keeps the joint law of |h_d + R|^2 and
+|h_d|^2. `_oob_gains` draws that law once for every trial: gain_noirs =
+beta_d Exp(1), and R only where v > 0, so gain_irs = |sqrt(gain_noirs) + R|^2
+there and gain_noirs elsewhere. Each trial computes only its variance v
+(slots, Q):
+- sub6: beta_r,q G, with G = ||f||^2 / beta_f ~ Gamma(N, 1) drawn per slot
+  and shared by the UEs, which is what correlates them; it replaces the N
+  per-element channels of each UE. The matched-reflector ceiling (`want_bf`)
+  reaches an output only through per-trial means, so it needs just each UE's
+  marginal law, the aligned gain's with that UE's betas, and is drawn last.
+- mmWave LOS: the reflector responds only on the steered grid angle, so of
+  UE q's L cascaded paths just the m[k, q] on in-band UE k's angle reach an
+  output, and v = (N^2 / L) beta_f X m beta_g,q with one feeder power
+  X = |gamma_1|^2 / beta_f ~ Exp(1) per slot, shared by the UEs. An
+  unmatched UE keeps its direct gain bit for bit.
+- nlos: a phase-matched configuration responds on every grid angle, but the
+  UE-side path gains are i.i.d., so given the shared feeder gains gamma_1
+  and the responses, v = (N^2 / L) beta_g,q P_q, where P_q sums over the
+  UE's paths j the power |sum_i gamma_1,i r_ij|^2 that reaches it. The
+  served UE's direct phase only turns theta by a global phase, which no gain
+  and no P_q sees, so its direct link is drawn as a magnitude too.
 """
 
 from __future__ import annotations
@@ -137,6 +133,22 @@ def _aligned_gain(rng: np.random.Generator, beta_d, beta_r, rows: int,
     return amplitude ** 2, direct
 
 
+def _oob_gains(rng: np.random.Generator, beta_d,
+               variance: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Draw the OOB gains with and without the reflector, given the reflected variance.
+
+    gain_noirs = beta_d Exp(1) over variance's (slots, Q) shape; then, only at
+    the entries where variance > 0, in row-major order, R ~ CN(0, variance),
+    so gain_irs = |sqrt(gain_noirs) + R|^2 there and gain_noirs elsewhere.
+    """
+    gain_noirs = beta_d * rng.standard_exponential(variance.shape)
+    lit = variance > 0          # a boolean mask selects in row-major order
+    reflected = complex_normal(rng, variance[lit], np.count_nonzero(lit))
+    gain_irs = gain_noirs.copy()
+    gain_irs[lit] = np.abs(np.sqrt(gain_noirs[lit]) + reflected) ** 2
+    return gain_irs, gain_noirs
+
+
 def sub6_trial(rng: np.random.Generator, n_elements: int, budget_x: LinkBudget,
                budget_y: LinkBudget, slots: int, want_bf: bool = False) -> TrialData:
     """One Rayleigh-fading trial.
@@ -144,27 +156,23 @@ def sub6_trial(rng: np.random.Generator, n_elements: int, budget_x: LinkBudget,
     The in-band gain is (|h_d| + sum_n |f_n g_n|)^2, what the phase-aligned
     reflector achieves; it needs only magnitudes, drawn as exponentials.
 
-    The OOB side draws, per slot, G ~ Gamma(N, 1) and then, per UE,
-    h_d ~ CN(0, beta_d) and the reflected sum ~ CN(0, beta_r G): the exact
-    law of h_d + sum_n theta_n f_n g_qn, because theta depends on the
-    in-band channels only. With want_bf the matched ceiling
-    (|h_d| + sum_n |f_n||g_qn|)^2 is drawn last, per UE from the aligned-gain
-    law with the OOB betas, so it moves no other gain's bits.
+    The OOB side draws G ~ Gamma(N, 1) per slot and then the OOB gains with
+    reflected variance beta_r G (module docstring). With want_bf the matched
+    ceiling (|h_d| + sum_n |f_n||g_qn|)^2 is drawn last, per UE from the
+    aligned-gain law with the OOB betas, so it moves no other gain's bits.
     """
     k_served = np.arange(slots) % budget_x.n_ues
     inband_gain, _ = _aligned_gain(rng, budget_x.beta_d[k_served], budget_x.beta_r[k_served],
                                    slots, n_elements)
 
-    q_ues = budget_y.n_ues
     power = rng.standard_gamma(n_elements, size=slots)   # ||f||^2 / beta_f
-    h_d = complex_normal(rng, budget_y.beta_d, (slots, q_ues))
-    reflected = complex_normal(rng, budget_y.beta_r * power[:, None], (slots, q_ues))
+    gain_irs, gain_noirs = _oob_gains(rng, budget_y.beta_d, budget_y.beta_r * power[:, None])
     bf_gain = None
     if want_bf:
         bf_gain, _ = _aligned_gain(rng, budget_y.beta_d[None, :], budget_y.beta_r[None, :],
                                    slots, n_elements)
-    return TrialData(inband_gain=inband_gain, gain_irs=np.abs(h_d + reflected) ** 2,
-                     gain_noirs=np.abs(h_d) ** 2, bf_gain=bf_gain)
+    return TrialData(inband_gain=inband_gain, gain_irs=gain_irs, gain_noirs=gain_noirs,
+                     bf_gain=bf_gain)
 
 
 def mmwave_los_trial(rng: np.random.Generator, n_elements: int, budget_x: LinkBudget,
@@ -179,15 +187,10 @@ def mmwave_los_trial(rng: np.random.Generator, n_elements: int, budget_x: LinkBu
 
     On the resolvable grid an OOB path contributes only when it sits exactly
     on the steered angle, so UE q's sum collapses to its m[k, q] paths on
-    in-band UE k's angle (each copy of a duplicated path counts), and its
-    gains are drawn from their magnitude law: per slot X = |gamma_1|^2 / beta_f
-    ~ Exp(1), shared by the UEs; per UE |h_d|^2 = beta_d Exp(1), the gain
-    without the reflector; and, only where m[k, q] > 0, a reflected sum
-    R ~ CN(0, (N^2 / L) beta_f X m beta_g,q), so gain_irs = |sqrt(gain_noirs) + R|^2.
-    That is the exact law of the per-path sum h_d + (N / sqrt(L)) u gamma_1 S:
-    the UE-side path gains are i.i.d., and the phases of h_d and of the
-    aligning phasor u rotate out of R's circular law. A UE with no matched
-    path keeps its direct gain bit for bit.
+    in-band UE k's angle (each copy of a duplicated path counts). Then the
+    feeder power X ~ Exp(1) per slot, and the OOB gains with reflected
+    variance (N^2 / L) beta_f X m beta_g,q (module docstring): the aligning
+    phasor u rotates out of R's circular law like h_d's phase.
     """
     k_ues = budget_x.n_ues
     k_served = np.arange(slots) % k_ues
@@ -203,13 +206,8 @@ def mmwave_los_trial(rng: np.random.Generator, n_elements: int, budget_x: LinkBu
     # R's variance per unit feeder power, for each (served UE k, OOB UE q)
     weight = (n_elements ** 2 / l_oob) * budget_y.beta_f * matches * budget_y.beta_g
     feeder_power = rng.standard_exponential(slots)                       # X
-    gain_noirs = budget_y.beta_d * rng.standard_exponential((slots, budget_y.n_ues))
-    gain_irs = gain_noirs.copy()
-    served_weight = weight[k_served]                                     # (slots, Q)
-    lit = np.flatnonzero(served_weight)        # the matched (slot, UE) entries, row-major
-    variance = (feeder_power[:, None] * served_weight).take(lit)
-    reflected = complex_normal(rng, variance, lit.size)
-    gain_irs.put(lit, np.abs(np.sqrt(gain_noirs.take(lit)) + reflected) ** 2)
+    gain_irs, gain_noirs = _oob_gains(rng, budget_y.beta_d,
+                                      feeder_power[:, None] * weight[k_served])
     return TrialData(inband_gain=inband_gain, gain_irs=gain_irs, gain_noirs=gain_noirs)
 
 
@@ -218,19 +216,14 @@ def mmwave_nlos_trial(rng: np.random.Generator, n_elements: int, budget_x: LinkB
     """One sparse-channel trial with the reflector phase-matched to all of the served UE's paths.
 
     The per-element matched sum v and the responses r at every grid angle are
-    FFT pairs, so each slot costs O(N log N) regardless of path count. All
-    draws precede the chunk loop: both operators' angle bins; per slot the
-    served in-band UE's feeder (l1,) and UE-side (l2,) gains and its direct
-    power |h_d|^2 = beta_d Exp(1); the OOB feeder gains gamma_1 (l1,), shared
-    by the UEs; per UE a unit complex normal z, then |h_d|^2 = beta_d Exp(1),
-    the gain without the reflector.
-
-    Direct links are drawn as magnitudes: the served UE's e^{i ang(h_d)} is a
-    global phase of theta, which cancels out of |eff| and of every P_q, so
-    theta = v / |v|. Then gain_irs = |sqrt(gain_noirs) + (N / sqrt(L)) sqrt(beta_g,q P_q) z|^2
-    with P_q = sum_j |sum_i gamma_1,i r[m_qij]|^2, the exact law of the
-    per-path sum (module docstring); a duplicated grid angle counts once per
-    copy.
+    FFT pairs, so each slot costs O(N log N) regardless of path count. The
+    chunk loop draws nothing. Before it: both operators' angle bins; per slot
+    the served in-band UE's feeder (l1,) and UE-side (l2,) gains and its
+    direct power |h_d|^2 = beta_d Exp(1), so theta = v / |v|; the OOB feeder
+    gains gamma_1 (l1,), shared by the UEs. After it, the OOB gains with
+    reflected variance (N^2 / L) beta_g,q P_q (module docstring), where
+    P_q = sum_j |sum_i gamma_1,i r[m_qij]|^2; a duplicated grid angle counts
+    once per copy.
     """
     bins_x = mmwave_angle_bins(rng, n_elements, l1, l2, budget_x.n_ues)[2]   # (K, L)
     bins_y = mmwave_angle_bins(rng, n_elements, l1, l2, budget_y.n_ues)[2]   # (Q, L)
@@ -242,8 +235,6 @@ def mmwave_nlos_trial(rng: np.random.Generator, n_elements: int, budget_x: LinkB
     g_x = (bs_x[:, :, None] * ue_x[:, None, :]).reshape(slots, l_paths)
     q_ues = budget_y.n_ues
     gamma_1 = complex_normal(rng, budget_y.beta_f, (slots, l1))
-    z = complex_normal(rng, 1.0, (slots, q_ues))
-    gain_noirs = budget_y.beta_d * rng.standard_exponential((slots, q_ues))
 
     idx_x = bins_x[k_served]                                    # (slots, L)
     # UE q's path (i, j) sits in column q * l2 + j of feeder path i's block
@@ -278,10 +269,8 @@ def mmwave_nlos_trial(rng: np.random.Generator, n_elements: int, budget_x: LinkB
         for i in range(1, l1):
             a += gamma_1[sl, i, None] * resp[:, cols_y[i]]
         power[sl] = (np.abs(a) ** 2).reshape(span, q_ues, l2).sum(axis=2)
-    reflected = scale * np.sqrt(budget_y.beta_g * power) * z
-    return TrialData(inband_gain=inband_gain,
-                     gain_irs=np.abs(np.sqrt(gain_noirs) + reflected) ** 2,
-                     gain_noirs=gain_noirs)
+    gain_irs, gain_noirs = _oob_gains(rng, budget_y.beta_d, scale ** 2 * budget_y.beta_g * power)
+    return TrialData(inband_gain=inband_gain, gain_irs=gain_irs, gain_noirs=gain_noirs)
 
 
 # ---------------------------------------------------------------------------

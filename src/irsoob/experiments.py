@@ -32,7 +32,8 @@ import numpy as np
 from . import analytics
 from .analytics import AnalyticParams
 from .channels import PathLossParams
-from .config import SCHEDULERS, ExperimentSpec, spec_from_dict, spec_hash, spec_to_dict
+from .config import (SCHEDULERS, ExperimentSpec, read_json_object, spec_from_dict, spec_hash,
+                     spec_to_dict)
 from .engine import (TrialData, _aligned_gain, budgets_for, dominance_test, empirical_ccdf,
                      empirical_outage, run_trial, schedule_rates, spawn_rngs)
 from .irs import correlation_response
@@ -123,9 +124,7 @@ def write_manifest(path, figure: str, spec: ExperimentSpec, runs) -> None:
         },
     }
     target = Path(path)
-    manifest = {}
-    if target.exists():
-        manifest = json.loads(target.read_text(encoding="utf-8"))
+    manifest = read_json_object(target) if target.exists() else {}
     manifest[figure] = entry
     target.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
                       encoding="utf-8")

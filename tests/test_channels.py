@@ -4,6 +4,8 @@ The calibration constants below were computed by hand from the deployment
 coordinates and the power law (hypot + 10^(c0/10) * d^-alpha), then frozen.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,16 @@ def test_ue_drop_stays_in_region_and_clear_of_nodes():
     assert np.all((pos[:, 1] >= y0) & (pos[:, 1] <= y1))
     for node in (geo.bs_inband, geo.bs_oob, geo.irs):
         assert np.all(np.hypot(pos[:, 0] - node[0], pos[:, 1] - node[1]) > 1.0)
+
+
+def test_ue_drop_without_an_admissible_point_raises_promptly():
+    """With d0 = 1000 every point of the default region lies within d0 of the
+    reflector, so no round can keep a UE: the drop names ue_region and d0
+    within a second instead of looping forever."""
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"ue_region.*d0 = 1000"):
+        draw_ue_positions(np.random.default_rng(4), NodeGeometry(), 10, d0=1000.0)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_ue_drop_replay():

@@ -127,6 +127,37 @@ def test_preset_names_the_field_of_a_bad_count_or_flag(tmp_path, capsys, flags, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("override,field", [
+    ("pf_tau=NaN", "pf_tau"), ("pf_tau=true", "pf_tau"),
+    ('path_loss={"c0_db": NaN}', "c0_db"), ('path_loss={"alpha_direct": NaN}', "alpha_direct"),
+    ('geometry={"irs": [NaN, 0]}', "irs"),
+])
+def test_preset_names_a_float_field_that_is_not_finite(tmp_path, capsys, override, field):
+    # no PF row from NaN averages, no tau of 1 from true, no nan analytic cell
+    out = tmp_path / "bad"
+    assert main(["preset", "fig11", "--analytic-only", "--override", override,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{field}: expected a finite number" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["[]", "not json"])
+def test_a_manifest_that_cannot_be_merged_fails_before_any_trial(tmp_path, capsys,
+                                                                 monkeypatch, text):
+    def fail(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(experiments, "run_trial", fail)
+    out = tmp_path / "r"
+    out.mkdir()
+    (out / "manifest.json").write_text(text, encoding="utf-8")
+    assert main(["preset", "fig3", "--out", str(out)]) == 2
+    assert str(out / "manifest.json") in capsys.readouterr().err
+    assert (out / "manifest.json").read_text(encoding="utf-8") == text
+    assert not (out / "fig3.csv").exists()
+
+
 def test_run_rejects_a_negative_seed(tmp_path, capsys):
     spec = tmp_path / "s.json"
     spec.write_text("{}", encoding="utf-8")

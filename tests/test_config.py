@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from irsoob.config import ExperimentSpec, load_spec, spec_hash, spec_to_dict
+from irsoob.config import ExperimentSpec, load_spec, spec_from_dict, spec_hash, spec_to_dict
 from irsoob.experiments import run_preset
 
 
@@ -128,6 +128,32 @@ def test_assorted_field_validation():
 def test_count_fields_must_be_integers(field, value):
     with pytest.raises(ValueError, match=f"{field}: expected an integer"):
         ExperimentSpec(**{field: value})
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("data,field", [
+    ({"pf_tau": NAN}, "pf_tau"), ({"pf_tau": INF}, "pf_tau"), ({"pf_tau": True}, "pf_tau"),
+    ({"path_loss": {"c0_db": NAN}}, "c0_db"),
+    ({"path_loss": {"alpha_direct": NAN}}, "alpha_direct"),
+    ({"path_loss": {"d0": INF}}, "d0"), ({"path_loss": {"d0": True}}, "d0"),
+    ({"geometry": {"irs": [NAN, 0]}}, "irs"), ({"geometry": {"bs_oob": [0, -INF]}}, "bs_oob"),
+    ({"geometry": {"ue_region": [[0, 0], [INF, 10]]}}, "ue_region"),
+])
+def test_float_fields_must_be_finite_numbers(data, field):
+    """A NaN, an infinity or a bool in a float field is named, not computed
+    with: NaN averages would reach the PF rows, NaN path losses the analytic
+    cells, and a NaN node would keep the UE drop from ever accepting a UE."""
+    with pytest.raises(ValueError, match=f"{field}: expected a finite number"):
+        spec_from_dict(data)
+
+
+def test_finite_float_fields_are_kept_as_given():
+    spec = spec_from_dict({"pf_tau": 500, "geometry": {"irs": [1000, 1000.5]},
+                           "path_loss": {"d0": 2}})
+    assert type(spec.pf_tau) is int and spec.geometry.irs == (1000, 1000.5)
+    assert type(spec.path_loss.d0) is int
 
 
 def test_seed_and_iid_flag_validation():

@@ -8,11 +8,13 @@ against hand-computed values. Each vectorized trial is replayed draw for
 draw: the reflector configuration of every slot is rebuilt from the replayed
 channels with the scalar optimizers in irs.py, and the trial's gains are
 checked against the scalar effective channels there. The trials return gains
-only; rates are the test-side log2(1 + snr g) of oracles.py. The reduced OOB
-laws (sub6, the matched-path law of the mmWave LOS trial, and the nlos
-trial's one draw per UE) are replayed bit for bit and compared in
-distribution with the dense per-element or per-path construction each
-replaces (for sub6, the oracle's sample_sub6). The mmWave trials draw
+only; rates are the test-side log2(1 + snr g) of oracles.py. Every trial's
+OOB gains come from one draw, engine._oob_gains, given the trial's reflected
+variance: one replay helper (_replay_oob) pins its order in all three
+trials, a unit test pins that it draws no normal where the variance is 0
+and holds it in distribution to |h_d + R|^2 of complex normals, and each
+regime's reduced law is compared in distribution with the dense per-element
+or per-path construction it replaces (for sub6, the oracle's sample_sub6). The mmWave trials draw
 their direct links as magnitudes, so their replays hand the scalar rules a
 real h_d; a separate check shows that the direct phase moves no scalar gain.
 The batched PF scheduler is held to a per-row loop, bit for bit.
@@ -35,7 +37,7 @@ from scipy.stats import ks_2samp, kstest
 
 from irsoob.channels import complex_normal
 from irsoob.config import ExperimentSpec
-from irsoob.engine import (DominanceReport, TrialData, _aligned_gain, budgets_for,
+from irsoob.engine import (DominanceReport, TrialData, _aligned_gain, _oob_gains, budgets_for,
                            dominance_test, empirical_ccdf, empirical_outage, mmwave_los_trial,
                            mmwave_nlos_trial, run_trial, schedule_rates, spawn_rngs, sub6_trial)
 from irsoob.experiments import operator_params
@@ -301,30 +303,75 @@ def _dense_oob_gains(rng, n, budget, slots):
     return gains
 
 
-def _replay_sub6_oob(replay, by, n, slots):
-    """The reduced OOB draws that follow the in-band ones: one Gamma(N, 1)
-    power per slot, then h_d and the reflected sum per UE. Returns the gains
-    with and without the reflector."""
-    power = replay.standard_gamma(n, size=slots)
-    h_d = complex_normal(replay, by.beta_d, (slots, by.n_ues))
-    reflected = complex_normal(replay, by.beta_r * power[:, None], (slots, by.n_ues))
-    return np.abs(h_d + reflected) ** 2, np.abs(h_d) ** 2
+def _replay_oob(replay, beta_d, variance):
+    """engine._oob_gains replayed: the direct powers beta_d Exp(1) over
+    variance's (slots, Q) shape, then R ~ CN(0, variance) at the entries where
+    variance > 0, in row-major order. Returns gain_irs (|sqrt(direct) + R|^2
+    there, direct elsewhere), the direct powers and R (slots, Q), 0 where
+    nothing was drawn."""
+    direct = beta_d * replay.standard_exponential(variance.shape)
+    lit = np.nonzero(variance)
+    reflected = np.zeros(variance.shape, dtype=complex)
+    reflected[lit] = complex_normal(replay, variance[lit], lit[0].size)
+    gain_irs = direct.copy()
+    gain_irs[lit] = np.abs(np.sqrt(direct[lit]) + reflected[lit]) ** 2
+    return gain_irs, direct, reflected
+
+
+def test_oob_gains_draw_the_reflected_sum_only_where_it_has_variance():
+    """engine._oob_gains on a (rows, 3) variance: UE 0 has none, UE 1 a fixed
+    one and UE 2 one that varies by row and is 0 on every third row. Where
+    the variance is 0 the gain with the reflector is the direct gain bit for
+    bit and no normal is drawn: the generator ends where the direct
+    exponentials and 2 * lit normals leave a replay. Where it is positive:
+    two-sample KS of the gain and of the offset against |h_d + R|^2 and
+    |h_d + R|^2 - |h_d|^2 built from two complex_normal draws, and the mean
+    gain within 4 stderr of beta_d + v."""
+    rows = 20_000
+    beta_d = np.array([0.5, 2.0, 1.0])
+    variance = np.zeros((rows, 3))
+    variance[:, 1] = 3.0
+    variance[:, 2] = 0.4 * np.random.default_rng(97).standard_gamma(4.0, rows)
+    variance[::3, 2] = 0.0
+    rng = np.random.default_rng(98)
+    gain_irs, gain_noirs = _oob_gains(rng, beta_d, variance)
+
+    dark = variance == 0
+    np.testing.assert_array_equal(gain_irs[dark], gain_noirs[dark])
+    replay = np.random.default_rng(98)
+    replay.standard_exponential(variance.shape)
+    replay.standard_normal(2 * np.count_nonzero(variance))
+    assert rng.bit_generator.state == replay.bit_generator.state
+
+    oracle = np.random.default_rng(99)
+    for q in (1, 2):
+        lit = ~dark[:, q]
+        v = variance[lit, q]
+        h_d = complex_normal(oracle, beta_d[q], v.size)
+        gain = np.abs(h_d + complex_normal(oracle, v, v.size)) ** 2
+        got = gain_irs[lit, q]
+        assert ks_2samp(got, gain).pvalue > 1e-4
+        assert ks_2samp(got - gain_noirs[lit, q], gain - np.abs(h_d) ** 2).pvalue > 1e-4
+        stderr = got.std(ddof=1) / math.sqrt(got.size)
+        assert abs(got.mean() - (beta_d[q] + v).mean()) < 4.0 * stderr
 
 
 @pytest.mark.parametrize("n", [8, 16])
 def test_sub6_trial_matches_scalar_reference(n):
     """Every gain of a want_bf trial, replayed in draw order. The in-band gain
     is the aligned one of the replayed channels' optimized configuration,
-    slot by slot. The OOB gains are the reduced law, and the ceiling is the
-    aligned-gain law with each UE's OOB betas, drawn last; both are replayed
-    bit for bit, and each slot's ceiling is the scalar matched effective
-    channel of complex channels carrying the replayed magnitudes."""
+    slot by slot. The OOB gains are the reduced law (one Gamma(N, 1) power G
+    per slot, then _replay_oob with reflected variance beta_r G), and the
+    ceiling is the aligned-gain law with each UE's OOB betas, drawn last; both
+    are replayed bit for bit, and each slot's ceiling is the scalar matched
+    effective channel of complex channels carrying the replayed magnitudes."""
     spec, bx, by, rng, replay = _diff_setup("sub6", n)
     data = sub6_trial(rng, n, bx, by, spec.slots, want_bf=True)
 
     gain, h_dx, f_x, g_x = _replay_inband_sub6(replay, bx, n, spec.slots)
     np.testing.assert_array_equal(data.inband_gain, gain)
-    gain_irs, gain_noirs = _replay_sub6_oob(replay, by, n, spec.slots)
+    power = replay.standard_gamma(n, size=spec.slots)
+    gain_irs, gain_noirs, _ = _replay_oob(replay, by.beta_d, by.beta_r * power[:, None])
     np.testing.assert_array_equal(data.gain_irs, gain_irs)
     np.testing.assert_array_equal(data.gain_noirs, gain_noirs)
     ceiling, h_dy, f_y, g_y = _replay_aligned(replay, by.beta_d[None, :], by.beta_f,
@@ -431,14 +478,17 @@ def test_aligned_gain_peak_memory_is_one_chunk():
 
 @pytest.mark.parametrize("n", [8, 16])
 def test_sub6_trial_reduced_law_replays_bit_for_bit(n):
-    """Without want_bf the OOB side draws one Gamma(N, 1) power per slot and
-    two complex normals per UE, after the in-band exponentials."""
+    """Without want_bf the OOB side draws, after the in-band exponentials, one
+    Gamma(N, 1) power G per slot, then one direct power and one reflected sum
+    per UE (_replay_oob with variance beta_r G), and nothing more."""
     spec, bx, by, rng, replay = _diff_setup("sub6", n)
     data = sub6_trial(rng, n, bx, by, spec.slots)
     assert data.bf_gain is None
 
     gain, _, _, _ = _replay_inband_sub6(replay, bx, n, spec.slots)
-    gain_irs, gain_noirs = _replay_sub6_oob(replay, by, n, spec.slots)
+    power = replay.standard_gamma(n, size=spec.slots)
+    gain_irs, gain_noirs, _ = _replay_oob(replay, by.beta_d, by.beta_r * power[:, None])
+    assert rng.bit_generator.state == replay.bit_generator.state
     np.testing.assert_array_equal(data.inband_gain, gain)
     np.testing.assert_array_equal(data.gain_irs, gain_irs)
     np.testing.assert_array_equal(data.gain_noirs, gain_noirs)
@@ -493,25 +543,13 @@ def _replay_los(replay, n, bx, by, slots, l_oob):
     return x, angles_y, k, u, on_beam
 
 
-def _replay_los_oob(replay, by, slots, m_served, n, l_oob):
-    """The LOS trial's OOB draws after the angles, replayed: the feeder power
-    X (slots,), the direct power |h_d|^2 (slots, Q) and the reflected sum R at
-    the matched (slot, UE) entries (returned as index arrays), in row-major
-    order."""
-    power = replay.standard_exponential(slots)
-    direct = by.beta_d * replay.standard_exponential((slots, by.n_ues))
-    slot, ue = np.nonzero(m_served)
-    weight = (n ** 2 / l_oob) * by.beta_f * m_served[slot, ue] * by.beta_g[ue]
-    return power, direct, (slot, ue), complex_normal(replay, power[slot] * weight, slot.size)
-
-
 @pytest.mark.parametrize("n", [8, 16])
 def test_mmwave_los_trial_matches_scalar_reference(n):
     """The gains are the trial's draws replayed bit for bit: the in-band
     angles and every in-band UE's path gains, the OOB angles, then the feeder
-    power X and the direct power per UE, and a reflected sum R only at the
-    matched (slot, UE) entries, so gain_irs = |sqrt(gain_noirs) + R|^2 there and
-    gain_noirs elsewhere. The scalar rules then see the direct link
+    power X and the OOB gains (_replay_oob) with reflected variance
+    (N^2 / L) beta_f X m beta_g, so R is drawn only at the matched (slot, UE)
+    entries. The scalar rules then see the direct link
     sqrt(gain_noirs), a real phase of h_d, and per-path gains with
     sqrt(L) R / (N u) on each matched UE's first matched path, 0 on its other
     matched paths and fresh draws on the unmatched ones, which the steered
@@ -524,17 +562,15 @@ def test_mmwave_los_trial_matches_scalar_reference(n):
     x, angles_y, k_served, u, on_beam = _replay_los(replay, n, bx, by, spec.slots, l_oob)
     m = on_beam.sum(axis=2)
     assert np.any(m > 0), "no matched (k, q) pair: nothing reflected to check"
-    _, direct, lit, reflected = _replay_los_oob(replay, by, spec.slots, m[k_served], n, l_oob)
-    want_irs = direct.copy()
-    want_irs[lit] = np.abs(np.sqrt(direct[lit]) + reflected) ** 2
+    power = replay.standard_exponential(spec.slots)                  # X
+    weight = (n ** 2 / l_oob) * by.beta_f * m[k_served] * by.beta_g
+    want_irs, direct, r_full = _replay_oob(replay, by.beta_d, power[:, None] * weight)
     np.testing.assert_array_equal(data.gain_noirs, direct)
     np.testing.assert_array_equal(data.gain_irs, want_irs)
     unmatched = m[k_served] == 0
     assert unmatched.any()
     np.testing.assert_array_equal(data.gain_irs[unmatched], data.gain_noirs[unmatched])
 
-    r_full = np.zeros(direct.shape, dtype=complex)
-    r_full[lit] = reflected
     fresh = np.random.default_rng(n)
     for s in range(spec.slots):
         k = k_served[s]
@@ -620,12 +656,12 @@ def test_mmwave_los_reduced_law_matches_per_path_sum(n, l_oob):
 
 
 def _replay_nlos(replay, n, bx, by, slots, l1, l2):
-    """The nlos trial's draws in trial order. Returns the in-band side
-    (cascade angles (K, L), served UE k = slot mod K, its direct link
-    |h_d| = sqrt(beta_d Exp(1)), real, and cascade gains gamma_1,i gamma_2,j per
-    slot) and the OOB side (cascade angles (Q, L), the shared feeder gains
-    gamma_1 (slots, l1), and per UE the unit normal z and the direct power
-    |h_d|^2)."""
+    """The nlos trial's draws before its chunk loop, in trial order. Returns
+    the in-band side (cascade angles (K, L), served UE k = slot mod K, its
+    direct link |h_d| = sqrt(beta_d Exp(1)), real, and cascade gains
+    gamma_1,i gamma_2,j per slot) and the OOB side (cascade angles (Q, L) and
+    the shared feeder gains gamma_1 (slots, l1)). The OOB gains follow the
+    loop (_replay_oob)."""
     _, _, angles_x = mmwave_angles(replay, n, l1, l2, bx.n_ues)
     _, _, angles_y = mmwave_angles(replay, n, l1, l2, by.n_ues)
     k = np.arange(slots) % bx.n_ues
@@ -634,9 +670,7 @@ def _replay_nlos(replay, n, bx, by, slots, l1, l2):
     h_dx = np.sqrt(bx.beta_d[k] * replay.standard_exponential(slots))
     g_x = (bs_x[:, :, None] * ue_x[:, None, :]).reshape(slots, l1 * l2)
     gamma_1 = complex_normal(replay, by.beta_f, (slots, l1))
-    z = complex_normal(replay, 1.0, (slots, by.n_ues))
-    direct = by.beta_d * replay.standard_exponential((slots, by.n_ues))
-    return (angles_x, k, h_dx, g_x), (angles_y, gamma_1, z, direct)
+    return (angles_x, k, h_dx, g_x), (angles_y, gamma_1)
 
 
 @pytest.mark.parametrize("n", [8, 16])
@@ -646,34 +680,42 @@ def test_mmwave_nlos_trial_matches_scalar_reference(n):
     h_d (any phase gives the same gains; see
     test_nlos_scalar_gains_ignore_the_direct_phase). The configuration is
     optimize_mmwave_nlos of the served UE's paths, and each gain is
-    effective_channel_mmwave of that configuration. The OOB UE q sees
-    per-path gains gamma_1,i gamma_2,j with
-    gamma_2,j = z sqrt(beta_g,q) conj(a_j) / ||a||, a_j = sum_i gamma_1,i r_ij
-    and r_ij the scalar response at its cascade angle (i, j): their per-path
-    sum is z sqrt(beta_g,q) ||a||, the reflected term the trial drew."""
+    effective_channel_mmwave of that configuration. With
+    a_j = sum_i gamma_1,i r_ij, r_ij the scalar response at cascade angle
+    (i, j), the OOB gains are replayed after the loop with reflected variance
+    (N^2 / L) beta_g,q ||a||^2, and UE q sees per-path gains
+    gamma_1,i gamma_2,j with gamma_2,j = (sqrt(L) / N) R conj(a_j) / ||a||^2:
+    their per-path sum, scaled by N / sqrt(L), is R, the reflected term the
+    trial drew."""
     spec, bx, by, rng, replay = _diff_setup("mmwave_nlos", n, l1=2, l2=2)
     l1, l2 = spec.l1, spec.l2
+    scale = n / math.sqrt(l1 * l2)
     data = mmwave_nlos_trial(rng, n, bx, by, spec.slots, l1, l2)
 
-    (angles_x, k_served, h_dx, g_x), (angles_y, gamma_1, z, direct) = \
+    (angles_x, k_served, h_dx, g_x), (angles_y, gamma_1) = \
         _replay_nlos(replay, n, bx, by, spec.slots, l1, l2)
-    np.testing.assert_array_equal(data.gain_noirs, direct)
+    thetas, a = [], np.empty((spec.slots, by.n_ues, l2), dtype=complex)
     for s in range(spec.slots):
         k = k_served[s]
-        theta = optimize_mmwave_nlos(h_dx[s], angles_x[k], g_x[s], n)
+        thetas.append(optimize_mmwave_nlos(h_dx[s], angles_x[k], g_x[s], n))
         _assert_gains(data.inband_gain[s],
-                      abs(effective_channel_mmwave(h_dx[s], angles_x[k], g_x[s], theta)) ** 2)
+                      abs(effective_channel_mmwave(h_dx[s], angles_x[k], g_x[s], thetas[s])) ** 2)
+        for q in range(by.n_ues):
+            resp = np.array([effective_channel_mmwave(0.0, [angle], [1.0], thetas[s])
+                             for angle in angles_y[q]]).reshape(l1, l2) / n
+            a[s, q] = gamma_1[s] @ resp
+    power = (np.abs(a) ** 2).sum(axis=2)
+    assert np.all(power > 0)
+    _, direct, reflected = _replay_oob(replay, by.beta_d, scale ** 2 * by.beta_g * power)
+    np.testing.assert_array_equal(data.gain_noirs, direct)
+    assert rng.bit_generator.state == replay.bit_generator.state
+    for s in range(spec.slots):
         want = []
         for q in range(by.n_ues):
-            resp = np.array([effective_channel_mmwave(0.0, [angle], [1.0], theta)
-                             for angle in angles_y[q]]).reshape(l1, l2) / n
-            a = gamma_1[s] @ resp
-            norm = np.linalg.norm(a)
-            assert norm > 0
-            gamma_2 = z[s, q] * math.sqrt(by.beta_g[q]) * np.conj(a) / norm
+            gamma_2 = reflected[s, q] * np.conj(a[s, q]) / (scale * power[s, q])
             gains = np.outer(gamma_1[s], gamma_2).ravel()
             want.append(abs(effective_channel_mmwave(math.sqrt(direct[s, q]), angles_y[q],
-                                                     gains, theta)) ** 2)
+                                                     gains, thetas[s])) ** 2)
         _assert_gains(data.gain_irs[s], want)
 
 
@@ -747,7 +789,7 @@ def test_mmwave_nlos_reduced_law_matches_per_path_sum(n, l1, l2):
     _, bx, by = budgets_for(spec, np.random.default_rng(62), None)
     seed = 620 + n + l1
     data = mmwave_nlos_trial(np.random.default_rng(seed), n, bx, by, slots, l1, l2)
-    (angles_x, k_served, h_dx, g_x), (angles_y, _, _, _) = \
+    (angles_x, k_served, h_dx, g_x), (angles_y, _) = \
         _replay_nlos(np.random.default_rng(seed), n, bx, by, slots, l1, l2)
     if n < l_paths:
         assert len(np.unique(grid_index(angles_y, n))) < angles_y.size

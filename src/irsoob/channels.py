@@ -17,6 +17,7 @@ import numpy as np
 from .kernels import cascade_bin, db_to_linear
 
 LINK_CLASSES = ("bs_irs", "irs_ue", "direct")
+IID_UE_POINT = (1000.0, 1000.0)   # where every UE sits when a spec asks for iid UEs
 
 
 def finite(name: str, value):

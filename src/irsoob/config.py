@@ -12,10 +12,11 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import operator
 from dataclasses import dataclass, field, fields
 
-from .channels import NodeGeometry, PathLossParams, finite
+from .channels import IID_UE_POINT, NodeGeometry, PathLossParams, finite
 
 REGIMES = ("sub6", "mmwave_los", "mmwave_nlos")
 SCHEDULERS = ("rr", "pf", "mr")
@@ -68,7 +69,8 @@ class ExperimentSpec:
         for name in COUNT_FIELDS:
             object.__setattr__(self, name, _count(name, getattr(self, name)))
         object.__setattr__(self, "n_sweep", tuple(_count("n_sweep", n) for n in self.n_sweep))
-        object.__setattr__(self, "gamma_db_sweep", tuple(float(g) for g in self.gamma_db_sweep))
+        object.__setattr__(self, "gamma_db_sweep",
+                           tuple(float(finite("gamma_db_sweep", g)) for g in self.gamma_db_sweep))
         object.__setattr__(self, "outputs", tuple(self.outputs))
         if self.regime not in REGIMES:
             raise ValueError(f"regime: expected one of {REGIMES}, got {self.regime!r}")
@@ -112,6 +114,18 @@ class ExperimentSpec:
             raise ValueError(f"iid_ues: expected true or false, got {self.iid_ues!r}")
         if finite("pf_tau", self.pf_tau) < 1.0:
             raise ValueError(f"pf_tau must be >= 1, got {self.pf_tau}")
+        # d0 must clear both feeder links and some UE point; the region is convex,
+        # so it lies within d0 of a node once its four corners do
+        d0, geo = self.path_loss.d0, self.geometry
+        for bs in ("bs_inband", "bs_oob"):
+            if math.dist(getattr(geo, bs), geo.irs) < d0:
+                raise ValueError(f"path_loss.d0 = {d0} exceeds the {bs}-to-irs distance")
+        (x0, y0), (x1, y1) = geo.ue_region
+        ues = [IID_UE_POINT] if self.iid_ues else [(x0, y0), (x0, y1), (x1, y0), (x1, y1)]
+        for node in ("bs_inband", "bs_oob", "irs"):
+            if all(math.dist(ue, getattr(geo, node)) < d0 for ue in ues):
+                raise ValueError(f"path_loss.d0 = {d0} exceeds the distance from every UE "
+                                 f"point to {node}")
 
 
 def _build(cls, data: dict, path: str):

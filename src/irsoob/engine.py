@@ -30,6 +30,12 @@ angles. The sparse path angles are drawn as integer bins of the resolvable
 grid, so matching a path to the steered beam, or gathering its response, is
 an integer compare or index.
 
+A sub6 trial also returns each OOB UE's matched-reflector ceiling, the
+aligned-gain law with the UE's betas on the slot's in-band magnitude draws.
+Only pf_gap's per-trial mean reads it. The draws are i.i.d. over slots and
+independent of every OOB gain, so the joint law of (mean ceiling, PF-served
+SE) is that of a separate draw; no statistic pairs it with the in-band gain.
+
 Every regime's OOB gains follow one rule. The reflector's phases are set by
 the in-band side alone, so given them the reflected sum R that reaches OOB UE
 q is CN(0, v_q), independent across slots and of the direct link h_d, and
@@ -40,9 +46,7 @@ there and gain_noirs elsewhere. Each trial computes only its variance v
 (slots, Q):
 - sub6: beta_r,q G, with G = ||f||^2 / beta_f ~ Gamma(N, 1) drawn per slot
   and shared by the UEs, which is what correlates them; it replaces the N
-  per-element channels of each UE. The matched-reflector ceiling (`want_bf`)
-  reaches an output only through per-trial means, so it needs just each UE's
-  marginal law, the aligned gain's with that UE's betas, and is drawn last.
+  per-element channels of each UE.
 - mmWave LOS: the reflector responds only on the steered grid angle, so of
   UE q's L cascaded paths just the m[k, q] on in-band UE k's angle reach an
   output, and v = (N^2 / L) beta_f X m beta_g,q with one feeder power
@@ -63,8 +67,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (LinkBudget, complex_normal, draw_ue_positions, link_budget,
-                       mmwave_angle_bins)
+from .channels import (IID_UE_POINT, LinkBudget, complex_normal, draw_ue_positions,
+                       link_budget, mmwave_angle_bins)
 from .config import ExperimentSpec
 from .irs import unit_phase
 
@@ -72,9 +76,6 @@ from .irs import unit_phase
 # trial's scratch stays at a few MB and concurrent trials (one per worker)
 # add little to the peak
 _CHUNK_ELEMS = 1 << 17
-
-# UE location used when a spec asks for statistically identical UEs
-IID_UE_POINT = (1000.0, 1000.0)
 
 
 def spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
@@ -102,21 +103,16 @@ class TrialData:
     inband_gain: np.ndarray         # (slots,) gain of the round-robin-served in-band UE
     gain_irs: np.ndarray            # (slots, Q) OOB channel gain, reflector present
     gain_noirs: np.ndarray          # (slots, Q) OOB channel gain, direct path only
-    bf_gain: np.ndarray | None = None   # (slots, Q) per-UE matched-reflector ceiling, own draws
+    bf_gain: np.ndarray | None = None   # (slots, Q) per-UE matched-reflector ceiling, sub6 only
 
 
-def _aligned_gain(rng: np.random.Generator, beta_d, beta_r, rows: int,
-                  n_elements: int) -> tuple[np.ndarray, np.ndarray]:
-    """Draw (|h_d| + sum_n |f_n g_n|)^2, the gain of a phase-aligned reflector, and |h_d|^2.
+def _aligned_draws(rng: np.random.Generator, rows: int,
+                   n_elements: int) -> tuple[np.ndarray, np.ndarray]:
+    """Draw the magnitudes behind a phase-aligned reflector's gain: (E, S), one of each per row.
 
-    From magnitudes alone, |h_d|^2 = beta_d E and |f_n g_n|^2 = beta_r E_1 E_2
-    with E ~ Exp(1), drawn per chunk of _chunk_slices: E, then the (span, N)
-    E_1 and E_2 into one scratch block that every chunk reuses. beta_d and beta_r
-    share a shape: scalars or per row (rows,) give one gain per row; per UE
-    (1, Q) gives (rows, Q) gains, the UEs of a row sharing its E and its shape
-    S = sum_n sqrt(E_1 E_2), so each gain is (sqrt(beta_d,q E) + sqrt(beta_r,q) S)^2,
-    exactly that UE's law. Only the product of the two per-hop variances
-    reaches |f_n g_n|, so one beta_r parametrizes the cascaded hop.
+    |h_d|^2 = beta_d E and |f_n g_n|^2 = beta_r E_1 E_2 with E ~ Exp(1), and
+    S = sum_n sqrt(E_1 E_2). Drawn per chunk of _chunk_slices: E, then the
+    (span, N) E_1 and E_2 into one scratch block that every chunk reuses.
     """
     chunks = _chunk_slices(rows, n_elements)
     exp_direct, shape = np.empty((2, rows))
@@ -127,10 +123,12 @@ def _aligned_gain(rng: np.random.Generator, beta_d, beta_r, rows: int,
         rng.standard_exponential(out=e_1)
         rng.standard_exponential(out=e_2)
         shape[sl] = np.sqrt(np.multiply(e_1, e_2, out=e_1), out=e_1).sum(axis=-1)
-    lead = (rows,) + (1,) * (np.ndim(beta_d) - 1)
-    direct = beta_d * exp_direct.reshape(lead)
-    amplitude = np.sqrt(direct) + np.sqrt(beta_r) * shape.reshape(lead)
-    return amplitude ** 2, direct
+    return exp_direct, shape
+
+
+def _aligned_gain(exp_direct, shape, beta_d, beta_r):
+    """The aligned gain (sqrt(beta_d E) + sqrt(beta_r) S)^2 of drawn (E, S); broadcasts."""
+    return (np.sqrt(beta_d * exp_direct) + np.sqrt(beta_r) * shape) ** 2
 
 
 def _oob_gains(rng: np.random.Generator, beta_d,
@@ -150,27 +148,20 @@ def _oob_gains(rng: np.random.Generator, beta_d,
 
 
 def sub6_trial(rng: np.random.Generator, n_elements: int, budget_x: LinkBudget,
-               budget_y: LinkBudget, slots: int, want_bf: bool = False) -> TrialData:
-    """One Rayleigh-fading trial.
+               budget_y: LinkBudget, slots: int) -> TrialData:
+    """One Rayleigh-fading trial: per slot (E, S), G ~ Gamma(N, 1), then the OOB gains.
 
-    The in-band gain is (|h_d| + sum_n |f_n g_n|)^2, what the phase-aligned
-    reflector achieves; it needs only magnitudes, drawn as exponentials.
-
-    The OOB side draws G ~ Gamma(N, 1) per slot and then the OOB gains with
-    reflected variance beta_r G (module docstring). With want_bf the matched
-    ceiling (|h_d| + sum_n |f_n||g_qn|)^2 is drawn last, per UE from the
-    aligned-gain law with the OOB betas, so it moves no other gain's bits.
+    The in-band gain is the aligned gain of (E, S) with the served UE's
+    betas, the ceiling that of the same (E, S) with each OOB UE's betas; the
+    OOB gains have reflected variance beta_r G (module docstring).
     """
     k_served = np.arange(slots) % budget_x.n_ues
-    inband_gain, _ = _aligned_gain(rng, budget_x.beta_d[k_served], budget_x.beta_r[k_served],
-                                   slots, n_elements)
-
+    exp_direct, shape = _aligned_draws(rng, slots, n_elements)
+    inband_gain = _aligned_gain(exp_direct, shape, budget_x.beta_d[k_served],
+                                budget_x.beta_r[k_served])
     power = rng.standard_gamma(n_elements, size=slots)   # ||f||^2 / beta_f
     gain_irs, gain_noirs = _oob_gains(rng, budget_y.beta_d, budget_y.beta_r * power[:, None])
-    bf_gain = None
-    if want_bf:
-        bf_gain, _ = _aligned_gain(rng, budget_y.beta_d[None, :], budget_y.beta_r[None, :],
-                                   slots, n_elements)
+    bf_gain = _aligned_gain(exp_direct[:, None], shape[:, None], budget_y.beta_d, budget_y.beta_r)
     return TrialData(inband_gain=inband_gain, gain_irs=gain_irs, gain_noirs=gain_noirs,
                      bf_gain=bf_gain)
 
@@ -355,13 +346,10 @@ def dominance_test(samples_with, samples_without, grid) -> DominanceReport:
 # ---------------------------------------------------------------------------
 # one protocol trial
 
-def budgets_for(spec: ExperimentSpec, rng: np.random.Generator,
-                 ue_positions: tuple[np.ndarray, np.ndarray] | None):
+def budgets_for(spec: ExperimentSpec, rng: np.random.Generator):
     if spec.iid_ues:
         pos_x = np.tile(IID_UE_POINT, (spec.k_ues, 1))
         pos_y = np.tile(IID_UE_POINT, (spec.q_ues, 1))
-    elif ue_positions is not None:
-        pos_x, pos_y = ue_positions
     else:
         pos_x = draw_ue_positions(rng, spec.geometry, spec.k_ues, spec.path_loss.d0)
         pos_y = draw_ue_positions(rng, spec.geometry, spec.q_ues, spec.path_loss.d0)
@@ -372,14 +360,9 @@ def budgets_for(spec: ExperimentSpec, rng: np.random.Generator,
 
 def run_trial(spec: ExperimentSpec, rng: np.random.Generator, n_elements: int,
               budget_x: LinkBudget, budget_y: LinkBudget) -> TrialData:
-    """One trial in the spec's regime at explicit sweep coordinates.
-
-    Sub6 draws the matched-reflector ceiling only for pf_gap, its one reader.
-    Aborts on any non-finite gain, so no run can write inf or NaN cells.
-    """
+    """One trial in the spec's regime; aborts on a non-finite gain, so no run writes inf or NaN."""
     if spec.regime == "sub6":
-        data = sub6_trial(rng, n_elements, budget_x, budget_y, spec.slots,
-                          want_bf="pf_gap" in spec.outputs)
+        data = sub6_trial(rng, n_elements, budget_x, budget_y, spec.slots)
     elif spec.regime == "mmwave_los":
         data = mmwave_los_trial(rng, n_elements, budget_x, budget_y, spec.slots,
                                 l_oob=spec.l1 * spec.l2)

@@ -34,8 +34,8 @@ from .analytics import AnalyticParams
 from .channels import PathLossParams
 from .config import (SCHEDULERS, ExperimentSpec, read_json_object, spec_from_dict, spec_hash,
                      spec_to_dict)
-from .engine import (TrialData, _aligned_gain, budgets_for, dominance_test, empirical_ccdf,
-                     empirical_outage, run_trial, schedule_rates, spawn_rngs)
+from .engine import (TrialData, _aligned_draws, _aligned_gain, budgets_for, dominance_test,
+                     empirical_ccdf, empirical_outage, run_trial, schedule_rates, spawn_rngs)
 from .irs import correlation_response
 from .kernels import db_to_linear, principal_sine_wrap, resolvable_angles
 
@@ -319,7 +319,7 @@ def run_spec(spec: ExperimentSpec, figure: str = "run", analytic_only: bool = Fa
             sub = dataclasses.replace(sub, seed=spec.seed + _Q_SEED_STRIDE * sub.q_ues)
         per_point = sub.trials + 1
         rngs = spawn_rngs(sub.seed, 1 + len(sub.n_sweep) * per_point)
-        positions, budget_x, budget_y = budgets_for(sub, rngs[0], None)
+        positions, budget_x, budget_y = budgets_for(sub, rngs[0])
         runs.append(VariantRun(variant, sub.seed, positions))
         for i, n in enumerate(sub.n_sweep):
             block = rngs[1 + i * per_point: 1 + (i + 1) * per_point]
@@ -347,8 +347,9 @@ def _point_rows(spec, figure, n, data, aux_rng, budget_x, budget_y, analytic_onl
     inband = None
     if not analytic_only and ("inband_offset" in spec.outputs or (
             "outage" in spec.outputs and spec.regime == "sub6" and n > 0)):
-        inband = _aligned_gain(aux_rng, float(params_x.beta_d[0]), float(params_x.beta_r[0]),
-                               spec.slots * spec.trials, n)
+        exp_direct, shape = _aligned_draws(aux_rng, spec.slots * spec.trials, n)
+        beta_d, beta_r = float(params_x.beta_d[0]), float(params_x.beta_r[0])
+        inband = (_aligned_gain(exp_direct, shape, beta_d, beta_r), beta_d * exp_direct)
     rows = []
     if "sumse" in spec.outputs:
         rows += _sumse_rows(spec, figure, n, l_tag, data, budget_x, budget_y)

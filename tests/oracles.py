@@ -167,7 +167,7 @@ def oob_gain_samples(seed: int, spec: ExperimentSpec, n_elements: int, count: in
     """
     trials = math.ceil(count / spec.slots)
     rngs = spawn_rngs(seed, 1 + trials)
-    _, budget_x, budget_y = budgets_for(spec, rngs[0], None)
+    _, budget_x, budget_y = budgets_for(spec, rngs[0])
     with ThreadPoolExecutor(max_workers=_worker_count(trials)) as pool:
         (data,) = sweep_gains(pool, [(spec, n_elements, rngs[1:], budget_x, budget_y)])
     snr = float(db_to_linear(spec.gamma_db_sweep[0]))

@@ -15,8 +15,8 @@ from irsoob import analytics as an
 from irsoob.analytics import AnalyticParams
 from irsoob.channels import PathLossParams
 from irsoob.config import ExperimentSpec
-from irsoob.engine import (_aligned_gain, budgets_for, dominance_test, mmwave_nlos_trial,
-                           spawn_rngs, sub6_trial)
+from irsoob.engine import (_aligned_draws, _aligned_gain, budgets_for, dominance_test,
+                           mmwave_nlos_trial, spawn_rngs, sub6_trial)
 from irsoob.experiments import operator_params, run_preset, run_spec
 from irsoob.irs import correlation_response
 from irsoob.kernels import db_to_linear
@@ -55,7 +55,7 @@ def test_c01_closed_form_bounds_simulated_sumse():
         ana = np.zeros(2)
         emp = np.zeros(2)
         for rng in spawn_rngs(1001 + n, 20):
-            _, bx, by = budgets_for(spec, rng, None)
+            _, bx, by = budgets_for(spec, rng)
             data = sub6_trial(rng, n, bx, by, 5000)
             emp += [spectral_efficiency(data.inband_gain, G130).mean() / 20,
                     _rr_mean(data.gain_irs, G130) / 20]
@@ -78,7 +78,7 @@ def test_c02_sumse_slopes_vs_element_count():
     for n in ns:
         vi, vo = [], []
         for rng in spawn_rngs(2000 + n, 6):
-            _, bx, by = budgets_for(ExperimentSpec(), rng, None)
+            _, bx, by = budgets_for(ExperimentSpec(), rng)
             data = sub6_trial(rng, int(n), bx, by, 4000)
             vi.append(spectral_efficiency(data.inband_gain, G150).mean())
             vo.append(_rr_mean(data.gain_irs, G150))
@@ -152,13 +152,14 @@ def test_c05_outage_decay_laws():
     rho = 0.1 * float(p64.beta_d[0] + 64 * p64.beta_r[0])
     ratio = float(np.mean(w128 < rho) / np.mean(w64 < rho))
 
-    _, bx, _ = budgets_for(spec, np.random.default_rng(506), None)
+    _, bx, _ = budgets_for(spec, np.random.default_rng(506))
     br, bd = float(bx.beta_r[0]), float(bx.beta_d[0])
     rho_in = (math.pi ** 2 / 16.0) * br
     ns = np.array([1, 2, 3, 4])
     outs = []
     for n in ns:
-        g, _ = _aligned_gain(np.random.default_rng(500 + n), bd, br, 2_000_000, int(n))
+        g = _aligned_gain(*_aligned_draws(np.random.default_rng(500 + n), 2_000_000, int(n)),
+                          bd, br)
         outs.append(float(np.mean(g < rho_in)))
     ln = np.log(outs)
     slope, icpt = np.polyfit(ns, ln, 1)
@@ -269,7 +270,7 @@ def test_c09_multipath_sumse_peaks_near_l_squared():
     for l in (4, 8):
         spec = ExperimentSpec(regime="mmwave_nlos", path_loss=MMWAVE_LOSS, l1=1, l2=l,
                               gamma_db_sweep=(200.0,))
-        _, bx, by = budgets_for(spec, spawn_rngs(909 + l, 1)[0], None)
+        _, bx, by = budgets_for(spec, spawn_rngs(909 + l, 1)[0])
         emp = []
         for n in ns:
             vals = [_rr_mean(mmwave_nlos_trial(rng, n, bx, by, 1000, 1, l).gain_irs, snr)
@@ -295,11 +296,11 @@ def test_c10_max_rate_asymptote_and_slope():
     for n in (64, 128, 256, 512):
         vals = []
         for rng in spawn_rngs(1010 + n, 2):
-            _, bx, by = budgets_for(spec, rng, None)
+            _, bx, by = budgets_for(spec, rng)
             rates = spectral_efficiency(sub6_trial(rng, n, bx, by, 2000).gain_irs, G150)
             vals.append(rates.max(axis=1).mean())
         emp[n] = float(np.mean(vals))
-    _, _, by = budgets_for(spec, np.random.default_rng(0), None)
+    _, _, by = budgets_for(spec, np.random.default_rng(0))
     asym = float(an.mr_asymptotic_se(100, operator_params(spec, by, 64, G150, "oob")))
     ns = np.array([64, 128, 256, 512])
     slope = float(np.polyfit(np.log2(ns), [emp[n] for n in ns], 1)[0])

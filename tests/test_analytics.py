@@ -353,7 +353,7 @@ def test_sparse_oob_mixture_bounds_trial_mean():
                           n_sweep=(64,), gamma_db_sweep=(170.0,), l1=1, l2=8, slots=5000,
                           seed=77)
     rngs = spawn_rngs(77, 2)
-    _, budget_x, budget_y = budgets_for(spec, rngs[0], None)
+    _, budget_x, budget_y = budgets_for(spec, rngs[0])
     snr = float(db_to_linear(170.0))
     data = run_trial(spec, rngs[1], 64, budget_x, budget_y)
     mc = float(np.mean(spectral_efficiency(data.gain_irs, snr)))

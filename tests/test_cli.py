@@ -130,7 +130,8 @@ def test_preset_names_the_field_of_a_bad_count_or_flag(tmp_path, capsys, flags, 
 @pytest.mark.parametrize("override,field", [
     ("pf_tau=NaN", "pf_tau"), ("pf_tau=true", "pf_tau"),
     ('path_loss={"c0_db": NaN}', "c0_db"), ('path_loss={"alpha_direct": NaN}', "alpha_direct"),
-    ('geometry={"irs": [NaN, 0]}', "irs"),
+    ('geometry={"irs": [NaN, 0]}', "irs"), ("gamma_db_sweep=[true]", "gamma_db_sweep"),
+    ('gamma_db_sweep=["130"]', "gamma_db_sweep"),
 ])
 def test_preset_names_a_float_field_that_is_not_finite(tmp_path, capsys, override, field):
     # no PF row from NaN averages, no tau of 1 from true, no nan analytic cell
@@ -139,6 +140,25 @@ def test_preset_names_a_float_field_that_is_not_finite(tmp_path, capsys, overrid
                  "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"{field}: expected a finite number" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("preset", ["fig3", "fig11"])
+def test_a_d0_no_ue_can_clear_exits_two_before_any_draw(tmp_path, capsys, monkeypatch, preset):
+    # fig3 drops its UEs in a region whose every point lies within 1000 m of
+    # the reflector; fig11 places them at the iid point, 35 m from it
+    import irsoob.engine as engine
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a UE drop or a link budget ran")
+
+    monkeypatch.setattr(engine, "draw_ue_positions", refuse)
+    monkeypatch.setattr(engine, "link_budget", refuse)
+    out = tmp_path / "bad"
+    assert main(["preset", preset, "--analytic-only", "--override", 'path_loss={"d0": 1000}',
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "path_loss.d0 = 1000 exceeds" in err
     assert not out.exists()
 
 

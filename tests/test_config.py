@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from irsoob.channels import PathLossParams
 from irsoob.config import ExperimentSpec, load_spec, spec_from_dict, spec_hash, spec_to_dict
+from irsoob.engine import budgets_for
 from irsoob.experiments import run_preset
 
 
@@ -140,11 +142,15 @@ NAN, INF = float("nan"), float("inf")
     ({"path_loss": {"d0": INF}}, "d0"), ({"path_loss": {"d0": True}}, "d0"),
     ({"geometry": {"irs": [NAN, 0]}}, "irs"), ({"geometry": {"bs_oob": [0, -INF]}}, "bs_oob"),
     ({"geometry": {"ue_region": [[0, 0], [INF, 10]]}}, "ue_region"),
+    ({"gamma_db_sweep": [True]}, "gamma_db_sweep"),
+    ({"gamma_db_sweep": ["130"]}, "gamma_db_sweep"),
+    ({"gamma_db_sweep": [130, NAN]}, "gamma_db_sweep"),
 ])
 def test_float_fields_must_be_finite_numbers(data, field):
     """A NaN, an infinity or a bool in a float field is named, not computed
     with: NaN averages would reach the PF rows, NaN path losses the analytic
-    cells, and a NaN node would keep the UE drop from ever accepting a UE."""
+    cells, and a NaN node would keep the UE drop from ever accepting a UE.
+    A bool or a string SNR would otherwise be converted: true runs at 1 dB."""
     with pytest.raises(ValueError, match=f"{field}: expected a finite number"):
         spec_from_dict(data)
 
@@ -154,6 +160,40 @@ def test_finite_float_fields_are_kept_as_given():
                            "path_loss": {"d0": 2}})
     assert type(spec.pf_tau) is int and spec.geometry.irs == (1000, 1000.5)
     assert type(spec.path_loss.d0) is int
+
+
+def test_gamma_entries_become_floats_and_keep_the_hash():
+    for sweep in ([130], (np.float64(130.0),), np.array([130])):
+        spec = spec_from_dict({"gamma_db_sweep": sweep})
+        assert spec.gamma_db_sweep == (130.0,) and type(spec.gamma_db_sweep[0]) is float
+        assert spec_hash(spec) == spec_hash(ExperimentSpec())
+
+
+@pytest.mark.parametrize("data,where", [
+    ({"path_loss": {"d0": 1500}}, "bs_inband-to-irs distance"),
+    ({"path_loss": {"d0": 100}, "geometry": {"bs_oob": [1025, 1100]}}, "bs_oob-to-irs distance"),
+    ({"path_loss": {"d0": 36}, "iid_ues": True}, "distance from every UE point to irs"),
+    ({"path_loss": {"d0": 600}, "iid_ues": True,
+      "geometry": {"irs": [5000, 5000], "bs_inband": [1000, 500]}},
+     "distance from every UE point to bs_inband"),
+    ({"path_loss": {"d0": 107}}, "distance from every UE point to irs"),
+    ({"path_loss": {"d0": 80}, "geometry": {"ue_region": [[0, 0], [60, 60]], "irs": [500, 500]}},
+     "distance from every UE point to bs_inband"),
+])
+def test_a_d0_that_a_link_cannot_clear_is_refused(data, where):
+    """A d0 above a feeder distance, above a distance from the iid UE point,
+    or holding every corner of the UE region within it, names the field
+    before any draw: path_loss or the UE drop would refuse it at run time."""
+    with pytest.raises(ValueError, match=f"path_loss.d0 = .* exceeds the {where}"):
+        spec_from_dict(data)
+
+
+@pytest.mark.parametrize("d0,iid", [(35, True), (100, False)])
+def test_a_d0_just_inside_the_geometry_is_kept_and_runs(d0, iid):
+    # the iid point sits 35.36 m from the reflector, the region's corners 106.07 m
+    spec = ExperimentSpec(path_loss=PathLossParams(d0=d0), iid_ues=iid, k_ues=2, q_ues=2)
+    _, budget_x, budget_y = budgets_for(spec, np.random.default_rng(0))
+    assert np.all(budget_x.beta_g > 0) and np.all(budget_y.beta_d > 0)
 
 
 def test_seed_and_iid_flag_validation():

@@ -18,12 +18,13 @@ or per-path construction it replaces (for sub6, the oracle's sample_sub6). The m
 their direct links as magnitudes, so their replays hand the scalar rules a
 real h_d; a separate check shows that the direct phase moves no scalar gain.
 The batched PF scheduler is held to a per-row loop, bit for bit.
-The sub6 in-band gain and the matched-reflector ceiling share one sampler of
-exponential magnitudes: its replay gives the rebuilt complex channels those
-magnitudes and phases from a separate generator, and the sampler is compared
+The sub6 in-band gain and the matched-reflector ceiling are one law on one
+draw of exponential magnitudes per trial, with the served in-band UE's and
+each OOB UE's betas: the replay gives the rebuilt complex channels those
+magnitudes and phases from a separate generator, and the law is compared
 in distribution with the complex-normal construction, per row and per UE.
-It draws chunk by chunk; a per-chunk replay pins that order, and a traced
-peak shows that it holds one chunk's scratch.
+The draw runs chunk by chunk; a per-chunk replay pins that order, and a
+traced peak shows that it holds one chunk's scratch.
 """
 
 import dataclasses
@@ -35,11 +36,14 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import ks_2samp, kstest
 
-from irsoob.channels import complex_normal
+from irsoob.channels import complex_normal, link_budget
 from irsoob.config import ExperimentSpec
-from irsoob.engine import (DominanceReport, TrialData, _aligned_gain, _oob_gains, budgets_for,
-                           dominance_test, empirical_ccdf, empirical_outage, mmwave_los_trial,
-                           mmwave_nlos_trial, run_trial, schedule_rates, spawn_rngs, sub6_trial)
+from irsoob import analytics
+from irsoob.analytics import AnalyticParams
+from irsoob.engine import (DominanceReport, TrialData, _aligned_draws, _aligned_gain, _oob_gains,
+                           budgets_for, dominance_test, empirical_ccdf, empirical_outage,
+                           mmwave_los_trial, mmwave_nlos_trial, run_trial, schedule_rates,
+                           spawn_rngs, sub6_trial)
 from irsoob.experiments import operator_params
 from irsoob.irs import (effective_channel_mmwave, effective_channel_sub6, optimize_mmwave_los,
                         optimize_mmwave_nlos, optimize_sub6, unit_phase)
@@ -49,22 +53,20 @@ from oracles import (aligned_gain_complex, grid_index, mmwave_angles, sample_mmw
 
 GAMMA_130 = float(db_to_linear(130.0))
 
-# one UE pinned at (1000, 1000): equidistant from both base stations, so the
-# in-band and OOB direct links share the same variance
-POINT = np.array([[1000.0, 1000.0]])
-
-
 def _single_ue_spec(**kwargs):
-    base = dict(n_sweep=(0,), gamma_db_sweep=(130.0,), k_ues=1, q_ues=1, slots=4000)
+    # one UE per operator at IID_UE_POINT (1000, 1000): equidistant from both
+    # base stations, so the in-band and OOB direct links share the same variance
+    base = dict(n_sweep=(0,), gamma_db_sweep=(130.0,), k_ues=1, q_ues=1, slots=4000,
+                iid_ues=True)
     base.update(kwargs)
     return ExperimentSpec(**base)
 
 
-def _scheduled_trial(spec, rng, ue_positions=None):
+def _scheduled_trial(spec, rng):
     """One protocol trial at the spec's first sweep point, with its OOB rates
     at the spec's first SNR and its OOB schedule."""
     snr = float(db_to_linear(spec.gamma_db_sweep[0]))
-    _, bx, by = budgets_for(spec, rng, ue_positions)
+    _, bx, by = budgets_for(spec, rng)
     data = run_trial(spec, rng, spec.n_sweep[0], bx, by)
     rates = spectral_efficiency(data.gain_irs, snr)
     return data, rates, schedule_rates(rates, spec.scheduler, spec.pf_tau)
@@ -81,10 +83,10 @@ def test_no_reflector_mean_se_matches_quadrature():
     """With zero elements the SE is log2(1+beta*gamma*X), X ~ Exp(1); compare
     the simulated mean on both operator sides with the integral."""
     spec = _single_ue_spec(seed=20)
-    data, rates, served = _scheduled_trial(spec, np.random.default_rng(20), (POINT, POINT))
+    data, rates, served = _scheduled_trial(spec, np.random.default_rng(20))
     assert len(served) == spec.slots
 
-    _, bx, by = budgets_for(spec, np.random.default_rng(0), (POINT, POINT))
+    _, bx, by = budgets_for(spec, np.random.default_rng(0))
     assert bx.beta_d[0] == pytest.approx(by.beta_d[0], rel=1e-12)
 
     def mean_se(beta):
@@ -105,7 +107,7 @@ def test_rr_oob_mean_se_tracks_closed_form():
     _, rates, served = _scheduled_trial(spec, np.random.default_rng(21))
     mc = float(np.mean(_served(rates, served)))
 
-    _, _, by = budgets_for(spec, np.random.default_rng(21), None)  # same position draw
+    _, _, by = budgets_for(spec, np.random.default_rng(21))  # same position draw
     from irsoob.analytics import sumse_oob_sub6
     ana = float(sumse_oob_sub6(operator_params(spec, by, 64, GAMMA_130, "oob")))
     assert 0.0 < ana - mc < 0.3
@@ -118,8 +120,7 @@ def test_trial_records_gains_only():
     assert [f.name for f in dataclasses.fields(TrialData)] == [
         "inband_gain", "gain_irs", "gain_noirs", "bf_gain"]
     assert data.inband_gain.shape == (500,)
-    assert data.gain_irs.shape == data.gain_noirs.shape == (500, spec.q_ues)
-    assert data.bf_gain is None
+    assert data.gain_irs.shape == data.gain_noirs.shape == data.bf_gain.shape == (500, spec.q_ues)
     assert np.all((served >= 0) & (served < spec.q_ues))
 
 
@@ -137,10 +138,10 @@ def test_inband_gain_is_coherent_amplitude_sum():
     carrying the replayed magnitudes."""
     spec = ExperimentSpec(n_sweep=(8,), gamma_db_sweep=(130.0,), slots=300, seed=25)
     rngs = spawn_rngs(25, 2)
-    _, bx, by = budgets_for(spec, rngs[0], None)
+    _, bx, by = budgets_for(spec, rngs[0])
     data = sub6_trial(rngs[1], 8, bx, by, 300)
 
-    gain, h_d, f, g = _replay_inband_sub6(spawn_rngs(25, 2)[1], bx, 8, 300)
+    _, (gain, h_d, f, g) = _replay_inband_sub6(spawn_rngs(25, 2)[1], bx, 8, 300)
     np.testing.assert_array_equal(data.inband_gain, gain)
     _assert_gains(data.inband_gain, (np.abs(h_d) + np.abs(f * g).sum(axis=1)) ** 2)
 
@@ -161,14 +162,16 @@ def test_aligned_gain_matches_complex_normal_construction(n):
     E|h_d| = sqrt(pi beta_d)/2 and E|f_n g_n| = (pi/4) sqrt(beta_r) that is
     beta_d + N beta_r + N (pi^(3/2)/4) sqrt(beta_d beta_r) + N(N-1)(pi^2/16) beta_r.
 
-    Per UE, the matched-reflector ceiling on a 4-UE OOB budget (betas (1, Q)):
-    KS per UE against (|h_d| + sum_n |f_n||g_qn|)^2 of the dense Rayleigh
-    channels, and each UE's mean against the same closed form."""
+    Per UE, the matched-reflector ceiling on a 4-UE OOB budget, one (E, S)
+    per row under every UE's betas (Q,): KS per UE against
+    (|h_d| + sum_n |f_n||g_qn|)^2 of the dense Rayleigh channels, and each
+    UE's mean against the same closed form."""
     rows = 20_000
-    _, bx, by = budgets_for(ExperimentSpec(q_ues=4), np.random.default_rng(62), None)
+    _, bx, by = budgets_for(ExperimentSpec(q_ues=4), np.random.default_rng(62))
     beta_d, beta_r = float(bx.beta_d[0]), float(bx.beta_r[0])
     rngs = spawn_rngs(620 + n, 4)
-    drawn = _aligned_gain(rngs[0], beta_d, beta_r, rows, n)
+    exp_direct, shape = _aligned_draws(rngs[0], rows, n)
+    drawn = _aligned_gain(exp_direct, shape, beta_d, beta_r), beta_d * exp_direct
     oracle = aligned_gain_complex(rngs[1], beta_d, beta_r, rows, n)
 
     for a, b in zip(drawn, oracle):
@@ -177,7 +180,8 @@ def test_aligned_gain_matches_complex_normal_construction(n):
     for gain, _ in (drawn, oracle):
         assert abs(gain.mean() - mean) < 4.0 * gain.std(ddof=1) / math.sqrt(rows)
 
-    ceiling, _ = _aligned_gain(rngs[2], by.beta_d[None, :], by.beta_r[None, :], rows, n)
+    exp_direct, shape = _aligned_draws(rngs[2], rows, n)
+    ceiling = _aligned_gain(exp_direct[:, None], shape[:, None], by.beta_d, by.beta_r)
     assert ceiling.shape == (rows, by.n_ues)
     _, _, dense = _dense_oob_gains(rngs[3], n, by, rows)
     for q in range(by.n_ues):
@@ -191,7 +195,7 @@ def test_aligned_gain_matches_complex_normal_construction(n):
 def test_oob_gain_law_matches_direct_channel_without_reflector():
     spec = _single_ue_spec(slots=10000, seed=22)
     rngs = spawn_rngs(22, 2)
-    _, bx, by = budgets_for(spec, rngs[0], (POINT, POINT))
+    _, bx, by = budgets_for(spec, rngs[0])
     data = sub6_trial(rngs[1], 0, bx, by, 10000)
 
     redraw = np.abs(complex_normal(np.random.default_rng(122), by.beta_d[0], (10000,))) ** 2
@@ -232,7 +236,7 @@ def test_nonfinite_gain_aborts_run(monkeypatch):
                          gain_noirs=np.zeros(shape))
 
     import irsoob.engine as engine
-    _, bx, by = budgets_for(spec, np.random.default_rng(1), None)
+    _, bx, by = budgets_for(spec, np.random.default_rng(1))
     monkeypatch.setattr(engine, "sub6_trial", broken)
     with pytest.raises(ArithmeticError):
         run_trial(spec, np.random.default_rng(1), 4, bx, by)
@@ -249,7 +253,7 @@ def _diff_setup(regime, n, slots=40, **extra):
     spec = ExperimentSpec(regime=regime, n_sweep=(n,), k_ues=3, q_ues=4, slots=slots,
                           seed=n, **extra)
     rngs = spawn_rngs(70 + n, 2)
-    _, bx, by = budgets_for(spec, rngs[0], None)
+    _, bx, by = budgets_for(spec, rngs[0])
     return spec, bx, by, rngs[1], spawn_rngs(70 + n, 2)[1]
 
 
@@ -262,17 +266,23 @@ def _assert_gains(got, want):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(want))
 
 
-def _replay_aligned(replay, beta_d, beta_f, beta_g, n, slots):
-    """One engine._aligned_gain call replayed bit for bit: the direct power
-    beta_d E, then the element exponentials E_f and E_g. beta_d and beta_g are
-    per slot (slots,), or per UE (1, Q), the UEs then sharing the slot's
-    exponentials. Returns the aligned gain they give and complex channels
+def _replay_aligned_draws(replay, slots, n):
+    """engine._aligned_draws replayed in one chunk (slots * N within
+    _CHUNK_ELEMS): the direct exponentials E (slots,), then the element
+    exponentials E_f and E_g (slots, N)."""
+    return (replay.standard_exponential(slots), replay.standard_exponential((slots, n)),
+            replay.standard_exponential((slots, n)))
+
+
+def _aligned_channels(draws, beta_d, beta_f, beta_g, n):
+    """The aligned gain of replayed draws (E, E_f, E_g), and complex channels
     h_d, f, g with those magnitudes, whose phases come from a separate
-    generator; per UE, h_d is (slots, Q) and g is (slots, Q, N)."""
-    lead = (slots,) + (1,) * (np.ndim(beta_d) - 1)
-    direct = beta_d * replay.standard_exponential(slots).reshape(lead)
-    e_f = replay.standard_exponential((slots, n))
-    e_g = replay.standard_exponential((slots, n))
+    generator. beta_d and beta_g are per slot (slots,), or per UE (1, Q), the
+    UEs then sharing the slot's exponentials; per UE, h_d is (slots, Q) and g
+    is (slots, Q, N)."""
+    e, e_f, e_g = draws
+    lead = (len(e),) + (1,) * (np.ndim(beta_d) - 1)
+    direct = beta_d * e.reshape(lead)
     shape = np.sqrt(e_f * e_g).sum(axis=1).reshape(lead)
     gain = (np.sqrt(direct) + np.sqrt(beta_f * beta_g) * shape) ** 2
     phases = np.random.default_rng(1000 + n)
@@ -283,9 +293,11 @@ def _replay_aligned(replay, beta_d, beta_f, beta_g, n, slots):
 
 
 def _replay_inband_sub6(replay, bx, n, slots):
-    """A sub6 trial's in-band draws: the served UE's aligned gain, k = slot mod K."""
+    """A sub6 trial's aligned-gain draws, and the served UE's aligned gain and
+    channels from them (_aligned_channels), k = slot mod K."""
+    draws = _replay_aligned_draws(replay, slots, n)
     k = np.arange(slots) % bx.n_ues
-    return _replay_aligned(replay, bx.beta_d[k], bx.beta_f, bx.beta_g[k], n, slots)
+    return draws, _aligned_channels(draws, bx.beta_d[k], bx.beta_f, bx.beta_g[k], n)
 
 
 def _dense_oob_gains(rng, n, budget, slots):
@@ -358,24 +370,25 @@ def test_oob_gains_draw_the_reflected_sum_only_where_it_has_variance():
 
 @pytest.mark.parametrize("n", [8, 16])
 def test_sub6_trial_matches_scalar_reference(n):
-    """Every gain of a want_bf trial, replayed in draw order. The in-band gain
+    """Every gain of a sub6 trial, replayed in draw order. The in-band gain
     is the aligned one of the replayed channels' optimized configuration,
     slot by slot. The OOB gains are the reduced law (one Gamma(N, 1) power G
     per slot, then _replay_oob with reflected variance beta_r G), and the
-    ceiling is the aligned-gain law with each UE's OOB betas, drawn last; both
-    are replayed bit for bit, and each slot's ceiling is the scalar matched
-    effective channel of complex channels carrying the replayed magnitudes."""
+    ceiling is the aligned-gain law of the in-band draws with each UE's OOB
+    betas; both are replayed bit for bit, and each slot's ceiling is the
+    scalar matched effective channel of complex channels carrying the
+    replayed magnitudes."""
     spec, bx, by, rng, replay = _diff_setup("sub6", n)
-    data = sub6_trial(rng, n, bx, by, spec.slots, want_bf=True)
+    data = sub6_trial(rng, n, bx, by, spec.slots)
 
-    gain, h_dx, f_x, g_x = _replay_inband_sub6(replay, bx, n, spec.slots)
+    draws, (gain, h_dx, f_x, g_x) = _replay_inband_sub6(replay, bx, n, spec.slots)
     np.testing.assert_array_equal(data.inband_gain, gain)
     power = replay.standard_gamma(n, size=spec.slots)
     gain_irs, gain_noirs, _ = _replay_oob(replay, by.beta_d, by.beta_r * power[:, None])
     np.testing.assert_array_equal(data.gain_irs, gain_irs)
     np.testing.assert_array_equal(data.gain_noirs, gain_noirs)
-    ceiling, h_dy, f_y, g_y = _replay_aligned(replay, by.beta_d[None, :], by.beta_f,
-                                              by.beta_g[None, :], n, spec.slots)
+    ceiling, h_dy, f_y, g_y = _aligned_channels(draws, by.beta_d[None, :], by.beta_f,
+                                                by.beta_g[None, :], n)
     np.testing.assert_array_equal(data.bf_gain, ceiling)
     for s in range(spec.slots):
         theta = optimize_sub6(h_dx[s], f_x[s], g_x[s])
@@ -387,17 +400,38 @@ def test_sub6_trial_matches_scalar_reference(n):
         _assert_gains(data.bf_gain[s], matched)
 
 
-@pytest.mark.parametrize("n", [0, 16])
-def test_want_bf_moves_no_other_gain(n):
-    """The ceiling is drawn after every other draw of the trial, so asking for
-    it leaves every in-band and OOB gain bit as it was."""
-    spec, bx, by, _, _ = _diff_setup("sub6", n)
-    plain, with_bf = (sub6_trial(spawn_rngs(90 + n, 1)[0], n, bx, by, spec.slots,
-                                 want_bf=want_bf) for want_bf in (False, True))
-    assert plain.bf_gain is None
-    assert with_bf.bf_gain.shape == (spec.slots, by.n_ues)
-    for field in ("inband_gain", "gain_irs", "gain_noirs"):
-        np.testing.assert_array_equal(getattr(with_bf, field), getattr(plain, field))
+def test_sub6_ceiling_reuses_the_aligned_draws(monkeypatch):
+    """The matched ceiling is the aligned-gain law, with each UE's OOB betas,
+    of the trial's own (E, S): bit for bit against the law applied to the
+    (E, S) that _aligned_draws replays, over two chunks. The generator then
+    ends where the Gamma powers and the OOB draws leave that replay, so no
+    second aligned draw is made. Each UE's mean ceiling lies within 4 stderr
+    of the SNR term that sumse_inband_sub6 averages, taken with the OOB betas
+    at tx_snr = 1; at this size a 5% beta_r error moves that term by at
+    least 10 stderr."""
+    import irsoob.engine as engine
+
+    n, slots = 64, 4000
+    assert len(engine._chunk_slices(slots, n)) == 2
+    _, bx, by = budgets_for(ExperimentSpec(k_ues=3, q_ues=4), np.random.default_rng(63))
+    rng, replay = spawn_rngs(64, 1)[0], spawn_rngs(64, 1)[0]
+    data = sub6_trial(rng, n, bx, by, slots)
+
+    e, shape = (v[:, None] for v in _aligned_draws(replay, slots, n))
+    np.testing.assert_array_equal(
+        data.bf_gain, (np.sqrt(by.beta_d * e) + np.sqrt(by.beta_r) * shape) ** 2)
+    power = replay.standard_gamma(n, size=slots)
+    _replay_oob(replay, by.beta_d, by.beta_r * power[:, None])
+    assert rng.bit_generator.state == replay.bit_generator.state
+
+    monkeypatch.setattr(analytics, "_mean_se", lambda snr_terms: snr_terms)
+
+    def snr_term(beta_r):
+        return analytics.sumse_inband_sub6(AnalyticParams(n, 1.0, beta_r, by.beta_d))
+
+    stderr = data.bf_gain.std(axis=0, ddof=1) / math.sqrt(slots)
+    assert np.all(np.abs(data.bf_gain.mean(axis=0) - snr_term(by.beta_r)) < 4.0 * stderr)
+    assert np.all(snr_term(1.05 * by.beta_r) - snr_term(by.beta_r) >= 10.0 * stderr)
 
 
 def test_nlos_trial_is_independent_of_the_chunk_width(monkeypatch):
@@ -425,38 +459,41 @@ def test_nlos_trial_is_independent_of_the_chunk_width(monkeypatch):
 @pytest.mark.parametrize("betas", ["scalar", "per_row", "per_ue"])
 def test_aligned_gain_replays_chunk_by_chunk(monkeypatch, betas):
     """The sampler draws chunk by chunk: per chunk its E (span,), then E_1,
-    then E_2 (span, N). With 7-row chunks, the last one short, it equals a
-    per-chunk replay bit for bit, for scalar, per-row (rows,) and per-UE
-    (1, Q) betas. One whole-row chunk draws the same number of exponentials
-    in another order: other gains, but the same generator state after."""
+    then E_2 (span, N). With 7-row chunks, the last one short, its (E, S)
+    and the law on them equal a per-chunk replay bit for bit, for scalar,
+    per-row (rows,) and per-UE (Q,) betas, the last on (E, S) as columns.
+    One whole-row chunk draws the same number of exponentials in another
+    order: other gains, but the same generator state after."""
     import irsoob.engine as engine
 
     rows, n, width = 40, 6, 7
     assert rows // width >= 3 and 0 < rows % width < width
     beta_rng = np.random.default_rng(95)
     beta_d, beta_r = {"scalar": (0.3, 0.02), "per_row": beta_rng.random((2, rows)),
-                      "per_ue": beta_rng.random((2, 1, 4))}[betas]
+                      "per_ue": beta_rng.random((2, 4))}[betas]
+    cols = (slice(None),) + (None,) * (betas == "per_ue")
     monkeypatch.setattr(engine, "_CHUNK_ELEMS", width * n)
     rng = np.random.default_rng(96)
-    gain, direct = _aligned_gain(rng, beta_d, beta_r, rows, n)
+    exp_direct, shape = _aligned_draws(rng, rows, n)
+    gain = _aligned_gain(exp_direct[cols], shape[cols], beta_d, beta_r)
 
     replay = np.random.default_rng(96)
-    e, shape = np.empty(rows), np.empty(rows)
+    e, want_shape = np.empty(rows), np.empty(rows)
     for start in range(0, rows, width):
         span = min(width, rows - start)
         e[start:start + span] = replay.standard_exponential(span)
         e_1, e_2 = replay.standard_exponential((span, n)), replay.standard_exponential((span, n))
-        shape[start:start + span] = np.sqrt(e_1 * e_2).sum(axis=1)
-    lead = (rows,) + (1,) * (np.ndim(beta_d) - 1)
-    want_direct = beta_d * e.reshape(lead)
-    np.testing.assert_array_equal(direct, want_direct)
+        want_shape[start:start + span] = np.sqrt(e_1 * e_2).sum(axis=1)
+    np.testing.assert_array_equal(exp_direct, e)
+    np.testing.assert_array_equal(shape, want_shape)
     np.testing.assert_array_equal(
-        gain, (np.sqrt(want_direct) + np.sqrt(beta_r) * shape.reshape(lead)) ** 2)
+        gain, (np.sqrt(beta_d * e[cols]) + np.sqrt(beta_r) * want_shape[cols]) ** 2)
     assert rng.bit_generator.state == replay.bit_generator.state
 
     monkeypatch.setattr(engine, "_CHUNK_ELEMS", 1 << 20)
     whole = np.random.default_rng(96)
-    assert not np.array_equal(_aligned_gain(whole, beta_d, beta_r, rows, n)[0], gain)
+    assert not np.array_equal(
+        _aligned_gain(*(v[cols] for v in _aligned_draws(whole, rows, n)), beta_d, beta_r), gain)
     assert whole.bit_generator.state == replay.bit_generator.state
 
 
@@ -469,7 +506,7 @@ def test_aligned_gain_peak_memory_is_one_chunk():
     rng = np.random.default_rng(98)
     tracemalloc.start()
     try:
-        _aligned_gain(rng, 1.0, 1.0, 4096, 512)
+        _aligned_draws(rng, 4096, 512)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -478,14 +515,13 @@ def test_aligned_gain_peak_memory_is_one_chunk():
 
 @pytest.mark.parametrize("n", [8, 16])
 def test_sub6_trial_reduced_law_replays_bit_for_bit(n):
-    """Without want_bf the OOB side draws, after the in-band exponentials, one
-    Gamma(N, 1) power G per slot, then one direct power and one reflected sum
-    per UE (_replay_oob with variance beta_r G), and nothing more."""
+    """The OOB side draws, after the in-band exponentials, one Gamma(N, 1)
+    power G per slot, then one direct power and one reflected sum per UE
+    (_replay_oob with variance beta_r G), and nothing more."""
     spec, bx, by, rng, replay = _diff_setup("sub6", n)
     data = sub6_trial(rng, n, bx, by, spec.slots)
-    assert data.bf_gain is None
 
-    gain, _, _, _ = _replay_inband_sub6(replay, bx, n, spec.slots)
+    _, (gain, *_) = _replay_inband_sub6(replay, bx, n, spec.slots)
     power = replay.standard_gamma(n, size=spec.slots)
     gain_irs, gain_noirs, _ = _replay_oob(replay, by.beta_d, by.beta_r * power[:, None])
     assert rng.bit_generator.state == replay.bit_generator.state
@@ -507,7 +543,7 @@ def test_sub6_reduced_law_matches_dense_path(n):
     drew one G per UE would give 0."""
     slots = 40_000 if n < 64 else 20_000
     spec = ExperimentSpec(k_ues=3, q_ues=4)
-    _, bx, by = budgets_for(spec, np.random.default_rng(60), None)
+    _, bx, by = budgets_for(spec, np.random.default_rng(60))
     rngs = spawn_rngs(600 + n, 2)
     reduced = sub6_trial(rngs[0], n, bx, by, slots)
     dense_irs, dense_noirs, _ = _dense_oob_gains(rngs[1], n, by, slots)
@@ -617,7 +653,7 @@ def test_mmwave_los_reduced_law_matches_per_path_sum(n, l_oob):
     N = 64, L = 5, so there only KS and the mean are sure to be checked."""
     slots = 10_000
     spec = ExperimentSpec(regime="mmwave_los", k_ues=2, q_ues=4)
-    _, bx, by = budgets_for(spec, np.random.default_rng(61), None)
+    _, bx, by = budgets_for(spec, np.random.default_rng(61))
     seed = 610 + n + l_oob
     data = mmwave_los_trial(np.random.default_rng(seed), n, bx, by, slots, l_oob)
     _, _, k_served, u, on_beam = _replay_los(np.random.default_rng(seed), n, bx, by,
@@ -786,7 +822,7 @@ def test_mmwave_nlos_reduced_law_matches_per_path_sum(n, l1, l2):
     slots = 10_000
     l_paths = l1 * l2
     spec = ExperimentSpec(regime="mmwave_nlos", k_ues=2, q_ues=4, l1=l1, l2=l2)
-    _, bx, by = budgets_for(spec, np.random.default_rng(62), None)
+    _, bx, by = budgets_for(spec, np.random.default_rng(62))
     seed = 620 + n + l1
     data = mmwave_nlos_trial(np.random.default_rng(seed), n, bx, by, slots, l1, l2)
     (angles_x, k_served, h_dx, g_x), (angles_y, _) = \
@@ -959,7 +995,8 @@ def test_empirical_ccdf_and_outage_hand_counts():
 
 def test_dominance_detects_order_and_its_absence():
     rng = np.random.default_rng(30)
-    gain, direct = _aligned_gain(rng, 1.0, 1.0, 10000, 16)
+    direct, shape = _aligned_draws(rng, 10000, 16)
+    gain = _aligned_gain(direct, shape, 1.0, 1.0)
     grid = np.quantile(np.concatenate([gain, direct]), np.linspace(0.01, 0.99, 60))
 
     same = dominance_test(gain, gain, grid)
@@ -974,22 +1011,20 @@ def test_dominance_detects_order_and_its_absence():
 # ---------------------------------------------------------------------------
 # budgets, rngs, regime dispatch
 
-def test_budgets_honor_given_positions_and_iid_mode():
+def test_budgets_near_far_iid_and_drawn_positions():
     spec = ExperimentSpec(k_ues=2, q_ues=2)
     near_far = np.array([[960.0, 960.0], [1090.0, 1090.0]])
-    (px, py), bx, by = budgets_for(spec, np.random.default_rng(0), (near_far, near_far))
-    np.testing.assert_array_equal(px, near_far)
-    np.testing.assert_array_equal(py, near_far)
+    bx = link_budget(spec.geometry, spec.path_loss, spec.geometry.bs_inband, near_far)
     assert bx.beta_d[0] > bx.beta_d[1]  # closer UE, stronger direct link
 
     iid = ExperimentSpec(k_ues=3, q_ues=5, iid_ues=True)
-    (px, py), bx, by = budgets_for(iid, np.random.default_rng(0), None)
+    (px, py), bx, by = budgets_for(iid, np.random.default_rng(0))
     assert px.shape == (3, 2) and py.shape == (5, 2)
     assert np.ptp(bx.beta_d) == 0.0 and np.ptp(by.beta_d) == 0.0
     assert np.ptp(bx.beta_g) == 0.0
 
     drawn = ExperimentSpec(k_ues=4, q_ues=4)
-    (px, py), _, _ = budgets_for(drawn, np.random.default_rng(5), None)
+    (px, py), _, _ = budgets_for(drawn, np.random.default_rng(5))
     (lo_x, lo_y), (hi_x, hi_y) = drawn.geometry.ue_region
     for pos in (px, py):
         assert np.all((pos[:, 0] >= lo_x) & (pos[:, 0] <= hi_x))

@@ -158,7 +158,7 @@ def test_outage_without_a_reflector_is_the_direct_path_law():
     outage row's closed form reads 1 - exp(-rho/beta_d)."""
     spec = ExperimentSpec(n_sweep=(0,), slots=50, trials=2, seed=5, outputs=("outage",))
     (row,) = run_spec(spec, "outage0")[0]
-    _, _, budget_y = budgets_for(spec, spawn_rngs(spec.seed, 1)[0], None)
+    _, _, budget_y = budgets_for(spec, spawn_rngs(spec.seed, 1)[0])
     assert (row.statistic, row.n_elements) == ("outage_oob", 0)
     assert row.analytic == pytest.approx(1.0 - math.exp(-row.x / budget_y.beta_d[0]),
                                          rel=1e-12)
@@ -282,7 +282,7 @@ def test_inband_offset_rows_read_the_points_auxiliary_draw(monkeypatch):
     aux_states = [rngs[(i + 1) * per_point].bit_generator.state
                   for i in range(len(spec.n_sweep))]
     draws = []
-    real = experiments._aligned_gain
+    real = experiments._aligned_draws
     real_trial = experiments.run_trial
 
     def record(rng, *args):
@@ -292,7 +292,7 @@ def test_inband_offset_rows_read_the_points_auxiliary_draw(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("run_trial called for the in-band offset rows")
 
-    monkeypatch.setattr(experiments, "_aligned_gain", record)
+    monkeypatch.setattr(experiments, "_aligned_draws", record)
     monkeypatch.setattr(experiments, "run_trial", refuse)
     rows, _ = run_spec(spec, "offset")
     assert draws == aux_states
@@ -320,7 +320,7 @@ def test_inband_offset_rows_read_the_points_auxiliary_draw(monkeypatch):
 def test_operator_params_path_counts_per_regime():
     rng = np.random.default_rng(0)
     sub6 = ExperimentSpec(regime="sub6", l1=1, l2=1)
-    _, bx, by = budgets_for(sub6, rng, None)
+    _, bx, by = budgets_for(sub6, rng)
     assert operator_params(sub6, by, 16, 1.0, "oob").l_paths == 1
 
     los = ExperimentSpec(regime="mmwave_los", l1=1, l2=6)
@@ -356,7 +356,7 @@ def test_sample_helpers_are_seed_deterministic():
 
 def _sweep_point(spec, seed):
     rngs = spawn_rngs(seed, 1 + spec.trials)
-    _, bx, by = budgets_for(spec, rngs[0], None)
+    _, bx, by = budgets_for(spec, rngs[0])
     return rngs[1:], bx, by
 
 
@@ -366,12 +366,11 @@ def test_sweep_gains_is_independent_of_the_worker_count(regime, extra):
     """Each trial reads only its own generator and every point's trials are
     stacked in generator order, so one worker, the default and one worker per
     trial stack the same bits, with the second point's trials running while
-    the first point is read. The sub6 spec also asks for pf_gap, so its
-    trials draw the matched ceiling."""
-    want_bf = regime == "sub6"
+    the first point is read. Every sub6 trial also returns the matched
+    ceiling, and no mmWave trial does."""
+    sub6 = regime == "sub6"
     spec = ExperimentSpec(regime=regime, n_sweep=(64, 32), k_ues=3, q_ues=4, slots=1100, trials=3,
-                          seed=5, outputs=("sumse", "pf_gap") if want_bf else ("sumse",),
-                          **extra)
+                          seed=5, **extra)
 
     def gains(workers):
         points = [(spec, n, *_sweep_point(spec, 31 + i)) for i, n in enumerate(spec.n_sweep)]
@@ -380,14 +379,14 @@ def test_sweep_gains_is_independent_of_the_worker_count(regime, extra):
 
     runs = [gains(workers) for workers in (experiments._worker_count(spec.trials), 1,
                                            spec.trials)]
-    fields = ["inband_gain", "gain_irs", "gain_noirs"] + (["bf_gain"] if want_bf else [])
+    fields = ["inband_gain", "gain_irs", "gain_noirs"] + (["bf_gain"] if sub6 else [])
     for run in runs[1:]:
         assert len(run) == len(spec.n_sweep)
         for got, want in zip(run, runs[0]):
             assert got.gain_irs.shape == (spec.trials, spec.slots, spec.q_ues)
             for field in fields:
                 np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
-    assert all(data.bf_gain is None for data in runs[0]) != want_bf
+    assert all(data.bf_gain is None for data in runs[0]) != sub6
 
 
 @pytest.mark.parametrize("spec,variants", [

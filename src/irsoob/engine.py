@@ -30,11 +30,11 @@ angles. The sparse path angles are drawn as integer bins of the resolvable
 grid, so matching a path to the steered beam, or gathering its response, is
 an integer compare or index.
 
-A sub6 trial also returns each OOB UE's matched-reflector ceiling, the
-aligned-gain law with the UE's betas on the slot's in-band magnitude draws.
-Only pf_gap's per-trial mean reads it. The draws are i.i.d. over slots and
-independent of every OOB gain, so the joint law of (mean ceiling, PF-served
-SE) is that of a separate draw; no statistic pairs it with the in-band gain.
+A sub6 trial also returns its in-band magnitude draws (E, S). The experiment
+layer applies the aligned-gain law to them: with each OOB UE's betas for
+pf_gap's matched-reflector ceiling, with UE 0's for the in-band outage and
+offset rows. The draws are i.i.d. over slots and independent of every OOB
+gain, so the joint law of (mean ceiling, PF-served SE) is a separate draw's.
 
 Every regime's OOB gains follow one rule. The reflector's phases are set by
 the in-band side alone, so given them the reflected sum R that reaches OOB UE
@@ -103,7 +103,7 @@ class TrialData:
     inband_gain: np.ndarray         # (slots,) gain of the round-robin-served in-band UE
     gain_irs: np.ndarray            # (slots, Q) OOB channel gain, reflector present
     gain_noirs: np.ndarray          # (slots, Q) OOB channel gain, direct path only
-    bf_gain: np.ndarray | None = None   # (slots, Q) per-UE matched-reflector ceiling, sub6 only
+    aligned: tuple[np.ndarray, np.ndarray] | None = None   # (E, S) per slot, sub6 only
 
 
 def _aligned_draws(rng: np.random.Generator, rows: int,
@@ -152,8 +152,8 @@ def sub6_trial(rng: np.random.Generator, n_elements: int, budget_x: LinkBudget,
     """One Rayleigh-fading trial: per slot (E, S), G ~ Gamma(N, 1), then the OOB gains.
 
     The in-band gain is the aligned gain of (E, S) with the served UE's
-    betas, the ceiling that of the same (E, S) with each OOB UE's betas; the
-    OOB gains have reflected variance beta_r G (module docstring).
+    betas, and (E, S) is returned too; the OOB gains have reflected variance
+    beta_r G (module docstring).
     """
     k_served = np.arange(slots) % budget_x.n_ues
     exp_direct, shape = _aligned_draws(rng, slots, n_elements)
@@ -161,9 +161,8 @@ def sub6_trial(rng: np.random.Generator, n_elements: int, budget_x: LinkBudget,
                                 budget_x.beta_r[k_served])
     power = rng.standard_gamma(n_elements, size=slots)   # ||f||^2 / beta_f
     gain_irs, gain_noirs = _oob_gains(rng, budget_y.beta_d, budget_y.beta_r * power[:, None])
-    bf_gain = _aligned_gain(exp_direct[:, None], shape[:, None], budget_y.beta_d, budget_y.beta_r)
     return TrialData(inband_gain=inband_gain, gain_irs=gain_irs, gain_noirs=gain_noirs,
-                     bf_gain=bf_gain)
+                     aligned=(exp_direct, shape))
 
 
 def mmwave_los_trial(rng: np.random.Generator, n_elements: int, budget_x: LinkBudget,
@@ -249,13 +248,12 @@ def mmwave_nlos_trial(rng: np.random.Generator, n_elements: int, budget_x: LinkB
         np.add.at(s, (np.arange(span)[:, None], idx_x[sl]), np.conj(g_x[sl]))
         # v and the responses both carry the grid offset's sign (-1)^n; sign
         # flips are exact, so the two cancel and theta (-1)^n = v / |v|
-        theta = unit_phase(np.fft.fft(s, axis=1, out=spectrum[:span]), out=s)
+        v = np.fft.fft(s, axis=1, out=spectrum[:span])
+        # the served UE's sum_l g_l r[m_l] is (1/N) sum_n theta_n conj(v_n) = mean |v|
+        inband_gain[sl] = (np.sqrt(direct_x[sl]) + scale * np.abs(v).mean(axis=1)) ** 2
+        theta = unit_phase(v, out=s)
         # adot(grid angle m)^H theta, all m at once
         resp = np.fft.ifft(theta, axis=1, out=spectrum[:span])
-
-        picked = np.take_along_axis(resp, idx_x[sl], axis=1)
-        eff_x = np.sqrt(direct_x[sl]) + scale * (g_x[sl] * picked).sum(axis=1)
-        inband_gain[sl] = np.abs(eff_x) ** 2
         a = gamma_1[sl, 0, None] * resp[:, cols_y[0]]          # (span, Q * l2)
         for i in range(1, l1):
             a += gamma_1[sl, i, None] * resp[:, cols_y[i]]

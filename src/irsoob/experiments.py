@@ -34,8 +34,8 @@ from .analytics import AnalyticParams
 from .channels import PathLossParams
 from .config import (SCHEDULERS, ExperimentSpec, read_json_object, spec_from_dict, spec_hash,
                      spec_to_dict)
-from .engine import (TrialData, _aligned_draws, _aligned_gain, budgets_for, dominance_test,
-                     empirical_ccdf, empirical_outage, run_trial, schedule_rates, spawn_rngs)
+from .engine import (TrialData, _aligned_gain, budgets_for, dominance_test, empirical_ccdf,
+                     empirical_outage, run_trial, schedule_rates, spawn_rngs)
 from .irs import correlation_response
 from .kernels import db_to_linear, principal_sine_wrap, resolvable_angles
 
@@ -178,7 +178,7 @@ def _stack(futures) -> TrialData:
         inband_gain=np.stack([d.inband_gain for d in datas]),
         gain_irs=np.stack([d.gain_irs for d in datas]),
         gain_noirs=np.stack([d.gain_noirs for d in datas]),
-        bf_gain=None if datas[0].bf_gain is None else np.stack([d.bf_gain for d in datas]))
+        aligned=datas[0].aligned and tuple(map(np.stack, zip(*(d.aligned for d in datas)))))
 
 
 def sweep_gains(pool: ThreadPoolExecutor, points):
@@ -287,9 +287,9 @@ def _ccdf_grid_mmwave(params: AnalyticParams) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the sweep runner
 
-# the outputs computed from the trials' gains; correlation_response and
-# inband_offset draw from each point's auxiliary generator instead
-_GAIN_OUTPUTS = frozenset({"sumse", "outage", "ccdf", "dominance", "pf_gap"})
+# the outputs computed from the trials' gains or in-band draws;
+# correlation_response draws from each point's auxiliary generator instead
+_GAIN_OUTPUTS = frozenset({"sumse", "outage", "ccdf", "dominance", "pf_gap", "inband_offset"})
 _Q_SEED_STRIDE = 7919   # a variant that sets q_ues draws from seed + 7919·Q
 
 
@@ -301,8 +301,9 @@ def run_spec(spec: ExperimentSpec, figure: str = "run", analytic_only: bool = Fa
     sweep l2 and q_ues this way. A variant that sets q_ues draws from
     seed + 7919·Q, so each OOB population keeps its own stream; the others
     draw from the spec's seed. Each (variant, element count) sweep point gets
-    its own trials + 1 generator children, the last of them auxiliary, so
-    results at one point do not depend on which others were run. Every
+    its own trials + 1 generator children, the last of them auxiliary (read
+    only by correlation_response rows), so results at one point do not
+    depend on which others were run. Every
     point goes to one `sweep_gains` call on one pool, so the trials run one
     point ahead across variant boundaries too.
 
@@ -343,11 +344,10 @@ def _point_rows(spec, figure, n, data, aux_rng, budget_x, budget_y, analytic_onl
     l_tag = spec.l1 * spec.l2 if spec.regime != "sub6" else None
     params_x = operator_params(spec, budget_x, n, 1.0, "inband")
     params_y = operator_params(spec, budget_y, n, 1.0, "oob")
-    # the served in-band UE's (gain, direct gain), one draw for both outputs that read it
-    inband = None
-    if not analytic_only and ("inband_offset" in spec.outputs or (
-            "outage" in spec.outputs and spec.regime == "sub6" and n > 0)):
-        exp_direct, shape = _aligned_draws(aux_rng, spec.slots * spec.trials, n)
+    inband = None   # in-band UE 0's (gain, direct gain) on the trials' (E, S), where read
+    if data is not None and data.aligned is not None and not {
+            "outage", "inband_offset"}.isdisjoint(spec.outputs):
+        exp_direct, shape = data.aligned
         beta_d, beta_r = float(params_x.beta_d[0]), float(params_x.beta_r[0])
         inband = (_aligned_gain(exp_direct, shape, beta_d, beta_r), beta_d * exp_direct)
     rows = []
@@ -360,13 +360,15 @@ def _point_rows(spec, figure, n, data, aux_rng, budget_x, budget_y, analytic_onl
     if "dominance" in spec.outputs and data is not None and n > 0:
         rows.append(_dominance_row(figure, n, l_tag, data, params_y))
     if "pf_gap" in spec.outputs:
+        # each OOB UE's matched-reflector ceiling on the trials' (E, S)
+        bf_gain = None if data is None else _aligned_gain(
+            *(d[..., None] for d in data.aligned), budget_y.beta_d, budget_y.beta_r)
         for gamma in spec.gamma_db_sweep:
             gamma_rows, served = _scheduler_rows(spec, figure, n, gamma, data, budget_y,
                                                  SCHEDULERS, q_ues=spec.q_ues)
-            gap = None   # PF's per-trial gap to the per-UE matched-reflector SE ceiling
-            if data is not None:
-                ceiling = np.log2(1.0 + data.bf_gain * float(db_to_linear(gamma)))
-                gap = ceiling.mean(axis=(1, 2)) - served["pf"]
+            # PF's per-trial gap to the per-UE matched-reflector SE ceiling
+            gap = None if bf_gain is None else np.log2(
+                1.0 + bf_gain * float(db_to_linear(gamma))).mean(axis=(1, 2)) - served["pf"]
             gamma_rows.append(_per_trial_row(figure, "pf_gap", gap, None, scheduler="pf",
                                              n_elements=n, gamma_db=gamma, q_ues=spec.q_ues))
             # without gains (analytic only) only the rows that have a closed form are written

@@ -19,8 +19,8 @@ their direct links as magnitudes, so their replays hand the scalar rules a
 real h_d; a separate check shows that the direct phase moves no scalar gain.
 The batched PF scheduler is held to a per-row loop, bit for bit.
 The sub6 in-band gain and the matched-reflector ceiling are one law on one
-draw of exponential magnitudes per trial, with the served in-band UE's and
-each OOB UE's betas: the replay gives the rebuilt complex channels those
+draw of exponential magnitudes per trial, which the trial returns as (E, S),
+with the served in-band UE's and each OOB UE's betas: the replay gives the rebuilt complex channels those
 magnitudes and phases from a separate generator, and the law is compared
 in distribution with the complex-normal construction, per row and per UE.
 The draw runs chunk by chunk; a per-chunk replay pins that order, and a
@@ -118,9 +118,10 @@ def test_trial_records_gains_only():
     spec = ExperimentSpec(n_sweep=(16,), gamma_db_sweep=(130.0,), slots=500, seed=24)
     data, _, served = _scheduled_trial(spec, np.random.default_rng(24))
     assert [f.name for f in dataclasses.fields(TrialData)] == [
-        "inband_gain", "gain_irs", "gain_noirs", "bf_gain"]
+        "inband_gain", "gain_irs", "gain_noirs", "aligned"]
     assert data.inband_gain.shape == (500,)
-    assert data.gain_irs.shape == data.gain_noirs.shape == data.bf_gain.shape == (500, spec.q_ues)
+    assert data.gain_irs.shape == data.gain_noirs.shape == (500, spec.q_ues)
+    assert [draws.shape for draws in data.aligned] == [(500,), (500,)]
     assert np.all((served >= 0) & (served < spec.q_ues))
 
 
@@ -368,28 +369,38 @@ def test_oob_gains_draw_the_reflected_sum_only_where_it_has_variance():
         assert abs(got.mean() - (beta_d[q] + v).mean()) < 4.0 * stderr
 
 
+def _ceiling(data, budget_y):
+    """The matched-reflector ceiling the pf_gap rows read: the aligned-gain
+    law of a sub6 trial's (E, S) with each OOB UE's betas, (..., slots, Q)."""
+    exp_direct, shape = (draws[..., None] for draws in data.aligned)
+    return _aligned_gain(exp_direct, shape, budget_y.beta_d, budget_y.beta_r)
+
+
 @pytest.mark.parametrize("n", [8, 16])
 def test_sub6_trial_matches_scalar_reference(n):
     """Every gain of a sub6 trial, replayed in draw order. The in-band gain
     is the aligned one of the replayed channels' optimized configuration,
-    slot by slot. The OOB gains are the reduced law (one Gamma(N, 1) power G
-    per slot, then _replay_oob with reflected variance beta_r G), and the
-    ceiling is the aligned-gain law of the in-band draws with each UE's OOB
-    betas; both are replayed bit for bit, and each slot's ceiling is the
-    scalar matched effective channel of complex channels carrying the
-    replayed magnitudes."""
+    slot by slot, and the returned (E, S) are the replayed magnitudes. The
+    OOB gains are the reduced law (one Gamma(N, 1) power G per slot, then
+    _replay_oob with reflected variance beta_r G), and the ceiling is the
+    aligned-gain law of the in-band draws with each UE's OOB betas; both are
+    replayed bit for bit, and each slot's ceiling is the scalar matched
+    effective channel of complex channels carrying the replayed magnitudes."""
     spec, bx, by, rng, replay = _diff_setup("sub6", n)
     data = sub6_trial(rng, n, bx, by, spec.slots)
 
     draws, (gain, h_dx, f_x, g_x) = _replay_inband_sub6(replay, bx, n, spec.slots)
     np.testing.assert_array_equal(data.inband_gain, gain)
+    np.testing.assert_array_equal(data.aligned[0], draws[0])
+    np.testing.assert_array_equal(data.aligned[1], np.sqrt(draws[1] * draws[2]).sum(axis=1))
     power = replay.standard_gamma(n, size=spec.slots)
     gain_irs, gain_noirs, _ = _replay_oob(replay, by.beta_d, by.beta_r * power[:, None])
     np.testing.assert_array_equal(data.gain_irs, gain_irs)
     np.testing.assert_array_equal(data.gain_noirs, gain_noirs)
     ceiling, h_dy, f_y, g_y = _aligned_channels(draws, by.beta_d[None, :], by.beta_f,
                                                 by.beta_g[None, :], n)
-    np.testing.assert_array_equal(data.bf_gain, ceiling)
+    bf_gain = _ceiling(data, by)
+    np.testing.assert_array_equal(bf_gain, ceiling)
     for s in range(spec.slots):
         theta = optimize_sub6(h_dx[s], f_x[s], g_x[s])
         _assert_gains(data.inband_gain[s],
@@ -397,13 +408,13 @@ def test_sub6_trial_matches_scalar_reference(n):
         matched = [abs(effective_channel_sub6(h_dy[s, q], f_y[s], g_y[s, q],
                                               optimize_sub6(h_dy[s, q], f_y[s], g_y[s, q]))) ** 2
                    for q in range(by.n_ues)]
-        _assert_gains(data.bf_gain[s], matched)
+        _assert_gains(bf_gain[s], matched)
 
 
 def test_sub6_ceiling_reuses_the_aligned_draws(monkeypatch):
-    """The matched ceiling is the aligned-gain law, with each UE's OOB betas,
-    of the trial's own (E, S): bit for bit against the law applied to the
-    (E, S) that _aligned_draws replays, over two chunks. The generator then
+    """A sub6 trial returns its own (E, S), bit for bit the (E, S) that
+    _aligned_draws replays over two chunks, and the matched ceiling is the
+    aligned-gain law of them with each UE's OOB betas. The generator then
     ends where the Gamma powers and the OOB draws leave that replay, so no
     second aligned draw is made. Each UE's mean ceiling lies within 4 stderr
     of the SNR term that sumse_inband_sub6 averages, taken with the OOB betas
@@ -417,9 +428,12 @@ def test_sub6_ceiling_reuses_the_aligned_draws(monkeypatch):
     rng, replay = spawn_rngs(64, 1)[0], spawn_rngs(64, 1)[0]
     data = sub6_trial(rng, n, bx, by, slots)
 
-    e, shape = (v[:, None] for v in _aligned_draws(replay, slots, n))
+    e, shape = _aligned_draws(replay, slots, n)
+    np.testing.assert_array_equal(data.aligned[0], e)
+    np.testing.assert_array_equal(data.aligned[1], shape)
+    bf_gain = _ceiling(data, by)
     np.testing.assert_array_equal(
-        data.bf_gain, (np.sqrt(by.beta_d * e) + np.sqrt(by.beta_r) * shape) ** 2)
+        bf_gain, (np.sqrt(by.beta_d * e[:, None]) + np.sqrt(by.beta_r) * shape[:, None]) ** 2)
     power = replay.standard_gamma(n, size=slots)
     _replay_oob(replay, by.beta_d, by.beta_r * power[:, None])
     assert rng.bit_generator.state == replay.bit_generator.state
@@ -429,8 +443,8 @@ def test_sub6_ceiling_reuses_the_aligned_draws(monkeypatch):
     def snr_term(beta_r):
         return analytics.sumse_inband_sub6(AnalyticParams(n, 1.0, beta_r, by.beta_d))
 
-    stderr = data.bf_gain.std(axis=0, ddof=1) / math.sqrt(slots)
-    assert np.all(np.abs(data.bf_gain.mean(axis=0) - snr_term(by.beta_r)) < 4.0 * stderr)
+    stderr = bf_gain.std(axis=0, ddof=1) / math.sqrt(slots)
+    assert np.all(np.abs(bf_gain.mean(axis=0) - snr_term(by.beta_r)) < 4.0 * stderr)
     assert np.all(snr_term(1.05 * by.beta_r) - snr_term(by.beta_r) >= 10.0 * stderr)
 
 

@@ -12,10 +12,11 @@ import pytest
 
 import irsoob.experiments as experiments
 from irsoob.config import ExperimentSpec, spec_hash
-from irsoob.engine import budgets_for, spawn_rngs
+import irsoob.engine as engine
+from irsoob.engine import _aligned_gain, budgets_for, run_trial, schedule_rates, spawn_rngs
 from irsoob.experiments import (CSV_COLUMNS, PRESETS, ResultRow, emit_csv, list_presets,
                                 operator_params, preset_spec, run_preset, run_spec)
-from irsoob.kernels import resolvable_angles
+from irsoob.kernels import db_to_linear, resolvable_angles
 from oracles import oob_gain_samples
 
 # enough slots for a smoke run, small enough to keep the suite fast
@@ -270,48 +271,97 @@ def test_mr_over_one_ue_takes_the_rr_form():
     assert oob_forms(scheduler="pf", outputs=("sumse",)) == {("pf", None): None}
 
 
-def test_inband_offset_rows_read_the_points_auxiliary_draw(monkeypatch):
-    """The in-band offset rows come from one draw on each point's last
-    generator child, the draw that outage_inband reads too, so asking for
-    both draws once per point and changes neither. No trial runs for the
-    offset rows, and an analytic-only run keeps their bound."""
-    spec = ExperimentSpec(n_sweep=(8, 16), k_ues=2, q_ues=2, slots=300, trials=2, seed=7,
-                          outputs=("inband_offset",))
+def _point_trials(spec):
+    """Each sweep point's trials, run one by one on the generators run_spec
+    spawns for them (trials + 1 children per point, the last auxiliary) and
+    stacked on a leading trials axis: (budget_x, budget_y, [(gain_irs,
+    (E, S)) per point])."""
     per_point = spec.trials + 1
     rngs = spawn_rngs(spec.seed, 1 + len(spec.n_sweep) * per_point)
+    _, bx, by = budgets_for(spec, rngs[0])
+    points = []
+    for i, n in enumerate(spec.n_sweep):
+        datas = [run_trial(spec, rng, n, bx, by)
+                 for rng in rngs[1 + i * per_point: i * per_point + per_point]]
+        points.append((np.stack([d.gain_irs for d in datas]),
+                       tuple(np.stack([d.aligned[j] for d in datas]) for j in (0, 1))))
+    return bx, by, points
+
+
+def test_inband_rows_read_the_trials_aligned_draws(monkeypatch):
+    """The in-band offset CCDF and outage rows are the pooled aligned-gain law,
+    with in-band UE 0's betas, on the (E, S) that the point's trials drew,
+    and asking for both outputs changes neither. _aligned_draws reads each
+    trial generator once and never a point's auxiliary one. An
+    analytic-only run keeps the offset bound."""
+    spec = ExperimentSpec(n_sweep=(2, 4), k_ues=2, q_ues=2, slots=300, trials=2, seed=7,
+                          outputs=("inband_offset",))
+    bx, _, points = _point_trials(spec)
+    per_point = spec.trials + 1
+    rngs = spawn_rngs(spec.seed, 1 + len(spec.n_sweep) * per_point)
+    trial_states = [rng.bit_generator.state for i, rng in enumerate(rngs[1:]) if i % per_point
+                    != spec.trials]
     aux_states = [rngs[(i + 1) * per_point].bit_generator.state
                   for i in range(len(spec.n_sweep))]
     draws = []
-    real = experiments._aligned_draws
-    real_trial = experiments.run_trial
+    real = engine._aligned_draws
 
     def record(rng, *args):
         draws.append(rng.bit_generator.state)
         return real(rng, *args)
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("run_trial called for the in-band offset rows")
-
-    monkeypatch.setattr(experiments, "_aligned_draws", record)
-    monkeypatch.setattr(experiments, "run_trial", refuse)
-    rows, _ = run_spec(spec, "offset")
-    assert draws == aux_states
+    monkeypatch.setattr(engine, "_aligned_draws", record)
+    rows, _ = run_spec(spec, "inband")
+    assert sorted(map(repr, draws)) == sorted(map(repr, trial_states))
+    assert not any(state in aux_states for state in draws)
     assert len(rows) == 10 * len(spec.n_sweep)
-    assert all(r.statistic == "offset_ccdf_inband" and r.empirical is not None
-               and r.analytic is not None for r in rows)
+    assert all(r.statistic == "offset_ccdf_inband" and r.analytic is not None for r in rows)
 
-    bare, _ = run_spec(spec, "offset", analytic_only=True)
-    assert len(draws) == len(spec.n_sweep)
+    beta_d, beta_r = float(bx.beta_d[0]), float(bx.beta_r[0])
+    outage, _ = run_spec(dataclasses.replace(spec, outputs=("outage",)), "inband")
+    inner, outages = 0, []   # grid points whose CCDF lies strictly inside (0, 1)
+    for n, (_, (exp_direct, shape)) in zip(spec.n_sweep, points):
+        gain = _aligned_gain(exp_direct, shape, beta_d, beta_r)
+        offset = (gain - beta_d * exp_direct).ravel()
+        ccdf = [r for r in rows if r.n_elements == n]
+        assert [r.empirical for r in ccdf] == pytest.approx(
+            [np.mean(offset > r.x) for r in ccdf], rel=0, abs=1e-12)
+        inner += sum(0.0 < r.empirical < 1.0 for r in ccdf)
+        (row,) = [r for r in outage if r.statistic == "outage_inband" and r.n_elements == n]
+        assert row.x == pytest.approx((math.pi ** 2 / 16.0) * beta_r, rel=1e-15)
+        assert row.empirical == np.mean(gain < row.x)
+        outages.append(row.empirical)
+    assert inner >= 5 and max(outages) > 0.0
+
+    both, _ = run_spec(dataclasses.replace(spec, outputs=("outage", "inband_offset")), "inband")
+    by_coords = experiments._sort_key
+    assert sorted(both, key=by_coords) == sorted(rows + outage, key=by_coords)
+
+    draws.clear()
+    bare, _ = run_spec(spec, "inband", analytic_only=True)
+    assert draws == []
     assert [(r.x, r.analytic) for r in bare] == [(r.x, r.analytic) for r in rows]
     assert all(r.empirical is None and r.stderr is None for r in bare)
 
-    monkeypatch.setattr(experiments, "run_trial", real_trial)
-    draws.clear()
-    both, _ = run_spec(dataclasses.replace(spec, outputs=("outage", "inband_offset")), "offset")
-    assert draws == aux_states
-    outage, _ = run_spec(dataclasses.replace(spec, outputs=("outage",)), "offset")
-    by_coords = experiments._sort_key
-    assert sorted(both, key=by_coords) == sorted(rows + outage, key=by_coords)
+
+def test_pf_gap_is_the_ceiling_on_the_trials_aligned_draws():
+    """pf_gap is, per trial, the mean over slots and UEs of log2(1 + snr c),
+    with c the aligned-gain law of the trial's (E, S) under each OOB UE's
+    betas, less PF's mean served SE; the row holds its mean over trials."""
+    spec = ExperimentSpec(n_sweep=(4, 16), k_ues=2, q_ues=3, slots=80, trials=3, seed=5,
+                          outputs=("pf_gap",))
+    _, by, points = _point_trials(spec)
+    rows, _ = run_spec(spec, "gap")
+    snr = float(db_to_linear(spec.gamma_db_sweep[0]))
+    for n, (gain_irs, (exp_direct, shape)) in zip(spec.n_sweep, points):
+        ceiling = _aligned_gain(exp_direct[..., None], shape[..., None], by.beta_d, by.beta_r)
+        rates = np.log2(1.0 + gain_irs * snr)
+        served = schedule_rates(rates, "pf", spec.pf_tau)
+        pf_se = np.take_along_axis(rates, served[..., None], axis=-1).mean(axis=(1, 2))
+        gap = np.log2(1.0 + ceiling * snr).mean(axis=(1, 2)) - pf_se
+        (row,) = [r for r in rows if r.statistic == "pf_gap" and r.n_elements == n]
+        assert row.empirical == pytest.approx(gap.mean(), rel=1e-12)
+        assert row.stderr == pytest.approx(gap.std(ddof=1) / math.sqrt(spec.trials), rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +416,8 @@ def test_sweep_gains_is_independent_of_the_worker_count(regime, extra):
     """Each trial reads only its own generator and every point's trials are
     stacked in generator order, so one worker, the default and one worker per
     trial stack the same bits, with the second point's trials running while
-    the first point is read. Every sub6 trial also returns the matched
-    ceiling, and no mmWave trial does."""
+    the first point is read. Every sub6 trial also returns its aligned
+    draws (E, S), stacked to (trials, slots), and no mmWave trial does."""
     sub6 = regime == "sub6"
     spec = ExperimentSpec(regime=regime, n_sweep=(64, 32), k_ues=3, q_ues=4, slots=1100, trials=3,
                           seed=5, **extra)
@@ -379,14 +429,18 @@ def test_sweep_gains_is_independent_of_the_worker_count(regime, extra):
 
     runs = [gains(workers) for workers in (experiments._worker_count(spec.trials), 1,
                                            spec.trials)]
-    fields = ["inband_gain", "gain_irs", "gain_noirs"] + (["bf_gain"] if sub6 else [])
+    fields = ["inband_gain", "gain_irs", "gain_noirs"]
     for run in runs[1:]:
         assert len(run) == len(spec.n_sweep)
         for got, want in zip(run, runs[0]):
             assert got.gain_irs.shape == (spec.trials, spec.slots, spec.q_ues)
             for field in fields:
                 np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
-    assert all(data.bf_gain is None for data in runs[0]) != sub6
+            if sub6:
+                assert [draws.shape for draws in got.aligned] == [(spec.trials, spec.slots)] * 2
+                for got_draws, want_draws in zip(got.aligned, want.aligned):
+                    np.testing.assert_array_equal(got_draws, want_draws)
+    assert all(data.aligned is None for data in runs[0]) != sub6
 
 
 @pytest.mark.parametrize("spec,variants", [

@@ -272,29 +272,40 @@ def schedule_rates(rates: np.ndarray, scheduler: str, tau: float = 1000.0) -> np
     start works; this one makes slot 0 a fair tie) and uses the standard
     R_q/T_q metric. After each slot every average decays by 1 - 1/tau and
     only the served UE banks rate/tau. MR serves the highest rate; ties go
-    to the lowest index, in MR and PF alike. PF runs one loop over slots for
-    every schedule at once, each with its own averages, so a schedule is the
-    same bits whatever else is batched with it.
+    to the lowest index, in MR and PF alike, and with one UE both return
+    zeros without a loop. PF runs one loop over slots for every schedule at
+    once, each with its own averages, so a schedule is the same bits
+    whatever else is batched with it; the experiment layer batches a whole
+    run's PF rates of one (slots, Q) shape. The loop reads a slot-major
+    (slots, batch, Q) copy of the rates, made only if `rates` is not already
+    a view of one, reuses its metric and index buffers, and banks each
+    served rate through one flat index.
     """
     *lead, slots, q_ues = rates.shape
     if scheduler == "rr":
         return np.broadcast_to(np.arange(slots) % q_ues, (*lead, slots))
+    if scheduler not in ("mr", "pf"):
+        raise ValueError(f"unknown scheduler {scheduler!r}")
+    if q_ues == 1:
+        return np.zeros((*lead, slots), dtype=np.intp)
     if scheduler == "mr":
         return np.argmax(rates, axis=-1)
-    if scheduler != "pf":
-        raise ValueError(f"unknown scheduler {scheduler!r}")
-    flat = rates.reshape(-1, slots, q_ues)
-    batch = np.arange(len(flat))
+    by_slot = np.ascontiguousarray(np.moveaxis(rates.reshape(-1, slots, q_ues), 1, 0))
+    batch = by_slot.shape[1]
     decay = 1.0 - 1.0 / tau
-    averages = np.maximum(flat[:, 0], 1e-300)
-    served = np.empty((len(flat), slots), dtype=int)
-    for t in range(slots):
-        offered = flat[:, t]
-        q_star = np.argmax(offered / averages, axis=1)
-        served[:, t] = q_star
+    averages = np.maximum(by_slot[0], 1e-300)
+    flat_averages = averages.reshape(-1)
+    metric = np.empty_like(averages)
+    row_start = np.arange(batch) * q_ues
+    pick = np.empty(batch, dtype=np.intp)
+    served = np.empty((slots, batch), dtype=np.intp)
+    for t, offered in enumerate(by_slot):
+        np.divide(offered, averages, out=metric)
+        metric.argmax(axis=1, out=served[t])
         averages *= decay
-        averages[batch, q_star] += offered[batch, q_star] / tau
-    return served.reshape(*lead, slots)
+        np.add(row_start, served[t], out=pick)
+        flat_averages[pick] += offered.reshape(-1)[pick] / tau
+    return np.ascontiguousarray(served.T).reshape(*lead, slots)
 
 
 # ---------------------------------------------------------------------------

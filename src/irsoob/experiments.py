@@ -217,15 +217,19 @@ def sweep_gains(pool: ThreadPoolExecutor, points):
 def _per_trial_row(figure, statistic, per_trial, form, **coords) -> ResultRow:
     """A per-trial statistic's mean, with its stderr over trials, beside a form that may be blank.
 
-    Without per-trial values (analytic only) the empirical and stderr cells
-    stay blank; with one trial the stderr does.
+    Without per-trial values (analytic only, or a PF row not yet scheduled)
+    the empirical and stderr cells stay blank; with one trial the stderr does.
     """
-    emp = err = None
+    row = ResultRow(figure, statistic, analytic=form, **coords)
     if per_trial is not None:
-        emp = float(per_trial.mean())
-        if per_trial.size >= 2:
-            err = float(per_trial.std(ddof=1) / math.sqrt(per_trial.size))
-    return ResultRow(figure, statistic, empirical=emp, analytic=form, stderr=err, **coords)
+        _set_trial_stats(row, per_trial)
+    return row
+
+
+def _set_trial_stats(row: ResultRow, per_trial: np.ndarray) -> None:
+    row.empirical = float(per_trial.mean())
+    if per_trial.size >= 2:
+        row.stderr = float(per_trial.std(ddof=1) / math.sqrt(per_trial.size))
 
 
 def _binom_err(p_hat: float, count: int) -> float:
@@ -269,9 +273,8 @@ def _invert_offset_ccdf(p_target: float, params: AnalyticParams, ue: int = 0) ->
     return beta_d * math.log((1.0 - p_target) * (nbt + 2.0))
 
 
-def _served_se(rates: np.ndarray, scheduler: str, tau: float) -> np.ndarray:
-    """Per-trial mean SE of the UEs a scheduler serves, from (trials, slots, Q) rates."""
-    served = schedule_rates(rates, scheduler, tau)
+def _served_se(rates: np.ndarray, served: np.ndarray) -> np.ndarray:
+    """Per-trial mean SE of the served UEs, from (trials, slots, Q) rates and (trials, slots) picks."""
     return np.take_along_axis(rates, served[..., None], axis=-1)[..., 0].mean(axis=1)
 
 
@@ -286,6 +289,59 @@ def _ccdf_grid_mmwave(params: AnalyticParams) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # the sweep runner
+
+def _pf_rate_sets(spec: ExperimentSpec) -> int:
+    """How many PF rate sets one sweep point of `spec` schedules: per SNR, one
+    for a sumse_oob row under scheduler pf and one for pf_gap's rows."""
+    uses = ("sumse" in spec.outputs and spec.scheduler == "pf") + ("pf_gap" in spec.outputs)
+    return uses * len(spec.gamma_db_sweep)
+
+
+class _PFQueue:
+    """A run's PF rates and the rows they fill, scheduled after the last sweep point.
+
+    PF is a sequential loop over slots whose cost per slot hardly depends on
+    how many schedules it serves, so one `schedule_rates` call per
+    (slots, Q, pf_tau) serves every (point, SNR) of that shape. Each shape's
+    rates are copied as they arrive into one slot-major (slots, batch, Q)
+    block, sized from the specs before the first point, which
+    `schedule_rates` reads in place, so the run holds them once; joining
+    per-point copies at the end would hold them twice. A schedule is the
+    same bits whatever else is batched with it, so every row is as if its
+    point had been scheduled alone.
+    """
+
+    def __init__(self, specs):
+        sizes = {}
+        for sub in specs:
+            key = (sub.slots, sub.q_ues, sub.pf_tau)
+            sizes[key] = sizes.get(key, 0) + sub.trials * _pf_rate_sets(sub)
+        self._blocks = {key: np.empty((key[0], size, key[1])) for key, size in sizes.items()
+                        if size}
+        self._sets = {key: [] for key in self._blocks}   # (trial slice, targets) per set
+
+    def put(self, spec: ExperimentSpec, rates: np.ndarray) -> list:
+        """Set aside a (trials, slots, Q) rate set; returns the list of (row, ceiling)
+        it fills, where a row's per-trial value is the served SE, or ceiling less it."""
+        key = (spec.slots, spec.q_ues, spec.pf_tau)
+        sets = self._sets[key]
+        start = sets[-1][0].stop if sets else 0
+        trials, targets = slice(start, start + len(rates)), []
+        self._blocks[key][:, trials] = rates.transpose(1, 0, 2)
+        sets.append((trials, targets))
+        return targets
+
+    def schedule(self) -> None:
+        """Run each shape's one PF loop and fill every set-aside row."""
+        for key, block in self._blocks.items():
+            assert self._sets[key][-1][0].stop == block.shape[1], "a PF rate set never came"
+            rates = block.transpose(1, 0, 2)
+            served = schedule_rates(rates, "pf", key[2])
+            for trials, targets in self._sets[key]:
+                served_se = _served_se(rates[trials], served[trials])
+                for row, ceiling in targets:
+                    _set_trial_stats(row, served_se if ceiling is None else ceiling - served_se)
+
 
 # the outputs computed from the trials' gains or in-band draws;
 # correlation_response draws from each point's auxiliary generator instead
@@ -305,7 +361,10 @@ def run_spec(spec: ExperimentSpec, figure: str = "run", analytic_only: bool = Fa
     only by correlation_response rows), so results at one point do not
     depend on which others were run. Every
     point goes to one `sweep_gains` call on one pool, so the trials run one
-    point ahead across variant boundaries too.
+    point ahead across variant boundaries too. Each point's rows are built
+    as its gains arrive, except that its PF rates are set aside in a
+    `_PFQueue`: after the last point, one slot loop per (slots, Q, pf_tau)
+    schedules all of them and fills their rows.
 
     Returns (rows, one VariantRun per variant). With analytic_only,
     simulation is skipped and the empirical/stderr columns stay blank; grids
@@ -327,6 +386,7 @@ def run_spec(spec: ExperimentSpec, figure: str = "run", analytic_only: bool = Fa
             points.append((sub, n, block[:-1], block[-1], budget_x, budget_y))
     simulate = not analytic_only and not _GAIN_OUTPUTS.isdisjoint(spec.outputs)
     rows: list[ResultRow] = []
+    pf = _PFQueue(sub for sub, *_ in points) if simulate else None
 
     with ThreadPoolExecutor(max_workers=_worker_count(spec.trials)) as pool:
         gains = itertools.repeat(None)
@@ -335,12 +395,14 @@ def run_spec(spec: ExperimentSpec, figure: str = "run", analytic_only: bool = Fa
                                        for sub, n, trial_rngs, _, budget_x, budget_y in points])
         for (sub, n, _, aux_rng, budget_x, budget_y), data in zip(points, gains):
             rows += _point_rows(sub, figure, n, data, aux_rng, budget_x, budget_y,
-                                analytic_only)
+                                analytic_only, pf)
+    if pf is not None:
+        pf.schedule()
     return rows, runs
 
 
-def _point_rows(spec, figure, n, data, aux_rng, budget_x, budget_y, analytic_only):
-    """Every requested output's rows at one sweep point."""
+def _point_rows(spec, figure, n, data, aux_rng, budget_x, budget_y, analytic_only, pf):
+    """Every requested output's rows at one sweep point; PF rows are filled by `pf` later."""
     l_tag = spec.l1 * spec.l2 if spec.regime != "sub6" else None
     params_x = operator_params(spec, budget_x, n, 1.0, "inband")
     params_y = operator_params(spec, budget_y, n, 1.0, "oob")
@@ -352,7 +414,7 @@ def _point_rows(spec, figure, n, data, aux_rng, budget_x, budget_y, analytic_onl
         inband = (_aligned_gain(exp_direct, shape, beta_d, beta_r), beta_d * exp_direct)
     rows = []
     if "sumse" in spec.outputs:
-        rows += _sumse_rows(spec, figure, n, l_tag, data, budget_x, budget_y)
+        rows += _sumse_rows(spec, figure, n, l_tag, data, budget_x, budget_y, pf)
     if "outage" in spec.outputs:
         rows += _outage_rows(spec, figure, n, l_tag, data, params_x, params_y, inband)
     if "ccdf" in spec.outputs:
@@ -364,13 +426,15 @@ def _point_rows(spec, figure, n, data, aux_rng, budget_x, budget_y, analytic_onl
         bf_gain = None if data is None else _aligned_gain(
             *(d[..., None] for d in data.aligned), budget_y.beta_d, budget_y.beta_r)
         for gamma in spec.gamma_db_sweep:
-            gamma_rows, served = _scheduler_rows(spec, figure, n, gamma, data, budget_y,
-                                                 SCHEDULERS, q_ues=spec.q_ues)
+            gamma_rows, targets = _scheduler_rows(spec, figure, n, gamma, data, budget_y,
+                                                  SCHEDULERS, pf, q_ues=spec.q_ues)
             # PF's per-trial gap to the per-UE matched-reflector SE ceiling
-            gap = None if bf_gain is None else np.log2(
-                1.0 + bf_gain * float(db_to_linear(gamma))).mean(axis=(1, 2)) - served["pf"]
-            gamma_rows.append(_per_trial_row(figure, "pf_gap", gap, None, scheduler="pf",
-                                             n_elements=n, gamma_db=gamma, q_ues=spec.q_ues))
+            gap = _per_trial_row(figure, "pf_gap", None, None, scheduler="pf",
+                                 n_elements=n, gamma_db=gamma, q_ues=spec.q_ues)
+            if targets is not None:
+                ceiling = np.log2(1.0 + bf_gain * float(db_to_linear(gamma))).mean(axis=(1, 2))
+                targets.append((gap, ceiling))
+            gamma_rows.append(gap)
             # without gains (analytic only) only the rows that have a closed form are written
             rows += [row for row in gamma_rows if data is not None or row.analytic is not None]
     if "inband_offset" in spec.outputs:
@@ -392,26 +456,33 @@ def _oob_form(spec, scheduler, params):
     return None
 
 
-def _scheduler_rows(spec, figure, n, gamma, data, budget_y, schedulers, **coords):
+def _scheduler_rows(spec, figure, n, gamma, data, budget_y, schedulers, pf, **coords):
     """The OOB sum-SE at one SNR under each scheduler, all on the point's one set of gains.
 
     Sharing the gains keeps the schedulers' differences clear of sampling
-    noise. Returns the rows and each scheduler's per-trial served SE (None
-    without gains).
+    noise. The rr and mr rows are filled here. The PF row is left blank and,
+    with gains, its rates go to the run's `_PFQueue`, which fills it after
+    the last point. Returns the rows and the queue's (row, ceiling) list for
+    these rates (None without gains or PF), to which pf_gap adds its row.
     """
     snr = float(db_to_linear(gamma))
     params = operator_params(spec, budget_y, n, snr, "oob")
     rates = None if data is None else np.log2(1.0 + data.gain_irs * snr)
-    rows, served = [], {}
+    rows, targets = [], None
     for sched in schedulers:
-        served[sched] = None if rates is None else _served_se(rates, sched, spec.pf_tau)
-        rows.append(_per_trial_row(figure, "sumse_oob", served[sched],
-                                   _oob_form(spec, sched, params), scheduler=sched,
-                                   n_elements=n, gamma_db=gamma, **coords))
-    return rows, served
+        served = None
+        if rates is not None and sched != "pf":
+            served = _served_se(rates, schedule_rates(rates, sched))
+        row = _per_trial_row(figure, "sumse_oob", served, _oob_form(spec, sched, params),
+                             scheduler=sched, n_elements=n, gamma_db=gamma, **coords)
+        if rates is not None and sched == "pf":
+            targets = pf.put(spec, rates)
+            targets.append((row, None))
+        rows.append(row)
+    return rows, targets
 
 
-def _sumse_rows(spec, figure, n, l_tag, data, budget_x, budget_y):
+def _sumse_rows(spec, figure, n, l_tag, data, budget_x, budget_y, pf):
     """Per SNR, the in-band sum-SE and the OOB one under the spec's scheduler."""
     rows = []
     for gamma in spec.gamma_db_sweep:
@@ -423,7 +494,7 @@ def _sumse_rows(spec, figure, n, l_tag, data, budget_x, budget_y):
                                    float(_SUMSE_FORMS[(spec.regime, "inband")](params)),
                                    n_elements=n, gamma_db=gamma, l_paths=l_tag))
         rows += _scheduler_rows(spec, figure, n, gamma, data, budget_y, (spec.scheduler,),
-                                l_paths=l_tag)[0]
+                                pf, l_paths=l_tag)[0]
     return rows
 
 

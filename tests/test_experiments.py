@@ -364,6 +364,113 @@ def test_pf_gap_is_the_ceiling_on_the_trials_aligned_draws():
         assert row.stderr == pytest.approx(gap.std(ddof=1) / math.sqrt(spec.trials), rel=1e-9)
 
 
+def _variant_spec(spec, variant):
+    """A variant's spec as run_spec builds it, q_ues variants on their own seed."""
+    sub = dataclasses.replace(spec, **variant)
+    if "q_ues" in variant:
+        sub = dataclasses.replace(sub, seed=spec.seed + 7919 * sub.q_ues)
+    return sub
+
+
+def _trial_stats(per_trial):
+    return float(per_trial.mean()), float(per_trial.std(ddof=1) / math.sqrt(per_trial.size))
+
+
+def _pf_rows_one_point_at_a_time(spec, variants):
+    """Each PF row's (empirical, stderr) with one schedule_rates call per
+    (point, SNR) on that point's own gains, keyed by (statistic, q_ues, N,
+    gamma): the served SE for sumse_oob, the ceiling's mean less it for
+    pf_gap."""
+    want = {}
+    for variant in variants:
+        sub = _variant_spec(spec, variant)
+        _, by, points = _point_trials(sub)
+        for n, (gain_irs, (exp_direct, shape)) in zip(sub.n_sweep, points):
+            ceiling = _aligned_gain(exp_direct[..., None], shape[..., None], by.beta_d, by.beta_r)
+            for gamma in sub.gamma_db_sweep:
+                snr = float(db_to_linear(gamma))
+                rates = np.log2(1.0 + gain_irs * snr)
+                served = schedule_rates(rates, "pf", sub.pf_tau)
+                pf_se = np.take_along_axis(rates, served[..., None], axis=-1)[..., 0].mean(axis=1)
+                want["sumse_oob", sub.q_ues, n, gamma] = _trial_stats(pf_se)
+                if "pf_gap" in sub.outputs:
+                    gap = np.log2(1.0 + ceiling * snr).mean(axis=(1, 2)) - pf_se
+                    want["pf_gap", sub.q_ues, n, gamma] = _trial_stats(gap)
+    return want
+
+
+def _run_pf_rows(monkeypatch, spec, variants):
+    """run_spec's PF rows as {(statistic, q_ues, N, gamma): (empirical, stderr)},
+    and the (batch, slots, Q) shape of each PF schedule_rates call it made."""
+    calls = []
+
+    def spy(rates, scheduler, tau=1000.0):
+        if scheduler == "pf":
+            calls.append(rates.shape)
+        return schedule_rates(rates, scheduler, tau)
+
+    monkeypatch.setattr(experiments, "schedule_rates", spy)
+    rows, _ = run_spec(spec, "pf", variants=variants)
+    got = {}
+    for r in rows:
+        if r.scheduler == "pf":
+            q_ues = spec.q_ues if r.q_ues is None else r.q_ues
+            got[r.statistic, q_ues, r.n_elements, r.gamma_db] = (r.empirical, r.stderr)
+    return got, calls
+
+
+def test_pf_gap_rows_equal_one_schedule_per_point(monkeypatch):
+    """Two q_ues variants and two N: every pf sumse_oob and pf_gap row equals,
+    bit for bit, what one schedule_rates call per point gives on the same
+    gains, though the run made one PF call per Q, each over all its points."""
+    spec = ExperimentSpec(n_sweep=(4, 16), gamma_db_sweep=(120.0, 140.0), k_ues=2,
+                          slots=150, trials=3, seed=21, outputs=("pf_gap",))
+    got, calls = _run_pf_rows(monkeypatch, spec, Q_SWEEP)
+    assert got == _pf_rows_one_point_at_a_time(spec, Q_SWEEP)
+    assert len(got) == 2 * 2 * 2 * 2
+    assert calls == [(12, 150, 2), (12, 150, 3)]
+
+
+def test_pf_sumse_rows_equal_one_schedule_per_point(monkeypatch):
+    """sumse under scheduler pf at three SNRs and two N: one PF call serves
+    all six (point, SNR) rate sets, and each row equals its own call's."""
+    spec = ExperimentSpec(scheduler="pf", n_sweep=(4, 8),
+                          gamma_db_sweep=(110.0, 130.0, 150.0), q_ues=4, slots=200,
+                          trials=2, seed=22, outputs=("sumse",))
+    got, calls = _run_pf_rows(monkeypatch, spec, ({},))
+    assert got == _pf_rows_one_point_at_a_time(spec, ({},))
+    assert len(got) == 6
+    assert calls == [(12, 200, 4)]
+
+
+def test_pf_tau_one_rows_equal_one_schedule_per_point(monkeypatch):
+    """pf_tau = 1 leaves every unserved average at 0, so the PF metric reads
+    inf there; a zero-rate column padding Q = 1 up to 3 would read 0/0 = NaN,
+    which np.argmax serves. Each Q keeps its own loop, so there is no such
+    column: Q = 1 and Q = 3 both equal their per-point schedules."""
+    spec = ExperimentSpec(n_sweep=(4, 16), k_ues=2, slots=120, trials=2, seed=23,
+                          pf_tau=1.0, outputs=("pf_gap",))
+    variants = ({"q_ues": 1}, {"q_ues": 3})
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got, calls = _run_pf_rows(monkeypatch, spec, variants)
+        want = _pf_rows_one_point_at_a_time(spec, variants)
+    assert got == want and len(got) == 2 * 2 * 2
+    assert calls == [(4, 120, 1), (4, 120, 3)]
+
+
+def test_pf_rows_do_not_depend_on_what_shares_their_loop(monkeypatch):
+    """Dropping a variant whose rates share a PF loop with another's changes
+    that loop's batch, and the other variant's pf rows keep every bit."""
+    spec = ExperimentSpec(n_sweep=(4, 16), k_ues=2, slots=150, trials=2, seed=24,
+                          outputs=("pf_gap",))
+    kept = {"q_ues": 3, "gamma_db_sweep": (125.0,)}
+    both, calls_both = _run_pf_rows(monkeypatch, spec, ({"q_ues": 3}, kept))
+    alone, calls_alone = _run_pf_rows(monkeypatch, spec, (kept,))
+    assert calls_both == [(8, 150, 3)] and calls_alone == [(4, 150, 3)]
+    assert alone == {key: value for key, value in both.items() if key[3] == 125.0}
+    assert len(alone) == 2 * 2
+
+
 # ---------------------------------------------------------------------------
 # parameter mapping and sample helpers
 

@@ -57,10 +57,6 @@ class AnalyticParams:
             raise ValueError(f"n_elements must be >= 0, got {self.n_elements}")
 
     @property
-    def n_ues(self) -> int:
-        return len(self.beta_r)
-
-    @property
     def l_paths(self) -> int:
         return self.l1 * self.l2
 

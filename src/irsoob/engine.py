@@ -276,10 +276,13 @@ def schedule_rates(rates: np.ndarray, scheduler: str, tau: float = 1000.0) -> np
     zeros without a loop. PF runs one loop over slots for every schedule at
     once, each with its own averages, so a schedule is the same bits
     whatever else is batched with it; the experiment layer batches a whole
-    run's PF rates of one (slots, Q) shape. The loop reads a slot-major
-    (slots, batch, Q) copy of the rates, made only if `rates` is not already
-    a view of one, reuses its metric and index buffers, and banks each
-    served rate through one flat index.
+    run's PF rates of one (slots, Q, tau) shape, one rate set per
+    (sweep point, SNR) whichever outputs read it. The loop reads a
+    slot-major (slots, batch, Q) copy of the rates, made only if `rates` is
+    not already a view of one, reuses its metric and index buffers, and
+    banks each served rate through one flat index. At tau = 1 every unserved
+    average decays to 0, so its metric is inf by design and that division
+    warns of nothing; a 0/0 still would.
     """
     *lead, slots, q_ues = rates.shape
     if scheduler == "rr":
@@ -299,12 +302,13 @@ def schedule_rates(rates: np.ndarray, scheduler: str, tau: float = 1000.0) -> np
     row_start = np.arange(batch) * q_ues
     pick = np.empty(batch, dtype=np.intp)
     served = np.empty((slots, batch), dtype=np.intp)
-    for t, offered in enumerate(by_slot):
-        np.divide(offered, averages, out=metric)
-        metric.argmax(axis=1, out=served[t])
-        averages *= decay
-        np.add(row_start, served[t], out=pick)
-        flat_averages[pick] += offered.reshape(-1)[pick] / tau
+    with np.errstate(divide="ignore"):
+        for t, offered in enumerate(by_slot):
+            np.divide(offered, averages, out=metric)
+            metric.argmax(axis=1, out=served[t])
+            averages *= decay
+            np.add(row_start, served[t], out=pick)
+            flat_averages[pick] += offered.reshape(-1)[pick] / tau
     return np.ascontiguousarray(served.T).reshape(*lead, slots)
 
 

@@ -217,8 +217,9 @@ def sweep_gains(pool: ThreadPoolExecutor, points):
 def _per_trial_row(figure, statistic, per_trial, form, **coords) -> ResultRow:
     """A per-trial statistic's mean, with its stderr over trials, beside a form that may be blank.
 
-    Without per-trial values (analytic only, or a PF row not yet scheduled)
-    the empirical and stderr cells stay blank; with one trial the stderr does.
+    Without per-trial values (analytic only, or a PF row that the run's
+    `_PFQueue` fills after the last point) the empirical and stderr cells
+    stay blank; with one trial the stderr does.
     """
     row = ResultRow(figure, statistic, analytic=form, **coords)
     if per_trial is not None:
@@ -290,11 +291,11 @@ def _ccdf_grid_mmwave(params: AnalyticParams) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the sweep runner
 
-def _pf_rate_sets(spec: ExperimentSpec) -> int:
-    """How many PF rate sets one sweep point of `spec` schedules: per SNR, one
-    for a sumse_oob row under scheduler pf and one for pf_gap's rows."""
-    uses = ("sumse" in spec.outputs and spec.scheduler == "pf") + ("pf_gap" in spec.outputs)
-    return uses * len(spec.gamma_db_sweep)
+def _oob_schedulers(spec: ExperimentSpec) -> tuple[str, ...]:
+    """The schedulers each (point, SNR) of `spec` runs on its OOB rates: the
+    spec's own for sumse's row, and all three for pf_gap's rows."""
+    return tuple(sched for sched in SCHEDULERS if "pf_gap" in spec.outputs
+                 or ("sumse" in spec.outputs and sched == spec.scheduler))
 
 
 class _PFQueue:
@@ -302,34 +303,33 @@ class _PFQueue:
 
     PF is a sequential loop over slots whose cost per slot hardly depends on
     how many schedules it serves, so one `schedule_rates` call per
-    (slots, Q, pf_tau) serves every (point, SNR) of that shape. Each shape's
-    rates are copied as they arrive into one slot-major (slots, batch, Q)
-    block, sized from the specs before the first point, which
-    `schedule_rates` reads in place, so the run holds them once; joining
-    per-point copies at the end would hold them twice. A schedule is the
-    same bits whatever else is batched with it, so every row is as if its
-    point had been scheduled alone.
+    (slots, Q, pf_tau) serves every (point, SNR) of that shape; each
+    (point, SNR) puts one rate set, whichever outputs read it. The rates are
+    copied as they arrive into one slot-major (slots, batch, Q) block per
+    shape, sized by `_oob_schedulers` before the first point, which
+    `schedule_rates` reads in place, so the run holds them once. A schedule
+    is the same bits whatever else is batched with it, so every row is as if
+    its point had been scheduled alone.
     """
 
     def __init__(self, specs):
         sizes = {}
         for sub in specs:
-            key = (sub.slots, sub.q_ues, sub.pf_tau)
-            sizes[key] = sizes.get(key, 0) + sub.trials * _pf_rate_sets(sub)
-        self._blocks = {key: np.empty((key[0], size, key[1])) for key, size in sizes.items()
-                        if size}
+            if "pf" in _oob_schedulers(sub):
+                key = (sub.slots, sub.q_ues, sub.pf_tau)
+                sizes[key] = sizes.get(key, 0) + sub.trials * len(sub.gamma_db_sweep)
+        self._blocks = {key: np.empty((key[0], size, key[1])) for key, size in sizes.items()}
         self._sets = {key: [] for key in self._blocks}   # (trial slice, targets) per set
 
-    def put(self, spec: ExperimentSpec, rates: np.ndarray) -> list:
-        """Set aside a (trials, slots, Q) rate set; returns the list of (row, ceiling)
-        it fills, where a row's per-trial value is the served SE, or ceiling less it."""
+    def put(self, spec: ExperimentSpec, rates: np.ndarray, targets: list) -> None:
+        """Set aside a (trials, slots, Q) rate set and the (row, ceiling) pairs it
+        fills, where a row's per-trial value is the served SE, or ceiling less it."""
         key = (spec.slots, spec.q_ues, spec.pf_tau)
         sets = self._sets[key]
         start = sets[-1][0].stop if sets else 0
-        trials, targets = slice(start, start + len(rates)), []
+        trials = slice(start, start + len(rates))
         self._blocks[key][:, trials] = rates.transpose(1, 0, 2)
         sets.append((trials, targets))
-        return targets
 
     def schedule(self) -> None:
         """Run each shape's one PF loop and fill every set-aside row."""
@@ -359,12 +359,13 @@ def run_spec(spec: ExperimentSpec, figure: str = "run", analytic_only: bool = Fa
     draw from the spec's seed. Each (variant, element count) sweep point gets
     its own trials + 1 generator children, the last of them auxiliary (read
     only by correlation_response rows), so results at one point do not
-    depend on which others were run. Every
-    point goes to one `sweep_gains` call on one pool, so the trials run one
-    point ahead across variant boundaries too. Each point's rows are built
-    as its gains arrive, except that its PF rates are set aside in a
-    `_PFQueue`: after the last point, one slot loop per (slots, Q, pf_tau)
-    schedules all of them and fills their rows.
+    depend on which others were run. Every point goes to one `sweep_gains`
+    call on one pool, so the trials run one point ahead across variant
+    boundaries too. Each point's rows are built as its gains arrive, except
+    that each (point, SNR) that runs PF sets its one rate set aside in a
+    `_PFQueue`, whether sumse, pf_gap or both read it: after the last point,
+    one slot loop per (slots, Q, pf_tau) schedules all of them and fills
+    their rows.
 
     Returns (rows, one VariantRun per variant). With analytic_only,
     simulation is skipped and the empirical/stderr columns stay blank; grids
@@ -413,30 +414,21 @@ def _point_rows(spec, figure, n, data, aux_rng, budget_x, budget_y, analytic_onl
         beta_d, beta_r = float(params_x.beta_d[0]), float(params_x.beta_r[0])
         inband = (_aligned_gain(exp_direct, shape, beta_d, beta_r), beta_d * exp_direct)
     rows = []
-    if "sumse" in spec.outputs:
-        rows += _sumse_rows(spec, figure, n, l_tag, data, budget_x, budget_y, pf)
+    if _oob_schedulers(spec):
+        # each OOB UE's matched-reflector ceiling on the trials' (E, S), read by pf_gap
+        ceiling_gain = None
+        if "pf_gap" in spec.outputs and data is not None:
+            ceiling_gain = _aligned_gain(*(d[..., None] for d in data.aligned),
+                                         budget_y.beta_d, budget_y.beta_r)
+        for gamma in spec.gamma_db_sweep:
+            rows += _snr_rows(spec, figure, n, gamma, l_tag, data, budget_x, budget_y,
+                              ceiling_gain, pf)
     if "outage" in spec.outputs:
         rows += _outage_rows(spec, figure, n, l_tag, data, params_x, params_y, inband)
     if "ccdf" in spec.outputs:
         rows += _ccdf_rows(spec, figure, n, l_tag, data, params_y)
     if "dominance" in spec.outputs and data is not None and n > 0:
         rows.append(_dominance_row(figure, n, l_tag, data, params_y))
-    if "pf_gap" in spec.outputs:
-        # each OOB UE's matched-reflector ceiling on the trials' (E, S)
-        bf_gain = None if data is None else _aligned_gain(
-            *(d[..., None] for d in data.aligned), budget_y.beta_d, budget_y.beta_r)
-        for gamma in spec.gamma_db_sweep:
-            gamma_rows, targets = _scheduler_rows(spec, figure, n, gamma, data, budget_y,
-                                                  SCHEDULERS, pf, q_ues=spec.q_ues)
-            # PF's per-trial gap to the per-UE matched-reflector SE ceiling
-            gap = _per_trial_row(figure, "pf_gap", None, None, scheduler="pf",
-                                 n_elements=n, gamma_db=gamma, q_ues=spec.q_ues)
-            if targets is not None:
-                ceiling = np.log2(1.0 + bf_gain * float(db_to_linear(gamma))).mean(axis=(1, 2))
-                targets.append((gap, ceiling))
-            gamma_rows.append(gap)
-            # without gains (analytic only) only the rows that have a closed form are written
-            rows += [row for row in gamma_rows if data is not None or row.analytic is not None]
     if "inband_offset" in spec.outputs:
         rows += _inband_offset_rows(figure, n, params_x, inband)
     if "correlation_response" in spec.outputs and not analytic_only and l_tag is not None:
@@ -456,45 +448,50 @@ def _oob_form(spec, scheduler, params):
     return None
 
 
-def _scheduler_rows(spec, figure, n, gamma, data, budget_y, schedulers, pf, **coords):
-    """The OOB sum-SE at one SNR under each scheduler, all on the point's one set of gains.
+def _snr_rows(spec, figure, n, gamma, l_tag, data, budget_x, budget_y, ceiling_gain, pf):
+    """sumse's and pf_gap's rows at one (point, SNR), all from one set of OOB rates.
 
-    Sharing the gains keeps the schedulers' differences clear of sampling
-    noise. The rr and mr rows are filled here. The PF row is left blank and,
-    with gains, its rates go to the run's `_PFQueue`, which fills it after
-    the last point. Returns the rows and the queue's (row, ceiling) list for
-    these rates (None without gains or PF), to which pf_gap adds its row.
+    sumse writes the in-band sum-SE and the OOB one under the spec's
+    scheduler; pf_gap writes the OOB sum-SE under every scheduler, tagged
+    with q_ues, and PF's gap to the per-UE matched-reflector SE ceiling. Each
+    scheduler runs at most once, so a row both outputs write has the same
+    bits in each. rr and mr rows are filled here; with gains, the rates go to
+    `pf` once, with every PF row they fill. Without gains (analytic only)
+    sumse keeps its blank pf row; pf_gap writes only rows with a closed form.
     """
     snr = float(db_to_linear(gamma))
-    params = operator_params(spec, budget_y, n, snr, "oob")
     rates = None if data is None else np.log2(1.0 + data.gain_irs * snr)
-    rows, targets = [], None
-    for sched in schedulers:
-        served = None
-        if rates is not None and sched != "pf":
-            served = _served_se(rates, schedule_rates(rates, sched))
-        row = _per_trial_row(figure, "sumse_oob", served, _oob_form(spec, sched, params),
-                             scheduler=sched, n_elements=n, gamma_db=gamma, **coords)
-        if rates is not None and sched == "pf":
-            targets = pf.put(spec, rates)
-            targets.append((row, None))
-        rows.append(row)
-    return rows, targets
-
-
-def _sumse_rows(spec, figure, n, l_tag, data, budget_x, budget_y, pf):
-    """Per SNR, the in-band sum-SE and the OOB one under the spec's scheduler."""
-    rows = []
-    for gamma in spec.gamma_db_sweep:
-        snr = float(db_to_linear(gamma))
+    rows, pf_targets = [], []
+    if "sumse" in spec.outputs:
         # in-band scheduling is always round-robin
         params = operator_params(spec, budget_x, n, snr, "inband")
         per_trial = None if data is None else np.log2(1.0 + data.inband_gain * snr).mean(axis=1)
         rows.append(_per_trial_row(figure, "sumse_inband", per_trial,
                                    float(_SUMSE_FORMS[(spec.regime, "inband")](params)),
                                    n_elements=n, gamma_db=gamma, l_paths=l_tag))
-        rows += _scheduler_rows(spec, figure, n, gamma, data, budget_y, (spec.scheduler,),
-                                pf, l_paths=l_tag)[0]
+    params = operator_params(spec, budget_y, n, snr, "oob")
+    for sched in _oob_schedulers(spec):
+        served = None
+        if rates is not None and sched != "pf":
+            served = _served_se(rates, schedule_rates(rates, sched))
+        form = _oob_form(spec, sched, params)
+        sched_rows = []
+        if "sumse" in spec.outputs and sched == spec.scheduler:
+            sched_rows.append(_per_trial_row(figure, "sumse_oob", served, form, scheduler=sched,
+                                             n_elements=n, gamma_db=gamma, l_paths=l_tag))
+        if "pf_gap" in spec.outputs and (data is not None or form is not None):
+            sched_rows.append(_per_trial_row(figure, "sumse_oob", served, form, scheduler=sched,
+                                             n_elements=n, gamma_db=gamma, q_ues=spec.q_ues))
+        if sched == "pf":
+            pf_targets += [(row, None) for row in sched_rows]
+        rows += sched_rows
+    if "pf_gap" in spec.outputs and data is not None:
+        gap = _per_trial_row(figure, "pf_gap", None, None, scheduler="pf", n_elements=n,
+                             gamma_db=gamma, q_ues=spec.q_ues)
+        pf_targets.append((gap, np.log2(1.0 + ceiling_gain * snr).mean(axis=(1, 2))))
+        rows.append(gap)
+    if rates is not None and pf_targets:
+        pf.put(spec, rates, pf_targets)
     return rows
 
 

@@ -67,7 +67,6 @@ def ks_distance(sorted_samples, ccdf_values):
 def test_params_validation():
     p = AnalyticParams(n_elements=8, tx_snr=1.0, beta_r=[1.0, 2.0], beta_d=[0.5, 0.5],
                        l1=2, l2=3)
-    assert p.n_ues == 2
     assert p.l_paths == 6 and p.l_bar == 6
     assert p.beta_tilde[0] == pytest.approx(2.0)
     with pytest.raises(ValueError):

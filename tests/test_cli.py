@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,18 @@ def test_run_writes_csv_and_manifest(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["tiny"]["seed"] == 5
     assert "tiny: " in capsys.readouterr().out
+
+
+def test_a_pf_tau_one_run_raises_no_warning(tmp_path):
+    """At pf_tau = 1 every unserved PF average is 0, so the metric reads inf
+    by design; the run must not warn about it."""
+    spec = tmp_path / "tau.json"
+    spec.write_text(json.dumps({"scheduler": "pf", "pf_tau": 1, "n_sweep": [4], "q_ues": 3,
+                                "slots": 100, "trials": 2, "seed": 5,
+                                "outputs": ["sumse", "pf_gap"]}), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(spec), "--out", str(tmp_path / "r")]) == 0
 
 
 def test_run_seed_flag_overrides_config(tmp_path):

@@ -378,9 +378,9 @@ def _trial_stats(per_trial):
 
 def _pf_rows_one_point_at_a_time(spec, variants):
     """Each PF row's (empirical, stderr) with one schedule_rates call per
-    (point, SNR) on that point's own gains, keyed by (statistic, q_ues, N,
-    gamma): the served SE for sumse_oob, the ceiling's mean less it for
-    pf_gap."""
+    (point, SNR) on that point's own gains, keyed by (statistic, q_ues tag,
+    N, gamma): the served SE for sumse_oob, the ceiling's mean less it for
+    pf_gap. sumse's row carries no q_ues tag; pf_gap's rows carry Q."""
     want = {}
     for variant in variants:
         sub = _variant_spec(spec, variant)
@@ -392,21 +392,24 @@ def _pf_rows_one_point_at_a_time(spec, variants):
                 rates = np.log2(1.0 + gain_irs * snr)
                 served = schedule_rates(rates, "pf", sub.pf_tau)
                 pf_se = np.take_along_axis(rates, served[..., None], axis=-1)[..., 0].mean(axis=1)
-                want["sumse_oob", sub.q_ues, n, gamma] = _trial_stats(pf_se)
+                if "sumse" in sub.outputs and sub.scheduler == "pf":
+                    want["sumse_oob", None, n, gamma] = _trial_stats(pf_se)
                 if "pf_gap" in sub.outputs:
+                    want["sumse_oob", sub.q_ues, n, gamma] = _trial_stats(pf_se)
                     gap = np.log2(1.0 + ceiling * snr).mean(axis=(1, 2)) - pf_se
                     want["pf_gap", sub.q_ues, n, gamma] = _trial_stats(gap)
     return want
 
 
 def _run_pf_rows(monkeypatch, spec, variants):
-    """run_spec's PF rows as {(statistic, q_ues, N, gamma): (empirical, stderr)},
-    and the (batch, slots, Q) shape of each PF schedule_rates call it made."""
-    calls = []
+    """run_spec's PF rows as {(statistic, q_ues tag, N, gamma): (empirical,
+    stderr)}, and the shape of each schedule_rates call it made, listed
+    under its scheduler: (batch, slots, Q) for pf, (trials, slots, Q) for
+    rr and mr."""
+    calls = {sched: [] for sched in ("rr", "pf", "mr")}
 
     def spy(rates, scheduler, tau=1000.0):
-        if scheduler == "pf":
-            calls.append(rates.shape)
+        calls[scheduler].append(rates.shape)
         return schedule_rates(rates, scheduler, tau)
 
     monkeypatch.setattr(experiments, "schedule_rates", spy)
@@ -414,8 +417,9 @@ def _run_pf_rows(monkeypatch, spec, variants):
     got = {}
     for r in rows:
         if r.scheduler == "pf":
-            q_ues = spec.q_ues if r.q_ues is None else r.q_ues
-            got[r.statistic, q_ues, r.n_elements, r.gamma_db] = (r.empirical, r.stderr)
+            key = (r.statistic, r.q_ues, r.n_elements, r.gamma_db)
+            assert key not in got
+            got[key] = (r.empirical, r.stderr)
     return got, calls
 
 
@@ -428,7 +432,7 @@ def test_pf_gap_rows_equal_one_schedule_per_point(monkeypatch):
     got, calls = _run_pf_rows(monkeypatch, spec, Q_SWEEP)
     assert got == _pf_rows_one_point_at_a_time(spec, Q_SWEEP)
     assert len(got) == 2 * 2 * 2 * 2
-    assert calls == [(12, 150, 2), (12, 150, 3)]
+    assert calls["pf"] == [(12, 150, 2), (12, 150, 3)]
 
 
 def test_pf_sumse_rows_equal_one_schedule_per_point(monkeypatch):
@@ -440,7 +444,25 @@ def test_pf_sumse_rows_equal_one_schedule_per_point(monkeypatch):
     got, calls = _run_pf_rows(monkeypatch, spec, ({},))
     assert got == _pf_rows_one_point_at_a_time(spec, ({},))
     assert len(got) == 6
-    assert calls == [(12, 200, 4)]
+    assert calls["pf"] == [(12, 200, 4)]
+
+
+def test_sumse_and_pf_gap_share_each_schedule(monkeypatch):
+    """sumse under scheduler pf beside pf_gap: each (point, SNR)'s rates are
+    scheduled once per scheduler, so the one PF call holds one rate set per
+    (point, SNR), rr and mr run once per (point, SNR), and sumse's pf row
+    equals pf_gap's Q-tagged one bit for bit."""
+    spec = ExperimentSpec(scheduler="pf", n_sweep=(4, 16), gamma_db_sweep=(120.0, 140.0),
+                          k_ues=2, q_ues=3, slots=150, trials=3, seed=25,
+                          outputs=("sumse", "pf_gap"))
+    got, calls = _run_pf_rows(monkeypatch, spec, ({},))
+    assert got == _pf_rows_one_point_at_a_time(spec, ({},))
+    assert len(got) == 3 * 2 * 2
+    assert calls["pf"] == [(2 * 2 * 3, 150, 3)]
+    assert calls["rr"] == calls["mr"] == [(3, 150, 3)] * (2 * 2)
+    for n in spec.n_sweep:
+        for gamma in spec.gamma_db_sweep:
+            assert got["sumse_oob", None, n, gamma] == got["sumse_oob", 3, n, gamma]
 
 
 def test_pf_tau_one_rows_equal_one_schedule_per_point(monkeypatch):
@@ -455,7 +477,7 @@ def test_pf_tau_one_rows_equal_one_schedule_per_point(monkeypatch):
         got, calls = _run_pf_rows(monkeypatch, spec, variants)
         want = _pf_rows_one_point_at_a_time(spec, variants)
     assert got == want and len(got) == 2 * 2 * 2
-    assert calls == [(4, 120, 1), (4, 120, 3)]
+    assert calls["pf"] == [(4, 120, 1), (4, 120, 3)]
 
 
 def test_pf_rows_do_not_depend_on_what_shares_their_loop(monkeypatch):
@@ -466,7 +488,7 @@ def test_pf_rows_do_not_depend_on_what_shares_their_loop(monkeypatch):
     kept = {"q_ues": 3, "gamma_db_sweep": (125.0,)}
     both, calls_both = _run_pf_rows(monkeypatch, spec, ({"q_ues": 3}, kept))
     alone, calls_alone = _run_pf_rows(monkeypatch, spec, (kept,))
-    assert calls_both == [(8, 150, 3)] and calls_alone == [(4, 150, 3)]
+    assert calls_both["pf"] == [(8, 150, 3)] and calls_alone["pf"] == [(4, 150, 3)]
     assert alone == {key: value for key, value in both.items() if key[3] == 125.0}
     assert len(alone) == 2 * 2
 
@@ -609,7 +631,7 @@ def test_runners_submit_one_point_ahead(monkeypatch, regime, variants):
             seen.append(in_flight())
         return real(*args, **kwargs)
 
-    real_rows = experiments._sumse_rows
+    real_rows = experiments._point_rows
     ahead_at_read = []
 
     def read(*args, **kwargs):
@@ -620,7 +642,7 @@ def test_runners_submit_one_point_ahead(monkeypatch, regime, variants):
 
     monkeypatch.setattr(experiments, "ThreadPoolExecutor", Pool)
     monkeypatch.setattr(experiments, "run_trial", run_trial)
-    monkeypatch.setattr(experiments, "_sumse_rows", read)
+    monkeypatch.setattr(experiments, "_point_rows", read)
     spec = ExperimentSpec(regime=regime, n_sweep=(4, 8, 16, 32), k_ues=2, q_ues=2, slots=40,
                           trials=3, seed=5, outputs=("sumse",))
     run_spec(spec, "ahead", variants=variants)

@@ -3,7 +3,8 @@
 Everything here is a pure function of an AnalyticParams bundle describing one
 operator's UE population: ergodic sum spectral efficiencies, outage
 probabilities, gain-offset distributions, beam-alignment combinatorics, and
-the exponential-decay bounds for the in-band side. Spectral efficiency is
+the exponential-decay bounds for the in-band side. The bundle holds no SNR:
+only the sum-SE forms take one, as an argument. Spectral efficiency is
 bits/s/Hz (log base 2) throughout.
 """
 
@@ -34,31 +35,25 @@ class AnalyticParams:
     """Inputs the closed forms need for one operator.
 
     beta_r is the per-UE cascade loss product (feeder loss times reflector-UE
-    loss) and beta_d the per-UE direct loss; tx_snr is the linear transmit
-    SNR P/sigma^2. l1/l2 are the per-link path counts in the sparse-channel
-    regimes (l1*l2 cascaded paths; irrelevant for the Rayleigh regime).
+    loss) and beta_d the per-UE direct loss. l_paths is the cascaded path
+    count of the sparse-channel regimes (irrelevant for the Rayleigh regime).
+    The linear transmit SNR P/sigma^2 is an argument of the sum-SE forms.
     """
 
     n_elements: int
-    tx_snr: float
     beta_r: np.ndarray
     beta_d: np.ndarray
-    l1: int = 1
-    l2: int = 1
+    l_paths: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "beta_r", np.atleast_1d(np.asarray(self.beta_r, dtype=float)))
         object.__setattr__(self, "beta_d", np.atleast_1d(np.asarray(self.beta_d, dtype=float)))
         if self.beta_r.shape != self.beta_d.shape:
             raise ValueError("beta_r and beta_d must have one entry per UE")
-        if np.any(self.beta_r <= 0) or np.any(self.beta_d <= 0) or self.tx_snr <= 0:
-            raise ValueError("path losses and tx_snr must be positive")
+        if np.any(self.beta_r <= 0) or np.any(self.beta_d <= 0):
+            raise ValueError("path losses must be positive")
         if self.n_elements < 0:
             raise ValueError(f"n_elements must be >= 0, got {self.n_elements}")
-
-    @property
-    def l_paths(self) -> int:
-        return self.l1 * self.l2
 
     @property
     def l_bar(self) -> int:
@@ -69,44 +64,51 @@ class AnalyticParams:
         return self.beta_r / self.beta_d
 
 
+def _positive(snr: float) -> float:
+    if not snr > 0:
+        raise ValueError(f"snr must be positive, got {snr!r}")
+    return snr
+
+
 def _mean_se(snr_terms) -> float:
     return float(np.mean(np.log2(1.0 + snr_terms)))
 
 
-def sumse_inband_sub6(p: AnalyticParams) -> float:
+def sumse_inband_sub6(p: AnalyticParams, snr: float) -> float:
     """Ergodic sum-SE upper bound for the operator that phase-aligns the reflector, Rayleigh fading.
 
     The coherent sum of N reflected paths gives the N^2 * (pi^2/16) * beta_r
     leading term; the linear-in-N terms collect the per-path variance and the
     direct/reflected cross term.
     """
-    n, g = p.n_elements, p.tx_snr
+    n, g = p.n_elements, _positive(snr)
     quad = n * n * (_PI ** 2 / 16.0) * p.beta_r
     lin = n * (p.beta_r * (1.0 - _PI ** 2 / 16.0)
                + (_PI ** 1.5 / 4.0) * np.sqrt(p.beta_d * p.beta_r))
     return _mean_se((quad + lin + p.beta_d) * g)
 
 
-def sumse_oob_sub6(p: AnalyticParams) -> float:
+def sumse_oob_sub6(p: AnalyticParams, snr: float) -> float:
     """Ergodic sum-SE upper bound for the oblivious operator: incoherent power pile-up, slope 1 in log2(N)."""
-    return _mean_se((p.n_elements * p.beta_r + p.beta_d) * p.tx_snr)
+    return _mean_se((p.n_elements * p.beta_r + p.beta_d) * _positive(snr))
 
 
-def _mu1(p: AnalyticParams, ue: int) -> float:
-    return float(p.n_elements * p.beta_r[ue] + p.beta_d[ue])
+def _mu1(p: AnalyticParams) -> float:
+    """UE 0's mean OOB gain N*beta_r + beta_d."""
+    return float(p.n_elements * p.beta_r[0] + p.beta_d[0])
 
 
-def outage_oob_sub6(rho, p: AnalyticParams, ue: int = 0):
-    """P(effective OOB channel gain < rho) = 1 - exp(-rho/(N*beta_r + beta_d)); ~ rho/(N*beta_r) for small rho."""
+def outage_oob_sub6(rho, p: AnalyticParams):
+    """P(UE 0's OOB channel gain < rho) = 1 - exp(-rho/(N*beta_r + beta_d)); ~ rho/(N*beta_r) for small rho."""
     rho = np.asarray(rho, dtype=float)
     if np.any(rho < 0):
         raise ValueError("rho must be nonnegative")
-    out = 1.0 - np.exp(-rho / _mu1(p, ue))
+    out = 1.0 - np.exp(-rho / _mu1(p))
     return float(out) if out.ndim == 0 else out
 
 
-def ccdf_offset_sub6(z, p: AnalyticParams, ue: int = 0):
-    """Large-N tail probability P(gain offset > z) for an OOB UE.
+def ccdf_offset_sub6(z, p: AnalyticParams):
+    """Large-N tail probability P(gain offset > z) for OOB UE 0.
 
     The offset is the UE's channel gain with the (randomly-configured, from
     its point of view) reflector minus the gain without it. Piecewise in z
@@ -118,8 +120,8 @@ def ccdf_offset_sub6(z, p: AnalyticParams, ue: int = 0):
     """
     scalar = np.ndim(z) == 0
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    bt = float(p.beta_tilde[ue])
-    bd = float(p.beta_d[ue])
+    bt = float(p.beta_tilde[0])
+    bd = float(p.beta_d[0])
     nbt = p.n_elements * bt
     neg = z < 0
     out = np.empty_like(z)
@@ -163,8 +165,8 @@ def _offset_ccdf_given_power(u, t):
     return np.where(u >= 0.0, pos, neg)
 
 
-def ccdf_offset_sub6_finite_n(z, p: AnalyticParams, ue: int = 0):
-    """Exact finite-N tail P(gain offset > z) for an OOB UE under Rayleigh fading.
+def ccdf_offset_sub6_finite_n(z, p: AnalyticParams):
+    """Exact finite-N tail P(gain offset > z) for OOB UE 0 under Rayleigh fading.
 
     Given the feeder channel f, the reflected sum sum_n theta_n f_n g_n is
     CN(0, beta_g*||f||^2) whatever the (independent) phases theta, and
@@ -178,31 +180,30 @@ def ccdf_offset_sub6_finite_n(z, p: AnalyticParams, ue: int = 0):
     if p.n_elements < 1:
         raise ValueError("degenerate offset distribution: requires N >= 1")
     scalar = np.ndim(z) == 0
-    u = np.atleast_1d(np.asarray(z, dtype=float)) / float(p.beta_d[ue])
+    u = np.atleast_1d(np.asarray(z, dtype=float)) / float(p.beta_d[0])
     g_nodes, weights = _gamma_quadrature(p.n_elements)
-    out = _offset_ccdf_given_power(u[:, None], g_nodes * float(p.beta_tilde[ue])) @ weights
+    out = _offset_ccdf_given_power(u[:, None], g_nodes * float(p.beta_tilde[0])) @ weights
     return float(out[0]) if scalar else out
 
 
-def sumse_inband_mmwave_los(p: AnalyticParams) -> float:
-    """In-band ergodic sum-SE with the aperture steered at a single cascaded path: N^2 scaling."""
-    n, g = p.n_elements, p.tx_snr
-    snr = (n * n * p.beta_r + n * (_PI ** 1.5 / 4.0) * np.sqrt(p.beta_d * p.beta_r)
-           + p.beta_d) * g
-    return _mean_se(snr)
+def sumse_inband_mmwave_los(p: AnalyticParams, snr: float) -> float:
+    """In-band ergodic sum-SE, aperture steered at one cascaded path (l_paths does not enter): N^2 scaling."""
+    n, g = p.n_elements, _positive(snr)
+    return _mean_se((n * n * p.beta_r + n * (_PI ** 1.5 / 4.0) * np.sqrt(p.beta_d * p.beta_r)
+                     + p.beta_d) * g)
 
 
-def sumse_oob_mmwave_los(p: AnalyticParams) -> float:
+def sumse_oob_mmwave_los(p: AnalyticParams, snr: float) -> float:
     """OOB ergodic sum-SE under single-beam steering: alignment with probability l_bar/N.
 
     With L cascaded paths at the UE and one active beam, the beam hits a UE
     path a fraction l_bar/N of the time, contributing an (N^2/l_bar)*beta_r
     SNR term; otherwise only the direct path is left.
     """
-    n, g = p.n_elements, p.tx_snr
+    n, g = p.n_elements, _positive(snr)
     lb = p.l_bar
     if lb < 1:
-        raise ValueError("sparse-channel SE needs n_elements >= 1 and l1*l2 >= 1")
+        raise ValueError("sparse-channel SE needs n_elements >= 1 and l_paths >= 1")
     hit = np.log2(1.0 + ((n * n / lb) * p.beta_r + p.beta_d) * g)
     miss = np.log2(1.0 + p.beta_d * g)
     return float(np.mean((lb / n) * hit + (1.0 - lb / n) * miss))
@@ -260,16 +261,16 @@ def _exp_scaled_gamma1(a, b):
 _CDF_CLAMP_TOL = 1e-9
 
 
-def cdf_oob_mmwave_los(rho, p: AnalyticParams, ue: int = 0):
-    """P(OOB channel gain < rho) under single-beam steering with L UE-side paths.
+def cdf_oob_mmwave_los(rho, p: AnalyticParams):
+    """P(UE 0's OOB channel gain < rho) under single-beam steering with L UE-side paths.
 
     Mixture of the aligned event (probability l_bar/N, double-Rayleigh
     reflected term) and the misaligned one (direct path only). Evaluated in
     an exp-scaled form so the exp(l_bar*beta_d/(N^2*beta_r)) factor never
     overflows; the result is clamped to [0, 1] after checking the residual.
     """
-    br = float(p.beta_r[ue])
-    bd = float(p.beta_d[ue])
+    br = float(p.beta_r[0])
+    bd = float(p.beta_d[0])
     n, lb = p.n_elements, p.l_bar
     if lb < 1:
         raise ValueError("needs n_elements >= 1 and at least one cascaded path")
@@ -308,14 +309,13 @@ def matching_paths_pmf(l_paths: int, n_elements: int, i: int) -> float:
     return math.exp(log_p)
 
 
-def sumse_inband_mmwave_nlos(p: AnalyticParams) -> float:
+def sumse_inband_mmwave_nlos(p: AnalyticParams, snr: float) -> float:
     """In-band ergodic sum-SE with the reflector matched to all L cascaded paths."""
-    n, g = p.n_elements, p.tx_snr
-    snr = (n * n * p.beta_r + n * np.sqrt(_PI * p.beta_d * p.beta_r) + p.beta_d) * g
-    return _mean_se(snr)
+    n, g = p.n_elements, _positive(snr)
+    return _mean_se((n * n * p.beta_r + n * np.sqrt(_PI * p.beta_d * p.beta_r) + p.beta_d) * g)
 
 
-def sumse_oob_mmwave_nlos(p: AnalyticParams) -> float:
+def sumse_oob_mmwave_nlos(p: AnalyticParams, snr: float) -> float:
     """OOB ergodic sum-SE with an L-beam reflector: alignment count is hypergeometric.
 
     For L < N, i matched beams contribute i*(N^2/L^2)*beta_r of SNR; for
@@ -325,7 +325,7 @@ def sumse_oob_mmwave_nlos(p: AnalyticParams) -> float:
     configuration, which for L >= 2 leaves part of the reflected power on
     the other grid angles; no closed form of that model exists here yet.
     """
-    n, g = p.n_elements, p.tx_snr
+    n, g = p.n_elements, _positive(snr)
     l = p.l_paths
     if n < 1:
         raise ValueError("needs n_elements >= 1")
@@ -338,49 +338,49 @@ def sumse_oob_mmwave_nlos(p: AnalyticParams) -> float:
     return float(np.mean(pmf @ se))
 
 
-def mr_asymptotic_se(q_ues: int, p: AnalyticParams, ue: int = 0) -> float:
-    """Large-Q limit of the max-rate scheduler's OOB SE: log2(1 + ln(Q) * (N*beta_r + beta_d) * snr)."""
+def mr_asymptotic_se(q_ues: int, p: AnalyticParams, snr: float) -> float:
+    """Large-Q max-rate OOB SE over i.i.d. UEs: log2(1 + ln(Q) * (N*beta_r + beta_d) * snr), UE 0's losses."""
     if q_ues < 1:
         raise ValueError(f"q_ues must be >= 1, got {q_ues}")
-    return float(np.log2(1.0 + math.log(q_ues) * _mu1(p, ue) * p.tx_snr))
+    return float(np.log2(1.0 + math.log(q_ues) * _mu1(p) * _positive(snr)))
 
 
 @dataclass(frozen=True)
 class DecayBoundParams:
-    """Constants of the Gaussian surrogate for the in-band coherent gain sum."""
+    """Constants of the Gaussian surrogate for in-band UE 0's coherent gain sum."""
 
     c2: float
     alpha: float
     eta: float
 
     @classmethod
-    def from_params(cls, p: AnalyticParams, ue: int = 0) -> "DecayBoundParams":
-        br = float(p.beta_r[ue])
+    def from_params(cls, p: AnalyticParams) -> "DecayBoundParams":
+        br = float(p.beta_r[0])
         n = p.n_elements
         return cls(c2=_PI / math.sqrt(16.0 - _PI ** 2),
                    alpha=2.0 * n * (1.0 - _PI ** 2 / 16.0) * br,
                    eta=n * _PI * math.sqrt(br) / 4.0)
 
 
-def inband_outage_bound(rho, p: AnalyticParams, ue: int = 0) -> float:
-    """Large-N upper bound 2*Q(c2*sqrt(N)) on the in-band outage probability; decays as O(e^-N).
+def inband_outage_bound(p: AnalyticParams) -> float:
+    """Large-N upper bound 2*Q(c2*sqrt(N)) on in-band UE 0's outage probability; decays as O(e^-N).
 
-    rho drops out of this large-N form, which does not bound small N: fig6's
-    N = 2 row reads 0.0915 ± 0.0020 (seed 6) and 0.147 ± 0.0025 (seed 3), above 0.0727.
+    The outage threshold drops out of this large-N form, which does not bound
+    small N: fig6's N = 2 row reads 0.0915 ± 0.0020 (seed 6) and 0.147 ±
+    0.0025 (seed 3), above 0.0727.
     """
-    del rho
-    d = DecayBoundParams.from_params(p, ue)
+    d = DecayBoundParams.from_params(p)
     return float(2.0 * gauss_q(d.c2 * math.sqrt(p.n_elements)))
 
 
-def inband_offset_ccdf_bound(rho, p: AnalyticParams, ue: int = 0):
+def inband_offset_ccdf_bound(rho, p: AnalyticParams):
     """Lower bound on P(in-band gain offset > rho): 1 - sqrt(bd/(bd+alpha)) * exp(rho/bd - eta^2/(bd+alpha)).
 
-    Approaches 1 as O(e^-N); clamped at 0 where the closed form goes
-    negative (far tail, where any nonnegative number is a valid lower bound).
+    For in-band UE 0; approaches 1 as O(e^-N). Clamped at 0 where the closed form
+    goes negative (far tail, where any nonnegative number is a valid lower bound).
     """
-    d = DecayBoundParams.from_params(p, ue)
-    bd = float(p.beta_d[ue])
+    d = DecayBoundParams.from_params(p)
+    bd = float(p.beta_d[0])
     rho = np.asarray(rho, dtype=float)
     expo = np.clip(rho / bd - d.eta ** 2 / (bd + d.alpha), None, 700.0)
     out = np.clip(1.0 - math.sqrt(bd / (bd + d.alpha)) * np.exp(expo), 0.0, 1.0)

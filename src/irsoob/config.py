@@ -24,8 +24,10 @@ OUTPUT_KINDS = ("sumse", "outage", "ccdf", "dominance", "correlation_response", 
                 "inband_offset")
 # outputs whose ceiling, scheduler forms or offset law are the Rayleigh ones
 SUB6_OUTPUTS = ("pf_gap", "inband_offset")
+# outputs that probe the sparse regimes' on-grid path angles
+MMWAVE_OUTPUTS = ("correlation_response",)
 
-GAMMA_DB_RANGE = (0.0, 200.0)  # sanity bound on transmit SNR in dB
+GAMMA_DB_RANGE = (0.0, 210.0)  # sanity bound on transmit SNR in dB
 
 # fields that count something (each n_sweep entry too): integers, never bools
 COUNT_FIELDS = ("l1", "l2", "k_ues", "q_ues", "slots", "trials", "seed", "slot_budget",
@@ -81,8 +83,13 @@ class ExperimentSpec:
                 raise ValueError(f"outputs: unknown output kind {out!r}")
             if out in SUB6_OUTPUTS and self.regime != "sub6":
                 raise ValueError(f"outputs: {out!r} needs regime 'sub6', got {self.regime!r}")
+            if out in MMWAVE_OUTPUTS and self.regime == "sub6":
+                raise ValueError(f"outputs: {out!r} needs an mmWave regime, got 'sub6'")
         if not self.n_sweep or not self.gamma_db_sweep:
             raise ValueError("n_sweep and gamma_db_sweep must be non-empty")
+        for name, sweep in (("n_sweep", self.n_sweep), ("gamma_db_sweep", self.gamma_db_sweep)):
+            if len(set(sweep)) != len(sweep):   # a repeat writes two rows at one coordinate
+                raise ValueError(f"{name}: duplicate entries in {list(sweep)}")
         if any(n < 0 for n in self.n_sweep):
             raise ValueError(f"n_sweep: element counts must be >= 0, got {self.n_sweep}")
         # sums of two grid angles wrap back onto the grid only for even N

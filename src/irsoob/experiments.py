@@ -145,21 +145,14 @@ _SUMSE_FORMS = {
 }
 
 
-def operator_params(spec: ExperimentSpec, budget, n_elements: int,
-                    tx_snr: float, side: str) -> AnalyticParams:
-    """Closed-form parameter bundle for one operator at one sweep point.
+def operator_params(spec: ExperimentSpec, budget, n_elements: int) -> AnalyticParams:
+    """Closed-form parameter bundle for one operator at one sweep point, for every SNR.
 
-    The in-band side of the sparse single-path regime has one path by
-    construction; its OOB side carries the full cascaded path count.
+    Both operators carry the spec's cascaded path count l1*l2. Only the
+    sparse OOB forms read it: the in-band and Rayleigh forms do not.
     """
-    if spec.regime == "sub6":
-        l1, l2 = 1, 1
-    elif spec.regime == "mmwave_los":
-        l1, l2 = (1, 1) if side == "inband" else (1, spec.l1 * spec.l2)
-    else:
-        l1, l2 = spec.l1, spec.l2
-    return AnalyticParams(n_elements=n_elements, tx_snr=tx_snr,
-                          beta_r=budget.beta_r, beta_d=budget.beta_d, l1=l1, l2=l2)
+    return AnalyticParams(n_elements=n_elements, beta_r=budget.beta_r, beta_d=budget.beta_d,
+                          l_paths=spec.l1 * spec.l2)
 
 
 def _worker_count(trials: int) -> int:
@@ -264,10 +257,10 @@ def _pooled_ccdf_rows(figure, statistic, grid, samples, forms, **coords) -> list
     return rows
 
 
-def _invert_offset_ccdf(p_target: float, params: AnalyticParams, ue: int = 0) -> float:
-    """Gain offset z at which the large-N limit CCDF (ccdf_offset_sub6) equals p_target."""
-    beta_d = float(params.beta_d[ue])
-    nbt = params.n_elements * float(params.beta_tilde[ue])
+def _invert_offset_ccdf(p_target: float, params: AnalyticParams) -> float:
+    """Gain offset z at which OOB UE 0's large-N limit CCDF (ccdf_offset_sub6) equals p_target."""
+    beta_d = float(params.beta_d[0])
+    nbt = params.n_elements * float(params.beta_tilde[0])
     knee = (nbt + 1.0) / (nbt + 2.0)   # CCDF value at z = 0
     if p_target <= knee:
         return -beta_d * (1.0 + nbt) * math.log(p_target / knee)
@@ -405,8 +398,8 @@ def run_spec(spec: ExperimentSpec, figure: str = "run", analytic_only: bool = Fa
 def _point_rows(spec, figure, n, data, aux_rng, budget_x, budget_y, analytic_only, pf):
     """Every requested output's rows at one sweep point; PF rows are filled by `pf` later."""
     l_tag = spec.l1 * spec.l2 if spec.regime != "sub6" else None
-    params_x = operator_params(spec, budget_x, n, 1.0, "inband")
-    params_y = operator_params(spec, budget_y, n, 1.0, "oob")
+    params_x = operator_params(spec, budget_x, n)
+    params_y = operator_params(spec, budget_y, n)
     inband = None   # in-band UE 0's (gain, direct gain) on the trials' (E, S), where read
     if data is not None and data.aligned is not None and not {
             "outage", "inband_offset"}.isdisjoint(spec.outputs):
@@ -421,7 +414,7 @@ def _point_rows(spec, figure, n, data, aux_rng, budget_x, budget_y, analytic_onl
             ceiling_gain = _aligned_gain(*(d[..., None] for d in data.aligned),
                                          budget_y.beta_d, budget_y.beta_r)
         for gamma in spec.gamma_db_sweep:
-            rows += _snr_rows(spec, figure, n, gamma, l_tag, data, budget_x, budget_y,
+            rows += _snr_rows(spec, figure, n, gamma, l_tag, data, params_x, params_y,
                               ceiling_gain, pf)
     if "outage" in spec.outputs:
         rows += _outage_rows(spec, figure, n, l_tag, data, params_x, params_y, inband)
@@ -431,24 +424,24 @@ def _point_rows(spec, figure, n, data, aux_rng, budget_x, budget_y, analytic_onl
         rows.append(_dominance_row(figure, n, l_tag, data, params_y))
     if "inband_offset" in spec.outputs:
         rows += _inband_offset_rows(figure, n, params_x, inband)
-    if "correlation_response" in spec.outputs and not analytic_only and l_tag is not None:
+    if "correlation_response" in spec.outputs and not analytic_only:
         rows += _response_rows(spec, figure, n, l_tag, aux_rng)
     return rows
 
 
-def _oob_form(spec, scheduler, params):
+def _oob_form(spec, scheduler, params, snr):
     """The OOB sum-SE closed form under one scheduler, or None where there is none.
 
     Max-rate over a single UE is round-robin, so it takes the rr form.
     """
     if scheduler == "rr" or (scheduler == "mr" and spec.q_ues == 1):
-        return float(_SUMSE_FORMS[(spec.regime, "oob")](params))
+        return float(_SUMSE_FORMS[(spec.regime, "oob")](params, snr))
     if scheduler == "mr" and spec.regime == "sub6":
-        return float(analytics.mr_asymptotic_se(spec.q_ues, params))
+        return float(analytics.mr_asymptotic_se(spec.q_ues, params, snr))
     return None
 
 
-def _snr_rows(spec, figure, n, gamma, l_tag, data, budget_x, budget_y, ceiling_gain, pf):
+def _snr_rows(spec, figure, n, gamma, l_tag, data, params_x, params_y, ceiling_gain, pf):
     """sumse's and pf_gap's rows at one (point, SNR), all from one set of OOB rates.
 
     sumse writes the in-band sum-SE and the OOB one under the spec's
@@ -464,17 +457,15 @@ def _snr_rows(spec, figure, n, gamma, l_tag, data, budget_x, budget_y, ceiling_g
     rows, pf_targets = [], []
     if "sumse" in spec.outputs:
         # in-band scheduling is always round-robin
-        params = operator_params(spec, budget_x, n, snr, "inband")
         per_trial = None if data is None else np.log2(1.0 + data.inband_gain * snr).mean(axis=1)
         rows.append(_per_trial_row(figure, "sumse_inband", per_trial,
-                                   float(_SUMSE_FORMS[(spec.regime, "inband")](params)),
+                                   float(_SUMSE_FORMS[(spec.regime, "inband")](params_x, snr)),
                                    n_elements=n, gamma_db=gamma, l_paths=l_tag))
-    params = operator_params(spec, budget_y, n, snr, "oob")
     for sched in _oob_schedulers(spec):
         served = None
         if rates is not None and sched != "pf":
             served = _served_se(rates, schedule_rates(rates, sched))
-        form = _oob_form(spec, sched, params)
+        form = _oob_form(spec, sched, params_y, snr)
         sched_rows = []
         if "sumse" in spec.outputs and sched == spec.scheduler:
             sched_rows.append(_per_trial_row(figure, "sumse_oob", served, form, scheduler=sched,
@@ -498,7 +489,7 @@ def _snr_rows(spec, figure, n, gamma, l_tag, data, budget_x, budget_y, ceiling_g
 def _outage_rows(spec, figure, n, l_tag, data, params_x, params_y, inband):
     ref_n = 64 if 64 in spec.n_sweep else spec.n_sweep[-1]
     ref = dataclasses.replace(params_y, n_elements=max(ref_n, 1))
-    rho = 0.1 * analytics._mu1(ref, 0)
+    rho = 0.1 * analytics._mu1(ref)
     analytic = None
     if spec.regime == "sub6":
         analytic = float(analytics.outage_oob_sub6(rho, params_y))
@@ -512,7 +503,7 @@ def _outage_rows(spec, figure, n, l_tag, data, params_x, params_y, inband):
         rows.append(_pooled_outage_row(figure, "outage_inband", rho_ib,
                                        None if inband is None else inband[0], None,
                                        n_elements=n))
-        bound = float(analytics.inband_outage_bound(rho_ib, params_x))
+        bound = float(analytics.inband_outage_bound(params_x))
         rows.append(ResultRow(figure, "outage_inband_bound", n_elements=n, x=rho_ib,
                               analytic=bound))
     return rows
@@ -546,7 +537,7 @@ def _ccdf_rows(spec, figure, n, l_tag, data, params_y):
 
 def _dominance_row(figure, n, l_tag, data, params_y):
     beta_d0 = float(params_y.beta_d[0])
-    grid = np.geomspace(1e-2 * beta_d0, 10.0 * analytics._mu1(params_y, 0), _GRID_POINTS)
+    grid = np.geomspace(1e-2 * beta_d0, 10.0 * analytics._mu1(params_y), _GRID_POINTS)
     report = dominance_test(data.gain_irs[:, :, 0], data.gain_noirs[:, :, 0], grid)
     return ResultRow(figure, "dominance_min_diff", n_elements=n, l_paths=l_tag,
                      empirical=report.min_diff, analytic=None, stderr=report.eps_stat)

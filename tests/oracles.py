@@ -20,7 +20,7 @@ from irsoob.channels import LinkBudget, complex_normal, mmwave_angle_bins
 from irsoob.config import ExperimentSpec
 from irsoob.engine import budgets_for, spawn_rngs
 from irsoob.experiments import _worker_count, operator_params, sweep_gains
-from irsoob.kernels import db_to_linear, principal_sine_wrap, resolvable_angles
+from irsoob.kernels import principal_sine_wrap, resolvable_angles
 
 
 def spectral_efficiency(gain, snr):
@@ -170,7 +170,6 @@ def oob_gain_samples(seed: int, spec: ExperimentSpec, n_elements: int, count: in
     _, budget_x, budget_y = budgets_for(spec, rngs[0])
     with ThreadPoolExecutor(max_workers=_worker_count(trials)) as pool:
         (data,) = sweep_gains(pool, [(spec, n_elements, rngs[1:], budget_x, budget_y)])
-    snr = float(db_to_linear(spec.gamma_db_sweep[0]))
-    params = operator_params(spec, budget_y, n_elements, snr, "oob")
+    params = operator_params(spec, budget_y, n_elements)
     return (data.gain_irs[:, :, 0].ravel()[:count], data.gain_noirs[:, :, 0].ravel()[:count],
             params)

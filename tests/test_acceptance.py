@@ -59,8 +59,8 @@ def test_c01_closed_form_bounds_simulated_sumse():
             data = sub6_trial(rng, n, bx, by, 5000)
             emp += [spectral_efficiency(data.inband_gain, G130).mean() / 20,
                     _rr_mean(data.gain_irs, G130) / 20]
-            ana += [an.sumse_inband_sub6(operator_params(spec, bx, n, G130, "inband")) / 20,
-                    an.sumse_oob_sub6(operator_params(spec, by, n, G130, "oob")) / 20]
+            ana += [an.sumse_inband_sub6(operator_params(spec, bx, n), G130) / 20,
+                    an.sumse_oob_sub6(operator_params(spec, by, n), G130) / 20]
         gaps = ana - emp
         ok &= bool(np.all(gaps >= 0.0) and np.all(gaps <= 0.3))
         details.append(f"N={n} gaps in/oob {gaps[0]:.3f}/{gaps[1]:.3f}")
@@ -192,8 +192,7 @@ def test_c06_sparse_gain_cdf_vs_fresh_angle_ensemble():
                                      0.0)) ** 2
         zs = np.sort(gain)
         pick = np.unique(np.linspace(0, count - 1, 2001).astype(int))
-        params = AnalyticParams(n_elements=n, tx_snr=1.0, beta_r=BETA_R_MM,
-                                beta_d=BETA_D_MM, l1=1, l2=l)
+        params = AnalyticParams(n_elements=n, beta_r=BETA_R_MM, beta_d=BETA_D_MM, l_paths=l)
         theo = an.cdf_oob_mmwave_los(zs[pick], params)
         ks = float(max(np.max(np.abs(theo - pick / count)),
                        np.max(np.abs(theo - (pick + 1) / count))))
@@ -277,7 +276,7 @@ def test_c09_multipath_sumse_peaks_near_l_squared():
                     for rng in spawn_rngs(909 + 31 * l + n, 2)]
             emp.append(float(np.mean(vals)))
         peak = ns[int(np.argmax(emp))]
-        ana = [an.sumse_oob_mmwave_nlos(operator_params(spec, by, n, snr, "oob")) for n in ns]
+        ana = [an.sumse_oob_mmwave_nlos(operator_params(spec, by, n), snr) for n in ns]
         ok &= l * l / 2 <= peak <= 2 * l * l
         details.append(f"L={l} peak N={peak} (octave [{l * l // 2}, {2 * l * l}]), "
                        f"aligned-paths form peaks at N={ns[int(np.argmax(ana))]}, "
@@ -301,7 +300,7 @@ def test_c10_max_rate_asymptote_and_slope():
             vals.append(rates.max(axis=1).mean())
         emp[n] = float(np.mean(vals))
     _, _, by = budgets_for(spec, np.random.default_rng(0))
-    asym = float(an.mr_asymptotic_se(100, operator_params(spec, by, 64, G150, "oob")))
+    asym = float(an.mr_asymptotic_se(100, operator_params(spec, by, 64), G150))
     ns = np.array([64, 128, 256, 512])
     slope = float(np.polyfit(np.log2(ns), [emp[n] for n in ns], 1)[0])
     ok = abs(emp[64] - asym) <= 0.3 and abs(slope - 1.0) <= 0.15

@@ -6,6 +6,7 @@ on-grid paths), independent of the engine's vectorized trial code, except
 where a test explicitly exercises the engine as the stated oracle.
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -28,14 +29,12 @@ BETA_D_MM = 7.43908468669802e-21
 GAMMA_130 = 10.0 ** 13.0
 
 
-def params_sub6(n, gamma=GAMMA_130):
-    return AnalyticParams(n_elements=n, tx_snr=gamma, beta_r=BETA_R_SUB6,
-                          beta_d=BETA_D_SUB6)
+def params_sub6(n):
+    return AnalyticParams(n_elements=n, beta_r=BETA_R_SUB6, beta_d=BETA_D_SUB6)
 
 
-def params_mm(n, gamma, l2=1):
-    return AnalyticParams(n_elements=n, tx_snr=gamma, beta_r=BETA_R_MM,
-                          beta_d=BETA_D_MM, l1=1, l2=l2)
+def params_mm(n, l_paths=1):
+    return AnalyticParams(n_elements=n, beta_r=BETA_R_MM, beta_d=BETA_D_MM, l_paths=l_paths)
 
 
 def rayleigh_offset_samples(rng, n, count, beta_r=BETA_R_SUB6, beta_d=BETA_D_SUB6):
@@ -65,22 +64,30 @@ def ks_distance(sorted_samples, ccdf_values):
 # parameter bundle
 
 def test_params_validation():
-    p = AnalyticParams(n_elements=8, tx_snr=1.0, beta_r=[1.0, 2.0], beta_d=[0.5, 0.5],
-                       l1=2, l2=3)
+    p = AnalyticParams(n_elements=8, beta_r=[1.0, 2.0], beta_d=[0.5, 0.5], l_paths=6)
     assert p.l_paths == 6 and p.l_bar == 6
     assert p.beta_tilde[0] == pytest.approx(2.0)
+    assert [f.name for f in dataclasses.fields(AnalyticParams)] == [
+        "n_elements", "beta_r", "beta_d", "l_paths"]
     with pytest.raises(ValueError):
-        AnalyticParams(n_elements=8, tx_snr=1.0, beta_r=[1.0, 2.0], beta_d=0.5)
+        AnalyticParams(n_elements=8, beta_r=[1.0, 2.0], beta_d=0.5)
     with pytest.raises(ValueError):
-        AnalyticParams(n_elements=8, tx_snr=1.0, beta_r=-1.0, beta_d=0.5)
+        AnalyticParams(n_elements=8, beta_r=-1.0, beta_d=0.5)
     with pytest.raises(ValueError):
-        AnalyticParams(n_elements=8, tx_snr=0.0, beta_r=1.0, beta_d=0.5)
-    with pytest.raises(ValueError):
-        AnalyticParams(n_elements=-1, tx_snr=1.0, beta_r=1.0, beta_d=0.5)
+        AnalyticParams(n_elements=-1, beta_r=1.0, beta_d=0.5)
+    # the SNR is an argument of the sum-SE forms, each of which refuses a nonpositive one
+    q = AnalyticParams(n_elements=8, beta_r=1.0, beta_d=0.5, l_paths=2)
+    for form in (an.sumse_inband_sub6, an.sumse_oob_sub6, an.sumse_inband_mmwave_los,
+                 an.sumse_oob_mmwave_los, an.sumse_inband_mmwave_nlos, an.sumse_oob_mmwave_nlos,
+                 lambda p, snr: an.mr_asymptotic_se(10, p, snr)):
+        for snr in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="snr must be positive"):
+                form(q, snr)
+        assert form(q, 1.0) > 0.0
 
 
 def test_l_bar_caps_at_element_count():
-    p = AnalyticParams(n_elements=4, tx_snr=1.0, beta_r=1.0, beta_d=1.0, l1=3, l2=5)
+    p = AnalyticParams(n_elements=4, beta_r=1.0, beta_d=1.0, l_paths=15)
     assert p.l_paths == 15 and p.l_bar == 4
 
 
@@ -88,19 +95,18 @@ def test_l_bar_caps_at_element_count():
 # Rayleigh-regime ergodic sum-SE
 
 def test_rayleigh_inband_reduces_without_reflector():
-    p = AnalyticParams(n_elements=0, tx_snr=GAMMA_130,
-                       beta_r=[BETA_R_SUB6, 2 * BETA_R_SUB6],
+    p = AnalyticParams(n_elements=0, beta_r=[BETA_R_SUB6, 2 * BETA_R_SUB6],
                        beta_d=[BETA_D_SUB6, 3 * BETA_D_SUB6])
     expect = np.mean([math.log2(1.0 + b * GAMMA_130) for b in p.beta_d])
-    np.testing.assert_allclose(an.sumse_inband_sub6(p), expect, rtol=1e-12)
-    np.testing.assert_allclose(an.sumse_oob_sub6(p), expect, rtol=1e-12)
+    np.testing.assert_allclose(an.sumse_inband_sub6(p, GAMMA_130), expect, rtol=1e-12)
+    np.testing.assert_allclose(an.sumse_oob_sub6(p, GAMMA_130), expect, rtol=1e-12)
 
 
 def test_rayleigh_sumse_element_gaps():
     # quadrupling N adds ~4 bits in-band (N^2 SNR scaling) and ~2 bits OOB
     gamma = 10.0 ** 16.0
-    gap_x = an.sumse_inband_sub6(params_sub6(256, gamma)) - an.sumse_inband_sub6(params_sub6(64, gamma))
-    gap_y = an.sumse_oob_sub6(params_sub6(256, gamma)) - an.sumse_oob_sub6(params_sub6(64, gamma))
+    gap_x = an.sumse_inband_sub6(params_sub6(256), gamma) - an.sumse_inband_sub6(params_sub6(64), gamma)
+    gap_y = an.sumse_oob_sub6(params_sub6(256), gamma) - an.sumse_oob_sub6(params_sub6(64), gamma)
     assert abs(gap_x - 4.0) < 0.5   # measured 3.984
     assert abs(gap_y - 2.0) < 0.3   # measured 1.996
 
@@ -116,7 +122,7 @@ def test_rayleigh_inband_sumse_bounds_monte_carlo():
         g = np.abs(np.sqrt(BETA_R_SUB6 / 2) * (rng.standard_normal(count) + 1j * rng.standard_normal(count)))
         amp += f * g
     mc = float(np.mean(np.log2(1.0 + amp ** 2 * GAMMA_130)))
-    ana = an.sumse_inband_sub6(params_sub6(64))
+    ana = an.sumse_inband_sub6(params_sub6(64), GAMMA_130)
     assert ana >= mc
     assert ana - mc < 0.3   # measured 0.024 at this seed
 
@@ -125,7 +131,7 @@ def test_rayleigh_oob_sumse_bounds_monte_carlo():
     rng = np.random.default_rng(65)
     gain, _ = rayleigh_offset_samples(rng, 64, 200_000)
     mc = float(np.mean(np.log2(1.0 + gain * GAMMA_130)))
-    ana = an.sumse_oob_sub6(params_sub6(64))
+    ana = an.sumse_oob_sub6(params_sub6(64), GAMMA_130)
     assert ana >= mc
     assert ana - mc < 0.2   # measured 0.025
 
@@ -201,8 +207,8 @@ def test_offset_exact_fields_and_knee():
     # to (2 + sqrt 2)/4: the MGF pole quadratic
     # mu1 mu2 (1-rho) s^2 - (mu2-mu1) s - 1 with mu1 = 5, mu2 = 1, rho = 1/5
     # has roots (sqrt2 -+ 1)/2, and the positive-side mass is 1/(4 - 2 sqrt2).
-    p = AnalyticParams(n_elements=4, tx_snr=1.0, beta_r=1.0, beta_d=1.0)
-    assert an._mu1(p, 0) == pytest.approx(5.0)
+    p = AnalyticParams(n_elements=4, beta_r=1.0, beta_d=1.0)
+    assert an._mu1(p) == pytest.approx(5.0)
     assert offset_correlation(p) == pytest.approx(0.2)
     np.testing.assert_allclose(given_power(0.0, 4.0), (2 + math.sqrt(2)) / 4, rtol=1e-12)
     # continuity at the knee and the far tails
@@ -227,7 +233,7 @@ def test_offset_exact_is_the_correlated_pair_law():
     h_d = np.sqrt(beta / 2) * (rng.standard_normal(count) + 1j * rng.standard_normal(count))
     r = np.sqrt(n * beta / 2) * (rng.standard_normal(count) + 1j * rng.standard_normal(count))
     zs = np.sort(np.abs(h_d + r) ** 2 - np.abs(h_d) ** 2)
-    p = AnalyticParams(n_elements=n, tx_snr=1.0, beta_r=beta, beta_d=beta)
+    p = AnalyticParams(n_elements=n, beta_r=beta, beta_d=beta)
     assert ks_distance(zs, given_power(zs, n * 1.0)) < 0.0015   # measured 0.00051
     assert ks_distance(zs, an.ccdf_offset_sub6(zs, p)) > 0.015  # measured 0.021
 
@@ -239,7 +245,7 @@ def test_offset_exact_approaches_limit_form():
     gap = np.max(np.abs(given_power_sub6(z, 16) - an.ccdf_offset_sub6(z, p)))
     assert gap < 1e-5   # correlation ~1e-3 here; measured 1.3e-6
     # at order-one correlation the two genuinely differ
-    p_small = AnalyticParams(n_elements=4, tx_snr=1.0, beta_r=1.0, beta_d=1.0)
+    p_small = AnalyticParams(n_elements=4, beta_r=1.0, beta_d=1.0)
     z = np.linspace(-8.0, 60.0, 2001)
     gap = np.max(np.abs(given_power(z, 4.0) - an.ccdf_offset_sub6(z, p_small)))
     assert gap > 0.01   # measured 0.0215
@@ -250,7 +256,7 @@ def test_offset_finite_n_matches_reflected_cascade(n):
     """4e5 direct draws of h_d, f, g and random unit-modulus theta sit on the
     finite-N form at the sampling floor (DKW 99.9% at 4e5 is ~0.003), while
     the fixed-power form misses the spread of ||f||^2."""
-    p = AnalyticParams(n_elements=n, tx_snr=1.0, beta_r=1.0, beta_d=1.0)
+    p = AnalyticParams(n_elements=n, beta_r=1.0, beta_d=1.0)
     with_r, without_r = rayleigh_offset_samples(np.random.default_rng(64), n, 400_000,
                                                 beta_r=1.0, beta_d=1.0)
     zs = np.sort(with_r - without_r)
@@ -310,11 +316,11 @@ def test_offset_correlation_matches_sample():
 # sparse single-path regime
 
 def test_sparse_inband_reduction_and_slope():
-    p0 = params_mm(0, 1e17)
-    np.testing.assert_allclose(an.sumse_inband_mmwave_los(p0),
+    p0 = params_mm(0)
+    np.testing.assert_allclose(an.sumse_inband_mmwave_los(p0, 1e17),
                                math.log2(1.0 + BETA_D_MM * 1e17), rtol=1e-12)
     ns = np.array([1024, 2048, 4096, 8192])
-    se = [an.sumse_inband_mmwave_los(params_mm(int(n), 1e20)) for n in ns]
+    se = [an.sumse_inband_mmwave_los(params_mm(int(n)), 1e20) for n in ns]
     slope = np.polyfit(np.log2(ns), se, 1)[0]
     assert abs(slope - 2.0) < 0.1
 
@@ -328,14 +334,14 @@ def test_sparse_inband_bounds_monte_carlo():
     a1 = np.abs(np.sqrt(BETA_F_MM / 2) * (rng.standard_normal(count) + 1j * rng.standard_normal(count)))
     a2 = np.abs(np.sqrt(BETA_G_MM / 2) * (rng.standard_normal(count) + 1j * rng.standard_normal(count)))
     mc = float(np.mean(np.log2(1.0 + (h_d + 64 * a1 * a2) ** 2 * gamma)))
-    ana = an.sumse_inband_mmwave_los(params_mm(64, gamma))
+    ana = an.sumse_inband_mmwave_los(params_mm(64), gamma)
     assert ana >= mc
     assert ana - mc < 0.3   # measured 0.0024
 
 
 def test_sparse_oob_mixture_single_term_when_paths_cover_grid():
-    p = params_mm(64, 1e17, l2=128)
-    np.testing.assert_allclose(an.sumse_oob_mmwave_los(p),
+    p = params_mm(64, l_paths=128)
+    np.testing.assert_allclose(an.sumse_oob_mmwave_los(p, 1e17),
                                math.log2(1.0 + (BETA_D_MM + 64 * BETA_R_MM) * 1e17),
                                rtol=1e-12)
 
@@ -356,7 +362,7 @@ def test_sparse_oob_mixture_bounds_trial_mean():
     snr = float(db_to_linear(170.0))
     data = run_trial(spec, rngs[1], 64, budget_x, budget_y)
     mc = float(np.mean(spectral_efficiency(data.gain_irs, snr)))
-    ana = an.sumse_oob_mmwave_los(operator_params(spec, budget_y, 64, snr, "oob"))
+    ana = an.sumse_oob_mmwave_los(operator_params(spec, budget_y, 64), snr)
     assert abs(ana - mc) < 0.3   # measured gap 1.4e-4
 
 
@@ -365,13 +371,13 @@ def test_sparse_oob_low_snr_increment_doubles():
     # direct path otherwise masks (beta_d ~ 64 beta_r in this geometry)
     for gamma in (1e14, 1e15):
         direct = math.log2(1.0 + BETA_D_MM * gamma)
-        inc = [an.sumse_oob_mmwave_nlos(params_mm(n, gamma, l2=4)) - direct
+        inc = [an.sumse_oob_mmwave_nlos(params_mm(n, l_paths=4), gamma) - direct
                for n in (64, 128)]
         assert abs(inc[1] / inc[0] - 2.0) < 0.01
 
 
 def test_sparse_gain_cdf_zero_and_direct_dominance():
-    p = params_mm(64, 1.0, l2=5)
+    p = params_mm(64, l_paths=5)
     assert an.cdf_oob_mmwave_los(0.0, p) == 0.0
     rho = np.geomspace(1e-2 * BETA_D_MM, 3.0 * (64 ** 2 / 5 * BETA_R_MM + BETA_D_MM), 1000)
     vals = an.cdf_oob_mmwave_los(rho, p)
@@ -403,7 +409,7 @@ def test_sparse_gain_cdf_matches_fresh_angle_ensemble():
     # evaluating the quadrature CDF on sample quantiles keeps this fast; the
     # grid spacing adds at most 1/2000 to the reported distance
     pick = np.unique(np.linspace(0, count - 1, 2001).astype(int))
-    theo = an.cdf_oob_mmwave_los(zs[pick], params_mm(n, 1.0, l2=l))
+    theo = an.cdf_oob_mmwave_los(zs[pick], params_mm(n, l_paths=l))
     ks = max(np.max(np.abs(theo - pick / count)), np.max(np.abs(theo - (pick + 1) / count)))
     assert ks <= 0.02   # measured 0.0022
 
@@ -460,22 +466,22 @@ def test_sparse_multipath_branch_continuity():
     expect = sum(math.comb(l, i) * math.comb(n - l, l - i) / math.comb(n, l)
                  * math.log2(1.0 + (BETA_D_MM + i * (n * n / l / l) * BETA_R_MM) * gamma)
                  for i in range(max(0, 2 * l - n), l + 1))
-    got = an.sumse_oob_mmwave_nlos(params_mm(n, gamma, l2=l))
+    got = an.sumse_oob_mmwave_nlos(params_mm(n, l_paths=l), gamma)
     np.testing.assert_allclose(got, expect, rtol=1e-12)
 
 
 def test_sparse_multipath_single_path_consistency():
     # both sparse OOB forms describe the same law when only one path exists
     for n in (8, 32, 128):
-        p = params_mm(n, 1e17, l2=1)
-        assert abs(an.sumse_oob_mmwave_nlos(p) - an.sumse_oob_mmwave_los(p)) < 0.1
+        p = params_mm(n, l_paths=1)
+        assert abs(an.sumse_oob_mmwave_nlos(p, 1e17) - an.sumse_oob_mmwave_los(p, 1e17)) < 0.1
 
 
 def test_sparse_multipath_beats_no_reflector():
     for n in (4, 16, 64, 256):
         direct = math.log2(1.0 + BETA_D_MM * 1e17)
         for l in (1, 2, 4, 8):
-            assert an.sumse_oob_mmwave_nlos(params_mm(n, 1e17, l2=l)) >= direct - 1e-12
+            assert an.sumse_oob_mmwave_nlos(params_mm(n, l_paths=l), 1e17) >= direct - 1e-12
 
 
 def test_sparse_multipath_peak_near_squared_path_count():
@@ -483,22 +489,20 @@ def test_sparse_multipath_peak_near_squared_path_count():
     for l in (4, 8):
         gamma = 1e9 / l ** 2
         ses = {n: an.sumse_oob_mmwave_nlos(
-                   AnalyticParams(n_elements=n, tx_snr=gamma, beta_r=1e-6,
-                                  beta_d=1e-12, l1=1, l2=l))
+                   AnalyticParams(n_elements=n, beta_r=1e-6, beta_d=1e-12, l_paths=l), gamma)
                for n in (2, 4, 8, 16, 32, 64, 128, 256, 512)}
         peak = max(ses, key=ses.get)
         assert l * l / 2 <= peak <= 2 * l * l
 
 
 def test_sparse_multipath_inband_form():
-    p = params_mm(32, 1e17, l2=4)
+    p = params_mm(32, l_paths=4)
     expect = math.log2(1.0 + (32 ** 2 * BETA_R_MM
                               + 32 * math.sqrt(math.pi * BETA_D_MM * BETA_R_MM)
                               + BETA_D_MM) * 1e17)
-    np.testing.assert_allclose(an.sumse_inband_mmwave_nlos(p), expect, rtol=1e-12)
-    p0 = AnalyticParams(n_elements=0, tx_snr=1e17, beta_r=BETA_R_MM, beta_d=BETA_D_MM,
-                        l1=2, l2=2)
-    np.testing.assert_allclose(an.sumse_inband_mmwave_nlos(p0),
+    np.testing.assert_allclose(an.sumse_inband_mmwave_nlos(p, 1e17), expect, rtol=1e-12)
+    p0 = AnalyticParams(n_elements=0, beta_r=BETA_R_MM, beta_d=BETA_D_MM, l_paths=4)
+    np.testing.assert_allclose(an.sumse_inband_mmwave_nlos(p0, 1e17),
                                math.log2(1.0 + BETA_D_MM * 1e17), rtol=1e-12)
 
 
@@ -507,13 +511,14 @@ def test_sparse_multipath_inband_form():
 
 def test_max_rate_reduces_at_q_e():
     p = params_sub6(64)
-    np.testing.assert_allclose(an.mr_asymptotic_se(math.e, p), an.sumse_oob_sub6(p), rtol=1e-12)
+    np.testing.assert_allclose(an.mr_asymptotic_se(math.e, p, GAMMA_130),
+                               an.sumse_oob_sub6(p, GAMMA_130), rtol=1e-12)
     with pytest.raises(ValueError):
-        an.mr_asymptotic_se(0, p)
+        an.mr_asymptotic_se(0, p, GAMMA_130)
 
 
 def test_max_rate_slope_and_monte_carlo():
-    ses = [an.mr_asymptotic_se(100, params_sub6(n, 1e15)) for n in (256, 512, 1024, 2048)]
+    ses = [an.mr_asymptotic_se(100, params_sub6(n), 1e15) for n in (256, 512, 1024, 2048)]
     slope = np.polyfit([8, 9, 10, 11], ses, 1)[0]
     assert abs(slope - 1.0) < 0.05   # measured 0.9991
 
@@ -529,14 +534,14 @@ def test_max_rate_slope_and_monte_carlo():
                                         + 1j * rng.standard_normal((slots, q_ues)))
         r += (f * np.exp(2j * np.pi * rng.random(slots)))[:, None] * g
     mc = float(np.mean(np.log2(1.0 + np.abs(h_d + r) ** 2 * GAMMA_130).max(axis=1)))
-    assert abs(an.mr_asymptotic_se(100, params_sub6(64)) - mc) < 0.3   # measured 0.075
+    assert abs(an.mr_asymptotic_se(100, params_sub6(64), GAMMA_130) - mc) < 0.3   # measured 0.075
 
 
 # ---------------------------------------------------------------------------
 # in-band decay bounds
 
 def test_decay_bound_constants():
-    p = AnalyticParams(n_elements=32, tx_snr=1.0, beta_r=1.0, beta_d=0.5)
+    p = AnalyticParams(n_elements=32, beta_r=1.0, beta_d=0.5)
     d = DecayBoundParams.from_params(p)
     np.testing.assert_allclose(d.c2, math.pi / math.sqrt(16.0 - math.pi ** 2), rtol=1e-12)
     np.testing.assert_allclose(d.alpha, 2 * 32 * (1.0 - math.pi ** 2 / 16.0), rtol=1e-12)
@@ -545,7 +550,7 @@ def test_decay_bound_constants():
 
 def test_inband_outage_bound_decays_and_holds():
     rho = (0.05 * math.sqrt(BETA_R_SUB6)) ** 2
-    bounds = [an.inband_outage_bound(rho, params_sub6(int(n))) for n in np.arange(4, 65, 4)]
+    bounds = [an.inband_outage_bound(params_sub6(int(n))) for n in np.arange(4, 65, 4)]
     assert all(b2 < b1 for b1, b2 in zip(bounds, bounds[1:]))
     slope = np.polyfit(np.arange(4, 65, 4), np.log(bounds), 1)[0]
     assert slope < 0
@@ -561,12 +566,12 @@ def test_inband_outage_bound_decays_and_holds():
                                                    + 1j * rng.standard_normal(100_000)))
             amp += f * g
         emp = float(np.mean(amp ** 2 <= rho))
-        assert an.inband_outage_bound(rho, params_sub6(n)) >= emp
+        assert an.inband_outage_bound(params_sub6(n)) >= emp
 
 
 def test_inband_offset_bound_grows_and_lower_bounds():
-    vals = [an.inband_offset_ccdf_bound(2.0, AnalyticParams(n_elements=n, tx_snr=1.0,
-                                                            beta_r=1.0, beta_d=0.5))
+    vals = [an.inband_offset_ccdf_bound(2.0, AnalyticParams(n_elements=n, beta_r=1.0,
+                                                            beta_d=0.5))
             for n in (8, 16, 32)]
     assert vals[0] > 0.9
     assert vals[0] < vals[1] < vals[2] <= 1.0
@@ -581,7 +586,7 @@ def test_inband_offset_bound_grows_and_lower_bounds():
         g = np.abs(np.sqrt(1.0 / 2) * (rng.standard_normal(count) + 1j * rng.standard_normal(count)))
         amp += f * g
     offset = amp ** 2 - h_d ** 2
-    p = AnalyticParams(n_elements=n, tx_snr=1.0, beta_r=1.0, beta_d=0.5)
+    p = AnalyticParams(n_elements=n, beta_r=1.0, beta_d=0.5)
     for rho in (0.5, 2.0, 10.0):
         emp = float(np.mean(offset > rho))
         assert an.inband_offset_ccdf_bound(rho, p) <= emp + 1e-12

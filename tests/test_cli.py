@@ -1,6 +1,7 @@
 """CLI surface: argument parsing, exit codes, and files written."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -210,6 +211,49 @@ def test_run_rejects_pf_gap_outside_sub6(tmp_path, capsys):
     assert main(["run", str(spec), "--out", str(out)]) == 2
     assert "needs regime 'sub6'" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_run_rejects_correlation_response_in_sub6(tmp_path, capsys):
+    # the response needs on-grid path angles; a sub6 run would write a header-only CSV
+    spec = tmp_path / "s6.json"
+    spec.write_text(json.dumps({"outputs": ["correlation_response"]}), encoding="utf-8")
+    out = tmp_path / "r"
+    assert main(["run", str(spec), "--out", str(out)]) == 2
+    assert "'correlation_response' needs an mmWave regime" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("data,field", [
+    ({"n_sweep": [16, 16], "gamma_db_sweep": [130, 130]}, "n_sweep"),
+    ({"gamma_db_sweep": [130, 110, 130]}, "gamma_db_sweep"),
+])
+def test_run_names_a_sweep_with_a_duplicate_entry(tmp_path, capsys, data, field):
+    # each repeat would write a second row, with other values, at one coordinate
+    spec = tmp_path / "dup.json"
+    spec.write_text(json.dumps(data), encoding="utf-8")
+    out = tmp_path / "r"
+    assert main(["run", str(spec), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{field}: duplicate entries" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("gamma,code", [("210", 0), ("210.5", 2)])
+def test_fig9_runs_at_the_top_of_the_snr_range(tmp_path, capsys, gamma, code):
+    # 210 dB is the transmit budget of the sparse multipath acceptance check
+    out = tmp_path / "r"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["preset", "fig9", "--analytic-only", "--override",
+                     f"gamma_db_sweep=[{gamma}]", "--out", str(out)]) == code
+    if code:
+        assert "gamma_db_sweep: 210.5 dB outside" in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        lines = (out / "fig9.csv").read_text(encoding="utf-8").splitlines()[1:]
+        # 9 element counts x 2 path counts x (in-band, OOB), each with a finite form
+        assert len(lines) == 36 and all(",210," in line for line in lines)
+        assert all(math.isfinite(float(line.split(",")[9])) for line in lines)
 
 
 def test_override_requires_key_value_shape():

@@ -8,7 +8,7 @@ import pytest
 from irsoob.channels import PathLossParams
 from irsoob.config import ExperimentSpec, load_spec, spec_from_dict, spec_hash, spec_to_dict
 from irsoob.engine import budgets_for
-from irsoob.experiments import run_preset
+from irsoob.experiments import PRESETS, run_preset
 
 
 def write(tmp_path, text):
@@ -63,11 +63,32 @@ def test_nested_overrides_parse(tmp_path):
 
 
 def test_gamma_range_enforced():
-    with pytest.raises(ValueError, match=r"\[0\.0, 200\.0\]"):
-        ExperimentSpec(gamma_db_sweep=(210.0,))
+    with pytest.raises(ValueError, match=r"\[0\.0, 210\.0\]"):
+        ExperimentSpec(gamma_db_sweep=(210.5,))
     with pytest.raises(ValueError, match="outside"):
         ExperimentSpec(gamma_db_sweep=(-5.0,))
-    ExperimentSpec(gamma_db_sweep=(0.0, 200.0))  # inclusive endpoints
+    ExperimentSpec(gamma_db_sweep=(0.0, 210.0))  # inclusive endpoints
+
+
+@pytest.mark.parametrize("data,field", [
+    ({"n_sweep": [16, 16]}, "n_sweep"),
+    ({"n_sweep": [4, 16, 4]}, "n_sweep"),
+    ({"gamma_db_sweep": [130, 130]}, "gamma_db_sweep"),
+    ({"gamma_db_sweep": [120, 130, 130.0]}, "gamma_db_sweep"),
+    ({"n_sweep": [16, 16], "gamma_db_sweep": [130, 130]}, "n_sweep"),
+])
+def test_duplicate_sweep_entries_are_refused(data, field):
+    # each repeat would write a second row, with other values, at one coordinate
+    with pytest.raises(ValueError, match=f"{field}: duplicate entries"):
+        spec_from_dict(data)
+
+
+def test_distinct_sweeps_keep_their_hash():
+    # the duplicate check adds no field, so a valid spec hashes as it always has
+    assert spec_hash(ExperimentSpec()) == (
+        "6dad959d62d59dfd14ff889b83675e5d75f3fb44cec7bb4bbf79768a21da7bc3")
+    assert spec_hash(PRESETS["fig9"].spec) == (
+        "cbb96c7ac800a0c3fea14262d224e4b50cbeb00562bf6ad7efd2f8fa8cb1b44e")
 
 
 def test_sweeps_must_be_nonempty():
@@ -218,6 +239,15 @@ def test_rayleigh_only_outputs_need_sub6(output):
         with pytest.raises(ValueError, match=f"'{output}' needs regime 'sub6'"):
             ExperimentSpec(regime=regime, n_sweep=(16,), outputs=("sumse", output))
     assert ExperimentSpec(outputs=(output,)).outputs == (output,)
+
+
+def test_correlation_response_needs_mmwave():
+    # the response probes the sparse regimes' on-grid path angles; sub6 has none
+    with pytest.raises(ValueError, match="'correlation_response' needs an mmWave regime"):
+        ExperimentSpec(outputs=("sumse", "correlation_response"))
+    for regime in ("mmwave_los", "mmwave_nlos"):
+        spec = ExperimentSpec(regime=regime, n_sweep=(16,), outputs=("correlation_response",))
+        assert spec.outputs == ("correlation_response",)
 
 
 def test_spec_hash_stable_and_sensitive(tmp_path):

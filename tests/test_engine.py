@@ -109,7 +109,7 @@ def test_rr_oob_mean_se_tracks_closed_form():
 
     _, _, by = budgets_for(spec, np.random.default_rng(21))  # same position draw
     from irsoob.analytics import sumse_oob_sub6
-    ana = float(sumse_oob_sub6(operator_params(spec, by, 64, GAMMA_130, "oob")))
+    ana = float(sumse_oob_sub6(operator_params(spec, by, 64), GAMMA_130))
     assert 0.0 < ana - mc < 0.3
 
 
@@ -418,7 +418,7 @@ def test_sub6_ceiling_reuses_the_aligned_draws(monkeypatch):
     ends where the Gamma powers and the OOB draws leave that replay, so no
     second aligned draw is made. Each UE's mean ceiling lies within 4 stderr
     of the SNR term that sumse_inband_sub6 averages, taken with the OOB betas
-    at tx_snr = 1; at this size a 5% beta_r error moves that term by at
+    at snr = 1; at this size a 5% beta_r error moves that term by at
     least 10 stderr."""
     import irsoob.engine as engine
 
@@ -441,7 +441,7 @@ def test_sub6_ceiling_reuses_the_aligned_draws(monkeypatch):
     monkeypatch.setattr(analytics, "_mean_se", lambda snr_terms: snr_terms)
 
     def snr_term(beta_r):
-        return analytics.sumse_inband_sub6(AnalyticParams(n, 1.0, beta_r, by.beta_d))
+        return analytics.sumse_inband_sub6(AnalyticParams(n, beta_r, by.beta_d), 1.0)
 
     stderr = bf_gain.std(axis=0, ddof=1) / math.sqrt(slots)
     assert np.all(np.abs(bf_gain.mean(axis=0) - snr_term(by.beta_r)) < 4.0 * stderr)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import irsoob.experiments as experiments
+from irsoob import analytics as an
 from irsoob.config import ExperimentSpec, spec_hash
 import irsoob.engine as engine
 from irsoob.engine import _aligned_gain, budgets_for, run_trial, schedule_rates, spawn_rngs
@@ -497,20 +498,27 @@ def test_pf_rows_do_not_depend_on_what_shares_their_loop(monkeypatch):
 # parameter mapping and sample helpers
 
 def test_operator_params_path_counts_per_regime():
-    rng = np.random.default_rng(0)
-    sub6 = ExperimentSpec(regime="sub6", l1=1, l2=1)
-    _, bx, by = budgets_for(sub6, rng)
-    assert operator_params(sub6, by, 16, 1.0, "oob").l_paths == 1
+    """Both operators' bundles carry l_paths = l1·l2 in every regime, and every
+    in-band form gives the same value at one path and at six, so no form
+    needs a per-operator path count."""
+    _, bx, by = budgets_for(ExperimentSpec(), np.random.default_rng(0))
+    for regime in ("sub6", "mmwave_los", "mmwave_nlos"):
+        spec = ExperimentSpec(regime=regime, l1=2, l2=3)
+        for budget in (bx, by):
+            params = operator_params(spec, budget, 16)
+            assert params.l_paths == 6
+            np.testing.assert_allclose(params.beta_r, budget.beta_f * budget.beta_g, rtol=1e-15)
+            np.testing.assert_allclose(params.beta_d, budget.beta_d, rtol=1e-15)
 
-    los = ExperimentSpec(regime="mmwave_los", l1=1, l2=6)
-    assert operator_params(los, by, 16, 1.0, "inband").l_paths == 1
-    assert operator_params(los, by, 16, 1.0, "oob").l_paths == 6
-
-    nlos = ExperimentSpec(regime="mmwave_nlos", l1=2, l2=3)
-    params = operator_params(nlos, by, 16, 1.0, "oob")
-    assert params.l_paths == 6
-    np.testing.assert_allclose(params.beta_r, by.beta_f * by.beta_g, rtol=1e-15)
-    np.testing.assert_allclose(params.beta_d, by.beta_d, rtol=1e-15)
+    one, six = (dataclasses.replace(operator_params(ExperimentSpec(), bx, 16), l_paths=l)
+                for l in (1, 6))
+    for form in (an.sumse_inband_sub6, an.sumse_inband_mmwave_los, an.sumse_inband_mmwave_nlos):
+        for snr in (1e13, 1e20):
+            assert form(one, snr) == form(six, snr)
+    assert an.inband_outage_bound(one) == an.inband_outage_bound(six)
+    grid = np.linspace(-1e-15, 1e-13, 7)
+    np.testing.assert_array_equal(an.inband_offset_ccdf_bound(grid, one),
+                                  an.inband_offset_ccdf_bound(grid, six))
 
 
 def test_sample_helpers_are_seed_deterministic():

@@ -147,12 +147,11 @@ def test_i0_decreasing_in_x():
 
 def test_i0_rejects_bad_domain():
     # the integral's one caller guards its domain: rho >= 0 and N >= 1
-    p = AnalyticParams(n_elements=8, tx_snr=1.0, beta_r=1.0, beta_d=1.0, l1=1, l2=2)
+    p = AnalyticParams(n_elements=8, beta_r=1.0, beta_d=1.0, l_paths=2)
     with pytest.raises(ValueError):
         cdf_oob_mmwave_los(-1.0, p)
     with pytest.raises(ValueError):
-        cdf_oob_mmwave_los(1.0, AnalyticParams(n_elements=0, tx_snr=1.0, beta_r=1.0,
-                                               beta_d=1.0))
+        cdf_oob_mmwave_los(1.0, AnalyticParams(n_elements=0, beta_r=1.0, beta_d=1.0))
 
 
 def test_quadrature_failure_names_its_arguments(monkeypatch):

@@ -12,9 +12,9 @@ Subpackage map:
                  Gaussian tail
     channels     geometry, path loss, complex normals, sparse path angles as
                  grid bins
-    irs          unit phase, scalar phase-configuration rules and effective
-                 channels (the references the engine is tested against),
-                 response probes
+    irs          unit phase, one co-phasing rule and one effective channel
+                 for every regime (the references the engine is tested
+                 against), the sparse cascade, response probes
     analytics    closed-form SE, outage, and distribution expressions, and
                  the one guarded quadrature
     engine       vectorized Monte Carlo trials that return channel gains

@@ -138,6 +138,9 @@ def _oob_gains(rng: np.random.Generator, beta_d,
     gain_noirs = beta_d Exp(1) over variance's (slots, Q) shape; then, only at
     the entries where variance > 0, in row-major order, R ~ CN(0, variance),
     so gain_irs = |sqrt(gain_noirs) + R|^2 there and gain_noirs elsewhere.
+    Where the model's variance is 0 but the trial computes it through
+    rounding, as in the nlos trial's off-coset responses, this mask depends
+    on that rounding: an exact 0.0 draws no R, a residue draws one.
     """
     gain_noirs = beta_d * rng.standard_exponential(variance.shape)
     lit = variance > 0          # a boolean mask selects in row-major order
@@ -214,6 +217,13 @@ def mmwave_nlos_trial(rng: np.random.Generator, n_elements: int, budget_x: LinkB
     reflected variance (N^2 / L) beta_g,q P_q (module docstring), where
     P_q = sum_j |sum_i gamma_1,i r[m_qij]|^2; a duplicated grid angle counts
     once per copy.
+
+    When the served UE's bins lie on one coset m0 + gZ (g = gcd of their
+    differences with N, g > 1), theta is a tone times a sequence of period
+    N / g, so r vanishes off that coset, and an OOB UE whose bins all lie off
+    it has P_q = 0 in the model. The FFTs return that 0 as exact 0.0 or as a
+    rounding residue, and `_oob_gains` draws R only for the latter, so any
+    change to the FFT or response arithmetic can move fig9's stream.
     """
     bins_x = mmwave_angle_bins(rng, n_elements, l1, l2, budget_x.n_ues)[2]   # (K, L)
     bins_y = mmwave_angle_bins(rng, n_elements, l1, l2, budget_y.n_ues)[2]   # (Q, L)

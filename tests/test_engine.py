@@ -6,8 +6,9 @@ sum-SE evaluated on the same link budgets, and an inline redraw of the
 channel law for the distributional checks. Scheduler decisions are checked
 against hand-computed values. Each vectorized trial is replayed draw for
 draw: the reflector configuration of every slot is rebuilt from the replayed
-channels with the scalar optimizers in irs.py, and the trial's gains are
-checked against the scalar effective channels there. The trials return gains
+channels with irs.align, the one co-phasing rule of every regime, and the
+trial's gains are checked against irs.effective_channel of each regime's
+cascade (f * g in sub6, irs.sparse_cascade in mmWave). The trials return gains
 only; rates are the test-side log2(1 + snr g) of oracles.py. Every trial's
 OOB gains come from one draw, engine._oob_gains, given the trial's reflected
 variance: one replay helper (_replay_oob) pins its order in all three
@@ -45,8 +46,7 @@ from irsoob.engine import (DominanceReport, TrialData, _aligned_draws, _aligned_
                            mmwave_los_trial, mmwave_nlos_trial, run_trial, schedule_rates,
                            spawn_rngs, sub6_trial)
 from irsoob.experiments import operator_params
-from irsoob.irs import (effective_channel_mmwave, effective_channel_sub6, optimize_mmwave_los,
-                        optimize_mmwave_nlos, optimize_sub6, unit_phase)
+from irsoob.irs import align, effective_channel, sparse_cascade, unit_phase
 from irsoob.kernels import db_to_linear
 from oracles import (aligned_gain_complex, grid_index, mmwave_angles, sample_mmwave,
                      sample_sub6, spectral_efficiency)
@@ -247,8 +247,8 @@ def test_nonfinite_gain_aborts_run(monkeypatch):
 # vectorized trials against the scalar reflector rules in irs.py
 #
 # Each test replays the trial's draws from the same seed, rebuilds every
-# slot's configuration with the scalar optimizer and every gain with the
-# scalar effective channel, and compares. Served in-band UE k = slot mod K.
+# slot's configuration with irs.align and every gain with
+# irs.effective_channel, and compares. Served in-band UE k = slot mod K.
 
 def _diff_setup(regime, n, slots=40, **extra):
     spec = ExperimentSpec(regime=regime, n_sweep=(n,), k_ues=3, q_ues=4, slots=slots,
@@ -402,12 +402,11 @@ def test_sub6_trial_matches_scalar_reference(n):
     bf_gain = _ceiling(data, by)
     np.testing.assert_array_equal(bf_gain, ceiling)
     for s in range(spec.slots):
-        theta = optimize_sub6(h_dx[s], f_x[s], g_x[s])
+        c = f_x[s] * g_x[s]
         _assert_gains(data.inband_gain[s],
-                      abs(effective_channel_sub6(h_dx[s], f_x[s], g_x[s], theta)) ** 2)
-        matched = [abs(effective_channel_sub6(h_dy[s, q], f_y[s], g_y[s, q],
-                                              optimize_sub6(h_dy[s, q], f_y[s], g_y[s, q]))) ** 2
-                   for q in range(by.n_ues)]
+                      abs(effective_channel(h_dx[s], c, align(h_dx[s], c))) ** 2)
+        matched = [abs(effective_channel(h_d, c_y, align(h_d, c_y))) ** 2
+                   for h_d, c_y in zip(h_dy[s], f_y[s] * g_y[s])]
         _assert_gains(bf_gain[s], matched)
 
 
@@ -624,11 +623,9 @@ def test_mmwave_los_trial_matches_scalar_reference(n):
     fresh = np.random.default_rng(n)
     for s in range(spec.slots):
         k = k_served[s]
-        theta = optimize_mmwave_los(x.h_d[s, k], x.cascade_gains[s, k, 0],
-                                    x.cascade_angles[k, 0], n)
-        _assert_gains(data.inband_gain[s],
-                      abs(effective_channel_mmwave(x.h_d[s, k], x.cascade_angles[k],
-                                                   x.cascade_gains[s, k], theta)) ** 2)
+        c = sparse_cascade(x.cascade_angles[k], x.cascade_gains[s, k], n)
+        theta = align(x.h_d[s, k], c)
+        _assert_gains(data.inband_gain[s], abs(effective_channel(x.h_d[s, k], c, theta)) ** 2)
         want = []
         for q in range(by.n_ues):
             gains = complex_normal(fresh, by.beta_r[q], (l_oob,))
@@ -636,8 +633,8 @@ def test_mmwave_los_trial_matches_scalar_reference(n):
             gains[hits] = 0.0
             if hits.size:
                 gains[hits[0]] = r_full[s, q] / (scale * u[s])
-            want.append(abs(effective_channel_mmwave(math.sqrt(direct[s, q]), angles_y[q],
-                                                     gains, theta)) ** 2)
+            want.append(abs(effective_channel(math.sqrt(direct[s, q]),
+                                              sparse_cascade(angles_y[q], gains, n), theta)) ** 2)
         _assert_gains(data.gain_irs[s], want)
 
 
@@ -705,6 +702,13 @@ def test_mmwave_los_reduced_law_matches_per_path_sum(n, l_oob):
         assert checked > 0
 
 
+def _response(angle, theta):
+    """adot(angle)^H theta = (1/N) sum_n exp(i*pi*n*angle) theta_n: the
+    effective channel of one unit-gain path, over N."""
+    n = len(theta)
+    return effective_channel(0.0, sparse_cascade([angle], [1.0], n), theta) / n
+
+
 def _replay_nlos(replay, n, bx, by, slots, l1, l2):
     """The nlos trial's draws before its chunk loop, in trial order. Returns
     the in-band side (cascade angles (K, L), served UE k = slot mod K, its
@@ -729,8 +733,8 @@ def test_mmwave_nlos_trial_matches_scalar_reference(n):
     links are drawn as magnitudes, so the scalar rules see real, positive
     h_d (any phase gives the same gains; see
     test_nlos_scalar_gains_ignore_the_direct_phase). The configuration is
-    optimize_mmwave_nlos of the served UE's paths, and each gain is
-    effective_channel_mmwave of that configuration. With
+    align of the served UE's sparse_cascade, and each gain is
+    effective_channel of that configuration. With
     a_j = sum_i gamma_1,i r_ij, r_ij the scalar response at cascade angle
     (i, j), the OOB gains are replayed after the loop with reflected variance
     (N^2 / L) beta_g,q ||a||^2, and UE q sees per-path gains
@@ -746,13 +750,11 @@ def test_mmwave_nlos_trial_matches_scalar_reference(n):
         _replay_nlos(replay, n, bx, by, spec.slots, l1, l2)
     thetas, a = [], np.empty((spec.slots, by.n_ues, l2), dtype=complex)
     for s in range(spec.slots):
-        k = k_served[s]
-        thetas.append(optimize_mmwave_nlos(h_dx[s], angles_x[k], g_x[s], n))
-        _assert_gains(data.inband_gain[s],
-                      abs(effective_channel_mmwave(h_dx[s], angles_x[k], g_x[s], thetas[s])) ** 2)
+        c = sparse_cascade(angles_x[k_served[s]], g_x[s], n)
+        thetas.append(align(h_dx[s], c))
+        _assert_gains(data.inband_gain[s], abs(effective_channel(h_dx[s], c, thetas[s])) ** 2)
         for q in range(by.n_ues):
-            resp = np.array([effective_channel_mmwave(0.0, [angle], [1.0], thetas[s])
-                             for angle in angles_y[q]]).reshape(l1, l2) / n
+            resp = np.array([_response(angle, thetas[s]) for angle in angles_y[q]]).reshape(l1, l2)
             a[s, q] = gamma_1[s] @ resp
     power = (np.abs(a) ** 2).sum(axis=2)
     assert np.all(power > 0)
@@ -764,8 +766,9 @@ def test_mmwave_nlos_trial_matches_scalar_reference(n):
         for q in range(by.n_ues):
             gamma_2 = reflected[s, q] * np.conj(a[s, q]) / (scale * power[s, q])
             gains = np.outer(gamma_1[s], gamma_2).ravel()
-            want.append(abs(effective_channel_mmwave(math.sqrt(direct[s, q]), angles_y[q],
-                                                     gains, thetas[s])) ** 2)
+            want.append(abs(effective_channel(math.sqrt(direct[s, q]),
+                                              sparse_cascade(angles_y[q], gains, n),
+                                              thetas[s])) ** 2)
         _assert_gains(data.gain_irs[s], want)
 
 
@@ -781,18 +784,17 @@ def test_nlos_scalar_gains_ignore_the_direct_phase():
     gamma_1 = complex_normal(rng, 1.0, (l1,))
     h_d = 0.7 * complex_normal(rng, 1.0, ())
     gain, power = [], []
+    c = sparse_cascade(angles[0], gains, n)
     for phase in (0.0, 1.1, -2.9, math.pi):
         rotated = h_d * np.exp(1j * phase)
-        theta = optimize_mmwave_nlos(rotated, angles[0], gains, n)
-        gain.append(abs(effective_channel_mmwave(rotated, angles[0], gains, theta)) ** 2)
-        resp = np.array([effective_channel_mmwave(0.0, [angle], [1.0], theta)
-                         for angle in angles[1]]).reshape(l1, l2)
+        theta = align(rotated, c)
+        gain.append(abs(effective_channel(rotated, c, theta)) ** 2)
+        resp = np.array([_response(angle, theta) for angle in angles[1]]).reshape(l1, l2)
         power.append(np.abs(gamma_1 @ resp) ** 2)
     np.testing.assert_allclose(gain, gain[0], rtol=1e-12)
     np.testing.assert_allclose(power, np.broadcast_to(power[0], (4, l2)), rtol=1e-10)
     # the magnitude alone gives the same gain
-    theta = optimize_mmwave_nlos(abs(h_d), angles[0], gains, n)
-    assert abs(effective_channel_mmwave(abs(h_d), angles[0], gains, theta)) ** 2 \
+    assert abs(effective_channel(abs(h_d), c, align(abs(h_d), c))) ** 2 \
         == pytest.approx(gain[0], rel=1e-12)
 
 
@@ -826,7 +828,7 @@ def _nlos_gain_moments(resp, by, n):
 def test_mmwave_nlos_reduced_law_matches_per_path_sum(n, l1, l2):
     """Distributional equivalence of the reduced OOB sampler and the per-path
     sum it replaces, both on the trial's own angles and in-band draws, the
-    configurations rebuilt by optimize_mmwave_nlos: KS per UE on the gain,
+    configurations rebuilt by align: KS per UE on the gain,
     the gain offset and the direct gain (_assert_gain_laws), the mean gain
     from the slots' responses, and the correlation between UEs
     that the shared gamma_1 creates (averaged over the UE pairs, whose single
@@ -843,8 +845,10 @@ def test_mmwave_nlos_reduced_law_matches_per_path_sum(n, l1, l2):
         _replay_nlos(np.random.default_rng(seed), n, bx, by, slots, l1, l2)
     if n < l_paths:
         assert len(np.unique(grid_index(angles_y, n))) < angles_y.size
-    theta = np.stack([optimize_mmwave_nlos(h_dx[s], angles_x[k_served[s]], g_x[s], n)
-                      for s in range(slots)])
+    theta = np.empty((slots, n), dtype=complex)
+    for k in range(bx.n_ues):
+        rows = k_served == k
+        theta[rows] = align(h_dx[rows, None], sparse_cascade(angles_x[k], g_x[rows], n))
     basis = np.exp(1j * np.pi * np.outer(np.arange(n), angles_y.ravel())) / n
     resp = (theta @ basis).reshape(slots, by.n_ues, l_paths)   # adot(angle)^H theta
 
@@ -866,6 +870,57 @@ def test_mmwave_nlos_reduced_law_matches_per_path_sum(n, l1, l2):
         assert np.all(np.abs(gain.mean(axis=0) - mean) < 4.0 * stderr)
         sample = np.corrcoef(gain.T)[pairs]
         assert abs(sample.mean() - corr[pairs].mean()) < 0.04
+
+
+def test_nlos_variance_vanishes_off_the_served_coset(monkeypatch):
+    """When the served UE's cascade bins lie on one coset m0 + gZ of the grid
+    (g = gcd of their differences with N, g > 1), its matched sum v, and so
+    theta = v / |v|, is a tone at m0 times a sequence of period N / g, whose
+    spectrum lives on that coset. An OOB UE with every bin off the coset then
+    has no reflected variance in the model, while that in-band UE is served:
+    the FFTs give exact zeros or a rounding residue (below 1e-20 of a lit
+    variance), and wherever the variance is exactly 0 the gain with the
+    reflector is the direct gain bit for bit. Moving one of the OOB UE's bins
+    onto the coset brings the variance back, and so does serving an in-band
+    UE off any coset. The angle bins are planted, and _oob_gains is spied on."""
+    import irsoob.engine as engine
+
+    n, l2 = 16, 4
+    coset = [1, 5, 9, 13]                                     # m0 = 1, g = 4
+    bins_x = np.array([coset, [0, 3, 6, 7], [2, 4, 11, 14]])
+    bins_y = np.array([[0, 2, 3, 6], [1, 2, 3, 4], [5, 8, 10, 15], [0, 7, 11, 12]])
+    g = math.gcd(n, *(m - coset[0] for m in coset))
+    assert g == 4 and np.all(bins_y[0] % g != coset[0] % g)
+    assert math.gcd(n, *(bins_x[1] - bins_x[1, 0])) == 1
+    spec, bx, by, _, _ = _diff_setup("mmwave_nlos", n, l1=1, l2=l2)
+    served = np.arange(spec.slots) % bx.n_ues == 0
+
+    def variance_and_gains(oob_bins):
+        planted = iter([bins_x, oob_bins])
+        monkeypatch.setattr(engine, "mmwave_angle_bins",
+                            lambda rng, n_elements, l1, l2, n_ues: (None, None, next(planted)))
+        seen = []
+
+        def spy(rng, beta_d, variance):
+            gains = _oob_gains(rng, beta_d, variance)
+            seen.append((variance, *gains))
+            return gains
+
+        monkeypatch.setattr(engine, "_oob_gains", spy)
+        mmwave_nlos_trial(spawn_rngs(81, 1)[0], n, bx, by, spec.slots, 1, l2)
+        return seen[0]
+
+    variance, gain_irs, gain_noirs = variance_and_gains(bins_y)
+    typical = np.median(variance[:, 1:])
+    assert np.all(variance[served, 0] < 1e-20 * typical)
+    assert np.all(variance[~served, 0] > 1e-10 * typical)
+    dark = variance == 0
+    np.testing.assert_array_equal(gain_irs[dark], gain_noirs[dark])
+
+    moved = bins_y.copy()
+    moved[0, -1] = coset[1]
+    variance, _, _ = variance_and_gains(moved)
+    assert np.all(variance[served, 0] > 1e-10 * typical)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Reflector-control tests: optimal phases, effective channels, directional response."""
+"""Reflector-control tests: the co-phasing rule, effective channels, directional response."""
 
 import warnings
 
@@ -6,56 +6,63 @@ import numpy as np
 import pytest
 
 from irsoob.channels import LinkBudget
-from irsoob.irs import (
-    correlation_response,
-    effective_channel_mmwave,
-    effective_channel_sub6,
-    optimize_mmwave_los,
-    optimize_mmwave_nlos,
-    optimize_sub6,
-    unit_phase,
-)
+from irsoob.irs import align, correlation_response, effective_channel, sparse_cascade, unit_phase
 from irsoob.kernels import resolvable_angles
 from oracles import sample_sub6, unit_phase_where
 
 
+def _random_complex(rng, shape=()):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _cascade(kind, rng, n):
+    """A random cascade of N elements: sub6 f * g, one on-grid LOS path, or
+    L = 1..5 nlos paths on distinct grid angles."""
+    if kind == "sub6":
+        return _random_complex(rng, n) * _random_complex(rng, n)
+    grid = resolvable_angles(n)
+    l_paths = 1 if kind == "los" else int(rng.integers(1, min(n, 5) + 1))
+    angles = grid[rng.choice(n, l_paths, replace=False)]
+    return sparse_cascade(angles, _random_complex(rng, l_paths), n)
+
+
+@pytest.mark.parametrize("kind", ["sub6", "los", "nlos"])
+def test_aligned_channel_reaches_the_matched_magnitude(kind):
+    """|effective_channel(h_d, c, align(h_d, c))| = |h_d| + sum_n |c_n|, the
+    triangle-inequality ceiling of any unit-modulus configuration, exactly
+    (rel 1e-12) and not just approximately, for each regime's cascade."""
+    rng = np.random.default_rng({"sub6": 21, "los": 23, "nlos": 25}[kind])
+    for _ in range(20):
+        n = int(rng.integers(1, 40)) if kind == "sub6" else int(rng.choice([4, 16, 32, 64]))
+        h_d = complex(_random_complex(rng))
+        c = _cascade(kind, rng, n)
+        want = abs(h_d) + np.sum(np.abs(c))
+        assert abs(effective_channel(h_d, c, align(h_d, c))) == pytest.approx(want, rel=1e-12)
+
+
 def test_sub6_aligned_case():
-    theta = optimize_sub6(1.0, np.ones(4), np.ones(4))
+    c = np.ones(4) * np.ones(4)
+    theta = align(1.0, c)
     np.testing.assert_allclose(theta, np.ones(4))
-    h = effective_channel_sub6(1.0, np.ones(4), np.ones(4), theta)
-    assert abs(h) == pytest.approx(5.0)
+    assert abs(effective_channel(1.0, c, theta)) == pytest.approx(5.0)
 
 
 def test_sub6_hand_case():
     # h_d = i, f = [1], g = [-1]: phase correction pi/2 - 0 - pi = -pi/2
-    theta = optimize_sub6(1j, np.array([1.0]), np.array([-1.0]))
+    c = np.array([1.0]) * np.array([-1.0])
+    theta = align(1j, c)
     assert theta[0] == pytest.approx(np.exp(-1j * np.pi / 2))
-    h = effective_channel_sub6(1j, np.array([1.0]), np.array([-1.0]), theta)
-    assert abs(h) == pytest.approx(2.0)
-
-
-def test_sub6_coherent_sum_identity():
-    # optimizer achieves |h_d| + sum |f_n g_n| exactly, not just approximately
-    rng = np.random.default_rng(21)
-    for _ in range(20):
-        n = int(rng.integers(1, 40))
-        h_d = complex(rng.standard_normal(), rng.standard_normal())
-        f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        h = effective_channel_sub6(h_d, f, g, optimize_sub6(h_d, f, g))
-        want = abs(h_d) + np.sum(np.abs(f * g))
-        assert abs(h) == pytest.approx(want, rel=1e-12)
+    assert abs(effective_channel(1j, c, theta)) == pytest.approx(2.0)
 
 
 def test_sub6_beats_random_search():
     rng = np.random.default_rng(22)
     n = 6
     h_d = complex(rng.standard_normal(), rng.standard_normal())
-    f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    best = abs(effective_channel_sub6(h_d, f, g, optimize_sub6(h_d, f, g)))
+    c = _random_complex(rng, n) * _random_complex(rng, n)
+    best = abs(effective_channel(h_d, c, align(h_d, c)))
     rand_theta = np.exp(1j * rng.uniform(0, 2 * np.pi, (10_000, n)))
-    rand = np.abs(h_d + rand_theta @ (f * g))
+    rand = np.abs(effective_channel(h_d, c, rand_theta))
     assert best >= rand.max()
 
 
@@ -72,43 +79,29 @@ def test_matched_gain_upper_bounds_any_configuration():
         for q in range(budget.n_ues):
             h_d, f, g = ch.h_d[s, q], ch.f[s], ch.g[s, q]
             matched = abs(h_d) + np.sum(np.abs(f) * np.abs(g))
-            assert matched >= abs(effective_channel_sub6(h_d, f, g, thetas[s])) * (1.0 - 1e-12)
+            assert matched >= abs(effective_channel(h_d, f * g, thetas[s])) * (1.0 - 1e-12)
 
 
 def test_sub6_zero_direct_convention():
-    f = np.array([1j, -1.0])
-    g = np.array([1.0, 1j])
-    theta = optimize_sub6(0.0, f, g)
-    h = effective_channel_sub6(0.0, f, g, theta)
-    assert abs(h) == pytest.approx(np.sum(np.abs(f * g)), rel=1e-12)
+    c = np.array([1j, -1.0]) * np.array([1.0, 1j])
+    theta = align(0.0, c)
+    assert abs(effective_channel(0.0, c, theta)) == pytest.approx(np.sum(np.abs(c)), rel=1e-12)
 
 
 def test_sub6_shape_validation():
+    # mismatched f and g, or a configuration of another length, are refused
     with pytest.raises(ValueError):
-        optimize_sub6(1.0, np.ones(3), np.ones(4))
+        align(1.0, np.ones(3) * np.ones(4))
+    with pytest.raises(ValueError):
+        effective_channel(1.0, np.ones(3), np.ones(4))
 
 
 def test_los_aligned_case():
     n = 8
-    theta = optimize_mmwave_los(1.0, 1.0, 0.0, n)
+    c = sparse_cascade([0.0], [1.0], n)
+    theta = align(1.0, c)
     np.testing.assert_allclose(theta, np.ones(n))
-    h = effective_channel_mmwave(1.0, np.array([0.0]), np.array([1.0]), theta)
-    assert abs(h) == pytest.approx(1.0 + n)
-
-
-def test_los_gain_identity_random():
-    # |h_eff| = |h_d| + N|gamma| for any single-path realization
-    rng = np.random.default_rng(23)
-    n = 32
-    grid = resolvable_angles(n)
-    for _ in range(10):
-        h_d = complex(rng.standard_normal(), rng.standard_normal())
-        gamma = complex(rng.standard_normal(), rng.standard_normal())
-        omega = grid[rng.integers(n)]
-        theta = optimize_mmwave_los(h_d, gamma, omega, n)
-        np.testing.assert_allclose(np.abs(theta), 1.0, atol=1e-12)
-        h = effective_channel_mmwave(h_d, np.array([omega]), np.array([gamma]), theta)
-        assert abs(h) == pytest.approx(abs(h_d) + n * abs(gamma), rel=1e-12)
+    assert abs(effective_channel(1.0, c, theta)) == pytest.approx(1.0 + n)
 
 
 def test_los_beats_codebook_steering():
@@ -116,35 +109,18 @@ def test_los_beats_codebook_steering():
     n = 8
     grid = resolvable_angles(n)
     h_d = complex(rng.standard_normal(), rng.standard_normal())
-    gamma = complex(rng.standard_normal(), rng.standard_normal())
-    omega = grid[3]
-    best = abs(effective_channel_mmwave(
-        h_d, np.array([omega]), np.array([gamma]),
-        optimize_mmwave_los(h_d, gamma, omega, n)))
+    c = sparse_cascade([grid[3]], [complex(rng.standard_normal(), rng.standard_normal())], n)
+    best = abs(effective_channel(h_d, c, align(h_d, c)))
     for steer in grid:
         alt = np.exp(-1j * np.pi * np.arange(n) * steer)
-        got = abs(effective_channel_mmwave(h_d, np.array([omega]), np.array([gamma]), alt))
-        assert best >= got - 1e-12
-
-
-def test_nlos_single_path_reduces_to_los():
-    rng = np.random.default_rng(25)
-    n = 16
-    grid = resolvable_angles(n)
-    for _ in range(10):
-        h_d = complex(rng.standard_normal(), rng.standard_normal())
-        gamma = complex(rng.standard_normal(), rng.standard_normal())
-        omega = grid[rng.integers(n)]
-        a = optimize_mmwave_nlos(h_d, np.array([omega]), np.array([gamma]), n)
-        b = optimize_mmwave_los(h_d, gamma, omega, n)
-        np.testing.assert_allclose(a, b, atol=1e-12)
+        assert best >= abs(effective_channel(h_d, c, alt)) - 1e-12
 
 
 def test_nlos_symmetric_pair_is_real_pattern():
-    # equal gains at +/- omega: the matching sum is 2*cos(pi*n*omega), so the
+    # equal gains at +/- omega: the cascade is sqrt(2) cos(pi*n*omega), so the
     # configuration is the real sign pattern with ties falling back to +1
     n = 8
-    theta = optimize_mmwave_nlos(1.0, np.array([0.25, -0.25]), np.array([1.0, 1.0]), n)
+    theta = align(1.0, sparse_cascade([0.25, -0.25], [1.0, 1.0], n))
     np.testing.assert_allclose(np.abs(theta), 1.0, atol=1e-12)
     np.testing.assert_allclose(theta.imag, 0.0, atol=1e-12)
     want = np.sign(np.cos(np.pi * np.arange(n) * 0.25))
@@ -157,36 +133,57 @@ def test_nlos_beats_random_search():
     n, l_paths = 16, 3
     grid = resolvable_angles(n)
     angles = grid[rng.choice(n, l_paths, replace=False)]
-    gains = rng.standard_normal(l_paths) + 1j * rng.standard_normal(l_paths)
+    c = sparse_cascade(angles, _random_complex(rng, l_paths), n)
     h_d = complex(rng.standard_normal(), rng.standard_normal())
-    theta = optimize_mmwave_nlos(h_d, angles, gains, n)
-    best = abs(effective_channel_mmwave(h_d, angles, gains, theta))
+    best = abs(effective_channel(h_d, c, align(h_d, c)))
     rand_theta = np.exp(1j * rng.uniform(0, 2 * np.pi, (10_000, n)))
-    phases = np.exp(1j * np.pi * np.outer(angles, np.arange(n)))
-    rand = np.abs(h_d + n / np.sqrt(l_paths) * (rand_theta @ phases.T / n) @ gains)
-    assert best >= rand.max()
+    assert best >= np.abs(effective_channel(h_d, c, rand_theta)).max()
 
 
 def test_nlos_input_validation():
     with pytest.raises(ValueError):
-        optimize_mmwave_nlos(1.0, np.array([0.0, 0.5]), np.array([1.0]), 8)
+        sparse_cascade(np.array([0.0, 0.5]), np.array([1.0]), 8)
     with pytest.raises(ValueError):
-        optimize_mmwave_nlos(1.0, np.array([]), np.array([]), 8)
+        sparse_cascade(np.array([]), np.array([]), 8)
+    with pytest.raises(ValueError):
+        sparse_cascade(np.array([0.0]), 1.0, 8)
+
+
+def test_sparse_cascade_is_the_per_path_sum_and_broadcasts():
+    """sparse_cascade is (1/sqrt(L)) sum_l gain_l exp(i*pi*n*angle_l), and a
+    (T, L) stack of gains gives the (T, N) stack of per-row cascades, each of
+    which effective_channel takes against its own configuration."""
+    rng = np.random.default_rng(28)
+    n, l_paths, rows = 12, 3, 5
+    angles = resolvable_angles(n)[[1, 4, 9]]
+    gains = _random_complex(rng, (rows, l_paths))
+    got = sparse_cascade(angles, gains, n)
+    assert got.shape == (rows, n)
+    for t in range(rows):
+        want = sum(gains[t, l] * np.exp(1j * np.pi * np.arange(n) * angles[l])
+                   for l in range(l_paths)) / np.sqrt(l_paths)
+        np.testing.assert_allclose(got[t], want, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(sparse_cascade(angles, gains[t], n), got[t], rtol=0, atol=1e-15)
+    h_d = _random_complex(rng, rows)
+    theta = align(h_d[:, None], got)
+    batch = effective_channel(h_d, got, theta)
+    assert batch.shape == (rows,)
+    for t in range(rows):
+        assert batch[t] == pytest.approx(effective_channel(h_d[t], got[t], theta[t]), rel=1e-14)
 
 
 def test_effective_gain_matches_coherent_square():
     rng = np.random.default_rng(27)
     budget = LinkBudget(beta_f=1.0, beta_g=np.array([1.0]), beta_d=np.array([1.0]))
     ch = sample_sub6(rng, 12, budget, slots=1)
-    h_d, f, g = ch.h_d[0, 0], ch.f[0], ch.g[0, 0]
-    theta = optimize_sub6(h_d, f, g)
-    eff = effective_channel_sub6(h_d, f, g, theta)
-    want = (abs(h_d) + np.sum(np.abs(f * g))) ** 2
+    h_d, c = ch.h_d[0, 0], ch.f[0] * ch.g[0, 0]
+    eff = effective_channel(h_d, c, align(h_d, c))
+    want = (abs(h_d) + np.sum(np.abs(c))) ** 2
     assert abs(eff) ** 2 == pytest.approx(want, rel=1e-12)
 
 
 def test_effective_no_reflector_gain():
-    h = effective_channel_sub6(0.3 - 0.4j, np.empty(0), np.empty(0), np.empty(0))
+    h = effective_channel(0.3 - 0.4j, np.empty(0), np.empty(0))
     assert abs(h) ** 2 == pytest.approx(0.25)
 
 
@@ -197,10 +194,11 @@ def test_effective_orthogonal_paths_drop_out():
     angles = grid[[10, 30, 50]]
     gains = np.array([1.0 + 0.5j, -2.0, 0.7j])
     h_d = 0.2 + 0.1j
-    theta = optimize_mmwave_los(h_d, gains[0], angles[0], n)
-    got = effective_channel_mmwave(h_d, angles, gains, theta)
+    theta = align(h_d, sparse_cascade(angles[:1], gains[:1], n))
+    got = effective_channel(h_d, sparse_cascade(angles, gains, n), theta)
     # same channel with paths 2,3 deleted; gain rescaled for the L=1 prefactor
-    only_first = effective_channel_mmwave(h_d, angles[:1], gains[:1] / np.sqrt(3.0), theta)
+    only_first = effective_channel(h_d, sparse_cascade(angles[:1], gains[:1] / np.sqrt(3.0), n),
+                                   theta)
     assert got == pytest.approx(only_first, rel=1e-10)
 
 
@@ -210,8 +208,11 @@ def test_unit_phase_resolves_zero_to_one():
     assert unit_phase(v)[1] == 1.0
     assert unit_phase(0j) == 1.0
     # a zero matched sum falls back to the direct path's phase
-    theta = optimize_mmwave_los(1j, 0.0, 0.5, 4)
-    np.testing.assert_allclose(theta, np.exp(-1j * np.pi * np.arange(4) * 0.5), atol=1e-15)
+    theta = align(1j, sparse_cascade([0.5], [0.0], 4))
+    np.testing.assert_array_equal(theta, np.full(4, 1j))
+    # and a vanishing direct path contributes phase 0
+    c = sparse_cascade([0.5], [1.0], 4)
+    np.testing.assert_array_equal(align(0.0, c), unit_phase(np.conj(c)))
 
 
 def test_unit_phase_equals_the_two_pass_form_bit_for_bit():
@@ -276,12 +277,8 @@ def test_unit_modulus_everywhere():
     grid = resolvable_angles(n)
     for _ in range(10):
         h_d = complex(rng.standard_normal(), rng.standard_normal())
-        f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        np.testing.assert_allclose(np.abs(optimize_sub6(h_d, f, g)), 1.0, atol=1e-12)
+        sub6 = _random_complex(rng, n) * _random_complex(rng, n)
         angles = grid[rng.choice(n, 4, replace=False)]
-        gains = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        np.testing.assert_allclose(
-            np.abs(optimize_mmwave_nlos(h_d, angles, gains, n)), 1.0, atol=1e-12)
-        np.testing.assert_allclose(
-            np.abs(optimize_mmwave_los(h_d, gains[0], angles[0], n)), 1.0, atol=1e-12)
+        gains = _random_complex(rng, 4)
+        for c in (sub6, sparse_cascade(angles, gains, n), sparse_cascade(angles[:1], gains[:1], n)):
+            np.testing.assert_allclose(np.abs(align(h_d, c)), 1.0, atol=1e-12)

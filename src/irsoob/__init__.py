@@ -8,8 +8,7 @@ closed-form rate/outage/distribution expressions, and figure-style experiment
 presets with a small CLI (`irsoob`).
 
 Subpackage map:
-    kernels      dB conversion, angle grid, sine wrap and cascade bins,
-                 Gaussian tail
+    kernels      dB conversion, angle grid, sine wrap and cascade bins
     channels     geometry, path loss, complex normals, sparse path angles as
                  grid bins
     irs          unit phase, one co-phasing rule and one effective channel

@@ -3,9 +3,9 @@
 Everything here is a pure function of an AnalyticParams bundle describing one
 operator's UE population: ergodic sum spectral efficiencies, outage
 probabilities, gain-offset distributions, beam-alignment combinatorics, and
-the exponential-decay bounds for the in-band side. The bundle holds no SNR:
-only the sum-SE forms take one, as an argument. Spectral efficiency is
-bits/s/Hz (log base 2) throughout.
+the in-band exponential-decay bounds (one constant _C2, one (alpha, eta) rule).
+The bundle holds no SNR: only the sum-SE forms take one, as an argument.
+Spectral efficiency is bits/s/Hz (log base 2) throughout.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .kernels import gauss_q
 
 _PI = math.pi
 
@@ -345,32 +343,25 @@ def mr_asymptotic_se(q_ues: int, p: AnalyticParams, snr: float) -> float:
     return float(np.log2(1.0 + math.log(q_ues) * _mu1(p) * _positive(snr)))
 
 
-@dataclass(frozen=True)
-class DecayBoundParams:
-    """Constants of the Gaussian surrogate for in-band UE 0's coherent gain sum."""
+# c2 of the Gaussian surrogate for in-band UE 0's coherent gain sum
+_C2 = _PI / math.sqrt(16.0 - _PI ** 2)
 
-    c2: float
-    alpha: float
-    eta: float
 
-    @classmethod
-    def from_params(cls, p: AnalyticParams) -> "DecayBoundParams":
-        br = float(p.beta_r[0])
-        n = p.n_elements
-        return cls(c2=_PI / math.sqrt(16.0 - _PI ** 2),
-                   alpha=2.0 * n * (1.0 - _PI ** 2 / 16.0) * br,
-                   eta=n * _PI * math.sqrt(br) / 4.0)
+def decay_bound_terms(p: AnalyticParams) -> tuple[float, float]:
+    """UE 0's (alpha, eta): the variance and mean terms of the in-band decay bounds' surrogate."""
+    br = float(p.beta_r[0])
+    n = p.n_elements
+    return 2.0 * n * (1.0 - _PI ** 2 / 16.0) * br, n * _PI * math.sqrt(br) / 4.0
 
 
 def inband_outage_bound(p: AnalyticParams) -> float:
     """Large-N upper bound 2*Q(c2*sqrt(N)) on in-band UE 0's outage probability; decays as O(e^-N).
 
-    The outage threshold drops out of this large-N form, which does not bound
-    small N: fig6's N = 2 row reads 0.0915 ± 0.0020 (seed 6) and 0.147 ±
-    0.0025 (seed 3), above 0.0727.
+    Evaluated as erfc(c2*sqrt(N)/sqrt(2)). The outage threshold drops out of
+    this large-N form, which does not bound small N: fig6's N = 2 row reads
+    0.0915 ± 0.0020 (seed 6) and 0.147 ± 0.0025 (seed 3), above 0.0727.
     """
-    d = DecayBoundParams.from_params(p)
-    return float(2.0 * gauss_q(d.c2 * math.sqrt(p.n_elements)))
+    return math.erfc(_C2 * math.sqrt(p.n_elements) / math.sqrt(2.0))
 
 
 def inband_offset_ccdf_bound(rho, p: AnalyticParams):
@@ -379,9 +370,9 @@ def inband_offset_ccdf_bound(rho, p: AnalyticParams):
     For in-band UE 0; approaches 1 as O(e^-N). Clamped at 0 where the closed form
     goes negative (far tail, where any nonnegative number is a valid lower bound).
     """
-    d = DecayBoundParams.from_params(p)
+    alpha, eta = decay_bound_terms(p)
     bd = float(p.beta_d[0])
     rho = np.asarray(rho, dtype=float)
-    expo = np.clip(rho / bd - d.eta ** 2 / (bd + d.alpha), None, 700.0)
-    out = np.clip(1.0 - math.sqrt(bd / (bd + d.alpha)) * np.exp(expo), 0.0, 1.0)
+    expo = np.clip(rho / bd - eta ** 2 / (bd + alpha), None, 700.0)
+    out = np.clip(1.0 - math.sqrt(bd / (bd + alpha)) * np.exp(expo), 0.0, 1.0)
     return float(out) if out.ndim == 0 else out

@@ -38,6 +38,9 @@ class NodeGeometry:
 
     def __post_init__(self):
         for name in ("bs_inband", "bs_oob", "irs", "ue_region"):
+            if isinstance(getattr(self, name), list):   # JSON has no tuples
+                object.__setattr__(self, name, tuple(
+                    tuple(v) if isinstance(v, list) else v for v in getattr(self, name)))
             for value in np.ravel(np.asarray(getattr(self, name), dtype=object)):
                 finite(name, value)
         (x0, y0), (x1, y1) = self.ue_region

@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 from .config import load_spec, read_json_object
-from .experiments import PRESETS, list_presets, preset_spec, run_spec, save_run
+from .experiments import PRESETS, preset_spec, run_spec, save_run
 
 
 def _parse_override(text: str) -> tuple[str, object]:
@@ -60,8 +60,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
     if args.command == "list-presets":
-        for name, note in list_presets():
-            print(f"{name:8s} {note}")
+        for name, preset in PRESETS.items():
+            print(f"{name:8s} {preset.note}")
         return 0
 
     # a spec that cannot be resolved is a usage error; failures past that point propagate

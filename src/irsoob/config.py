@@ -135,6 +135,9 @@ class ExperimentSpec:
                                  f"point to {node}")
 
 
+_NESTED = {"geometry": NodeGeometry, "path_loss": PathLossParams}   # fields read as JSON objects
+
+
 def _build(cls, data: dict, path: str):
     """Construct a dataclass from a dict, rejecting unknown keys with a dotted field path."""
     known = {f.name: f for f in fields(cls)}
@@ -143,33 +146,16 @@ def _build(cls, data: dict, path: str):
         where = f"{path}.{key}" if path else key
         if key not in known:
             raise ValueError(f"unknown field {where!r} in config")
-        if key == "geometry":
+        if key in _NESTED:
             if not isinstance(value, dict):
                 raise ValueError(f"{where}: expected an object")
-            value = _build(NodeGeometry, _listify(value), where)
-        elif key == "path_loss":
-            if not isinstance(value, dict):
-                raise ValueError(f"{where}: expected an object")
-            value = _build(PathLossParams, value, where)
+            value = _build(_NESTED[key], value, where)
         kwargs[key] = value
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as err:
         prefix = f"{path}: " if path else ""
         raise ValueError(f"{prefix}{err}") from err
-
-
-def _listify(geo: dict) -> dict:
-    # JSON has no tuples; coordinates arrive as lists
-    out = {}
-    for key, value in geo.items():
-        if key == "ue_region" and isinstance(value, list):
-            out[key] = tuple(tuple(corner) for corner in value)
-        elif isinstance(value, list):
-            out[key] = tuple(value)
-        else:
-            out[key] = value
-    return out
 
 
 def read_json_object(path) -> dict:

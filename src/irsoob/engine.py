@@ -291,8 +291,9 @@ def schedule_rates(rates: np.ndarray, scheduler: str, tau: float = 1000.0) -> np
     slot-major (slots, batch, Q) copy of the rates, made only if `rates` is
     not already a view of one, reuses its metric and index buffers, and
     banks each served rate through one flat index. At tau = 1 every unserved
-    average decays to 0, so its metric is inf by design and that division
-    warns of nothing; a 0/0 still would.
+    average decays to 0, so its metric is inf by design; a UE that offers
+    rate 0 there reads 0/0, which the metric sets to 0, since it banks
+    nothing. Neither division warns.
     """
     *lead, slots, q_ues = rates.shape
     if scheduler == "rr":
@@ -312,9 +313,10 @@ def schedule_rates(rates: np.ndarray, scheduler: str, tau: float = 1000.0) -> np
     row_start = np.arange(batch) * q_ues
     pick = np.empty(batch, dtype=np.intp)
     served = np.empty((slots, batch), dtype=np.intp)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         for t, offered in enumerate(by_slot):
             np.divide(offered, averages, out=metric)
+            np.fmax(metric, 0.0, out=metric)   # a 0/0 NaN reads 0, not argmax's first pick
             metric.argmax(axis=1, out=served[t])
             averages *= decay
             np.add(row_start, served[t], out=pick)

@@ -424,8 +424,8 @@ def _point_rows(spec, figure, n, data, aux_rng, budget_x, budget_y, analytic_onl
         rows.append(_dominance_row(figure, n, l_tag, data, params_y))
     if "inband_offset" in spec.outputs:
         rows += _inband_offset_rows(figure, n, params_x, inband)
-    if "correlation_response" in spec.outputs and not analytic_only:
-        rows += _response_rows(spec, figure, n, l_tag, aux_rng)
+    if "correlation_response" in spec.outputs:
+        rows += _response_rows(spec, figure, n, l_tag, aux_rng, analytic_only)
     return rows
 
 
@@ -546,10 +546,9 @@ def _dominance_row(figure, n, l_tag, data, params_y):
 def _inband_offset_rows(figure, n, params_x, inband):
     """The served in-band UE's gain offset CCDF against its closed-form lower bound."""
     beta_d0 = float(params_x.beta_d[0])
-    bp = analytics.DecayBoundParams.from_params(params_x)
+    alpha, eta = analytics.decay_bound_terms(params_x)
     # invert the bound so the grid tracks its transition region
-    base = (0.5 * math.log((beta_d0 + bp.alpha) / beta_d0)
-            + bp.eta ** 2 / (beta_d0 + bp.alpha))
+    base = 0.5 * math.log((beta_d0 + alpha) / beta_d0) + eta ** 2 / (beta_d0 + alpha)
     grid = np.array([beta_d0 * (math.log(1.0 - p) + base)
                      for p in np.linspace(0.95, 0.05, 10)])
     return _pooled_ccdf_rows(figure, "offset_ccdf_inband", grid,
@@ -557,8 +556,12 @@ def _inband_offset_rows(figure, n, params_x, inband):
                              analytics.inband_offset_ccdf_bound(grid, params_x), n_elements=n)
 
 
-def _response_rows(spec, figure, n, l_tag, aux_rng):
-    """The RMS response at each source angle, with form 1/sqrt(L), then at two off-peak probes."""
+def _response_rows(spec, figure, n, l_tag, aux_rng, analytic_only):
+    """The RMS response at each source angle, with form 1/sqrt(L), then at two off-peak probes.
+
+    Analytic only, the source angles are drawn as in a full run and only the
+    Monte Carlo response is skipped, so the probe rows carry no value.
+    """
     grid = resolvable_angles(n)
     source = np.sort(aux_rng.choice(grid, size=min(spec.l1 * spec.l2, n), replace=False))
     # off-peak probes: half a bin either side of the grid point farthest, in
@@ -567,10 +570,9 @@ def _response_rows(spec, figure, n, l_tag, aux_rng):
     far = grid[np.argmax(np.minimum(gap, 2.0 - gap).min(axis=1))]
     probes = [(nu, 1.0 / math.sqrt(len(source))) for nu in source]
     probes += [(nu, None) for nu in principal_sine_wrap(far + np.array([-1.0, 1.0]) / n)]
-    return [ResultRow(figure, "response", n_elements=n, l_paths=l_tag, x=float(nu),
-                      empirical=float(correlation_response(aux_rng, n, source, float(nu),
-                                                           trials=400)),
-                      analytic=form)
+    return [ResultRow(figure, "response", n_elements=n, l_paths=l_tag, x=float(nu), analytic=form,
+                      empirical=None if analytic_only else float(
+                          correlation_response(aux_rng, n, source, float(nu), trials=400)))
             for nu, form in probes]
 
 
@@ -643,10 +645,6 @@ PRESETS: dict[str, Preset] = {
         "OOB SE under rr/pf/mr vs element count",
         ({"q_ues": 10}, {"q_ues": 100})),
 }
-
-
-def list_presets() -> list[tuple[str, str]]:
-    return [(name, preset.note) for name, preset in PRESETS.items()]
 
 
 def preset_spec(name: str, overrides: dict | None = None,

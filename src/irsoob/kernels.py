@@ -1,4 +1,4 @@
-"""Low-level math kernels shared by the channel, reflector-control, and analytics layers.
+"""Low-level math kernels shared by the channel and experiment layers.
 
 Propagation directions are handled in the sine domain throughout the package:
 a physical angle phi enters as x = sin(phi) in [-1, 1). Conversion from degrees
@@ -7,11 +7,7 @@ or radians happens once, at the geometry layer, never here.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-
-_erfc = np.vectorize(math.erfc, otypes=[float])
 
 
 def db_to_linear(x_db):
@@ -56,8 +52,3 @@ def principal_sine_wrap(x):
     if np.isscalar(x) or arr.ndim == 0:
         return float(out)
     return out
-
-
-def gauss_q(x):
-    """Gaussian tail probability Q(x) = P(N(0,1) > x)."""
-    return 0.5 * _erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))

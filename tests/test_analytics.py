@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from irsoob import analytics as an
-from irsoob.analytics import AnalyticParams, DecayBoundParams
+from irsoob.analytics import _C2, AnalyticParams, decay_bound_terms
 from oracles import spectral_efficiency
 
 # Reference-UE losses from the default geometry (see test_channels.py for the
@@ -542,10 +542,18 @@ def test_max_rate_slope_and_monte_carlo():
 
 def test_decay_bound_constants():
     p = AnalyticParams(n_elements=32, beta_r=1.0, beta_d=0.5)
-    d = DecayBoundParams.from_params(p)
-    np.testing.assert_allclose(d.c2, math.pi / math.sqrt(16.0 - math.pi ** 2), rtol=1e-12)
-    np.testing.assert_allclose(d.alpha, 2 * 32 * (1.0 - math.pi ** 2 / 16.0), rtol=1e-12)
-    np.testing.assert_allclose(d.eta, 32 * math.pi / 4.0, rtol=1e-12)
+    alpha, eta = decay_bound_terms(p)
+    np.testing.assert_allclose(_C2, math.pi / math.sqrt(16.0 - math.pi ** 2), rtol=1e-12)
+    np.testing.assert_allclose(alpha, 2 * 32 * (1.0 - math.pi ** 2 / 16.0), rtol=1e-12)
+    np.testing.assert_allclose(eta, 32 * math.pi / 4.0, rtol=1e-12)
+
+
+def test_inband_outage_bound_matches_scipy_erfc():
+    """2*Q(c2*sqrt(N)) = erfc(c2*sqrt(N)/sqrt(2)), pinned against scipy's erfc, N = 0 included."""
+    from scipy.special import erfc
+    for n in (0, 1, 2, 8, 64, 512):
+        expected = erfc(math.pi / math.sqrt(16.0 - math.pi ** 2) * math.sqrt(n) / math.sqrt(2.0))
+        np.testing.assert_allclose(an.inband_outage_bound(params_sub6(n)), expected, rtol=1e-14)
 
 
 def test_inband_outage_bound_decays_and_holds():

@@ -176,6 +176,13 @@ def test_float_fields_must_be_finite_numbers(data, field):
         spec_from_dict(data)
 
 
+def test_a_ue_region_without_corner_pairs_is_a_value_error():
+    """Corners that are not coordinate pairs are refused through the usual
+    ValueError, named by the geometry field, not a TypeError."""
+    with pytest.raises(ValueError, match="geometry"):
+        spec_from_dict({"geometry": {"ue_region": [1, 2]}})
+
+
 def test_finite_float_fields_are_kept_as_given():
     spec = spec_from_dict({"pf_tau": 500, "geometry": {"irs": [1000, 1000.5]},
                            "path_loss": {"d0": 2}})

@@ -31,6 +31,7 @@ traced peak shows that it holds one chunk's scratch.
 import dataclasses
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -960,6 +961,18 @@ def test_pf_update_tau_one_is_memoryless():
     with np.errstate(divide="ignore"):
         served = schedule_rates(rates, "pf", tau=1.0)
     np.testing.assert_array_equal(served, [0, 1, 0, 1])
+
+
+def test_pf_never_serves_a_ue_that_offers_rate_zero():
+    """At tau = 1 UE 0's average decays to 0 once UE 1 is served, and from
+    slot 2 on UE 0 offers 0 against it: 0/0. A UE that offers nothing banks
+    nothing, so its metric is 0 and UE 1 keeps the slot, as it does at
+    tau = 1000; the division raises no warning."""
+    rates = np.array([[1.0, 1.0], [0.0, 0.5], [0.0, 0.5], [0.0, 0.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for tau in (1.0, 1000.0):
+            np.testing.assert_array_equal(schedule_rates(rates, "pf", tau), [0, 1, 1, 1])
 
 
 def test_pf_equal_rates_share_slots_exactly():

@@ -15,7 +15,7 @@ from irsoob import analytics as an
 from irsoob.config import ExperimentSpec, spec_hash
 import irsoob.engine as engine
 from irsoob.engine import _aligned_gain, budgets_for, run_trial, schedule_rates, spawn_rngs
-from irsoob.experiments import (CSV_COLUMNS, PRESETS, ResultRow, emit_csv, list_presets,
+from irsoob.experiments import (CSV_COLUMNS, PRESETS, ResultRow, emit_csv,
                                 operator_params, preset_spec, run_preset, run_spec)
 from irsoob.kernels import db_to_linear, resolvable_angles
 from oracles import oob_gain_samples
@@ -78,9 +78,8 @@ def test_unknown_preset_and_bad_override():
 
 
 def test_list_presets_covers_all_figures():
-    listed = dict(list_presets())
-    assert set(listed) == {f"fig{i}" for i in range(3, 13)}
-    assert all(listed.values())
+    assert set(PRESETS) == {f"fig{i}" for i in range(3, 13)}
+    assert all(preset.note for preset in PRESETS.values())
 
 
 def test_preset_rerun_is_byte_identical(tmp_path):
@@ -170,7 +169,8 @@ def test_outage_without_a_reflector_is_the_direct_path_law():
 def test_response_rows_carry_the_rms_response():
     """Per N: the L source angles, where the analytic 1/sqrt(L) sits and the
     RMS response lies within criterion 8's 0.05 of it, then two off-grid
-    probes with no analytic value. An analytic-only run writes none."""
+    probes with no analytic value. An analytic-only run writes the same rows
+    at the same angles, with the analytic values and no empirical one."""
     l_paths = 3
     spec = ExperimentSpec(regime="mmwave_los", l1=1, l2=l_paths, n_sweep=(16, 64), slots=50,
                           trials=1, seed=3, outputs=("correlation_response",))
@@ -189,7 +189,10 @@ def test_response_rows_carry_the_rms_response():
             assert r.analytic == pytest.approx(1.0 / math.sqrt(l_paths))
             assert abs(r.empirical - r.analytic) <= 0.05
         assert sum(r.analytic is not None for r in at_n) == l_paths
-    assert run_spec(spec, "resp", analytic_only=True)[0] == []
+    only = run_spec(spec, "resp", analytic_only=True)[0]
+    assert [(r.n_elements, r.x, r.analytic) for r in only] == [
+        (r.n_elements, r.x, r.analytic) for r in rows]
+    assert all(r.empirical is None and r.stderr is None for r in only)
 
 
 def test_response_probes_sit_off_every_source_lobe():

@@ -20,7 +20,6 @@ from irsoob.analytics import AnalyticParams, _exp_scaled_gamma1, cdf_oob_mmwave_
 from irsoob.kernels import (
     cascade_bin,
     db_to_linear,
-    gauss_q,
     principal_sine_wrap,
     resolvable_angles,
 )
@@ -116,20 +115,6 @@ def test_wrap_rejects_nonfinite():
         principal_sine_wrap(np.nan)
     with pytest.raises(ValueError):
         principal_sine_wrap(np.inf)
-
-
-def test_gauss_q_values():
-    assert gauss_q(0.0) == 0.5
-    assert gauss_q(np.inf) == 0.0
-    # erfc evaluation to 6 digits
-    assert gauss_q(1.0) == pytest.approx(0.158655, abs=5e-7)
-    x = np.linspace(-4, 4, 100)
-    assert np.all(np.diff(gauss_q(x)) < 0)
-
-
-def test_gauss_q_matches_scipy_erfc():
-    x = np.linspace(-8.0, 8.0, 1600).reshape(40, 40)
-    np.testing.assert_allclose(gauss_q(x), 0.5 * special.erfc(x / np.sqrt(2.0)), rtol=1e-14)
 
 
 def test_i0_zero_offset_closed_form():

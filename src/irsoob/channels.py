@@ -16,9 +16,6 @@ import numpy as np
 
 from .kernels import cascade_bin, db_to_linear
 
-LINK_CLASSES = ("bs_irs", "irs_ue", "direct")
-IID_UE_POINT = (1000.0, 1000.0)   # where every UE sits when a spec asks for iid UEs
-
 
 def finite(name: str, value):
     """value itself when a finite real number (no bool), else a ValueError naming the field."""
@@ -29,7 +26,8 @@ def finite(name: str, value):
 
 @dataclass(frozen=True)
 class NodeGeometry:
-    """Planar coordinates (meters) of the two base stations, the reflector, and the UE drop region."""
+    """Planar coordinates (meters) of the two base stations, the reflector, and the UE drop
+    region; a one-point region (both corners equal) pins every UE there."""
 
     bs_inband: tuple[float, float] = (0.0, 50.0)
     bs_oob: tuple[float, float] = (50.0, 0.0)
@@ -44,13 +42,13 @@ class NodeGeometry:
             for value in np.ravel(np.asarray(getattr(self, name), dtype=object)):
                 finite(name, value)
         (x0, y0), (x1, y1) = self.ue_region
-        if not (x1 > x0 and y1 > y0):
+        if not (x1 >= x0 and y1 >= y0):
             raise ValueError(f"ue_region corners must be ordered, got {self.ue_region}")
 
 
 @dataclass(frozen=True)
 class PathLossParams:
-    """Distance-power law beta = 10^(c0_db/10) * (d0/d)^alpha, one exponent per link class."""
+    """Distance-power law beta = 10^(c0_db/10) * (d0/d)^alpha, one exponent alpha per link."""
 
     c0_db: float = -30.0
     d0: float = 1.0
@@ -69,17 +67,11 @@ class PathLossParams:
             if getattr(self, name) < 2.0:
                 raise ValueError(f"{name} must be >= 2, got {getattr(self, name)}")
 
-    def exponent(self, link_class: str) -> float:
-        if link_class not in LINK_CLASSES:
-            raise ValueError(f"unknown link class {link_class!r}, expected one of {LINK_CLASSES}")
-        return getattr(self, f"alpha_{link_class}")
 
-
-def path_loss(params: PathLossParams, distance: float, link_class: str) -> float:
-    """Linear power gain of one link; rejects distances inside the reference distance d0."""
+def path_loss(params: PathLossParams, distance: float, alpha: float) -> float:
+    """Linear power gain of one link with exponent alpha; rejects distances inside d0."""
     if distance < params.d0:
         raise ValueError(f"distance {distance} is below the reference distance {params.d0}")
-    alpha = params.exponent(link_class)
     return float(db_to_linear(params.c0_db) * (params.d0 / distance) ** alpha)
 
 
@@ -88,7 +80,7 @@ def _dist(a, b) -> float:
 
 
 def draw_ue_positions(rng: np.random.Generator, geometry: NodeGeometry, count: int,
-                      d0: float = 1.0) -> np.ndarray:
+                      d0: float) -> np.ndarray:
     """Uniform UE drop over the rectangle, resampling any UE that lands within d0 of a node.
 
     The reflector sits inside the drop region, so a UE can in principle land
@@ -133,10 +125,11 @@ class LinkBudget:
 def link_budget(geometry: NodeGeometry, params: PathLossParams, bs: tuple[float, float],
                 ue_positions: np.ndarray) -> LinkBudget:
     """Path losses from one base station to each UE, directly and through the reflector."""
-    beta_f = path_loss(params, _dist(bs, geometry.irs), "bs_irs")
-    beta_g = np.array([path_loss(params, _dist(geometry.irs, ue), "irs_ue")
+    beta_f = path_loss(params, _dist(bs, geometry.irs), params.alpha_bs_irs)
+    beta_g = np.array([path_loss(params, _dist(geometry.irs, ue), params.alpha_irs_ue)
                        for ue in ue_positions])
-    beta_d = np.array([path_loss(params, _dist(bs, ue), "direct") for ue in ue_positions])
+    beta_d = np.array([path_loss(params, _dist(bs, ue), params.alpha_direct)
+                       for ue in ue_positions])
     return LinkBudget(beta_f=beta_f, beta_g=beta_g, beta_d=beta_d)
 
 

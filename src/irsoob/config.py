@@ -16,7 +16,7 @@ import math
 import operator
 from dataclasses import dataclass, field, fields
 
-from .channels import IID_UE_POINT, NodeGeometry, PathLossParams, finite
+from .channels import NodeGeometry, PathLossParams, finite
 
 REGIMES = ("sub6", "mmwave_los", "mmwave_nlos")
 SCHEDULERS = ("rr", "pf", "mr")
@@ -62,7 +62,6 @@ class ExperimentSpec:
     trials: int = 4
     seed: int = 0
     pf_tau: float = 1000.0
-    iid_ues: bool = False
     outputs: tuple[str, ...] = ("sumse",)
     slot_budget: int = 50_000_000
     max_elements: int = 1024
@@ -117,8 +116,6 @@ class ExperimentSpec:
                 f"slots*trials = {self.slots * self.trials} exceeds slot_budget {self.slot_budget}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not isinstance(self.iid_ues, bool):
-            raise ValueError(f"iid_ues: expected true or false, got {self.iid_ues!r}")
         if finite("pf_tau", self.pf_tau) < 1.0:
             raise ValueError(f"pf_tau must be >= 1, got {self.pf_tau}")
         # d0 must clear both feeder links and some UE point; the region is convex,
@@ -128,7 +125,7 @@ class ExperimentSpec:
             if math.dist(getattr(geo, bs), geo.irs) < d0:
                 raise ValueError(f"path_loss.d0 = {d0} exceeds the {bs}-to-irs distance")
         (x0, y0), (x1, y1) = geo.ue_region
-        ues = [IID_UE_POINT] if self.iid_ues else [(x0, y0), (x0, y1), (x1, y0), (x1, y1)]
+        ues = [(x0, y0), (x0, y1), (x1, y0), (x1, y1)]
         for node in ("bs_inband", "bs_oob", "irs"):
             if all(math.dist(ue, getattr(geo, node)) < d0 for ue in ues):
                 raise ValueError(f"path_loss.d0 = {d0} exceeds the distance from every UE "

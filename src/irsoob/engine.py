@@ -67,8 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (IID_UE_POINT, LinkBudget, complex_normal, draw_ue_positions,
-                       link_budget, mmwave_angle_bins)
+from .channels import LinkBudget, complex_normal, draw_ue_positions, link_budget, mmwave_angle_bins
 from .config import ExperimentSpec
 from .irs import unit_phase
 
@@ -372,12 +371,8 @@ def dominance_test(samples_with, samples_without, grid) -> DominanceReport:
 # one protocol trial
 
 def budgets_for(spec: ExperimentSpec, rng: np.random.Generator):
-    if spec.iid_ues:
-        pos_x = np.tile(IID_UE_POINT, (spec.k_ues, 1))
-        pos_y = np.tile(IID_UE_POINT, (spec.q_ues, 1))
-    else:
-        pos_x = draw_ue_positions(rng, spec.geometry, spec.k_ues, spec.path_loss.d0)
-        pos_y = draw_ue_positions(rng, spec.geometry, spec.q_ues, spec.path_loss.d0)
+    pos_x = draw_ue_positions(rng, spec.geometry, spec.k_ues, spec.path_loss.d0)
+    pos_y = draw_ue_positions(rng, spec.geometry, spec.q_ues, spec.path_loss.d0)
     budget_x = link_budget(spec.geometry, spec.path_loss, spec.geometry.bs_inband, pos_x)
     budget_y = link_budget(spec.geometry, spec.path_loss, spec.geometry.bs_oob, pos_y)
     return (pos_x, pos_y), budget_x, budget_y

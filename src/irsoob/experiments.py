@@ -31,7 +31,7 @@ import numpy as np
 
 from . import analytics
 from .analytics import AnalyticParams
-from .channels import PathLossParams
+from .channels import NodeGeometry, PathLossParams
 from .config import (SCHEDULERS, ExperimentSpec, read_json_object, spec_from_dict, spec_hash,
                      spec_to_dict)
 from .engine import (TrialData, _aligned_gain, budgets_for, dominance_test, empirical_ccdf,
@@ -361,9 +361,9 @@ def run_spec(spec: ExperimentSpec, figure: str = "run", analytic_only: bool = Fa
     their rows.
 
     Returns (rows, one VariantRun per variant). With analytic_only,
-    simulation is skipped and the empirical/stderr columns stay blank; grids
-    and placements are identical to a full run. Trials run only when an
-    output reads their gains.
+    simulation is skipped and the full run's rows come back with blank
+    empirical/stderr columns, on the same grids and placements. Trials run
+    only when an output reads their gains.
     """
     points = []     # (spec, N, trial generators, auxiliary generator, budget_x, budget_y)
     runs = []
@@ -420,7 +420,7 @@ def _point_rows(spec, figure, n, data, aux_rng, budget_x, budget_y, analytic_onl
         rows += _outage_rows(spec, figure, n, l_tag, data, params_x, params_y, inband)
     if "ccdf" in spec.outputs:
         rows += _ccdf_rows(spec, figure, n, l_tag, data, params_y)
-    if "dominance" in spec.outputs and data is not None and n > 0:
+    if "dominance" in spec.outputs and n > 0:
         rows.append(_dominance_row(figure, n, l_tag, data, params_y))
     if "inband_offset" in spec.outputs:
         rows += _inband_offset_rows(figure, n, params_x, inband)
@@ -450,7 +450,7 @@ def _snr_rows(spec, figure, n, gamma, l_tag, data, params_x, params_y, ceiling_g
     scheduler runs at most once, so a row both outputs write has the same
     bits in each. rr and mr rows are filled here; with gains, the rates go to
     `pf` once, with every PF row they fill. Without gains (analytic only)
-    sumse keeps its blank pf row; pf_gap writes only rows with a closed form.
+    every row is written with its empirical and stderr cells blank.
     """
     snr = float(db_to_linear(gamma))
     rates = None if data is None else np.log2(1.0 + data.gain_irs * snr)
@@ -470,16 +470,17 @@ def _snr_rows(spec, figure, n, gamma, l_tag, data, params_x, params_y, ceiling_g
         if "sumse" in spec.outputs and sched == spec.scheduler:
             sched_rows.append(_per_trial_row(figure, "sumse_oob", served, form, scheduler=sched,
                                              n_elements=n, gamma_db=gamma, l_paths=l_tag))
-        if "pf_gap" in spec.outputs and (data is not None or form is not None):
+        if "pf_gap" in spec.outputs:
             sched_rows.append(_per_trial_row(figure, "sumse_oob", served, form, scheduler=sched,
                                              n_elements=n, gamma_db=gamma, q_ues=spec.q_ues))
         if sched == "pf":
             pf_targets += [(row, None) for row in sched_rows]
         rows += sched_rows
-    if "pf_gap" in spec.outputs and data is not None:
+    if "pf_gap" in spec.outputs:
         gap = _per_trial_row(figure, "pf_gap", None, None, scheduler="pf", n_elements=n,
                              gamma_db=gamma, q_ues=spec.q_ues)
-        pf_targets.append((gap, np.log2(1.0 + ceiling_gain * snr).mean(axis=(1, 2))))
+        if data is not None:
+            pf_targets.append((gap, np.log2(1.0 + ceiling_gain * snr).mean(axis=(1, 2))))
         rows.append(gap)
     if rates is not None and pf_targets:
         pf.put(spec, rates, pf_targets)
@@ -536,6 +537,8 @@ def _ccdf_rows(spec, figure, n, l_tag, data, params_y):
 
 
 def _dominance_row(figure, n, l_tag, data, params_y):
+    if data is None:
+        return ResultRow(figure, "dominance_min_diff", n_elements=n, l_paths=l_tag)
     beta_d0 = float(params_y.beta_d[0])
     grid = np.geomspace(1e-2 * beta_d0, 10.0 * analytics._mu1(params_y), _GRID_POINTS)
     report = dominance_test(data.gain_irs[:, :, 0], data.gain_noirs[:, :, 0], grid)
@@ -580,6 +583,7 @@ def _response_rows(spec, figure, n, l_tag, aux_rng, analytic_only):
 # presets
 
 _MMWAVE_LOSS = PathLossParams(c0_db=-60.0)
+_IID_UES = NodeGeometry(ue_region=((1000.0, 1000.0), (1000.0, 1000.0)))   # one loss for all UEs
 
 
 @dataclass(frozen=True)
@@ -636,12 +640,12 @@ PRESETS: dict[str, Preset] = {
         ({"l2": 5}, {"l2": 20}, {"l2": 50})),
     "fig11": Preset(
         ExperimentSpec(regime="sub6", n_sweep=(4, 16), gamma_db_sweep=(130.0,),
-                       slots=5000, trials=4, seed=11, iid_ues=True, outputs=("pf_gap",)),
+                       slots=5000, trials=4, seed=11, geometry=_IID_UES, outputs=("pf_gap",)),
         "OOB SE under rr/pf/mr vs OOB population size",
         ({"q_ues": 1}, {"q_ues": 10}, {"q_ues": 100})),
     "fig12": Preset(
         ExperimentSpec(regime="sub6", n_sweep=(64, 128, 256, 512), gamma_db_sweep=(150.0,),
-                       slots=2000, trials=4, seed=12, iid_ues=True, outputs=("pf_gap",)),
+                       slots=2000, trials=4, seed=12, geometry=_IID_UES, outputs=("pf_gap",)),
         "OOB SE under rr/pf/mr vs element count",
         ({"q_ues": 10}, {"q_ues": 100})),
 }

@@ -8,6 +8,8 @@ float grid index of an on-grid angle, the sparse path angles as floats and
 every UE's per-path gains (`sample_mmwave`), and the dense array-response
 form of the sparse channel model. `oob_gain_samples` pools the package's own
 OOB gains at the sample sizes the distribution-level checks need.
+`PINNED_UES` is the one-point drop region at (1000, 1000) that puts every UE
+of an operator on one path loss, as fig11 and fig12 do.
 """
 
 import math
@@ -16,11 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from irsoob.channels import LinkBudget, complex_normal, mmwave_angle_bins
+from irsoob.channels import LinkBudget, NodeGeometry, complex_normal, mmwave_angle_bins
 from irsoob.config import ExperimentSpec
 from irsoob.engine import budgets_for, spawn_rngs
 from irsoob.experiments import _worker_count, operator_params, sweep_gains
 from irsoob.kernels import principal_sine_wrap, resolvable_angles
+
+PINNED_UES = NodeGeometry(ue_region=((1000.0, 1000.0), (1000.0, 1000.0)))
 
 
 def spectral_efficiency(gain, snr):

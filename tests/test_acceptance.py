@@ -20,7 +20,7 @@ from irsoob.engine import (_aligned_draws, _aligned_gain, budgets_for, dominance
 from irsoob.experiments import operator_params, run_preset, run_spec
 from irsoob.irs import correlation_response
 from irsoob.kernels import db_to_linear
-from oracles import oob_gain_samples, spectral_efficiency
+from oracles import PINNED_UES, oob_gain_samples, spectral_efficiency
 
 G130 = float(db_to_linear(130.0))
 G150 = float(db_to_linear(150.0))
@@ -290,7 +290,8 @@ def test_c10_max_rate_asymptote_and_slope():
     """Max-rate scheduling with 100 identical OOB UEs: empirical sum-SE at
     N=64 within 0.3 bits of the log(Q) asymptote; slope vs log2 N is
     1.0 +/- 0.15 over {64..512}."""
-    spec = ExperimentSpec(iid_ues=True, q_ues=100, gamma_db_sweep=(150.0,), scheduler="mr")
+    spec = ExperimentSpec(geometry=PINNED_UES, q_ues=100, gamma_db_sweep=(150.0,),
+                          scheduler="mr")
     emp = {}
     for n in (64, 128, 256, 512):
         vals = []

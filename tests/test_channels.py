@@ -34,19 +34,19 @@ def unit_budget(n_ues=1):
 
 def test_path_loss_reference_distance():
     p = PathLossParams()
-    assert path_loss(p, 1.0, "bs_irs") == pytest.approx(1e-3)
+    assert path_loss(p, 1.0, p.alpha_bs_irs) == pytest.approx(1e-3)
 
 
 def test_path_loss_formula_values():
     p = PathLossParams()
-    assert path_loss(p, 10.0, "bs_irs") == pytest.approx(1e-5)
+    assert path_loss(p, 10.0, p.alpha_bs_irs) == pytest.approx(1e-5)
     pm = PathLossParams(c0_db=-60.0)
-    assert path_loss(pm, 100.0, "direct") == pytest.approx(1e-15)
+    assert path_loss(pm, 100.0, pm.alpha_direct) == pytest.approx(1e-15)
 
 
 def test_path_loss_rejects_inside_reference():
     with pytest.raises(ValueError):
-        path_loss(PathLossParams(), 0.5, "direct")
+        path_loss(PathLossParams(), 0.5, PathLossParams().alpha_direct)
 
 
 def test_path_loss_param_validation():
@@ -54,13 +54,24 @@ def test_path_loss_param_validation():
         PathLossParams(c0_db=3.0)
     with pytest.raises(ValueError):
         PathLossParams(alpha_direct=1.5)
-    with pytest.raises(ValueError):
-        PathLossParams().exponent("bogus")
 
 
 def test_geometry_rejects_bad_region():
     with pytest.raises(ValueError):
         NodeGeometry(ue_region=((100.0, 0.0), (0.0, 100.0)))
+
+
+def test_one_point_region_pins_every_ue():
+    """A region whose corners coincide is accepted, while reversed corners
+    are still refused; the drop then returns exactly that point for every UE."""
+    point = ((1000.0, 1000.0), (1000.0, 1000.0))
+    geo = NodeGeometry(ue_region=point)
+    for reversed_corners in (((1000.0, 1000.0), (999.0, 1000.0)),
+                             ((1000.0, 1000.0), (1000.0, 999.0))):
+        with pytest.raises(ValueError, match="ue_region corners must be ordered"):
+            NodeGeometry(ue_region=reversed_corners)
+    pos = draw_ue_positions(np.random.default_rng(2), geo, 7, d0=1.0)
+    np.testing.assert_array_equal(pos, np.full((7, 2), 1000.0))
 
 
 def test_link_budget_calibration():
@@ -75,7 +86,7 @@ def test_link_budget_calibration():
 def test_ue_drop_stays_in_region_and_clear_of_nodes():
     rng = np.random.default_rng(3)
     geo = NodeGeometry()
-    pos = draw_ue_positions(rng, geo, 500)
+    pos = draw_ue_positions(rng, geo, 500, d0=1.0)
     (x0, y0), (x1, y1) = geo.ue_region
     assert np.all((pos[:, 0] >= x0) & (pos[:, 0] <= x1))
     assert np.all((pos[:, 1] >= y0) & (pos[:, 1] <= y1))
@@ -95,8 +106,8 @@ def test_ue_drop_without_an_admissible_point_raises_promptly():
 
 def test_ue_drop_replay():
     geo = NodeGeometry()
-    a = draw_ue_positions(np.random.default_rng(9), geo, 10)
-    b = draw_ue_positions(np.random.default_rng(9), geo, 10)
+    a = draw_ue_positions(np.random.default_rng(9), geo, 10, d0=1.0)
+    b = draw_ue_positions(np.random.default_rng(9), geo, 10, d0=1.0)
     np.testing.assert_array_equal(a, b)
 
 

@@ -128,7 +128,6 @@ def test_preset_errors_past_spec_resolution_propagate(tmp_path, monkeypatch):
     (["--override", "slots=100.0"], "slots"),
     (["--override", "trials=2.5"], "trials"),
     (["--override", "k_ues=true"], "k_ues"),
-    (["--override", 'iid_ues="no"'], "iid_ues"),
     (["--override", "n_sweep=[64.7]"], "n_sweep"),
 ])
 def test_preset_names_the_field_of_a_bad_count_or_flag(tmp_path, capsys, flags, field):
@@ -160,7 +159,7 @@ def test_preset_names_a_float_field_that_is_not_finite(tmp_path, capsys, overrid
 @pytest.mark.parametrize("preset", ["fig3", "fig11"])
 def test_a_d0_no_ue_can_clear_exits_two_before_any_draw(tmp_path, capsys, monkeypatch, preset):
     # fig3 drops its UEs in a region whose every point lies within 1000 m of
-    # the reflector; fig11 places them at the iid point, 35 m from it
+    # the reflector; fig11 pins them at (1000, 1000), 35 m from it
     import irsoob.engine as engine
 
     def refuse(*args, **kwargs):

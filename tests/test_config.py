@@ -1,14 +1,19 @@
 """Config loading and validation: defaults, rejection messages, hashing."""
 
 import json
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from irsoob.channels import PathLossParams
-from irsoob.config import ExperimentSpec, load_spec, spec_from_dict, spec_hash, spec_to_dict
+from irsoob.channels import NodeGeometry, PathLossParams
+from irsoob.config import (OUTPUT_KINDS, ExperimentSpec, load_spec, spec_from_dict, spec_hash,
+                           spec_to_dict)
 from irsoob.engine import budgets_for
 from irsoob.experiments import PRESETS, run_preset
+from oracles import PINNED_UES
 
 
 def write(tmp_path, text):
@@ -84,11 +89,12 @@ def test_duplicate_sweep_entries_are_refused(data, field):
 
 
 def test_distinct_sweeps_keep_their_hash():
-    # the duplicate check adds no field, so a valid spec hashes as it always has
+    # the duplicate check adds no field, so a valid spec hashes as the 17-field
+    # schema does; adding or removing a field moves both pins
     assert spec_hash(ExperimentSpec()) == (
-        "6dad959d62d59dfd14ff889b83675e5d75f3fb44cec7bb4bbf79768a21da7bc3")
+        "acea20ae6a1ce625f7e2f61cec0e6cbd91f0a55e4704056f8ac63874a7053e14")
     assert spec_hash(PRESETS["fig9"].spec) == (
-        "cbb96c7ac800a0c3fea14262d224e4b50cbeb00562bf6ad7efd2f8fa8cb1b44e")
+        "9eec177a4cae84f49d678dd9b125fc00d7011964c9d4826c693b757246121dc0")
 
 
 def test_sweeps_must_be_nonempty():
@@ -200,37 +206,35 @@ def test_gamma_entries_become_floats_and_keep_the_hash():
 @pytest.mark.parametrize("data,where", [
     ({"path_loss": {"d0": 1500}}, "bs_inband-to-irs distance"),
     ({"path_loss": {"d0": 100}, "geometry": {"bs_oob": [1025, 1100]}}, "bs_oob-to-irs distance"),
-    ({"path_loss": {"d0": 36}, "iid_ues": True}, "distance from every UE point to irs"),
-    ({"path_loss": {"d0": 600}, "iid_ues": True,
-      "geometry": {"irs": [5000, 5000], "bs_inband": [1000, 500]}},
+    ({"path_loss": {"d0": 36}, "geometry": {"ue_region": PINNED_UES.ue_region}},
+     "distance from every UE point to irs"),
+    ({"path_loss": {"d0": 600}, "geometry": {"irs": [5000, 5000], "bs_inband": [1000, 500],
+                                            "ue_region": PINNED_UES.ue_region}},
      "distance from every UE point to bs_inband"),
     ({"path_loss": {"d0": 107}}, "distance from every UE point to irs"),
     ({"path_loss": {"d0": 80}, "geometry": {"ue_region": [[0, 0], [60, 60]], "irs": [500, 500]}},
      "distance from every UE point to bs_inband"),
 ])
 def test_a_d0_that_a_link_cannot_clear_is_refused(data, where):
-    """A d0 above a feeder distance, above a distance from the iid UE point,
-    or holding every corner of the UE region within it, names the field
-    before any draw: path_loss or the UE drop would refuse it at run time."""
+    """A d0 above a feeder distance, above a distance from a one-point UE
+    region, or holding every corner of the UE region within it, names the
+    field before any draw: path_loss or the UE drop would refuse it at run time."""
     with pytest.raises(ValueError, match=f"path_loss.d0 = .* exceeds the {where}"):
         spec_from_dict(data)
 
 
-@pytest.mark.parametrize("d0,iid", [(35, True), (100, False)])
-def test_a_d0_just_inside_the_geometry_is_kept_and_runs(d0, iid):
-    # the iid point sits 35.36 m from the reflector, the region's corners 106.07 m
-    spec = ExperimentSpec(path_loss=PathLossParams(d0=d0), iid_ues=iid, k_ues=2, q_ues=2)
+@pytest.mark.parametrize("d0,pinned", [(35, True), (100, False)])
+def test_a_d0_just_inside_the_geometry_is_kept_and_runs(d0, pinned):
+    # the pinned point sits 35.36 m from the reflector, the region's corners 106.07 m
+    spec = ExperimentSpec(path_loss=PathLossParams(d0=d0), k_ues=2, q_ues=2,
+                          geometry=PINNED_UES if pinned else NodeGeometry())
     _, budget_x, budget_y = budgets_for(spec, np.random.default_rng(0))
     assert np.all(budget_x.beta_g > 0) and np.all(budget_y.beta_d > 0)
 
 
-def test_seed_and_iid_flag_validation():
+def test_seed_validation():
     with pytest.raises(ValueError, match="seed must be >= 0"):
         ExperimentSpec(seed=-1)
-    for value in ("no", 1, None):
-        with pytest.raises(ValueError, match="iid_ues: expected true or false"):
-            ExperimentSpec(iid_ues=value)
-    assert ExperimentSpec(iid_ues=True).iid_ues is True
 
 
 def test_numpy_integer_counts_become_ints_and_keep_the_hash():
@@ -273,3 +277,35 @@ def test_spec_round_trips_through_json(tmp_path):
     reloaded = load_spec(write(tmp_path, json.dumps(spec_to_dict(original))))
     assert reloaded == original
     assert spec_hash(reloaded) == spec_hash(original)
+
+
+def readme_tables(section: str) -> list[list[list[str]]]:
+    """Each markdown table of one README section, as its body rows of stripped cells."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    body = text.split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
+    tables, rows = [], []
+    for line in body.splitlines() + [""]:
+        if line.startswith("|"):
+            rows.append([cell.strip() for cell in line.strip("|").split("|")])
+        elif rows:
+            tables.append(rows[2:])   # drop the header and its rule
+            rows = []
+    return tables
+
+
+def test_readme_config_schema_matches_the_spec():
+    """README's field table names exactly the spec's fields, each JSON default
+    equal to the dataclass default (tuples read as lists), and its outputs
+    table lists exactly OUTPUT_KINDS."""
+    field_rows, output_rows = readme_tables("Config schema")
+    defaults = json.loads(json.dumps(spec_to_dict(ExperimentSpec())))
+    named = []
+    for name_cell, default_cell, _ in field_rows:
+        names = re.findall(r"`(\w+)`", name_cell)
+        named += names
+        if default_cell != "see below":
+            values = [json.loads(v) for v in re.findall(r"`([^`]+)`", default_cell)]
+            assert values == [defaults[name] for name in names], name_cell
+    assert named == [f.name for f in fields(ExperimentSpec)]
+    assert [re.findall(r"`(\w+)`", row[0]) for row in output_rows] == [
+        [kind] for kind in OUTPUT_KINDS]

@@ -49,16 +49,16 @@ from irsoob.engine import (DominanceReport, TrialData, _aligned_draws, _aligned_
 from irsoob.experiments import operator_params
 from irsoob.irs import align, effective_channel, sparse_cascade, unit_phase
 from irsoob.kernels import db_to_linear
-from oracles import (aligned_gain_complex, grid_index, mmwave_angles, sample_mmwave,
-                     sample_sub6, spectral_efficiency)
+from oracles import (PINNED_UES, aligned_gain_complex, grid_index, mmwave_angles,
+                     sample_mmwave, sample_sub6, spectral_efficiency)
 
 GAMMA_130 = float(db_to_linear(130.0))
 
 def _single_ue_spec(**kwargs):
-    # one UE per operator at IID_UE_POINT (1000, 1000): equidistant from both
-    # base stations, so the in-band and OOB direct links share the same variance
+    # one UE per operator pinned at (1000, 1000): equidistant from both base
+    # stations, so the in-band and OOB direct links share the same variance
     base = dict(n_sweep=(0,), gamma_db_sweep=(130.0,), k_ues=1, q_ues=1, slots=4000,
-                iid_ues=True)
+                geometry=PINNED_UES)
     base.update(kwargs)
     return ExperimentSpec(**base)
 
@@ -1099,11 +1099,16 @@ def test_budgets_near_far_iid_and_drawn_positions():
     bx = link_budget(spec.geometry, spec.path_loss, spec.geometry.bs_inband, near_far)
     assert bx.beta_d[0] > bx.beta_d[1]  # closer UE, stronger direct link
 
-    iid = ExperimentSpec(k_ues=3, q_ues=5, iid_ues=True)
+    iid = ExperimentSpec(k_ues=3, q_ues=5, geometry=PINNED_UES)
     (px, py), bx, by = budgets_for(iid, np.random.default_rng(0))
     assert px.shape == (3, 2) and py.shape == (5, 2)
     assert np.ptp(bx.beta_d) == 0.0 and np.ptp(by.beta_d) == 0.0
     assert np.ptp(bx.beta_g) == 0.0
+    for budget, bs in ((bx, iid.geometry.bs_inband), (by, iid.geometry.bs_oob)):
+        at_point = link_budget(iid.geometry, iid.path_loss, bs, np.array([[1000.0, 1000.0]]))
+        assert budget.beta_f == at_point.beta_f
+        assert np.all(budget.beta_g == at_point.beta_g[0])
+        assert np.all(budget.beta_d == at_point.beta_d[0])
 
     drawn = ExperimentSpec(k_ues=4, q_ues=4)
     (px, py), _, _ = budgets_for(drawn, np.random.default_rng(5))

@@ -18,7 +18,7 @@ from irsoob.engine import _aligned_gain, budgets_for, run_trial, schedule_rates,
 from irsoob.experiments import (CSV_COLUMNS, PRESETS, ResultRow, emit_csv,
                                 operator_params, preset_spec, run_preset, run_spec)
 from irsoob.kernels import db_to_linear, resolvable_angles
-from oracles import oob_gain_samples
+from oracles import PINNED_UES, oob_gain_samples
 
 # enough slots for a smoke run, small enough to keep the suite fast
 FAST = {"slots": 200, "trials": 2}
@@ -143,10 +143,9 @@ def test_analytic_only_blanks_empirical_columns(name):
     assert all(r.empirical is None and r.stderr is None for r in bare)
     assert any(r.analytic is not None for r in bare)
 
-    # the analytic column must not depend on whether the simulation ran
+    # the rows and their analytic column must not depend on whether the simulation ran
     def keyed(rows):
-        return {tuple(getattr(r, col) for col in CSV_COLUMNS[1:8]): r.analytic
-                for r in rows if r.analytic is not None}
+        return {tuple(getattr(r, col) for col in CSV_COLUMNS[1:8]): r.analytic for r in rows}
 
     full_vals, bare_vals = keyed(full), keyed(bare)
     assert set(bare_vals) == set(full_vals)
@@ -271,7 +270,7 @@ def test_mr_over_one_ue_takes_the_rr_form():
     rr = oob_forms(outputs=("sumse",))[("rr", None)]
     assert rr is not None
     mr = oob_forms(scheduler="mr")
-    assert mr == {("mr", None): rr, ("rr", 1): rr, ("mr", 1): rr}
+    assert mr == {("mr", None): rr, ("rr", 1): rr, ("pf", 1): None, ("mr", 1): rr}
     assert oob_forms(scheduler="pf", outputs=("sumse",)) == {("pf", None): None}
 
 
@@ -590,7 +589,7 @@ def test_sweep_gains_is_independent_of_the_worker_count(regime, extra):
     (ExperimentSpec(regime="sub6", n_sweep=(8, 16, 32), k_ues=3, q_ues=4, slots=60, trials=3,
                     seed=5, outputs=("sumse", "pf_gap")), ({},)),
     (ExperimentSpec(regime="sub6", n_sweep=(8, 16), k_ues=3, slots=60, trials=3, seed=5,
-                    iid_ues=True, outputs=("pf_gap",)), Q_SWEEP),
+                    geometry=PINNED_UES, outputs=("pf_gap",)), Q_SWEEP),
 ], ids=["nlos", "sub6_pf_gap", "scheduler_grid"])
 def test_runner_rows_are_independent_of_the_worker_count(monkeypatch, spec, variants):
     """With the next point's trials running while a point's rows are built,

@@ -3,8 +3,9 @@
 Specs are drawn with stdlib `random` at a fixed seed, over ranges that reach
 the edges the closed forms and the simulator must agree on: sub6 N = 0 and
 1, fewer elements than cascaded paths, 0 and 210 dB, one OOB UE, pf_tau = 1,
-one slot and one trial. Geometry and path loss stay at their defaults. Sizes
-stay small, so the whole gate runs in a few seconds.
+one slot and one trial, and a one-point UE region that pins every UE at
+(1000, 1000). Path loss and the rest of the geometry stay at their defaults.
+Sizes stay small, so the whole gate runs in a few seconds.
 """
 
 import math
@@ -16,6 +17,7 @@ import pytest
 from irsoob.config import (MMWAVE_OUTPUTS, OUTPUT_KINDS, REGIMES, SCHEDULERS, SUB6_OUTPUTS,
                            spec_from_dict)
 from irsoob.experiments import emit_csv, run_spec
+from oracles import PINNED_UES
 
 SPECS = 40
 # PF at pf_tau = 1 over rates that round to 0 at 0 dB: each once read 0/0
@@ -48,7 +50,7 @@ def draw_spec(rng: random.Random) -> tuple[dict, bool]:
         "trials": rng.randint(1, 3),
         "seed": rng.randrange(1000),
         "pf_tau": rng.choice([1, 2.5, 1000]),
-        "iid_ues": rng.random() < 0.5,
+        "geometry": {"ue_region": PINNED_UES.ue_region} if rng.random() < 0.5 else {},
         "outputs": rng.sample(kinds, rng.randint(1, 3)),
     }
     broken = rng.random() < 0.25
@@ -66,6 +68,8 @@ def edges(spec) -> set:
     hit = {"N < L"} if spec.regime != "sub6" and min(spec.n_sweep) < l_paths else set()
     hit |= {f"sub6 N={n}" for n in (0, 1) if spec.regime == "sub6" and n in spec.n_sweep}
     hit |= {f"{g:g} dB" for g in (0, 210) if g in spec.gamma_db_sweep}
+    if spec.geometry.ue_region[0] == spec.geometry.ue_region[1]:
+        hit.add("one-point ue_region")
     for name, value in (("q_ues", 1), ("pf_tau", 1), ("slots", 1), ("trials", 1)):
         if getattr(spec, name) == value:
             hit.add(f"{name}={value}")
@@ -89,8 +93,7 @@ def check_rows(full, analytic_only) -> None:
     assert len(forms) == len(full), "two rows share one coordinate"
     only = {coordinates(row): row.analytic for row in analytic_only}
     assert len(only) == len(analytic_only), "two analytic-only rows share one coordinate"
-    assert all(key in forms and forms[key] == form for key, form in only.items())
-    assert all(key in only for key, form in forms.items() if form is not None)
+    assert only == forms
 
 
 def test_every_valid_spec_runs_clean_and_every_other_is_refused(tmp_path):
@@ -115,4 +118,4 @@ def test_every_valid_spec_runs_clean_and_every_other_is_refused(tmp_path):
             assert (tmp_path / f"{i}a.csv").read_bytes() == (tmp_path / f"{i}b.csv").read_bytes()
     assert 5 <= sum(broken for _, broken in draws) <= 15
     assert reached == {"sub6 N=0", "sub6 N=1", "N < L", "0 dB", "210 dB", "q_ues=1",
-                       "pf_tau=1", "slots=1", "trials=1"}
+                       "pf_tau=1", "slots=1", "trials=1", "one-point ue_region"}

@@ -328,7 +328,7 @@ def sumse_oob_mmwave_nlos(p: AnalyticParams, snr: float) -> float:
     if n < 1:
         raise ValueError("needs n_elements >= 1")
     if l >= n:
-        return _mean_se((p.beta_d + n * p.beta_r) * g)
+        return sumse_oob_sub6(p, snr)
     i = np.arange(max(0, 2 * l - n), l + 1)
     pmf = np.array([matching_paths_pmf(l, n, int(ii)) for ii in i])
     # (n_i, n_ues) grid of log terms, pmf-weighted per UE

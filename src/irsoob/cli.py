@@ -81,7 +81,7 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    rows, runs = run_spec(spec, figure, args.analytic_only, variants)
+    rows, runs = run_spec(spec, args.analytic_only, variants)
     save_run(args.out, figure, spec, rows, runs)
     print(f"{figure}: {len(rows)} rows -> {Path(args.out) / (figure + '.csv')}")
     return 0

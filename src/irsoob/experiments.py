@@ -3,9 +3,11 @@
 Each preset is data: a default ExperimentSpec, a note, and the spec variants
 it sweeps. One runner, `run_spec`, turns any of them into ResultRow records:
 a statistic name, its sweep coordinates, and empirical / analytic / stderr
-values. Rows are written as one CSV per figure plus a manifest recording the
-spec hash, seed, package versions, and each variant's overrides, seed and UE
-placement, so a run can be reproduced or compared byte for byte.
+values. Each stderr rule has one row builder (`_per_trial_row`, `_pooled_rows`,
+`_dominance_row`). Rows are written as one CSV per figure, whose label only
+`emit_csv` writes, plus a manifest recording the spec hash, seed, package
+versions, and each variant's overrides, seed and UE placement, so a run can
+be reproduced or compared byte for byte.
 
 Preset defaults are sized for a laptop (a few thousand slots, a handful of
 trials). Scaling up is a matter of overriding `slots` and `trials`; the model
@@ -47,7 +49,6 @@ CSV_COLUMNS = ("figure", "statistic", "scheduler", "n_elements", "gamma_db",
 class ResultRow:
     """One CSV line: a statistic evaluated at one sweep coordinate."""
 
-    figure: str
     statistic: str
     scheduler: str = ""
     n_elements: int | None = None
@@ -78,8 +79,8 @@ def _sort_key(row: ResultRow):
             num(row.l_paths), num(row.q_ues), num(row.x))
 
 
-def emit_csv(rows, path) -> None:
-    """Write rows sorted by coordinates, 9 significant digits, UTF-8.
+def emit_csv(rows, path, figure: str) -> None:
+    """Write rows sorted by coordinates, 9 significant digits, UTF-8, each labelled `figure`.
 
     The ordering and formatting are locale-independent, so two runs with the
     same spec and seed produce identical bytes.
@@ -87,7 +88,8 @@ def emit_csv(rows, path) -> None:
     ordered = sorted(rows, key=_sort_key)
     lines = [",".join(CSV_COLUMNS)]
     for row in ordered:
-        lines.append(",".join(_format_cell(getattr(row, col)) for col in CSV_COLUMNS))
+        lines.append(",".join([figure] + [_format_cell(getattr(row, col))
+                                          for col in CSV_COLUMNS[1:]]))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -207,14 +209,14 @@ def sweep_gains(pool: ThreadPoolExecutor, points):
                 future.cancel()
 
 
-def _per_trial_row(figure, statistic, per_trial, form, **coords) -> ResultRow:
+def _per_trial_row(statistic, per_trial, form, **coords) -> ResultRow:
     """A per-trial statistic's mean, with its stderr over trials, beside a form that may be blank.
 
     Without per-trial values (analytic only, or a PF row that the run's
     `_PFQueue` fills after the last point) the empirical and stderr cells
     stay blank; with one trial the stderr does.
     """
-    row = ResultRow(figure, statistic, analytic=form, **coords)
+    row = ResultRow(statistic, analytic=form, **coords)
     if per_trial is not None:
         _set_trial_stats(row, per_trial)
     return row
@@ -226,34 +228,22 @@ def _set_trial_stats(row: ResultRow, per_trial: np.ndarray) -> None:
         row.stderr = float(per_trial.std(ddof=1) / math.sqrt(per_trial.size))
 
 
-def _binom_err(p_hat: float, count: int) -> float:
-    return math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / count)
-
-
-def _pooled_outage_row(figure, statistic, rho, samples, form, **coords) -> ResultRow:
-    """P(gain < rho) over samples pooled across slots and trials, with its binomial stderr."""
-    emp = err = None
-    if samples is not None:
-        emp = float(empirical_outage(samples, rho))
-        err = _binom_err(emp, samples.size)
-    return ResultRow(figure, statistic, x=rho, empirical=emp, analytic=form, stderr=err,
-                     **coords)
-
-
-def _pooled_ccdf_rows(figure, statistic, grid, samples, forms, **coords) -> list[ResultRow]:
-    """One row per grid point: the pooled samples' CCDF with its binomial stderr.
+def _pooled_rows(statistic, grid, samples, forms, fraction, **coords) -> list[ResultRow]:
+    """One row per grid point: the fraction of the samples pooled across slots
+    and trials (`empirical_ccdf` or `empirical_outage`), with its binomial stderr.
 
     `forms` holds the closed form at each grid point, or is None where the
     statistic has none; `samples` is None when nothing was simulated.
     """
-    emp = None if samples is None else empirical_ccdf(samples, grid)
+    emp = None if samples is None else fraction(samples, grid)
     rows = []
     for j, x in enumerate(grid):
-        e = None if emp is None else float(emp[j])
-        rows.append(ResultRow(figure, statistic, x=float(x), empirical=e,
-                              analytic=None if forms is None else float(forms[j]),
-                              stderr=None if e is None else _binom_err(e, samples.size),
-                              **coords))
+        row = ResultRow(statistic, x=float(x), analytic=None if forms is None else float(forms[j]),
+                        **coords)
+        if emp is not None:
+            row.empirical = float(emp[j])
+            row.stderr = math.sqrt(max(row.empirical * (1.0 - row.empirical), 0.0) / samples.size)
+        rows.append(row)
     return rows
 
 
@@ -270,15 +260,6 @@ def _invert_offset_ccdf(p_target: float, params: AnalyticParams) -> float:
 def _served_se(rates: np.ndarray, served: np.ndarray) -> np.ndarray:
     """Per-trial mean SE of the served UEs, from (trials, slots, Q) rates and (trials, slots) picks."""
     return np.take_along_axis(rates, served[..., None], axis=-1)[..., 0].mean(axis=1)
-
-
-def _ccdf_grid_mmwave(params: AnalyticParams) -> np.ndarray:
-    # spans the direct-path floor up to a few times the fully aligned gain
-    beta_d = float(params.beta_d[0])
-    n = params.n_elements
-    l_bar = max(params.l_bar, 1)
-    hi = 3.0 * (n * n / l_bar * float(params.beta_r[0]) + beta_d)
-    return np.geomspace(1e-2 * beta_d, hi, _GRID_POINTS)
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +323,7 @@ _GAIN_OUTPUTS = frozenset({"sumse", "outage", "ccdf", "dominance", "pf_gap", "in
 _Q_SEED_STRIDE = 7919   # a variant that sets q_ues draws from seed + 7919·Q
 
 
-def run_spec(spec: ExperimentSpec, figure: str = "run", analytic_only: bool = False,
-             variants=({},)):
+def run_spec(spec: ExperimentSpec, analytic_only: bool = False, variants=({},)):
     """Run one spec over its variants and sweeps and produce rows for each requested output.
 
     `variants` holds spec field overrides, one dict per sub-run; the presets
@@ -388,18 +368,19 @@ def run_spec(spec: ExperimentSpec, figure: str = "run", analytic_only: bool = Fa
             gains = sweep_gains(pool, [(sub, n, trial_rngs, budget_x, budget_y)
                                        for sub, n, trial_rngs, _, budget_x, budget_y in points])
         for (sub, n, _, aux_rng, budget_x, budget_y), data in zip(points, gains):
-            rows += _point_rows(sub, figure, n, data, aux_rng, budget_x, budget_y,
-                                analytic_only, pf)
+            rows += _point_rows(sub, n, data, aux_rng, operator_params(sub, budget_x, n),
+                                operator_params(sub, budget_y, n), analytic_only, pf)
     if pf is not None:
         pf.schedule()
     return rows, runs
 
 
-def _point_rows(spec, figure, n, data, aux_rng, budget_x, budget_y, analytic_only, pf):
-    """Every requested output's rows at one sweep point; PF rows are filled by `pf` later."""
-    l_tag = spec.l1 * spec.l2 if spec.regime != "sub6" else None
-    params_x = operator_params(spec, budget_x, n)
-    params_y = operator_params(spec, budget_y, n)
+def _point_rows(spec, n, data, aux_rng, params_x, params_y, analytic_only, pf):
+    """Every requested output's rows at one sweep point; PF rows are filled by `pf` later.
+
+    Every row carries the point's coordinates: N, and l1*l2 in mmWave.
+    """
+    coords = {"n_elements": n, "l_paths": spec.l1 * spec.l2 if spec.regime != "sub6" else None}
     inband = None   # in-band UE 0's (gain, direct gain) on the trials' (E, S), where read
     if data is not None and data.aligned is not None and not {
             "outage", "inband_offset"}.isdisjoint(spec.outputs):
@@ -412,20 +393,19 @@ def _point_rows(spec, figure, n, data, aux_rng, budget_x, budget_y, analytic_onl
         ceiling_gain = None
         if "pf_gap" in spec.outputs and data is not None:
             ceiling_gain = _aligned_gain(*(d[..., None] for d in data.aligned),
-                                         budget_y.beta_d, budget_y.beta_r)
+                                         params_y.beta_d, params_y.beta_r)
         for gamma in spec.gamma_db_sweep:
-            rows += _snr_rows(spec, figure, n, gamma, l_tag, data, params_x, params_y,
-                              ceiling_gain, pf)
+            rows += _snr_rows(spec, gamma, coords, data, params_x, params_y, ceiling_gain, pf)
     if "outage" in spec.outputs:
-        rows += _outage_rows(spec, figure, n, l_tag, data, params_x, params_y, inband)
+        rows += _outage_rows(spec, coords, data, params_x, params_y, inband)
     if "ccdf" in spec.outputs:
-        rows += _ccdf_rows(spec, figure, n, l_tag, data, params_y)
+        rows += _ccdf_rows(spec, coords, data, params_y)
     if "dominance" in spec.outputs and n > 0:
-        rows.append(_dominance_row(figure, n, l_tag, data, params_y))
+        rows.append(_dominance_row(data, params_y, **coords))
     if "inband_offset" in spec.outputs:
-        rows += _inband_offset_rows(figure, n, params_x, inband)
+        rows += _inband_offset_rows(coords, params_x, inband)
     if "correlation_response" in spec.outputs:
-        rows += _response_rows(spec, figure, n, l_tag, aux_rng, analytic_only)
+        rows += _response_rows(spec, coords, aux_rng, analytic_only)
     return rows
 
 
@@ -441,7 +421,7 @@ def _oob_form(spec, scheduler, params, snr):
     return None
 
 
-def _snr_rows(spec, figure, n, gamma, l_tag, data, params_x, params_y, ceiling_gain, pf):
+def _snr_rows(spec, gamma, coords, data, params_x, params_y, ceiling_gain, pf):
     """sumse's and pf_gap's rows at one (point, SNR), all from one set of OOB rates.
 
     sumse writes the in-band sum-SE and the OOB one under the spec's
@@ -458,9 +438,9 @@ def _snr_rows(spec, figure, n, gamma, l_tag, data, params_x, params_y, ceiling_g
     if "sumse" in spec.outputs:
         # in-band scheduling is always round-robin
         per_trial = None if data is None else np.log2(1.0 + data.inband_gain * snr).mean(axis=1)
-        rows.append(_per_trial_row(figure, "sumse_inband", per_trial,
+        rows.append(_per_trial_row("sumse_inband", per_trial,
                                    float(_SUMSE_FORMS[(spec.regime, "inband")](params_x, snr)),
-                                   n_elements=n, gamma_db=gamma, l_paths=l_tag))
+                                   gamma_db=gamma, **coords))
     for sched in _oob_schedulers(spec):
         served = None
         if rates is not None and sched != "pf":
@@ -468,17 +448,17 @@ def _snr_rows(spec, figure, n, gamma, l_tag, data, params_x, params_y, ceiling_g
         form = _oob_form(spec, sched, params_y, snr)
         sched_rows = []
         if "sumse" in spec.outputs and sched == spec.scheduler:
-            sched_rows.append(_per_trial_row(figure, "sumse_oob", served, form, scheduler=sched,
-                                             n_elements=n, gamma_db=gamma, l_paths=l_tag))
+            sched_rows.append(_per_trial_row("sumse_oob", served, form, scheduler=sched,
+                                             gamma_db=gamma, **coords))
         if "pf_gap" in spec.outputs:
-            sched_rows.append(_per_trial_row(figure, "sumse_oob", served, form, scheduler=sched,
-                                             n_elements=n, gamma_db=gamma, q_ues=spec.q_ues))
+            sched_rows.append(_per_trial_row("sumse_oob", served, form, scheduler=sched,
+                                             gamma_db=gamma, q_ues=spec.q_ues, **coords))
         if sched == "pf":
             pf_targets += [(row, None) for row in sched_rows]
         rows += sched_rows
     if "pf_gap" in spec.outputs:
-        gap = _per_trial_row(figure, "pf_gap", None, None, scheduler="pf", n_elements=n,
-                             gamma_db=gamma, q_ues=spec.q_ues)
+        gap = _per_trial_row("pf_gap", None, None, scheduler="pf", gamma_db=gamma,
+                             q_ues=spec.q_ues, **coords)
         if data is not None:
             pf_targets.append((gap, np.log2(1.0 + ceiling_gain * snr).mean(axis=(1, 2))))
         rows.append(gap)
@@ -487,66 +467,66 @@ def _snr_rows(spec, figure, n, gamma, l_tag, data, params_x, params_y, ceiling_g
     return rows
 
 
-def _outage_rows(spec, figure, n, l_tag, data, params_x, params_y, inband):
+def _outage_rows(spec, coords, data, params_x, params_y, inband):
     ref_n = 64 if 64 in spec.n_sweep else spec.n_sweep[-1]
     ref = dataclasses.replace(params_y, n_elements=max(ref_n, 1))
     rho = 0.1 * analytics._mu1(ref)
-    analytic = None
+    forms = None
     if spec.regime == "sub6":
-        analytic = float(analytics.outage_oob_sub6(rho, params_y))
+        forms = [analytics.outage_oob_sub6(rho, params_y)]
     elif spec.regime == "mmwave_los":
-        analytic = float(analytics.cdf_oob_mmwave_los(rho, params_y))
-    samples = None if data is None else data.gain_irs[:, :, 0]
-    rows = [_pooled_outage_row(figure, "outage_oob", rho, samples, analytic,
-                               n_elements=n, l_paths=l_tag)]
-    if spec.regime == "sub6" and n > 0:
+        forms = [analytics.cdf_oob_mmwave_los(rho, params_y)]
+    rows = _pooled_rows("outage_oob", [rho], None if data is None else data.gain_irs[:, :, 0],
+                        forms, empirical_outage, **coords)
+    if spec.regime == "sub6" and params_x.n_elements > 0:
         rho_ib = (math.pi ** 2 / 16.0) * float(params_x.beta_r[0])
-        rows.append(_pooled_outage_row(figure, "outage_inband", rho_ib,
-                                       None if inband is None else inband[0], None,
-                                       n_elements=n))
+        rows += _pooled_rows("outage_inband", [rho_ib], None if inband is None else inband[0],
+                             None, empirical_outage, **coords)
         bound = float(analytics.inband_outage_bound(params_x))
-        rows.append(ResultRow(figure, "outage_inband_bound", n_elements=n, x=rho_ib,
-                              analytic=bound))
+        rows.append(ResultRow("outage_inband_bound", x=rho_ib, analytic=bound, **coords))
     return rows
 
 
-def _ccdf_rows(spec, figure, n, l_tag, data, params_y):
+def _ccdf_rows(spec, coords, data, params_y):
+    n = params_y.n_elements
     beta_d0 = float(params_y.beta_d[0])
     p_grid = np.linspace(0.995, 0.005, _GRID_POINTS)
     if n == 0:
-        # no reflector: the plain direct-path gain distribution
+        # no reflector: the plain direct-path gain distribution, its N left blank
         grid = -beta_d0 * np.log(p_grid)
-        return _pooled_ccdf_rows(figure, "gain_ccdf_noirs", grid,
-                                 None if data is None else data.gain_noirs[:, :, 0],
-                                 [math.exp(-x / beta_d0) for x in grid])
+        return _pooled_rows("gain_ccdf_noirs", grid,
+                            None if data is None else data.gain_noirs[:, :, 0],
+                            [math.exp(-x / beta_d0) for x in grid], empirical_ccdf)
     if spec.regime == "sub6":
         grid = np.array([_invert_offset_ccdf(p, params_y) for p in p_grid])
         samples = None
         if data is not None:
             samples = (data.gain_irs[:, :, 0] - data.gain_noirs[:, :, 0]).ravel()
-        return _pooled_ccdf_rows(figure, "offset_ccdf", grid, samples,
-                                 analytics.ccdf_offset_sub6_finite_n(grid, params_y),
-                                 n_elements=n, l_paths=l_tag)
-    grid = _ccdf_grid_mmwave(params_y)
+        return _pooled_rows("offset_ccdf", grid, samples,
+                            analytics.ccdf_offset_sub6_finite_n(grid, params_y), empirical_ccdf,
+                            **coords)
+    # spans the direct-path floor up to a few times the fully aligned gain
+    hi = 3.0 * (n * n / max(params_y.l_bar, 1) * float(params_y.beta_r[0]) + beta_d0)
+    grid = np.geomspace(1e-2 * beta_d0, hi, _GRID_POINTS)
     forms = None
     if spec.regime == "mmwave_los":
         forms = 1.0 - analytics.cdf_oob_mmwave_los(grid, params_y)
-    return _pooled_ccdf_rows(figure, "gain_ccdf", grid,
-                             None if data is None else data.gain_irs[:, :, 0].ravel(), forms,
-                             n_elements=n, l_paths=l_tag)
+    return _pooled_rows("gain_ccdf", grid,
+                        None if data is None else data.gain_irs[:, :, 0].ravel(), forms,
+                        empirical_ccdf, **coords)
 
 
-def _dominance_row(figure, n, l_tag, data, params_y):
+def _dominance_row(data, params_y, **coords):
     if data is None:
-        return ResultRow(figure, "dominance_min_diff", n_elements=n, l_paths=l_tag)
+        return ResultRow("dominance_min_diff", **coords)
     beta_d0 = float(params_y.beta_d[0])
     grid = np.geomspace(1e-2 * beta_d0, 10.0 * analytics._mu1(params_y), _GRID_POINTS)
     report = dominance_test(data.gain_irs[:, :, 0], data.gain_noirs[:, :, 0], grid)
-    return ResultRow(figure, "dominance_min_diff", n_elements=n, l_paths=l_tag,
-                     empirical=report.min_diff, analytic=None, stderr=report.eps_stat)
+    return ResultRow("dominance_min_diff", empirical=report.min_diff, stderr=report.eps_stat,
+                     **coords)
 
 
-def _inband_offset_rows(figure, n, params_x, inband):
+def _inband_offset_rows(coords, params_x, inband):
     """The served in-band UE's gain offset CCDF against its closed-form lower bound."""
     beta_d0 = float(params_x.beta_d[0])
     alpha, eta = analytics.decay_bound_terms(params_x)
@@ -554,17 +534,19 @@ def _inband_offset_rows(figure, n, params_x, inband):
     base = 0.5 * math.log((beta_d0 + alpha) / beta_d0) + eta ** 2 / (beta_d0 + alpha)
     grid = np.array([beta_d0 * (math.log(1.0 - p) + base)
                      for p in np.linspace(0.95, 0.05, 10)])
-    return _pooled_ccdf_rows(figure, "offset_ccdf_inband", grid,
-                             None if inband is None else inband[0] - inband[1],
-                             analytics.inband_offset_ccdf_bound(grid, params_x), n_elements=n)
+    samples = None if inband is None else inband[0] - inband[1]
+    return _pooled_rows("offset_ccdf_inband", grid, samples,
+                        analytics.inband_offset_ccdf_bound(grid, params_x), empirical_ccdf,
+                        **coords)
 
 
-def _response_rows(spec, figure, n, l_tag, aux_rng, analytic_only):
+def _response_rows(spec, coords, aux_rng, analytic_only):
     """The RMS response at each source angle, with form 1/sqrt(L), then at two off-peak probes.
 
     Analytic only, the source angles are drawn as in a full run and only the
     Monte Carlo response is skipped, so the probe rows carry no value.
     """
+    n = coords["n_elements"]
     grid = resolvable_angles(n)
     source = np.sort(aux_rng.choice(grid, size=min(spec.l1 * spec.l2, n), replace=False))
     # off-peak probes: half a bin either side of the grid point farthest, in
@@ -573,7 +555,7 @@ def _response_rows(spec, figure, n, l_tag, aux_rng, analytic_only):
     far = grid[np.argmax(np.minimum(gap, 2.0 - gap).min(axis=1))]
     probes = [(nu, 1.0 / math.sqrt(len(source))) for nu in source]
     probes += [(nu, None) for nu in principal_sine_wrap(far + np.array([-1.0, 1.0]) / n)]
-    return [ResultRow(figure, "response", n_elements=n, l_paths=l_tag, x=float(nu), analytic=form,
+    return [ResultRow("response", x=float(nu), analytic=form, **coords,
                       empirical=None if analytic_only else float(
                           correlation_response(aux_rng, n, source, float(nu), trials=400)))
             for nu, form in probes]
@@ -676,7 +658,7 @@ def save_run(out_dir, figure: str, spec: ExperimentSpec, rows, runs) -> None:
     """Write a figure's CSV and its manifest entry into out_dir."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    emit_csv(rows, out / f"{figure}.csv")
+    emit_csv(rows, out / f"{figure}.csv", figure)
     write_manifest(out / "manifest.json", figure, spec, runs)
 
 
@@ -684,7 +666,7 @@ def run_preset(name: str, overrides: dict | None = None, seed: int | None = None
                out_dir=None, analytic_only: bool = False) -> list[ResultRow]:
     """Run one figure preset, optionally writing its CSV and manifest entry."""
     spec = preset_spec(name, overrides, seed)
-    rows, runs = run_spec(spec, name, analytic_only, PRESETS[name].variants)
+    rows, runs = run_spec(spec, analytic_only, PRESETS[name].variants)
     if out_dir is not None:
         save_run(out_dir, name, spec, rows, runs)
     return rows

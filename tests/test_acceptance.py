@@ -318,7 +318,7 @@ def test_c11_pf_gap_shrinks_with_population():
     Q=100, larger than N=4's."""
     spec = ExperimentSpec(n_sweep=(4, 16), gamma_db_sweep=(130.0,), slots=3000, trials=1,
                           seed=90, pf_tau=1000.0, outputs=("pf_gap",))
-    rows, _ = run_spec(spec, "c11", variants=({"q_ues": 1}, {"q_ues": 10}, {"q_ues": 100}))
+    rows, _ = run_spec(spec, variants=({"q_ues": 1}, {"q_ues": 10}, {"q_ues": 100}))
     gap = {(r.q_ues, r.n_elements): r.empirical for r in rows if r.statistic == "pf_gap"}
     gaps = [gap[(q, 4)] for q in (1, 10, 100)]
     gap16 = gap[(100, 16)]

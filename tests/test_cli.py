@@ -14,6 +14,13 @@ import irsoob.experiments as experiments
 from irsoob.cli import main
 
 
+def figure_cells(path: Path) -> set:
+    """The first cell of every data line of a CSV, which holds its figure label."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0].startswith("figure,") and len(lines) > 1
+    return {line.split(",", 1)[0] for line in lines[1:]}
+
+
 def test_list_presets_prints_every_name(capsys):
     assert main(["list-presets"]) == 0
     out = capsys.readouterr().out
@@ -27,8 +34,9 @@ def test_run_writes_csv_and_manifest(tmp_path, capsys):
                     encoding="utf-8")
     out = tmp_path / "results"
     assert main(["run", str(spec), "--out", str(out)]) == 0
-    assert (out / "tiny.csv").exists()
+    assert figure_cells(out / "tiny.csv") == {"tiny"}
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert list(manifest) == ["tiny"]
     assert manifest["tiny"]["seed"] == 5
     assert "tiny: " in capsys.readouterr().out
 
@@ -73,8 +81,9 @@ def test_preset_with_overrides(tmp_path, capsys):
                  "--override", "slots=100", "--override", "trials=2",
                  "--override", "gamma_db_sweep=[120,130]"])
     assert code == 0
-    assert (out / "fig3.csv").exists()
+    assert figure_cells(out / "fig3.csv") == {"fig3"}
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert list(manifest) == ["fig3"]
     assert manifest["fig3"]["spec"]["slots"] == 100
     assert manifest["fig3"]["spec"]["gamma_db_sweep"] == [120, 130]
 

@@ -1,6 +1,8 @@
 """Config loading and validation: defaults, rejection messages, hashing."""
 
+import importlib
 import json
+import pkgutil
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -8,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import irsoob
 from irsoob.channels import NodeGeometry, PathLossParams
 from irsoob.config import (OUTPUT_KINDS, ExperimentSpec, load_spec, spec_from_dict, spec_hash,
                            spec_to_dict)
@@ -309,3 +312,15 @@ def test_readme_config_schema_matches_the_spec():
     assert named == [f.name for f in fields(ExperimentSpec)]
     assert [re.findall(r"`(\w+)`", row[0]) for row in output_rows] == [
         [kind] for kind in OUTPUT_KINDS]
+
+
+def test_readme_private_names_exist():
+    """Every backticked private name in README (one that starts with `_`) is
+    a module-level attribute of some irsoob module, so README cannot keep
+    naming a helper that was renamed or deleted."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    names = set(re.findall(r"`(_\w+)`", text))
+    modules = [importlib.import_module(f"irsoob.{info.name}")
+               for info in pkgutil.iter_modules(irsoob.__path__) if info.name != "__main__"]
+    missing = sorted(name for name in names if not any(hasattr(m, name) for m in modules))
+    assert names and not missing, missing

@@ -35,15 +35,15 @@ def read_lines(path):
 
 def test_csv_empty_rows_is_header_only(tmp_path):
     out = tmp_path / "empty.csv"
-    emit_csv([], out)
+    emit_csv([], out, "f")
     assert read_lines(out) == [",".join(CSV_COLUMNS)]
     assert out.read_text(encoding="utf-8").endswith("\n")
 
 
 def test_csv_cell_formatting(tmp_path):
     out = tmp_path / "cells.csv"
-    emit_csv([ResultRow(figure="f", statistic="s", n_elements=64, gamma_db=130.0,
-                        x=1234567891.23, empirical=0.123456789123, analytic=None)], out)
+    emit_csv([ResultRow(statistic="s", n_elements=64, gamma_db=130.0,
+                        x=1234567891.23, empirical=0.123456789123, analytic=None)], out, "f")
     header, line = read_lines(out)
     cells = dict(zip(header.split(","), line.split(",")))
     assert cells["n_elements"] == "64"          # integers stay integers
@@ -54,10 +54,10 @@ def test_csv_cell_formatting(tmp_path):
 
 
 def test_csv_rows_come_out_sorted(tmp_path):
-    rows = [ResultRow(figure="f", statistic=s, n_elements=n, gamma_db=g)
+    rows = [ResultRow(statistic=s, n_elements=n, gamma_db=g)
             for s in ("oob", "inband") for n in (256, 4, 64) for g in (150.0, 110.0)]
     out = tmp_path / "sorted.csv"
-    emit_csv(rows, out)
+    emit_csv(rows, out, "f")
     coords = [line.split(",")[1:5] for line in read_lines(out)[1:]]
     keys = [(c[0], int(c[2]), float(c[3])) for c in coords]
     assert keys == sorted(keys)
@@ -121,7 +121,7 @@ def test_manifest_records_each_variant(tmp_path):
     for v in fig11:
         q = v["overrides"]["q_ues"]
         spec = dataclasses.replace(PRESETS["fig11"].spec, **small, q_ues=q, seed=v["seed"])
-        _, (run,) = run_spec(spec, "single", analytic_only=True)
+        _, (run,) = run_spec(spec, analytic_only=True)
         np.testing.assert_array_equal(v["ue_positions_oob"], run.positions[1])
         assert np.asarray(v["ue_positions_oob"]).shape == (q, 2)
     fig9 = manifest["fig9"]["variants"]
@@ -157,7 +157,7 @@ def test_outage_without_a_reflector_is_the_direct_path_law():
     """At N = 0 the sub6 OOB gain is the direct path's Exp(beta_d), so the
     outage row's closed form reads 1 - exp(-rho/beta_d)."""
     spec = ExperimentSpec(n_sweep=(0,), slots=50, trials=2, seed=5, outputs=("outage",))
-    (row,) = run_spec(spec, "outage0")[0]
+    (row,) = run_spec(spec)[0]
     _, _, budget_y = budgets_for(spec, spawn_rngs(spec.seed, 1)[0])
     assert (row.statistic, row.n_elements) == ("outage_oob", 0)
     assert row.analytic == pytest.approx(1.0 - math.exp(-row.x / budget_y.beta_d[0]),
@@ -173,7 +173,7 @@ def test_response_rows_carry_the_rms_response():
     l_paths = 3
     spec = ExperimentSpec(regime="mmwave_los", l1=1, l2=l_paths, n_sweep=(16, 64), slots=50,
                           trials=1, seed=3, outputs=("correlation_response",))
-    rows, _ = run_spec(spec, "resp")
+    rows, _ = run_spec(spec)
     for n in spec.n_sweep:
         at_n = [r for r in rows if r.n_elements == n]
         assert len(at_n) == l_paths + 2
@@ -188,7 +188,7 @@ def test_response_rows_carry_the_rms_response():
             assert r.analytic == pytest.approx(1.0 / math.sqrt(l_paths))
             assert abs(r.empirical - r.analytic) <= 0.05
         assert sum(r.analytic is not None for r in at_n) == l_paths
-    only = run_spec(spec, "resp", analytic_only=True)[0]
+    only = run_spec(spec, analytic_only=True)[0]
     assert [(r.n_elements, r.x, r.analytic) for r in only] == [
         (r.n_elements, r.x, r.analytic) for r in rows]
     assert all(r.empirical is None and r.stderr is None for r in only)
@@ -202,7 +202,7 @@ def test_response_probes_sit_off_every_source_lobe():
     l_paths = 2
     spec = ExperimentSpec(regime="mmwave_los", l1=1, l2=l_paths, n_sweep=(16,), trials=1, seed=3,
                           outputs=("correlation_response",))
-    rows, _ = run_spec(spec, "resp")
+    rows, _ = run_spec(spec)
     off_peak = [r for r in rows if r.analytic is None]
     assert len(off_peak) == 2
     for r in off_peak:
@@ -218,10 +218,10 @@ def test_response_only_spec_runs_no_trials(monkeypatch):
     monkeypatch.setattr(experiments, "run_trial", refuse)
     spec = ExperimentSpec(regime="mmwave_los", l1=1, l2=3, n_sweep=(16,), trials=1, seed=3,
                           outputs=("correlation_response",))
-    rows, _ = run_spec(spec, "resp")
+    rows, _ = run_spec(spec)
     assert len(rows) == 3 + 2
     with pytest.raises(AssertionError, match="run_trial called"):
-        run_spec(dataclasses.replace(spec, outputs=("sumse",), slots=8), "resp")
+        run_spec(dataclasses.replace(spec, outputs=("sumse",), slots=8))
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +232,7 @@ def test_pf_gap_rr_row_is_the_sumse_outputs_value():
     its rr row carries the sumse output's OOB value bit for bit."""
     spec = ExperimentSpec(n_sweep=(4, 16), k_ues=2, q_ues=3, slots=80, trials=3, seed=5,
                           outputs=("sumse", "pf_gap"))
-    rows, _ = run_spec(spec, "shared")
+    rows, _ = run_spec(spec)
     for n in spec.n_sweep:
         oob = [r for r in rows if r.statistic == "sumse_oob" and r.n_elements == n]
         (plain,) = [r for r in oob if r.q_ues is None]
@@ -248,10 +248,10 @@ def test_a_q_variant_draws_from_seed_plus_7919_q():
     """Each Q of a sweep draws from seed + 7919·Q with trials + 1 generators
     per point, so its rows are those of a single-Q run at that seed."""
     spec = ExperimentSpec(n_sweep=(4, 8), k_ues=2, slots=60, trials=2, seed=5, outputs=("pf_gap",))
-    rows, runs = run_spec(spec, "q", variants=Q_SWEEP)
+    rows, runs = run_spec(spec, variants=Q_SWEEP)
     for q, run in zip((2, 3), runs):
         single, (single_run,) = run_spec(
-            dataclasses.replace(spec, q_ues=q, seed=spec.seed + 7919 * q), "q")
+            dataclasses.replace(spec, q_ues=q, seed=spec.seed + 7919 * q))
         assert single and [r for r in rows if r.q_ues == q] == single
         assert (run.overrides, run.seed) == ({"q_ues": q}, single_run.seed)
         for got, want in zip(run.positions, single_run.positions):
@@ -264,7 +264,7 @@ def test_mr_over_one_ue_takes_the_rr_form():
     spec = ExperimentSpec(n_sweep=(16,), q_ues=1, outputs=("sumse", "pf_gap"))
 
     def oob_forms(**fields):
-        rows, _ = run_spec(dataclasses.replace(spec, **fields), "forms", analytic_only=True)
+        rows, _ = run_spec(dataclasses.replace(spec, **fields), analytic_only=True)
         return {(r.scheduler, r.q_ues): r.analytic for r in rows if r.statistic == "sumse_oob"}
 
     rr = oob_forms(outputs=("sumse",))[("rr", None)]
@@ -314,14 +314,14 @@ def test_inband_rows_read_the_trials_aligned_draws(monkeypatch):
         return real(rng, *args)
 
     monkeypatch.setattr(engine, "_aligned_draws", record)
-    rows, _ = run_spec(spec, "inband")
+    rows, _ = run_spec(spec)
     assert sorted(map(repr, draws)) == sorted(map(repr, trial_states))
     assert not any(state in aux_states for state in draws)
     assert len(rows) == 10 * len(spec.n_sweep)
     assert all(r.statistic == "offset_ccdf_inband" and r.analytic is not None for r in rows)
 
     beta_d, beta_r = float(bx.beta_d[0]), float(bx.beta_r[0])
-    outage, _ = run_spec(dataclasses.replace(spec, outputs=("outage",)), "inband")
+    outage, _ = run_spec(dataclasses.replace(spec, outputs=("outage",)))
     inner, outages = 0, []   # grid points whose CCDF lies strictly inside (0, 1)
     for n, (_, (exp_direct, shape)) in zip(spec.n_sweep, points):
         gain = _aligned_gain(exp_direct, shape, beta_d, beta_r)
@@ -336,12 +336,12 @@ def test_inband_rows_read_the_trials_aligned_draws(monkeypatch):
         outages.append(row.empirical)
     assert inner >= 5 and max(outages) > 0.0
 
-    both, _ = run_spec(dataclasses.replace(spec, outputs=("outage", "inband_offset")), "inband")
+    both, _ = run_spec(dataclasses.replace(spec, outputs=("outage", "inband_offset")))
     by_coords = experiments._sort_key
     assert sorted(both, key=by_coords) == sorted(rows + outage, key=by_coords)
 
     draws.clear()
-    bare, _ = run_spec(spec, "inband", analytic_only=True)
+    bare, _ = run_spec(spec, analytic_only=True)
     assert draws == []
     assert [(r.x, r.analytic) for r in bare] == [(r.x, r.analytic) for r in rows]
     assert all(r.empirical is None and r.stderr is None for r in bare)
@@ -354,7 +354,7 @@ def test_pf_gap_is_the_ceiling_on_the_trials_aligned_draws():
     spec = ExperimentSpec(n_sweep=(4, 16), k_ues=2, q_ues=3, slots=80, trials=3, seed=5,
                           outputs=("pf_gap",))
     _, by, points = _point_trials(spec)
-    rows, _ = run_spec(spec, "gap")
+    rows, _ = run_spec(spec)
     snr = float(db_to_linear(spec.gamma_db_sweep[0]))
     for n, (gain_irs, (exp_direct, shape)) in zip(spec.n_sweep, points):
         ceiling = _aligned_gain(exp_direct[..., None], shape[..., None], by.beta_d, by.beta_r)
@@ -416,7 +416,7 @@ def _run_pf_rows(monkeypatch, spec, variants):
         return schedule_rates(rates, scheduler, tau)
 
     monkeypatch.setattr(experiments, "schedule_rates", spy)
-    rows, _ = run_spec(spec, "pf", variants=variants)
+    rows, _ = run_spec(spec, variants=variants)
     got = {}
     for r in rows:
         if r.scheduler == "pf":
@@ -599,7 +599,7 @@ def test_runner_rows_are_independent_of_the_worker_count(monkeypatch, spec, vari
     for workers in (1, None, spec.trials):
         monkeypatch.setattr(experiments, "_worker_count",
                             default if workers is None else lambda trials, w=workers: w)
-        results.append(run_spec(spec, "workers", variants=variants))
+        results.append(run_spec(spec, variants=variants))
     rows, runs = results[0]
     assert rows
     for other_rows, other_runs in results[1:]:
@@ -655,7 +655,7 @@ def test_runners_submit_one_point_ahead(monkeypatch, regime, variants):
     monkeypatch.setattr(experiments, "_point_rows", read)
     spec = ExperimentSpec(regime=regime, n_sweep=(4, 8, 16, 32), k_ues=2, q_ues=2, slots=40,
                           trials=3, seed=5, outputs=("sumse",))
-    run_spec(spec, "ahead", variants=variants)
+    run_spec(spec, variants=variants)
     points = len(submitted)
     assert points == len(consumed) == len(spec.n_sweep) * len(variants)
     assert len(seen) == 2 * points * spec.trials
@@ -677,12 +677,12 @@ def test_a_runner_starts_one_trial_pool_for_all_its_sweep_points(monkeypatch):
     monkeypatch.setattr(experiments, "ThreadPoolExecutor", Pool)
     spec = ExperimentSpec(n_sweep=(4, 8, 16), k_ues=2, q_ues=2, slots=40, trials=2, seed=5,
                           outputs=("sumse",))
-    run_spec(spec, "pool")
+    run_spec(spec)
     assert len(pools) == 1
-    run_spec(dataclasses.replace(spec, regime="mmwave_los"), "pool",
+    run_spec(dataclasses.replace(spec, regime="mmwave_los"),
              variants=({"l2": 2}, {"l2": 3}))
     assert len(pools) == 2
-    run_spec(dataclasses.replace(spec, outputs=("pf_gap",)), "pool", variants=Q_SWEEP)
+    run_spec(dataclasses.replace(spec, outputs=("pf_gap",)), variants=Q_SWEEP)
     assert len(pools) == 3
 
 

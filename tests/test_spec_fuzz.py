@@ -20,11 +20,13 @@ from irsoob.experiments import emit_csv, run_spec
 from oracles import PINNED_UES
 
 SPECS = 40
-# PF at pf_tau = 1 over rates that round to 0 at 0 dB: each once read 0/0
 FIXED = (
+    # PF at pf_tau = 1 over rates that round to 0 at 0 dB: each once read 0/0
     {"regime": "mmwave_los", "scheduler": "pf", "pf_tau": 1, "gamma_db_sweep": [0, 180]},
     {"regime": "mmwave_los", "scheduler": "pf", "pf_tau": 1, "gamma_db_sweep": [130, 0]},
     {"regime": "sub6", "outputs": ["pf_gap"], "pf_tau": 1, "gamma_db_sweep": [130, 0]},
+    # the reflector-free gain CCDF, whose rows alone leave n_elements blank
+    {"regime": "sub6", "outputs": ["ccdf"], "n_sweep": [0, 4]},
 )
 FIXED_SIZE = {"n_sweep": [4, 16], "k_ues": 3, "q_ues": 4, "slots": 50, "trials": 2, "seed": 1}
 PROBABILITIES = ("outage_oob", "outage_inband", "outage_inband_bound", "offset_ccdf",
@@ -81,7 +83,16 @@ def coordinates(row) -> tuple:
             row.q_ues, row.x)
 
 
-def check_rows(full, analytic_only) -> None:
+def check_rows(spec, full, analytic_only) -> None:
+    # every row carries its point's coordinates: N (blank on the reflector-free
+    # CCDF) and, in mmWave only, the cascaded path count
+    l_paths = spec.l1 * spec.l2 if spec.regime != "sub6" else None
+    for row in full + analytic_only:
+        assert row.l_paths == l_paths, row
+        if row.statistic == "gain_ccdf_noirs":
+            assert row.n_elements is None, row
+        else:
+            assert row.n_elements in spec.n_sweep, row
     for row in full:
         cells = (row.n_elements, row.gamma_db, row.l_paths, row.q_ues, row.x, row.empirical,
                  row.analytic, row.stderr)
@@ -110,11 +121,11 @@ def test_every_valid_spec_runs_clean_and_every_other_is_refused(tmp_path):
                 continue
             spec = spec_from_dict(config)
             reached |= edges(spec)
-            full, _ = run_spec(spec, "fuzz")
-            analytic_only, _ = run_spec(spec, "fuzz", analytic_only=True)
-            check_rows(full, analytic_only)
-            emit_csv(full, tmp_path / f"{i}a.csv")
-            emit_csv(run_spec(spec, "fuzz")[0], tmp_path / f"{i}b.csv")
+            full, _ = run_spec(spec)
+            analytic_only, _ = run_spec(spec, analytic_only=True)
+            check_rows(spec, full, analytic_only)
+            emit_csv(full, tmp_path / f"{i}a.csv", "fuzz")
+            emit_csv(run_spec(spec)[0], tmp_path / f"{i}b.csv", "fuzz")
             assert (tmp_path / f"{i}a.csv").read_bytes() == (tmp_path / f"{i}b.csv").read_bytes()
     assert 5 <= sum(broken for _, broken in draws) <= 15
     assert reached == {"sub6 N=0", "sub6 N=1", "N < L", "0 dB", "210 dB", "q_ues=1",

@@ -101,8 +101,7 @@ def outage_oob_sub6(rho, p: AnalyticParams):
     rho = np.asarray(rho, dtype=float)
     if np.any(rho < 0):
         raise ValueError("rho must be nonnegative")
-    out = 1.0 - np.exp(-rho / _mu1(p))
-    return float(out) if out.ndim == 0 else out
+    return 1.0 - np.exp(-rho / _mu1(p))
 
 
 def ccdf_offset_sub6(z, p: AnalyticParams):
@@ -253,7 +252,7 @@ def _exp_scaled_gamma1(a, b):
         raise ArithmeticError(
             f"quadrature error {abs(fv - fc):.3e} exceeds {_QUAD_REL_TOL:.0e} relative "
             f"tolerance at a={fa!r}, b={fb!r}")
-    return float(value) if value.ndim == 0 else value
+    return value
 
 
 _CDF_CLAMP_TOL = 1e-9
@@ -374,5 +373,4 @@ def inband_offset_ccdf_bound(rho, p: AnalyticParams):
     bd = float(p.beta_d[0])
     rho = np.asarray(rho, dtype=float)
     expo = np.clip(rho / bd - eta ** 2 / (bd + alpha), None, 700.0)
-    out = np.clip(1.0 - math.sqrt(bd / (bd + alpha)) * np.exp(expo), 0.0, 1.0)
-    return float(out) if out.ndim == 0 else out
+    return np.clip(1.0 - math.sqrt(bd / (bd + alpha)) * np.exp(expo), 0.0, 1.0)

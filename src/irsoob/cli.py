@@ -1,4 +1,7 @@
-"""Command-line front end: run a config file or a named figure preset."""
+"""Command-line front end: run a config file or a named figure preset.
+
+`main` does all of a run's file I/O: `<figure>.csv` and `manifest.json` in `--out`.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .config import load_spec, read_json_object
-from .experiments import PRESETS, preset_spec, run_spec, save_run
+from .experiments import PRESETS, emit_csv, manifest_entry, preset_spec, run_spec
 
 
 def _parse_override(text: str) -> tuple[str, object]:
@@ -64,7 +67,9 @@ def main(argv=None) -> int:
             print(f"{name:8s} {preset.note}")
         return 0
 
-    # a spec that cannot be resolved is a usage error; failures past that point propagate
+    # a spec, an --out or a manifest the run cannot use is a usage error; later failures propagate
+    out = Path(args.out)
+    manifest_path = out / "manifest.json"
     try:
         if args.command == "preset":
             figure = args.name
@@ -76,14 +81,19 @@ def main(argv=None) -> int:
             variants = ({},)
             if args.seed is not None:
                 spec = dataclasses.replace(spec, seed=args.seed)
-        if (Path(args.out) / "manifest.json").exists():   # the run merges into it: check it first
-            read_json_object(Path(args.out) / "manifest.json")
+        if any(p.exists() and not p.is_dir() for p in (out, *out.parents)):
+            raise ValueError(f"--out {out}: it or a parent exists and is not a directory")
+        manifest = read_json_object(manifest_path) if manifest_path.exists() else {}
     except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     rows, runs = run_spec(spec, args.analytic_only, variants)
-    save_run(args.out, figure, spec, rows, runs)
-    print(f"{figure}: {len(rows)} rows -> {Path(args.out) / (figure + '.csv')}")
+    out.mkdir(parents=True, exist_ok=True)
+    (out / f"{figure}.csv").write_text(emit_csv(rows, figure), encoding="utf-8")
+    manifest[figure] = manifest_entry(spec, runs)
+    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+                             encoding="utf-8")
+    print(f"{figure}: {len(rows)} rows -> {out / (figure + '.csv')}")
     return 0
 
 

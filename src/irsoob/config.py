@@ -69,10 +69,16 @@ class ExperimentSpec:
     def __post_init__(self):
         for name in COUNT_FIELDS:
             object.__setattr__(self, name, _count(name, getattr(self, name)))
+        for name in ("n_sweep", "gamma_db_sweep", "outputs"):
+            value = getattr(self, name)   # a list, a tuple or an array; 64 or "sumse" is none
+            if isinstance(value, str) or not hasattr(value, "__iter__"):
+                raise ValueError(f"{name}: expected a list, got {value!r}")
+            object.__setattr__(self, name, tuple(value))
+            if not getattr(self, name):   # an empty outputs list would write a header-only CSV
+                raise ValueError(f"{name} must be non-empty")
         object.__setattr__(self, "n_sweep", tuple(_count("n_sweep", n) for n in self.n_sweep))
         object.__setattr__(self, "gamma_db_sweep",
                            tuple(float(finite("gamma_db_sweep", g)) for g in self.gamma_db_sweep))
-        object.__setattr__(self, "outputs", tuple(self.outputs))
         if self.regime not in REGIMES:
             raise ValueError(f"regime: expected one of {REGIMES}, got {self.regime!r}")
         if self.scheduler not in SCHEDULERS:
@@ -84,8 +90,6 @@ class ExperimentSpec:
                 raise ValueError(f"outputs: {out!r} needs regime 'sub6', got {self.regime!r}")
             if out in MMWAVE_OUTPUTS and self.regime == "sub6":
                 raise ValueError(f"outputs: {out!r} needs an mmWave regime, got 'sub6'")
-        if not self.n_sweep or not self.gamma_db_sweep:
-            raise ValueError("n_sweep and gamma_db_sweep must be non-empty")
         for name, sweep in (("n_sweep", self.n_sweep), ("gamma_db_sweep", self.gamma_db_sweep)):
             if len(set(sweep)) != len(sweep):   # a repeat writes two rows at one coordinate
                 raise ValueError(f"{name}: duplicate entries in {list(sweep)}")

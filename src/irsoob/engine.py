@@ -329,15 +329,13 @@ def schedule_rates(rates: np.ndarray, scheduler: str, tau: float = 1000.0) -> np
 def empirical_ccdf(samples, x):
     """Fraction of samples strictly above x; vectorized in x."""
     s = np.sort(np.asarray(samples).ravel())
-    out = 1.0 - np.searchsorted(s, x, side="right") / len(s)
-    return float(out) if np.ndim(x) == 0 else out
+    return 1.0 - np.searchsorted(s, x, side="right") / len(s)
 
 
 def empirical_outage(samples, rho):
     """Fraction of samples strictly below rho; vectorized in rho."""
     s = np.sort(np.asarray(samples).ravel())
-    out = np.searchsorted(s, rho, side="left") / len(s)
-    return float(out) if np.ndim(rho) == 0 else out
+    return np.searchsorted(s, rho, side="left") / len(s)
 
 
 @dataclass(frozen=True)

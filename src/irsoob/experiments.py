@@ -4,10 +4,11 @@ Each preset is data: a default ExperimentSpec, a note, and the spec variants
 it sweeps. One runner, `run_spec`, turns any of them into ResultRow records:
 a statistic name, its sweep coordinates, and empirical / analytic / stderr
 values. Each stderr rule has one row builder (`_per_trial_row`, `_pooled_rows`,
-`_dominance_row`). Rows are written as one CSV per figure, whose label only
-`emit_csv` writes, plus a manifest recording the spec hash, seed, package
-versions, and each variant's overrides, seed and UE placement, so a run can
-be reproduced or compared byte for byte.
+`_dominance_row`). `emit_csv` turns the rows into one figure's CSV text, the
+only place its label is written, and `manifest_entry` builds the figure's
+manifest entry: the spec hash, seed, package versions, and each variant's
+overrides, seed and UE placement, so a run can be reproduced or compared byte
+for byte. This module reads and writes no file; `cli.main` does.
 
 Preset defaults are sized for a laptop (a few thousand slots, a handful of
 trials). Scaling up is a matter of overriding `slots` and `trials`; the model
@@ -21,21 +22,18 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import json
 import math
 import os
 import platform
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import analytics
 from .analytics import AnalyticParams
 from .channels import NodeGeometry, PathLossParams
-from .config import (SCHEDULERS, ExperimentSpec, read_json_object, spec_from_dict, spec_hash,
-                     spec_to_dict)
+from .config import SCHEDULERS, ExperimentSpec, spec_from_dict, spec_hash, spec_to_dict
 from .engine import (TrialData, _aligned_gain, budgets_for, dominance_test, empirical_ccdf,
                      empirical_outage, run_trial, schedule_rates, spawn_rngs)
 from .irs import correlation_response
@@ -79,8 +77,8 @@ def _sort_key(row: ResultRow):
             num(row.l_paths), num(row.q_ues), num(row.x))
 
 
-def emit_csv(rows, path, figure: str) -> None:
-    """Write rows sorted by coordinates, 9 significant digits, UTF-8, each labelled `figure`.
+def emit_csv(rows, figure: str) -> str:
+    """The CSV text of rows sorted by coordinates, 9 significant digits, each labelled `figure`.
 
     The ordering and formatting are locale-independent, so two runs with the
     same spec and seed produce identical bytes.
@@ -90,7 +88,7 @@ def emit_csv(rows, path, figure: str) -> None:
     for row in ordered:
         lines.append(",".join([figure] + [_format_cell(getattr(row, col))
                                           for col in CSV_COLUMNS[1:]]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -102,8 +100,8 @@ class VariantRun:
     positions: tuple[np.ndarray, np.ndarray]
 
 
-def write_manifest(path, figure: str, spec: ExperimentSpec, runs) -> None:
-    """Record what produced a figure's CSV; merges into an existing manifest.
+def manifest_entry(spec: ExperimentSpec, runs) -> dict:
+    """The manifest entry recording what produced a figure's CSV.
 
     `runs` holds one VariantRun per variant, in run order; each keeps its
     overrides, seed and UE positions, so a swept run can be rebuilt from its
@@ -111,7 +109,7 @@ def write_manifest(path, figure: str, spec: ExperimentSpec, runs) -> None:
     """
     from . import __version__
 
-    entry = {
+    return {
         "spec_sha256": spec_hash(spec),
         "seed": spec.seed,
         "spec": spec_to_dict(spec),
@@ -125,11 +123,6 @@ def write_manifest(path, figure: str, spec: ExperimentSpec, runs) -> None:
             "irsoob": __version__,
         },
     }
-    target = Path(path)
-    manifest = read_json_object(target) if target.exists() else {}
-    manifest[figure] = entry
-    target.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                      encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +494,7 @@ def _ccdf_rows(spec, coords, data, params_y):
         grid = np.array([_invert_offset_ccdf(p, params_y) for p in p_grid])
         samples = None
         if data is not None:
-            samples = (data.gain_irs[:, :, 0] - data.gain_noirs[:, :, 0]).ravel()
+            samples = data.gain_irs[:, :, 0] - data.gain_noirs[:, :, 0]
         return _pooled_rows("offset_ccdf", grid, samples,
                             analytics.ccdf_offset_sub6_finite_n(grid, params_y), empirical_ccdf,
                             **coords)
@@ -512,7 +505,7 @@ def _ccdf_rows(spec, coords, data, params_y):
     if spec.regime == "mmwave_los":
         forms = 1.0 - analytics.cdf_oob_mmwave_los(grid, params_y)
     return _pooled_rows("gain_ccdf", grid,
-                        None if data is None else data.gain_irs[:, :, 0].ravel(), forms,
+                        None if data is None else data.gain_irs[:, :, 0], forms,
                         empirical_ccdf, **coords)
 
 
@@ -653,20 +646,3 @@ def preset_spec(name: str, overrides: dict | None = None,
         spec = dataclasses.replace(spec, seed=int(seed))
     return spec
 
-
-def save_run(out_dir, figure: str, spec: ExperimentSpec, rows, runs) -> None:
-    """Write a figure's CSV and its manifest entry into out_dir."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    emit_csv(rows, out / f"{figure}.csv", figure)
-    write_manifest(out / "manifest.json", figure, spec, runs)
-
-
-def run_preset(name: str, overrides: dict | None = None, seed: int | None = None,
-               out_dir=None, analytic_only: bool = False) -> list[ResultRow]:
-    """Run one figure preset, optionally writing its CSV and manifest entry."""
-    spec = preset_spec(name, overrides, seed)
-    rows, runs = run_spec(spec, analytic_only, PRESETS[name].variants)
-    if out_dir is not None:
-        save_run(out_dir, name, spec, rows, runs)
-    return rows

@@ -9,9 +9,11 @@ every UE's per-path gains (`sample_mmwave`), and the dense array-response
 form of the sparse channel model. `oob_gain_samples` pools the package's own
 OOB gains at the sample sizes the distribution-level checks need.
 `PINNED_UES` is the one-point drop region at (1000, 1000) that puts every UE
-of an operator on one path loss, as fig11 and fig12 do.
+of an operator on one path loss, as fig11 and fig12 do. `preset_argv` spells
+a preset run as the `irsoob preset` command line that writes its files.
 """
 
+import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -25,6 +27,14 @@ from irsoob.experiments import _worker_count, operator_params, sweep_gains
 from irsoob.kernels import principal_sine_wrap, resolvable_angles
 
 PINNED_UES = NodeGeometry(ue_region=((1000.0, 1000.0), (1000.0, 1000.0)))
+
+
+def preset_argv(name, out, seed, overrides=None, analytic_only=False):
+    """The `irsoob preset` argv that runs `name` at `seed` into `out`, each override as JSON."""
+    argv = ["preset", name, "--out", str(out), "--seed", str(seed)]
+    for key, value in (overrides or {}).items():
+        argv += ["--override", f"{key}={json.dumps(value)}"]
+    return argv + ["--analytic-only"] * analytic_only
 
 
 def spectral_efficiency(gain, snr):

@@ -17,10 +17,11 @@ from irsoob.channels import PathLossParams
 from irsoob.config import ExperimentSpec
 from irsoob.engine import (_aligned_draws, _aligned_gain, budgets_for, dominance_test,
                            mmwave_nlos_trial, spawn_rngs, sub6_trial)
-from irsoob.experiments import operator_params, run_preset, run_spec
+from irsoob.cli import main
+from irsoob.experiments import operator_params, run_spec
 from irsoob.irs import correlation_response
 from irsoob.kernels import db_to_linear
-from oracles import PINNED_UES, oob_gain_samples, spectral_efficiency
+from oracles import PINNED_UES, oob_gain_samples, preset_argv, spectral_efficiency
 
 G130 = float(db_to_linear(130.0))
 G150 = float(db_to_linear(150.0))
@@ -332,7 +333,7 @@ def test_c12_preset_rerun_is_byte_identical(tmp_path):
     """Any preset rerun with the same seed writes byte-identical CSV."""
     overrides = {"slots": 200, "trials": 2}
     for sub in ("first", "second"):
-        run_preset("fig5", overrides=overrides, seed=5, out_dir=tmp_path / sub)
+        assert main(preset_argv("fig5", tmp_path / sub, 5, overrides)) == 0
     a = (tmp_path / "first/fig5.csv").read_bytes()
     b = (tmp_path / "second/fig5.csv").read_bytes()
     ok = a == b and len(a) > 0

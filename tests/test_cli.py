@@ -138,15 +138,34 @@ def test_preset_errors_past_spec_resolution_propagate(tmp_path, monkeypatch):
     (["--override", "trials=2.5"], "trials"),
     (["--override", "k_ues=true"], "k_ues"),
     (["--override", "n_sweep=[64.7]"], "n_sweep"),
+    (["--override", "n_sweep=64"], "n_sweep: expected a list"),
+    (["--override", "gamma_db_sweep=130"], "gamma_db_sweep: expected a list"),
+    (["--override", "outputs=sumse"], "outputs: expected a list"),
 ])
 def test_preset_names_the_field_of_a_bad_count_or_flag(tmp_path, capsys, flags, field):
-    # a fractional, boolean or negative value is a usage error, not a
-    # traceback, a truncation or a truthy string
+    # a fractional, boolean or negative value, or a scalar or string where a
+    # list belongs, is a usage error, not a traceback, a truncation or a
+    # truthy string
     out = tmp_path / "bad"
     assert main(["preset", "fig3", "--analytic-only", "--out", str(out)] + flags) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_an_out_that_is_or_lies_under_a_file_exits_two_before_any_trial(tmp_path, capsys,
+                                                                         monkeypatch, below):
+    def fail(*args, **kwargs):
+        raise AssertionError("run_spec ran")
+
+    monkeypatch.setattr("irsoob.cli.run_spec", fail)
+    taken = tmp_path / "taken"
+    taken.write_text("keep", encoding="utf-8")
+    assert main(["preset", "fig3", "--out", str(taken / below)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--out" in err
+    assert taken.read_text(encoding="utf-8") == "keep"
 
 
 @pytest.mark.parametrize("override,field", [

@@ -15,7 +15,7 @@ from irsoob.channels import NodeGeometry, PathLossParams
 from irsoob.config import (OUTPUT_KINDS, ExperimentSpec, load_spec, spec_from_dict, spec_hash,
                            spec_to_dict)
 from irsoob.engine import budgets_for
-from irsoob.experiments import PRESETS, run_preset
+from irsoob.experiments import PRESETS, preset_spec, run_spec
 from oracles import PINNED_UES
 
 
@@ -105,6 +105,8 @@ def test_sweeps_must_be_nonempty():
         ExperimentSpec(n_sweep=())
     with pytest.raises(ValueError, match="non-empty"):
         ExperimentSpec(gamma_db_sweep=())
+    with pytest.raises(ValueError, match="outputs must be non-empty"):
+        ExperimentSpec(outputs=())
 
 
 def test_element_count_guardrails():
@@ -128,7 +130,8 @@ def test_mmwave_element_counts_must_be_even_and_at_least_two():
     assert ExperimentSpec(regime="sub6", n_sweep=(0, 7)).n_sweep == (0, 7)
     for analytic_only in (False, True):
         with pytest.raises(ValueError, match="n_sweep"):
-            run_preset("fig8", overrides={"n_sweep": [4, 7]}, analytic_only=analytic_only)
+            run_spec(preset_spec("fig8", {"n_sweep": [4, 7]}), analytic_only,
+                     PRESETS["fig8"].variants)
 
 
 def test_slot_budget_guardrail():

@@ -15,10 +15,11 @@ from irsoob import analytics as an
 from irsoob.config import ExperimentSpec, spec_hash
 import irsoob.engine as engine
 from irsoob.engine import _aligned_gain, budgets_for, run_trial, schedule_rates, spawn_rngs
+from irsoob.cli import main
 from irsoob.experiments import (CSV_COLUMNS, PRESETS, ResultRow, emit_csv,
-                                operator_params, preset_spec, run_preset, run_spec)
+                                operator_params, preset_spec, run_spec)
 from irsoob.kernels import db_to_linear, resolvable_angles
-from oracles import PINNED_UES, oob_gain_samples
+from oracles import PINNED_UES, oob_gain_samples, preset_argv
 
 # enough slots for a smoke run, small enough to keep the suite fast
 FAST = {"slots": 200, "trials": 2}
@@ -26,25 +27,19 @@ FAST = {"slots": 200, "trials": 2}
 Q_SWEEP = ({"q_ues": 2}, {"q_ues": 3})
 
 
-def read_lines(path):
-    return path.read_text(encoding="utf-8").splitlines()
-
-
 # ---------------------------------------------------------------------------
 # CSV emission
 
-def test_csv_empty_rows_is_header_only(tmp_path):
-    out = tmp_path / "empty.csv"
-    emit_csv([], out, "f")
-    assert read_lines(out) == [",".join(CSV_COLUMNS)]
-    assert out.read_text(encoding="utf-8").endswith("\n")
+def test_csv_empty_rows_is_header_only():
+    text = emit_csv([], "f")
+    assert text.splitlines() == [",".join(CSV_COLUMNS)]
+    assert text.endswith("\n")
 
 
-def test_csv_cell_formatting(tmp_path):
-    out = tmp_path / "cells.csv"
-    emit_csv([ResultRow(statistic="s", n_elements=64, gamma_db=130.0,
-                        x=1234567891.23, empirical=0.123456789123, analytic=None)], out, "f")
-    header, line = read_lines(out)
+def test_csv_cell_formatting():
+    text = emit_csv([ResultRow(statistic="s", n_elements=64, gamma_db=130.0,
+                               x=1234567891.23, empirical=0.123456789123, analytic=None)], "f")
+    header, line = text.splitlines()
     cells = dict(zip(header.split(","), line.split(",")))
     assert cells["n_elements"] == "64"          # integers stay integers
     assert cells["empirical"] == "0.123456789"  # 9 significant digits
@@ -53,12 +48,10 @@ def test_csv_cell_formatting(tmp_path):
     assert cells["gamma_db"] == "130"
 
 
-def test_csv_rows_come_out_sorted(tmp_path):
+def test_csv_rows_come_out_sorted():
     rows = [ResultRow(statistic=s, n_elements=n, gamma_db=g)
             for s in ("oob", "inband") for n in (256, 4, 64) for g in (150.0, 110.0)]
-    out = tmp_path / "sorted.csv"
-    emit_csv(rows, out, "f")
-    coords = [line.split(",")[1:5] for line in read_lines(out)[1:]]
+    coords = [line.split(",")[1:5] for line in emit_csv(rows, "f").splitlines()[1:]]
     keys = [(c[0], int(c[2]), float(c[3])) for c in coords]
     assert keys == sorted(keys)
     assert keys[0] == ("inband", 4, 110.0)
@@ -69,9 +62,9 @@ def test_csv_rows_come_out_sorted(tmp_path):
 
 def test_unknown_preset_and_bad_override():
     with pytest.raises(ValueError, match="unknown preset"):
-        run_preset("fig99")
+        preset_spec("fig99")
     with pytest.raises(ValueError, match="bad override for fig3: unknown field 'bogus'"):
-        run_preset("fig3", overrides={"bogus": 1})
+        preset_spec("fig3", overrides={"bogus": 1})
     # the scheduler comparison is sub6-only, which the spec itself enforces
     with pytest.raises(ValueError, match="needs regime 'sub6'"):
         preset_spec("fig11", overrides={"regime": "mmwave_los"})
@@ -84,14 +77,14 @@ def test_list_presets_covers_all_figures():
 
 def test_preset_rerun_is_byte_identical(tmp_path):
     for sub in ("a", "b"):
-        run_preset("fig3", overrides=FAST, seed=17, out_dir=tmp_path / sub)
+        assert main(preset_argv("fig3", tmp_path / sub, 17, FAST)) == 0
     assert (tmp_path / "a/fig3.csv").read_bytes() == (tmp_path / "b/fig3.csv").read_bytes()
     assert ((tmp_path / "a/manifest.json").read_bytes()
             == (tmp_path / "b/manifest.json").read_bytes())
 
 
 def test_manifest_records_provenance(tmp_path):
-    run_preset("fig3", overrides=FAST, seed=17, out_dir=tmp_path)
+    assert main(preset_argv("fig3", tmp_path, 17, FAST)) == 0
     manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
     entry = manifest["fig3"]
 
@@ -111,9 +104,9 @@ def test_manifest_records_each_variant(tmp_path):
     drew from (seed + 7919·Q for a Q variant, the spec's seed otherwise) and
     the positions it drew, which are those of a single run at that seed."""
     small = dict(n_sweep=(4,), slots=40, trials=2)
-    run_preset("fig11", overrides=small, seed=3, out_dir=tmp_path, analytic_only=True)
-    run_preset("fig9", overrides=dict(small, n_sweep=(4, 8)), seed=3, out_dir=tmp_path,
-               analytic_only=True)
+    assert main(preset_argv("fig11", tmp_path, 3, small, analytic_only=True)) == 0
+    assert main(preset_argv("fig9", tmp_path, 3, dict(small, n_sweep=(4, 8)),
+                            analytic_only=True)) == 0
     manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
     fig11 = manifest["fig11"]["variants"]
     assert [v["overrides"] for v in fig11] == [{"q_ues": q} for q in (1, 10, 100)]
@@ -129,8 +122,8 @@ def test_manifest_records_each_variant(tmp_path):
 
 
 def test_manifest_merges_multiple_figures(tmp_path):
-    run_preset("fig3", overrides=FAST, seed=1, out_dir=tmp_path)
-    run_preset("fig4", overrides=dict(FAST, n_sweep=(64, 128)), seed=1, out_dir=tmp_path)
+    assert main(preset_argv("fig3", tmp_path, 1, FAST)) == 0
+    assert main(preset_argv("fig4", tmp_path, 1, dict(FAST, n_sweep=(64, 128)))) == 0
     manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
     assert set(manifest) == {"fig3", "fig4"}
 
@@ -138,8 +131,9 @@ def test_manifest_merges_multiple_figures(tmp_path):
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_analytic_only_blanks_empirical_columns(name):
     tiny = {"slots": 40, "trials": 2}
-    full = run_preset(name, overrides=tiny, seed=17)
-    bare = run_preset(name, overrides=tiny, seed=17, analytic_only=True)
+    spec, variants = preset_spec(name, tiny, 17), PRESETS[name].variants
+    full, _ = run_spec(spec, False, variants)
+    bare, _ = run_spec(spec, True, variants)
     assert all(r.empirical is None and r.stderr is None for r in bare)
     assert any(r.analytic is not None for r in bare)
 

@@ -8,12 +8,12 @@ closed-form rate/outage/distribution expressions, and figure-style experiment
 presets with a small CLI (`irsoob`).
 
 Subpackage map:
-    kernels      dB conversion, angle grid, sine wrap and cascade bins
+    kernels      dB conversion and cascade bins
     channels     geometry, path loss, complex normals, sparse path angles as
                  grid bins
     irs          unit phase, one co-phasing rule and one effective channel
                  for every regime (the references the engine is tested
-                 against), the sparse cascade, response probes
+                 against), the sparse cascade
     analytics    closed-form SE, outage, and distribution expressions, and
                  the one guarded quadrature
     engine       vectorized Monte Carlo trials that return channel gains

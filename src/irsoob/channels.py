@@ -157,7 +157,7 @@ def _draw_grid_bins(rng: np.random.Generator, n_elements: int, count: int) -> np
 
 def mmwave_angle_bins(rng: np.random.Generator, n_elements: int, l1: int, l2: int,
                       n_ues: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """On-grid path angles of one operator as indices into resolvable_angles(n_elements):
+    """On-grid path angles of one operator as bins i of the grid angle_i = -1 + 2i/N:
     (feeder (l1,), per-UE (n_ues, l2), cascade (n_ues, L)).
 
     Draws the feeder bins, then each UE's bins in turn. The cascade bin of

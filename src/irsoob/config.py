@@ -20,12 +20,9 @@ from .channels import NodeGeometry, PathLossParams, finite
 
 REGIMES = ("sub6", "mmwave_los", "mmwave_nlos")
 SCHEDULERS = ("rr", "pf", "mr")
-OUTPUT_KINDS = ("sumse", "outage", "ccdf", "dominance", "correlation_response", "pf_gap",
-                "inband_offset")
+OUTPUT_KINDS = ("sumse", "outage", "ccdf", "dominance", "pf_gap", "inband_offset")
 # outputs whose ceiling, scheduler forms or offset law are the Rayleigh ones
 SUB6_OUTPUTS = ("pf_gap", "inband_offset")
-# outputs that probe the sparse regimes' on-grid path angles
-MMWAVE_OUTPUTS = ("correlation_response",)
 
 GAMMA_DB_RANGE = (0.0, 210.0)  # sanity bound on transmit SNR in dB
 
@@ -88,8 +85,6 @@ class ExperimentSpec:
                 raise ValueError(f"outputs: unknown output kind {out!r}")
             if out in SUB6_OUTPUTS and self.regime != "sub6":
                 raise ValueError(f"outputs: {out!r} needs regime 'sub6', got {self.regime!r}")
-            if out in MMWAVE_OUTPUTS and self.regime == "sub6":
-                raise ValueError(f"outputs: {out!r} needs an mmWave regime, got 'sub6'")
         for name, sweep in (("n_sweep", self.n_sweep), ("gamma_db_sweep", self.gamma_db_sweep)):
             if len(set(sweep)) != len(sweep):   # a repeat writes two rows at one coordinate
                 raise ValueError(f"{name}: duplicate entries in {list(sweep)}")

@@ -36,8 +36,7 @@ from .channels import NodeGeometry, PathLossParams
 from .config import SCHEDULERS, ExperimentSpec, spec_from_dict, spec_hash, spec_to_dict
 from .engine import (TrialData, _aligned_gain, budgets_for, dominance_test, empirical_ccdf,
                      empirical_outage, run_trial, schedule_rates, spawn_rngs)
-from .irs import correlation_response
-from .kernels import db_to_linear, principal_sine_wrap, resolvable_angles
+from .kernels import db_to_linear
 
 CSV_COLUMNS = ("figure", "statistic", "scheduler", "n_elements", "gamma_db",
                "l_paths", "q_ues", "x", "empirical", "analytic", "stderr")
@@ -310,9 +309,6 @@ class _PFQueue:
                     _set_trial_stats(row, served_se if ceiling is None else ceiling - served_se)
 
 
-# the outputs computed from the trials' gains or in-band draws;
-# correlation_response draws from each point's auxiliary generator instead
-_GAIN_OUTPUTS = frozenset({"sumse", "outage", "ccdf", "dominance", "pf_gap", "inband_offset"})
 _Q_SEED_STRIDE = 7919   # a variant that sets q_ues draws from seed + 7919·Q
 
 
@@ -323,52 +319,48 @@ def run_spec(spec: ExperimentSpec, analytic_only: bool = False, variants=({},)):
     sweep l2 and q_ues this way. A variant that sets q_ues draws from
     seed + 7919·Q, so each OOB population keeps its own stream; the others
     draw from the spec's seed. Each (variant, element count) sweep point gets
-    its own trials + 1 generator children, the last of them auxiliary (read
-    only by correlation_response rows), so results at one point do not
-    depend on which others were run. Every point goes to one `sweep_gains`
-    call on one pool, so the trials run one point ahead across variant
-    boundaries too. Each point's rows are built as its gains arrive, except
-    that each (point, SNR) that runs PF sets its one rate set aside in a
-    `_PFQueue`, whether sumse, pf_gap or both read it: after the last point,
-    one slot loop per (slots, Q, pf_tau) schedules all of them and fills
-    their rows.
+    its own trials + 1 generator children, so results at one point do not
+    depend on which others were run. The trials read the first `trials` of
+    them; the last is unused, kept because a child depends only on its
+    index, so dropping it would move every later point's trial generators.
+    Every point goes to one `sweep_gains` call on one pool, so the trials run
+    one point ahead across variant boundaries too. Each point's rows are
+    built as its gains arrive, except that each (point, SNR) that runs PF
+    sets its one rate set aside in a `_PFQueue`, whether sumse, pf_gap or
+    both read it: after the last point, one slot loop per (slots, Q, pf_tau)
+    schedules all of them and fills their rows.
 
     Returns (rows, one VariantRun per variant). With analytic_only,
     simulation is skipped and the full run's rows come back with blank
-    empirical/stderr columns, on the same grids and placements. Trials run
-    only when an output reads their gains.
+    empirical/stderr columns, on the same grids and placements.
     """
-    points = []     # (spec, N, trial generators, auxiliary generator, budget_x, budget_y)
+    points = []     # (spec, N, trial generators, budget_x, budget_y), as sweep_gains takes them
     runs = []
     for variant in variants:
         sub = dataclasses.replace(spec, **variant)
         if "q_ues" in variant:
             sub = dataclasses.replace(sub, seed=spec.seed + _Q_SEED_STRIDE * sub.q_ues)
-        per_point = sub.trials + 1
+        per_point = sub.trials + 1   # the last child of each point is unused
         rngs = spawn_rngs(sub.seed, 1 + len(sub.n_sweep) * per_point)
         positions, budget_x, budget_y = budgets_for(sub, rngs[0])
         runs.append(VariantRun(variant, sub.seed, positions))
         for i, n in enumerate(sub.n_sweep):
             block = rngs[1 + i * per_point: 1 + (i + 1) * per_point]
-            points.append((sub, n, block[:-1], block[-1], budget_x, budget_y))
-    simulate = not analytic_only and not _GAIN_OUTPUTS.isdisjoint(spec.outputs)
+            points.append((sub, n, block[:-1], budget_x, budget_y))
     rows: list[ResultRow] = []
-    pf = _PFQueue(sub for sub, *_ in points) if simulate else None
+    pf = None if analytic_only else _PFQueue(sub for sub, *_ in points)
 
     with ThreadPoolExecutor(max_workers=_worker_count(spec.trials)) as pool:
-        gains = itertools.repeat(None)
-        if simulate:
-            gains = sweep_gains(pool, [(sub, n, trial_rngs, budget_x, budget_y)
-                                       for sub, n, trial_rngs, _, budget_x, budget_y in points])
-        for (sub, n, _, aux_rng, budget_x, budget_y), data in zip(points, gains):
-            rows += _point_rows(sub, n, data, aux_rng, operator_params(sub, budget_x, n),
-                                operator_params(sub, budget_y, n), analytic_only, pf)
+        gains = itertools.repeat(None) if analytic_only else sweep_gains(pool, points)
+        for (sub, n, _, budget_x, budget_y), data in zip(points, gains):
+            rows += _point_rows(sub, n, data, operator_params(sub, budget_x, n),
+                                operator_params(sub, budget_y, n), pf)
     if pf is not None:
         pf.schedule()
     return rows, runs
 
 
-def _point_rows(spec, n, data, aux_rng, params_x, params_y, analytic_only, pf):
+def _point_rows(spec, n, data, params_x, params_y, pf):
     """Every requested output's rows at one sweep point; PF rows are filled by `pf` later.
 
     Every row carries the point's coordinates: N, and l1*l2 in mmWave.
@@ -397,8 +389,6 @@ def _point_rows(spec, n, data, aux_rng, params_x, params_y, analytic_only, pf):
         rows.append(_dominance_row(data, params_y, **coords))
     if "inband_offset" in spec.outputs:
         rows += _inband_offset_rows(coords, params_x, inband)
-    if "correlation_response" in spec.outputs:
-        rows += _response_rows(spec, coords, aux_rng, analytic_only)
     return rows
 
 
@@ -531,27 +521,6 @@ def _inband_offset_rows(coords, params_x, inband):
     return _pooled_rows("offset_ccdf_inband", grid, samples,
                         analytics.inband_offset_ccdf_bound(grid, params_x), empirical_ccdf,
                         **coords)
-
-
-def _response_rows(spec, coords, aux_rng, analytic_only):
-    """The RMS response at each source angle, with form 1/sqrt(L), then at two off-peak probes.
-
-    Analytic only, the source angles are drawn as in a full run and only the
-    Monte Carlo response is skipped, so the probe rows carry no value.
-    """
-    n = coords["n_elements"]
-    grid = resolvable_angles(n)
-    source = np.sort(aux_rng.choice(grid, size=min(spec.l1 * spec.l2, n), replace=False))
-    # off-peak probes: half a bin either side of the grid point farthest, in
-    # circular distance, from every source angle
-    gap = np.abs(grid[:, None] - source[None, :])
-    far = grid[np.argmax(np.minimum(gap, 2.0 - gap).min(axis=1))]
-    probes = [(nu, 1.0 / math.sqrt(len(source))) for nu in source]
-    probes += [(nu, None) for nu in principal_sine_wrap(far + np.array([-1.0, 1.0]) / n)]
-    return [ResultRow("response", x=float(nu), analytic=form, **coords,
-                      empirical=None if analytic_only else float(
-                          correlation_response(aux_rng, n, source, float(nu), trials=400)))
-            for nu, form in probes]
 
 
 # ---------------------------------------------------------------------------

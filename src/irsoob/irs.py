@@ -1,4 +1,4 @@
-"""Reflector phase control: the co-phasing rule, the effective channel and response probes.
+"""Reflector phase control: the co-phasing rule and the effective channel.
 
 Every UE, in-band or out-of-band, sub-6 GHz or mmWave, sees the channel
 h_d + sum_n c_n theta_n, where c_n is the per-element cascade through the
@@ -14,8 +14,6 @@ trials are tested against.
 from __future__ import annotations
 
 import numpy as np
-
-from .channels import complex_normal
 
 
 def unit_phase(values, out=None):
@@ -64,24 +62,3 @@ def sparse_cascade(angles, gains, n_elements: int) -> np.ndarray:
     steering = np.exp(1j * np.pi * np.outer(angles, np.arange(n_elements)))   # (L, N)
     return gains @ steering / np.sqrt(len(angles))
 
-
-def correlation_response(rng: np.random.Generator, n_elements: int, source_angles,
-                         nu: float, trials: int) -> float:
-    """Monte Carlo RMS directional response of the optimized reflector at probe angle nu.
-
-    The ensemble draws unit-variance complex Gaussian gains on the given
-    source angles (the angles the optimizer matches), aligns a phase-only
-    configuration to their cascade with no direct path, and returns
-    sqrt(mean |adot(nu)^H theta|^2) over trials, where
-    adot(nu)^H theta = (1/N) sum_n exp(i*pi*n*nu) theta_n. The normalized
-    response lies in [0, 1]: about 1/sqrt(L) when nu is one of the L source
-    angles and near 0 elsewhere for large N.
-    """
-    if trials < 100:
-        raise ValueError(f"trials must be >= 100 for a usable estimate, got {trials}")
-    angles = np.atleast_1d(np.asarray(source_angles, dtype=float))
-    gains = complex_normal(rng, 1.0, (trials, len(angles)))
-    theta = align(0.0, sparse_cascade(angles, gains, n_elements))        # (trials, N)
-    probe = sparse_cascade([float(nu)], [1.0], n_elements)
-    response = effective_channel(0.0, probe, theta) / n_elements
-    return float(np.sqrt(np.mean(np.abs(response) ** 2)))

@@ -4,9 +4,12 @@ The package never calls these. They are the independent forms the tests hold
 the package to: the spectral efficiency of a channel gain, the two-pass
 unit phasor, the aligned reflector gain built from complex Rayleigh
 channels, the dense per-element Rayleigh channels of the sub6 model, the
-float grid index of an on-grid angle, the sparse path angles as floats and
-every UE's per-path gains (`sample_mmwave`), and the dense array-response
-form of the sparse channel model. `oob_gain_samples` pools the package's own
+float angle grid, its sine-domain wrap and the grid index of an on-grid
+angle (the float reference for the package's integer bins), the sparse path
+angles as floats and every UE's per-path gains (`sample_mmwave`), the dense
+array-response form of the sparse channel model, and the Monte Carlo
+directional response of a reflector aligned by the package's own rules
+(`correlation_response`). `oob_gain_samples` pools the package's own
 OOB gains at the sample sizes the distribution-level checks need.
 `PINNED_UES` is the one-point drop region at (1000, 1000) that puts every UE
 of an operator on one path loss, as fig11 and fig12 do. `preset_argv` spells
@@ -24,7 +27,7 @@ from irsoob.channels import LinkBudget, NodeGeometry, complex_normal, mmwave_ang
 from irsoob.config import ExperimentSpec
 from irsoob.engine import budgets_for, spawn_rngs
 from irsoob.experiments import _worker_count, operator_params, sweep_gains
-from irsoob.kernels import principal_sine_wrap, resolvable_angles
+from irsoob.irs import align, effective_channel, sparse_cascade
 
 PINNED_UES = NodeGeometry(ue_region=((1000.0, 1000.0), (1000.0, 1000.0)))
 
@@ -90,6 +93,34 @@ def sample_sub6(rng: np.random.Generator, n_elements: int, budget: LinkBudget,
     f = complex_normal(rng, budget.beta_f, (slots, n_elements))
     g = complex_normal(rng, budget.beta_g[:, None], (slots, q, n_elements))
     return Sub6Channels(h_d=h_d, f=f, g=g)
+
+
+def resolvable_angles(n_elements: int) -> np.ndarray:
+    """The N sine-domain angles {-1 + 2i/N : i = 0..N-1} resolvable by an N-element ULA.
+
+    Array responses exp(-1j*pi*n*angle), n = 0..N-1, at two distinct grid
+    angles are exactly orthogonal, which the reflector-control layer relies
+    on. Returned in increasing order.
+    """
+    if n_elements < 1:
+        raise ValueError(f"n_elements must be >= 1, got {n_elements}")
+    return -1.0 + 2.0 * np.arange(n_elements) / n_elements
+
+
+def principal_sine_wrap(x):
+    """Wrap a sine-domain angle into the principal interval [-1, 1).
+
+    Sums of on-grid angles land in [-2, 2); the wrap is a single +/-2 shift:
+    x - 2 if x >= 1, x + 2 if x < -1, unchanged otherwise. Vectorized.
+    """
+    arr = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("principal_sine_wrap requires finite input")
+    out = np.where(arr >= 1.0, arr - 2.0, arr)
+    out = np.where(arr < -1.0, out + 2.0, out)
+    if np.isscalar(x) or arr.ndim == 0:
+        return float(out)
+    return out
 
 
 def grid_index(angle, n_elements: int):
@@ -170,6 +201,28 @@ def mmwave_vector(n_elements, angles, gains):
     vec = sum(gain * np.conj(steering_vector(n_elements, ang))
               for ang, gain in zip(angles, gains))
     return np.sqrt(n_elements / len(angles)) * vec
+
+
+def correlation_response(rng: np.random.Generator, n_elements: int, source_angles,
+                         nu: float, trials: int) -> float:
+    """Monte Carlo RMS directional response of the optimized reflector at probe angle nu.
+
+    The ensemble draws unit-variance complex Gaussian gains on the given
+    source angles (the angles the optimizer matches), aligns a phase-only
+    configuration to their cascade with no direct path, and returns
+    sqrt(mean |adot(nu)^H theta|^2) over trials, where
+    adot(nu)^H theta = (1/N) sum_n exp(i*pi*n*nu) theta_n. The normalized
+    response lies in [0, 1]: about 1/sqrt(L) when nu is one of the L source
+    angles and near 0 elsewhere for large N.
+    """
+    if trials < 100:
+        raise ValueError(f"trials must be >= 100 for a usable estimate, got {trials}")
+    angles = np.atleast_1d(np.asarray(source_angles, dtype=float))
+    gains = complex_normal(rng, 1.0, (trials, len(angles)))
+    theta = align(0.0, sparse_cascade(angles, gains, n_elements))        # (trials, N)
+    probe = sparse_cascade([float(nu)], [1.0], n_elements)
+    response = effective_channel(0.0, probe, theta) / n_elements
+    return float(np.sqrt(np.mean(np.abs(response) ** 2)))
 
 
 def oob_gain_samples(seed: int, spec: ExperimentSpec, n_elements: int, count: int):

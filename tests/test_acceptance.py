@@ -19,9 +19,9 @@ from irsoob.engine import (_aligned_draws, _aligned_gain, budgets_for, dominance
                            mmwave_nlos_trial, spawn_rngs, sub6_trial)
 from irsoob.cli import main
 from irsoob.experiments import operator_params, run_spec
-from irsoob.irs import correlation_response
 from irsoob.kernels import db_to_linear
-from oracles import PINNED_UES, oob_gain_samples, preset_argv, spectral_efficiency
+from oracles import (PINNED_UES, correlation_response, oob_gain_samples, preset_argv,
+                     spectral_efficiency)
 
 G130 = float(db_to_linear(130.0))
 G150 = float(db_to_linear(150.0))
@@ -248,7 +248,8 @@ def test_c09_multipath_sumse_peaks_near_l_squared():
     150 dB (transmit 210 dB): the empirical maximum should land within one
     octave of N = L^2 for L in {4, 8}.
 
-    This fails (peaks at N = 256 and 1024), for three measured causes:
+    This fails (peaks at N = 512 for L = 4 and N = 1024 for L = 8), for three
+    measured causes:
     1. At this budget (mean beta_d*snr ~ 6.9 and 6.3, beta_r*snr ~ 0.46 and
        0.27, for L = 4 and 8) the aligned term does not dominate the direct
        link, and even the aligned-paths form

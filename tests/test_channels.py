@@ -19,8 +19,7 @@ from irsoob.channels import (
     mmwave_angle_bins,
     path_loss,
 )
-from irsoob.kernels import resolvable_angles
-from oracles import grid_index, mmwave_vector, sample_mmwave, sample_sub6
+from oracles import grid_index, mmwave_vector, resolvable_angles, sample_mmwave, sample_sub6
 
 # reference UE at (1000, 1000), in-band BS at (0, 50), reflector at (1025, 1025)
 BETA_F_REF = 4.996876951905058e-10   # 1e-3 / hypot(1025, 975)^2

@@ -240,13 +240,14 @@ def test_run_rejects_pf_gap_outside_sub6(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_run_rejects_correlation_response_in_sub6(tmp_path, capsys):
-    # the response needs on-grid path angles; a sub6 run would write a header-only CSV
-    spec = tmp_path / "s6.json"
-    spec.write_text(json.dumps({"outputs": ["correlation_response"]}), encoding="utf-8")
+def test_run_refuses_correlation_response_as_an_unknown_kind(tmp_path, capsys):
+    # the response output kind was deleted; an old config naming it fails by name
+    spec = tmp_path / "mm.json"
+    spec.write_text(json.dumps({"regime": "mmwave_los", "n_sweep": [16],
+                                "outputs": ["correlation_response"]}), encoding="utf-8")
     out = tmp_path / "r"
     assert main(["run", str(spec), "--out", str(out)]) == 2
-    assert "'correlation_response' needs an mmWave regime" in capsys.readouterr().err
+    assert "unknown output kind 'correlation_response'" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -18,7 +18,7 @@ from irsoob.engine import _aligned_gain, budgets_for, run_trial, schedule_rates,
 from irsoob.cli import main
 from irsoob.experiments import (CSV_COLUMNS, PRESETS, ResultRow, emit_csv,
                                 operator_params, preset_spec, run_spec)
-from irsoob.kernels import db_to_linear, resolvable_angles
+from irsoob.kernels import db_to_linear
 from oracles import PINNED_UES, oob_gain_samples, preset_argv
 
 # enough slots for a smoke run, small enough to keep the suite fast
@@ -159,65 +159,6 @@ def test_outage_without_a_reflector_is_the_direct_path_law():
     assert 0.0 < row.empirical < 1.0
 
 
-def test_response_rows_carry_the_rms_response():
-    """Per N: the L source angles, where the analytic 1/sqrt(L) sits and the
-    RMS response lies within criterion 8's 0.05 of it, then two off-grid
-    probes with no analytic value. An analytic-only run writes the same rows
-    at the same angles, with the analytic values and no empirical one."""
-    l_paths = 3
-    spec = ExperimentSpec(regime="mmwave_los", l1=1, l2=l_paths, n_sweep=(16, 64), slots=50,
-                          trials=1, seed=3, outputs=("correlation_response",))
-    rows, _ = run_spec(spec)
-    for n in spec.n_sweep:
-        at_n = [r for r in rows if r.n_elements == n]
-        assert len(at_n) == l_paths + 2
-        assert all(r.statistic == "response" and r.l_paths == l_paths for r in at_n)
-        grid = resolvable_angles(n)
-        for r in at_n:
-            on_grid = np.min(np.abs(grid - r.x)) < 1e-12
-            if r.analytic is None:
-                assert not on_grid
-                continue
-            assert on_grid
-            assert r.analytic == pytest.approx(1.0 / math.sqrt(l_paths))
-            assert abs(r.empirical - r.analytic) <= 0.05
-        assert sum(r.analytic is not None for r in at_n) == l_paths
-    only = run_spec(spec, analytic_only=True)[0]
-    assert [(r.n_elements, r.x, r.analytic) for r in only] == [
-        (r.n_elements, r.x, r.analytic) for r in rows]
-    assert all(r.empirical is None and r.stderr is None for r in only)
-
-
-def test_response_probes_sit_off_every_source_lobe():
-    """The off-peak probes sit half a bin from the grid point farthest from
-    every source angle, so neither lands on a source's main lobe: each reads
-    below half the on-peak 1/sqrt(L). At this setting a source sits on
-    grid[0], which a probe half a bin above grid[0] would hit."""
-    l_paths = 2
-    spec = ExperimentSpec(regime="mmwave_los", l1=1, l2=l_paths, n_sweep=(16,), trials=1, seed=3,
-                          outputs=("correlation_response",))
-    rows, _ = run_spec(spec)
-    off_peak = [r for r in rows if r.analytic is None]
-    assert len(off_peak) == 2
-    for r in off_peak:
-        assert r.empirical < 1.0 / (2.0 * math.sqrt(l_paths))
-
-
-def test_response_only_spec_runs_no_trials(monkeypatch):
-    """correlation_response reads no trial gains, so a spec asking only for it
-    never simulates a trial."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("run_trial called for an output that reads no gains")
-
-    monkeypatch.setattr(experiments, "run_trial", refuse)
-    spec = ExperimentSpec(regime="mmwave_los", l1=1, l2=3, n_sweep=(16,), trials=1, seed=3,
-                          outputs=("correlation_response",))
-    rows, _ = run_spec(spec)
-    assert len(rows) == 3 + 2
-    with pytest.raises(AssertionError, match="run_trial called"):
-        run_spec(dataclasses.replace(spec, outputs=("sumse",), slots=8))
-
-
 # ---------------------------------------------------------------------------
 # the scheduler comparison, Q variants and the in-band offset rows
 
@@ -270,7 +211,7 @@ def test_mr_over_one_ue_takes_the_rr_form():
 
 def _point_trials(spec):
     """Each sweep point's trials, run one by one on the generators run_spec
-    spawns for them (trials + 1 children per point, the last auxiliary) and
+    spawns for them (trials + 1 children per point, the last unused) and
     stacked on a leading trials axis: (budget_x, budget_y, [(gain_irs,
     (E, S)) per point])."""
     per_point = spec.trials + 1
@@ -289,7 +230,7 @@ def test_inband_rows_read_the_trials_aligned_draws(monkeypatch):
     """The in-band offset CCDF and outage rows are the pooled aligned-gain law,
     with in-band UE 0's betas, on the (E, S) that the point's trials drew,
     and asking for both outputs changes neither. _aligned_draws reads each
-    trial generator once and never a point's auxiliary one. An
+    trial generator once and never a point's unused last child. An
     analytic-only run keeps the offset bound."""
     spec = ExperimentSpec(n_sweep=(2, 4), k_ues=2, q_ues=2, slots=300, trials=2, seed=7,
                           outputs=("inband_offset",))
@@ -298,7 +239,7 @@ def test_inband_rows_read_the_trials_aligned_draws(monkeypatch):
     rngs = spawn_rngs(spec.seed, 1 + len(spec.n_sweep) * per_point)
     trial_states = [rng.bit_generator.state for i, rng in enumerate(rngs[1:]) if i % per_point
                     != spec.trials]
-    aux_states = [rngs[(i + 1) * per_point].bit_generator.state
+    unused_states = [rngs[(i + 1) * per_point].bit_generator.state
                   for i in range(len(spec.n_sweep))]
     draws = []
     real = engine._aligned_draws
@@ -310,7 +251,7 @@ def test_inband_rows_read_the_trials_aligned_draws(monkeypatch):
     monkeypatch.setattr(engine, "_aligned_draws", record)
     rows, _ = run_spec(spec)
     assert sorted(map(repr, draws)) == sorted(map(repr, trial_states))
-    assert not any(state in aux_states for state in draws)
+    assert not any(state in unused_states for state in draws)
     assert len(rows) == 10 * len(spec.n_sweep)
     assert all(r.statistic == "offset_ccdf_inband" and r.analytic is not None for r in rows)
 

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from irsoob.channels import LinkBudget
-from irsoob.irs import align, correlation_response, effective_channel, sparse_cascade, unit_phase
-from irsoob.kernels import resolvable_angles
-from oracles import sample_sub6, unit_phase_where
+from irsoob.irs import align, effective_channel, sparse_cascade, unit_phase
+from oracles import correlation_response, resolvable_angles, sample_sub6, unit_phase_where
 
 
 def _random_complex(rng, shape=()):

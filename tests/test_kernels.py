@@ -1,7 +1,7 @@
-"""Math-kernel tests: the angle grid, angle wrapping, tail integrals.
+"""Math-kernel tests: the integer cascade bin, tail integrals.
 
-The steering-vector checks pin the array-response oracle in oracles.py that
-the grid-orthogonality check and the channel tests build on.
+The steering-vector, grid and wrap checks pin the float angle oracles in
+oracles.py that the cascade-bin check and the channel tests build on.
 
 The tail integrals are the mmWave outage forms' I0 and its generalized upper
 incomplete gamma at alpha = 1, both computed by analytics._exp_scaled_gamma1,
@@ -17,13 +17,8 @@ from scipy import integrate, special
 
 from irsoob import analytics
 from irsoob.analytics import AnalyticParams, _exp_scaled_gamma1, cdf_oob_mmwave_los
-from irsoob.kernels import (
-    cascade_bin,
-    db_to_linear,
-    principal_sine_wrap,
-    resolvable_angles,
-)
-from oracles import grid_index, steering_vector
+from irsoob.kernels import cascade_bin, db_to_linear
+from oracles import grid_index, principal_sine_wrap, resolvable_angles, steering_vector
 
 # frozen oracle: np.trapezoid(exp(-(1/t + t)), t=arange(1, 60+1e-4, 1e-4));
 # truncation tail below exp(-60)

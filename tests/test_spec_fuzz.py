@@ -14,8 +14,7 @@ import warnings
 
 import pytest
 
-from irsoob.config import (MMWAVE_OUTPUTS, OUTPUT_KINDS, REGIMES, SCHEDULERS, SUB6_OUTPUTS,
-                           spec_from_dict)
+from irsoob.config import OUTPUT_KINDS, REGIMES, SCHEDULERS, SUB6_OUTPUTS, spec_from_dict
 from irsoob.experiments import emit_csv, run_spec
 from oracles import PINNED_UES
 
@@ -37,7 +36,7 @@ def draw_spec(rng: random.Random) -> tuple[dict, bool]:
     """A config dict over small sizes, and whether it breaks a rule: a quarter break one."""
     regime = rng.choice(REGIMES)
     sub6 = regime == "sub6"
-    kinds = [k for k in OUTPUT_KINDS if k not in (MMWAVE_OUTPUTS if sub6 else SUB6_OUTPUTS)]
+    kinds = [k for k in OUTPUT_KINDS if sub6 or k not in SUB6_OUTPUTS]
     config = {
         "regime": regime,
         "scheduler": rng.choice(SCHEDULERS),
@@ -59,7 +58,9 @@ def draw_spec(rng: random.Random) -> tuple[dict, bool]:
     if broken:
         key, value = rng.choice([
             ("n_sweep", [-1] if sub6 else [3]), ("gamma_db_sweep", [211]), ("pf_tau", 0.5),
-            ("trials", 0), ("outputs", [(MMWAVE_OUTPUTS if sub6 else SUB6_OUTPUTS)[0]])])
+            ("trials", 0),
+            # an unknown kind in sub6, a Rayleigh-only kind in mmWave
+            ("outputs", ["correlation_response"] if sub6 else [SUB6_OUTPUTS[0]])])
         config[key] = value
     return config, broken
 

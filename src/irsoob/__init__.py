@@ -16,11 +16,11 @@ Subpackage map:
                  against), the sparse cascade
     analytics    closed-form SE, outage, and distribution expressions, and
                  the one guarded quadrature
-    engine       vectorized Monte Carlo trials that return channel gains
-                 only (every regime's OOB gains from their exact reduced
-                 laws), the OOB scheduler, empirical distributions
-    experiments  presets as data (spec, note, swept variants), the one sweep
-                 runner `run_spec`, CSV emission, run manifests
+    engine       vectorized Monte Carlo trials, whose OOB gains `run_trial`
+                 draws in one place from their exact reduced laws, the OOB
+                 scheduler, empirical distributions
+    experiments  presets as data (spec, note, swept variants), the sweep
+                 runner `sweep_points` / `run_spec`, CSV text, manifests
     cli          argparse entry point
 """
 

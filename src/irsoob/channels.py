@@ -156,15 +156,15 @@ def _draw_grid_bins(rng: np.random.Generator, n_elements: int, count: int) -> np
 
 
 def mmwave_angle_bins(rng: np.random.Generator, n_elements: int, l1: int, l2: int,
-                      n_ues: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """On-grid path angles of one operator as bins i of the grid angle_i = -1 + 2i/N:
-    (feeder (l1,), per-UE (n_ues, l2), cascade (n_ues, L)).
+                      n_ues: int) -> np.ndarray:
+    """One operator's cascade path angles (n_ues, L) as bins i of the grid angle_i = -1 + 2i/N.
 
-    Draws the feeder bins, then each UE's bins in turn. The cascade bin of
-    (feeder path i, UE path j) is that of wrap(phi_i + psi_j), cascade_bin of
-    the two, L = l1 * l2 entries ordered with j fastest. Requires even
-    n_elements: sums of two grid angles wrap back onto the grid only when N is
-    even, and the cascade representation relies on that closure.
+    Draws the feeder bins (l1,), then each UE's bins (l2,) in turn. The
+    cascade bin of (feeder path i, UE path j) is that of wrap(phi_i + psi_j),
+    cascade_bin of the two, L = l1 * l2 entries ordered with j fastest.
+    Requires even n_elements: sums of two grid angles wrap back onto the grid
+    only when N is even, and the cascade representation relies on that
+    closure.
     """
     if n_elements < 2 or n_elements % 2:
         raise ValueError(f"n_elements must be even and >= 2, got {n_elements}")
@@ -172,6 +172,4 @@ def mmwave_angle_bins(rng: np.random.Generator, n_elements: int, l1: int, l2: in
         raise ValueError(f"path counts must be >= 1, got l1={l1}, l2={l2}")
     bs_bins = _draw_grid_bins(rng, n_elements, l1)
     ue_bins = np.stack([_draw_grid_bins(rng, n_elements, l2) for _ in range(n_ues)])
-    cascade_bins = cascade_bin(bs_bins[:, None], ue_bins[:, None, :],
-                               n_elements).reshape(n_ues, l1 * l2)
-    return bs_bins, ue_bins, cascade_bins
+    return cascade_bin(bs_bins[:, None], ue_bins[:, None, :], n_elements).reshape(n_ues, l1 * l2)

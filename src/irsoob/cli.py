@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .config import load_spec, read_json_object
-from .experiments import PRESETS, emit_csv, manifest_entry, preset_spec, run_spec
+from .experiments import PRESETS, emit_csv, manifest_entry, preset_spec, run_spec, sweep_points
 
 
 def _parse_override(text: str) -> tuple[str, object]:
@@ -67,27 +67,28 @@ def main(argv=None) -> int:
             print(f"{name:8s} {preset.note}")
         return 0
 
-    # a spec, an --out or a manifest the run cannot use is a usage error; later failures propagate
+    # a spec, --out, manifest or UE drop the run cannot use is a usage error; trial errors propagate
     out = Path(args.out)
     manifest_path = out / "manifest.json"
     try:
         if args.command == "preset":
             figure = args.name
-            spec = preset_spec(figure, dict(args.override), args.seed)
+            spec = preset_spec(figure, dict(args.override))
             variants = PRESETS[figure].variants
         else:
             figure = Path(args.spec_file).stem or "run"
             spec = load_spec(args.spec_file)
             variants = ({},)
-            if args.seed is not None:
-                spec = dataclasses.replace(spec, seed=args.seed)
+        if args.seed is not None:
+            spec = dataclasses.replace(spec, seed=args.seed)
         if any(p.exists() and not p.is_dir() for p in (out, *out.parents)):
             raise ValueError(f"--out {out}: it or a parent exists and is not a directory")
         manifest = read_json_object(manifest_path) if manifest_path.exists() else {}
+        points, runs = sweep_points(spec, variants)
     except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    rows, runs = run_spec(spec, args.analytic_only, variants)
+    rows = run_spec(points, args.analytic_only)
     out.mkdir(parents=True, exist_ok=True)
     (out / f"{figure}.csv").write_text(emit_csv(rows, figure), encoding="utf-8")
     manifest[figure] = manifest_entry(spec, runs)

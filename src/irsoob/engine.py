@@ -6,8 +6,8 @@ UE it is serving, and the out-of-band (OOB) base station schedules its own
 UEs over the effective channels that result. The OOB side never influences
 the reflector.
 
-A trial returns channel gains only. Every statistic downstream (sum-SE,
-outage, gain CCDFs, dominance) depends on the SNR only through
+A trial's TrialData holds channel gains only. Every statistic downstream
+(sum-SE, outage, gain CCDFs, dominance) depends on the SNR only through
 log2(1 + snr * gain), so the experiment layer applies each SNR of a sweep to
 one set of gains.
 
@@ -40,10 +40,12 @@ Every regime's OOB gains follow one rule. The reflector's phases are set by
 the in-band side alone, so given them the reflected sum R that reaches OOB UE
 q is CN(0, v_q), independent across slots and of the direct link h_d, and
 circular: dropping h_d's phase keeps the joint law of |h_d + R|^2 and
-|h_d|^2. `_oob_gains` draws that law once for every trial: gain_noirs =
+|h_d|^2. Each trial returns (in-band gain, v, (E, S) or None in mmWave),
+with v its variance (slots, Q), and `run_trial` then draws that law once, as
+the trial generator's last draw, with `_oob_gains`: gain_noirs =
 beta_d Exp(1), and R only where v > 0, so gain_irs = |sqrt(gain_noirs) + R|^2
-there and gain_noirs elsewhere. Each trial computes only its variance v
-(slots, Q):
+there and gain_noirs elsewhere. It builds the trial's one TrialData. Each
+regime's v:
 - sub6: beta_r,q G, with G = ||f||^2 / beta_f ~ Gamma(N, 1) drawn per slot
   and shared by the UEs, which is what correlates them; it replaces the N
   per-element channels of each UE.
@@ -150,26 +152,25 @@ def _oob_gains(rng: np.random.Generator, beta_d,
 
 
 def sub6_trial(rng: np.random.Generator, n_elements: int, budget_x: LinkBudget,
-               budget_y: LinkBudget, slots: int) -> TrialData:
-    """One Rayleigh-fading trial: per slot (E, S), G ~ Gamma(N, 1), then the OOB gains.
+               budget_y: LinkBudget, slots: int):
+    """One Rayleigh-fading trial: per slot (E, S), then G ~ Gamma(N, 1).
 
-    The in-band gain is the aligned gain of (E, S) with the served UE's
-    betas, and (E, S) is returned too; the OOB gains have reflected variance
-    beta_r G (module docstring).
+    Returns (in-band gain, variance, (E, S)). The in-band gain is the aligned
+    gain of (E, S) with the served UE's betas, and the variance is the OOB
+    reflected variance beta_r G (slots, Q), from which `run_trial` then
+    draws the OOB gains (module docstring).
     """
     k_served = np.arange(slots) % budget_x.n_ues
     exp_direct, shape = _aligned_draws(rng, slots, n_elements)
     inband_gain = _aligned_gain(exp_direct, shape, budget_x.beta_d[k_served],
                                 budget_x.beta_r[k_served])
     power = rng.standard_gamma(n_elements, size=slots)   # ||f||^2 / beta_f
-    gain_irs, gain_noirs = _oob_gains(rng, budget_y.beta_d, budget_y.beta_r * power[:, None])
-    return TrialData(inband_gain=inband_gain, gain_irs=gain_irs, gain_noirs=gain_noirs,
-                     aligned=(exp_direct, shape))
+    return inband_gain, budget_y.beta_r * power[:, None], (exp_direct, shape)
 
 
 def mmwave_los_trial(rng: np.random.Generator, n_elements: int, budget_x: LinkBudget,
-                     budget_y: LinkBudget, slots: int, l_oob: int) -> TrialData:
-    """One sparse-channel trial with single-path in-band UEs.
+                     budget_y: LinkBudget, slots: int, l_oob: int):
+    """One sparse-channel trial with single-path in-band UEs: (in-band gain, variance, None).
 
     The reflector steers its whole aperture at the served UE's cascaded
     angle, so the in-band gain is (|h_d| + N |gamma_1 gamma_2|)^2. Draws, in
@@ -180,42 +181,42 @@ def mmwave_los_trial(rng: np.random.Generator, n_elements: int, budget_x: LinkBu
     On the resolvable grid an OOB path contributes only when it sits exactly
     on the steered angle, so UE q's sum collapses to its m[k, q] paths on
     in-band UE k's angle (each copy of a duplicated path counts). Then the
-    feeder power X ~ Exp(1) per slot, and the OOB gains with reflected
-    variance (N^2 / L) beta_f X m beta_g,q (module docstring): the aligning
-    phasor u rotates out of R's circular law like h_d's phase.
+    feeder power X ~ Exp(1) per slot, and the reflected variance
+    (N^2 / L) beta_f X m beta_g,q, from which `run_trial` then draws the OOB
+    gains (module docstring): the aligning phasor u rotates out of R's
+    circular law like h_d's phase.
     """
     k_ues = budget_x.n_ues
     k_served = np.arange(slots) % k_ues
-    bins_x = mmwave_angle_bins(rng, n_elements, 1, 1, k_ues)[2][:, 0]     # (K,)
+    bins_x = mmwave_angle_bins(rng, n_elements, 1, 1, k_ues)[:, 0]        # (K,)
     served = (np.arange(slots), k_served)
     feeder_x = complex_normal(rng, budget_x.beta_f, slots)
     g_x = feeder_x * complex_normal(rng, budget_x.beta_g, (slots, k_ues))[served]
     h_dx = complex_normal(rng, budget_x.beta_d, (slots, k_ues))[served]
-    bins_y = mmwave_angle_bins(rng, n_elements, 1, l_oob, budget_y.n_ues)[2]   # (Q, L)
+    bins_y = mmwave_angle_bins(rng, n_elements, 1, l_oob, budget_y.n_ues)      # (Q, L)
     inband_gain = (np.abs(h_dx) + n_elements * np.abs(g_x)) ** 2
 
     matches = (bins_y[None, :, :] == bins_x[:, None, None]).sum(axis=2)  # (K, Q)
     # R's variance per unit feeder power, for each (served UE k, OOB UE q)
     weight = (n_elements ** 2 / l_oob) * budget_y.beta_f * matches * budget_y.beta_g
     feeder_power = rng.standard_exponential(slots)                       # X
-    gain_irs, gain_noirs = _oob_gains(rng, budget_y.beta_d,
-                                      feeder_power[:, None] * weight[k_served])
-    return TrialData(inband_gain=inband_gain, gain_irs=gain_irs, gain_noirs=gain_noirs)
+    return inband_gain, feeder_power[:, None] * weight[k_served], None
 
 
 def mmwave_nlos_trial(rng: np.random.Generator, n_elements: int, budget_x: LinkBudget,
-                      budget_y: LinkBudget, slots: int, l1: int, l2: int) -> TrialData:
+                      budget_y: LinkBudget, slots: int, l1: int, l2: int):
     """One sparse-channel trial with the reflector phase-matched to all of the served UE's paths.
 
-    The per-element matched sum v and the responses r at every grid angle are
-    FFT pairs, so each slot costs O(N log N) regardless of path count. The
-    chunk loop draws nothing. Before it: both operators' angle bins; per slot
-    the served in-band UE's feeder (l1,) and UE-side (l2,) gains and its
-    direct power |h_d|^2 = beta_d Exp(1), so theta = v / |v|; the OOB feeder
-    gains gamma_1 (l1,), shared by the UEs. After it, the OOB gains with
-    reflected variance (N^2 / L) beta_g,q P_q (module docstring), where
-    P_q = sum_j |sum_i gamma_1,i r[m_qij]|^2; a duplicated grid angle counts
-    once per copy.
+    Returns (in-band gain, variance, None). The per-element matched sum v
+    and the responses r at every grid angle are FFT pairs, so each slot
+    costs O(N log N) regardless of path count. The chunk loop draws nothing.
+    Before it: both operators' angle bins; per slot the served in-band UE's
+    feeder (l1,) and UE-side (l2,) gains and its direct power
+    |h_d|^2 = beta_d Exp(1), so theta = v / |v|; the OOB feeder gains
+    gamma_1 (l1,), shared by the UEs. It yields the reflected variance
+    (N^2 / L) beta_g,q P_q, from which `run_trial` then draws the OOB gains
+    (module docstring), where P_q = sum_j |sum_i gamma_1,i r[m_qij]|^2; a
+    duplicated grid angle counts once per copy.
 
     When the served UE's bins lie on one coset m0 + gZ (g = gcd of their
     differences with N, g > 1), theta is a tone times a sequence of period
@@ -224,8 +225,8 @@ def mmwave_nlos_trial(rng: np.random.Generator, n_elements: int, budget_x: LinkB
     rounding residue, and `_oob_gains` draws R only for the latter, so any
     change to the FFT or response arithmetic can move fig9's stream.
     """
-    bins_x = mmwave_angle_bins(rng, n_elements, l1, l2, budget_x.n_ues)[2]   # (K, L)
-    bins_y = mmwave_angle_bins(rng, n_elements, l1, l2, budget_y.n_ues)[2]   # (Q, L)
+    bins_x = mmwave_angle_bins(rng, n_elements, l1, l2, budget_x.n_ues)      # (K, L)
+    bins_y = mmwave_angle_bins(rng, n_elements, l1, l2, budget_y.n_ues)      # (Q, L)
     l_paths = l1 * l2
     k_served = np.arange(slots) % budget_x.n_ues
     bs_x = complex_normal(rng, budget_x.beta_f, (slots, l1))
@@ -267,8 +268,7 @@ def mmwave_nlos_trial(rng: np.random.Generator, n_elements: int, budget_x: LinkB
         for i in range(1, l1):
             a += gamma_1[sl, i, None] * resp[:, cols_y[i]]
         power[sl] = (np.abs(a) ** 2).reshape(span, q_ues, l2).sum(axis=2)
-    gain_irs, gain_noirs = _oob_gains(rng, budget_y.beta_d, scale ** 2 * budget_y.beta_g * power)
-    return TrialData(inband_gain=inband_gain, gain_irs=gain_irs, gain_noirs=gain_noirs)
+    return inband_gain, scale ** 2 * budget_y.beta_g * power, None
 
 
 # ---------------------------------------------------------------------------
@@ -338,21 +338,12 @@ def empirical_outage(samples, rho):
     return np.searchsorted(s, rho, side="left") / len(s)
 
 
-@dataclass(frozen=True)
-class DominanceReport:
-    """Grid comparison of two empirical tails: does `with` dominate `without`?"""
+def dominance_test(samples_with, samples_without, grid) -> tuple[float, float]:
+    """(min_diff, eps_stat): the smallest CCDF_with - CCDF_without on the grid, and its noise floor.
 
-    min_diff: float
-    eps_stat: float
-    passed: bool
-
-
-def dominance_test(samples_with, samples_without, grid) -> DominanceReport:
-    """Check CCDF_with >= CCDF_without on the grid, up to two-sample binomial noise.
-
-    The noise floor is the sum of the two one-sample DKW deviations at 99.7%
-    confidence, so a PASS means no violation larger than ~3 sigma of the
-    estimator.
+    The floor is the sum of the two one-sample DKW deviations at 99.7%
+    confidence, so min_diff >= -eps_stat means `with` dominates `without` up
+    to ~3 sigma of the estimator.
     """
     grid = np.asarray(grid, dtype=float)
     cw = empirical_ccdf(samples_with, grid)
@@ -361,8 +352,7 @@ def dominance_test(samples_with, samples_without, grid) -> DominanceReport:
     delta = 0.003
     eps = (math.sqrt(math.log(2.0 / delta) / (2 * len(np.ravel(samples_with))))
            + math.sqrt(math.log(2.0 / delta) / (2 * len(np.ravel(samples_without)))))
-    min_diff = float(diff.min())
-    return DominanceReport(min_diff=min_diff, eps_stat=eps, passed=min_diff >= -eps)
+    return float(diff.min()), eps
 
 
 # ---------------------------------------------------------------------------
@@ -378,17 +368,22 @@ def budgets_for(spec: ExperimentSpec, rng: np.random.Generator):
 
 def run_trial(spec: ExperimentSpec, rng: np.random.Generator, n_elements: int,
               budget_x: LinkBudget, budget_y: LinkBudget) -> TrialData:
-    """One trial in the spec's regime; aborts on a non-finite gain, so no run writes inf or NaN."""
+    """One trial in the spec's regime, then its OOB gains, the trial generator's last draw.
+
+    Aborts on a non-finite gain, so no run writes inf or NaN.
+    """
     if spec.regime == "sub6":
-        data = sub6_trial(rng, n_elements, budget_x, budget_y, spec.slots)
+        trial = sub6_trial(rng, n_elements, budget_x, budget_y, spec.slots)
     elif spec.regime == "mmwave_los":
-        data = mmwave_los_trial(rng, n_elements, budget_x, budget_y, spec.slots,
-                                l_oob=spec.l1 * spec.l2)
+        trial = mmwave_los_trial(rng, n_elements, budget_x, budget_y, spec.slots,
+                                 l_oob=spec.l1 * spec.l2)
     elif spec.regime == "mmwave_nlos":
-        data = mmwave_nlos_trial(rng, n_elements, budget_x, budget_y, spec.slots,
-                                 spec.l1, spec.l2)
+        trial = mmwave_nlos_trial(rng, n_elements, budget_x, budget_y, spec.slots,
+                                  spec.l1, spec.l2)
     else:
         raise ValueError(f"unknown regime {spec.regime!r}")
+    inband_gain, variance, aligned = trial
+    data = TrialData(inband_gain, *_oob_gains(rng, budget_y.beta_d, variance), aligned)
     if not (np.all(np.isfinite(data.inband_gain)) and np.all(np.isfinite(data.gain_irs))):
         raise ArithmeticError("non-finite channel gain in simulation")
     return data

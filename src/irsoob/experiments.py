@@ -1,9 +1,10 @@
 """Preset experiments and their CSV / manifest outputs.
 
 Each preset is data: a default ExperimentSpec, a note, and the spec variants
-it sweeps. One runner, `run_spec`, turns any of them into ResultRow records:
-a statistic name, its sweep coordinates, and empirical / analytic / stderr
-values. Each stderr rule has one row builder (`_per_trial_row`, `_pooled_rows`,
+it sweeps. `sweep_points` places each variant's UEs, before any trial, and
+`run_spec` runs the points into ResultRow records: a statistic name, its
+sweep coordinates, and empirical / analytic / stderr values. Each stderr
+rule has one row builder (`_per_trial_row`, `_pooled_rows`,
 `_dominance_row`). `emit_csv` turns the rows into one figure's CSV text, the
 only place its label is written, and `manifest_entry` builds the figure's
 manifest entry: the spec hash, seed, package versions, and each variant's
@@ -312,8 +313,8 @@ class _PFQueue:
 _Q_SEED_STRIDE = 7919   # a variant that sets q_ues draws from seed + 7919·Q
 
 
-def run_spec(spec: ExperimentSpec, analytic_only: bool = False, variants=({},)):
-    """Run one spec over its variants and sweeps and produce rows for each requested output.
+def sweep_points(spec: ExperimentSpec, variants=({},)):
+    """Each variant's UE placement and sweep points, before any trial: (points, runs).
 
     `variants` holds spec field overrides, one dict per sub-run; the presets
     sweep l2 and q_ues this way. A variant that sets q_ues draws from
@@ -323,19 +324,12 @@ def run_spec(spec: ExperimentSpec, analytic_only: bool = False, variants=({},)):
     depend on which others were run. The trials read the first `trials` of
     them; the last is unused, kept because a child depends only on its
     index, so dropping it would move every later point's trial generators.
-    Every point goes to one `sweep_gains` call on one pool, so the trials run
-    one point ahead across variant boundaries too. Each point's rows are
-    built as its gains arrive, except that each (point, SNR) that runs PF
-    sets its one rate set aside in a `_PFQueue`, whether sumse, pf_gap or
-    both read it: after the last point, one slot loop per (slots, Q, pf_tau)
-    schedules all of them and fills their rows.
-
-    Returns (rows, one VariantRun per variant). With analytic_only,
-    simulation is skipped and the full run's rows come back with blank
-    empirical/stderr columns, on the same grids and placements.
+    A point is (spec, N, trial generators, budget_x, budget_y), as
+    `sweep_gains` takes it; `runs` holds one VariantRun per variant. Raises
+    `draw_ue_positions`' ValueError when d0 leaves a variant's region no room
+    for its UEs, so `cli.main` reports that before any trial runs.
     """
-    points = []     # (spec, N, trial generators, budget_x, budget_y), as sweep_gains takes them
-    runs = []
+    points, runs = [], []
     for variant in variants:
         sub = dataclasses.replace(spec, **variant)
         if "q_ues" in variant:
@@ -347,17 +341,31 @@ def run_spec(spec: ExperimentSpec, analytic_only: bool = False, variants=({},)):
         for i, n in enumerate(sub.n_sweep):
             block = rngs[1 + i * per_point: 1 + (i + 1) * per_point]
             points.append((sub, n, block[:-1], budget_x, budget_y))
+    return points, runs
+
+
+def run_spec(points, analytic_only: bool = False) -> list[ResultRow]:
+    """Every requested output's rows at a spec's sweep points, as `sweep_points` builds them.
+
+    Every point goes to one `sweep_gains` call on one pool, so the trials run
+    one point ahead across variant boundaries too. Each point's rows are
+    built as its gains arrive, except that each (point, SNR) that runs PF
+    sets its one rate set aside in a `_PFQueue`, whether sumse, pf_gap or
+    both read it: after the last point, one slot loop per (slots, Q, pf_tau)
+    schedules all of them and fills their rows. With analytic_only,
+    simulation is skipped and the full run's rows come back with blank
+    empirical/stderr columns, on the same grids and placements.
+    """
     rows: list[ResultRow] = []
     pf = None if analytic_only else _PFQueue(sub for sub, *_ in points)
-
-    with ThreadPoolExecutor(max_workers=_worker_count(spec.trials)) as pool:
+    with ThreadPoolExecutor(max_workers=_worker_count(max(p[0].trials for p in points))) as pool:
         gains = itertools.repeat(None) if analytic_only else sweep_gains(pool, points)
         for (sub, n, _, budget_x, budget_y), data in zip(points, gains):
             rows += _point_rows(sub, n, data, operator_params(sub, budget_x, n),
                                 operator_params(sub, budget_y, n), pf)
     if pf is not None:
         pf.schedule()
-    return rows, runs
+    return rows
 
 
 def _point_rows(spec, n, data, params_x, params_y, pf):
@@ -504,9 +512,8 @@ def _dominance_row(data, params_y, **coords):
         return ResultRow("dominance_min_diff", **coords)
     beta_d0 = float(params_y.beta_d[0])
     grid = np.geomspace(1e-2 * beta_d0, 10.0 * analytics._mu1(params_y), _GRID_POINTS)
-    report = dominance_test(data.gain_irs[:, :, 0], data.gain_noirs[:, :, 0], grid)
-    return ResultRow("dominance_min_diff", empirical=report.min_diff, stderr=report.eps_stat,
-                     **coords)
+    min_diff, eps_stat = dominance_test(data.gain_irs[:, :, 0], data.gain_noirs[:, :, 0], grid)
+    return ResultRow("dominance_min_diff", empirical=min_diff, stderr=eps_stat, **coords)
 
 
 def _inband_offset_rows(coords, params_x, inband):
@@ -595,9 +602,8 @@ PRESETS: dict[str, Preset] = {
 }
 
 
-def preset_spec(name: str, overrides: dict | None = None,
-                seed: int | None = None) -> ExperimentSpec:
-    """A preset's spec with the overrides and seed applied.
+def preset_spec(name: str, overrides: dict | None = None) -> ExperimentSpec:
+    """A preset's spec with the overrides applied.
 
     Raises ValueError for an unknown preset, an unknown field or a value the
     spec rejects.
@@ -611,7 +617,5 @@ def preset_spec(name: str, overrides: dict | None = None,
             spec = spec_from_dict({**spec_to_dict(spec), **overrides})
         except ValueError as err:
             raise ValueError(f"bad override for {name}: {err}") from err
-    if seed is not None:
-        spec = dataclasses.replace(spec, seed=int(seed))
     return spec
 

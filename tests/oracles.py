@@ -12,8 +12,9 @@ directional response of a reflector aligned by the package's own rules
 (`correlation_response`). `oob_gain_samples` pools the package's own
 OOB gains at the sample sizes the distribution-level checks need.
 `PINNED_UES` is the one-point drop region at (1000, 1000) that puts every UE
-of an operator on one path loss, as fig11 and fig12 do. `preset_argv` spells
-a preset run as the `irsoob preset` command line that writes its files.
+of an operator on one path loss, as fig11 and fig12 do. `spec_rows` runs a
+spec's rows as the CLI does, and `preset_argv` spells a preset run as the
+`irsoob preset` command line that writes its files.
 """
 
 import json
@@ -23,13 +24,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from irsoob.channels import LinkBudget, NodeGeometry, complex_normal, mmwave_angle_bins
+from irsoob.channels import LinkBudget, NodeGeometry, _draw_grid_bins, complex_normal
 from irsoob.config import ExperimentSpec
 from irsoob.engine import budgets_for, spawn_rngs
-from irsoob.experiments import _worker_count, operator_params, sweep_gains
+from irsoob.experiments import _worker_count, operator_params, run_spec, sweep_gains, sweep_points
 from irsoob.irs import align, effective_channel, sparse_cascade
 
 PINNED_UES = NodeGeometry(ue_region=((1000.0, 1000.0), (1000.0, 1000.0)))
+
+
+def spec_rows(spec: ExperimentSpec, analytic_only: bool = False, variants=({},)):
+    """(rows, one VariantRun per variant) of one spec, computed as `cli.main`
+    computes them: `sweep_points`, then `run_spec`."""
+    points, runs = sweep_points(spec, variants)
+    return run_spec(points, analytic_only), runs
 
 
 def preset_argv(name, out, seed, overrides=None, analytic_only=False):
@@ -159,11 +167,13 @@ class MmwaveChannels:
 
 
 def mmwave_angles(rng: np.random.Generator, n_elements: int, l1: int, l2: int, n_ues: int):
-    """The draws of `mmwave_angle_bins` as sine-domain angles: (feeder (l1,),
-    per-UE (n_ues, l2), cascade (n_ues, L)), the cascade angle
-    wrap(phi_i + psi_j) built in floats, apart from the package's integer
-    cascade bins."""
-    bs_bins, ue_bins, _ = mmwave_angle_bins(rng, n_elements, l1, l2, n_ues)
+    """The draws of `mmwave_angle_bins` replayed as sine-domain angles:
+    (feeder (l1,), per-UE (n_ues, l2), cascade (n_ues, L)). The feeder bins,
+    then each UE's, come from the package's own `_draw_grid_bins`; the
+    cascade angle wrap(phi_i + psi_j) is built in floats, apart from the
+    package's integer cascade bins."""
+    bs_bins = _draw_grid_bins(rng, n_elements, l1)
+    ue_bins = np.stack([_draw_grid_bins(rng, n_elements, l2) for _ in range(n_ues)])
     grid = resolvable_angles(n_elements)
     bs_angles, ue_angles = grid[bs_bins], grid[ue_bins]
     cascade_angles = principal_sine_wrap(

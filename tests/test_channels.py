@@ -19,7 +19,8 @@ from irsoob.channels import (
     mmwave_angle_bins,
     path_loss,
 )
-from oracles import grid_index, mmwave_vector, resolvable_angles, sample_mmwave, sample_sub6
+from oracles import (grid_index, mmwave_angles, mmwave_vector, resolvable_angles, sample_mmwave,
+                     sample_sub6)
 
 # reference UE at (1000, 1000), in-band BS at (0, 50), reflector at (1025, 1025)
 BETA_F_REF = 4.996876951905058e-10   # 1e-3 / hypot(1025, 975)^2
@@ -199,13 +200,16 @@ def test_mmwave_angles_on_grid():
     # grid_index round-trips the wrapped cascade
     idx = grid_index(ch.cascade_angles, n)
     np.testing.assert_allclose(grid[idx], ch.cascade_angles, atol=1e-12)
-    # the package's integer bins are the same draws: the float angles sit on
-    # them, and the cascade bins are the wrapped sums' grid indices
-    bs, ue, cascade = mmwave_angle_bins(np.random.default_rng(15), n, 3, 4, 5)
-    np.testing.assert_array_equal(grid[bs], ch.bs_angles)
-    np.testing.assert_array_equal(grid[ue], ch.ue_angles)
+    # the package's integer bins are the same draws: its cascade bins are the
+    # wrapped sums' grid indices, and it leaves the generator where the
+    # oracle's feeder and per-UE draws do
+    rng = np.random.default_rng(15)
+    cascade = mmwave_angle_bins(rng, n, 3, 4, 5)
     np.testing.assert_array_equal(cascade, idx)
     assert cascade.dtype.kind == "i"
+    replay = np.random.default_rng(15)
+    mmwave_angles(replay, n, 3, 4, 5)
+    assert rng.bit_generator.state == replay.bit_generator.state
 
 
 def test_mmwave_distinct_angles_when_grid_allows():

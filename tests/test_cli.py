@@ -157,9 +157,9 @@ def test_preset_names_the_field_of_a_bad_count_or_flag(tmp_path, capsys, flags, 
 def test_an_out_that_is_or_lies_under_a_file_exits_two_before_any_trial(tmp_path, capsys,
                                                                          monkeypatch, below):
     def fail(*args, **kwargs):
-        raise AssertionError("run_spec ran")
+        raise AssertionError("a UE drop ran")
 
-    monkeypatch.setattr("irsoob.cli.run_spec", fail)
+    monkeypatch.setattr("irsoob.cli.sweep_points", fail)
     taken = tmp_path / "taken"
     taken.write_text("keep", encoding="utf-8")
     assert main(["preset", "fig3", "--out", str(taken / below)]) == 2
@@ -200,6 +200,25 @@ def test_a_d0_no_ue_can_clear_exits_two_before_any_draw(tmp_path, capsys, monkey
                  "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "path_loss.d0 = 1000 exceeds" in err
+    assert not out.exists()
+
+
+def test_a_d0_the_ue_drop_cannot_clear_exits_two_before_any_trial(tmp_path, capsys,
+                                                                   monkeypatch):
+    # the default region's corners lie 106.07 m from the reflector, so the
+    # spec's corner check passes d0 = 106, but at the default seed 0 the drop
+    # keeps no UE in 10,000 rounds: a usage error, reported before any trial
+    def fail(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(experiments, "run_trial", fail)
+    spec = tmp_path / "d0.json"
+    spec.write_text(json.dumps({"path_loss": {"d0": 106}, "slots": 10, "trials": 1}),
+                    encoding="utf-8")
+    out = tmp_path / "r"
+    assert main(["run", str(spec), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "d0 = 106" in err
     assert not out.exists()
 
 

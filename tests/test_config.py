@@ -16,8 +16,8 @@ from irsoob.channels import NodeGeometry, PathLossParams
 from irsoob.config import (OUTPUT_KINDS, ExperimentSpec, load_spec, spec_from_dict, spec_hash,
                            spec_to_dict)
 from irsoob.engine import budgets_for
-from irsoob.experiments import PRESETS, preset_spec, run_spec
-from oracles import PINNED_UES
+from irsoob.experiments import PRESETS, preset_spec
+from oracles import PINNED_UES, spec_rows
 
 
 def write(tmp_path, text):
@@ -131,7 +131,7 @@ def test_mmwave_element_counts_must_be_even_and_at_least_two():
     assert ExperimentSpec(regime="sub6", n_sweep=(0, 7)).n_sweep == (0, 7)
     for analytic_only in (False, True):
         with pytest.raises(ValueError, match="n_sweep"):
-            run_spec(preset_spec("fig8", {"n_sweep": [4, 7]}), analytic_only,
+            spec_rows(preset_spec("fig8", {"n_sweep": [4, 7]}), analytic_only,
                      PRESETS["fig8"].variants)
 
 

@@ -8,12 +8,14 @@ against hand-computed values. Each vectorized trial is replayed draw for
 draw: the reflector configuration of every slot is rebuilt from the replayed
 channels with irs.align, the one co-phasing rule of every regime, and the
 trial's gains are checked against irs.effective_channel of each regime's
-cascade (f * g in sub6, irs.sparse_cascade in mmWave). The trials return gains
-only; rates are the test-side log2(1 + snr g) of oracles.py. Every trial's
-OOB gains come from one draw, engine._oob_gains, given the trial's reflected
-variance: one replay helper (_replay_oob) pins its order in all three
-trials, a unit test pins that it draws no normal where the variance is 0
-and holds it in distribution to |h_d + R|^2 of complex normals, and each
+cascade (f * g in sub6, irs.sparse_cascade in mmWave). A trial returns its
+in-band gain and its reflected variance, and run_trial draws every trial's
+OOB gains from that variance with one call, engine._oob_gains, so the
+replays that read OOB gains run the trial through run_trial. Rates are the
+test-side log2(1 + snr g) of oracles.py. One replay helper (_replay_oob)
+pins _oob_gains' order in all three trials, a unit test pins that it draws
+no normal where the variance is 0 and holds it in distribution to
+|h_d + R|^2 of complex normals, and each
 regime's reduced law is compared in distribution with the dense per-element
 or per-path construction it replaces (for sub6, the oracle's sample_sub6). The mmWave trials draw
 their direct links as magnitudes, so their replays hand the scalar rules a
@@ -42,7 +44,7 @@ from irsoob.channels import complex_normal, link_budget
 from irsoob.config import ExperimentSpec
 from irsoob import analytics
 from irsoob.analytics import AnalyticParams
-from irsoob.engine import (DominanceReport, TrialData, _aligned_draws, _aligned_gain, _oob_gains,
+from irsoob.engine import (TrialData, _aligned_draws, _aligned_gain, _oob_gains,
                            budgets_for, dominance_test, empirical_ccdf, empirical_outage,
                            mmwave_los_trial, mmwave_nlos_trial, run_trial, schedule_rates,
                            spawn_rngs, sub6_trial)
@@ -141,11 +143,11 @@ def test_inband_gain_is_coherent_amplitude_sum():
     spec = ExperimentSpec(n_sweep=(8,), gamma_db_sweep=(130.0,), slots=300, seed=25)
     rngs = spawn_rngs(25, 2)
     _, bx, by = budgets_for(spec, rngs[0])
-    data = sub6_trial(rngs[1], 8, bx, by, 300)
+    inband_gain, _, _ = sub6_trial(rngs[1], 8, bx, by, 300)
 
     _, (gain, h_d, f, g) = _replay_inband_sub6(spawn_rngs(25, 2)[1], bx, 8, 300)
-    np.testing.assert_array_equal(data.inband_gain, gain)
-    _assert_gains(data.inband_gain, (np.abs(h_d) + np.abs(f * g).sum(axis=1)) ** 2)
+    np.testing.assert_array_equal(inband_gain, gain)
+    _assert_gains(inband_gain, (np.abs(h_d) + np.abs(f * g).sum(axis=1)) ** 2)
 
 
 def _aligned_mean(beta_d, beta_r, n):
@@ -198,7 +200,7 @@ def test_oob_gain_law_matches_direct_channel_without_reflector():
     spec = _single_ue_spec(slots=10000, seed=22)
     rngs = spawn_rngs(22, 2)
     _, bx, by = budgets_for(spec, rngs[0])
-    data = sub6_trial(rngs[1], 0, bx, by, 10000)
+    data = run_trial(spec, rngs[1], 0, bx, by)
 
     redraw = np.abs(complex_normal(np.random.default_rng(122), by.beta_d[0], (10000,))) ** 2
     assert ks_2samp(data.gain_irs[:, 0], redraw).pvalue > 0.01
@@ -233,9 +235,8 @@ def test_nonfinite_gain_aborts_run(monkeypatch):
     spec = ExperimentSpec(n_sweep=(4,), slots=8, k_ues=2, q_ues=2, seed=0)
 
     def broken(rng, n, bx, by, slots, **kwargs):
-        shape = (slots, by.n_ues)
-        return TrialData(inband_gain=np.zeros(slots), gain_irs=np.full(shape, np.inf),
-                         gain_noirs=np.zeros(shape))
+        # an infinite reflected variance makes every gain with the reflector inf
+        return np.zeros(slots), np.full((slots, by.n_ues), np.inf), None
 
     import irsoob.engine as engine
     _, bx, by = budgets_for(spec, np.random.default_rng(1))
@@ -388,7 +389,7 @@ def test_sub6_trial_matches_scalar_reference(n):
     replayed bit for bit, and each slot's ceiling is the scalar matched
     effective channel of complex channels carrying the replayed magnitudes."""
     spec, bx, by, rng, replay = _diff_setup("sub6", n)
-    data = sub6_trial(rng, n, bx, by, spec.slots)
+    data = run_trial(spec, rng, n, bx, by)
 
     draws, (gain, h_dx, f_x, g_x) = _replay_inband_sub6(replay, bx, n, spec.slots)
     np.testing.assert_array_equal(data.inband_gain, gain)
@@ -424,9 +425,10 @@ def test_sub6_ceiling_reuses_the_aligned_draws(monkeypatch):
 
     n, slots = 64, 4000
     assert len(engine._chunk_slices(slots, n)) == 2
-    _, bx, by = budgets_for(ExperimentSpec(k_ues=3, q_ues=4), np.random.default_rng(63))
+    spec = ExperimentSpec(k_ues=3, q_ues=4, slots=slots)
+    _, bx, by = budgets_for(spec, np.random.default_rng(63))
     rng, replay = spawn_rngs(64, 1)[0], spawn_rngs(64, 1)[0]
-    data = sub6_trial(rng, n, bx, by, slots)
+    data = run_trial(spec, rng, n, bx, by)
 
     e, shape = _aligned_draws(replay, slots, n)
     np.testing.assert_array_equal(data.aligned[0], e)
@@ -465,7 +467,7 @@ def test_nlos_trial_is_independent_of_the_chunk_width(monkeypatch):
         for chunk_elems in (1 << 20, width * n):
             monkeypatch.setattr(engine, "_CHUNK_ELEMS", chunk_elems)
             rng = spawn_rngs(80, 1)[0]
-            runs.append(mmwave_nlos_trial(rng, n, bx, by, spec.slots, spec.l1, spec.l2))
+            runs.append(run_trial(spec, rng, n, bx, by))
         for field in ("inband_gain", "gain_irs", "gain_noirs"):
             np.testing.assert_array_equal(getattr(runs[0], field), getattr(runs[1], field))
 
@@ -533,7 +535,7 @@ def test_sub6_trial_reduced_law_replays_bit_for_bit(n):
     power G per slot, then one direct power and one reflected sum per UE
     (_replay_oob with variance beta_r G), and nothing more."""
     spec, bx, by, rng, replay = _diff_setup("sub6", n)
-    data = sub6_trial(rng, n, bx, by, spec.slots)
+    data = run_trial(spec, rng, n, bx, by)
 
     _, (gain, *_) = _replay_inband_sub6(replay, bx, n, spec.slots)
     power = replay.standard_gamma(n, size=spec.slots)
@@ -556,10 +558,10 @@ def test_sub6_reduced_law_matches_dense_path(n):
     which tends to 1/(N+2) once N beta_r dominates beta_d. A sampler that
     drew one G per UE would give 0."""
     slots = 40_000 if n < 64 else 20_000
-    spec = ExperimentSpec(k_ues=3, q_ues=4)
+    spec = ExperimentSpec(k_ues=3, q_ues=4, slots=slots)
     _, bx, by = budgets_for(spec, np.random.default_rng(60))
     rngs = spawn_rngs(600 + n, 2)
-    reduced = sub6_trial(rngs[0], n, bx, by, slots)
+    reduced = run_trial(spec, rngs[0], n, bx, by)
     dense_irs, dense_noirs, _ = _dense_oob_gains(rngs[1], n, by, slots)
 
     for a, b in ((reduced.gain_irs, dense_irs),
@@ -607,7 +609,7 @@ def test_mmwave_los_trial_matches_scalar_reference(n):
     spec, bx, by, rng, replay = _diff_setup("mmwave_los", n, l1=1, l2=3)
     l_oob = spec.l1 * spec.l2
     scale = n / math.sqrt(l_oob)
-    data = mmwave_los_trial(rng, n, bx, by, spec.slots, l_oob)
+    data = run_trial(spec, rng, n, bx, by)
 
     x, angles_y, k_served, u, on_beam = _replay_los(replay, n, bx, by, spec.slots, l_oob)
     m = on_beam.sum(axis=2)
@@ -664,10 +666,10 @@ def test_mmwave_los_reduced_law_matches_per_path_sum(n, l_oob):
     one feeder gain per UE would give 0. Two UEs on one beam are rare at
     N = 64, L = 5, so there only KS and the mean are sure to be checked."""
     slots = 10_000
-    spec = ExperimentSpec(regime="mmwave_los", k_ues=2, q_ues=4)
+    spec = ExperimentSpec(regime="mmwave_los", k_ues=2, q_ues=4, l2=l_oob, slots=slots)
     _, bx, by = budgets_for(spec, np.random.default_rng(61))
     seed = 610 + n + l_oob
-    data = mmwave_los_trial(np.random.default_rng(seed), n, bx, by, slots, l_oob)
+    data = run_trial(spec, np.random.default_rng(seed), n, bx, by)
     _, _, k_served, u, on_beam = _replay_los(np.random.default_rng(seed), n, bx, by,
                                              slots, l_oob)
     per_path = np.random.default_rng(seed + 1)
@@ -745,7 +747,7 @@ def test_mmwave_nlos_trial_matches_scalar_reference(n):
     spec, bx, by, rng, replay = _diff_setup("mmwave_nlos", n, l1=2, l2=2)
     l1, l2 = spec.l1, spec.l2
     scale = n / math.sqrt(l1 * l2)
-    data = mmwave_nlos_trial(rng, n, bx, by, spec.slots, l1, l2)
+    data = run_trial(spec, rng, n, bx, by)
 
     (angles_x, k_served, h_dx, g_x), (angles_y, gamma_1) = \
         _replay_nlos(replay, n, bx, by, spec.slots, l1, l2)
@@ -838,10 +840,10 @@ def test_mmwave_nlos_reduced_law_matches_per_path_sum(n, l1, l2):
     grid holds fewer angles than the L = 8 cascade paths, so angles repeat."""
     slots = 10_000
     l_paths = l1 * l2
-    spec = ExperimentSpec(regime="mmwave_nlos", k_ues=2, q_ues=4, l1=l1, l2=l2)
+    spec = ExperimentSpec(regime="mmwave_nlos", k_ues=2, q_ues=4, l1=l1, l2=l2, slots=slots)
     _, bx, by = budgets_for(spec, np.random.default_rng(62))
     seed = 620 + n + l1
-    data = mmwave_nlos_trial(np.random.default_rng(seed), n, bx, by, slots, l1, l2)
+    data = run_trial(spec, np.random.default_rng(seed), n, bx, by)
     (angles_x, k_served, h_dx, g_x), (angles_y, _) = \
         _replay_nlos(np.random.default_rng(seed), n, bx, by, slots, l1, l2)
     if n < l_paths:
@@ -883,7 +885,8 @@ def test_nlos_variance_vanishes_off_the_served_coset(monkeypatch):
     variance), and wherever the variance is exactly 0 the gain with the
     reflector is the direct gain bit for bit. Moving one of the OOB UE's bins
     onto the coset brings the variance back, and so does serving an in-band
-    UE off any coset. The angle bins are planted, and _oob_gains is spied on."""
+    UE off any coset. The angle bins are planted; the variance is the one the
+    trial returns, and the gains are _oob_gains of it, as run_trial draws them."""
     import irsoob.engine as engine
 
     n, l2 = 16, 4
@@ -899,17 +902,10 @@ def test_nlos_variance_vanishes_off_the_served_coset(monkeypatch):
     def variance_and_gains(oob_bins):
         planted = iter([bins_x, oob_bins])
         monkeypatch.setattr(engine, "mmwave_angle_bins",
-                            lambda rng, n_elements, l1, l2, n_ues: (None, None, next(planted)))
-        seen = []
-
-        def spy(rng, beta_d, variance):
-            gains = _oob_gains(rng, beta_d, variance)
-            seen.append((variance, *gains))
-            return gains
-
-        monkeypatch.setattr(engine, "_oob_gains", spy)
-        mmwave_nlos_trial(spawn_rngs(81, 1)[0], n, bx, by, spec.slots, 1, l2)
-        return seen[0]
+                            lambda rng, n_elements, l1, l2, n_ues: next(planted))
+        rng = spawn_rngs(81, 1)[0]
+        _, variance, _ = mmwave_nlos_trial(rng, n, bx, by, spec.slots, 1, l2)
+        return (variance, *_oob_gains(rng, by.beta_d, variance))
 
     variance, gain_irs, gain_noirs = variance_and_gains(bins_y)
     typical = np.median(variance[:, 1:])
@@ -1081,13 +1077,14 @@ def test_dominance_detects_order_and_its_absence():
     gain = _aligned_gain(direct, shape, 1.0, 1.0)
     grid = np.quantile(np.concatenate([gain, direct]), np.linspace(0.01, 0.99, 60))
 
-    same = dominance_test(gain, gain, grid)
-    assert isinstance(same, DominanceReport)
-    assert same.passed and same.min_diff == 0.0
+    min_diff, eps_stat = dominance_test(gain, gain, grid)
+    assert isinstance(min_diff, float) and isinstance(eps_stat, float)
+    assert min_diff >= -eps_stat and min_diff == 0.0
 
-    assert dominance_test(gain, direct, grid).passed
-    swapped = dominance_test(direct, gain, grid)
-    assert not swapped.passed
+    min_diff, eps_stat = dominance_test(gain, direct, grid)
+    assert min_diff >= -eps_stat
+    min_diff, eps_stat = dominance_test(direct, gain, grid)
+    assert not min_diff >= -eps_stat
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,9 @@ import irsoob.engine as engine
 from irsoob.engine import _aligned_gain, budgets_for, run_trial, schedule_rates, spawn_rngs
 from irsoob.cli import main
 from irsoob.experiments import (CSV_COLUMNS, PRESETS, ResultRow, emit_csv,
-                                operator_params, preset_spec, run_spec)
+                                operator_params, preset_spec)
 from irsoob.kernels import db_to_linear
-from oracles import PINNED_UES, oob_gain_samples, preset_argv
+from oracles import PINNED_UES, oob_gain_samples, preset_argv, spec_rows
 
 # enough slots for a smoke run, small enough to keep the suite fast
 FAST = {"slots": 200, "trials": 2}
@@ -114,7 +114,7 @@ def test_manifest_records_each_variant(tmp_path):
     for v in fig11:
         q = v["overrides"]["q_ues"]
         spec = dataclasses.replace(PRESETS["fig11"].spec, **small, q_ues=q, seed=v["seed"])
-        _, (run,) = run_spec(spec, analytic_only=True)
+        _, (run,) = spec_rows(spec, analytic_only=True)
         np.testing.assert_array_equal(v["ue_positions_oob"], run.positions[1])
         assert np.asarray(v["ue_positions_oob"]).shape == (q, 2)
     fig9 = manifest["fig9"]["variants"]
@@ -131,9 +131,9 @@ def test_manifest_merges_multiple_figures(tmp_path):
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_analytic_only_blanks_empirical_columns(name):
     tiny = {"slots": 40, "trials": 2}
-    spec, variants = preset_spec(name, tiny, 17), PRESETS[name].variants
-    full, _ = run_spec(spec, False, variants)
-    bare, _ = run_spec(spec, True, variants)
+    spec, variants = preset_spec(name, {**tiny, "seed": 17}), PRESETS[name].variants
+    full, _ = spec_rows(spec, False, variants)
+    bare, _ = spec_rows(spec, True, variants)
     assert all(r.empirical is None and r.stderr is None for r in bare)
     assert any(r.analytic is not None for r in bare)
 
@@ -151,7 +151,7 @@ def test_outage_without_a_reflector_is_the_direct_path_law():
     """At N = 0 the sub6 OOB gain is the direct path's Exp(beta_d), so the
     outage row's closed form reads 1 - exp(-rho/beta_d)."""
     spec = ExperimentSpec(n_sweep=(0,), slots=50, trials=2, seed=5, outputs=("outage",))
-    (row,) = run_spec(spec)[0]
+    (row,) = spec_rows(spec)[0]
     _, _, budget_y = budgets_for(spec, spawn_rngs(spec.seed, 1)[0])
     assert (row.statistic, row.n_elements) == ("outage_oob", 0)
     assert row.analytic == pytest.approx(1.0 - math.exp(-row.x / budget_y.beta_d[0]),
@@ -167,7 +167,7 @@ def test_pf_gap_rr_row_is_the_sumse_outputs_value():
     its rr row carries the sumse output's OOB value bit for bit."""
     spec = ExperimentSpec(n_sweep=(4, 16), k_ues=2, q_ues=3, slots=80, trials=3, seed=5,
                           outputs=("sumse", "pf_gap"))
-    rows, _ = run_spec(spec)
+    rows, _ = spec_rows(spec)
     for n in spec.n_sweep:
         oob = [r for r in rows if r.statistic == "sumse_oob" and r.n_elements == n]
         (plain,) = [r for r in oob if r.q_ues is None]
@@ -183,9 +183,9 @@ def test_a_q_variant_draws_from_seed_plus_7919_q():
     """Each Q of a sweep draws from seed + 7919·Q with trials + 1 generators
     per point, so its rows are those of a single-Q run at that seed."""
     spec = ExperimentSpec(n_sweep=(4, 8), k_ues=2, slots=60, trials=2, seed=5, outputs=("pf_gap",))
-    rows, runs = run_spec(spec, variants=Q_SWEEP)
+    rows, runs = spec_rows(spec, variants=Q_SWEEP)
     for q, run in zip((2, 3), runs):
-        single, (single_run,) = run_spec(
+        single, (single_run,) = spec_rows(
             dataclasses.replace(spec, q_ues=q, seed=spec.seed + 7919 * q))
         assert single and [r for r in rows if r.q_ues == q] == single
         assert (run.overrides, run.seed) == ({"q_ues": q}, single_run.seed)
@@ -199,7 +199,7 @@ def test_mr_over_one_ue_takes_the_rr_form():
     spec = ExperimentSpec(n_sweep=(16,), q_ues=1, outputs=("sumse", "pf_gap"))
 
     def oob_forms(**fields):
-        rows, _ = run_spec(dataclasses.replace(spec, **fields), analytic_only=True)
+        rows, _ = spec_rows(dataclasses.replace(spec, **fields), analytic_only=True)
         return {(r.scheduler, r.q_ues): r.analytic for r in rows if r.statistic == "sumse_oob"}
 
     rr = oob_forms(outputs=("sumse",))[("rr", None)]
@@ -210,7 +210,7 @@ def test_mr_over_one_ue_takes_the_rr_form():
 
 
 def _point_trials(spec):
-    """Each sweep point's trials, run one by one on the generators run_spec
+    """Each sweep point's trials, run one by one on the generators sweep_points
     spawns for them (trials + 1 children per point, the last unused) and
     stacked on a leading trials axis: (budget_x, budget_y, [(gain_irs,
     (E, S)) per point])."""
@@ -249,14 +249,14 @@ def test_inband_rows_read_the_trials_aligned_draws(monkeypatch):
         return real(rng, *args)
 
     monkeypatch.setattr(engine, "_aligned_draws", record)
-    rows, _ = run_spec(spec)
+    rows, _ = spec_rows(spec)
     assert sorted(map(repr, draws)) == sorted(map(repr, trial_states))
     assert not any(state in unused_states for state in draws)
     assert len(rows) == 10 * len(spec.n_sweep)
     assert all(r.statistic == "offset_ccdf_inband" and r.analytic is not None for r in rows)
 
     beta_d, beta_r = float(bx.beta_d[0]), float(bx.beta_r[0])
-    outage, _ = run_spec(dataclasses.replace(spec, outputs=("outage",)))
+    outage, _ = spec_rows(dataclasses.replace(spec, outputs=("outage",)))
     inner, outages = 0, []   # grid points whose CCDF lies strictly inside (0, 1)
     for n, (_, (exp_direct, shape)) in zip(spec.n_sweep, points):
         gain = _aligned_gain(exp_direct, shape, beta_d, beta_r)
@@ -271,12 +271,12 @@ def test_inband_rows_read_the_trials_aligned_draws(monkeypatch):
         outages.append(row.empirical)
     assert inner >= 5 and max(outages) > 0.0
 
-    both, _ = run_spec(dataclasses.replace(spec, outputs=("outage", "inband_offset")))
+    both, _ = spec_rows(dataclasses.replace(spec, outputs=("outage", "inband_offset")))
     by_coords = experiments._sort_key
     assert sorted(both, key=by_coords) == sorted(rows + outage, key=by_coords)
 
     draws.clear()
-    bare, _ = run_spec(spec, analytic_only=True)
+    bare, _ = spec_rows(spec, analytic_only=True)
     assert draws == []
     assert [(r.x, r.analytic) for r in bare] == [(r.x, r.analytic) for r in rows]
     assert all(r.empirical is None and r.stderr is None for r in bare)
@@ -289,7 +289,7 @@ def test_pf_gap_is_the_ceiling_on_the_trials_aligned_draws():
     spec = ExperimentSpec(n_sweep=(4, 16), k_ues=2, q_ues=3, slots=80, trials=3, seed=5,
                           outputs=("pf_gap",))
     _, by, points = _point_trials(spec)
-    rows, _ = run_spec(spec)
+    rows, _ = spec_rows(spec)
     snr = float(db_to_linear(spec.gamma_db_sweep[0]))
     for n, (gain_irs, (exp_direct, shape)) in zip(spec.n_sweep, points):
         ceiling = _aligned_gain(exp_direct[..., None], shape[..., None], by.beta_d, by.beta_r)
@@ -303,7 +303,7 @@ def test_pf_gap_is_the_ceiling_on_the_trials_aligned_draws():
 
 
 def _variant_spec(spec, variant):
-    """A variant's spec as run_spec builds it, q_ues variants on their own seed."""
+    """A variant's spec as sweep_points builds it, q_ues variants on their own seed."""
     sub = dataclasses.replace(spec, **variant)
     if "q_ues" in variant:
         sub = dataclasses.replace(sub, seed=spec.seed + 7919 * sub.q_ues)
@@ -351,7 +351,7 @@ def _run_pf_rows(monkeypatch, spec, variants):
         return schedule_rates(rates, scheduler, tau)
 
     monkeypatch.setattr(experiments, "schedule_rates", spy)
-    rows, _ = run_spec(spec, variants=variants)
+    rows, _ = spec_rows(spec, variants=variants)
     got = {}
     for r in rows:
         if r.scheduler == "pf":
@@ -534,7 +534,7 @@ def test_runner_rows_are_independent_of_the_worker_count(monkeypatch, spec, vari
     for workers in (1, None, spec.trials):
         monkeypatch.setattr(experiments, "_worker_count",
                             default if workers is None else lambda trials, w=workers: w)
-        results.append(run_spec(spec, variants=variants))
+        results.append(spec_rows(spec, variants=variants))
     rows, runs = results[0]
     assert rows
     for other_rows, other_runs in results[1:]:
@@ -590,7 +590,7 @@ def test_runners_submit_one_point_ahead(monkeypatch, regime, variants):
     monkeypatch.setattr(experiments, "_point_rows", read)
     spec = ExperimentSpec(regime=regime, n_sweep=(4, 8, 16, 32), k_ues=2, q_ues=2, slots=40,
                           trials=3, seed=5, outputs=("sumse",))
-    run_spec(spec, variants=variants)
+    spec_rows(spec, variants=variants)
     points = len(submitted)
     assert points == len(consumed) == len(spec.n_sweep) * len(variants)
     assert len(seen) == 2 * points * spec.trials
@@ -612,12 +612,12 @@ def test_a_runner_starts_one_trial_pool_for_all_its_sweep_points(monkeypatch):
     monkeypatch.setattr(experiments, "ThreadPoolExecutor", Pool)
     spec = ExperimentSpec(n_sweep=(4, 8, 16), k_ues=2, q_ues=2, slots=40, trials=2, seed=5,
                           outputs=("sumse",))
-    run_spec(spec)
+    spec_rows(spec)
     assert len(pools) == 1
-    run_spec(dataclasses.replace(spec, regime="mmwave_los"),
+    spec_rows(dataclasses.replace(spec, regime="mmwave_los"),
              variants=({"l2": 2}, {"l2": 3}))
     assert len(pools) == 2
-    run_spec(dataclasses.replace(spec, outputs=("pf_gap",)), variants=Q_SWEEP)
+    spec_rows(dataclasses.replace(spec, outputs=("pf_gap",)), variants=Q_SWEEP)
     assert len(pools) == 3
 
 

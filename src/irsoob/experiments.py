@@ -162,11 +162,18 @@ def _worker_count(trials: int) -> int:
 def _stack(futures) -> TrialData:
     """One sweep point's trial results stacked, in submission order, on a leading trials axis."""
     datas = [f.result() for f in futures]
+    noirs = [d.gain_noirs for d in datas]
     return TrialData(
         inband_gain=np.stack([d.inband_gain for d in datas]),
         gain_irs=np.stack([d.gain_irs for d in datas]),
-        gain_noirs=np.stack([d.gain_noirs for d in datas]),
+        gain_noirs=None if noirs[0] is None else np.stack(noirs),
         aligned=datas[0].aligned and tuple(map(np.stack, zip(*(d.aligned for d in datas)))))
+
+
+def _pairs_oob_gains(spec: ExperimentSpec) -> bool:
+    """Whether `spec`'s trials draw the OOB gain with the reflector paired with
+    the direct-only gain on one channel: only ccdf and dominance compare the two."""
+    return not {"ccdf", "dominance"}.isdisjoint(spec.outputs)
 
 
 def sweep_gains(pool: ThreadPoolExecutor, points):
@@ -174,7 +181,10 @@ def sweep_gains(pool: ThreadPoolExecutor, points):
 
     A point is (spec, n_elements, trial_rngs, budget_x, budget_y):
     one trial per generator, stacked in generator order on a leading trials
-    axis. Gains are SNR-free, so one point's gains serve every gamma.
+    axis. Gains are SNR-free, so one point's gains serve every gamma. A
+    point's trials draw the direct-only gain beside the gain with the
+    reflector only when its spec's outputs compare the two
+    (`_pairs_oob_gains`); otherwise its gain_noirs is None.
 
     The trials run on `pool` (numpy's draws, ufuncs and FFTs release the
     GIL). Before point i's gains are yielded, point i+1's trials are
@@ -189,7 +199,9 @@ def sweep_gains(pool: ThreadPoolExecutor, points):
     pending = []    # each submitted point's futures, oldest first
     try:
         for spec, n_elements, trial_rngs, budget_x, budget_y in points:
-            pending.append([pool.submit(run_trial, spec, rng, n_elements, budget_x, budget_y)
+            paired = _pairs_oob_gains(spec)
+            pending.append([pool.submit(run_trial, spec, rng, n_elements, budget_x, budget_y,
+                                        paired=paired)
                             for rng in trial_rngs])
             if len(pending) == 2:
                 yield _stack(pending[0])

@@ -26,8 +26,8 @@ import numpy as np
 
 from irsoob.channels import LinkBudget, NodeGeometry, _draw_grid_bins, complex_normal
 from irsoob.config import ExperimentSpec
-from irsoob.engine import budgets_for, spawn_rngs
-from irsoob.experiments import _worker_count, operator_params, run_spec, sweep_gains, sweep_points
+from irsoob.engine import budgets_for, run_trial, spawn_rngs
+from irsoob.experiments import _worker_count, operator_params, run_spec, sweep_points
 from irsoob.irs import align, effective_channel, sparse_cascade
 
 PINNED_UES = NodeGeometry(ue_region=((1000.0, 1000.0), (1000.0, 1000.0)))
@@ -238,15 +238,20 @@ def correlation_response(rng: np.random.Generator, n_elements: int, source_angle
 def oob_gain_samples(seed: int, spec: ExperimentSpec, n_elements: int, count: int):
     """Pooled OOB gains (with and without reflector) for the first OOB UE.
 
-    Draws whole trials of the two-operator protocol until `count` samples
-    exist, at sample sizes the figure presets do not need. Returns
-    (with, without, params); with - without is the UE's gain offset.
+    Draws whole paired trials of the two-operator protocol, in generator
+    order on a trial pool, until `count` samples exist, at sample sizes the
+    figure presets do not need. Returns (with, without, params); with -
+    without is the UE's gain offset.
     """
     trials = math.ceil(count / spec.slots)
     rngs = spawn_rngs(seed, 1 + trials)
     _, budget_x, budget_y = budgets_for(spec, rngs[0])
+
+    def trial(rng):
+        return run_trial(spec, rng, n_elements, budget_x, budget_y, paired=True)
+
     with ThreadPoolExecutor(max_workers=_worker_count(trials)) as pool:
-        (data,) = sweep_gains(pool, [(spec, n_elements, rngs[1:], budget_x, budget_y)])
+        datas = list(pool.map(trial, rngs[1:]))
     params = operator_params(spec, budget_y, n_elements)
-    return (data.gain_irs[:, :, 0].ravel()[:count], data.gain_noirs[:, :, 0].ravel()[:count],
-            params)
+    return tuple(np.concatenate([getattr(d, field)[:, 0] for d in datas])[:count]
+                 for field in ("gain_irs", "gain_noirs")) + (params,)

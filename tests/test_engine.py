@@ -15,7 +15,10 @@ replays that read OOB gains run the trial through run_trial. Rates are the
 test-side log2(1 + snr g) of oracles.py. One replay helper (_replay_oob)
 pins _oob_gains' order in all three trials, a unit test pins that it draws
 no normal where the variance is 0 and holds it in distribution to
-|h_d + R|^2 of complex normals, and each
+|h_d + R|^2 of complex normals. Those replays ask run_trial for the paired
+draw (gain with and without the reflector); the unpaired one, a single
+exponential per (slot, UE), is replayed bit for bit on each regime's own
+variance and held in law to the paired gain and to Exp(1). Each
 regime's reduced law is compared in distribution with the dense per-element
 or per-path construction it replaces (for sub6, the oracle's sample_sub6). The mmWave trials draw
 their direct links as magnitudes, so their replays hand the scalar rules a
@@ -70,7 +73,7 @@ def _scheduled_trial(spec, rng):
     at the spec's first SNR and its OOB schedule."""
     snr = float(db_to_linear(spec.gamma_db_sweep[0]))
     _, bx, by = budgets_for(spec, rng)
-    data = run_trial(spec, rng, spec.n_sweep[0], bx, by)
+    data = run_trial(spec, rng, spec.n_sweep[0], bx, by, paired=True)
     rates = spectral_efficiency(data.gain_irs, snr)
     return data, rates, schedule_rates(rates, spec.scheduler, spec.pf_tau)
 
@@ -200,7 +203,7 @@ def test_oob_gain_law_matches_direct_channel_without_reflector():
     spec = _single_ue_spec(slots=10000, seed=22)
     rngs = spawn_rngs(22, 2)
     _, bx, by = budgets_for(spec, rngs[0])
-    data = run_trial(spec, rngs[1], 0, bx, by)
+    data = run_trial(spec, rngs[1], 0, bx, by, paired=True)
 
     redraw = np.abs(complex_normal(np.random.default_rng(122), by.beta_d[0], (10000,))) ** 2
     assert ks_2samp(data.gain_irs[:, 0], redraw).pvalue > 0.01
@@ -242,7 +245,7 @@ def test_nonfinite_gain_aborts_run(monkeypatch):
     _, bx, by = budgets_for(spec, np.random.default_rng(1))
     monkeypatch.setattr(engine, "sub6_trial", broken)
     with pytest.raises(ArithmeticError):
-        run_trial(spec, np.random.default_rng(1), 4, bx, by)
+        run_trial(spec, np.random.default_rng(1), 4, bx, by, paired=True)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +352,7 @@ def test_oob_gains_draw_the_reflected_sum_only_where_it_has_variance():
     variance[:, 2] = 0.4 * np.random.default_rng(97).standard_gamma(4.0, rows)
     variance[::3, 2] = 0.0
     rng = np.random.default_rng(98)
-    gain_irs, gain_noirs = _oob_gains(rng, beta_d, variance)
+    gain_irs, gain_noirs = _oob_gains(rng, beta_d, variance, paired=True)
 
     dark = variance == 0
     np.testing.assert_array_equal(gain_irs[dark], gain_noirs[dark])
@@ -371,6 +374,73 @@ def test_oob_gains_draw_the_reflected_sum_only_where_it_has_variance():
         assert abs(got.mean() - (beta_d[q] + v).mean()) < 4.0 * stderr
 
 
+_TRIALS = {"sub6": sub6_trial, "mmwave_los": mmwave_los_trial, "mmwave_nlos": mmwave_nlos_trial}
+
+
+def _trial_variance(spec, rng, n, bx, by):
+    """The reflected variance (slots, Q) that the spec's regime trial returns
+    for `run_trial` to draw from, the trial's draws taken from `rng`."""
+    extra = {"mmwave_los": {"l_oob": spec.l1 * spec.l2},
+             "mmwave_nlos": {"l1": spec.l1, "l2": spec.l2}}.get(spec.regime, {})
+    _, variance, _ = _TRIALS[spec.regime](rng, n, bx, by, spec.slots, **extra)
+    return variance
+
+
+_UNPAIRED_CASES = [("sub6", 0, {}), ("sub6", 4, {}), ("sub6", 64, {}),
+                   ("mmwave_los", 8, {"l1": 1, "l2": 3}),
+                   ("mmwave_nlos", 16, {"l1": 1, "l2": 4}),
+                   ("mmwave_nlos", 16, {"l1": 2, "l2": 2})]
+
+
+@pytest.mark.parametrize("regime,n,extra", _UNPAIRED_CASES)
+def test_unpaired_oob_gain_is_one_exponential_per_cell(regime, n, extra):
+    """Unpaired, run_trial draws after the regime's trial one exponential E
+    per (slot, UE) and nothing more, and its gain is (beta_d + v) E bit for
+    bit, on the trial's own variance v. The in-band gain and the aligned
+    draws are the paired trial's, bit for bit: only the last draw differs,
+    and the paired draw starts with the same exponentials, so the gain of a
+    UE with no reflected variance is the paired trial's too."""
+    spec, bx, by, rng, replay = _diff_setup(regime, n, **extra)
+    data = run_trial(spec, rng, n, bx, by, paired=False)
+    assert data.gain_noirs is None
+    variance = _trial_variance(spec, replay, n, bx, by)
+    np.testing.assert_array_equal(
+        data.gain_irs, (by.beta_d + variance) * replay.standard_exponential(variance.shape))
+    assert rng.bit_generator.state == replay.bit_generator.state
+
+    paired = run_trial(spec, spawn_rngs(70 + n, 2)[1], n, bx, by, paired=True)
+    np.testing.assert_array_equal(data.inband_gain, paired.inband_gain)
+    for got, want in zip(data.aligned or (), paired.aligned or ()):
+        np.testing.assert_array_equal(got, want)
+    dark = variance == 0
+    np.testing.assert_array_equal(data.gain_irs[dark], paired.gain_irs[dark])
+
+
+@pytest.mark.parametrize("regime,n,extra", _UNPAIRED_CASES)
+def test_unpaired_oob_gain_law_is_the_paired_one(regime, n, extra):
+    """Given the reflected variance v, h_d + R is CN(0, beta_d + v), so the
+    gain with the reflector over beta_d + v is Exp(1) whether it is drawn as
+    one exponential or as |sqrt(beta_d E) + R|^2. On each regime's own trial
+    variance (sub6 with and without a reflector, LOS with unmatched cells,
+    nlos with one and two feeder paths), pooled over slots and UEs: two-sample
+    KS of the unpaired gain / (beta_d + v) against the paired gain_irs /
+    (beta_d + v) of _oob_gains on that variance, and one-sample KS of it
+    against Exp(1). At 80,000 cells a 5% error in beta_d + v moves the
+    one-sample statistic about 5 sigma."""
+    spec = ExperimentSpec(regime=regime, n_sweep=(n,), k_ues=3, q_ues=4, slots=20_000,
+                          **extra)
+    rngs = spawn_rngs(90 + n + extra.get("l1", 0), 3)
+    _, bx, by = budgets_for(spec, rngs[0])
+    variance = _trial_variance(spec, spawn_rngs(90 + n + extra.get("l1", 0), 3)[1], n, bx, by)
+    if regime == "mmwave_los":
+        assert np.any(variance == 0) and np.any(variance > 0)
+    scale = by.beta_d + variance
+    unpaired = run_trial(spec, rngs[1], n, bx, by, paired=False).gain_irs / scale
+    paired, _ = _oob_gains(rngs[2], by.beta_d, variance, paired=True)
+    assert ks_2samp(unpaired.ravel(), (paired / scale).ravel()).pvalue > 1e-4
+    assert kstest(unpaired.ravel(), "expon").pvalue > 1e-4
+
+
 def _ceiling(data, budget_y):
     """The matched-reflector ceiling the pf_gap rows read: the aligned-gain
     law of a sub6 trial's (E, S) with each OOB UE's betas, (..., slots, Q)."""
@@ -389,7 +459,7 @@ def test_sub6_trial_matches_scalar_reference(n):
     replayed bit for bit, and each slot's ceiling is the scalar matched
     effective channel of complex channels carrying the replayed magnitudes."""
     spec, bx, by, rng, replay = _diff_setup("sub6", n)
-    data = run_trial(spec, rng, n, bx, by)
+    data = run_trial(spec, rng, n, bx, by, paired=True)
 
     draws, (gain, h_dx, f_x, g_x) = _replay_inband_sub6(replay, bx, n, spec.slots)
     np.testing.assert_array_equal(data.inband_gain, gain)
@@ -428,7 +498,7 @@ def test_sub6_ceiling_reuses_the_aligned_draws(monkeypatch):
     spec = ExperimentSpec(k_ues=3, q_ues=4, slots=slots)
     _, bx, by = budgets_for(spec, np.random.default_rng(63))
     rng, replay = spawn_rngs(64, 1)[0], spawn_rngs(64, 1)[0]
-    data = run_trial(spec, rng, n, bx, by)
+    data = run_trial(spec, rng, n, bx, by, paired=True)
 
     e, shape = _aligned_draws(replay, slots, n)
     np.testing.assert_array_equal(data.aligned[0], e)
@@ -467,7 +537,7 @@ def test_nlos_trial_is_independent_of_the_chunk_width(monkeypatch):
         for chunk_elems in (1 << 20, width * n):
             monkeypatch.setattr(engine, "_CHUNK_ELEMS", chunk_elems)
             rng = spawn_rngs(80, 1)[0]
-            runs.append(run_trial(spec, rng, n, bx, by))
+            runs.append(run_trial(spec, rng, n, bx, by, paired=True))
         for field in ("inband_gain", "gain_irs", "gain_noirs"):
             np.testing.assert_array_equal(getattr(runs[0], field), getattr(runs[1], field))
 
@@ -535,7 +605,7 @@ def test_sub6_trial_reduced_law_replays_bit_for_bit(n):
     power G per slot, then one direct power and one reflected sum per UE
     (_replay_oob with variance beta_r G), and nothing more."""
     spec, bx, by, rng, replay = _diff_setup("sub6", n)
-    data = run_trial(spec, rng, n, bx, by)
+    data = run_trial(spec, rng, n, bx, by, paired=True)
 
     _, (gain, *_) = _replay_inband_sub6(replay, bx, n, spec.slots)
     power = replay.standard_gamma(n, size=spec.slots)
@@ -561,7 +631,7 @@ def test_sub6_reduced_law_matches_dense_path(n):
     spec = ExperimentSpec(k_ues=3, q_ues=4, slots=slots)
     _, bx, by = budgets_for(spec, np.random.default_rng(60))
     rngs = spawn_rngs(600 + n, 2)
-    reduced = run_trial(spec, rngs[0], n, bx, by)
+    reduced = run_trial(spec, rngs[0], n, bx, by, paired=True)
     dense_irs, dense_noirs, _ = _dense_oob_gains(rngs[1], n, by, slots)
 
     for a, b in ((reduced.gain_irs, dense_irs),
@@ -609,7 +679,7 @@ def test_mmwave_los_trial_matches_scalar_reference(n):
     spec, bx, by, rng, replay = _diff_setup("mmwave_los", n, l1=1, l2=3)
     l_oob = spec.l1 * spec.l2
     scale = n / math.sqrt(l_oob)
-    data = run_trial(spec, rng, n, bx, by)
+    data = run_trial(spec, rng, n, bx, by, paired=True)
 
     x, angles_y, k_served, u, on_beam = _replay_los(replay, n, bx, by, spec.slots, l_oob)
     m = on_beam.sum(axis=2)
@@ -669,7 +739,7 @@ def test_mmwave_los_reduced_law_matches_per_path_sum(n, l_oob):
     spec = ExperimentSpec(regime="mmwave_los", k_ues=2, q_ues=4, l2=l_oob, slots=slots)
     _, bx, by = budgets_for(spec, np.random.default_rng(61))
     seed = 610 + n + l_oob
-    data = run_trial(spec, np.random.default_rng(seed), n, bx, by)
+    data = run_trial(spec, np.random.default_rng(seed), n, bx, by, paired=True)
     _, _, k_served, u, on_beam = _replay_los(np.random.default_rng(seed), n, bx, by,
                                              slots, l_oob)
     per_path = np.random.default_rng(seed + 1)
@@ -747,7 +817,7 @@ def test_mmwave_nlos_trial_matches_scalar_reference(n):
     spec, bx, by, rng, replay = _diff_setup("mmwave_nlos", n, l1=2, l2=2)
     l1, l2 = spec.l1, spec.l2
     scale = n / math.sqrt(l1 * l2)
-    data = run_trial(spec, rng, n, bx, by)
+    data = run_trial(spec, rng, n, bx, by, paired=True)
 
     (angles_x, k_served, h_dx, g_x), (angles_y, gamma_1) = \
         _replay_nlos(replay, n, bx, by, spec.slots, l1, l2)
@@ -843,7 +913,7 @@ def test_mmwave_nlos_reduced_law_matches_per_path_sum(n, l1, l2):
     spec = ExperimentSpec(regime="mmwave_nlos", k_ues=2, q_ues=4, l1=l1, l2=l2, slots=slots)
     _, bx, by = budgets_for(spec, np.random.default_rng(62))
     seed = 620 + n + l1
-    data = run_trial(spec, np.random.default_rng(seed), n, bx, by)
+    data = run_trial(spec, np.random.default_rng(seed), n, bx, by, paired=True)
     (angles_x, k_served, h_dx, g_x), (angles_y, _) = \
         _replay_nlos(np.random.default_rng(seed), n, bx, by, slots, l1, l2)
     if n < l_paths:
@@ -905,7 +975,7 @@ def test_nlos_variance_vanishes_off_the_served_coset(monkeypatch):
                             lambda rng, n_elements, l1, l2, n_ues: next(planted))
         rng = spawn_rngs(81, 1)[0]
         _, variance, _ = mmwave_nlos_trial(rng, n, bx, by, spec.slots, 1, l2)
-        return (variance, *_oob_gains(rng, by.beta_d, variance))
+        return (variance, *_oob_gains(rng, by.beta_d, variance, paired=True))
 
     variance, gain_irs, gain_noirs = variance_and_gains(bins_y)
     typical = np.median(variance[:, 1:])

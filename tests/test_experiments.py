@@ -12,7 +12,7 @@ import pytest
 
 import irsoob.experiments as experiments
 from irsoob import analytics as an
-from irsoob.config import ExperimentSpec, spec_hash
+from irsoob.config import OUTPUT_KINDS, ExperimentSpec, spec_hash
 import irsoob.engine as engine
 from irsoob.engine import _aligned_gain, budgets_for, run_trial, schedule_rates, spawn_rngs
 from irsoob.cli import main
@@ -219,7 +219,7 @@ def _point_trials(spec):
     _, bx, by = budgets_for(spec, rngs[0])
     points = []
     for i, n in enumerate(spec.n_sweep):
-        datas = [run_trial(spec, rng, n, bx, by)
+        datas = [run_trial(spec, rng, n, bx, by, paired=experiments._pairs_oob_gains(spec))
                  for rng in rngs[1 + i * per_point: i * per_point + per_point]]
         points.append((np.stack([d.gain_irs for d in datas]),
                        tuple(np.stack([d.aligned[j] for d in datas]) for j in (0, 1))))
@@ -484,6 +484,38 @@ def _sweep_point(spec, seed):
     return rngs[1:], bx, by
 
 
+@pytest.mark.parametrize("kind", OUTPUT_KINDS)
+def test_only_outputs_that_compare_the_direct_gain_draw_it(kind):
+    """The runner pairs the OOB gain with the direct-only gain exactly for a
+    spec that asks for ccdf or dominance, which compare the two: its point
+    replays run_trial(paired=True) bit for bit. Every other spec's point
+    holds gain_noirs None and replays run_trial(paired=False) bit for bit.
+    Either way the in-band gains and aligned draws are the same bits."""
+    spec = ExperimentSpec(n_sweep=(8, 0), k_ues=2, q_ues=3, slots=60, trials=2, seed=13,
+                          outputs=(kind,))
+    paired = kind in ("ccdf", "dominance")
+    assert experiments._pairs_oob_gains(spec) == paired
+    points, _ = experiments.sweep_points(spec)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        got = list(experiments.sweep_gains(pool, points))
+
+    def replay(want_paired):
+        """Each point's trials, one by one on fresh copies of its generators."""
+        return [[run_trial(spec, rng, n, bx, by, paired=want_paired) for rng in rngs]
+                for _, n, rngs, bx, by in experiments.sweep_points(spec)[0]]
+
+    for data, want, other in zip(got, replay(paired), replay(not paired), strict=True):
+        np.testing.assert_array_equal(data.gain_irs, [w.gain_irs for w in want])
+        if paired:
+            np.testing.assert_array_equal(data.gain_noirs, [w.gain_noirs for w in want])
+        else:
+            assert data.gain_noirs is None
+        for trials in (want, other):
+            np.testing.assert_array_equal(data.inband_gain, [w.inband_gain for w in trials])
+            for j in (0, 1):
+                np.testing.assert_array_equal(data.aligned[j], [w.aligned[j] for w in trials])
+
+
 @pytest.mark.parametrize("regime,extra", [("sub6", {}), ("mmwave_los", {"l2": 5}),
                                           ("mmwave_nlos", {"l1": 2, "l2": 2})])
 def test_sweep_gains_is_independent_of_the_worker_count(regime, extra):
@@ -503,7 +535,7 @@ def test_sweep_gains_is_independent_of_the_worker_count(regime, extra):
 
     runs = [gains(workers) for workers in (experiments._worker_count(spec.trials), 1,
                                            spec.trials)]
-    fields = ["inband_gain", "gain_irs", "gain_noirs"]
+    fields = ["inband_gain", "gain_irs"]
     for run in runs[1:]:
         assert len(run) == len(spec.n_sweep)
         for got, want in zip(run, runs[0]):

@@ -43,14 +43,12 @@ circular: dropping h_d's phase keeps the joint law of |h_d + R|^2 and
 |h_d|^2. Each trial returns (in-band gain, v, (E, S) or None in mmWave),
 with v its variance (slots, Q), and `run_trial` then draws that law once, as
 the trial generator's last draw, with `_oob_gains`. Given v, h_d + R is
-CN(0, beta_d + v), so the gain with the reflector alone is exactly
-(beta_d + v) Exp(1): one exponential per (slot, UE), and gain_noirs is None.
-Only an output that compares that gain with the direct-only one on the same
-channel (the experiment layer's choice, passed as `paired`) takes the pair:
-gain_noirs = beta_d Exp(1), and R only where v > 0, so
-gain_irs = |sqrt(gain_noirs) + R|^2 there and gain_noirs elsewhere. Both
-draws start with the same exponentials, so only the gains move between
-them, never an angle or an in-band bit. `run_trial` builds the trial's one
+CN(0, beta_d + v), so the gain with the reflector is exactly
+(beta_d + v) Exp(1): one exponential per (slot, UE), for every output. Only
+an output that compares that gain with the direct-only one on the same
+channel (the experiment layer's choice, passed as `paired`) then draws the
+direct-only gain given it; drawn last, that moves no bit of the gain with
+the reflector, of an angle or of the in-band side. `run_trial` builds the trial's one
 TrialData. Each regime's v:
 - sub6: beta_r,q G, with G = ||f||^2 / beta_f ~ Gamma(N, 1) drawn per slot
   and shared by the UEs, which is what correlates them; it replaces the N
@@ -104,8 +102,9 @@ class TrialData:
     Every rate, outage and distribution statistic is a function of these
     gains, so the trials take no SNR. The experiment layer stacks a sweep
     point's trials into one TrialData whose arrays carry a leading trials
-    axis: (trials, slots) and (trials, slots, Q). gain_noirs is drawn only
-    for a paired trial (`run_trial`), and is None otherwise.
+    axis: (trials, slots) and (trials, slots, Q). gain_irs is the same bits
+    whether a trial is paired or not; gain_noirs, drawn given it, exists
+    only for a paired trial (`run_trial`), and is None otherwise.
     """
 
     inband_gain: np.ndarray         # (slots,) gain of the round-robin-served in-band UE
@@ -143,25 +142,22 @@ def _oob_gains(rng: np.random.Generator, beta_d, variance: np.ndarray,
                paired: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """Draw the OOB gains given the reflected variance: (gain_irs, gain_noirs or None).
 
-    Unpaired, gain_irs = (beta_d + variance) Exp(1) over variance's (slots, Q)
-    shape, and gain_noirs is None. Paired, gain_noirs = beta_d Exp(1) from
-    the same exponentials; then, only at the entries where variance > 0, in
-    row-major order, R ~ CN(0, variance), so gain_irs =
-    |sqrt(gain_noirs) + R|^2 there and gain_noirs elsewhere. Where the
-    model's variance is 0 but the trial computes it through rounding, as in
-    the nlos trial's off-coset responses, the paired mask depends on that
-    rounding: an exact 0.0 draws no R, a residue draws one. The unpaired
-    draw has no mask, so its draw count never does.
+    gain_irs = (beta_d + variance) Exp(1) over variance's (slots, Q) shape,
+    paired or not. Unpaired, gain_noirs is None. Paired, it is |h_d|^2 drawn
+    given gain_irs = |y|^2, y = h_d + R: h_d is CN(a y, a variance) with
+    a = beta_d / (beta_d + variance), and y's phase drops out, so
+    gain_noirs = |a sqrt(gain_irs) + w|^2, w ~ CN(0, a variance), two
+    normals per cell whatever the variance. Where the variance is 0, h_d is
+    all of y, and gain_noirs is gain_irs selected bit for bit, not its
+    rounded |sqrt|^2.
     """
-    exponential = rng.standard_exponential(variance.shape)
+    gain_irs = (beta_d + variance) * rng.standard_exponential(variance.shape)
     if not paired:
-        return (beta_d + variance) * exponential, None
-    gain_noirs = beta_d * exponential
-    lit = variance > 0          # a boolean mask selects in row-major order
-    reflected = complex_normal(rng, variance[lit], np.count_nonzero(lit))
-    gain_irs = gain_noirs.copy()
-    gain_irs[lit] = np.abs(np.sqrt(gain_noirs[lit]) + reflected) ** 2
-    return gain_irs, gain_noirs
+        return gain_irs, None
+    share = beta_d / (beta_d + variance)
+    h_d = complex_normal(rng, share * variance, variance.shape)
+    h_d.real += share * np.sqrt(gain_irs)
+    return gain_irs, np.where(variance > 0, h_d.real ** 2 + h_d.imag ** 2, gain_irs)
 
 
 def sub6_trial(rng: np.random.Generator, n_elements: int, budget_x: LinkBudget,
@@ -234,11 +230,8 @@ def mmwave_nlos_trial(rng: np.random.Generator, n_elements: int, budget_x: LinkB
     When the served UE's bins lie on one coset m0 + gZ (g = gcd of their
     differences with N, g > 1), theta is a tone times a sequence of period
     N / g, so r vanishes off that coset, and an OOB UE whose bins all lie off
-    it has P_q = 0 in the model. The FFTs return that 0 as exact 0.0 or as a
-    rounding residue, and a paired `_oob_gains` draws R only for the latter,
-    so any change to the FFT or response arithmetic can move a paired run's
-    stream. The unpaired draw (fig9's) takes one exponential per (slot, UE)
-    whatever the residue.
+    it has P_q = 0 in the model, which the FFTs return as exact 0.0 or as a
+    rounding residue. `_oob_gains` draws as many values either way.
     """
     bins_x = mmwave_angle_bins(rng, n_elements, l1, l2, budget_x.n_ues)      # (K, L)
     bins_y = mmwave_angle_bins(rng, n_elements, l1, l2, budget_y.n_ues)      # (Q, L)
@@ -385,9 +378,11 @@ def run_trial(spec: ExperimentSpec, rng: np.random.Generator, n_elements: int,
               budget_x: LinkBudget, budget_y: LinkBudget, *, paired: bool) -> TrialData:
     """One trial in the spec's regime, then its OOB gains, the trial generator's last draw.
 
-    `paired` asks for the direct-only gain on the same channels as the gain
-    with the reflector (`_oob_gains`); unpaired, gain_noirs is None. Aborts
-    on a non-finite gain, so no run writes inf or NaN.
+    The gain with the reflector is the same bits whether `paired` or not;
+    `paired` adds the direct-only gain on the same channels (`_oob_gains`),
+    and unpaired, gain_noirs is None. Aborts on a non-finite in-band gain or
+    reflected variance, before any OOB arithmetic, so no run writes inf or
+    NaN.
     """
     if spec.regime == "sub6":
         trial = sub6_trial(rng, n_elements, budget_x, budget_y, spec.slots)
@@ -400,8 +395,6 @@ def run_trial(spec: ExperimentSpec, rng: np.random.Generator, n_elements: int,
     else:
         raise ValueError(f"unknown regime {spec.regime!r}")
     inband_gain, variance, aligned = trial
-    gains = _oob_gains(rng, budget_y.beta_d, variance, paired)
-    data = TrialData(inband_gain, *gains, aligned)
-    if not (np.all(np.isfinite(data.inband_gain)) and np.all(np.isfinite(data.gain_irs))):
+    if not (np.all(np.isfinite(inband_gain)) and np.all(np.isfinite(variance))):
         raise ArithmeticError("non-finite channel gain in simulation")
-    return data
+    return TrialData(inband_gain, *_oob_gains(rng, budget_y.beta_d, variance, paired), aligned)

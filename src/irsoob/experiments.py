@@ -171,8 +171,8 @@ def _stack(futures) -> TrialData:
 
 
 def _pairs_oob_gains(spec: ExperimentSpec) -> bool:
-    """Whether `spec`'s trials draw the OOB gain with the reflector paired with
-    the direct-only gain on one channel: only ccdf and dominance compare the two."""
+    """Whether `spec`'s trials also draw the direct-only OOB gain, given the
+    gain with the reflector on one channel: only ccdf and dominance compare the two."""
     return not {"ccdf", "dominance"}.isdisjoint(spec.outputs)
 
 
@@ -182,9 +182,9 @@ def sweep_gains(pool: ThreadPoolExecutor, points):
     A point is (spec, n_elements, trial_rngs, budget_x, budget_y):
     one trial per generator, stacked in generator order on a leading trials
     axis. Gains are SNR-free, so one point's gains serve every gamma. A
-    point's trials draw the direct-only gain beside the gain with the
-    reflector only when its spec's outputs compare the two
-    (`_pairs_oob_gains`); otherwise its gain_noirs is None.
+    point's trials draw the direct-only gain, after the gain with the
+    reflector and without moving it, only when its spec's outputs compare the
+    two (`_pairs_oob_gains`); otherwise its gain_noirs is None.
 
     The trials run on `pool` (numpy's draws, ufuncs and FFTs release the
     GIL). Before point i's gains are yielded, point i+1's trials are
@@ -495,10 +495,10 @@ def _ccdf_rows(spec, coords, data, params_y):
     beta_d0 = float(params_y.beta_d[0])
     p_grid = np.linspace(0.995, 0.005, _GRID_POINTS)
     if n == 0:
-        # no reflector: the plain direct-path gain distribution, its N left blank
+        # no reflector: the gain with it is the direct-path gain, its N left blank
         grid = -beta_d0 * np.log(p_grid)
         return _pooled_rows("gain_ccdf_noirs", grid,
-                            None if data is None else data.gain_noirs[:, :, 0],
+                            None if data is None else data.gain_irs[:, :, 0],
                             [math.exp(-x / beta_d0) for x in grid], empirical_ccdf)
     if spec.regime == "sub6":
         grid = np.array([_invert_offset_ccdf(p, params_y) for p in p_grid])

@@ -12,17 +12,20 @@ cascade (f * g in sub6, irs.sparse_cascade in mmWave). A trial returns its
 in-band gain and its reflected variance, and run_trial draws every trial's
 OOB gains from that variance with one call, engine._oob_gains, so the
 replays that read OOB gains run the trial through run_trial. Rates are the
-test-side log2(1 + snr g) of oracles.py. One replay helper (_replay_oob)
-pins _oob_gains' order in all three trials, a unit test pins that it draws
-no normal where the variance is 0 and holds it in distribution to
-|h_d + R|^2 of complex normals. Those replays ask run_trial for the paired
-draw (gain with and without the reflector); the unpaired one, a single
-exponential per (slot, UE), is replayed bit for bit on each regime's own
-variance and held in law to the paired gain and to Exp(1). Each
+test-side log2(1 + snr g) of oracles.py. The gain with the reflector is one
+exponential per (slot, UE), replayed bit for bit on each regime's own
+variance, held in law to Exp(1) and equal bit for bit between paired and
+unpaired trials. One replay helper (_replay_oob) pins the paired draw's
+order in all three trials, and a unit test holds the direct-only gain drawn
+given that gain, with the offset between them, in distribution to
+|h_d + R|^2 of complex normals. The replays that read the direct-only gain
+ask run_trial for the paired draw; the others do not. Each
 regime's reduced law is compared in distribution with the dense per-element
-or per-path construction it replaces (for sub6, the oracle's sample_sub6). The mmWave trials draw
-their direct links as magnitudes, so their replays hand the scalar rules a
-real h_d; a separate check shows that the direct phase moves no scalar gain.
+or per-path construction it replaces (for sub6, the oracle's sample_sub6). The paired draw
+keeps no phase of h_d + R, so the replays hand the scalar rules the complex
+h_d it draws and R = sqrt(g) - h_d; the mmWave in-band trials draw their
+direct links as magnitudes, so their replays hand the scalar rules a real
+h_d there; a separate check shows that the direct phase moves no scalar gain.
 The batched PF scheduler is held to a per-row loop, bit for bit.
 The sub6 in-band gain and the matched-reflector ceiling are one law on one
 draw of exponential magnitudes per trial, which the trial returns as (E, S),
@@ -68,12 +71,12 @@ def _single_ue_spec(**kwargs):
     return ExperimentSpec(**base)
 
 
-def _scheduled_trial(spec, rng):
+def _scheduled_trial(spec, rng, paired=False):
     """One protocol trial at the spec's first sweep point, with its OOB rates
     at the spec's first SNR and its OOB schedule."""
     snr = float(db_to_linear(spec.gamma_db_sweep[0]))
     _, bx, by = budgets_for(spec, rng)
-    data = run_trial(spec, rng, spec.n_sweep[0], bx, by, paired=True)
+    data = run_trial(spec, rng, spec.n_sweep[0], bx, by, paired=paired)
     rates = spectral_efficiency(data.gain_irs, snr)
     return data, rates, schedule_rates(rates, spec.scheduler, spec.pf_tau)
 
@@ -122,7 +125,7 @@ def test_rr_oob_mean_se_tracks_closed_form():
 def test_trial_records_gains_only():
     """A trace holds the per-slot gains and nothing that depends on the SNR."""
     spec = ExperimentSpec(n_sweep=(16,), gamma_db_sweep=(130.0,), slots=500, seed=24)
-    data, _, served = _scheduled_trial(spec, np.random.default_rng(24))
+    data, _, served = _scheduled_trial(spec, np.random.default_rng(24), paired=True)
     assert [f.name for f in dataclasses.fields(TrialData)] == [
         "inband_gain", "gain_irs", "gain_noirs", "aligned"]
     assert data.inband_gain.shape == (500,)
@@ -322,29 +325,30 @@ def _dense_oob_gains(rng, n, budget, slots):
 
 
 def _replay_oob(replay, beta_d, variance):
-    """engine._oob_gains replayed: the direct powers beta_d Exp(1) over
-    variance's (slots, Q) shape, then R ~ CN(0, variance) at the entries where
-    variance > 0, in row-major order. Returns gain_irs (|sqrt(direct) + R|^2
-    there, direct elsewhere), the direct powers and R (slots, Q), 0 where
-    nothing was drawn."""
-    direct = beta_d * replay.standard_exponential(variance.shape)
-    lit = np.nonzero(variance)
-    reflected = np.zeros(variance.shape, dtype=complex)
-    reflected[lit] = complex_normal(replay, variance[lit], lit[0].size)
-    gain_irs = direct.copy()
-    gain_irs[lit] = np.abs(np.sqrt(direct[lit]) + reflected[lit]) ** 2
-    return gain_irs, direct, reflected
+    """engine._oob_gains replayed, paired: g = (beta_d + v) Exp(1) over the
+    variance's (slots, Q) shape, then w ~ CN(0, a v), a = beta_d / (beta_d + v),
+    on every cell. Returns g, the direct gains |h_d|^2 (g where v = 0), and
+    the complex h_d = a sqrt(g) + w and R = sqrt(g) - h_d (slots, Q), whose
+    sum sqrt(g) is h_d + R with its phase dropped."""
+    gain_irs = (beta_d + variance) * replay.standard_exponential(variance.shape)
+    share = beta_d / (beta_d + variance)
+    h_d = share * np.sqrt(gain_irs) + complex_normal(replay, share * variance, variance.shape)
+    direct = np.where(variance > 0, h_d.real ** 2 + h_d.imag ** 2, gain_irs)
+    return gain_irs, direct, h_d, np.sqrt(gain_irs) - h_d
 
 
-def test_oob_gains_draw_the_reflected_sum_only_where_it_has_variance():
+def test_oob_gains_draw_the_direct_gain_given_the_gain_with_the_reflector():
     """engine._oob_gains on a (rows, 3) variance: UE 0 has none, UE 1 a fixed
-    one and UE 2 one that varies by row and is 0 on every third row. Where
-    the variance is 0 the gain with the reflector is the direct gain bit for
-    bit and no normal is drawn: the generator ends where the direct
-    exponentials and 2 * lit normals leave a replay. Where it is positive:
-    two-sample KS of the gain and of the offset against |h_d + R|^2 and
-    |h_d + R|^2 - |h_d|^2 built from two complex_normal draws, and the mean
-    gain within 4 stderr of beta_d + v."""
+    one and UE 2 one that varies by row and is 0 on every third row. The
+    generator ends where rows * 3 exponentials and 2 * rows * 3 normals leave
+    a replay, whatever zeros the variance holds, and the gain with the
+    reflector is the unpaired draw's bit for bit. Where the variance is 0
+    the direct gain is that gain bit for bit, and it is never negative. Per
+    UE: two-sample KS of the gain, the offset and the direct gain against
+    |h_d + R|^2, |h_d + R|^2 - |h_d|^2 and |h_d|^2 built from two
+    complex_normal draws, the mean gain within 4 stderr of beta_d + v and the
+    mean direct gain within 4 stderr of beta_d. At this size a 5% error in
+    a = beta_d / (beta_d + v) moves UE 1's mean direct gain about 9 stderr."""
     rows = 20_000
     beta_d = np.array([0.5, 2.0, 1.0])
     variance = np.zeros((rows, 3))
@@ -354,24 +358,27 @@ def test_oob_gains_draw_the_reflected_sum_only_where_it_has_variance():
     rng = np.random.default_rng(98)
     gain_irs, gain_noirs = _oob_gains(rng, beta_d, variance, paired=True)
 
-    dark = variance == 0
-    np.testing.assert_array_equal(gain_irs[dark], gain_noirs[dark])
+    unpaired, _ = _oob_gains(np.random.default_rng(98), beta_d, variance, paired=False)
+    np.testing.assert_array_equal(gain_irs, unpaired)
     replay = np.random.default_rng(98)
     replay.standard_exponential(variance.shape)
-    replay.standard_normal(2 * np.count_nonzero(variance))
+    replay.standard_normal(2 * variance.size)
     assert rng.bit_generator.state == replay.bit_generator.state
+    dark = variance == 0
+    np.testing.assert_array_equal(gain_noirs[dark], gain_irs[dark])
+    assert np.all(gain_noirs >= 0.0)
 
     oracle = np.random.default_rng(99)
-    for q in (1, 2):
-        lit = ~dark[:, q]
-        v = variance[lit, q]
-        h_d = complex_normal(oracle, beta_d[q], v.size)
-        gain = np.abs(h_d + complex_normal(oracle, v, v.size)) ** 2
-        got = gain_irs[lit, q]
-        assert ks_2samp(got, gain).pvalue > 1e-4
-        assert ks_2samp(got - gain_noirs[lit, q], gain - np.abs(h_d) ** 2).pvalue > 1e-4
-        stderr = got.std(ddof=1) / math.sqrt(got.size)
-        assert abs(got.mean() - (beta_d[q] + v).mean()) < 4.0 * stderr
+    for q in range(3):
+        v = variance[:, q]
+        h_d = complex_normal(oracle, beta_d[q], rows)
+        gain = np.abs(h_d + complex_normal(oracle, v, rows)) ** 2
+        direct = np.abs(h_d) ** 2
+        for got, want in ((gain_irs[:, q], gain), (gain_noirs[:, q], direct),
+                          (gain_irs[:, q] - gain_noirs[:, q], gain - direct)):
+            assert ks_2samp(got, want).pvalue > 1e-4
+        for got, mean in ((gain_irs[:, q], beta_d[q] + v.mean()), (gain_noirs[:, q], beta_d[q])):
+            assert abs(got.mean() - mean) < 4.0 * got.std(ddof=1) / math.sqrt(rows)
 
 
 _TRIALS = {"sub6": sub6_trial, "mmwave_los": mmwave_los_trial, "mmwave_nlos": mmwave_nlos_trial}
@@ -396,10 +403,9 @@ _UNPAIRED_CASES = [("sub6", 0, {}), ("sub6", 4, {}), ("sub6", 64, {}),
 def test_unpaired_oob_gain_is_one_exponential_per_cell(regime, n, extra):
     """Unpaired, run_trial draws after the regime's trial one exponential E
     per (slot, UE) and nothing more, and its gain is (beta_d + v) E bit for
-    bit, on the trial's own variance v. The in-band gain and the aligned
-    draws are the paired trial's, bit for bit: only the last draw differs,
-    and the paired draw starts with the same exponentials, so the gain of a
-    UE with no reflected variance is the paired trial's too."""
+    bit, on the trial's own variance v. The paired trial's in-band gain,
+    aligned draws and gain with the reflector are the same bits: it only
+    draws 2 normals per (slot, UE) after them, whatever zeros v holds."""
     spec, bx, by, rng, replay = _diff_setup(regime, n, **extra)
     data = run_trial(spec, rng, n, bx, by, paired=False)
     assert data.gain_noirs is None
@@ -408,37 +414,37 @@ def test_unpaired_oob_gain_is_one_exponential_per_cell(regime, n, extra):
         data.gain_irs, (by.beta_d + variance) * replay.standard_exponential(variance.shape))
     assert rng.bit_generator.state == replay.bit_generator.state
 
-    paired = run_trial(spec, spawn_rngs(70 + n, 2)[1], n, bx, by, paired=True)
+    paired_rng = spawn_rngs(70 + n, 2)[1]
+    paired = run_trial(spec, paired_rng, n, bx, by, paired=True)
     np.testing.assert_array_equal(data.inband_gain, paired.inband_gain)
     for got, want in zip(data.aligned or (), paired.aligned or ()):
         np.testing.assert_array_equal(got, want)
-    dark = variance == 0
-    np.testing.assert_array_equal(data.gain_irs[dark], paired.gain_irs[dark])
+    np.testing.assert_array_equal(data.gain_irs, paired.gain_irs)
+    replay.standard_normal(2 * variance.size)
+    assert paired_rng.bit_generator.state == replay.bit_generator.state
 
 
 @pytest.mark.parametrize("regime,n,extra", _UNPAIRED_CASES)
 def test_unpaired_oob_gain_law_is_the_paired_one(regime, n, extra):
     """Given the reflected variance v, h_d + R is CN(0, beta_d + v), so the
-    gain with the reflector over beta_d + v is Exp(1) whether it is drawn as
-    one exponential or as |sqrt(beta_d E) + R|^2. On each regime's own trial
-    variance (sub6 with and without a reflector, LOS with unmatched cells,
-    nlos with one and two feeder paths), pooled over slots and UEs: two-sample
-    KS of the unpaired gain / (beta_d + v) against the paired gain_irs /
-    (beta_d + v) of _oob_gains on that variance, and one-sample KS of it
-    against Exp(1). At 80,000 cells a 5% error in beta_d + v moves the
-    one-sample statistic about 5 sigma."""
+    gain with the reflector over beta_d + v is Exp(1), and a paired trial
+    draws that same gain before the direct-only one. On each regime's own
+    trial variance (sub6 with and without a reflector, LOS with unmatched
+    cells, nlos with one and two feeder paths): the unpaired and the paired
+    trial's gain_irs are equal bit for bit, and pooled over slots and UEs,
+    one-sample KS of the gain / (beta_d + v) against Exp(1). At 80,000 cells
+    a 5% error in beta_d + v moves that statistic about 5 sigma."""
     spec = ExperimentSpec(regime=regime, n_sweep=(n,), k_ues=3, q_ues=4, slots=20_000,
                           **extra)
-    rngs = spawn_rngs(90 + n + extra.get("l1", 0), 3)
-    _, bx, by = budgets_for(spec, rngs[0])
-    variance = _trial_variance(spec, spawn_rngs(90 + n + extra.get("l1", 0), 3)[1], n, bx, by)
+    seed = 90 + n + extra.get("l1", 0)
+    _, bx, by = budgets_for(spec, spawn_rngs(seed, 2)[0])
+    variance = _trial_variance(spec, spawn_rngs(seed, 2)[1], n, bx, by)
     if regime == "mmwave_los":
         assert np.any(variance == 0) and np.any(variance > 0)
-    scale = by.beta_d + variance
-    unpaired = run_trial(spec, rngs[1], n, bx, by, paired=False).gain_irs / scale
-    paired, _ = _oob_gains(rngs[2], by.beta_d, variance, paired=True)
-    assert ks_2samp(unpaired.ravel(), (paired / scale).ravel()).pvalue > 1e-4
-    assert kstest(unpaired.ravel(), "expon").pvalue > 1e-4
+    unpaired, paired = (run_trial(spec, spawn_rngs(seed, 2)[1], n, bx, by, paired=pair).gain_irs
+                        for pair in (False, True))
+    np.testing.assert_array_equal(unpaired, paired)
+    assert kstest((unpaired / (by.beta_d + variance)).ravel(), "expon").pvalue > 1e-4
 
 
 def _ceiling(data, budget_y):
@@ -466,7 +472,7 @@ def test_sub6_trial_matches_scalar_reference(n):
     np.testing.assert_array_equal(data.aligned[0], draws[0])
     np.testing.assert_array_equal(data.aligned[1], np.sqrt(draws[1] * draws[2]).sum(axis=1))
     power = replay.standard_gamma(n, size=spec.slots)
-    gain_irs, gain_noirs, _ = _replay_oob(replay, by.beta_d, by.beta_r * power[:, None])
+    gain_irs, gain_noirs, *_ = _replay_oob(replay, by.beta_d, by.beta_r * power[:, None])
     np.testing.assert_array_equal(data.gain_irs, gain_irs)
     np.testing.assert_array_equal(data.gain_noirs, gain_noirs)
     ceiling, h_dy, f_y, g_y = _aligned_channels(draws, by.beta_d[None, :], by.beta_f,
@@ -486,8 +492,8 @@ def test_sub6_ceiling_reuses_the_aligned_draws(monkeypatch):
     """A sub6 trial returns its own (E, S), bit for bit the (E, S) that
     _aligned_draws replays over two chunks, and the matched ceiling is the
     aligned-gain law of them with each UE's OOB betas. The generator then
-    ends where the Gamma powers and the OOB draws leave that replay, so no
-    second aligned draw is made. Each UE's mean ceiling lies within 4 stderr
+    ends where the Gamma powers and the OOB exponentials leave that replay,
+    so no second aligned draw is made. Each UE's mean ceiling lies within 4 stderr
     of the SNR term that sumse_inband_sub6 averages, taken with the OOB betas
     at snr = 1; at this size a 5% beta_r error moves that term by at
     least 10 stderr."""
@@ -498,7 +504,7 @@ def test_sub6_ceiling_reuses_the_aligned_draws(monkeypatch):
     spec = ExperimentSpec(k_ues=3, q_ues=4, slots=slots)
     _, bx, by = budgets_for(spec, np.random.default_rng(63))
     rng, replay = spawn_rngs(64, 1)[0], spawn_rngs(64, 1)[0]
-    data = run_trial(spec, rng, n, bx, by, paired=True)
+    data = run_trial(spec, rng, n, bx, by, paired=False)
 
     e, shape = _aligned_draws(replay, slots, n)
     np.testing.assert_array_equal(data.aligned[0], e)
@@ -506,8 +512,8 @@ def test_sub6_ceiling_reuses_the_aligned_draws(monkeypatch):
     bf_gain = _ceiling(data, by)
     np.testing.assert_array_equal(
         bf_gain, (np.sqrt(by.beta_d * e[:, None]) + np.sqrt(by.beta_r) * shape[:, None]) ** 2)
-    power = replay.standard_gamma(n, size=slots)
-    _replay_oob(replay, by.beta_d, by.beta_r * power[:, None])
+    replay.standard_gamma(n, size=slots)
+    replay.standard_exponential((slots, by.n_ues))
     assert rng.bit_generator.state == replay.bit_generator.state
 
     monkeypatch.setattr(analytics, "_mean_se", lambda snr_terms: snr_terms)
@@ -609,7 +615,7 @@ def test_sub6_trial_reduced_law_replays_bit_for_bit(n):
 
     _, (gain, *_) = _replay_inband_sub6(replay, bx, n, spec.slots)
     power = replay.standard_gamma(n, size=spec.slots)
-    gain_irs, gain_noirs, _ = _replay_oob(replay, by.beta_d, by.beta_r * power[:, None])
+    gain_irs, gain_noirs, *_ = _replay_oob(replay, by.beta_d, by.beta_r * power[:, None])
     assert rng.bit_generator.state == replay.bit_generator.state
     np.testing.assert_array_equal(data.inband_gain, gain)
     np.testing.assert_array_equal(data.gain_irs, gain_irs)
@@ -670,12 +676,11 @@ def test_mmwave_los_trial_matches_scalar_reference(n):
     """The gains are the trial's draws replayed bit for bit: the in-band
     angles and every in-band UE's path gains, the OOB angles, then the feeder
     power X and the OOB gains (_replay_oob) with reflected variance
-    (N^2 / L) beta_f X m beta_g, so R is drawn only at the matched (slot, UE)
-    entries. The scalar rules then see the direct link
-    sqrt(gain_noirs), a real phase of h_d, and per-path gains with
-    sqrt(L) R / (N u) on each matched UE's first matched path, 0 on its other
-    matched paths and fresh draws on the unmatched ones, which the steered
-    beam must not pick up."""
+    (N^2 / L) beta_f X m beta_g, so R is 0 at the unmatched (slot, UE)
+    entries. The scalar rules then see the replayed direct link h_d and
+    per-path gains with sqrt(L) R / (N u) on each matched UE's first matched
+    path, 0 on its other matched paths and fresh draws on the unmatched ones,
+    which the steered beam must not pick up."""
     spec, bx, by, rng, replay = _diff_setup("mmwave_los", n, l1=1, l2=3)
     l_oob = spec.l1 * spec.l2
     scale = n / math.sqrt(l_oob)
@@ -686,7 +691,7 @@ def test_mmwave_los_trial_matches_scalar_reference(n):
     assert np.any(m > 0), "no matched (k, q) pair: nothing reflected to check"
     power = replay.standard_exponential(spec.slots)                  # X
     weight = (n ** 2 / l_oob) * by.beta_f * m[k_served] * by.beta_g
-    want_irs, direct, r_full = _replay_oob(replay, by.beta_d, power[:, None] * weight)
+    want_irs, direct, h_d, r_full = _replay_oob(replay, by.beta_d, power[:, None] * weight)
     np.testing.assert_array_equal(data.gain_noirs, direct)
     np.testing.assert_array_equal(data.gain_irs, want_irs)
     unmatched = m[k_served] == 0
@@ -706,8 +711,8 @@ def test_mmwave_los_trial_matches_scalar_reference(n):
             gains[hits] = 0.0
             if hits.size:
                 gains[hits[0]] = r_full[s, q] / (scale * u[s])
-            want.append(abs(effective_channel(math.sqrt(direct[s, q]),
-                                              sparse_cascade(angles_y[q], gains, n), theta)) ** 2)
+            want.append(abs(effective_channel(h_d[s, q], sparse_cascade(angles_y[q], gains, n),
+                                              theta)) ** 2)
         _assert_gains(data.gain_irs[s], want)
 
 
@@ -802,18 +807,18 @@ def _replay_nlos(replay, n, bx, by, slots, l1, l2):
 
 @pytest.mark.parametrize("n", [8, 16])
 def test_mmwave_nlos_trial_matches_scalar_reference(n):
-    """Every slot of a replayed trial against the scalar rules. Both direct
-    links are drawn as magnitudes, so the scalar rules see real, positive
-    h_d (any phase gives the same gains; see
+    """Every slot of a replayed trial against the scalar rules. The served
+    UE's direct link is drawn as a magnitude, so the scalar rules see a real,
+    positive in-band h_d (any phase gives the same gains; see
     test_nlos_scalar_gains_ignore_the_direct_phase). The configuration is
     align of the served UE's sparse_cascade, and each gain is
-    effective_channel of that configuration. With
-    a_j = sum_i gamma_1,i r_ij, r_ij the scalar response at cascade angle
-    (i, j), the OOB gains are replayed after the loop with reflected variance
-    (N^2 / L) beta_g,q ||a||^2, and UE q sees per-path gains
-    gamma_1,i gamma_2,j with gamma_2,j = (sqrt(L) / N) R conj(a_j) / ||a||^2:
-    their per-path sum, scaled by N / sqrt(L), is R, the reflected term the
-    trial drew."""
+    effective_channel of that configuration. With a_j = sum_i gamma_1,i r_ij,
+    r_ij the scalar response at cascade angle (i, j), the trial's reflected
+    variance is (N^2 / L) beta_g,q ||a||^2, the OOB gains are replayed on it
+    after the loop, and UE q sees the replayed direct link h_d and per-path
+    gains gamma_1,i gamma_2,j with gamma_2,j = (sqrt(L) / N) R conj(a_j) / ||a||^2:
+    their per-path sum, scaled by N / sqrt(L), is R, the reflected term of
+    the replay."""
     spec, bx, by, rng, replay = _diff_setup("mmwave_nlos", n, l1=2, l2=2)
     l1, l2 = spec.l1, spec.l2
     scale = n / math.sqrt(l1 * l2)
@@ -831,7 +836,9 @@ def test_mmwave_nlos_trial_matches_scalar_reference(n):
             a[s, q] = gamma_1[s] @ resp
     power = (np.abs(a) ** 2).sum(axis=2)
     assert np.all(power > 0)
-    _, direct, reflected = _replay_oob(replay, by.beta_d, scale ** 2 * by.beta_g * power)
+    variance = _trial_variance(spec, spawn_rngs(70 + n, 2)[1], n, bx, by)
+    _assert_gains(variance, scale ** 2 * by.beta_g * power)
+    _, direct, h_d, reflected = _replay_oob(replay, by.beta_d, variance)
     np.testing.assert_array_equal(data.gain_noirs, direct)
     assert rng.bit_generator.state == replay.bit_generator.state
     for s in range(spec.slots):
@@ -839,8 +846,7 @@ def test_mmwave_nlos_trial_matches_scalar_reference(n):
         for q in range(by.n_ues):
             gamma_2 = reflected[s, q] * np.conj(a[s, q]) / (scale * power[s, q])
             gains = np.outer(gamma_1[s], gamma_2).ravel()
-            want.append(abs(effective_channel(math.sqrt(direct[s, q]),
-                                              sparse_cascade(angles_y[q], gains, n),
+            want.append(abs(effective_channel(h_d[s, q], sparse_cascade(angles_y[q], gains, n),
                                               thetas[s])) ** 2)
         _assert_gains(data.gain_irs[s], want)
 

@@ -12,7 +12,7 @@ import pytest
 
 import irsoob.experiments as experiments
 from irsoob import analytics as an
-from irsoob.config import OUTPUT_KINDS, ExperimentSpec, spec_hash
+from irsoob.config import OUTPUT_KINDS, SUB6_OUTPUTS, ExperimentSpec, spec_hash
 import irsoob.engine as engine
 from irsoob.engine import _aligned_gain, budgets_for, run_trial, schedule_rates, spawn_rngs
 from irsoob.cli import main
@@ -458,6 +458,24 @@ def test_operator_params_path_counts_per_regime():
                                   an.inband_offset_ccdf_bound(grid, six))
 
 
+@pytest.mark.parametrize("n", [4, 16, 64])
+def test_grid_inversions_round_trip_their_laws(n):
+    """Two grids are placed by inverting an analytics law in experiments: the
+    OOB offset CCDF rows' by the large-N limit ccdf_offset_sub6
+    (_invert_offset_ccdf), the in-band offset rows' by
+    inband_offset_ccdf_bound. Each law on its rows' grid gives back the
+    probabilities the grid was placed at, to 1e-12 relative."""
+    spec = ExperimentSpec(n_sweep=(n,), k_ues=2, q_ues=2, outputs=("ccdf", "inband_offset"))
+    _, bx, by = budgets_for(spec, np.random.default_rng(14))
+    params_x, params_y = operator_params(spec, bx, n), operator_params(spec, by, n)
+    offset = [row.x for row in experiments._ccdf_rows(spec, {}, None, params_y)]
+    np.testing.assert_allclose(an.ccdf_offset_sub6(np.array(offset), params_y),
+                               np.linspace(0.995, 0.005, experiments._GRID_POINTS), rtol=1e-12)
+    inband = [row.x for row in experiments._inband_offset_rows({}, params_x, None)]
+    np.testing.assert_allclose(an.inband_offset_ccdf_bound(inband, params_x),
+                               np.linspace(0.95, 0.05, 10), rtol=1e-12)
+
+
 def test_sample_helpers_are_seed_deterministic():
     sub6 = ExperimentSpec()
     with_a, without_a, params_a = oob_gain_samples(41, sub6, 8, 500)
@@ -484,13 +502,23 @@ def _sweep_point(spec, seed):
     return rngs[1:], bx, by
 
 
+# fig3, fig8 and fig9 cut to a few slots and points: one preset per regime
+_REDUCED_PRESETS = {"fig3": {"slots": 60, "trials": 2},
+                    "fig8": {"n_sweep": [4, 16], "slots": 60, "trials": 2},
+                    "fig9": {"n_sweep": [16, 64], "slots": 60, "trials": 2}}
+
+
 @pytest.mark.parametrize("kind", OUTPUT_KINDS)
 def test_only_outputs_that_compare_the_direct_gain_draw_it(kind):
     """The runner pairs the OOB gain with the direct-only gain exactly for a
     spec that asks for ccdf or dominance, which compare the two: its point
     replays run_trial(paired=True) bit for bit. Every other spec's point
     holds gain_noirs None and replays run_trial(paired=False) bit for bit.
-    Either way the in-band gains and aligned draws are the same bits."""
+    Either way the gains with the reflector, the in-band gains and the
+    aligned draws are the same bits. So asking for dominance, and in sub6
+    also for ccdf, leaves every row of a spec's own output the same bytes:
+    on fig3, fig8 and fig9 at reduced sizes, with `kind` as their output
+    where the regime allows it."""
     spec = ExperimentSpec(n_sweep=(8, 0), k_ues=2, q_ues=3, slots=60, trials=2, seed=13,
                           outputs=(kind,))
     paired = kind in ("ccdf", "dominance")
@@ -505,15 +533,27 @@ def test_only_outputs_that_compare_the_direct_gain_draw_it(kind):
                 for _, n, rngs, bx, by in experiments.sweep_points(spec)[0]]
 
     for data, want, other in zip(got, replay(paired), replay(not paired), strict=True):
-        np.testing.assert_array_equal(data.gain_irs, [w.gain_irs for w in want])
         if paired:
             np.testing.assert_array_equal(data.gain_noirs, [w.gain_noirs for w in want])
         else:
             assert data.gain_noirs is None
         for trials in (want, other):
-            np.testing.assert_array_equal(data.inband_gain, [w.inband_gain for w in trials])
+            for field in ("gain_irs", "inband_gain"):
+                np.testing.assert_array_equal(getattr(data, field),
+                                              [getattr(w, field) for w in trials])
             for j in (0, 1):
                 np.testing.assert_array_equal(data.aligned[j], [w.aligned[j] for w in trials])
+
+    for name, overrides in _REDUCED_PRESETS.items():
+        base = preset_spec(name, overrides)
+        if kind in SUB6_OUTPUTS and base.regime != "sub6":
+            continue
+        added = [out for out in ("dominance", "ccdf")[:1 + (base.regime == "sub6")] if out != kind]
+        own, _ = spec_rows(dataclasses.replace(base, outputs=(kind,)))
+        more, _ = spec_rows(dataclasses.replace(base, outputs=(kind, *added)))
+        own_statistics = {row.statistic for row in own}
+        assert emit_csv([row for row in more if row.statistic in own_statistics], name) \
+            == emit_csv(own, name)
 
 
 @pytest.mark.parametrize("regime,extra", [("sub6", {}), ("mmwave_los", {"l2": 5}),

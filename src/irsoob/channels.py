@@ -24,6 +24,14 @@ def finite(name: str, value):
     return value
 
 
+def _point(name: str, value) -> tuple:
+    """value as an (x, y) tuple of finite numbers, else a ValueError naming the field."""
+    if not (isinstance(value, (tuple, list)) and len(value) == 2
+            and all(isinstance(v, numbers.Real) for v in value)):
+        raise ValueError(f"{name}: expected [x, y], got {value!r}")
+    return tuple(finite(name, v) for v in value)
+
+
 @dataclass(frozen=True)
 class NodeGeometry:
     """Planar coordinates (meters) of the two base stations, the reflector, and the UE drop
@@ -35,12 +43,11 @@ class NodeGeometry:
     ue_region: tuple[tuple[float, float], tuple[float, float]] = ((950.0, 950.0), (1100.0, 1100.0))
 
     def __post_init__(self):
-        for name in ("bs_inband", "bs_oob", "irs", "ue_region"):
-            if isinstance(getattr(self, name), list):   # JSON has no tuples
-                object.__setattr__(self, name, tuple(
-                    tuple(v) if isinstance(v, list) else v for v in getattr(self, name)))
-            for value in np.ravel(np.asarray(getattr(self, name), dtype=object)):
-                finite(name, value)
+        for name in ("bs_inband", "bs_oob", "irs"):
+            object.__setattr__(self, name, _point(name, getattr(self, name)))
+        if not (isinstance(self.ue_region, (tuple, list)) and len(self.ue_region) == 2):
+            raise ValueError(f"ue_region: expected two corners [x, y], got {self.ue_region!r}")
+        object.__setattr__(self, "ue_region", tuple(_point("ue_region", c) for c in self.ue_region))
         (x0, y0), (x1, y1) = self.ue_region
         if not (x1 >= x0 and y1 >= y0):
             raise ValueError(f"ue_region corners must be ordered, got {self.ue_region}")

@@ -44,12 +44,12 @@ circular: dropping h_d's phase keeps the joint law of |h_d + R|^2 and
 with v its variance (slots, Q), and `run_trial` then draws that law once, as
 the trial generator's last draw, with `_oob_gains`. Given v, h_d + R is
 CN(0, beta_d + v), so the gain with the reflector is exactly
-(beta_d + v) Exp(1): one exponential per (slot, UE), for every output. Only
-an output that compares that gain with the direct-only one on the same
-channel (the experiment layer's choice, passed as `paired`) then draws the
-direct-only gain given it; drawn last, that moves no bit of the gain with
-the reflector, of an angle or of the in-band side. `run_trial` builds the trial's one
-TrialData. Each regime's v:
+(beta_d + v) Exp(1): one exponential per (slot, UE). Then, given OOB UE 0's
+gain, `_oob_gains` draws UE 0's direct-only gain on the same channel, the
+one UE whose offset the experiment layer compares; drawn last, that moves no
+bit of the gain with the reflector, of an angle or of the in-band side.
+Every trial makes both draws, whatever outputs its spec asks for.
+`run_trial` builds the trial's one TrialData. Each regime's v:
 - sub6: beta_r,q G, with G = ||f||^2 / beta_f ~ Gamma(N, 1) drawn per slot
   and shared by the UEs, which is what correlates them; it replaces the N
   per-element channels of each UE.
@@ -57,7 +57,7 @@ TrialData. Each regime's v:
   UE q's L cascaded paths just the m[k, q] on in-band UE k's angle reach an
   output, and v = (N^2 / L) beta_f X m beta_g,q with one feeder power
   X = |gamma_1|^2 / beta_f ~ Exp(1) per slot, shared by the UEs. An
-  unmatched UE keeps its direct gain bit for bit.
+  unmatched UE has v = 0, and there UE 0's two gains are the same bits.
 - nlos: a phase-matched configuration responds on every grid angle, but the
   UE-side path gains are i.i.d., so given the shared feeder gains gamma_1
   and the responses, v = (N^2 / L) beta_g,q P_q, where P_q sums over the
@@ -102,14 +102,13 @@ class TrialData:
     Every rate, outage and distribution statistic is a function of these
     gains, so the trials take no SNR. The experiment layer stacks a sweep
     point's trials into one TrialData whose arrays carry a leading trials
-    axis: (trials, slots) and (trials, slots, Q). gain_irs is the same bits
-    whether a trial is paired or not; gain_noirs, drawn given it, exists
-    only for a paired trial (`run_trial`), and is None otherwise.
+    axis: (trials, slots) and (trials, slots, Q). gain_noirs is OOB UE 0's
+    direct-only gain, drawn given its gain_irs (`_oob_gains`).
     """
 
     inband_gain: np.ndarray         # (slots,) gain of the round-robin-served in-band UE
     gain_irs: np.ndarray            # (slots, Q) OOB channel gain, reflector present
-    gain_noirs: np.ndarray | None   # (slots, Q) OOB channel gain, direct path only; paired only
+    gain_noirs: np.ndarray          # (slots,) OOB UE 0's channel gain, direct path only
     aligned: tuple[np.ndarray, np.ndarray] | None = None   # (E, S) per slot, sub6 only
 
 
@@ -138,26 +137,24 @@ def _aligned_gain(exp_direct, shape, beta_d, beta_r):
     return (np.sqrt(beta_d * exp_direct) + np.sqrt(beta_r) * shape) ** 2
 
 
-def _oob_gains(rng: np.random.Generator, beta_d, variance: np.ndarray,
-               paired: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """Draw the OOB gains given the reflected variance: (gain_irs, gain_noirs or None).
+def _oob_gains(rng: np.random.Generator, beta_d,
+               variance: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Draw the OOB gains given the reflected variance: (gain_irs, UE 0's gain_noirs).
 
-    gain_irs = (beta_d + variance) Exp(1) over variance's (slots, Q) shape,
-    paired or not. Unpaired, gain_noirs is None. Paired, it is |h_d|^2 drawn
-    given gain_irs = |y|^2, y = h_d + R: h_d is CN(a y, a variance) with
-    a = beta_d / (beta_d + variance), and y's phase drops out, so
-    gain_noirs = |a sqrt(gain_irs) + w|^2, w ~ CN(0, a variance), two
-    normals per cell whatever the variance. Where the variance is 0, h_d is
+    gain_irs = (beta_d + variance) Exp(1) over variance's (slots, Q) shape.
+    Then UE 0's |h_d|^2, drawn given its gain_irs = |y|^2, y = h_d + R: h_d
+    is CN(a y, a v) with v its variance and a = beta_d,0 / (beta_d,0 + v),
+    and y's phase drops out, so gain_noirs = |a sqrt(gain_irs) + w|^2,
+    w ~ CN(0, a v), two normals per slot whatever v is. Where v is 0, h_d is
     all of y, and gain_noirs is gain_irs selected bit for bit, not its
     rounded |sqrt|^2.
     """
     gain_irs = (beta_d + variance) * rng.standard_exponential(variance.shape)
-    if not paired:
-        return gain_irs, None
-    share = beta_d / (beta_d + variance)
-    h_d = complex_normal(rng, share * variance, variance.shape)
-    h_d.real += share * np.sqrt(gain_irs)
-    return gain_irs, np.where(variance > 0, h_d.real ** 2 + h_d.imag ** 2, gain_irs)
+    gain_0, variance_0 = gain_irs[:, 0], variance[:, 0]
+    share = beta_d[0] / (beta_d[0] + variance_0)
+    h_d = complex_normal(rng, share * variance_0, len(variance_0))
+    h_d.real += share * np.sqrt(gain_0)
+    return gain_irs, np.where(variance_0 > 0, h_d.real ** 2 + h_d.imag ** 2, gain_0)
 
 
 def sub6_trial(rng: np.random.Generator, n_elements: int, budget_x: LinkBudget,
@@ -375,14 +372,13 @@ def budgets_for(spec: ExperimentSpec, rng: np.random.Generator):
 
 
 def run_trial(spec: ExperimentSpec, rng: np.random.Generator, n_elements: int,
-              budget_x: LinkBudget, budget_y: LinkBudget, *, paired: bool) -> TrialData:
+              budget_x: LinkBudget, budget_y: LinkBudget) -> TrialData:
     """One trial in the spec's regime, then its OOB gains, the trial generator's last draw.
 
-    The gain with the reflector is the same bits whether `paired` or not;
-    `paired` adds the direct-only gain on the same channels (`_oob_gains`),
-    and unpaired, gain_noirs is None. Aborts on a non-finite in-band gain or
-    reflected variance, before any OOB arithmetic, so no run writes inf or
-    NaN.
+    The OOB gains are every UE's gain with the reflector and UE 0's
+    direct-only gain on the same channel (`_oob_gains`). Aborts on a
+    non-finite in-band gain or reflected variance, before any OOB
+    arithmetic, so no run writes inf or NaN.
     """
     if spec.regime == "sub6":
         trial = sub6_trial(rng, n_elements, budget_x, budget_y, spec.slots)
@@ -397,4 +393,4 @@ def run_trial(spec: ExperimentSpec, rng: np.random.Generator, n_elements: int,
     inband_gain, variance, aligned = trial
     if not (np.all(np.isfinite(inband_gain)) and np.all(np.isfinite(variance))):
         raise ArithmeticError("non-finite channel gain in simulation")
-    return TrialData(inband_gain, *_oob_gains(rng, budget_y.beta_d, variance, paired), aligned)
+    return TrialData(inband_gain, *_oob_gains(rng, budget_y.beta_d, variance), aligned)

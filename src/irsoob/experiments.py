@@ -21,7 +21,9 @@ first OOB UE; sum-SE statistics average over all of them.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 import itertools
 import math
 import os
@@ -81,14 +83,15 @@ def emit_csv(rows, figure: str) -> str:
     """The CSV text of rows sorted by coordinates, 9 significant digits, each labelled `figure`.
 
     The ordering and formatting are locale-independent, so two runs with the
-    same spec and seed produce identical bytes.
+    same spec and seed produce identical bytes. The csv module writes the
+    lines, so a label holding a comma or a quote is quoted, not split.
     """
-    ordered = sorted(rows, key=_sort_key)
-    lines = [",".join(CSV_COLUMNS)]
-    for row in ordered:
-        lines.append(",".join([figure] + [_format_cell(getattr(row, col))
-                                          for col in CSV_COLUMNS[1:]]))
-    return "\n".join(lines) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows([figure, *(_format_cell(getattr(row, col)) for col in CSV_COLUMNS[1:])]
+                     for row in sorted(rows, key=_sort_key))
+    return buf.getvalue()
 
 
 @dataclass(frozen=True)
@@ -162,18 +165,11 @@ def _worker_count(trials: int) -> int:
 def _stack(futures) -> TrialData:
     """One sweep point's trial results stacked, in submission order, on a leading trials axis."""
     datas = [f.result() for f in futures]
-    noirs = [d.gain_noirs for d in datas]
     return TrialData(
         inband_gain=np.stack([d.inband_gain for d in datas]),
         gain_irs=np.stack([d.gain_irs for d in datas]),
-        gain_noirs=None if noirs[0] is None else np.stack(noirs),
+        gain_noirs=np.stack([d.gain_noirs for d in datas]),
         aligned=datas[0].aligned and tuple(map(np.stack, zip(*(d.aligned for d in datas)))))
-
-
-def _pairs_oob_gains(spec: ExperimentSpec) -> bool:
-    """Whether `spec`'s trials also draw the direct-only OOB gain, given the
-    gain with the reflector on one channel: only ccdf and dominance compare the two."""
-    return not {"ccdf", "dominance"}.isdisjoint(spec.outputs)
 
 
 def sweep_gains(pool: ThreadPoolExecutor, points):
@@ -181,10 +177,9 @@ def sweep_gains(pool: ThreadPoolExecutor, points):
 
     A point is (spec, n_elements, trial_rngs, budget_x, budget_y):
     one trial per generator, stacked in generator order on a leading trials
-    axis. Gains are SNR-free, so one point's gains serve every gamma. A
-    point's trials draw the direct-only gain, after the gain with the
-    reflector and without moving it, only when its spec's outputs compare the
-    two (`_pairs_oob_gains`); otherwise its gain_noirs is None.
+    axis. Gains are SNR-free, so one point's gains serve every gamma. Every
+    trial draws the same gains whatever outputs its spec asks for, OOB UE 0's
+    direct-only gain included (`run_trial`).
 
     The trials run on `pool` (numpy's draws, ufuncs and FFTs release the
     GIL). Before point i's gains are yielded, point i+1's trials are
@@ -199,9 +194,7 @@ def sweep_gains(pool: ThreadPoolExecutor, points):
     pending = []    # each submitted point's futures, oldest first
     try:
         for spec, n_elements, trial_rngs, budget_x, budget_y in points:
-            paired = _pairs_oob_gains(spec)
-            pending.append([pool.submit(run_trial, spec, rng, n_elements, budget_x, budget_y,
-                                        paired=paired)
+            pending.append([pool.submit(run_trial, spec, rng, n_elements, budget_x, budget_y)
                             for rng in trial_rngs])
             if len(pending) == 2:
                 yield _stack(pending[0])
@@ -504,7 +497,7 @@ def _ccdf_rows(spec, coords, data, params_y):
         grid = np.array([_invert_offset_ccdf(p, params_y) for p in p_grid])
         samples = None
         if data is not None:
-            samples = data.gain_irs[:, :, 0] - data.gain_noirs[:, :, 0]
+            samples = data.gain_irs[:, :, 0] - data.gain_noirs
         return _pooled_rows("offset_ccdf", grid, samples,
                             analytics.ccdf_offset_sub6_finite_n(grid, params_y), empirical_ccdf,
                             **coords)
@@ -524,7 +517,7 @@ def _dominance_row(data, params_y, **coords):
         return ResultRow("dominance_min_diff", **coords)
     beta_d0 = float(params_y.beta_d[0])
     grid = np.geomspace(1e-2 * beta_d0, 10.0 * analytics._mu1(params_y), _GRID_POINTS)
-    min_diff, eps_stat = dominance_test(data.gain_irs[:, :, 0], data.gain_noirs[:, :, 0], grid)
+    min_diff, eps_stat = dominance_test(data.gain_irs[:, :, 0], data.gain_noirs, grid)
     return ResultRow("dominance_min_diff", empirical=min_diff, stderr=eps_stat, **coords)
 
 

@@ -238,20 +238,20 @@ def correlation_response(rng: np.random.Generator, n_elements: int, source_angle
 def oob_gain_samples(seed: int, spec: ExperimentSpec, n_elements: int, count: int):
     """Pooled OOB gains (with and without reflector) for the first OOB UE.
 
-    Draws whole paired trials of the two-operator protocol, in generator
-    order on a trial pool, until `count` samples exist, at sample sizes the
-    figure presets do not need. Returns (with, without, params); with -
-    without is the UE's gain offset.
+    Draws whole trials of the two-operator protocol, in generator order on a
+    trial pool, until `count` samples exist, at sample sizes the figure
+    presets do not need. Returns (with, without, params); with - without is
+    the UE's gain offset.
     """
     trials = math.ceil(count / spec.slots)
     rngs = spawn_rngs(seed, 1 + trials)
     _, budget_x, budget_y = budgets_for(spec, rngs[0])
 
     def trial(rng):
-        return run_trial(spec, rng, n_elements, budget_x, budget_y, paired=True)
+        return run_trial(spec, rng, n_elements, budget_x, budget_y)
 
     with ThreadPoolExecutor(max_workers=_worker_count(trials)) as pool:
         datas = list(pool.map(trial, rngs[1:]))
     params = operator_params(spec, budget_y, n_elements)
-    return tuple(np.concatenate([getattr(d, field)[:, 0] for d in datas])[:count]
-                 for field in ("gain_irs", "gain_noirs")) + (params,)
+    return (np.concatenate([d.gain_irs[:, 0] for d in datas])[:count],
+            np.concatenate([d.gain_noirs for d in datas])[:count], params)

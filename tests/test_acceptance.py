@@ -57,7 +57,7 @@ def test_c01_closed_form_bounds_simulated_sumse():
         emp = np.zeros(2)
         for rng in spawn_rngs(1001 + n, 20):
             _, bx, by = budgets_for(spec, rng)
-            data = run_trial(spec, rng, n, bx, by, paired=False)
+            data = run_trial(spec, rng, n, bx, by)
             emp += [spectral_efficiency(data.inband_gain, G130).mean() / 20,
                     _rr_mean(data.gain_irs, G130) / 20]
             ana += [an.sumse_inband_sub6(operator_params(spec, bx, n), G130) / 20,
@@ -81,7 +81,7 @@ def test_c02_sumse_slopes_vs_element_count():
         vi, vo = [], []
         for rng in spawn_rngs(2000 + n, 6):
             _, bx, by = budgets_for(spec, rng)
-            data = run_trial(spec, rng, int(n), bx, by, paired=False)
+            data = run_trial(spec, rng, int(n), bx, by)
             vi.append(spectral_efficiency(data.inband_gain, G150).mean())
             vo.append(_rr_mean(data.gain_irs, G150))
         emp_in.append(np.mean(vi))
@@ -275,7 +275,7 @@ def test_c09_multipath_sumse_peaks_near_l_squared():
         _, bx, by = budgets_for(spec, spawn_rngs(909 + l, 1)[0])
         emp = []
         for n in ns:
-            vals = [_rr_mean(run_trial(spec, rng, n, bx, by, paired=False).gain_irs, snr)
+            vals = [_rr_mean(run_trial(spec, rng, n, bx, by).gain_irs, snr)
                     for rng in spawn_rngs(909 + 31 * l + n, 2)]
             emp.append(float(np.mean(vals)))
         peak = ns[int(np.argmax(emp))]
@@ -300,7 +300,7 @@ def test_c10_max_rate_asymptote_and_slope():
         vals = []
         for rng in spawn_rngs(1010 + n, 2):
             _, bx, by = budgets_for(spec, rng)
-            gains = run_trial(spec, rng, n, bx, by, paired=False).gain_irs
+            gains = run_trial(spec, rng, n, bx, by).gain_irs
             rates = spectral_efficiency(gains, G150)
             vals.append(rates.max(axis=1).mean())
         emp[n] = float(np.mean(vals))

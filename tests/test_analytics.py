@@ -360,7 +360,7 @@ def test_sparse_oob_mixture_bounds_trial_mean():
     rngs = spawn_rngs(77, 2)
     _, budget_x, budget_y = budgets_for(spec, rngs[0])
     snr = float(db_to_linear(170.0))
-    data = run_trial(spec, rngs[1], 64, budget_x, budget_y, paired=False)
+    data = run_trial(spec, rngs[1], 64, budget_x, budget_y)
     mc = float(np.mean(spectral_efficiency(data.gain_irs, snr)))
     ana = an.sumse_oob_mmwave_los(operator_params(spec, budget_y, 64), snr)
     assert abs(ana - mc) < 0.3   # measured gap 1.4e-4

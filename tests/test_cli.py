@@ -1,5 +1,6 @@
 """CLI surface: argument parsing, exit codes, and files written."""
 
+import csv
 import json
 import math
 import os
@@ -39,6 +40,18 @@ def test_run_writes_csv_and_manifest(tmp_path, capsys):
     assert list(manifest) == ["tiny"]
     assert manifest["tiny"]["seed"] == 5
     assert "tiny: " in capsys.readouterr().out
+
+
+def test_a_figure_label_with_a_comma_stays_one_cell(tmp_path):
+    """A config named a,b.json labels its rows a,b: the CSV writer quotes
+    the label, so every data row reads back with the header's columns."""
+    spec = tmp_path / "a,b.json"
+    spec.write_text(json.dumps({"n_sweep": [4], "slots": 100, "trials": 2}), encoding="utf-8")
+    out = tmp_path / "results"
+    assert main(["run", str(spec), "--out", str(out), "--analytic-only"]) == 0
+    with open(out / "a,b.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows and all(row["figure"] == "a,b" and None not in row for row in rows)
 
 
 def test_a_pf_tau_one_run_raises_no_warning(tmp_path):

@@ -196,6 +196,16 @@ def test_a_ue_region_without_corner_pairs_is_a_value_error():
         spec_from_dict({"geometry": {"ue_region": [1, 2]}})
 
 
+@pytest.mark.parametrize("geometry,field", [
+    ({"bs_inband": 5}, "bs_inband"), ({"irs": [1025]}, "irs"),
+    ({"bs_oob": [[1, 2], [3, 4]]}, "bs_oob"), ({"ue_region": [950, 950]}, "ue_region")])
+def test_a_geometry_point_that_is_not_two_numbers_is_named(geometry, field):
+    """A node, or a ue_region corner, that is not a pair of numbers is refused
+    with a message naming its field, not whatever unpacking it hit first."""
+    with pytest.raises(ValueError, match=rf"geometry: {field}: expected \[x, y\], got "):
+        spec_from_dict({"geometry": geometry})
+
+
 def test_finite_float_fields_are_kept_as_given():
     spec = spec_from_dict({"pf_tau": 500, "geometry": {"irs": [1000, 1000.5]},
                            "path_loss": {"d0": 2}})

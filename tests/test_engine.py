@@ -14,16 +14,16 @@ OOB gains from that variance with one call, engine._oob_gains, so the
 replays that read OOB gains run the trial through run_trial. Rates are the
 test-side log2(1 + snr g) of oracles.py. The gain with the reflector is one
 exponential per (slot, UE), replayed bit for bit on each regime's own
-variance, held in law to Exp(1) and equal bit for bit between paired and
-unpaired trials. One replay helper (_replay_oob) pins the paired draw's
-order in all three trials, and a unit test holds the direct-only gain drawn
-given that gain, with the offset between them, in distribution to
-|h_d + R|^2 of complex normals. The replays that read the direct-only gain
-ask run_trial for the paired draw; the others do not. Each
+variance and held in law to Exp(1); OOB UE 0's direct-only gain follows it,
+two normals per slot, in every trial. One replay helper (_replay_oob) pins
+that order in all three trials, and a unit test holds UE 0's direct-only
+gain drawn given its gain with the reflector, with the offset between them,
+in distribution to |h_d + R|^2 of complex normals. Each
 regime's reduced law is compared in distribution with the dense per-element
-or per-path construction it replaces (for sub6, the oracle's sample_sub6). The paired draw
+or per-path construction it replaces (for sub6, the oracle's sample_sub6). The OOB draw
 keeps no phase of h_d + R, so the replays hand the scalar rules the complex
-h_d it draws and R = sqrt(g) - h_d; the mmWave in-band trials draw their
+h_d it draws for UE 0, h_d of the same law from a test-side draw for every
+other UE, and R = sqrt(g) - h_d; the mmWave in-band trials draw their
 direct links as magnitudes, so their replays hand the scalar rules a real
 h_d there; a separate check shows that the direct phase moves no scalar gain.
 The batched PF scheduler is held to a per-row loop, bit for bit.
@@ -71,12 +71,12 @@ def _single_ue_spec(**kwargs):
     return ExperimentSpec(**base)
 
 
-def _scheduled_trial(spec, rng, paired=False):
+def _scheduled_trial(spec, rng):
     """One protocol trial at the spec's first sweep point, with its OOB rates
     at the spec's first SNR and its OOB schedule."""
     snr = float(db_to_linear(spec.gamma_db_sweep[0]))
     _, bx, by = budgets_for(spec, rng)
-    data = run_trial(spec, rng, spec.n_sweep[0], bx, by, paired=paired)
+    data = run_trial(spec, rng, spec.n_sweep[0], bx, by)
     rates = spectral_efficiency(data.gain_irs, snr)
     return data, rates, schedule_rates(rates, spec.scheduler, spec.pf_tau)
 
@@ -125,11 +125,12 @@ def test_rr_oob_mean_se_tracks_closed_form():
 def test_trial_records_gains_only():
     """A trace holds the per-slot gains and nothing that depends on the SNR."""
     spec = ExperimentSpec(n_sweep=(16,), gamma_db_sweep=(130.0,), slots=500, seed=24)
-    data, _, served = _scheduled_trial(spec, np.random.default_rng(24), paired=True)
+    data, _, served = _scheduled_trial(spec, np.random.default_rng(24))
     assert [f.name for f in dataclasses.fields(TrialData)] == [
         "inband_gain", "gain_irs", "gain_noirs", "aligned"]
     assert data.inband_gain.shape == (500,)
-    assert data.gain_irs.shape == data.gain_noirs.shape == (500, spec.q_ues)
+    assert data.gain_irs.shape == (500, spec.q_ues)
+    assert data.gain_noirs.shape == (500,)
     assert [draws.shape for draws in data.aligned] == [(500,), (500,)]
     assert np.all((served >= 0) & (served < spec.q_ues))
 
@@ -206,13 +207,13 @@ def test_oob_gain_law_matches_direct_channel_without_reflector():
     spec = _single_ue_spec(slots=10000, seed=22)
     rngs = spawn_rngs(22, 2)
     _, bx, by = budgets_for(spec, rngs[0])
-    data = run_trial(spec, rngs[1], 0, bx, by, paired=True)
+    data = run_trial(spec, rngs[1], 0, bx, by)
 
     redraw = np.abs(complex_normal(np.random.default_rng(122), by.beta_d[0], (10000,))) ** 2
     assert ks_2samp(data.gain_irs[:, 0], redraw).pvalue > 0.01
     # the reduced law's Gamma(0, 1) power is exactly 0, so the reflected sum
     # adds nothing, not even rounding
-    np.testing.assert_array_equal(data.gain_irs, data.gain_noirs)
+    np.testing.assert_array_equal(data.gain_irs[:, 0], data.gain_noirs)
 
 
 def test_oob_gain_invariant_to_global_phase_rotation():
@@ -248,7 +249,7 @@ def test_nonfinite_gain_aborts_run(monkeypatch):
     _, bx, by = budgets_for(spec, np.random.default_rng(1))
     monkeypatch.setattr(engine, "sub6_trial", broken)
     with pytest.raises(ArithmeticError):
-        run_trial(spec, np.random.default_rng(1), 4, bx, by, paired=True)
+        run_trial(spec, np.random.default_rng(1), 4, bx, by)
 
 
 # ---------------------------------------------------------------------------
@@ -325,59 +326,63 @@ def _dense_oob_gains(rng, n, budget, slots):
 
 
 def _replay_oob(replay, beta_d, variance):
-    """engine._oob_gains replayed, paired: g = (beta_d + v) Exp(1) over the
-    variance's (slots, Q) shape, then w ~ CN(0, a v), a = beta_d / (beta_d + v),
-    on every cell. Returns g, the direct gains |h_d|^2 (g where v = 0), and
-    the complex h_d = a sqrt(g) + w and R = sqrt(g) - h_d (slots, Q), whose
-    sum sqrt(g) is h_d + R with its phase dropped."""
+    """engine._oob_gains replayed: g = (beta_d + v) Exp(1) over the variance's
+    (slots, Q) shape, then UE 0's w ~ CN(0, a v), a = beta_d / (beta_d + v).
+    Returns g, UE 0's direct gain |h_d|^2 (g where v = 0), and per UE the
+    complex h_d = a sqrt(g) + w and R = sqrt(g) - h_d (slots, Q), whose sum
+    sqrt(g) is h_d + R with its phase dropped. The trial draws no w for UE
+    q >= 1, so theirs come from a separate generator, of the same law."""
     gain_irs = (beta_d + variance) * replay.standard_exponential(variance.shape)
     share = beta_d / (beta_d + variance)
-    h_d = share * np.sqrt(gain_irs) + complex_normal(replay, share * variance, variance.shape)
-    direct = np.where(variance > 0, h_d.real ** 2 + h_d.imag ** 2, gain_irs)
+    w = complex_normal(np.random.default_rng(77), share * variance, variance.shape)
+    w[:, 0] = complex_normal(replay, share[:, 0] * variance[:, 0], len(variance))
+    h_d = share * np.sqrt(gain_irs) + w
+    direct = np.where(variance[:, 0] > 0, h_d.real[:, 0] ** 2 + h_d.imag[:, 0] ** 2,
+                      gain_irs[:, 0])
     return gain_irs, direct, h_d, np.sqrt(gain_irs) - h_d
 
 
 def test_oob_gains_draw_the_direct_gain_given_the_gain_with_the_reflector():
-    """engine._oob_gains on a (rows, 3) variance: UE 0 has none, UE 1 a fixed
-    one and UE 2 one that varies by row and is 0 on every third row. The
-    generator ends where rows * 3 exponentials and 2 * rows * 3 normals leave
-    a replay, whatever zeros the variance holds, and the gain with the
-    reflector is the unpaired draw's bit for bit. Where the variance is 0
-    the direct gain is that gain bit for bit, and it is never negative. Per
-    UE: two-sample KS of the gain, the offset and the direct gain against
-    |h_d + R|^2, |h_d + R|^2 - |h_d|^2 and |h_d|^2 built from two
-    complex_normal draws, the mean gain within 4 stderr of beta_d + v and the
-    mean direct gain within 4 stderr of beta_d. At this size a 5% error in
-    a = beta_d / (beta_d + v) moves UE 1's mean direct gain about 9 stderr."""
+    """engine._oob_gains on a (rows, 2) variance whose UE 0 has none, a fixed
+    one, or one that varies by row and is 0 on every third row; UE 1 holds a
+    fixed one throughout. In each case the generator ends where rows * 2
+    exponentials and 2 * rows normals leave a replay, whatever zeros the
+    variance holds, and the gain with the reflector is (beta_d + v) times
+    those exponentials bit for bit. Where UE 0's variance is 0 its direct
+    gain is its gain with the reflector bit for bit, and it is never
+    negative. For UE 0: two-sample KS of the gain, the offset and the direct
+    gain against |h_d + R|^2, |h_d + R|^2 - |h_d|^2 and |h_d|^2 built from
+    two complex_normal draws, the mean gain within 4 stderr of beta_d + v
+    and the mean direct gain within 4 stderr of beta_d. At this size a 5%
+    error in a = beta_d / (beta_d + v) moves the fixed case's mean direct
+    gain about 10 stderr."""
     rows = 20_000
-    beta_d = np.array([0.5, 2.0, 1.0])
-    variance = np.zeros((rows, 3))
-    variance[:, 1] = 3.0
-    variance[:, 2] = 0.4 * np.random.default_rng(97).standard_gamma(4.0, rows)
-    variance[::3, 2] = 0.0
-    rng = np.random.default_rng(98)
-    gain_irs, gain_noirs = _oob_gains(rng, beta_d, variance, paired=True)
+    varying = 0.4 * np.random.default_rng(97).standard_gamma(4.0, rows)
+    varying[::3] = 0.0
+    for beta_d_0, v in ((0.5, np.zeros(rows)), (2.0, np.full(rows, 3.0)), (1.0, varying)):
+        beta_d = np.array([beta_d_0, 1.5])
+        variance = np.column_stack([v, np.full(rows, 2.0)])
+        rng = np.random.default_rng(98)
+        gain_irs, gain_noirs = _oob_gains(rng, beta_d, variance)
 
-    unpaired, _ = _oob_gains(np.random.default_rng(98), beta_d, variance, paired=False)
-    np.testing.assert_array_equal(gain_irs, unpaired)
-    replay = np.random.default_rng(98)
-    replay.standard_exponential(variance.shape)
-    replay.standard_normal(2 * variance.size)
-    assert rng.bit_generator.state == replay.bit_generator.state
-    dark = variance == 0
-    np.testing.assert_array_equal(gain_noirs[dark], gain_irs[dark])
-    assert np.all(gain_noirs >= 0.0)
+        replay = np.random.default_rng(98)
+        np.testing.assert_array_equal(
+            gain_irs, (beta_d + variance) * replay.standard_exponential(variance.shape))
+        replay.standard_normal(2 * rows)
+        assert rng.bit_generator.state == replay.bit_generator.state
+        assert gain_noirs.shape == (rows,)
+        dark = v == 0
+        np.testing.assert_array_equal(gain_noirs[dark], gain_irs[dark, 0])
+        assert np.all(gain_noirs >= 0.0)
 
-    oracle = np.random.default_rng(99)
-    for q in range(3):
-        v = variance[:, q]
-        h_d = complex_normal(oracle, beta_d[q], rows)
+        oracle = np.random.default_rng(99)
+        h_d = complex_normal(oracle, beta_d_0, rows)
         gain = np.abs(h_d + complex_normal(oracle, v, rows)) ** 2
         direct = np.abs(h_d) ** 2
-        for got, want in ((gain_irs[:, q], gain), (gain_noirs[:, q], direct),
-                          (gain_irs[:, q] - gain_noirs[:, q], gain - direct)):
+        for got, want in ((gain_irs[:, 0], gain), (gain_noirs, direct),
+                          (gain_irs[:, 0] - gain_noirs, gain - direct)):
             assert ks_2samp(got, want).pvalue > 1e-4
-        for got, mean in ((gain_irs[:, q], beta_d[q] + v.mean()), (gain_noirs[:, q], beta_d[q])):
+        for got, mean in ((gain_irs[:, 0], beta_d_0 + v.mean()), (gain_noirs, beta_d_0)):
             assert abs(got.mean() - mean) < 4.0 * got.std(ddof=1) / math.sqrt(rows)
 
 
@@ -393,58 +398,34 @@ def _trial_variance(spec, rng, n, bx, by):
     return variance
 
 
-_UNPAIRED_CASES = [("sub6", 0, {}), ("sub6", 4, {}), ("sub6", 64, {}),
-                   ("mmwave_los", 8, {"l1": 1, "l2": 3}),
-                   ("mmwave_nlos", 16, {"l1": 1, "l2": 4}),
-                   ("mmwave_nlos", 16, {"l1": 2, "l2": 2})]
-
-
-@pytest.mark.parametrize("regime,n,extra", _UNPAIRED_CASES)
-def test_unpaired_oob_gain_is_one_exponential_per_cell(regime, n, extra):
-    """Unpaired, run_trial draws after the regime's trial one exponential E
-    per (slot, UE) and nothing more, and its gain is (beta_d + v) E bit for
-    bit, on the trial's own variance v. The paired trial's in-band gain,
-    aligned draws and gain with the reflector are the same bits: it only
-    draws 2 normals per (slot, UE) after them, whatever zeros v holds."""
-    spec, bx, by, rng, replay = _diff_setup(regime, n, **extra)
-    data = run_trial(spec, rng, n, bx, by, paired=False)
-    assert data.gain_noirs is None
-    variance = _trial_variance(spec, replay, n, bx, by)
-    np.testing.assert_array_equal(
-        data.gain_irs, (by.beta_d + variance) * replay.standard_exponential(variance.shape))
-    assert rng.bit_generator.state == replay.bit_generator.state
-
-    paired_rng = spawn_rngs(70 + n, 2)[1]
-    paired = run_trial(spec, paired_rng, n, bx, by, paired=True)
-    np.testing.assert_array_equal(data.inband_gain, paired.inband_gain)
-    for got, want in zip(data.aligned or (), paired.aligned or ()):
-        np.testing.assert_array_equal(got, want)
-    np.testing.assert_array_equal(data.gain_irs, paired.gain_irs)
-    replay.standard_normal(2 * variance.size)
-    assert paired_rng.bit_generator.state == replay.bit_generator.state
-
-
-@pytest.mark.parametrize("regime,n,extra", _UNPAIRED_CASES)
-def test_unpaired_oob_gain_law_is_the_paired_one(regime, n, extra):
-    """Given the reflected variance v, h_d + R is CN(0, beta_d + v), so the
-    gain with the reflector over beta_d + v is Exp(1), and a paired trial
-    draws that same gain before the direct-only one. On each regime's own
-    trial variance (sub6 with and without a reflector, LOS with unmatched
-    cells, nlos with one and two feeder paths): the unpaired and the paired
-    trial's gain_irs are equal bit for bit, and pooled over slots and UEs,
-    one-sample KS of the gain / (beta_d + v) against Exp(1). At 80,000 cells
-    a 5% error in beta_d + v moves that statistic about 5 sigma."""
+@pytest.mark.parametrize("regime,n,extra", [("sub6", 0, {}), ("sub6", 4, {}), ("sub6", 64, {}),
+                                            ("mmwave_los", 8, {"l1": 1, "l2": 3}),
+                                            ("mmwave_nlos", 16, {"l1": 1, "l2": 4}),
+                                            ("mmwave_nlos", 16, {"l1": 2, "l2": 2})])
+def test_oob_gains_are_one_exponential_per_cell_then_ue0_direct_draw(regime, n, extra):
+    """After the regime's trial, run_trial draws one exponential E per
+    (slot, UE), then 2 normals per slot for OOB UE 0's direct-only gain, and
+    nothing more, whatever zeros the trial's variance v holds; the gain with
+    the reflector is (beta_d + v) E bit for bit. Given v, h_d + R is
+    CN(0, beta_d + v), so the gain over beta_d + v is Exp(1): one-sample KS,
+    pooled over slots and UEs, on each regime's own trial variance (sub6
+    with and without a reflector, LOS with unmatched cells, nlos with one
+    and two feeder paths). At 80,000 cells a 5% error in beta_d + v moves
+    that statistic about 5 sigma."""
     spec = ExperimentSpec(regime=regime, n_sweep=(n,), k_ues=3, q_ues=4, slots=20_000,
                           **extra)
     seed = 90 + n + extra.get("l1", 0)
     _, bx, by = budgets_for(spec, spawn_rngs(seed, 2)[0])
-    variance = _trial_variance(spec, spawn_rngs(seed, 2)[1], n, bx, by)
+    rng, replay = spawn_rngs(seed, 2)[1], spawn_rngs(seed, 2)[1]
+    data = run_trial(spec, rng, n, bx, by)
+    variance = _trial_variance(spec, replay, n, bx, by)
     if regime == "mmwave_los":
         assert np.any(variance == 0) and np.any(variance > 0)
-    unpaired, paired = (run_trial(spec, spawn_rngs(seed, 2)[1], n, bx, by, paired=pair).gain_irs
-                        for pair in (False, True))
-    np.testing.assert_array_equal(unpaired, paired)
-    assert kstest((unpaired / (by.beta_d + variance)).ravel(), "expon").pvalue > 1e-4
+    np.testing.assert_array_equal(
+        data.gain_irs, (by.beta_d + variance) * replay.standard_exponential(variance.shape))
+    replay.standard_normal(2 * spec.slots)
+    assert rng.bit_generator.state == replay.bit_generator.state
+    assert kstest((data.gain_irs / (by.beta_d + variance)).ravel(), "expon").pvalue > 1e-4
 
 
 def _ceiling(data, budget_y):
@@ -465,7 +446,7 @@ def test_sub6_trial_matches_scalar_reference(n):
     replayed bit for bit, and each slot's ceiling is the scalar matched
     effective channel of complex channels carrying the replayed magnitudes."""
     spec, bx, by, rng, replay = _diff_setup("sub6", n)
-    data = run_trial(spec, rng, n, bx, by, paired=True)
+    data = run_trial(spec, rng, n, bx, by)
 
     draws, (gain, h_dx, f_x, g_x) = _replay_inband_sub6(replay, bx, n, spec.slots)
     np.testing.assert_array_equal(data.inband_gain, gain)
@@ -492,8 +473,8 @@ def test_sub6_ceiling_reuses_the_aligned_draws(monkeypatch):
     """A sub6 trial returns its own (E, S), bit for bit the (E, S) that
     _aligned_draws replays over two chunks, and the matched ceiling is the
     aligned-gain law of them with each UE's OOB betas. The generator then
-    ends where the Gamma powers and the OOB exponentials leave that replay,
-    so no second aligned draw is made. Each UE's mean ceiling lies within 4 stderr
+    ends where the Gamma powers, the OOB exponentials and UE 0's direct-gain
+    normals leave that replay, so no second aligned draw is made. Each UE's mean ceiling lies within 4 stderr
     of the SNR term that sumse_inband_sub6 averages, taken with the OOB betas
     at snr = 1; at this size a 5% beta_r error moves that term by at
     least 10 stderr."""
@@ -504,7 +485,7 @@ def test_sub6_ceiling_reuses_the_aligned_draws(monkeypatch):
     spec = ExperimentSpec(k_ues=3, q_ues=4, slots=slots)
     _, bx, by = budgets_for(spec, np.random.default_rng(63))
     rng, replay = spawn_rngs(64, 1)[0], spawn_rngs(64, 1)[0]
-    data = run_trial(spec, rng, n, bx, by, paired=False)
+    data = run_trial(spec, rng, n, bx, by)
 
     e, shape = _aligned_draws(replay, slots, n)
     np.testing.assert_array_equal(data.aligned[0], e)
@@ -514,6 +495,7 @@ def test_sub6_ceiling_reuses_the_aligned_draws(monkeypatch):
         bf_gain, (np.sqrt(by.beta_d * e[:, None]) + np.sqrt(by.beta_r) * shape[:, None]) ** 2)
     replay.standard_gamma(n, size=slots)
     replay.standard_exponential((slots, by.n_ues))
+    replay.standard_normal(2 * slots)
     assert rng.bit_generator.state == replay.bit_generator.state
 
     monkeypatch.setattr(analytics, "_mean_se", lambda snr_terms: snr_terms)
@@ -543,7 +525,7 @@ def test_nlos_trial_is_independent_of_the_chunk_width(monkeypatch):
         for chunk_elems in (1 << 20, width * n):
             monkeypatch.setattr(engine, "_CHUNK_ELEMS", chunk_elems)
             rng = spawn_rngs(80, 1)[0]
-            runs.append(run_trial(spec, rng, n, bx, by, paired=True))
+            runs.append(run_trial(spec, rng, n, bx, by))
         for field in ("inband_gain", "gain_irs", "gain_noirs"):
             np.testing.assert_array_equal(getattr(runs[0], field), getattr(runs[1], field))
 
@@ -608,10 +590,10 @@ def test_aligned_gain_peak_memory_is_one_chunk():
 @pytest.mark.parametrize("n", [8, 16])
 def test_sub6_trial_reduced_law_replays_bit_for_bit(n):
     """The OOB side draws, after the in-band exponentials, one Gamma(N, 1)
-    power G per slot, then one direct power and one reflected sum per UE
+    power G per slot, then one exponential per UE and UE 0's direct gain
     (_replay_oob with variance beta_r G), and nothing more."""
     spec, bx, by, rng, replay = _diff_setup("sub6", n)
-    data = run_trial(spec, rng, n, bx, by, paired=True)
+    data = run_trial(spec, rng, n, bx, by)
 
     _, (gain, *_) = _replay_inband_sub6(replay, bx, n, spec.slots)
     power = replay.standard_gamma(n, size=spec.slots)
@@ -627,7 +609,7 @@ def test_sub6_reduced_law_matches_dense_path(n):
     """Distributional equivalence of the reduced OOB sampler and the dense
     per-element channels of oracles.sample_sub6 on one budget (4 UEs):
     two-sample KS per UE on the gain
-    and the gain offset, the mean gain beta_d + N beta_r, and the cross-UE
+    and on UE 0's gain offset, the mean gain beta_d + N beta_r, and the cross-UE
     correlation that the shared power G induces. Given G both UEs' gains are
     (beta_d + beta_r G) Exp(1), independently, so
     corr = N beta_r beta_r' / sqrt(V V'), V = (beta_d + N beta_r)^2 + 2 N beta_r^2,
@@ -637,13 +619,13 @@ def test_sub6_reduced_law_matches_dense_path(n):
     spec = ExperimentSpec(k_ues=3, q_ues=4, slots=slots)
     _, bx, by = budgets_for(spec, np.random.default_rng(60))
     rngs = spawn_rngs(600 + n, 2)
-    reduced = run_trial(spec, rngs[0], n, bx, by, paired=True)
+    reduced = run_trial(spec, rngs[0], n, bx, by)
     dense_irs, dense_noirs, _ = _dense_oob_gains(rngs[1], n, by, slots)
 
-    for a, b in ((reduced.gain_irs, dense_irs),
-                 (reduced.gain_irs - reduced.gain_noirs, dense_irs - dense_noirs)):
-        for q in range(by.n_ues):
-            assert ks_2samp(a[:, q], b[:, q]).pvalue > 1e-4
+    for q in range(by.n_ues):
+        assert ks_2samp(reduced.gain_irs[:, q], dense_irs[:, q]).pvalue > 1e-4
+    assert ks_2samp(reduced.gain_irs[:, 0] - reduced.gain_noirs,
+                    dense_irs[:, 0] - dense_noirs[:, 0]).pvalue > 1e-4
 
     mean = by.beta_d + n * by.beta_r
     var = (by.beta_d + n * by.beta_r) ** 2 + 2 * n * by.beta_r ** 2
@@ -684,7 +666,7 @@ def test_mmwave_los_trial_matches_scalar_reference(n):
     spec, bx, by, rng, replay = _diff_setup("mmwave_los", n, l1=1, l2=3)
     l_oob = spec.l1 * spec.l2
     scale = n / math.sqrt(l_oob)
-    data = run_trial(spec, rng, n, bx, by, paired=True)
+    data = run_trial(spec, rng, n, bx, by)
 
     x, angles_y, k_served, u, on_beam = _replay_los(replay, n, bx, by, spec.slots, l_oob)
     m = on_beam.sum(axis=2)
@@ -695,8 +677,10 @@ def test_mmwave_los_trial_matches_scalar_reference(n):
     np.testing.assert_array_equal(data.gain_noirs, direct)
     np.testing.assert_array_equal(data.gain_irs, want_irs)
     unmatched = m[k_served] == 0
-    assert unmatched.any()
-    np.testing.assert_array_equal(data.gain_irs[unmatched], data.gain_noirs[unmatched])
+    assert unmatched[:, 0].any()
+    np.testing.assert_array_equal(data.gain_noirs[unmatched[:, 0]],
+                                  data.gain_irs[unmatched[:, 0], 0])
+    assert np.all(r_full[unmatched] == 0)
 
     fresh = np.random.default_rng(n)
     for s in range(spec.slots):
@@ -717,22 +701,22 @@ def test_mmwave_los_trial_matches_scalar_reference(n):
 
 
 def _assert_gain_laws(data, dense_gain, dense_direct, by):
-    """Per UE, two-sample KS of a trial's gains against the per-path sum on
-    the gain and on the offset gain_irs - gain_noirs, and one-sample KS of
-    gain_noirs / beta_d against Exp(1), the direct gain the trial draws as a
-    magnitude."""
+    """Two-sample KS of a trial's gains against the per-path sum: per UE on
+    the gain, and for UE 0 on the offset gain_irs - gain_noirs; and
+    one-sample KS of UE 0's gain_noirs / beta_d against Exp(1), the direct
+    gain the trial draws as a magnitude."""
     for q in range(by.n_ues):
         assert ks_2samp(data.gain_irs[:, q], dense_gain[:, q]).pvalue > 1e-4
-        assert ks_2samp(data.gain_irs[:, q] - data.gain_noirs[:, q],
-                        dense_gain[:, q] - dense_direct[:, q]).pvalue > 1e-4
-        assert kstest(data.gain_noirs[:, q] / by.beta_d[q], "expon").pvalue > 1e-4
+    assert ks_2samp(data.gain_irs[:, 0] - data.gain_noirs,
+                    dense_gain[:, 0] - dense_direct[:, 0]).pvalue > 1e-4
+    assert kstest(data.gain_noirs / by.beta_d[0], "expon").pvalue > 1e-4
 
 
 @pytest.mark.parametrize("n,l_oob", [(8, 5), (8, 50), (64, 5), (64, 50)])
 def test_mmwave_los_reduced_law_matches_per_path_sum(n, l_oob):
     """Distributional equivalence of the reduced OOB sampler and the per-path
     sum it replaces, both on the trial's own angles and in-band draws: KS per
-    UE on the gain, the gain offset and the direct gain (_assert_gain_laws),
+    UE on the gain and on UE 0's offset and direct gain (_assert_gain_laws),
     the mean gain beta_d + (N^2/L) beta_f beta_g mean(m), and,
     per served in-band UE k, the correlation of two matched UEs' gains. Given
     X = |gamma_1|^2 / beta_f ~ Exp(1) the gains are independent exponentials
@@ -744,7 +728,7 @@ def test_mmwave_los_reduced_law_matches_per_path_sum(n, l_oob):
     spec = ExperimentSpec(regime="mmwave_los", k_ues=2, q_ues=4, l2=l_oob, slots=slots)
     _, bx, by = budgets_for(spec, np.random.default_rng(61))
     seed = 610 + n + l_oob
-    data = run_trial(spec, np.random.default_rng(seed), n, bx, by, paired=True)
+    data = run_trial(spec, np.random.default_rng(seed), n, bx, by)
     _, _, k_served, u, on_beam = _replay_los(np.random.default_rng(seed), n, bx, by,
                                              slots, l_oob)
     per_path = np.random.default_rng(seed + 1)
@@ -822,7 +806,7 @@ def test_mmwave_nlos_trial_matches_scalar_reference(n):
     spec, bx, by, rng, replay = _diff_setup("mmwave_nlos", n, l1=2, l2=2)
     l1, l2 = spec.l1, spec.l2
     scale = n / math.sqrt(l1 * l2)
-    data = run_trial(spec, rng, n, bx, by, paired=True)
+    data = run_trial(spec, rng, n, bx, by)
 
     (angles_x, k_served, h_dx, g_x), (angles_y, gamma_1) = \
         _replay_nlos(replay, n, bx, by, spec.slots, l1, l2)
@@ -908,7 +892,7 @@ def test_mmwave_nlos_reduced_law_matches_per_path_sum(n, l1, l2):
     """Distributional equivalence of the reduced OOB sampler and the per-path
     sum it replaces, both on the trial's own angles and in-band draws, the
     configurations rebuilt by align: KS per UE on the gain,
-    the gain offset and the direct gain (_assert_gain_laws), the mean gain
+    and on UE 0's offset and direct gain (_assert_gain_laws), the mean gain
     from the slots' responses, and the correlation between UEs
     that the shared gamma_1 creates (averaged over the UE pairs, whose single
     estimates are noisy with these heavy tails). The gap to the correlation of
@@ -919,7 +903,7 @@ def test_mmwave_nlos_reduced_law_matches_per_path_sum(n, l1, l2):
     spec = ExperimentSpec(regime="mmwave_nlos", k_ues=2, q_ues=4, l1=l1, l2=l2, slots=slots)
     _, bx, by = budgets_for(spec, np.random.default_rng(62))
     seed = 620 + n + l1
-    data = run_trial(spec, np.random.default_rng(seed), n, bx, by, paired=True)
+    data = run_trial(spec, np.random.default_rng(seed), n, bx, by)
     (angles_x, k_served, h_dx, g_x), (angles_y, _) = \
         _replay_nlos(np.random.default_rng(seed), n, bx, by, slots, l1, l2)
     if n < l_paths:
@@ -959,7 +943,7 @@ def test_nlos_variance_vanishes_off_the_served_coset(monkeypatch):
     has no reflected variance in the model, while that in-band UE is served:
     the FFTs give exact zeros or a rounding residue (below 1e-20 of a lit
     variance), and wherever the variance is exactly 0 the gain with the
-    reflector is the direct gain bit for bit. Moving one of the OOB UE's bins
+    reflector is UE 0's direct gain bit for bit. Moving one of the OOB UE's bins
     onto the coset brings the variance back, and so does serving an in-band
     UE off any coset. The angle bins are planted; the variance is the one the
     trial returns, and the gains are _oob_gains of it, as run_trial draws them."""
@@ -981,14 +965,14 @@ def test_nlos_variance_vanishes_off_the_served_coset(monkeypatch):
                             lambda rng, n_elements, l1, l2, n_ues: next(planted))
         rng = spawn_rngs(81, 1)[0]
         _, variance, _ = mmwave_nlos_trial(rng, n, bx, by, spec.slots, 1, l2)
-        return (variance, *_oob_gains(rng, by.beta_d, variance, paired=True))
+        return (variance, *_oob_gains(rng, by.beta_d, variance))
 
     variance, gain_irs, gain_noirs = variance_and_gains(bins_y)
     typical = np.median(variance[:, 1:])
     assert np.all(variance[served, 0] < 1e-20 * typical)
     assert np.all(variance[~served, 0] > 1e-10 * typical)
-    dark = variance == 0
-    np.testing.assert_array_equal(gain_irs[dark], gain_noirs[dark])
+    dark = variance[:, 0] == 0
+    np.testing.assert_array_equal(gain_irs[dark, 0], gain_noirs[dark])
 
     moved = bins_y.copy()
     moved[0, -1] = coset[1]

@@ -6,6 +6,7 @@ import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -219,7 +220,7 @@ def _point_trials(spec):
     _, bx, by = budgets_for(spec, rngs[0])
     points = []
     for i, n in enumerate(spec.n_sweep):
-        datas = [run_trial(spec, rng, n, bx, by, paired=experiments._pairs_oob_gains(spec))
+        datas = [run_trial(spec, rng, n, bx, by)
                  for rng in rngs[1 + i * per_point: i * per_point + per_point]]
         points.append((np.stack([d.gain_irs for d in datas]),
                        tuple(np.stack([d.aligned[j] for d in datas]) for j in (0, 1))))
@@ -476,6 +477,29 @@ def test_grid_inversions_round_trip_their_laws(n):
                                np.linspace(0.95, 0.05, 10), rtol=1e-12)
 
 
+def test_offset_ccdf_rows_hold_the_finite_n_law_where_the_direct_gain_counts():
+    """The runner's sub6 offset_ccdf rows against ccdf_offset_sub6_finite_n,
+    with every UE pinned at (800, 800). There beta_r / beta_d is about 0.24,
+    so at N = 4 the direct-only gain carries half of the mean gain with the
+    reflector, and an error in the share a = beta_d / (beta_d + v) with
+    which the engine draws it given that gain moves the rows: 5% either way
+    moves some cell about 7 stderr or more. Every row lies within the two-sided
+    Bonferroni normal threshold at alpha = 1e-3 of the form, on its own
+    binomial stderr over 4 trials of 5000 slots."""
+    spec = ExperimentSpec(n_sweep=(4, 16), k_ues=2, q_ues=2, slots=5000, trials=4,
+                          outputs=("ccdf",),
+                          geometry=dataclasses.replace(PINNED_UES,
+                                                       ue_region=((800.0, 800.0),) * 2))
+    _, _, by = budgets_for(spec, np.random.default_rng(0))
+    assert 0.2 < by.beta_r[0] / by.beta_d[0] < 0.3
+    rows, _ = spec_rows(spec)
+    cells = [row for row in rows if row.statistic == "offset_ccdf"]
+    assert {row.n_elements for row in cells} == {4, 16}
+    z = [(row.empirical - row.analytic) / row.stderr for row in cells]
+    threshold = -NormalDist().inv_cdf(1e-3 / (2 * len(cells)))
+    assert max(map(abs, z)) < threshold
+
+
 def test_sample_helpers_are_seed_deterministic():
     sub6 = ExperimentSpec()
     with_a, without_a, params_a = oob_gain_samples(41, sub6, 8, 500)
@@ -509,40 +533,26 @@ _REDUCED_PRESETS = {"fig3": {"slots": 60, "trials": 2},
 
 
 @pytest.mark.parametrize("kind", OUTPUT_KINDS)
-def test_only_outputs_that_compare_the_direct_gain_draw_it(kind):
-    """The runner pairs the OOB gain with the direct-only gain exactly for a
-    spec that asks for ccdf or dominance, which compare the two: its point
-    replays run_trial(paired=True) bit for bit. Every other spec's point
-    holds gain_noirs None and replays run_trial(paired=False) bit for bit.
-    Either way the gains with the reflector, the in-band gains and the
-    aligned draws are the same bits. So asking for dominance, and in sub6
-    also for ccdf, leaves every row of a spec's own output the same bytes:
-    on fig3, fig8 and fig9 at reduced sizes, with `kind` as their output
-    where the regime allows it."""
+def test_added_comparisons_leave_a_specs_own_rows_unchanged(kind):
+    """Every spec's points replay run_trial bit for bit, whatever its
+    outputs: the gains with the reflector, OOB UE 0's direct-only gain, the
+    in-band gains and the aligned draws. So asking for dominance, and in
+    sub6 also for ccdf, leaves every row of a spec's own output the same
+    bytes: on fig3, fig8 and fig9 at reduced sizes, with `kind` as their
+    output where the regime allows it."""
     spec = ExperimentSpec(n_sweep=(8, 0), k_ues=2, q_ues=3, slots=60, trials=2, seed=13,
                           outputs=(kind,))
-    paired = kind in ("ccdf", "dominance")
-    assert experiments._pairs_oob_gains(spec) == paired
     points, _ = experiments.sweep_points(spec)
     with ThreadPoolExecutor(max_workers=2) as pool:
         got = list(experiments.sweep_gains(pool, points))
-
-    def replay(want_paired):
-        """Each point's trials, one by one on fresh copies of its generators."""
-        return [[run_trial(spec, rng, n, bx, by, paired=want_paired) for rng in rngs]
-                for _, n, rngs, bx, by in experiments.sweep_points(spec)[0]]
-
-    for data, want, other in zip(got, replay(paired), replay(not paired), strict=True):
-        if paired:
-            np.testing.assert_array_equal(data.gain_noirs, [w.gain_noirs for w in want])
-        else:
-            assert data.gain_noirs is None
-        for trials in (want, other):
-            for field in ("gain_irs", "inband_gain"):
-                np.testing.assert_array_equal(getattr(data, field),
-                                              [getattr(w, field) for w in trials])
-            for j in (0, 1):
-                np.testing.assert_array_equal(data.aligned[j], [w.aligned[j] for w in trials])
+    replay = [[run_trial(spec, rng, n, bx, by) for rng in rngs]
+              for _, n, rngs, bx, by in experiments.sweep_points(spec)[0]]
+    for data, trials in zip(got, replay, strict=True):
+        for field in ("gain_irs", "gain_noirs", "inband_gain"):
+            np.testing.assert_array_equal(getattr(data, field),
+                                          [getattr(w, field) for w in trials])
+        for j in (0, 1):
+            np.testing.assert_array_equal(data.aligned[j], [w.aligned[j] for w in trials])
 
     for name, overrides in _REDUCED_PRESETS.items():
         base = preset_spec(name, overrides)

@@ -398,34 +398,57 @@ def _trial_variance(spec, rng, n, bx, by):
     return variance
 
 
-@pytest.mark.parametrize("regime,n,extra", [("sub6", 0, {}), ("sub6", 4, {}), ("sub6", 64, {}),
-                                            ("mmwave_los", 8, {"l1": 1, "l2": 3}),
-                                            ("mmwave_nlos", 16, {"l1": 1, "l2": 4}),
-                                            ("mmwave_nlos", 16, {"l1": 2, "l2": 2})])
-def test_oob_gains_are_one_exponential_per_cell_then_ue0_direct_draw(regime, n, extra):
-    """After the regime's trial, run_trial draws one exponential E per
-    (slot, UE), then 2 normals per slot for OOB UE 0's direct-only gain, and
-    nothing more, whatever zeros the trial's variance v holds; the gain with
-    the reflector is (beta_d + v) E bit for bit. Given v, h_d + R is
-    CN(0, beta_d + v), so the gain over beta_d + v is Exp(1): one-sample KS,
-    pooled over slots and UEs, on each regime's own trial variance (sub6
-    with and without a reflector, LOS with unmatched cells, nlos with one
-    and two feeder paths). At 80,000 cells a 5% error in beta_d + v moves
-    that statistic about 5 sigma."""
-    spec = ExperimentSpec(regime=regime, n_sweep=(n,), k_ues=3, q_ues=4, slots=20_000,
-                          **extra)
-    seed = 90 + n + extra.get("l1", 0)
-    _, bx, by = budgets_for(spec, spawn_rngs(seed, 2)[0])
-    rng, replay = spawn_rngs(seed, 2)[1], spawn_rngs(seed, 2)[1]
+_UNPAIRED_CASES = [("sub6", 0, {}), ("sub6", 4, {}), ("sub6", 64, {}),
+                   ("mmwave_los", 8, {"l1": 1, "l2": 3}),
+                   ("mmwave_nlos", 16, {"l1": 1, "l2": 4}),
+                   ("mmwave_nlos", 16, {"l1": 2, "l2": 2})]
+
+
+@pytest.mark.parametrize("regime,n,extra", _UNPAIRED_CASES)
+def test_unpaired_oob_gain_is_one_exponential_per_cell(regime, n, extra):
+    """The gain with the reflector is drawn unpaired: after the regime's
+    trial, run_trial draws one exponential E per (slot, UE), and the gain is
+    (beta_d + v) E bit for bit on the trial's own variance v. Only then does
+    it draw 2 normals per slot for OOB UE 0's direct-only gain given that
+    gain, and nothing more, whatever zeros v holds."""
+    spec, bx, by, rng, replay = _diff_setup(regime, n, **extra)
     data = run_trial(spec, rng, n, bx, by)
     variance = _trial_variance(spec, replay, n, bx, by)
-    if regime == "mmwave_los":
-        assert np.any(variance == 0) and np.any(variance > 0)
     np.testing.assert_array_equal(
         data.gain_irs, (by.beta_d + variance) * replay.standard_exponential(variance.shape))
     replay.standard_normal(2 * spec.slots)
     assert rng.bit_generator.state == replay.bit_generator.state
+    assert data.gain_noirs.shape == (spec.slots,)
+
+
+@pytest.mark.parametrize("regime,n,extra", _UNPAIRED_CASES)
+def test_unpaired_oob_gain_law_is_the_paired_one(regime, n, extra):
+    """Given the reflected variance v, h_d + R is CN(0, beta_d + v), so the
+    unpaired gain with the reflector over beta_d + v is Exp(1): one-sample
+    KS, pooled over slots and UEs, on each regime's own trial variance (sub6
+    with and without a reflector, LOS with unmatched cells, nlos with one
+    and two feeder paths). For OOB UE 0 the pair (gain, direct-only gain)
+    that run_trial draws by conditioning has the law of (|h_d + R|^2,
+    |h_d|^2) drawn as a pair on the same v: two-sample KS of the gain, the
+    direct-only gain and the offset. At 80,000 cells a 5% error in
+    beta_d + v moves the one-sample statistic about 5 sigma."""
+    spec = ExperimentSpec(regime=regime, n_sweep=(n,), k_ues=3, q_ues=4, slots=20_000,
+                          **extra)
+    seed = 90 + n + extra.get("l1", 0)
+    _, bx, by = budgets_for(spec, spawn_rngs(seed, 2)[0])
+    data = run_trial(spec, spawn_rngs(seed, 2)[1], n, bx, by)
+    variance = _trial_variance(spec, spawn_rngs(seed, 2)[1], n, bx, by)
+    if regime == "mmwave_los":
+        assert np.any(variance == 0) and np.any(variance > 0)
     assert kstest((data.gain_irs / (by.beta_d + variance)).ravel(), "expon").pvalue > 1e-4
+
+    oracle = np.random.default_rng(seed)
+    h_d = complex_normal(oracle, by.beta_d[0], spec.slots)
+    gain = np.abs(h_d + complex_normal(oracle, variance[:, 0], spec.slots)) ** 2
+    direct = np.abs(h_d) ** 2
+    for got, want in ((data.gain_irs[:, 0], gain), (data.gain_noirs, direct),
+                      (data.gain_irs[:, 0] - data.gain_noirs, gain - direct)):
+        assert ks_2samp(got, want).pvalue > 1e-4
 
 
 def _ceiling(data, budget_y):
